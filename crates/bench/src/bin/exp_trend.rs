@@ -1,7 +1,7 @@
 //! Cross-commit trend gate: diffs the current run's `PINUM_JSON_DIR`
 //! experiment JSON against the committed baseline
 //! (`crates/bench/baselines/trend.json`) and exits non-zero on any
-//! probe-count/speedup/quality regression. See `pinum_bench::trend`.
+//! probe-count/quality/identity regression. See `pinum_bench::trend`.
 //!
 //! With `--write-baseline`, instead of gating, the baseline file is
 //! rewritten with every tracked metric's current value (kinds,

@@ -4,8 +4,9 @@
 //!
 //! Every CI run already asserts hard acceptance gates inside each
 //! experiment; this harness adds the *relative* dimension — a change
-//! that still clears the hard gate but doubles the probe count or
-//! halves the speedup fails here. The baseline file lists metrics as
+//! that still clears the hard gate but doubles the probe count fails
+//! here. Only deterministic behavioural metrics are tracked; timings
+//! are perfbench's. The baseline file lists metrics as
 //!
 //! ```json
 //! { "metrics": [
@@ -16,7 +17,7 @@
 //! * `kind: "max"` — regression when `current > baseline × (1 + tol)`
 //!   (lower is better: probe counts, cost ratios);
 //! * `kind: "min"` — regression when `current < baseline × (1 − tol)`
-//!   (higher is better: speedups, `identical` flags);
+//!   (higher is better: call reductions, `identical` flags);
 //! * `kind: "near"` — both bounds (counts that should not move at all).
 //!
 //! `key` is a dotted path into the experiment's JSON object; numeric

@@ -18,16 +18,19 @@
 //!
 //! and maintains it by *splicing*, never rebuilding:
 //!
-//! * [`PricingSession::admit_query_weighted`] splices the newcomer into
-//!   the model (O(its access arms)), prices **only the newcomer** under
-//!   the current selection, and appends its contribution as a new leaf of
-//!   the state's pairwise sum tree — appending (and the occasional exact
-//!   zero-padded capacity doubling) never changes the bits of the total;
+//! * [`PricingSession::admit_batch`] splices a run of newcomers into the
+//!   model (O(their access arms)), prices **only the newcomers** under
+//!   the current selection, and appends their contributions as new
+//!   leaves of the state's pairwise sum tree — appending (and the
+//!   occasional exact zero-padded capacity growth) never changes the
+//!   bits of the total, however a stream is cut into runs
+//!   ([`PricingSession::admit_query_weighted`] is the width-1 call);
 //! * [`PricingSession::evict_query`] zeroes the tombstone's leaf, which
 //!   re-totals the O(log n) tree path above it — no re-pricing, no
 //!   O(window) re-sum;
-//! * [`PricingSession::reweight_query`] re-prices **one** query and
-//!   updates its leaf the same way;
+//! * [`PricingSession::reweight_queries`] re-prices **each named** query
+//!   once and updates its leaf the same way
+//!   ([`PricingSession::reweight_query`] is the width-1 call);
 //! * [`PricingSession::compact`] drops tombstone entries alongside the
 //!   model's slots and rebuilds the tree over the survivors (live order
 //!   is preserved, so the total is the fresh build's total);
@@ -164,31 +167,27 @@ impl PricingSession {
         self.admit_query_weighted(cache, access, 1.0)
     }
 
-    /// [`Self::admit_query`] with an explicit workload weight.
+    /// [`Self::admit_query`] with an explicit workload weight — the
+    /// width-1 call of [`Self::admit_batch`].
     pub fn admit_query_weighted(
         &mut self,
         cache: &PlanCache,
         access: &AccessCostCatalog,
         weight: f64,
     ) -> usize {
-        let qid = self.model.admit_query_weighted(cache, access, weight);
-        let contribution = self.contribution(qid);
-        debug_assert_eq!(self.state.per_query().len(), qid);
-        self.state.push_query_cost(contribution);
-        self.debug_assert_state_matches_full();
-        qid
+        self.admit_batch(&[(cache, access, weight)])
     }
 
-    /// Splices a batch of arriving `(cache, access, weight)` queries:
-    /// one model maintenance pass ([`WorkloadModel::admit_batch`]), one
-    /// single-query pricing per newcomer, and one sum-tree extension
+    /// The admission body: splices a run of arriving `(cache, access,
+    /// weight)` queries with one model maintenance pass
+    /// ([`WorkloadModel::admit_batch`]), one single-query pricing per
+    /// newcomer, and one sum-tree extension
     /// ([`PricedWorkload::extend_query_costs`] — at most one capacity
-    /// rebuild). Returns the first new query id; the batch occupies
+    /// rebuild). Returns the first new query id; the run occupies
     /// `first..first + queries.len()`.
     ///
-    /// Bit-identical to `queries.len()` serial
-    /// [`Self::admit_query_weighted`] calls: pricing a newcomer reads
-    /// only its own packed arms, so later batch members' presence cannot
+    /// How a stream is cut into runs changes no bit: pricing a newcomer
+    /// reads only its own packed arms, so later members' presence cannot
     /// change its bits, and the tree extension is exact.
     pub fn admit_batch(&mut self, queries: &[(&PlanCache, &AccessCostCatalog, f64)]) -> usize {
         let first = self.model.admit_batch(queries);
@@ -210,21 +209,17 @@ impl PricingSession {
         self.debug_assert_state_matches_full();
     }
 
-    /// Changes one live query's weight, re-pricing only that query.
+    /// Changes one live query's weight, re-pricing only that query — the
+    /// width-1 call of [`Self::reweight_queries`].
     pub fn reweight_query(&mut self, qid: usize, weight: f64) {
-        self.model.reweight_query(qid, weight);
-        let contribution = self.contribution(qid);
-        self.state.set_query_cost(qid, contribution);
-        self.debug_assert_state_matches_full();
+        self.reweight_queries([(qid, weight)]);
     }
 
-    /// Applies a batch of weight changes — each changed query is
-    /// re-priced once and spliced into the sum tree. The batched mirror
-    /// of [`Self::reweight_query`] for window-sized updates (e.g. a
-    /// decay round): O(batch) single-query pricings plus O(batch·log n)
-    /// tree updates. (The tree makes per-element maintenance cheap
-    /// enough that batching no longer changes the complexity; the entry
-    /// point stays for callers that hold a batch anyway.)
+    /// The reweight body: each `(qid, weight)` update re-prices its one
+    /// query and splices the new contribution into the sum tree —
+    /// O(updates) single-query pricings plus O(updates·log n) tree
+    /// updates, with the session invariant re-checked once per call
+    /// (window-sized callers, e.g. a decay round, pay one check).
     pub fn reweight_queries(&mut self, updates: impl IntoIterator<Item = (usize, f64)>) {
         for (qid, weight) in updates {
             self.model.reweight_query(qid, weight);

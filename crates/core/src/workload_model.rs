@@ -97,9 +97,10 @@
 //!
 //! ## Streaming — the workload as a mutable object
 //!
-//! [`WorkloadModel::admit_query`] flattens one more `(plan cache, access
-//! catalog)` pair and appends it to the packed arrays in O(that query's
-//! arms). [`WorkloadModel::evict_query`] retracts a query eagerly from
+//! [`WorkloadModel::admit_batch`] flattens a run of `(plan cache, access
+//! catalog)` pairs and appends them to the packed arrays in O(those
+//! queries' arms); [`WorkloadModel::admit_query`] is its width-1 call.
+//! [`WorkloadModel::evict_query`] retracts a query eagerly from
 //! the inverted index and tombstones its metadata (its packed arm data
 //! becomes unreachable and is reclaimed by [`WorkloadModel::compact`],
 //! which rebuilds the arrays over the survivors — bit-identical to a
@@ -250,28 +251,20 @@ impl PricedWorkload {
         }
     }
 
-    /// Appends a newly admitted query's cost. Amortized O(log n): when
-    /// the leaf row is full the tree is rebuilt at doubled capacity,
-    /// which is exact (padding adds +0.0), so totals never change bits
-    /// across growth.
+    /// Appends one newly admitted query's cost — the width-1 call of
+    /// [`Self::extend_query_costs`].
     pub fn push_query_cost(&mut self, cost: f64) {
-        let cap = self.tree.len() / 2;
-        if self.per_query.len() == cap {
-            self.per_query.push(cost);
-            let costs = std::mem::take(&mut self.per_query);
-            *self = Self::from_costs(costs);
-        } else {
-            let q = self.per_query.len();
-            self.per_query.push(cost);
-            self.set_query_cost(q, cost);
-        }
+        self.extend_query_costs(&[cost]);
     }
 
-    /// Appends a batch of newly admitted queries' costs with at most
-    /// **one** capacity rebuild. Bit-identical to pushing them one at a
-    /// time: the tree is a pure function of (leaves, capacity), the
-    /// final capacity is the same power of two either way, and the
-    /// rebuild's zero padding adds exact +0.0.
+    /// Appends newly admitted queries' costs. Amortized O(log n) each,
+    /// with at most **one** capacity rebuild per call: when the leaf row
+    /// cannot hold them the tree is rebuilt at the next power of two,
+    /// which is exact (padding adds +0.0), so totals never change bits
+    /// across growth. The result does not depend on how a run of costs
+    /// is split across calls: the tree is a pure function of (leaves,
+    /// capacity) and the final capacity is the same power of two either
+    /// way.
     pub fn extend_query_costs(&mut self, costs: &[f64]) {
         let need = self.per_query.len() + costs.len();
         if need > self.tree.len() / 2 {
@@ -763,41 +756,34 @@ impl WorkloadModel {
     }
 
     /// [`Self::admit_query`] with an explicit workload weight (e.g. an
-    /// observed execution frequency). `weight` must be finite and > 0.
+    /// observed execution frequency) — the width-1 call of
+    /// [`Self::admit_batch`].
     pub fn admit_query_weighted(
         &mut self,
         cache: &PlanCache,
         access: &AccessCostCatalog,
         weight: f64,
     ) -> usize {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "query weight must be finite and positive, got {weight}"
-        );
-        let qid = self.qmeta.len();
-        assert!(qid < u32::MAX as usize, "query id space exhausted");
-        let qm = flatten_query(cache, access);
-        self.push_query(&qm);
-        self.finish_admit(weight);
-        self.debug_assert_index_matches_rebuild();
-        qid
+        self.admit_batch(&[(cache, access, weight)])
     }
 
-    /// Splices a batch of queries in one maintenance pass: every query is
-    /// flattened and packed, the inverted index takes each newcomer's
-    /// entries as the same O(1) sorted pushes the serial path does (new
-    /// ids are issued in ascending order, so the lists stay sorted), and
-    /// the expensive index-rebuild debug assert runs **once** for the
-    /// whole batch instead of once per query. Returns the first new query
-    /// id; the batch occupies `first..first + queries.len()`.
+    /// The admission body: splices a run of `(cache, access, weight)`
+    /// queries (weights finite and > 0) in one maintenance pass. Every
+    /// query is flattened and packed in O(its plans and access arms), the
+    /// inverted index takes each newcomer's entries as O(1) sorted pushes
+    /// (new ids are issued in ascending order, so the lists stay sorted),
+    /// and the expensive index-rebuild debug assert runs **once** per
+    /// call. Returns the first new query id; the run occupies
+    /// `first..first + queries.len()`.
     ///
-    /// Bit-identical to `queries.len()` serial
-    /// [`Self::admit_query_weighted`] calls: admission never reads other
-    /// queries' state, so batching changes no intermediate value.
+    /// How a stream is cut into runs changes no bit: admission never
+    /// reads other queries' state.
     pub fn admit_batch(&mut self, queries: &[(&PlanCache, &AccessCostCatalog, f64)]) -> usize {
         let first = self.qmeta.len();
+        // Every issued id stays below `u32::MAX`, the tombstone mark of
+        // `compact`'s remap.
         assert!(
-            first + queries.len() < u32::MAX as usize,
+            first + queries.len() <= u32::MAX as usize,
             "query id space exhausted"
         );
         for &(cache, access, weight) in queries {

@@ -178,9 +178,9 @@ pub struct Admission {
 }
 
 /// One canonical admission mutation — the *only* thing
-/// [`OnlineAdvisor::apply`] consumes, and (field for field) the record
-/// the persistence log serializes. The builder collapses what used to be
-/// five overlapping `admit_*` entry points into one spec:
+/// [`OnlineAdvisor::apply`] and [`OnlineAdvisor::apply_batch_gated`]
+/// consume, and (field for field) the record the persistence log
+/// serializes:
 ///
 /// ```ignore
 /// advisor.apply(AdmissionSpec::new(&cache, &access)
@@ -206,10 +206,11 @@ pub struct AdmissionSpec<'a> {
     pub templates: &'a [TemplateKey],
     /// Explicit per-template cost shares for
     /// [`SharePolicy::AccessShare`]; `None` derives them from the access
-    /// catalog exactly as the legacy entry points did.
+    /// catalog (each relation's cheapest arm).
     pub shares: Option<&'a [f64]>,
     /// Defer a triggered re-advise: return it in [`Admission::pending`]
-    /// instead of executing it inline (the server's budget gate).
+    /// instead of executing it inline ([`OnlineAdvisor::apply`] only —
+    /// the gated batch path runs every trigger under its caller's guard).
     pub deferred: bool,
 }
 
@@ -436,74 +437,47 @@ impl OnlineAdvisor {
         }
     }
 
-    /// Applies one [`AdmissionSpec`] — **the** admission entry point.
-    /// The spec's `(cache, access)` pair is the per-query artifact of
-    /// the paper's one optimizer call — built by the caller (or by
-    /// [`Self::collect_admission`]), spliced here in O(that query's
-    /// access arms) plus one single-query pricing.
+    /// Applies one [`AdmissionSpec`] — the single-spec admission entry
+    /// point: the width-1 call of the admission body (`splice`) plus the
+    /// spec's own trigger handling. The spec's `(cache, access)` pair is
+    /// the per-query artifact of the paper's one optimizer call — built
+    /// by the caller (or by [`Self::collect_admission`]), spliced here in
+    /// O(that query's access arms) plus one single-query pricing.
     ///
     /// An inline spec executes any triggered re-advise before returning
     /// ([`Admission::readvise`]); a [`AdmissionSpec::deferred`] spec
     /// returns the trigger in [`Admission::pending`] for the caller to
     /// run later via [`Self::readvise_triggered`] — bit-identical to the
     /// inline execution as long as no other mutation touches this
-    /// advisor in between (the multi-tenant server serializes every
-    /// tenant on one shard, so none does), which is how a global
-    /// re-advise budget can gate *when* re-advises run without changing
-    /// *what* they compute.
+    /// advisor in between, which is how a caller can gate *when*
+    /// re-advises run without changing *what* they compute.
     pub fn apply(&mut self, spec: AdmissionSpec<'_>) -> Admission {
-        let mut admission = self.splice_admission(&spec);
+        let mut out = Vec::with_capacity(1);
+        self.splice(std::slice::from_ref(&spec), &mut out);
+        let mut admission = out.pop().expect("splice reports every spec");
         if spec.deferred {
             admission.pending = self.pending_trigger();
         } else {
-            admission.readvise = self.maybe_readvise();
+            admission.readvise = self.pending_trigger().map(|t| self.readvise_with(t));
         }
         admission
     }
 
-    /// Applies a batch of admissions with per-spec [`Admission`] results
-    /// **identical to serial [`Self::apply`] calls** (bit for bit in
-    /// every deterministic field; `model_wall` is wall clock and is
-    /// reported as each spec's share of the batched splice).
+    /// Applies a run of admissions with per-spec [`Admission`] results
+    /// **identical to serial inline [`Self::apply`] calls** (bit for bit
+    /// in every deterministic field; `model_wall` is wall clock and is
+    /// reported as each spec's share of its splice), for callers that
+    /// gate re-advises behind an external budget (the multi-tenant
+    /// server): `spec.deferred` is ignored and every triggered re-advise
+    /// executes at its serial position under a guard obtained from
+    /// `acquire`, held for the whole re-advise.
     ///
-    /// The win is that window/drift bookkeeping runs once per
-    /// *trigger-free run* instead of once per spec: a maximal prefix
-    /// where no window overflow can evict (the window has room for the
-    /// whole run), no epoch boundary falls inside the run, and the drift
-    /// detector either is disarmed (no baseline yet) or can only *report*
-    /// (every spec in the run is deferred — a fired drift becomes
-    /// [`Admission::pending`] without mutating state, so per-spec checks
-    /// can be replayed retroactively from the spliced sum tree). Such a
-    /// run splices through [`PricingSession::admit_batch`] — one model
-    /// maintenance pass, one tree extension. Specs outside a run (an
-    /// inline spec under an armed detector, a spec landing on an epoch
-    /// boundary, a window-overflow eviction) fall back to serial
-    /// [`Self::apply`], so triggers still fire at exactly the serial
-    /// positions.
-    pub fn apply_batch(&mut self, specs: &[AdmissionSpec<'_>]) -> Vec<Admission> {
-        let mut out = Vec::with_capacity(specs.len());
-        let mut rest = specs;
-        while !rest.is_empty() {
-            let k = self.trigger_free_run(rest, true);
-            if k >= 2 {
-                self.splice_run(&rest[..k], &mut out);
-                rest = &rest[k..];
-            } else {
-                out.push(self.apply(rest[0]));
-                rest = &rest[1..];
-            }
-        }
-        out
-    }
-
-    /// [`Self::apply_batch`] for callers that gate re-advises behind an
-    /// external budget (the multi-tenant server): `spec.deferred` is
-    /// ignored and every triggered re-advise executes inline under a
-    /// guard obtained from `acquire` — the guard is held for the whole
-    /// re-advise, exactly like the serial server path's budget permit.
-    /// Because fired triggers mutate state here, a trigger-free run
-    /// additionally requires the drift detector to be disarmed; armed
-    /// stretches degrade to serial applies with identical results.
+    /// The specs go through the admission body (`splice`) in maximal
+    /// *trigger-free runs* — the window has room for the whole run, no
+    /// spec lands on an epoch boundary, the drift detector is not armed —
+    /// so the model maintenance pass and the invariant re-check run once
+    /// per run instead of once per spec; where no such run exists the
+    /// step is a run of one.
     pub fn apply_batch_gated<G>(
         &mut self,
         specs: &[AdmissionSpec<'_>],
@@ -512,51 +486,40 @@ impl OnlineAdvisor {
         let mut out = Vec::with_capacity(specs.len());
         let mut rest = specs;
         while !rest.is_empty() {
-            let k = self.trigger_free_run(rest, false);
-            if k >= 2 {
-                self.splice_run(&rest[..k], &mut out);
-                rest = &rest[k..];
-            } else {
-                let mut admission = self.splice_admission(&rest[0]);
-                if let Some(trigger) = self.pending_trigger() {
-                    let _permit = acquire(trigger);
-                    admission.readvise = Some(self.readvise_with(trigger));
-                }
-                out.push(admission);
-                rest = &rest[1..];
+            let k = self.trigger_free_run(rest.len()).max(1);
+            self.splice(&rest[..k], &mut out);
+            // Only a run of one can arm a trigger: a wider run was sized
+            // to end before the next one.
+            if let Some(trigger) = self.pending_trigger() {
+                let _permit = acquire(trigger);
+                let last = out.last_mut().expect("splice reports every spec");
+                last.readvise = Some(self.readvise_with(trigger));
             }
+            rest = &rest[k..];
         }
         out
     }
 
-    /// Length of the maximal trigger-free run at the head of `specs`:
-    /// the window can absorb the whole run without overflow, no spec
-    /// lands on an epoch boundary, and a fired drift either cannot
-    /// happen (baseline disarmed) or cannot mutate
-    /// (`allow_deferred_drift` and every spec deferred).
-    fn trigger_free_run(&self, specs: &[AdmissionSpec<'_>], allow_deferred_drift: bool) -> usize {
+    /// Length of the maximal trigger-free run among the next `pending`
+    /// admissions (see [`Self::apply_batch_gated`]). 0 while the drift
+    /// detector is armed — every admission is then checked where it lands.
+    fn trigger_free_run(&self, pending: usize) -> usize {
+        if self.baseline_mean.is_finite() {
+            return 0;
+        }
         let window_room = self.opts.window_capacity.saturating_sub(self.window.len());
         let epoch_room = (self.opts.epoch_length - 1).saturating_sub(self.admits_since_advise);
-        let k = specs.len().min(window_room).min(epoch_room);
-        if !self.baseline_mean.is_finite() {
-            return k;
-        }
-        if allow_deferred_drift {
-            specs.iter().take(k).take_while(|s| s.deferred).count()
-        } else {
-            0
-        }
+        pending.min(window_room).min(epoch_room)
     }
 
-    /// Splices a trigger-free run through one batched session admission,
-    /// appending one [`Admission`] per spec to `out`. Per-spec drift
-    /// *reports* (the armed, all-deferred case) are recomputed
-    /// retroactively: the drift check for spec `i` compares against the
-    /// sum tree with every later newcomer's leaf overlaid to 0.0 — the
-    /// tree is a pure function of its leaves and contributions are
-    /// non-negative, so the overlay reproduces the serial intermediate
-    /// total bit for bit.
-    fn splice_run(&mut self, specs: &[AdmissionSpec<'_>], out: &mut Vec<Admission>) {
+    /// The one admission body: splices a run of k ≥ 1 specs through one
+    /// session admission ([`PricingSession::admit_batch`] — one model
+    /// maintenance pass, one tree extension; O(the run's access arms)
+    /// plus one single-query pricing per newcomer, never an O(window)
+    /// *re-pricing*), then books each spec into the window, the ordinal
+    /// maps and the attribution, appending one [`Admission`] per spec to
+    /// `out`. Triggers are the caller's: nothing here re-advises.
+    fn splice(&mut self, specs: &[AdmissionSpec<'_>], out: &mut Vec<Admission>) {
         let splice = Instant::now();
         let queries: Vec<(&PlanCache, &AccessCostCatalog, f64)> = specs
             .iter()
@@ -564,7 +527,7 @@ impl OnlineAdvisor {
             .collect();
         let first = self.session.admit_batch(&queries);
         let model_wall = splice.elapsed();
-        let base = out.len();
+        self.stats.model_admit_wall += model_wall;
         for (i, spec) in specs.iter().enumerate() {
             let qid = first + i;
             let model_arms = self.session.model().query_arm_count(qid);
@@ -576,6 +539,13 @@ impl OnlineAdvisor {
             debug_assert_eq!(self.qid_ordinal.len(), qid);
             self.admission_qid.push(qid as u32);
             self.qid_ordinal.push(ordinal as u32);
+            // Per-relation access-cost shares for SharePolicy::AccessShare:
+            // explicit when the spec carried them, else each relation's
+            // cheapest access arm (entries are sorted ascending)
+            // approximates its slice of the query's cost. When neither
+            // holds — no override and the template list doesn't line up
+            // one-per-relation — the attribution falls back to the even
+            // split.
             if let Some(shares) = spec.shares {
                 self.attribution
                     .admit_with_shares(qid, spec.templates, shares);
@@ -602,20 +572,14 @@ impl OnlineAdvisor {
                 pending: None,
             });
         }
-        self.stats.model_admit_wall += model_wall;
-        if self.baseline_mean.is_finite() {
-            // Armed detector, all specs deferred: replay each serial
-            // intermediate drift check from the final tree.
-            for i in 0..specs.len() {
-                let later: Vec<(u32, f64)> = ((first + i + 1)..(first + specs.len()))
-                    .map(|q| (q as u32, 0.0))
-                    .collect();
-                let total = self.session.state().overlaid_total(&later);
-                let window_len = self.window.len() - (specs.len() - 1 - i);
-                if self.drift_fired_at(total, window_len) {
-                    out[base + i].pending = Some(ReadviseTrigger::Drift);
-                }
-            }
+        // --- Window overflow: retract the oldest resident (an O(log n)
+        // leaf update, nothing priced). Only a run of one can overflow —
+        // wider runs are sized to the window's room. ---
+        if self.window.len() > self.opts.window_capacity {
+            debug_assert_eq!(specs.len(), 1, "a run wider than the window's room");
+            let oldest = self.window.pop_front().expect("window non-empty");
+            self.retract(oldest);
+            out.last_mut().expect("splice reports every spec").evicted = Some(oldest);
         }
     }
 
@@ -645,147 +609,6 @@ impl OnlineAdvisor {
             cache: built.cache,
             access,
             templates: query_templates(query),
-        }
-    }
-
-    /// Admits one arriving query (weight 1.0, no template attribution).
-    #[deprecated(since = "0.2.0", note = "use `AdmissionSpec::new` + `apply`")]
-    pub fn admit(&mut self, cache: &PlanCache, access: &AccessCostCatalog) -> Admission {
-        self.apply(AdmissionSpec::new(cache, access))
-    }
-
-    /// Admission with an explicit workload weight.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `AdmissionSpec::new(..).weight(w)` + `apply`"
-    )]
-    pub fn admit_weighted(
-        &mut self,
-        cache: &PlanCache,
-        access: &AccessCostCatalog,
-        weight: f64,
-    ) -> Admission {
-        self.apply(AdmissionSpec::new(cache, access).weight(weight))
-    }
-
-    /// From-scratch admission of a raw query.
-    #[deprecated(since = "0.2.0", note = "use `collect_admission` + `apply`")]
-    pub fn admit_collected(
-        &mut self,
-        optimizer: &Optimizer<'_>,
-        query: &Query,
-        builder: &BuilderOptions,
-        weight: f64,
-    ) -> Admission {
-        let collected = self.collect_admission(optimizer, query, builder);
-        self.apply(collected.spec(weight))
-    }
-
-    /// Weighted, template-attributed admission.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `AdmissionSpec::new(..).weight(w).templates(t)` + `apply`"
-    )]
-    pub fn admit_attributed(
-        &mut self,
-        cache: &PlanCache,
-        access: &AccessCostCatalog,
-        weight: f64,
-        templates: &[TemplateKey],
-    ) -> Admission {
-        self.apply(
-            AdmissionSpec::new(cache, access)
-                .weight(weight)
-                .templates(templates),
-        )
-    }
-
-    /// Attributed admission with the re-advise deferred.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `AdmissionSpec::new(..).deferred(true)` + `apply`; the trigger is `Admission::pending`"
-    )]
-    pub fn admit_attributed_deferred(
-        &mut self,
-        cache: &PlanCache,
-        access: &AccessCostCatalog,
-        weight: f64,
-        templates: &[TemplateKey],
-    ) -> (Admission, Option<ReadviseTrigger>) {
-        let admission = self.apply(
-            AdmissionSpec::new(cache, access)
-                .weight(weight)
-                .templates(templates)
-                .deferred(true),
-        );
-        let pending = admission.pending;
-        (admission, pending)
-    }
-
-    fn splice_admission(&mut self, spec: &AdmissionSpec<'_>) -> Admission {
-        let AdmissionSpec {
-            cache,
-            access,
-            weight,
-            templates,
-            shares,
-            deferred: _,
-        } = *spec;
-        // --- Session splice: O(this query's arms) + pricing the one
-        // newcomer under the current selection — never an O(window)
-        // *re-pricing* (an overflow eviction below re-sums the priced
-        // state, which is O(window) float additions, nothing priced). ---
-        let splice = Instant::now();
-        let qid = self.session.admit_query_weighted(cache, access, weight);
-        let model_wall = splice.elapsed();
-        let model_arms = self.session.model().query_arm_count(qid);
-        let ordinal = self.admission_base + self.admission_qid.len();
-        self.stats.admits += 1;
-        self.stats.model_admit_wall += model_wall;
-        self.stats.admit_arms_total += model_arms;
-        self.stats.admit_arms_max = self.stats.admit_arms_max.max(model_arms);
-        self.window.push_back(qid);
-        debug_assert_eq!(self.qid_ordinal.len(), qid);
-        self.admission_qid.push(qid as u32);
-        self.qid_ordinal.push(ordinal as u32);
-        // Per-relation access-cost shares for SharePolicy::AccessShare:
-        // explicit when the spec carried them, else each relation's
-        // cheapest access arm (entries are sorted ascending)
-        // approximates its slice of the query's cost. When neither holds
-        // — no override and the template list doesn't line up
-        // one-per-relation — the attribution falls back to the even
-        // split.
-        if let Some(shares) = shares {
-            self.attribution.admit_with_shares(qid, templates, shares);
-        } else if templates.len() == access.per_rel().len() {
-            let derived: Vec<f64> = access
-                .per_rel()
-                .iter()
-                .map(|entries| entries.first().map_or(0.0, |e| e.cost))
-                .collect();
-            self.attribution.admit_with_shares(qid, templates, &derived);
-        } else {
-            self.attribution.admit(qid, templates);
-        }
-
-        // --- Window overflow: retract the oldest resident. ---
-        let evicted = if self.window.len() > self.opts.window_capacity {
-            let oldest = self.window.pop_front().expect("window non-empty");
-            self.retract(oldest);
-            Some(oldest)
-        } else {
-            None
-        };
-
-        self.admits_since_advise += 1;
-        Admission {
-            qid,
-            ordinal,
-            evicted,
-            model_wall,
-            model_arms,
-            readvise: None,
-            pending: None,
         }
     }
 
@@ -837,23 +660,6 @@ impl OnlineAdvisor {
         }
     }
 
-    /// In-place reweight with the re-advise inline.
-    #[deprecated(since = "0.2.0", note = "use `reweight(admission, weight, false)`")]
-    pub fn reweight_admission(&mut self, admission: usize, weight: f64) -> Option<ReadviseReport> {
-        self.reweight(admission, weight, false).readvise
-    }
-
-    /// In-place reweight with the re-advise deferred.
-    #[deprecated(since = "0.2.0", note = "use `reweight(admission, weight, true)`")]
-    pub fn reweight_admission_deferred(
-        &mut self,
-        admission: usize,
-        weight: f64,
-    ) -> (bool, Option<ReadviseTrigger>) {
-        let outcome = self.reweight(admission, weight, true);
-        (outcome.applied, outcome.pending)
-    }
-
     /// Evicts the query admitted as ordinal `admission` from the window
     /// right now (ahead of the sliding window retiring it) — e.g. a
     /// tenant retracting a statement it no longer runs. Returns whether a
@@ -901,17 +707,10 @@ impl OnlineAdvisor {
     /// threshold (written so a NaN mean — possible only if the state
     /// were corrupted — also fires and self-heals on the re-advise).
     fn drift_fired(&self) -> bool {
-        self.drift_fired_at(self.session.total(), self.window.len())
-    }
-
-    /// [`Self::drift_fired`] against an explicit total and window length
-    /// — the batched admission path replays intermediate checks through
-    /// this with overlaid tree totals.
-    fn drift_fired_at(&self, total: f64, window_len: usize) -> bool {
-        if window_len == 0 || !self.baseline_mean.is_finite() {
+        if self.window.is_empty() || !self.baseline_mean.is_finite() {
             return false;
         }
-        let mean_now = total / window_len as f64;
+        let mean_now = self.session.total() / self.window.len() as f64;
         let bound = self.baseline_mean * (1.0 + self.opts.drift_threshold);
         // Fires on Greater *and* on NaN (incomparable) — an unpriceable
         // window must trigger the re-advise that can heal it.
@@ -933,10 +732,6 @@ impl OnlineAdvisor {
         } else {
             None
         }
-    }
-
-    fn maybe_readvise(&mut self) -> Option<ReadviseReport> {
-        self.pending_trigger().map(|t| self.readvise_with(t))
     }
 
     /// Forces a re-advising round right now (callers use this to flush a
@@ -1940,70 +1735,6 @@ mod tests {
         // The remaining residents still resolve.
         assert!(advisor.evict_admission(ordinals[7]));
         assert_eq!(advisor.window_len(), 6);
-    }
-
-    /// The deprecated pre-spec entry points are one-line shims over
-    /// [`OnlineAdvisor::apply`]/[`OnlineAdvisor::reweight`]; their observable
-    /// behaviour must stay bit-identical to the spec path they forward to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_are_bit_identical_to_specs() {
-        let (_s, queries, pool, models) = fixture(3, 10);
-        let mut legacy = OnlineAdvisor::new(pool.clone(), opts(12, 5));
-        let mut spec = OnlineAdvisor::new(pool.clone(), opts(12, 5));
-        for (i, (c, a)) in models.iter().enumerate() {
-            let templates = query_templates(&queries[i].0);
-            let w = queries[i].1;
-            let (adm_old, adm_new) = match i % 4 {
-                0 => (legacy.admit(c, a), spec.apply(AdmissionSpec::new(c, a))),
-                1 => (
-                    legacy.admit_weighted(c, a, w),
-                    spec.apply(AdmissionSpec::new(c, a).weight(w)),
-                ),
-                2 => (
-                    legacy.admit_attributed(c, a, w, &templates),
-                    spec.apply(AdmissionSpec::new(c, a).weight(w).templates(&templates)),
-                ),
-                _ => {
-                    let (adm, trig) = legacy.admit_attributed_deferred(c, a, w, &templates);
-                    let adm_new = spec.apply(
-                        AdmissionSpec::new(c, a)
-                            .weight(w)
-                            .templates(&templates)
-                            .deferred(true),
-                    );
-                    assert_eq!(trig, adm_new.pending, "admission {i}: pending diverged");
-                    if let Some(t) = trig {
-                        legacy.readvise_triggered(t);
-                        spec.readvise_triggered(t);
-                    }
-                    (adm, adm_new)
-                }
-            };
-            assert_eq!(adm_old.qid, adm_new.qid);
-            assert_eq!(adm_old.ordinal, adm_new.ordinal);
-            assert_eq!(adm_old.evicted, adm_new.evicted);
-            assert_eq!(
-                adm_old.readvise.as_ref().map(|r| r.trigger),
-                adm_new.readvise.as_ref().map(|r| r.trigger)
-            );
-            if i % 5 == 4 {
-                let r_old = legacy.reweight_admission(adm_old.ordinal, w * 2.0);
-                let out = spec.reweight(adm_new.ordinal, w * 2.0, false);
-                assert!(out.applied);
-                assert_eq!(
-                    r_old.as_ref().map(|r| r.cost_after.to_bits()),
-                    out.readvise.as_ref().map(|r| r.cost_after.to_bits())
-                );
-            }
-        }
-        assert_eq!(legacy.selection(), spec.selection());
-        assert_eq!(
-            legacy.current_cost().to_bits(),
-            spec.current_cost().to_bits()
-        );
-        assert_eq!(legacy.stats().readvises, spec.stats().readvises);
-        assert_eq!(legacy.stats().reweights, spec.stats().reweights);
     }
 
     /// A parts round-trip mid-stream is invisible: the restored daemon

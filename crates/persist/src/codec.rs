@@ -313,8 +313,8 @@ pub fn decode_advisor_parts(c: &mut Cursor<'_>) -> Result<OnlineAdvisorParts, Wi
 }
 
 /// Optional f64 slice (admission share overrides).
-pub fn put_shares(out: &mut Vec<u8>, shares: &Option<Vec<f64>>) {
-    put_option(out, shares, |o, v| put_f64s(o, v));
+pub fn put_shares(out: &mut Vec<u8>, shares: Option<&[f64]>) {
+    put_option(out, &shares, |o, v| put_f64s(o, v));
 }
 
 /// Counterpart of [`put_shares`].

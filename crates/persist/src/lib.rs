@@ -51,7 +51,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::convert::ConvertError;
-use crate::log::{read_log, LogRecord, LogWriter};
+use crate::log::{encode_admit, encode_record, read_log, LogRecord, LogWriter};
 use crate::snapshot::{load_latest, write_snapshot};
 use pinum_core::CandidatePool;
 
@@ -184,13 +184,11 @@ impl PersistentAdvisor {
         validate_opts(&opts)?;
         fs::create_dir_all(dir)?;
         let mut writer = LogWriter::create(&dir.join(LOG_FILE))?;
-        writer.append(
-            1,
-            &LogRecord::Create {
-                pool: pool.clone(),
-                opts,
-            },
-        )?;
+        let create = LogRecord::Create {
+            pool: pool.clone(),
+            opts,
+        };
+        writer.append(1, |out| encode_record(out, &create))?;
         Ok(Self {
             advisor: OnlineAdvisor::new(pool, opts),
             store: Some(Store {
@@ -247,6 +245,7 @@ impl PersistentAdvisor {
             ));
         }
         let mut replayed = 0usize;
+        let mut admits_replayed = 0usize;
         let mut seq = base_seq;
         for (record_seq, record) in &recovered.records {
             if *record_seq <= base_seq {
@@ -258,6 +257,7 @@ impl PersistentAdvisor {
             replay(&mut advisor, record)?;
             seq = *record_seq;
             replayed += 1;
+            admits_replayed += usize::from(matches!(record, LogRecord::Admit { .. }));
         }
         let writer = LogWriter::reopen(&log_path, recovered.valid_len)?;
         let report = RecoveryReport {
@@ -274,7 +274,10 @@ impl PersistentAdvisor {
                     writer,
                     seq,
                     snapshot_every,
-                    admits_since_snapshot: 0,
+                    // The replayed tail is already that far from its
+                    // snapshot: a tenant that keeps crashing short of
+                    // `snapshot_every` must still reach a cut.
+                    admits_since_snapshot: admits_replayed,
                     last_snapshot_seq,
                 }),
             },
@@ -320,40 +323,48 @@ impl PersistentAdvisor {
         self.store.as_ref().and_then(|s| s.last_snapshot_seq)
     }
 
-    fn append(&mut self, record: &LogRecord) -> Result<(), PersistError> {
+    /// Journals one record write-ahead (no-op when volatile); `body`
+    /// writes its tag and body.
+    fn journal(&mut self, body: impl FnOnce(&mut Vec<u8>)) -> Result<(), PersistError> {
         if let Some(store) = &mut self.store {
-            store.writer.append(store.seq + 1, record)?;
+            store.writer.append(store.seq + 1, body)?;
             store.seq += 1;
         }
         Ok(())
     }
 
-    /// Journals and applies one admission. On the durable path the spec
-    /// payload is on disk before the splice runs (write-ahead), and
-    /// every `snapshot_every` admissions a snapshot is cut afterwards.
-    pub fn apply(&mut self, spec: AdmissionSpec<'_>) -> Result<Admission, PersistError> {
-        self.append(&LogRecord::Admit {
-            cache: spec.cache.clone(),
-            access: spec.access.clone(),
-            weight: spec.weight,
-            templates: spec.templates.to_vec(),
-            shares: spec.shares.map(<[f64]>::to_vec),
-            deferred: spec.deferred,
-        })?;
-        let admission = self.advisor.apply(spec);
+    fn append(&mut self, record: &LogRecord) -> Result<(), PersistError> {
+        self.journal(|out| encode_record(out, record))
+    }
+
+    /// Counts `admitted` admissions toward the next automatic snapshot
+    /// and cuts it once `snapshot_every` of them are due (0 = only on
+    /// request).
+    fn note_admitted(&mut self, admitted: usize) -> Result<(), PersistError> {
         let snapshot_due = self.store.as_mut().is_some_and(|store| {
-            store.admits_since_snapshot += 1;
+            store.admits_since_snapshot += admitted;
             store.snapshot_every > 0 && store.admits_since_snapshot >= store.snapshot_every
         });
         if snapshot_due {
             self.snapshot_now()?;
         }
+        Ok(())
+    }
+
+    /// Journals and applies one admission. On the durable path the spec
+    /// payload — encoded straight from the borrowed artifacts — is on
+    /// disk before the splice runs (write-ahead), and every
+    /// `snapshot_every` admissions a snapshot is cut afterwards.
+    pub fn apply(&mut self, spec: AdmissionSpec<'_>) -> Result<Admission, PersistError> {
+        self.journal(|out| encode_admit(out, &spec))?;
+        let admission = self.advisor.apply(spec);
+        self.note_admitted(1)?;
         Ok(admission)
     }
 
     /// Journals and applies a batch of admissions with group-committed
     /// durability: all N specs are encoded as ordinary `Admit` records
-    /// and made durable by [`LogWriter::append_batch`] — one buffered
+    /// and made durable by the log writer's group commit — one buffered
     /// write and **one** fsync per `policy` chunk — *before* any of them
     /// touches the advisor. A crash after the fsync replays the whole
     /// batch (redo semantics: the recovered state equals the
@@ -376,28 +387,12 @@ impl PersistentAdvisor {
         acquire: impl FnMut(ReadviseTrigger) -> G,
     ) -> Result<Vec<Admission>, PersistError> {
         if let Some(store) = &mut self.store {
-            let records: Vec<LogRecord> = specs
-                .iter()
-                .map(|spec| LogRecord::Admit {
-                    cache: spec.cache.clone(),
-                    access: spec.access.clone(),
-                    weight: spec.weight,
-                    templates: spec.templates.to_vec(),
-                    shares: spec.shares.map(<[f64]>::to_vec),
-                    deferred: false,
-                })
-                .collect();
-            store.writer.append_batch(store.seq + 1, &records, policy)?;
+            let inline = specs.iter().map(|spec| spec.deferred(false));
+            store.writer.append_batch(store.seq + 1, inline, policy)?;
             store.seq += specs.len() as u64;
         }
         let admissions = self.advisor.apply_batch_gated(specs, acquire);
-        let snapshot_due = self.store.as_mut().is_some_and(|store| {
-            store.admits_since_snapshot += specs.len();
-            store.snapshot_every > 0 && store.admits_since_snapshot >= store.snapshot_every
-        });
-        if snapshot_due {
-            self.snapshot_now()?;
-        }
+        self.note_admitted(specs.len())?;
         Ok(admissions)
     }
 

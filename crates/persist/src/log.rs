@@ -30,7 +30,7 @@ use pinum_core::access_costs::AccessCostCatalog;
 use pinum_core::cache::PlanCache;
 use pinum_core::CandidatePool;
 use pinum_online::attribution::SharePolicy;
-use pinum_online::{OnlineAdvisorOptions, ReadviseTrigger};
+use pinum_online::{AdmissionSpec, OnlineAdvisorOptions, ReadviseTrigger};
 use pinum_protocol::wire::{put_bool, put_f64, put_u32, put_u64, put_u8, put_vec, Cursor};
 use pinum_protocol::{WireAccessCatalog, WireError, WireIndex, WirePlanCache, WireTemplate};
 use std::fs::{File, OpenOptions};
@@ -119,8 +119,22 @@ fn decode_trigger(c: &mut Cursor<'_>) -> Result<ReadviseTrigger, WireError> {
     })
 }
 
-fn encode_record(out: &mut Vec<u8>, seq: u64, record: &LogRecord) {
-    put_u64(out, seq);
+/// The `Admit` tag and body, straight from the borrowed artifacts — the
+/// one definition of the record's layout. The write path calls it on
+/// the caller's spec, so journaling an admission never builds an owned
+/// copy of its plan cache.
+pub(crate) fn encode_admit(out: &mut Vec<u8>, spec: &AdmissionSpec<'_>) {
+    put_u8(out, TAG_ADMIT);
+    put_f64(out, spec.weight);
+    put_bool(out, spec.deferred);
+    codec::put_shares(out, spec.shares);
+    cache_to_wire(spec.cache).encode(out);
+    access_to_wire(spec.access).encode(out);
+    put_vec(out, spec.templates, |o, t| template_to_wire(t).encode(o));
+}
+
+/// One record's tag and body (the sequence number is the frame's).
+pub(crate) fn encode_record(out: &mut Vec<u8>, record: &LogRecord) {
     match record {
         LogRecord::Create { pool, opts } => {
             put_u8(out, TAG_CREATE);
@@ -134,15 +148,17 @@ fn encode_record(out: &mut Vec<u8>, seq: u64, record: &LogRecord) {
             templates,
             shares,
             deferred,
-        } => {
-            put_u8(out, TAG_ADMIT);
-            put_f64(out, *weight);
-            put_bool(out, *deferred);
-            codec::put_shares(out, shares);
-            cache_to_wire(cache).encode(out);
-            access_to_wire(access).encode(out);
-            put_vec(out, templates, |o, t| template_to_wire(t).encode(o));
-        }
+        } => encode_admit(
+            out,
+            &AdmissionSpec {
+                cache,
+                access,
+                weight: *weight,
+                templates,
+                shares: shares.as_deref(),
+                deferred: *deferred,
+            },
+        ),
         LogRecord::Reweight {
             ordinal,
             weight,
@@ -315,59 +331,55 @@ impl LogWriter {
         self.stats
     }
 
-    /// Appends one record durably (length + payload + checksum, then
-    /// `fdatasync`): when this returns, a crash at any later point
-    /// replays the record.
-    pub fn append(&mut self, seq: u64, record: &LogRecord) -> Result<(), PersistError> {
-        let mut payload = Vec::new();
-        encode_record(&mut payload, seq, record);
-        let mut framed = Vec::with_capacity(payload.len() + 12);
-        put_u32(&mut framed, payload.len() as u32);
-        framed.extend_from_slice(&payload);
-        put_u64(&mut framed, fnv1a(&payload));
-        self.file.write_all(&framed)?;
+    /// One commit: a single write of `framed` (`records` whole frames)
+    /// made durable by one `fdatasync`. When this returns, a crash at
+    /// any later point replays every record in it; if the process dies
+    /// mid-write, recovery keeps the longest valid record *prefix* (each
+    /// record carries its own length + checksum frame, so a torn tail
+    /// tears between records, never across the reader's framing).
+    fn commit(&mut self, framed: &[u8], records: usize) -> Result<(), PersistError> {
+        self.file.write_all(framed)?;
         self.file.sync_data()?;
-        self.stats.appends += 1;
+        self.stats.appends += records as u64;
         self.stats.fsyncs += 1;
         Ok(())
     }
 
-    /// Group commit: encodes every record into one contiguous buffer and
-    /// makes them durable with **one** write and **one** `fdatasync`,
-    /// splitting only where `policy` caps are exceeded. Records take
-    /// consecutive sequence numbers starting at `first_seq`.
-    ///
-    /// The durability contract is the same as N [`Self::append`] calls
-    /// observed only at chunk granularity: when this returns, every
-    /// record is durable; if the process dies mid-write, recovery keeps
-    /// the longest valid record *prefix* of the chunk (each record still
-    /// carries its own length + checksum frame, so a torn tail tears
-    /// between records, never across the reader's framing).
-    pub fn append_batch(
+    /// Appends one record durably — its own commit, not counted as a
+    /// group commit. `body` writes the record's tag and body
+    /// ([`encode_record`] or [`encode_admit`]).
+    pub(crate) fn append(
+        &mut self,
+        seq: u64,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), PersistError> {
+        let mut framed = Vec::new();
+        frame(&mut framed, seq, body);
+        self.commit(&framed, 1)
+    }
+
+    /// Group commit: frames every admission into one contiguous buffer
+    /// and makes them durable with **one** [`Self::commit`], splitting
+    /// only where `policy` caps are exceeded. Records take consecutive
+    /// sequence numbers starting at `first_seq`; the bytes on disk are
+    /// those of the same records appended one at a time.
+    pub(crate) fn append_batch<'a>(
         &mut self,
         first_seq: u64,
-        records: &[LogRecord],
+        specs: impl ExactSizeIterator<Item = AdmissionSpec<'a>>,
         policy: GroupCommitPolicy,
     ) -> Result<(), PersistError> {
         let (max_records, max_bytes) = policy.caps();
+        let total = specs.len();
         let mut buf = Vec::new();
         let mut in_chunk = 0usize;
-        for (i, record) in records.iter().enumerate() {
-            let payload_start = buf.len();
-            put_u32(&mut buf, 0); // frame length, patched below
-            encode_record(&mut buf, first_seq + i as u64, record);
-            let payload_len = buf.len() - payload_start - 4;
-            buf[payload_start..payload_start + 4]
-                .copy_from_slice(&(payload_len as u32).to_le_bytes());
-            let sum = fnv1a(&buf[payload_start + 4..]);
-            put_u64(&mut buf, sum);
+        for (i, spec) in specs.enumerate() {
+            frame(&mut buf, first_seq + i as u64, |out| {
+                encode_admit(out, &spec)
+            });
             in_chunk += 1;
-            let more = i + 1 < records.len();
-            if !more || in_chunk >= max_records || buf.len() >= max_bytes {
-                self.file.write_all(&buf)?;
-                self.file.sync_data()?;
-                self.stats.appends += in_chunk as u64;
-                self.stats.fsyncs += 1;
+            if i + 1 == total || in_chunk >= max_records || buf.len() >= max_bytes {
+                self.commit(&buf, in_chunk)?;
                 self.stats.batches += 1;
                 self.stats.max_batch_records = self.stats.max_batch_records.max(in_chunk as u64);
                 buf.clear();
@@ -376,6 +388,19 @@ impl LogWriter {
         }
         Ok(())
     }
+}
+
+/// Appends one framed record to `buf` — `len | seq tag body | checksum`
+/// per the module docs — with `body` writing the tag and body.
+fn frame(buf: &mut Vec<u8>, seq: u64, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    put_u32(buf, 0); // frame length, patched below
+    put_u64(buf, seq);
+    body(buf);
+    let payload_len = buf.len() - start - 4;
+    buf[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let sum = fnv1a(&buf[start + 4..]);
+    put_u64(buf, sum);
 }
 
 /// Everything [`read_log`] recovered.

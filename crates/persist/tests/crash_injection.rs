@@ -280,6 +280,39 @@ fn torn_group_committed_batch_tail_replays_the_longest_valid_prefix() {
 }
 
 #[test]
+fn a_tenant_crashing_short_of_the_snapshot_cadence_still_cuts_one() {
+    let fx = fixture(1, 4);
+    let scratch = ScratchDir::new("crash-loop");
+
+    let mut durable =
+        PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(8, 4), 4).expect("create");
+    for i in 0..3 {
+        durable.apply(spec_at(&fx, i)).expect("apply");
+    }
+    assert_eq!(durable.last_snapshot_seq(), None, "3 < snapshot_every");
+    drop(durable);
+
+    // The replayed tail counts toward the cadence: the fourth admission
+    // since the (absent) snapshot is due a cut even though this process
+    // journaled only one. Otherwise a crash loop shorter than
+    // `snapshot_every` grows the replayed tail without bound.
+    let (mut restored, report) = PersistentAdvisor::open(&scratch.0, 4).expect("open");
+    assert_eq!(report.replayed, 3);
+    assert_eq!(
+        restored.last_snapshot_seq(),
+        None,
+        "open itself cuts nothing"
+    );
+    restored.apply(spec_at(&fx, 3)).expect("apply");
+    assert_eq!(
+        restored.last_snapshot_seq(),
+        Some(restored.log_seq()),
+        "the snapshot must cover all four admissions"
+    );
+    assert_eq!(restored.log_seq(), 5, "Create plus four admissions");
+}
+
+#[test]
 fn snapshot_failures_propagate_instead_of_being_swallowed() {
     let fx = fixture(1, 4);
     let scratch = ScratchDir::new("snap-error");

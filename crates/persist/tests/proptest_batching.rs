@@ -9,7 +9,7 @@ mod common;
 
 use common::{fingerprint, fixture, opts, Fixture, ScratchDir};
 use pinum_online::{AdmissionSpec, OnlineAdvisor};
-use pinum_persist::{GroupCommitPolicy, PersistentAdvisor};
+use pinum_persist::{GroupCommitPolicy, PersistentAdvisor, LOG_FILE};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -24,7 +24,6 @@ fn fx() -> &'static Fixture {
 struct AdmitSample {
     weight: f64,
     attributed: bool,
-    deferred: bool,
 }
 
 fn materialize(raw: &[u64]) -> Vec<AdmitSample> {
@@ -32,18 +31,15 @@ fn materialize(raw: &[u64]) -> Vec<AdmitSample> {
         .map(|&x| AdmitSample {
             weight: 0.25 + (x % 1000) as f64 / 250.0,
             attributed: x & (1 << 40) != 0,
-            deferred: x & (1 << 41) != 0,
         })
         .collect()
 }
 
-/// The spec for stream position `i` (fixture models cycle).
+/// The inline spec for stream position `i` (fixture models cycle).
 fn spec_at(fx: &Fixture, i: usize, s: AdmitSample) -> AdmissionSpec<'_> {
     let slot = i % fx.models.len();
     let (cache, access) = &fx.models[slot];
-    let mut spec = AdmissionSpec::new(cache, access)
-        .weight(s.weight)
-        .deferred(s.deferred);
+    let mut spec = AdmissionSpec::new(cache, access).weight(s.weight);
     if s.attributed {
         spec = spec.templates(&fx.templates[slot]);
     }
@@ -65,12 +61,29 @@ fn chunk_lens(n: usize, raw: &[u64]) -> Vec<usize> {
     lens
 }
 
+/// Journals and applies `specs` through [`PersistentAdvisor::apply_batch`]
+/// in consecutive chunks of the given lengths.
+fn apply_chunked(
+    advisor: &mut PersistentAdvisor,
+    specs: &[AdmissionSpec<'_>],
+    lens: &[usize],
+    policy: GroupCommitPolicy,
+) {
+    let mut base = 0usize;
+    for &len in lens {
+        advisor
+            .apply_batch(&specs[base..base + len], policy, |_| ())
+            .expect("batched apply");
+        base += len;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random admission streams chunked into arbitrary batch sizes give
-    /// bit-identical per-spec results and final state to N serial
-    /// `apply` calls — deferred and inline specs mixed freely.
+    /// Random admission streams chunked into arbitrary batch sizes
+    /// (width 1 included) give bit-identical per-spec results and final
+    /// state to N serial inline `apply` calls.
     #[test]
     fn apply_batch_chunks_are_bit_identical_to_serial_apply(
         raw in prop::collection::vec(0u64..u64::MAX, 10..=24),
@@ -93,7 +106,7 @@ proptest! {
             let specs: Vec<_> = (base..base + len)
                 .map(|i| spec_at(fx, i, samples[i]))
                 .collect();
-            batched_adm.extend(batched.apply_batch(&specs));
+            batched_adm.extend(batched.apply_batch_gated(&specs, |_| ()));
             base += len;
         }
 
@@ -152,16 +165,12 @@ proptest! {
         let mut batched =
             PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(12, 5), 0)
                 .expect("create batched");
-        let mut base = 0usize;
-        for len in chunk_lens(samples.len(), &chunks) {
-            let specs: Vec<_> = (base..base + len)
-                .map(|i| spec_at(fx, i, samples[i]).deferred(true))
-                .collect();
-            batched
-                .apply_batch(&specs, policy, |_| ())
-                .expect("batched apply");
-            base += len;
-        }
+        let specs: Vec<_> = samples
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| spec_at(fx, i, s).deferred(true))
+            .collect();
+        apply_chunked(&mut batched, &specs, &chunk_lens(specs.len(), &chunks), policy);
         prop_assert_eq!(fingerprint(batched.advisor()), want.clone());
         // One Admit record per admission, whatever the chunking. (The
         // serial run's log is longer: it also journals its re-advises.)
@@ -174,5 +183,48 @@ proptest! {
         let (restored, report) = PersistentAdvisor::open(&scratch.0, 0).expect("restore");
         prop_assert_eq!(report.log_discarded_bytes, 0);
         prop_assert_eq!(fingerprint(restored.advisor()), want.clone());
+    }
+
+    /// The byte contract: group commit changes how many fsyncs protect
+    /// the journal, never its bytes. N serial
+    /// [`PersistentAdvisor::apply`] calls, one `apply_batch` of the same
+    /// N inline specs, and arbitrary chunkings under a 3-record policy
+    /// all leave the same `events.log`.
+    #[test]
+    fn journal_bytes_do_not_depend_on_how_admissions_are_grouped(
+        raw in prop::collection::vec(0u64..u64::MAX, 8..=16),
+        chunks in prop::collection::vec(0u64..u64::MAX, 4),
+    ) {
+        let fx = fx();
+        let specs: Vec<_> = materialize(&raw)
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| spec_at(fx, i, s))
+            .collect();
+
+        let scratch = ScratchDir::new("bytes-serial");
+        let mut serial =
+            PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(12, 5), 0)
+                .expect("create serial");
+        for &spec in &specs {
+            serial.apply(spec).expect("serial apply");
+        }
+        drop(serial);
+        let want = std::fs::read(scratch.0.join(LOG_FILE)).expect("read serial log");
+
+        let small = GroupCommitPolicy { max_records: 3, max_bytes: 1 << 20 };
+        for (tag, lens, policy) in [
+            ("bytes-whole", vec![specs.len()], GroupCommitPolicy::default()),
+            ("bytes-chunked", chunk_lens(specs.len(), &chunks), small),
+        ] {
+            let scratch = ScratchDir::new(tag);
+            let mut batched =
+                PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(12, 5), 0)
+                    .expect("create batched");
+            apply_chunked(&mut batched, &specs, &lens, policy);
+            drop(batched);
+            let got = std::fs::read(scratch.0.join(LOG_FILE)).expect("read batched log");
+            prop_assert!(got == want, "{} journal differs from the serial one", tag);
+        }
     }
 }

@@ -1,13 +1,8 @@
-//! Property tests for the two contracts PR 9 rests on:
-//!
-//! 1. the unified [`AdmissionSpec`] path is bit-identical to the
-//!    deprecated per-variant entry points it replaced, over *random*
-//!    mutation sequences (the online crate's unit test covers one fixed
-//!    interleaving; this covers the space);
-//! 2. snapshot → restore → replay at **every** prefix point of a random
-//!    mutation sequence lands bit-identically on the uninterrupted
-//!    session — the warm-restart determinism contract, with the
-//!    snapshot cut placed adversarially instead of every K admissions.
+//! Property test for the contract PR 9 rests on: snapshot → restore →
+//! replay at **every** prefix point of a random mutation sequence lands
+//! bit-identically on the uninterrupted session — the warm-restart
+//! determinism contract, with the snapshot cut placed adversarially
+//! instead of every K admissions.
 
 mod common;
 
@@ -50,15 +45,13 @@ fn positive_weight(x: u64) -> f64 {
     0.25 + (x % 1000) as f64 / 250.0
 }
 
-/// `allow_shares` is off for the legacy comparison: the deprecated
-/// methods never exposed explicit shares, so there is nothing to match.
-fn materialize(raw: &[u64], allow_shares: bool) -> Vec<Op> {
+fn materialize(raw: &[u64]) -> Vec<Op> {
     raw.iter()
         .map(|&x| match x % 10 {
             0..=4 => Op::Admit {
                 weight: positive_weight(x >> 4),
                 attributed: x & (1 << 40) != 0,
-                with_shares: allow_shares && x & (1 << 41) != 0,
+                with_shares: x & (1 << 41) != 0,
                 deferred: x & (1 << 42) != 0,
             },
             5 | 6 => Op::Reweight {
@@ -143,62 +136,8 @@ fn apply_spec(advisor: &mut OnlineAdvisor, fx: &Fixture, admits: usize, op: &Op)
             admits
         }
         // Reweight/evict with nothing admitted yet: no-ops by construction
-        // (the ordinal space is empty; the legacy methods would panic).
+        // (the ordinal space is empty; the advisor would panic).
         _ => admits,
-    }
-}
-
-/// The same op through the deprecated pre-spec methods.
-#[allow(deprecated)]
-fn apply_legacy(advisor: &mut OnlineAdvisor, fx: &Fixture, admits: usize, op: &Op) -> usize {
-    match op {
-        Op::Admit {
-            weight,
-            attributed,
-            deferred,
-            ..
-        } => {
-            let i = admits % fx.models.len();
-            let (cache, access) = &fx.models[i];
-            match (*attributed, *deferred) {
-                (_, true) => {
-                    // The only deferred legacy entry point is the
-                    // attributed one; it covers the unattributed sample
-                    // too (empty template list).
-                    let templates: &[_] = if *attributed { &fx.templates[i] } else { &[] };
-                    let (_, trigger) =
-                        advisor.admit_attributed_deferred(cache, access, *weight, templates);
-                    if let Some(t) = trigger {
-                        advisor.readvise_triggered(t);
-                    }
-                }
-                (true, false) => {
-                    advisor.admit_attributed(cache, access, *weight, &fx.templates[i]);
-                }
-                (false, false) => {
-                    advisor.admit_weighted(cache, access, *weight);
-                }
-            }
-            admits + 1
-        }
-        Op::Reweight {
-            pick,
-            weight,
-            deferred,
-        } if admits > 0 => {
-            let ordinal = (*pick % admits as u64) as usize;
-            if *deferred {
-                let (_, trigger) = advisor.reweight_admission_deferred(ordinal, *weight);
-                if let Some(t) = trigger {
-                    advisor.readvise_triggered(t);
-                }
-            } else {
-                advisor.reweight_admission(ordinal, *weight);
-            }
-            admits
-        }
-        // Everything below predates the redesign and has one spelling.
-        other => apply_spec(advisor, fx, admits, other),
     }
 }
 
@@ -266,28 +205,6 @@ fn apply_durable(advisor: &mut PersistentAdvisor, fx: &Fixture, admits: usize, o
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Random mutation sequences through the spec API and through the
-    /// deprecated entry points, compared bit for bit at the end.
-    #[test]
-    fn spec_api_is_bit_identical_to_legacy_methods(
-        raw in prop::collection::vec(0u64..u64::MAX, 12..=20),
-    ) {
-        let fx = fx();
-        let ops = materialize(&raw, false);
-        let mut legacy = OnlineAdvisor::new(fx.pool.clone(), opts(12, 5));
-        let mut spec = OnlineAdvisor::new(fx.pool.clone(), opts(12, 5));
-        let (mut admits_l, mut admits_s) = (0, 0);
-        for op in &ops {
-            admits_l = apply_legacy(&mut legacy, fx, admits_l, op);
-            admits_s = apply_spec(&mut spec, fx, admits_s, op);
-        }
-        prop_assert_eq!(fingerprint(&legacy), fingerprint(&spec));
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// For a random mutation sequence, place the snapshot cut at every
@@ -299,7 +216,7 @@ proptest! {
         raw in prop::collection::vec(0u64..u64::MAX, 8..=12),
     ) {
         let fx = fx();
-        let ops = materialize(&raw, true);
+        let ops = materialize(&raw);
 
         let mut baseline = OnlineAdvisor::new(fx.pool.clone(), opts(12, 5));
         let mut admits = 0;

@@ -24,9 +24,9 @@
 //!   a slow client never blocks a shard worker.
 //!
 //! Re-advises — the expensive operation — are gated by the process-wide
-//! [`ReadviseBudget`]: the shard worker
-//! computes the trigger with the deferred admission APIs, *then* blocks
-//! on a permit, then executes. Deferral never changes what the re-advise
+//! [`ReadviseBudget`]: the shard worker learns of the trigger (from the
+//! gated admission path, or a deferred reweight), *then* blocks on a
+//! permit, then executes. The gate never changes what the re-advise
 //! computes, only when it runs.
 
 use crate::budget::ReadviseBudget;
@@ -500,9 +500,12 @@ type ConvertedAdmission = (PlanCache, AccessCostCatalog, Vec<TemplateKey>, f64);
 /// request id, its admission list, and the connection's reply channel.
 type AdmissionRun = (u64, Vec<WireAdmission>, mpsc::Sender<(u64, Response)>);
 
-/// Validates one wire admission exactly like the serial [`admit_one`]
-/// path, without touching the advisor — conversion happens up-front so a
-/// malformed admission is rejected before anything is journaled.
+/// Validates and converts one wire admission — the only validator on
+/// the admission path — without touching the advisor: conversion
+/// happens up-front so a malformed admission is rejected before anything
+/// is journaled.
+// The Err side is the complete wire `Response` for the failed admission
+// — built once per error, so its size is irrelevant.
 #[allow(clippy::result_large_err)]
 fn convert_admission(pool_len: usize, w: &WireAdmission) -> Result<ConvertedAdmission, Response> {
     let check = |ok: bool, msg: &'static str| {
@@ -549,9 +552,10 @@ fn result_to_wire(admission: Admission) -> WireAdmitResult {
 ///
 /// A conversion failure ends the current segment at the failing message:
 /// the valid prefix (prior messages plus the failing message's own valid
-/// leading admissions) is applied — exactly what the serial path would
-/// have applied before hitting the error — the failing message gets its
-/// error response, and the remaining messages start a fresh segment.
+/// leading admissions) is applied — exactly what sending them one at a
+/// time would have applied before hitting the error — the failing
+/// message gets its error response, and the remaining messages start a
+/// fresh segment.
 fn handle_admission_run(
     tenants: &mut HashMap<u64, TenantState>,
     budget: &ReadviseBudget,
@@ -592,15 +596,14 @@ fn handle_admission_run(
             whole_msgs += 1;
         }
 
-        // Deferred so the triggered re-advise waits for a budget permit;
-        // the permit guard is held across each re-advise the batch runs.
+        // Every triggered re-advise waits for a budget permit, and the
+        // permit guard is held across it.
         let specs: Vec<AdmissionSpec<'_>> = converted
             .iter()
             .map(|(cache, access, templates, weight)| {
                 AdmissionSpec::new(cache, access)
                     .weight(*weight)
                     .templates(templates)
-                    .deferred(true)
             })
             .collect();
         let applied = if specs.is_empty() {
@@ -706,38 +709,6 @@ fn handle_request(
             };
             tenants.insert(tenant, TenantState { advisor });
             Response::TenantCreated { tenant }
-        }
-        // The two admission arms below are the reference serial path.
-        // `process_queue` routes every admission message through
-        // `handle_admission_run` instead, so these arms are reached only
-        // by direct `handle_request` callers — kept because they define
-        // the semantics the coalesced path must reproduce bit for bit.
-        Request::AdmitQuery { tenant, admission } => {
-            let Some(state) = tenants.get_mut(&tenant) else {
-                return unknown_tenant(tenant);
-            };
-            match admit_one(&mut state.advisor, budget, tenant, &admission) {
-                Ok(result) => Response::Admitted {
-                    results: vec![result],
-                },
-                Err(error) => error,
-            }
-        }
-        Request::AdmitBatch { tenant, admissions } => {
-            let Some(state) = tenants.get_mut(&tenant) else {
-                return unknown_tenant(tenant);
-            };
-            let mut results = Vec::with_capacity(admissions.len());
-            for admission in &admissions {
-                // Fail the batch at the first bad admission; everything
-                // before it has already been applied, exactly as if sent
-                // one by one.
-                match admit_one(&mut state.advisor, budget, tenant, admission) {
-                    Ok(result) => results.push(result),
-                    Err(error) => return error,
-                }
-            }
-            Response::Admitted { results }
         }
         Request::ReweightAdmission {
             tenant,
@@ -852,66 +823,9 @@ fn handle_request(
                 max_batch_records: p.max_batch_records,
             }
         }
+        Request::AdmitQuery { .. } | Request::AdmitBatch { .. } => {
+            unreachable!("admissions are routed to handle_admission_run")
+        }
         Request::Shutdown => unreachable!("shutdown is handled by the connection reader"),
     }
-}
-
-// The Err side is the complete wire `Response` for the failed admission
-// — built once per error, so its size is irrelevant.
-#[allow(clippy::result_large_err)]
-fn admit_one(
-    advisor: &mut PersistentAdvisor,
-    budget: &ReadviseBudget,
-    tenant: u64,
-    w: &WireAdmission,
-) -> Result<WireAdmitResult, Response> {
-    let check = |ok: bool, msg: &'static str| {
-        if ok {
-            Ok(())
-        } else {
-            Err(malformed(ConvertError(msg)))
-        }
-    };
-    check(
-        w.weight.is_finite() && w.weight > 0.0,
-        "weight must be finite and positive",
-    )?;
-    let cache = convert::cache_from_wire(&w.cache).map_err(malformed)?;
-    let pool_len = advisor.advisor().pool().indexes().len();
-    let access = convert::access_from_wire(&w.access, pool_len).map_err(malformed)?;
-    check(
-        access.per_rel().len() == cache.n_rels,
-        "access catalog arity does not match the plan cache",
-    )?;
-    let templates: Vec<_> = w
-        .templates
-        .iter()
-        .map(convert::template_from_wire)
-        .collect();
-    // The wire admission IS an `AdmissionSpec`; deferred because the
-    // triggered re-advise must wait for a budget permit.
-    let spec = AdmissionSpec::new(&cache, &access)
-        .weight(w.weight)
-        .templates(&templates)
-        .deferred(true);
-    let admission = advisor.apply(spec).map_err(|e| persistence_failed(&e))?;
-    // The budget gates *when* the re-advise runs, never *what* it
-    // computes: this shard thread is the only mutator of this advisor,
-    // so the deferred execution is bit-identical to the inline one.
-    let readvise = match admission.pending {
-        Some(t) => {
-            let _permit = budget.acquire(tenant);
-            let report = advisor
-                .readvise_triggered(t)
-                .map_err(|e| persistence_failed(&e))?;
-            Some(convert::report_to_wire(&report))
-        }
-        None => None,
-    };
-    Ok(WireAdmitResult {
-        ordinal: admission.ordinal as u64,
-        qid: admission.qid as u64,
-        evicted: admission.evicted.map(|q| q as u64),
-        readvise,
-    })
 }
