@@ -2,8 +2,9 @@
 //!
 //! "This pruning process reduces the search space of the join planner,
 //! while preserving all useful plans." We run the PINUM exporting call
-//! with the sweep enabled and disabled and compare planning time, retained
-//! path counts, and (must be identical) the winning plan cost.
+//! with the sweep enabled and disabled and compare planning time, arena
+//! nodes built (`PlannerStats::arena_size`: accepted paths plus wrappers),
+//! finished paths, and (must be identical) the winning plan cost.
 
 use crate::paper_workload;
 use crate::table::{fmt_duration, TextTable};
@@ -18,8 +19,10 @@ pub fn run(scale: f64) {
         "query",
         "pruned time",
         "unpruned time",
-        "pruned paths",
-        "unpruned paths",
+        "pruned arena nodes",
+        "unpruned arena nodes",
+        "pruned final paths",
+        "unpruned final paths",
         "exported (pruned)",
         "exported (unpruned)",
     ]);
@@ -43,6 +46,8 @@ pub fn run(scale: f64) {
             fmt_duration(b.stats.elapsed),
             a.stats.arena_size.to_string(),
             b.stats.arena_size.to_string(),
+            a.stats.final_paths.to_string(),
+            b.stats.final_paths.to_string(),
             a.exported.len().to_string(),
             b.exported.len().to_string(),
         ]);

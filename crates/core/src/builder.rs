@@ -231,15 +231,6 @@ mod tests {
         assert_eq!(pinum.stats.ioc_count, 18);
         assert_eq!(pinum.stats.optimizer_calls, 2);
         assert_eq!(inum.stats.optimizer_calls, 18 + 2);
-        // Wall-clock comparison only with generous slack: 2 calls vs 20
-        // should not be 3x slower even under scheduler noise (a strict
-        // `<` is flaky in CI).
-        assert!(
-            pinum.stats.wall < inum.stats.wall * 3,
-            "PINUM (2 calls, {:?}) should not be 3x slower than INUM (20 calls, {:?})",
-            pinum.stats.wall,
-            inum.stats.wall
-        );
         assert!(!pinum.cache.is_empty());
         assert!(!inum.cache.is_empty());
     }

@@ -8,7 +8,7 @@
 //! access costs of a large set of indexes by calling the optimizer just
 //! once."
 
-use crate::path::{LinearCost, Path, PathKind};
+use crate::path::{KeysId, Path, PathArena, PathKind};
 use crate::preprocess::{EcId, PlannerInfo};
 use crate::relset::RelSet;
 use pinum_catalog::{Catalog, Configuration, Index, Table, TableId};
@@ -149,15 +149,16 @@ fn probe_input(table: &Table, index: &Index, filter_ops: u32, index_only: bool) 
 
 /// Builds the pathkeys an index scan provides: equivalence classes of its
 /// key columns, as long as they are ordering-relevant.
-fn index_pathkeys(info: &PlannerInfo<'_>, rel: RelIdx, index: &Index) -> Vec<EcId> {
-    let mut keys = Vec::new();
-    for &col in index.key_columns() {
-        match info.ec(rel, col) {
-            Some(ec) => keys.push(ec),
-            None => break,
-        }
-    }
-    keys
+fn index_pathkeys(
+    info: &PlannerInfo<'_>,
+    arena: &mut PathArena,
+    rel: RelIdx,
+    index: &Index,
+) -> KeysId {
+    let keys: Vec<EcId> = (index.key_columns().iter())
+        .map_while(|&col| info.ec(rel, col))
+        .collect();
+    arena.intern(&keys)
 }
 
 /// The leaf-IOC contribution of scanning `rel` through `index`: the leading
@@ -189,14 +190,16 @@ fn probe_spec(info: &PlannerInfo<'_>, rel: RelIdx, index: &Index) -> IndexScanIn
 /// Generates every access path of `rel`.
 ///
 /// `keep_all` triggers the PINUM hook: every index contributes an
-/// [`AccessCostEntry`] even when its path is obviously dominated.
+/// [`AccessCostEntry`] even when its path is obviously dominated. The
+/// paths are candidates — not yet nodes of `arena`, which only interns
+/// their orderings.
 pub fn collect_access_paths(
     info: &PlannerInfo<'_>,
     params: &CostParams,
+    arena: &mut PathArena,
     rel: RelIdx,
     keep_all: bool,
 ) -> RelAccessPaths {
-    let n_rels = info.relation_count();
     let base = &info.base[rel as usize];
     let table = info.catalog.table(base.table);
     // The relation's filter shape, materialized once: index-condition
@@ -218,11 +221,9 @@ pub fn collect_access_paths(
         rows: base.rows,
         cost: seq_cost,
         rescan: seq_cost,
-        pathkeys: vec![],
+        pathkeys: KeysId::NONE,
         leaf_ioc: Ioc::NONE,
-        linear: LinearCost::leaf(n_rels, rel),
-        leaf_access: leaf_access_vec(n_rels, rel, seq_cost.total),
-        probe_access: vec![0.0; n_rels],
+        c0: 0.0,
     });
     entries.push(AccessCostEntry {
         rel,
@@ -276,11 +277,9 @@ pub fn collect_access_paths(
             rows: base.rows,
             cost,
             rescan: cost,
-            pathkeys: index_pathkeys(info, rel, index),
+            pathkeys: index_pathkeys(info, arena, rel, index),
             leaf_ioc,
-            linear: LinearCost::leaf(n_rels, rel),
-            leaf_access: leaf_access_vec(n_rels, rel, cost.total),
-            probe_access: vec![0.0; n_rels],
+            c0: 0.0,
         });
 
         // Bitmap heap scan: only worthwhile when index conditions narrow
@@ -302,11 +301,9 @@ pub fn collect_access_paths(
                 rows: base.rows,
                 cost: bcost,
                 rescan: bcost,
-                pathkeys: vec![],
+                pathkeys: KeysId::NONE,
                 leaf_ioc: Ioc::NONE,
-                linear: LinearCost::leaf(n_rels, rel),
-                leaf_access: leaf_access_vec(n_rels, rel, bcost.total),
-                probe_access: vec![0.0; n_rels],
+                c0: 0.0,
             });
         }
     }
@@ -421,13 +418,16 @@ pub fn collect_template_arms(
 /// index probes the join key once per outer row. Returns `None` when the
 /// index's leading column is not the given join column.
 ///
-/// The path's linear decomposition is **constant** — this is exactly the
-/// access path the INUM cache "misses" (paper §VI-C), producing its NLJ
-/// cost error.
+/// The path decomposes as one unit of its relation's *probe* slot — this
+/// is exactly the access path the INUM cache "misses" (paper §VI-C),
+/// producing its NLJ cost error. `loop_count` is the outer side's row
+/// count, a property of the outer relation set: the join planner builds one
+/// such scan per (outer set, index), not one per outer path.
 #[allow(clippy::too_many_arguments)]
 pub fn param_index_scan(
     info: &PlannerInfo<'_>,
     params: &CostParams,
+    arena: &mut PathArena,
     rel: RelIdx,
     ixref: IndexRef,
     index: &Index,
@@ -439,7 +439,6 @@ pub fn param_index_scan(
     if index.leading_column() != join_col {
         return None;
     }
-    let n_rels = info.relation_count();
     let base = &info.base[rel as usize];
     let table = info.catalog.table(base.table);
     let index_only = index.covers_columns(&base.referenced_columns);
@@ -457,11 +456,9 @@ pub fn param_index_scan(
     };
     let cost = cost_index_scan(params, &input);
     let rows_per_probe = (base.rows * per_probe_sel).max(1.0);
-    // Decompose as one probe-slot unit: the cache re-prices the probe under
+    // Decomposed as one probe-slot unit: the cache re-prices the probe under
     // other configurations at the same loop count, so the build value is
     // simply the charged per-execution cost.
-    let mut probe_access = vec![0.0; n_rels];
-    probe_access[rel as usize] = cost.total;
     Some(Path {
         kind: PathKind::IndexScan {
             rel,
@@ -473,18 +470,10 @@ pub fn param_index_scan(
         rows: rows_per_probe,
         cost,
         rescan: cost,
-        pathkeys: index_pathkeys(info, rel, index),
+        pathkeys: index_pathkeys(info, arena, rel, index),
         leaf_ioc: index_leaf_ioc(info, rel, index),
-        linear: LinearCost::probe_leaf(n_rels, rel, 0.0),
-        leaf_access: vec![0.0; n_rels],
-        probe_access,
+        c0: 0.0,
     })
-}
-
-fn leaf_access_vec(n_rels: usize, rel: RelIdx, cost: f64) -> Vec<f64> {
-    let mut v = vec![0.0; n_rels];
-    v[rel as usize] = cost;
-    v
 }
 
 #[cfg(test)]
@@ -526,7 +515,7 @@ mod tests {
         let cfg = Configuration::empty();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let acc = collect_access_paths(&info, &params, 0, false);
+        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, false);
         assert_eq!(acc.paths.len(), 1);
         assert!(matches!(acc.paths[0].kind, PathKind::SeqScan { .. }));
         assert!(acc.entries.is_empty(), "entries only in keep-all mode");
@@ -543,7 +532,7 @@ mod tests {
             .build();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let acc = collect_access_paths(&info, &params, 0, true);
+        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, true);
         // seq + 3 index scans + 1 bitmap scan (only the c-index has a
         // matched filter condition).
         assert_eq!(acc.paths.len(), 5);
@@ -580,7 +569,7 @@ mod tests {
             .build();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let acc = collect_access_paths(&info, &params, 0, false);
+        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, false);
         let seq = &acc.paths[0];
         let bitmap = acc
             .paths
@@ -597,7 +586,7 @@ mod tests {
             bitmap.cost,
             seq.cost
         );
-        assert!(bitmap.pathkeys.is_empty(), "bitmap output is unordered");
+        assert_eq!(bitmap.pathkeys, KeysId::NONE, "bitmap output is unordered");
         assert_eq!(bitmap.leaf_ioc, Ioc::NONE);
     }
 
@@ -612,9 +601,11 @@ mod tests {
         let params = CostParams::default();
         let ec = info.ec(1, 0).unwrap();
         let ix = &cfg.indexes()[0];
+        let mut arena = PathArena::new();
         let p = param_index_scan(
             &info,
             &params,
+            &mut arena,
             1,
             IndexRef::Config(0),
             ix,
@@ -624,18 +615,20 @@ mod tests {
             1000.0,
         )
         .unwrap();
-        // Constant decomposition: evaluating under any access costs gives
-        // the same value.
         // The probe slot is repriceable; the standalone slots are not used.
-        assert_eq!(p.linear.coefs, vec![0.0, 0.0]);
-        assert!(p.linear.probe_coefs[1] > 0.0);
-        let consistent = p.linear.eval(&p.leaf_access, &p.probe_access);
+        let id = arena.add(p);
+        let linear = arena.linear(id, 2);
+        assert_eq!(linear.coefs, vec![0.0, 0.0]);
+        assert!(linear.probe_coefs[1] > 0.0);
+        let (access, probes) = arena.leaf_access(id, 2);
+        let consistent = linear.eval(&access, &probes);
         assert!((consistent - p.cost.total).abs() < 1e-9);
         assert!(p.rows >= 1.0);
         // Wrong join column → no path.
         assert!(param_index_scan(
             &info,
             &params,
+            &mut arena,
             1,
             IndexRef::Config(0),
             ix,
@@ -658,7 +651,7 @@ mod tests {
             .build();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let per_query = collect_access_paths(&info, &params, 0, true);
+        let per_query = collect_access_paths(&info, &params, &mut PathArena::new(), 0, true);
 
         let template = RelTemplate::of(&q, 0);
         let arms = collect_template_arms(&cat, &params, &template, &cfg);
@@ -743,9 +736,13 @@ mod tests {
             .build();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let acc = collect_access_paths(&info, &params, 0, false);
-        for p in &acc.paths {
-            let eval = p.linear.eval(&p.leaf_access, &p.probe_access);
+        let mut arena = PathArena::new();
+        let acc = collect_access_paths(&info, &params, &mut arena, 0, false);
+        assert_eq!(acc.paths.len(), 2);
+        for p in acc.paths {
+            let id = arena.add(p);
+            let (access, probes) = arena.leaf_access(id, 2);
+            let eval = arena.linear(id, 2).eval(&access, &probes);
             assert!(
                 (eval - p.cost.total).abs() < 1e-9,
                 "linear decomposition mismatch: {eval} vs {}",

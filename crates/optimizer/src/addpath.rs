@@ -16,9 +16,28 @@
 //! for final plan totals: every parent operator's total cost in this cost
 //! model is a function of child totals only (startup is pass-through
 //! bookkeeping), so a path that loses on total can never win later.
+//!
+//! # The precheck/insert contract
+//!
+//! A candidate arrives as a [`Path`] *value*: a header of scalars the
+//! caller costed and keyed from its children, not yet a node of the arena.
+//! [`PathList::add_path`] first asks whether the list wants it — the same
+//! tests in the same order as ever: `FUZZ`-slack comparisons, ties go to
+//! the path added first, and every refusal counts in
+//! [`AddPathStats::rejected`] — and only a survivor is pushed into the
+//! [`PathArena`] (`added`, plus `displaced` for what it evicts). A loser
+//! costs those comparisons and nothing else: no arena node, no allocation.
+//!
+//! In KeepIoc mode the key lookup is split so the join planner pays one
+//! hash per *(outer, inner) pair* rather than per candidate: every hash,
+//! merge and nested-loop candidate of a pair has the same leaf IOC, so
+//! [`PathList::chain`] resolves that IOC once to the [`IocChain`] of its
+//! slots (one per output ordering, a handful) and
+//! [`PathList::add_path_in`] walks it comparing interned ordering ids.
 
 use crate::path::{Path, PathArena, PathId};
 use crate::preprocess::EcId;
+use pinum_query::Ioc;
 use std::collections::HashMap;
 
 /// Pruning discipline for a [`PathList`].
@@ -38,28 +57,50 @@ pub struct AddPathStats {
     pub displaced: usize,
 }
 
+/// Ends an [`IocChain`].
+const NO_SLOT: u32 = u32::MAX;
+
 /// A set of surviving paths for one relation set.
 #[derive(Debug, Default)]
 pub struct PathList {
     ids: Vec<PathId>,
-    /// KeepIoc fast index: (ioc, pathkeys) → slot in `ids`.
-    fast: HashMap<(u64, Vec<EcId>), usize>,
+    /// KeepIoc index, first level: leaf IOC → a slot of `ids` holding it.
+    first: HashMap<u64, u32>,
+    /// KeepIoc index, second level, parallel to `ids`: the next slot with
+    /// the same leaf IOC and another ordering ([`NO_SLOT`] ends the chain).
+    next: Vec<u32>,
+}
+
+/// The slots of one leaf IOC in a KeepIoc list, resolved by
+/// [`PathList::chain`]; stays valid while paths are only added.
+#[derive(Debug, Clone, Copy)]
+pub struct IocChain {
+    ioc: Ioc,
+    head: u32,
+}
+
+impl IocChain {
+    /// The leaf IOC this chain belongs to.
+    pub fn ioc(&self) -> Ioc {
+        self.ioc
+    }
 }
 
 /// Numeric slack: costs within this relative tolerance count as equal, so
 /// tie-breaking is deterministic (first-added wins).
 const FUZZ: f64 = 1.0 + 1e-10;
 
-/// `a`'s pathkeys subsume `b`'s (b's keys are a prefix of a's).
-fn pathkeys_subsume(a: &Path, b: &Path) -> bool {
-    b.pathkeys.len() <= a.pathkeys.len() && a.pathkeys[..b.pathkeys.len()] == b.pathkeys[..]
-}
-
 /// Full PostgreSQL-style dominance (Standard mode).
-fn dominates_standard(a: &Path, b: &Path) -> bool {
+fn dominates_standard(arena: &PathArena, a: &Path, b: &Path) -> bool {
     a.cost.total <= b.cost.total * FUZZ
         && a.cost.startup <= b.cost.startup * FUZZ
-        && pathkeys_subsume(a, b)
+        && arena.keys_subsume(a.pathkeys, b.pathkeys)
+}
+
+/// Total order on paths by total cost, ties to the older path.
+fn by_total(arena: &PathArena, a: PathId, b: PathId) -> std::cmp::Ordering {
+    let (ta, tb) = (arena.get(a).cost.total, arena.get(b).cost.total);
+    ta.partial_cmp(&tb).unwrap().then(a.0.cmp(&b.0))
 }
 
 impl PathList {
@@ -79,6 +120,14 @@ impl PathList {
         self.ids.is_empty()
     }
 
+    /// Resolves `ioc` to its chain of slots: the one hash lookup shared by
+    /// all candidates with that leaf IOC (always empty in Standard mode,
+    /// which keeps no index).
+    pub fn chain(&self, ioc: Ioc) -> IocChain {
+        let head = self.first.get(&ioc.raw()).copied().unwrap_or(NO_SLOT);
+        IocChain { ioc, head }
+    }
+
     /// Considers `candidate` for membership; returns its id if it survived.
     pub fn add_path(
         &mut self,
@@ -87,60 +136,98 @@ impl PathList {
         mode: PruneMode,
         stats: &mut AddPathStats,
     ) -> Option<PathId> {
+        let mut chain = self.chain(candidate.leaf_ioc);
+        self.add_path_in(arena, &mut chain, candidate, mode, stats)
+    }
+
+    /// [`Self::add_path`] for a candidate whose leaf IOC `chain` resolved.
+    pub fn add_path_in(
+        &mut self,
+        arena: &mut PathArena,
+        chain: &mut IocChain,
+        candidate: Path,
+        mode: PruneMode,
+        stats: &mut AddPathStats,
+    ) -> Option<PathId> {
+        self.admit(arena, chain, &candidate, None, mode, stats)
+    }
+
+    /// Considers a path that already is an arena node (the grouping
+    /// planner's finished paths); returns whether it survived.
+    pub fn add_existing(
+        &mut self,
+        arena: &mut PathArena,
+        id: PathId,
+        mode: PruneMode,
+        stats: &mut AddPathStats,
+    ) -> bool {
+        let candidate = *arena.get(id);
+        let mut chain = self.chain(candidate.leaf_ioc);
+        self.admit(arena, &mut chain, &candidate, Some(id), mode, stats)
+            .is_some()
+    }
+
+    /// The precheck, then — for a survivor only — the insert. `node` is the
+    /// candidate's arena id if it has one; otherwise it gets one here.
+    fn admit(
+        &mut self,
+        arena: &mut PathArena,
+        chain: &mut IocChain,
+        candidate: &Path,
+        node: Option<PathId>,
+        mode: PruneMode,
+        stats: &mut AddPathStats,
+    ) -> Option<PathId> {
         match mode {
-            PruneMode::Standard => self.add_path_standard(arena, candidate, stats),
-            PruneMode::KeepIoc => self.add_path_keepioc(arena, candidate, stats),
-        }
-    }
-
-    fn add_path_standard(
-        &mut self,
-        arena: &mut PathArena,
-        candidate: Path,
-        stats: &mut AddPathStats,
-    ) -> Option<PathId> {
-        for &id in &self.ids {
-            if dominates_standard(arena.get(id), &candidate) {
-                stats.rejected += 1;
-                return None;
-            }
-        }
-        let before = self.ids.len();
-        self.ids
-            .retain(|&id| !dominates_standard(&candidate, arena.get(id)));
-        stats.displaced += before - self.ids.len();
-        let id = arena.add(candidate);
-        self.ids.push(id);
-        stats.added += 1;
-        Some(id)
-    }
-
-    /// O(1) retention per (ioc, pathkeys): keep the cheapest total.
-    fn add_path_keepioc(
-        &mut self,
-        arena: &mut PathArena,
-        candidate: Path,
-        stats: &mut AddPathStats,
-    ) -> Option<PathId> {
-        let key = (candidate.leaf_ioc.raw(), candidate.pathkeys.clone());
-        if let Some(&pos) = self.fast.get(&key) {
-            let existing = arena.get(self.ids[pos]);
-            if candidate.cost.total * FUZZ < existing.cost.total {
-                let id = arena.add(candidate);
-                self.ids[pos] = id;
-                stats.displaced += 1;
+            PruneMode::Standard => {
+                for &id in &self.ids {
+                    if dominates_standard(arena, arena.get(id), candidate) {
+                        stats.rejected += 1;
+                        return None;
+                    }
+                }
+                let before = self.ids.len();
+                self.ids
+                    .retain(|&id| !dominates_standard(arena, candidate, arena.get(id)));
+                stats.displaced += before - self.ids.len();
+                let id = node.unwrap_or_else(|| arena.add(*candidate));
+                self.ids.push(id);
                 stats.added += 1;
                 Some(id)
-            } else {
-                stats.rejected += 1;
-                None
             }
-        } else {
-            let id = arena.add(candidate);
-            self.fast.insert(key, self.ids.len());
-            self.ids.push(id);
-            stats.added += 1;
-            Some(id)
+            // O(1) retention per (ioc, pathkeys): keep the cheapest total.
+            PruneMode::KeepIoc => {
+                debug_assert_eq!(chain.ioc, candidate.leaf_ioc);
+                let holder = |slot: u32| arena.get(self.ids[slot as usize]);
+                let (mut slot, mut tail) = (chain.head, NO_SLOT);
+                while slot != NO_SLOT && holder(slot).pathkeys != candidate.pathkeys {
+                    (tail, slot) = (slot, self.next[slot as usize]);
+                }
+                if slot != NO_SLOT {
+                    let cheaper = candidate.cost.total * FUZZ < holder(slot).cost.total;
+                    if !cheaper {
+                        stats.rejected += 1;
+                        return None;
+                    }
+                }
+                let id = node.unwrap_or_else(|| arena.add(*candidate));
+                if slot != NO_SLOT {
+                    self.ids[slot as usize] = id;
+                    stats.displaced += 1;
+                } else {
+                    let new = self.ids.len() as u32;
+                    self.ids.push(id);
+                    self.next.push(NO_SLOT);
+                    if tail == NO_SLOT {
+                        self.first.insert(chain.ioc.raw(), new);
+                        chain.head = new;
+                    } else {
+                        self.next[tail as usize] = new;
+                    }
+                }
+                stats.added += 1;
+                Some(id)
+            }
         }
     }
 
@@ -152,16 +239,8 @@ impl PathList {
         if self.ids.len() <= 1 {
             return;
         }
-        let mut order = self.ids.clone();
-        order.sort_by(|a, b| {
-            arena
-                .get(*a)
-                .cost
-                .total
-                .partial_cmp(&arena.get(*b).cost.total)
-                .unwrap()
-                .then(a.0.cmp(&b.0))
-        });
+        let mut order = std::mem::take(&mut self.ids);
+        order.sort_by(|a, b| by_total(arena, *a, *b));
         let mut kept: Vec<PathId> = Vec::with_capacity(order.len());
         'candidates: for id in order {
             let p = arena.get(id);
@@ -171,7 +250,7 @@ impl PathList {
                 // construction; like PostgreSQL's add_path, a better
                 // startup cost or stronger ordering still saves p.
                 if a.leaf_ioc.is_subset_of(p.leaf_ioc)
-                    && pathkeys_subsume(a, p)
+                    && arena.keys_subsume(a.pathkeys, p.pathkeys)
                     && a.cost.startup <= p.cost.startup * FUZZ
                 {
                     stats.rejected += 1;
@@ -181,56 +260,38 @@ impl PathList {
             kept.push(id);
         }
         self.ids = kept;
-        self.fast.clear();
-        // Rebuild the fast index so later inserts (e.g. the grouping
-        // planner's finished list) stay consistent.
-        for (pos, &id) in self.ids.iter().enumerate() {
-            let p = arena.get(id);
-            self.fast
-                .insert((p.leaf_ioc.raw(), p.pathkeys.clone()), pos);
+        // Rebuild the index so later inserts (e.g. the grouping planner's
+        // finished list) stay consistent: each slot chains to the previous
+        // one of its IOC.
+        self.first.clear();
+        self.next.clear();
+        for (slot, &id) in self.ids.iter().enumerate() {
+            let previous = self.first.insert(arena.get(id).leaf_ioc.raw(), slot as u32);
+            self.next.push(previous.unwrap_or(NO_SLOT));
         }
     }
 
     /// The cheapest-total path.
     pub fn cheapest_total(&self, arena: &PathArena) -> Option<PathId> {
-        self.ids.iter().copied().min_by(|a, b| {
-            arena
-                .get(*a)
-                .cost
-                .total
-                .partial_cmp(&arena.get(*b).cost.total)
-                .unwrap()
-                .then(a.0.cmp(&b.0))
-        })
+        (self.ids.iter().copied()).min_by(|a, b| by_total(arena, *a, *b))
     }
 
     /// The cheapest path whose pathkeys satisfy `required` (prefix match).
     pub fn cheapest_with_order(&self, arena: &PathArena, required: &[EcId]) -> Option<PathId> {
-        self.ids
-            .iter()
-            .copied()
-            .filter(|id| arena.get(*id).provides_order(required))
-            .min_by(|a, b| {
-                arena
-                    .get(*a)
-                    .cost
-                    .total
-                    .partial_cmp(&arena.get(*b).cost.total)
-                    .unwrap()
-                    .then(a.0.cmp(&b.0))
-            })
+        (self.ids.iter().copied())
+            .filter(|id| arena.get(*id).provides_order(arena, required))
+            .min_by(|a, b| by_total(arena, *a, *b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::{LinearCost, PathKind};
+    use crate::path::{KeysId, PathKind};
     use crate::relset::RelSet;
     use pinum_cost::Cost;
-    use pinum_query::Ioc;
 
-    fn mk(total: f64, startup: f64, keys: Vec<EcId>, ioc: Ioc) -> Path {
+    fn mk(total: f64, startup: f64, keys: KeysId, ioc: Ioc) -> Path {
         Path {
             kind: PathKind::SeqScan { rel: 0 },
             rels: RelSet::single(0),
@@ -239,20 +300,19 @@ mod tests {
             rescan: Cost::new(startup, total),
             pathkeys: keys,
             leaf_ioc: ioc,
-            linear: LinearCost::leaf(1, 0),
-            leaf_access: vec![total],
-            probe_access: vec![0.0],
+            c0: 0.0,
         }
     }
 
     #[test]
     fn standard_keeps_cheapest_per_order() {
         let mut arena = PathArena::new();
+        let k0 = arena.intern(&[EcId(0)]);
         let mut list = PathList::new();
         let mut st = AddPathStats::default();
         let a = list.add_path(
             &mut arena,
-            mk(10.0, 0.0, vec![], Ioc::NONE),
+            mk(10.0, 0.0, KeysId::NONE, Ioc::NONE),
             PruneMode::Standard,
             &mut st,
         );
@@ -261,7 +321,7 @@ mod tests {
         assert!(list
             .add_path(
                 &mut arena,
-                mk(20.0, 0.0, vec![], Ioc::NONE),
+                mk(20.0, 0.0, KeysId::NONE, Ioc::NONE),
                 PruneMode::Standard,
                 &mut st
             )
@@ -270,7 +330,7 @@ mod tests {
         assert!(list
             .add_path(
                 &mut arena,
-                mk(20.0, 0.0, vec![EcId(0)], Ioc::NONE),
+                mk(20.0, 0.0, k0, Ioc::NONE),
                 PruneMode::Standard,
                 &mut st
             )
@@ -279,7 +339,7 @@ mod tests {
         assert!(list
             .add_path(
                 &mut arena,
-                mk(5.0, 0.0, vec![EcId(0)], Ioc::NONE),
+                mk(5.0, 0.0, k0, Ioc::NONE),
                 PruneMode::Standard,
                 &mut st
             )
@@ -295,7 +355,7 @@ mod tests {
         let mut st = AddPathStats::default();
         list.add_path(
             &mut arena,
-            mk(10.0, 5.0, vec![], Ioc::NONE),
+            mk(10.0, 5.0, KeysId::NONE, Ioc::NONE),
             PruneMode::Standard,
             &mut st,
         );
@@ -303,7 +363,7 @@ mod tests {
         assert!(list
             .add_path(
                 &mut arena,
-                mk(12.0, 0.0, vec![], Ioc::NONE),
+                mk(12.0, 0.0, KeysId::NONE, Ioc::NONE),
                 PruneMode::Standard,
                 &mut st
             )
@@ -320,7 +380,7 @@ mod tests {
         let a = Ioc::NONE.with_order(0, 0);
         list.add_path(
             &mut arena,
-            mk(10.0, 0.0, vec![], phi),
+            mk(10.0, 0.0, KeysId::NONE, phi),
             PruneMode::KeepIoc,
             &mut st,
         );
@@ -328,7 +388,7 @@ mod tests {
         assert!(list
             .add_path(
                 &mut arena,
-                mk(5.0, 0.0, vec![], a),
+                mk(5.0, 0.0, KeysId::NONE, a),
                 PruneMode::KeepIoc,
                 &mut st
             )
@@ -338,7 +398,7 @@ mod tests {
         assert!(list
             .add_path(
                 &mut arena,
-                mk(7.0, 0.0, vec![], a),
+                mk(7.0, 0.0, KeysId::NONE, a),
                 PruneMode::KeepIoc,
                 &mut st
             )
@@ -347,7 +407,7 @@ mod tests {
         assert!(list
             .add_path(
                 &mut arena,
-                mk(3.0, 0.0, vec![], a),
+                mk(3.0, 0.0, KeysId::NONE, a),
                 PruneMode::KeepIoc,
                 &mut st
             )
@@ -365,7 +425,7 @@ mod tests {
         let ab = a.with_order(1, 0);
         list.add_path(
             &mut arena,
-            mk(10.0, 0.0, vec![], a),
+            mk(10.0, 0.0, KeysId::NONE, a),
             PruneMode::KeepIoc,
             &mut st,
         );
@@ -373,7 +433,7 @@ mod tests {
         assert!(list
             .add_path(
                 &mut arena,
-                mk(15.0, 0.0, vec![], ab),
+                mk(15.0, 0.0, KeysId::NONE, ab),
                 PruneMode::KeepIoc,
                 &mut st
             )
@@ -386,7 +446,7 @@ mod tests {
         // with the subset plan.
         list.add_path(
             &mut arena,
-            mk(5.0, 0.0, vec![], ab),
+            mk(5.0, 0.0, KeysId::NONE, ab),
             PruneMode::KeepIoc,
             &mut st,
         );
@@ -397,6 +457,7 @@ mod tests {
     #[test]
     fn sweep_respects_pathkey_subsumption() {
         let mut arena = PathArena::new();
+        let (k1, k12) = (arena.intern(&[EcId(1)]), arena.intern(&[EcId(1), EcId(2)]));
         let mut list = PathList::new();
         let mut st = AddPathStats::default();
         let phi = Ioc::NONE;
@@ -405,13 +466,13 @@ mod tests {
         // needed upstream).
         list.add_path(
             &mut arena,
-            mk(10.0, 0.0, vec![], phi),
+            mk(10.0, 0.0, KeysId::NONE, phi),
             PruneMode::KeepIoc,
             &mut st,
         );
         list.add_path(
             &mut arena,
-            mk(15.0, 0.0, vec![EcId(1)], phi),
+            mk(15.0, 0.0, k1, phi),
             PruneMode::KeepIoc,
             &mut st,
         );
@@ -421,13 +482,13 @@ mod tests {
         // [1] at 20.
         list.add_path(
             &mut arena,
-            mk(12.0, 0.0, vec![EcId(1), EcId(2)], phi),
+            mk(12.0, 0.0, k12, phi),
             PruneMode::KeepIoc,
             &mut st,
         );
         list.add_path(
             &mut arena,
-            mk(20.0, 0.0, vec![EcId(1)], phi),
+            mk(20.0, 0.0, k1, phi),
             PruneMode::KeepIoc,
             &mut st,
         );
@@ -447,18 +508,19 @@ mod tests {
     #[test]
     fn cheapest_queries() {
         let mut arena = PathArena::new();
+        let k3 = arena.intern(&[EcId(3)]);
         let mut list = PathList::new();
         let mut st = AddPathStats::default();
         list.add_path(
             &mut arena,
-            mk(10.0, 0.0, vec![], Ioc::NONE),
+            mk(10.0, 0.0, KeysId::NONE, Ioc::NONE),
             PruneMode::Standard,
             &mut st,
         );
         let ordered = list
             .add_path(
                 &mut arena,
-                mk(20.0, 0.0, vec![EcId(3)], Ioc::NONE),
+                mk(20.0, 0.0, k3, Ioc::NONE),
                 PruneMode::Standard,
                 &mut st,
             )
@@ -467,5 +529,72 @@ mod tests {
         assert_eq!(arena.get(cheapest).cost.total, 10.0);
         assert_eq!(list.cheapest_with_order(&arena, &[EcId(3)]), Some(ordered));
         assert!(list.cheapest_with_order(&arena, &[EcId(9)]).is_none());
+    }
+
+    #[test]
+    fn a_loser_never_becomes_an_arena_node() {
+        for mode in [PruneMode::Standard, PruneMode::KeepIoc] {
+            let mut arena = PathArena::new();
+            let mut list = PathList::new();
+            let mut st = AddPathStats::default();
+            let first = mk(10.0, 0.0, KeysId::NONE, Ioc::NONE);
+            assert!(list.add_path(&mut arena, first, mode, &mut st).is_some());
+            // Costlier, and a tie within FUZZ: the path added first stays.
+            for total in [20.0, 10.0, 10.0 * (1.0 - 1e-12)] {
+                let loser = mk(total, 0.0, KeysId::NONE, Ioc::NONE);
+                assert!(list.add_path(&mut arena, loser, mode, &mut st).is_none());
+            }
+            assert_eq!((arena.len(), st.added, st.rejected), (1, 1, 3), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn one_chain_serves_every_ordering_of_an_ioc() {
+        let mut arena = PathArena::new();
+        let (k1, k2) = (arena.intern(&[EcId(1)]), arena.intern(&[EcId(2)]));
+        let a = Ioc::NONE.with_order(0, 0);
+        let mut list = PathList::new();
+        let mut st = AddPathStats::default();
+        // Resolved while the IOC has no path yet; follows the inserts.
+        let mut chain = list.chain(a);
+        for (total, keys, survives) in [
+            (10.0, KeysId::NONE, true),
+            (12.0, k1, true),
+            (14.0, k2, true),
+            (13.0, k1, false),
+            (11.0, k1, true), // displaces the 12.0 in place
+        ] {
+            let added = list.add_path_in(
+                &mut arena,
+                &mut chain,
+                mk(total, 0.0, keys, a),
+                PruneMode::KeepIoc,
+                &mut st,
+            );
+            assert_eq!(added.is_some(), survives, "{total} {keys:?}");
+        }
+        let totals: Vec<f64> = (list.ids().iter())
+            .map(|&i| arena.get(i).cost.total)
+            .collect();
+        assert_eq!(totals, vec![10.0, 11.0, 14.0]);
+        assert_eq!((st.added, st.rejected, st.displaced), (4, 1, 1));
+        // A sweep rebuilds the index: the same keys are still found.
+        list.subset_cost_sweep(&arena, &mut st);
+        let again = mk(11.0, 0.0, k1, a);
+        assert!(list
+            .add_path(&mut arena, again, PruneMode::KeepIoc, &mut st)
+            .is_none());
+    }
+
+    #[test]
+    fn an_existing_node_joins_the_list_without_a_copy() {
+        let mut arena = PathArena::new();
+        let mut list = PathList::new();
+        let mut st = AddPathStats::default();
+        let cheap = arena.add(mk(5.0, 0.0, KeysId::NONE, Ioc::NONE));
+        let dear = arena.add(mk(9.0, 0.0, KeysId::NONE, Ioc::NONE));
+        assert!(list.add_existing(&mut arena, cheap, PruneMode::KeepIoc, &mut st));
+        assert!(!list.add_existing(&mut arena, dear, PruneMode::KeepIoc, &mut st));
+        assert_eq!((list.ids(), arena.len()), (&[cheap][..], 2));
     }
 }

@@ -8,13 +8,14 @@
 
 use crate::addpath::{AddPathStats, PathList, PruneMode};
 use crate::joinsearch::make_sort_path;
-use crate::path::{AggKind, Path, PathArena, PathId, PathKind};
+use crate::path::{AggKind, KeysId, Path, PathArena, PathId, PathKind};
 use crate::preprocess::{EcId, PlannerInfo};
 use pinum_cost::agg::{cost_agg, AggStrategy};
 use pinum_cost::{Cost, CostParams};
 
 /// Applies grouping and ordering to every surviving join path, returning
-/// the finished path list.
+/// the finished path list. A finished path is the join path itself or the
+/// agg/sort node built above it — the list takes that node, no copy.
 pub fn finish_paths(
     arena: &mut PathArena,
     info: &PlannerInfo<'_>,
@@ -28,34 +29,34 @@ pub fn finish_paths(
     let mut sorted_group_ecs = group_ecs.clone();
     sorted_group_ecs.sort_by_key(|e| e.0);
     sorted_group_ecs.dedup();
+    let group_keys = arena.intern(&group_ecs);
+    let required_keys = arena.intern(&info.required_order);
 
     let mut finished = PathList::new();
-    for &id in top.ids().to_vec().iter() {
-        let grouped: Vec<PathId> = if sorted_group_ecs.is_empty() {
-            vec![id]
+    for &id in top.ids() {
+        let pathkeys = arena.keys(arena.get(id).pathkeys);
+        let grouped = if sorted_group_ecs.is_empty() {
+            [Some(id), None]
+        } else if prefix_covers_set(pathkeys, &sorted_group_ecs) {
+            // Streaming (sorted) aggregation reuses the delivered order.
+            [
+                Some(agg_path(arena, info, params, id, AggKind::Sorted)),
+                None,
+            ]
         } else {
-            let mut variants = Vec::with_capacity(3);
-            if prefix_covers_set(&arena.get(id).pathkeys, &sorted_group_ecs) {
-                // Streaming (sorted) aggregation reuses the delivered order.
-                variants.push(agg_path(arena, info, params, id, AggKind::Sorted));
-            } else {
-                variants.push(agg_path(arena, info, params, id, AggKind::Hashed));
-                let sorted = make_sort_path(arena, info, params, id, group_ecs.clone());
-                variants.push(agg_path(arena, info, params, sorted, AggKind::Sorted));
-            }
-            variants
+            let hashed = agg_path(arena, info, params, id, AggKind::Hashed);
+            let sorted = make_sort_path(arena, info, params, id, group_keys);
+            let sorted = agg_path(arena, info, params, sorted, AggKind::Sorted);
+            [Some(hashed), Some(sorted)]
         };
 
-        for gid in grouped {
-            let final_id = if info.required_order.is_empty()
-                || arena.get(gid).provides_order(&info.required_order)
-            {
+        for gid in grouped.into_iter().flatten() {
+            let final_id = if arena.get(gid).provides_order(arena, &info.required_order) {
                 gid
             } else {
-                make_sort_path(arena, info, params, gid, info.required_order.clone())
+                make_sort_path(arena, info, params, gid, required_keys)
             };
-            let path = arena.get(final_id).clone();
-            finished.add_path(arena, path, mode, stats);
+            finished.add_existing(arena, final_id, mode, stats);
         }
     }
     finished
@@ -82,7 +83,7 @@ fn agg_path(
     input: PathId,
     kind: AggKind,
 ) -> PathId {
-    let inp = arena.get(input).clone();
+    let inp = *arena.get(input);
     let group_cols = info.group_order.len() as u32;
     let strategy = match kind {
         AggKind::Sorted => AggStrategy::Sorted,
@@ -100,24 +101,21 @@ fn agg_path(
     };
     let pathkeys = match kind {
         AggKind::Sorted => {
-            let n = info.group_order.len().min(inp.pathkeys.len());
-            inp.pathkeys[..n].to_vec()
+            let keys = arena.keys(inp.pathkeys);
+            let prefix = keys[..info.group_order.len().min(keys.len())].to_vec();
+            arena.intern(&prefix)
         }
-        _ => vec![],
+        _ => KeysId::NONE,
     };
-    let path = Path {
+    arena.add(Path {
         kind: PathKind::Agg { input, kind },
-        rels: inp.rels,
         rows: info.num_groups,
         cost,
         rescan: cost,
         pathkeys,
-        leaf_ioc: inp.leaf_ioc,
-        linear: inp.linear.plus_c0(agg.total),
-        leaf_access: inp.leaf_access.clone(),
-        probe_access: inp.probe_access.clone(),
-    };
-    arena.add(path)
+        c0: inp.c0 + agg.total,
+        ..inp
+    })
 }
 
 #[cfg(test)]
@@ -150,7 +148,7 @@ mod tests {
         let mut arena = PathArena::new();
         let mut stats = AddPathStats::default();
         let mut list = PathList::new();
-        for p in collect_access_paths(&info, &params, 0, false).paths {
+        for p in collect_access_paths(&info, &params, &mut arena, 0, false).paths {
             list.add_path(&mut arena, p, PruneMode::Standard, &mut stats);
         }
         let out = finish_paths(

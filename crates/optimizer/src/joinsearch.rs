@@ -9,11 +9,34 @@
 //!
 //! Under [`PruneMode::KeepIoc`] the per-relset path lists retain one optimal
 //! plan per *leaf interesting-order combination* (the §V-D pruning rule),
-//! which is what lets a single call export the whole INUM cache.
+//! which is what lets a single call export the whole INUM cache. That makes
+//! the lists long and the candidates many — most of them losers — so the
+//! enumeration is *cost-first*: a candidate is a [`Path`] header costed and
+//! keyed from copies of its children's headers, and only one a list accepts
+//! becomes an arena node (see `addpath`'s precheck/insert contract).
+//! Whatever does not depend on the candidate is computed further out:
+//!
+//! * **per relation set** (`plan_joinrel`): the list under construction and
+//!   its §V-D sweep;
+//! * **per (outer set, inner set)** (`make_joins`): output rows, the join
+//!   edges and their merge keys, the inner width — and, when the inner is
+//!   one base relation, its parameterized index scans, priced once at the
+//!   outer *set's* row count (every path of a set has the set's rows);
+//! * **per inner path**, once per `make_joins` call: its sorted variant per
+//!   edge and its nested-loop forms (rescanned as is, or materialized);
+//! * **per outer path**: its header copy and its sorted variant per edge;
+//! * **per (outer, inner) pair**: the union of the leaf IOCs and the one
+//!   index lookup it keys ([`PathList::chain`]) — shared by the pair's hash,
+//!   merge and nested-loop candidates, which then cost a few dozen flops
+//!   and a comparison each.
+//!
+//! Sort and materialize wrappers are memoized across calls (the same inner
+//! path meets many outer sets); they are arena nodes whether or not a
+//! candidate above them survives.
 
 use crate::access::param_index_scan;
-use crate::addpath::{AddPathStats, PathList, PruneMode};
-use crate::path::{IndexRef, Path, PathArena, PathId, PathKind};
+use crate::addpath::{AddPathStats, IocChain, PathList, PruneMode};
+use crate::path::{nestloop_scale, IndexRef, KeysId, Path, PathArena, PathId, PathKind};
 use crate::preprocess::{EcId, PlannerInfo};
 use crate::relset::RelSet;
 use pinum_cost::join::{cost_hashjoin, cost_mergejoin, cost_nestloop, JoinInput};
@@ -34,16 +57,18 @@ pub struct JoinSearchOptions {
     pub subset_pruning: bool,
 }
 
+/// An arena node with a copy of its header: a join input as the candidate
+/// loops read it, free of the arena borrow.
+type Node = (PathId, Path);
+
 /// The DP state: one [`PathList`] per planned relation set.
 pub struct JoinSearch<'a, 'q> {
     info: &'a PlannerInfo<'q>,
     params: &'a CostParams,
     options: JoinSearchOptions,
-    lists: HashMap<RelSet, PathList>,
-    /// Memoized sort wrappers: (input, sort keys) → path.
-    sorts: HashMap<(PathId, Vec<EcId>), PathId>,
-    /// Memoized materialize wrappers.
-    materials: HashMap<PathId, PathId>,
+    /// Indexed by the relation set's bits; `None` = not (yet) planned.
+    lists: Vec<Option<PathList>>,
+    wrappers: Wrappers,
     pub stats: AddPathStats,
     pub joinrels_planned: usize,
 }
@@ -58,9 +83,8 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
             info,
             params,
             options,
-            lists: HashMap::new(),
-            sorts: HashMap::new(),
-            materials: HashMap::new(),
+            lists: Vec::new(),
+            wrappers: Wrappers::default(),
             stats: AddPathStats::default(),
             joinrels_planned: 0,
         }
@@ -73,37 +97,35 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
         arena: &mut PathArena,
         base_lists: Vec<PathList>,
     ) -> (PathList, AddPathStats, usize) {
+        // At most `MAX_RELATIONS` = 16 (`InterestingOrders` enforces it).
         let n = self.info.relation_count();
-        for (r, list) in base_lists.into_iter().enumerate() {
-            self.lists.insert(RelSet::single(r as u16), list);
-        }
-        if n == 1 {
-            let list = self.lists.remove(&RelSet::single(0)).unwrap();
-            return (list, self.stats, self.joinrels_planned);
-        }
-
         let full = RelSet::all(n);
+        self.lists.resize_with(full.0 as usize + 1, || None);
+        for (r, list) in base_lists.into_iter().enumerate() {
+            self.lists[RelSet::single(r as u16).0 as usize] = Some(list);
+        }
         for size in 2..=n as u32 {
             // Enumerate masks with the right population count.
             for mask in 1..=full.0 {
-                let set = RelSet(mask);
-                if set.len() != size || !set.is_subset_of(full) {
-                    continue;
+                if RelSet(mask).len() == size {
+                    self.plan_joinrel(arena, RelSet(mask));
                 }
-                self.plan_joinrel(arena, set);
             }
         }
-        let list = self.lists.remove(&full).unwrap_or_default();
+        let list = self.lists[full.0 as usize].take().unwrap_or_default();
         (list, self.stats, self.joinrels_planned)
+    }
+
+    fn planned(&self, set: RelSet) -> Option<&PathList> {
+        self.lists[set.0 as usize].as_ref()
     }
 
     fn plan_joinrel(&mut self, arena: &mut PathArena, set: RelSet) {
         let mut list = PathList::new();
         let mut planned = false;
-        let partitions: Vec<RelSet> = set.proper_submasks_with_first().collect();
-        for left in partitions {
+        for left in set.proper_submasks_with_first() {
             let right = RelSet(set.0 & !left.0);
-            if !self.lists.contains_key(&left) || !self.lists.contains_key(&right) {
+            if self.planned(left).is_none() || self.planned(right).is_none() {
                 continue; // a side is disconnected
             }
             if !self.info.connected(left, right) {
@@ -125,7 +147,7 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
                 list.subset_cost_sweep(arena, &mut self.stats);
             }
             self.joinrels_planned += 1;
-            self.lists.insert(set, list);
+            self.lists[set.0 as usize] = Some(list);
         }
     }
 
@@ -137,334 +159,301 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
         outer_set: RelSet,
         inner_set: RelSet,
     ) {
-        let info = self.info;
-        let set = outer_set.union(inner_set);
-        let output_rows = info.joinrel_rows(set);
-        let edges: Vec<(EcId, (u16, u16))> = info
-            .edges_between(outer_set, inner_set)
-            .iter()
-            .map(|e| (e.ec, (e.left.1, e.right.1)))
+        let (info, params) = (self.info, self.params);
+        let nestloop = self.options.enable_nestloop;
+        // Per edge: its equivalence class and, interned, the ordering a
+        // merge join on it needs.
+        let ecs: Vec<(EcId, KeysId)> = (info.edges_between(outer_set, inner_set))
+            .map(|e| (e.ec, arena.intern(&[e.ec])))
             .collect();
-        let qual_ops = edges.len() as u32;
+        let qual_ops = ecs.len() as u32;
         let inner_width = info.joinrel_width(inner_set);
+        let lists = &self.lists;
+        let ids = |set: RelSet| lists[set.0 as usize].as_ref().expect("planned").ids();
+        let (outers, inners) = (ids(outer_set), ids(inner_set));
+        let set = outer_set.union(inner_set);
+        let rows = info.joinrel_rows(set);
+        let mut offers = Offers {
+            list,
+            arena,
+            stats: &mut self.stats,
+            mode: self.options.prune_mode,
+            set,
+            rows,
+        };
+        let input = |outer: &Path, inner: &Path, qual_ops: u32| JoinInput {
+            outer_cost: outer.cost,
+            outer_rows: outer.rows,
+            inner_cost: inner.cost,
+            inner_rows: inner.rows,
+            output_rows: rows,
+            qual_ops,
+        };
 
-        let outer_ids: Vec<PathId> = self.lists[&outer_set].ids().to_vec();
-        let inner_ids: Vec<PathId> = self.lists[&inner_set].ids().to_vec();
-
-        for &outer_id in &outer_ids {
-            for &inner_id in &inner_ids {
-                self.hash_join(
-                    arena,
-                    list,
-                    outer_id,
-                    inner_id,
-                    output_rows,
-                    qual_ops,
-                    inner_width,
-                    set,
-                );
-                for &(ec, _) in &edges {
-                    self.merge_join(
-                        arena,
-                        list,
-                        outer_id,
-                        inner_id,
-                        ec,
-                        output_rows,
-                        qual_ops,
-                        set,
-                    );
-                }
-                if self.options.enable_nestloop {
-                    self.nest_loop_plain(
-                        arena,
-                        list,
-                        outer_id,
-                        inner_id,
-                        output_rows,
-                        qual_ops,
-                        set,
-                    );
-                }
-            }
-            // Parameterized inner index scans (PostgreSQL 8.3 creates these
-            // at join time when the inner is a single base relation).
-            if self.options.enable_nestloop && inner_set.len() == 1 {
-                self.nest_loop_param(
-                    arena,
-                    list,
-                    outer_id,
-                    inner_set.first(),
-                    outer_set,
-                    output_rows,
-                    qual_ops,
-                    set,
-                );
-            }
+        // Once per inner path: its header, its sorted variant per edge (in
+        // `inner_sorted`, `ecs.len()` apiece) and its nested-loop forms.
+        let mut inner_sides: Vec<InnerSide> = Vec::with_capacity(inners.len());
+        let mut inner_sorted: Vec<Node> = Vec::with_capacity(inners.len() * ecs.len());
+        for &id in inners {
+            let wrappers = &mut self.wrappers;
+            inner_sorted.extend(
+                (ecs.iter()).map(|&on| wrappers.ensure_sorted(offers.arena, info, params, id, on)),
+            );
+            let loops = if nestloop {
+                wrappers.nestloop_inners(offers.arena, info, params, id)
+            } else {
+                [None, None]
+            };
+            inner_sides.push(InnerSide {
+                node: (id, *offers.arena.get(id)),
+                loops,
+            });
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn hash_join(
-        &mut self,
-        arena: &mut PathArena,
-        list: &mut PathList,
-        outer_id: PathId,
-        inner_id: PathId,
-        output_rows: f64,
-        qual_ops: u32,
-        inner_width: u32,
-        set: RelSet,
-    ) {
-        let (outer, inner) = (arena.get(outer_id).clone(), arena.get(inner_id).clone());
-        let j = JoinInput {
-            outer_cost: outer.cost,
-            outer_rows: outer.rows,
-            inner_cost: inner.cost,
-            inner_rows: inner.rows,
-            output_rows,
-            qual_ops,
-        };
-        let cost = cost_hashjoin(self.params, &j, inner_width);
-        let extra = cost.total - outer.cost.total - inner.cost.total;
-        let path = Path {
-            kind: PathKind::HashJoin {
-                outer: outer_id,
-                inner: inner_id,
-            },
-            rels: set,
-            rows: output_rows,
-            cost,
-            rescan: cost,
-            pathkeys: vec![], // conservative, as in PostgreSQL (multi-batch)
-            leaf_ioc: outer.leaf_ioc.union(inner.leaf_ioc).expect("disjoint rels"),
-            linear: outer.linear.combine(&inner.linear, extra.max(0.0)),
-            leaf_access: merge_leaf_access(&outer.leaf_access, &inner.leaf_access),
-            probe_access: merge_probe_access(&outer.probe_access, &inner.probe_access),
-        };
-        list.add_path(arena, path, self.options.prune_mode, &mut self.stats);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn merge_join(
-        &mut self,
-        arena: &mut PathArena,
-        list: &mut PathList,
-        outer_id: PathId,
-        inner_id: PathId,
-        ec: EcId,
-        output_rows: f64,
-        qual_ops: u32,
-        set: RelSet,
-    ) {
-        // Sort either side when it does not already deliver the key order.
-        let outer_sorted = self.ensure_sorted(arena, outer_id, ec);
-        let inner_sorted = self.ensure_sorted(arena, inner_id, ec);
-        let (outer, inner) = (
-            arena.get(outer_sorted).clone(),
-            arena.get(inner_sorted).clone(),
-        );
-        let j = JoinInput {
-            outer_cost: outer.cost,
-            outer_rows: outer.rows,
-            inner_cost: inner.cost,
-            inner_rows: inner.rows,
-            output_rows,
-            qual_ops,
-        };
-        let cost = cost_mergejoin(self.params, &j);
-        let extra = cost.total - outer.cost.total - inner.cost.total;
-        let path = Path {
-            kind: PathKind::MergeJoin {
-                outer: outer_sorted,
-                inner: inner_sorted,
-            },
-            rels: set,
-            rows: output_rows,
-            cost,
-            rescan: cost,
-            pathkeys: outer.pathkeys.clone(), // merge preserves outer order
-            leaf_ioc: outer.leaf_ioc.union(inner.leaf_ioc).expect("disjoint rels"),
-            linear: outer.linear.combine(&inner.linear, extra.max(0.0)),
-            leaf_access: merge_leaf_access(&outer.leaf_access, &inner.leaf_access),
-            probe_access: merge_probe_access(&outer.probe_access, &inner.probe_access),
-        };
-        list.add_path(arena, path, self.options.prune_mode, &mut self.stats);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn nest_loop_plain(
-        &mut self,
-        arena: &mut PathArena,
-        list: &mut PathList,
-        outer_id: PathId,
-        inner_id: PathId,
-        output_rows: f64,
-        qual_ops: u32,
-        set: RelSet,
-    ) {
-        // Inner variants: leaves rescan as-is; sorts/materials rescan
-        // cheaply; composite plans must be materialized.
-        let inner_kind_is_leaf = matches!(
-            arena.get(inner_id).kind,
-            PathKind::SeqScan { .. } | PathKind::IndexScan { .. } | PathKind::BitmapScan { .. }
-        );
-        let inner_is_rescannable = matches!(
-            arena.get(inner_id).kind,
-            PathKind::Sort { .. } | PathKind::Material { .. }
-        );
-        let mut variants: Vec<(PathId, bool)> = Vec::with_capacity(2);
-        if inner_kind_is_leaf {
-            variants.push((inner_id, true)); // rescans re-access the leaf
-            variants.push((self.materialize(arena, inner_id), false));
-        } else if inner_is_rescannable {
-            variants.push((inner_id, false));
+        // Once per (outer set, inner relation): parameterized inner index
+        // scans (PostgreSQL 8.3 creates these at join time when the inner
+        // is a single base relation), probed once per outer row — and the
+        // outer rows are the outer *set's*.
+        let outer_rows = offers.arena.get(outers[0]).rows;
+        let probes = if nestloop && inner_set.len() == 1 {
+            param_scans(
+                info,
+                params,
+                offers.arena,
+                inner_set.first(),
+                outer_set,
+                outer_rows,
+            )
         } else {
-            variants.push((self.materialize(arena, inner_id), false));
-        }
+            Vec::new()
+        };
 
-        for (iv, reaccesses) in variants {
-            let (outer, inner) = (arena.get(outer_id).clone(), arena.get(iv).clone());
-            let j = JoinInput {
-                outer_cost: outer.cost,
-                outer_rows: outer.rows,
-                inner_cost: inner.cost,
-                inner_rows: inner.rows,
-                output_rows,
-                qual_ops,
-            };
-            let cost = cost_nestloop(self.params, &j, inner.rescan);
-            let scale = if reaccesses { outer.rows.max(1.0) } else { 1.0 };
-            let extra = cost.total - outer.cost.total - scale * inner.cost.total;
-            let path = Path {
-                kind: PathKind::NestLoop {
-                    outer: outer_id,
-                    inner: iv,
-                },
-                rels: set,
-                rows: output_rows,
-                cost,
-                rescan: cost,
-                pathkeys: outer.pathkeys.clone(), // NLJ preserves outer order
-                leaf_ioc: outer.leaf_ioc.union(inner.leaf_ioc).expect("disjoint rels"),
-                linear: outer
-                    .linear
-                    .combine_scaled(&inner.linear, scale, extra.max(0.0)),
-                leaf_access: merge_leaf_access(&outer.leaf_access, &inner.leaf_access),
-                probe_access: merge_probe_access(&outer.probe_access, &inner.probe_access),
-            };
-            list.add_path(arena, path, self.options.prune_mode, &mut self.stats);
-        }
-    }
-
-    /// Nested loop with a parameterized inner index scan: the inner index is
-    /// probed with the outer row's join key.
-    #[allow(clippy::too_many_arguments)]
-    fn nest_loop_param(
-        &mut self,
-        arena: &mut PathArena,
-        list: &mut PathList,
-        outer_id: PathId,
-        inner_rel: u16,
-        outer_set: RelSet,
-        output_rows: f64,
-        qual_ops: u32,
-        set: RelSet,
-    ) {
-        let info = self.info;
-        let outer = arena.get(outer_id).clone();
-        let inner_table = info.base[inner_rel as usize].table;
-        let lookup_cols = info.inner_join_columns(inner_rel, outer_set);
-        for (col, ec, sel) in lookup_cols {
-            let catalog_ixs = info
-                .catalog
-                .table_indexes(inner_table)
-                .iter()
-                .map(|id| (IndexRef::Catalog(*id), info.catalog.index(*id)));
-            let config_ixs = info
-                .config
-                .indexes()
-                .iter()
-                .enumerate()
-                .filter(|(_, ix)| ix.table() == inner_table)
-                .map(|(i, ix)| (IndexRef::Config(i), ix));
-            for (ixref, index) in catalog_ixs.chain(config_ixs) {
-                let Some(inner_path) = param_index_scan(
-                    info,
-                    self.params,
-                    inner_rel,
-                    ixref,
-                    index,
-                    col,
-                    ec,
-                    sel,
-                    outer.rows,
-                ) else {
-                    continue;
-                };
-                let inner_id = arena.add(inner_path);
-                let inner = arena.get(inner_id).clone();
-                let j = JoinInput {
-                    outer_cost: outer.cost,
-                    outer_rows: outer.rows,
-                    inner_cost: inner.cost,
-                    inner_rows: inner.rows,
-                    output_rows,
-                    // The probe enforces this join qual via the index.
-                    qual_ops: qual_ops.saturating_sub(1),
-                };
-                let cost = cost_nestloop(self.params, &j, inner.rescan);
-                let scale = outer.rows.max(1.0);
-                let extra = cost.total - outer.cost.total - scale * inner.cost.total;
-                let path = Path {
-                    kind: PathKind::NestLoop {
+        let mut outer_sorted: Vec<Node> = Vec::with_capacity(ecs.len());
+        for &outer_id in outers {
+            let outer = *offers.arena.get(outer_id);
+            assert!(
+                outer.rows == outer_rows,
+                "paths of {outer_set} disagree on its rows: {} vs {outer_rows}",
+                outer.rows
+            );
+            outer_sorted.clear();
+            for &on in &ecs {
+                let wrappers = &mut self.wrappers;
+                outer_sorted.push(wrappers.ensure_sorted(offers.arena, info, params, outer_id, on));
+            }
+            for (side, inner_sorted) in inner_sides.iter().zip(inner_sorted.chunks(ecs.len())) {
+                let (inner_id, inner) = &side.node;
+                // Every candidate of the pair has this leaf IOC: one lookup.
+                let ioc = outer.leaf_ioc.union(inner.leaf_ioc);
+                let mut chain = offers.list.chain(ioc.expect("disjoint rels"));
+                offers.offer(
+                    &mut chain,
+                    PathKind::HashJoin {
                         outer: outer_id,
-                        inner: inner_id,
+                        inner: *inner_id,
                     },
-                    rels: set,
-                    rows: output_rows,
-                    cost,
-                    rescan: cost,
-                    pathkeys: outer.pathkeys.clone(),
-                    leaf_ioc: outer.leaf_ioc.union(inner.leaf_ioc).expect("disjoint rels"),
-                    linear: outer
-                        .linear
-                        .combine_scaled(&inner.linear, scale, extra.max(0.0)),
-                    leaf_access: outer.leaf_access.clone(),
-                    probe_access: merge_probe_access(&outer.probe_access, &inner.probe_access),
-                };
-                list.add_path(arena, path, self.options.prune_mode, &mut self.stats);
+                    cost_hashjoin(params, &input(&outer, inner, qual_ops), inner_width),
+                    &outer,
+                    inner,
+                );
+                // Sort either side when it does not already deliver the
+                // key order.
+                for ((o_id, o), (i_id, i)) in outer_sorted.iter().zip(inner_sorted) {
+                    offers.offer(
+                        &mut chain,
+                        PathKind::MergeJoin {
+                            outer: *o_id,
+                            inner: *i_id,
+                        },
+                        cost_mergejoin(params, &input(o, i, qual_ops)),
+                        o,
+                        i,
+                    );
+                }
+                for (i_id, i) in side.loops.iter().flatten() {
+                    offers.offer(
+                        &mut chain,
+                        PathKind::NestLoop {
+                            outer: outer_id,
+                            inner: *i_id,
+                        },
+                        cost_nestloop(params, &input(&outer, i, qual_ops), i.rescan),
+                        &outer,
+                        i,
+                    );
+                }
+            }
+            for (probe_id, probe) in &probes {
+                let ioc = outer.leaf_ioc.union(probe.leaf_ioc);
+                let mut chain = offers.list.chain(ioc.expect("disjoint rels"));
+                // The probe enforces one join qual via the index.
+                let j = input(&outer, probe, qual_ops.saturating_sub(1));
+                offers.offer(
+                    &mut chain,
+                    PathKind::NestLoop {
+                        outer: outer_id,
+                        inner: *probe_id,
+                    },
+                    cost_nestloop(params, &j, probe.rescan),
+                    &outer,
+                    probe,
+                );
             }
         }
     }
+}
 
-    /// Returns `input` if already ordered on `ec`, else a (memoized) sort
-    /// wrapper.
-    fn ensure_sorted(&mut self, arena: &mut PathArena, input: PathId, ec: EcId) -> PathId {
-        if arena.get(input).provides_order(&[ec]) {
-            return input;
+/// The parameterized index scans of `inner_rel` probed with the join keys of
+/// `outer_set`: one arena node per (join column, matching index), priced at
+/// `outer_rows` loops.
+fn param_scans(
+    info: &PlannerInfo<'_>,
+    params: &CostParams,
+    arena: &mut PathArena,
+    inner_rel: u16,
+    outer_set: RelSet,
+    outer_rows: f64,
+) -> Vec<Node> {
+    let inner_table = info.base[inner_rel as usize].table;
+    let mut scans = Vec::new();
+    for (col, ec, sel) in info.inner_join_columns(inner_rel, outer_set) {
+        let catalog_ixs = info
+            .catalog
+            .table_indexes(inner_table)
+            .iter()
+            .map(|id| (IndexRef::Catalog(*id), info.catalog.index(*id)));
+        let config_ixs = info
+            .config
+            .indexes()
+            .iter()
+            .enumerate()
+            .filter(|(_, ix)| ix.table() == inner_table)
+            .map(|(i, ix)| (IndexRef::Config(i), ix));
+        for (ixref, index) in catalog_ixs.chain(config_ixs) {
+            let scan = param_index_scan(
+                info, params, arena, inner_rel, ixref, index, col, ec, sel, outer_rows,
+            );
+            scans.extend(scan.map(|path| (arena.add(path), path)));
         }
-        self.sort_path(arena, input, vec![ec])
+    }
+    scans
+}
+
+/// One inner path as every pair of a `make_joins` call sees it.
+struct InnerSide {
+    node: Node,
+    /// Its forms as a nested-loop inner, see `Wrappers::nestloop_inners`.
+    loops: [Option<Node>; 2],
+}
+
+/// Where the candidates of one `make_joins` call go, and what they share.
+struct Offers<'x> {
+    list: &'x mut PathList,
+    arena: &'x mut PathArena,
+    stats: &'x mut AddPathStats,
+    mode: PruneMode,
+    /// The joined relation set and its estimated rows.
+    set: RelSet,
+    rows: f64,
+}
+
+impl Offers<'_> {
+    /// Offers the join `kind` of `outer` and `inner`, costed at `cost`, to
+    /// the list: a header on the stack unless the list takes it.
+    fn offer(
+        &mut self,
+        chain: &mut IocChain,
+        kind: PathKind,
+        cost: Cost,
+        outer: &Path,
+        inner: &Path,
+    ) {
+        let (scale, pathkeys) = match kind {
+            PathKind::NestLoop { .. } => (nestloop_scale(outer.rows, &inner.kind), outer.pathkeys),
+            PathKind::MergeJoin { .. } => (1.0, outer.pathkeys), // both preserve outer order
+            _ => (1.0, KeysId::NONE), // hash: conservative, as in PostgreSQL (multi-batch)
+        };
+        // The join's own work is constant; the children's totals carry
+        // their leaves' access costs, the inner's `scale` times over.
+        let extra = cost.total - outer.cost.total - scale * inner.cost.total;
+        let candidate = Path {
+            kind,
+            rels: self.set,
+            rows: self.rows,
+            cost,
+            rescan: cost,
+            pathkeys,
+            leaf_ioc: chain.ioc(),
+            c0: outer.c0 + scale * inner.c0 + extra.max(0.0),
+        };
+        self.list
+            .add_path_in(self.arena, chain, candidate, self.mode, self.stats);
+    }
+}
+
+/// Memoized sort and materialize nodes: the same input is wrapped the same
+/// way in every `make_joins` call it takes part in.
+#[derive(Default)]
+struct Wrappers {
+    /// (input, sort keys) → sort node.
+    sorts: HashMap<(PathId, KeysId), PathId>,
+    /// input → materialize node.
+    materials: HashMap<PathId, PathId>,
+}
+
+impl Wrappers {
+    /// `input` if already ordered on `ec`, else an explicit sort above it
+    /// (`keys` is the interned `[ec]`).
+    fn ensure_sorted(
+        &mut self,
+        arena: &mut PathArena,
+        info: &PlannerInfo<'_>,
+        params: &CostParams,
+        input: PathId,
+        (ec, keys): (EcId, KeysId),
+    ) -> Node {
+        let path = arena.get(input);
+        if path.provides_order(arena, &[ec]) {
+            return (input, *path);
+        }
+        let id = *(self.sorts.entry((input, keys)))
+            .or_insert_with(|| make_sort_path(arena, info, params, input, keys));
+        (id, *arena.get(id))
     }
 
-    /// Builds (or reuses) an explicit sort above `input`.
-    pub fn sort_path(&mut self, arena: &mut PathArena, input: PathId, keys: Vec<EcId>) -> PathId {
-        if let Some(&id) = self.sorts.get(&(input, keys.clone())) {
-            return id;
-        }
-        let id = make_sort_path(arena, self.info, self.params, input, keys.clone());
-        self.sorts.insert((input, keys), id);
-        id
+    /// A materialize node above `input`.
+    fn materialize(
+        &mut self,
+        arena: &mut PathArena,
+        info: &PlannerInfo<'_>,
+        params: &CostParams,
+        input: PathId,
+    ) -> Node {
+        let id = *(self.materials.entry(input))
+            .or_insert_with(|| make_material_path(arena, info, params, input));
+        (id, *arena.get(id))
     }
 
-    /// Builds (or reuses) a materialize node above `input`.
-    fn materialize(&mut self, arena: &mut PathArena, input: PathId) -> PathId {
-        if let Some(&id) = self.materials.get(&input) {
-            return id;
+    /// The forms `input` takes as a nested-loop inner: leaves rescan as is
+    /// (re-accessing the leaf per outer row) or materialized; sorts and
+    /// materials rescan cheaply; composite plans must be materialized.
+    fn nestloop_inners(
+        &mut self,
+        arena: &mut PathArena,
+        info: &PlannerInfo<'_>,
+        params: &CostParams,
+        input: PathId,
+    ) -> [Option<Node>; 2] {
+        let path = *arena.get(input);
+        match path.kind {
+            PathKind::SeqScan { .. } | PathKind::IndexScan { .. } | PathKind::BitmapScan { .. } => {
+                [
+                    Some((input, path)),
+                    Some(self.materialize(arena, info, params, input)),
+                ]
+            }
+            PathKind::Sort { .. } | PathKind::Material { .. } => [Some((input, path)), None],
+            _ => [Some(self.materialize(arena, info, params, input)), None],
         }
-        let id = make_material_path(arena, self.info, self.params, input);
-        self.materials.insert(input, id);
-        id
     }
 }
 
@@ -474,26 +463,20 @@ pub fn make_sort_path(
     info: &PlannerInfo<'_>,
     params: &CostParams,
     input: PathId,
-    keys: Vec<EcId>,
+    keys: KeysId,
 ) -> PathId {
-    let inp = arena.get(input).clone();
+    let inp = *arena.get(input);
     let width = info.joinrel_width(inp.rels);
     let sort = cost_sort(params, inp.rows, width);
-    let cost = Cost::new(inp.cost.total + sort.startup, inp.cost.total + sort.total);
-    let path = Path {
+    arena.add(Path {
         kind: PathKind::Sort { input },
-        rels: inp.rels,
-        rows: inp.rows,
-        cost,
+        cost: Cost::new(inp.cost.total + sort.startup, inp.cost.total + sort.total),
         // Rescanning a finished sort replays the stored result.
         rescan: Cost::run_only(sort.run()),
         pathkeys: keys,
-        leaf_ioc: inp.leaf_ioc,
-        linear: inp.linear.plus_c0(sort.total),
-        leaf_access: inp.leaf_access.clone(),
-        probe_access: inp.probe_access.clone(),
-    };
-    arena.add(path)
+        c0: inp.c0 + sort.total,
+        ..inp
+    })
 }
 
 /// Standalone materialize-wrapper construction.
@@ -503,32 +486,16 @@ pub fn make_material_path(
     params: &CostParams,
     input: PathId,
 ) -> PathId {
-    let inp = arena.get(input).clone();
+    let inp = *arena.get(input);
     let width = info.joinrel_width(inp.rels);
     let mat = cost_material(params, inp.rows, width);
-    let rescan = cost_rescan_material(params, inp.rows, width);
-    let cost = Cost::new(inp.cost.startup, inp.cost.total + mat.total);
-    let path = Path {
+    arena.add(Path {
         kind: PathKind::Material { input },
-        rels: inp.rels,
-        rows: inp.rows,
-        cost,
-        rescan,
-        pathkeys: inp.pathkeys.clone(),
-        leaf_ioc: inp.leaf_ioc,
-        linear: inp.linear.plus_c0(mat.total),
-        leaf_access: inp.leaf_access.clone(),
-        probe_access: inp.probe_access.clone(),
-    };
-    arena.add(path)
-}
-
-fn merge_leaf_access(a: &[f64], b: &[f64]) -> Vec<f64> {
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
-fn merge_probe_access(a: &[f64], b: &[f64]) -> Vec<f64> {
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
+        cost: Cost::new(inp.cost.startup, inp.cost.total + mat.total),
+        rescan: cost_rescan_material(params, inp.rows, width),
+        c0: inp.c0 + mat.total,
+        ..inp
+    })
 }
 
 #[cfg(test)]
@@ -587,7 +554,7 @@ mod tests {
         let mut base_lists = Vec::new();
         let mut stats = AddPathStats::default();
         for r in 0..info.relation_count() as u16 {
-            let acc = collect_access_paths(&info, &params, r, keep_all);
+            let acc = collect_access_paths(&info, &params, &mut arena, r, keep_all);
             let mut list = PathList::new();
             for p in acc.paths {
                 list.add_path(&mut arena, p, options.prune_mode, &mut stats);
@@ -633,7 +600,8 @@ mod tests {
         assert!(!top.is_empty());
         for &id in top.ids() {
             let p = arena.get(id);
-            let eval = p.linear.eval(&p.leaf_access, &p.probe_access);
+            let (access, probes) = arena.leaf_access(id, 3);
+            let eval = arena.linear(id, 3).eval(&access, &probes);
             assert!(
                 (eval - p.cost.total).abs() / p.cost.total.max(1.0) < 1e-6,
                 "decomposition mismatch for {}: {eval} vs {}",

@@ -1,16 +1,32 @@
 //! Access and join paths: the DP's partial plans.
 //!
+//! A [`Path`] is a plain `Copy` header — operator, relations, rows, costs,
+//! and what `add_path` keys on — and owns nothing on the heap, so a join
+//! candidate is a stack value until a path list accepts it. Everything
+//! shared lives in the [`PathArena`] of the optimize call: the accepted
+//! nodes (children are referenced by [`PathId`]) and the interned output
+//! orderings ([`KeysId`]; equal orderings have equal ids, so the KeepIoc key
+//! is the pair `(leaf_ioc.raw(), pathkeys)` of integers).
+//!
 //! Every path carries, besides the usual cost/rows/pathkeys:
 //!
 //! * its **leaf interesting-order combination** ([`Ioc`]): which interesting
 //!   order each base relation's leaf access uses — the plan's *requirement*
 //!   on a configuration in INUM terms;
-//! * its **linear cost decomposition** `total = c0 + Σ coef_r · access_r`,
-//!   where `access_r` is the build-time standalone access cost of the leaf
-//!   on relation `r`. Hash/merge joins keep `coef = 1` (INUM observation 1);
-//!   an unmaterialized nested-loop inner multiplies its subtree's
-//!   coefficients by the outer cardinality; parameterized inner index scans
-//!   fold into `c0` (the INUM approximation the paper quantifies in §VI-C).
+//! * the constant `c0` of its **linear cost decomposition**
+//!   `total = c0 + Σ coef_r · access_r`, where `access_r` is the build-time
+//!   standalone access cost of the leaf on relation `r`. Hash/merge joins
+//!   keep `coef = 1` (INUM observation 1); an unmaterialized nested-loop
+//!   inner multiplies its subtree's coefficients by the outer cardinality
+//!   ([`nestloop_scale`]); parameterized inner index scans are priced per
+//!   probe (`probe_coefs`; the INUM approximation the paper quantifies in
+//!   §VI-C).
+//!
+//! The coefficients are a function of the tree alone, so no path stores
+//! them: [`PathArena::linear`] rebuilds them by a walk for the few plans
+//! that are exported. The `linear.eval` consistency tests recover the other
+//! half of the equation the same way — `PathArena::leaf_access` (test-only)
+//! walks to the leaves and reads each one's build-time cost.
 
 use crate::preprocess::EcId;
 use crate::relset::RelSet;
@@ -21,6 +37,16 @@ use pinum_query::{Ioc, RelIdx};
 /// Identifies a path inside one [`PathArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathId(pub u32);
+
+/// An output ordering (equivalence classes, prefix semantics) interned in
+/// the call's [`PathArena`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct KeysId(u32);
+
+impl KeysId {
+    /// No ordering.
+    pub const NONE: KeysId = KeysId(0);
+}
 
 /// Which index a scan uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,7 +67,7 @@ pub enum AggKind {
 }
 
 /// The operator of a path node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PathKind {
     SeqScan {
         rel: RelIdx,
@@ -161,15 +187,6 @@ impl LinearCost {
         }
     }
 
-    /// Adds a constant.
-    pub fn plus_c0(&self, extra: f64) -> Self {
-        Self {
-            c0: self.c0 + extra,
-            coefs: self.coefs.clone(),
-            probe_coefs: self.probe_coefs.clone(),
-        }
-    }
-
     /// Evaluates against per-relation standalone and per-probe access
     /// costs.
     pub fn eval(&self, access: &[f64], probes: &[f64]) -> f64 {
@@ -191,8 +208,22 @@ impl LinearCost {
     }
 }
 
+/// How many times a nested loop over `outer_rows` rows re-runs the leaf
+/// accesses beneath `inner`: once per outer row when the inner is a bare
+/// scan (plain or parameterized), once in total when a materialize or sort
+/// node stores its result. The join planner charges by this factor and
+/// [`PathArena::linear`] scales the inner's coefficients by it.
+pub fn nestloop_scale(outer_rows: f64, inner: &PathKind) -> f64 {
+    match inner {
+        PathKind::SeqScan { .. } | PathKind::IndexScan { .. } | PathKind::BitmapScan { .. } => {
+            outer_rows.max(1.0)
+        }
+        _ => 1.0,
+    }
+}
+
 /// A partial plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Path {
     pub kind: PathKind,
     /// Relations joined so far.
@@ -205,18 +236,13 @@ pub struct Path {
     /// nested-loop inner). For most nodes this equals `cost`, for
     /// materialize it is the cheap tuplestore re-read.
     pub rescan: Cost,
-    /// Output ordering as equivalence classes, prefix semantics.
-    pub pathkeys: Vec<EcId>,
+    /// Output ordering, prefix semantics.
+    pub pathkeys: KeysId,
     /// Leaf interesting-order requirements (INUM's `S_plan`).
     pub leaf_ioc: Ioc,
-    /// Linear decomposition of `cost.total` over leaf access costs.
-    pub linear: LinearCost,
-    /// Build-time standalone access cost per relation (only the entries for
-    /// relations in `rels` with non-parameterized leaves are meaningful).
-    pub leaf_access: Vec<f64>,
-    /// Build-time reference per-probe cost per relation (parameterized
-    /// leaves only).
-    pub probe_access: Vec<f64>,
+    /// Constant ("internal") part of the linear decomposition of
+    /// `cost.total`; see [`PathArena::linear`] for the coefficients.
+    pub c0: f64,
 }
 
 impl Path {
@@ -239,17 +265,27 @@ impl Path {
 
     /// True if `self`'s output ordering satisfies `required` (required keys
     /// are a prefix of the provided keys).
-    pub fn provides_order(&self, required: &[EcId]) -> bool {
-        required.len() <= self.pathkeys.len() && self.pathkeys[..required.len()] == *required
+    pub fn provides_order(&self, arena: &PathArena, required: &[EcId]) -> bool {
+        arena.keys(self.pathkeys).starts_with(required)
     }
 }
 
-/// Arena holding every path of one optimize call; paths reference children
-/// by [`PathId`], so cloning a path is cheap and the DP never drops a child
-/// that a surviving parent needs.
-#[derive(Default)]
+/// Arena holding every accepted path of one optimize call, plus the
+/// orderings they share; paths reference children by [`PathId`], so the DP
+/// never drops a child that a surviving parent needs.
 pub struct PathArena {
     paths: Vec<Path>,
+    /// Interned orderings; slot 0 is [`KeysId::NONE`].
+    keys: Vec<Vec<EcId>>,
+}
+
+impl Default for PathArena {
+    fn default() -> Self {
+        Self {
+            paths: Vec::new(),
+            keys: vec![Vec::new()],
+        }
+    }
 }
 
 impl PathArena {
@@ -273,6 +309,88 @@ impl PathArena {
 
     pub fn is_empty(&self) -> bool {
         self.paths.is_empty()
+    }
+
+    /// The id of `keys`, interning it on first sight. A call sees a handful
+    /// of distinct orderings and interns only at leaves and sort nodes (joins
+    /// inherit an input's id), so a scan beats hashing.
+    pub fn intern(&mut self, keys: &[EcId]) -> KeysId {
+        let slot = self.keys.iter().position(|k| k == keys).unwrap_or_else(|| {
+            self.keys.push(keys.to_vec());
+            self.keys.len() - 1
+        });
+        KeysId(slot as u32)
+    }
+
+    /// The ordering behind an id.
+    pub fn keys(&self, id: KeysId) -> &[EcId] {
+        &self.keys[id.0 as usize]
+    }
+
+    /// `a` subsumes `b`: `b`'s keys are a prefix of `a`'s.
+    pub fn keys_subsume(&self, a: KeysId, b: KeysId) -> bool {
+        a == b || self.keys(a).starts_with(self.keys(b))
+    }
+
+    /// The linear decomposition of `id`'s total cost over the access costs
+    /// of its leaves (`n_rels` = relations of the query): the stored `c0`
+    /// plus coefficients rebuilt bottom-up — a leaf contributes 1 on its
+    /// relation, wrappers pass their input's through, joins add their
+    /// children's, nested loops scaling the inner by [`nestloop_scale`].
+    pub fn linear(&self, id: PathId, n_rels: usize) -> LinearCost {
+        let p = self.get(id);
+        let mut linear = match p.kind {
+            PathKind::IndexScan {
+                rel,
+                param: Some(_),
+                ..
+            } => LinearCost::probe_leaf(n_rels, rel, 0.0),
+            PathKind::SeqScan { rel }
+            | PathKind::IndexScan { rel, .. }
+            | PathKind::BitmapScan { rel, .. } => LinearCost::leaf(n_rels, rel),
+            PathKind::Sort { input }
+            | PathKind::Material { input }
+            | PathKind::Agg { input, .. } => self.linear(input, n_rels),
+            PathKind::NestLoop { outer, inner } => {
+                let scale = nestloop_scale(self.get(outer).rows, &self.get(inner).kind);
+                self.linear(outer, n_rels)
+                    .combine_scaled(&self.linear(inner, n_rels), scale, 0.0)
+            }
+            PathKind::MergeJoin { outer, inner } | PathKind::HashJoin { outer, inner } => self
+                .linear(outer, n_rels)
+                .combine(&self.linear(inner, n_rels), 0.0),
+        };
+        linear.c0 = p.c0;
+        linear
+    }
+
+    /// Build-time access cost per relation of the leaves under `id`:
+    /// standalone scans and parameterized probes — what [`Self::linear`]'s
+    /// coefficients multiply, so `linear.eval(..)` must give `cost.total`.
+    #[cfg(test)]
+    pub(crate) fn leaf_access(&self, id: PathId, n_rels: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut access = (vec![0.0; n_rels], vec![0.0; n_rels]);
+        let mut pending = vec![id];
+        while let Some(id) = pending.pop() {
+            let p = self.get(id);
+            match p.kind {
+                PathKind::IndexScan {
+                    rel,
+                    param: Some(_),
+                    ..
+                } => access.1[rel as usize] = p.cost.total,
+                PathKind::SeqScan { rel }
+                | PathKind::IndexScan { rel, .. }
+                | PathKind::BitmapScan { rel, .. } => access.0[rel as usize] = p.cost.total,
+                PathKind::Sort { input }
+                | PathKind::Material { input }
+                | PathKind::Agg { input, .. } => pending.push(input),
+                PathKind::NestLoop { outer, inner }
+                | PathKind::MergeJoin { outer, inner }
+                | PathKind::HashJoin { outer, inner } => pending.extend([outer, inner]),
+            }
+        }
+        access
     }
 
     /// Compact one-line rendering of a plan, for explain output and cache
@@ -357,55 +475,87 @@ mod tests {
 
     #[test]
     fn provides_order_prefix_semantics() {
+        let mut arena = PathArena::new();
         let p = Path {
             kind: PathKind::SeqScan { rel: 0 },
             rels: RelSet::single(0),
             rows: 1.0,
             cost: Cost::ZERO,
             rescan: Cost::ZERO,
-            pathkeys: vec![EcId(0), EcId(1)],
+            pathkeys: arena.intern(&[EcId(0), EcId(1)]),
             leaf_ioc: Ioc::NONE,
-            linear: LinearCost::leaf(1, 0),
-            leaf_access: vec![0.0],
-            probe_access: vec![0.0],
+            c0: 0.0,
         };
-        assert!(p.provides_order(&[]));
-        assert!(p.provides_order(&[EcId(0)]));
-        assert!(p.provides_order(&[EcId(0), EcId(1)]));
-        assert!(!p.provides_order(&[EcId(1)]));
-        assert!(!p.provides_order(&[EcId(0), EcId(1), EcId(2)]));
+        assert!(p.provides_order(&arena, &[]));
+        assert!(p.provides_order(&arena, &[EcId(0)]));
+        assert!(p.provides_order(&arena, &[EcId(0), EcId(1)]));
+        assert!(!p.provides_order(&arena, &[EcId(1)]));
+        assert!(!p.provides_order(&arena, &[EcId(0), EcId(1), EcId(2)]));
+    }
+
+    #[test]
+    fn interned_orderings_compare_by_id() {
+        let mut arena = PathArena::new();
+        assert_eq!(arena.intern(&[]), KeysId::NONE);
+        let a = arena.intern(&[EcId(3)]);
+        let ab = arena.intern(&[EcId(3), EcId(1)]);
+        assert_eq!(arena.intern(&[EcId(3)]), a);
+        assert_ne!(a, ab);
+        assert_eq!(arena.keys(ab), &[EcId(3), EcId(1)]);
+        assert!(arena.keys_subsume(ab, a) && arena.keys_subsume(a, KeysId::NONE));
+        assert!(!arena.keys_subsume(a, ab));
+    }
+
+    fn leaf(rel: RelIdx, total: f64) -> Path {
+        Path {
+            kind: PathKind::SeqScan { rel },
+            rels: RelSet::single(rel),
+            rows: 10.0,
+            cost: Cost::run_only(total),
+            rescan: Cost::run_only(total),
+            pathkeys: KeysId::NONE,
+            leaf_ioc: Ioc::NONE,
+            c0: 0.0,
+        }
     }
 
     #[test]
     fn describe_renders_nested_plans() {
         let mut arena = PathArena::new();
-        let mk_leaf = |rel: RelIdx| Path {
-            kind: PathKind::SeqScan { rel },
-            rels: RelSet::single(rel),
-            rows: 1.0,
-            cost: Cost::ZERO,
-            rescan: Cost::ZERO,
-            pathkeys: vec![],
-            leaf_ioc: Ioc::NONE,
-            linear: LinearCost::leaf(2, rel),
-            leaf_access: vec![0.0; 2],
-            probe_access: vec![0.0; 2],
-        };
-        let a = arena.add(mk_leaf(0));
-        let b = arena.add(mk_leaf(1));
+        let a = arena.add(leaf(0, 0.0));
+        let b = arena.add(leaf(1, 0.0));
         let join = arena.add(Path {
             kind: PathKind::HashJoin { outer: a, inner: b },
             rels: RelSet::all(2),
-            rows: 1.0,
-            cost: Cost::ZERO,
-            rescan: Cost::ZERO,
-            pathkeys: vec![],
-            leaf_ioc: Ioc::NONE,
-            linear: LinearCost::zero(2),
-            leaf_access: vec![0.0; 2],
-            probe_access: vec![0.0; 2],
+            ..leaf(0, 0.0)
         });
         assert_eq!(arena.describe(join), "HJ(seq(0),seq(1))");
         assert!(!arena.get(join).uses_nestloop(&arena));
+    }
+
+    #[test]
+    fn linear_is_rebuilt_from_the_tree() {
+        // NL(seq(0), seq(1)) over 10 outer rows re-scans the inner leaf per
+        // row; materializing it scans once.
+        let mut arena = PathArena::new();
+        let a = arena.add(leaf(0, 3.0));
+        let b = arena.add(leaf(1, 2.0));
+        let mat = arena.add(Path {
+            kind: PathKind::Material { input: b },
+            c0: 0.5,
+            ..leaf(1, 2.5)
+        });
+        let join = |inner| Path {
+            kind: PathKind::NestLoop { outer: a, inner },
+            rels: RelSet::all(2),
+            c0: 4.0,
+            ..leaf(0, 0.0)
+        };
+        let (rescanned, stored) = (arena.add(join(b)), arena.add(join(mat)));
+        let l = arena.linear(rescanned, 2);
+        assert_eq!((l.c0, &l.coefs[..]), (4.0, &[1.0, 10.0][..]));
+        let l = arena.linear(stored, 2);
+        assert_eq!((l.c0, &l.coefs[..]), (4.0, &[1.0, 1.0][..]));
+        assert_eq!(arena.leaf_access(stored, 2).0, vec![3.0, 2.0]);
     }
 }

@@ -324,9 +324,7 @@ pub fn build_plan(arena: &PathArena, info: &PlannerInfo<'_>, id: PathId) -> Plan
         }
         PathKind::Sort { input } => {
             let rels = p.rels;
-            let keys = p
-                .pathkeys
-                .iter()
+            let keys = (arena.keys(p.pathkeys).iter())
                 .filter_map(|&ec| info.ec_member_in(ec, rels))
                 .collect();
             PlanNode::Sort {
@@ -402,7 +400,6 @@ fn join_quals(
     let outer_set = arena.get(outer).rels;
     let inner_set = arena.get(inner).rels;
     info.edges_between(outer_set, inner_set)
-        .iter()
         .map(|e| {
             if outer_set.contains(e.left.0) {
                 (e.left, e.right)
@@ -450,7 +447,7 @@ mod tests {
         let mut base = Vec::new();
         for r in 0..2u16 {
             let mut list = PathList::new();
-            for p in collect_access_paths(&info, &params, r, false).paths {
+            for p in collect_access_paths(&info, &params, &mut arena, r, false).paths {
                 list.add_path(&mut arena, p, PruneMode::Standard, &mut stats);
             }
             base.push(list);

@@ -5,7 +5,7 @@ use crate::access::{collect_access_paths, AccessCostEntry};
 use crate::addpath::{AddPathStats, PathList, PruneMode};
 use crate::grouping::finish_paths;
 use crate::joinsearch::{JoinSearch, JoinSearchOptions};
-use crate::path::PathArena;
+use crate::path::{PathArena, PathId};
 use crate::plan::{build_plan, PlanNode};
 use crate::preprocess::PlannerInfo;
 use pinum_catalog::{Catalog, Configuration};
@@ -70,7 +70,13 @@ pub struct PlannerStats {
     pub paths_rejected: usize,
     pub paths_displaced: usize,
     pub joinrels_planned: usize,
+    /// Paths in the finished list (after the final §V-D sweep, if any).
     pub final_paths: usize,
+    /// Nodes in the call's path arena: every path a list accepted (whether
+    /// or not it was displaced or swept later), every sort, materialize and
+    /// aggregation wrapper (memoized, built whether or not a candidate above
+    /// it survived), and one parameterized index scan per (outer relation
+    /// set, inner index). Rejected candidates are never nodes.
     pub arena_size: usize,
 }
 
@@ -215,7 +221,13 @@ impl<'a> Optimizer<'a> {
         let mut access_costs = Vec::new();
         let mut base_lists = Vec::with_capacity(info.relation_count());
         for rel in 0..info.relation_count() as u16 {
-            let acc = collect_access_paths(&info, &self.params, rel, options.keep_all_access_paths);
+            let acc = collect_access_paths(
+                &info,
+                &self.params,
+                &mut arena,
+                rel,
+                options.keep_all_access_paths,
+            );
             access_costs.extend(acc.entries);
             let mut list = PathList::new();
             for p in acc.paths {
@@ -255,25 +267,30 @@ impl<'a> Optimizer<'a> {
         assert!(!finished.is_empty(), "no plan produced for {}", query.name);
 
         // --- Winner + exports. ---
+        let export = |id: PathId| {
+            let p = arena.get(id);
+            let linear = arena.linear(id, info.relation_count());
+            ExportedPlan {
+                ioc: p.leaf_ioc,
+                internal: linear.c0,
+                coefs: linear.coefs,
+                probe_coefs: linear.probe_coefs,
+                uses_nlj: p.uses_nestloop(&arena),
+                rows: p.rows,
+                total_at_build: p.cost.total,
+                description: arena.describe(id),
+            }
+        };
         let best_id = finished.cheapest_total(&arena).expect("non-empty");
         let best = arena.get(best_id);
         let best_cost = best.cost;
         let best_rows = best.rows;
-        let best_export = ExportedPlan {
-            ioc: best.leaf_ioc,
-            internal: best.linear.c0,
-            coefs: best.linear.coefs.clone(),
-            probe_coefs: best.linear.probe_coefs.clone(),
-            uses_nlj: best.uses_nestloop(&arena),
-            rows: best.rows,
-            total_at_build: best.cost.total,
-            description: arena.describe(best_id),
-        };
+        let best_export = export(best_id);
         let plan = build_plan(&arena, &info, best_id);
 
         let exported = if options.export_ioc_plans {
             // One cheapest plan per retained leaf IOC.
-            let mut per_ioc: HashMap<Ioc, crate::path::PathId> = HashMap::new();
+            let mut per_ioc: HashMap<Ioc, PathId> = HashMap::new();
             for &id in finished.ids() {
                 let p = arena.get(id);
                 per_ioc
@@ -285,22 +302,7 @@ impl<'a> Optimizer<'a> {
                     })
                     .or_insert(id);
             }
-            let mut plans: Vec<ExportedPlan> = per_ioc
-                .into_values()
-                .map(|id| {
-                    let p = arena.get(id);
-                    ExportedPlan {
-                        ioc: p.leaf_ioc,
-                        internal: p.linear.c0,
-                        coefs: p.linear.coefs.clone(),
-                        probe_coefs: p.linear.probe_coefs.clone(),
-                        uses_nlj: p.uses_nestloop(&arena),
-                        rows: p.rows,
-                        total_at_build: p.cost.total,
-                        description: arena.describe(id),
-                    }
-                })
-                .collect();
+            let mut plans: Vec<ExportedPlan> = per_ioc.into_values().map(export).collect();
             plans.sort_by_key(|p| p.ioc);
             plans
         } else {

@@ -64,14 +64,19 @@ pub struct PlannerInfo<'a> {
     pub group_order: Vec<EcId>,
     /// Estimated number of groups (1.0 when no GROUP BY).
     pub num_groups: f64,
-    /// Memoized joinrel cardinalities.
-    rows_cache: std::sync::Mutex<HashMap<RelSet, f64>>,
 }
 
 impl<'a> PlannerInfo<'a> {
     pub fn new(catalog: &'a Catalog, query: &'a Query, config: &'a Configuration) -> Self {
         let n = query.relation_count();
-        debug_assert!(query.join_graph_connected() || n == 1);
+        // Checked in release too: the join search never pairs unconnected
+        // sets, so a disconnected graph would run the whole DP and then
+        // find no plan for the full set.
+        assert!(
+            query.join_graph_connected(),
+            "query {}: the join graph is disconnected; Cartesian products are not planned",
+            query.name
+        );
 
         // --- Equivalence classes via union-find over join columns. ---
         let mut uf = UnionFind::default();
@@ -148,7 +153,6 @@ impl<'a> PlannerInfo<'a> {
             required_order,
             group_order,
             num_groups,
-            rows_cache: std::sync::Mutex::new(HashMap::new()),
         }
     }
 
@@ -177,41 +181,35 @@ impl<'a> PlannerInfo<'a> {
     }
 
     /// Join edges connecting `left` and `right` (disjoint rel sets).
-    pub fn edges_between(&self, left: RelSet, right: RelSet) -> Vec<&JoinEdge> {
-        self.edges
-            .iter()
-            .filter(|e| {
-                (left.contains(e.left.0) && right.contains(e.right.0))
-                    || (left.contains(e.right.0) && right.contains(e.left.0))
-            })
-            .collect()
-    }
-
-    /// True if some join edge connects the two sets (avoids Cartesian
-    /// products, like PostgreSQL's standard join search).
-    pub fn connected(&self, left: RelSet, right: RelSet) -> bool {
-        self.edges.iter().any(|e| {
+    pub fn edges_between(
+        &self,
+        left: RelSet,
+        right: RelSet,
+    ) -> impl Iterator<Item = &JoinEdge> + '_ {
+        self.edges.iter().filter(move |e| {
             (left.contains(e.left.0) && right.contains(e.right.0))
                 || (left.contains(e.right.0) && right.contains(e.left.0))
         })
     }
 
+    /// True if some join edge connects the two sets (avoids Cartesian
+    /// products, like PostgreSQL's standard join search).
+    pub fn connected(&self, left: RelSet, right: RelSet) -> bool {
+        self.edges_between(left, right).next().is_some()
+    }
+
     /// Estimated output cardinality of a joinrel: the product of filtered
     /// base rows and the selectivities of all join edges internal to the
-    /// set (PostgreSQL `calc_joinrel_size_estimate` lineage).
+    /// set (PostgreSQL `calc_joinrel_size_estimate` lineage). Cheap enough
+    /// to recompute: the join planner asks once per partition of a set.
     pub fn joinrel_rows(&self, set: RelSet) -> f64 {
-        if let Some(r) = self.rows_cache.lock().unwrap().get(&set) {
-            return *r;
-        }
         let mut rows: f64 = set.iter().map(|r| self.base[r as usize].rows).product();
         for e in &self.edges {
             if set.contains(e.left.0) && set.contains(e.right.0) {
                 rows *= e.selectivity;
             }
         }
-        let rows = pinum_cost::clamp_row_est(rows);
-        self.rows_cache.lock().unwrap().insert(set, rows);
-        rows
+        pinum_cost::clamp_row_est(rows)
     }
 
     /// Output width of a joinrel (sum of member widths).
@@ -323,6 +321,20 @@ mod tests {
             .group_by(("d2", "v"))
             .build();
         (cat, q)
+    }
+
+    #[test]
+    #[should_panic(expected = "query split: the join graph is disconnected")]
+    fn disconnected_join_graph_is_refused_up_front() {
+        let (cat, _) = setup();
+        let q = QueryBuilder::new("split", &cat)
+            .table("f")
+            .table("d1")
+            .table("d2")
+            .join(("f", "fk"), ("d1", "k"))
+            .select(("d2", "v"))
+            .build();
+        PlannerInfo::new(&cat, &q, &Configuration::empty());
     }
 
     #[test]

@@ -111,10 +111,11 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port — read it back via
-    /// [`ServerHandle::addr`]) and starts the shard workers and accept
-    /// loop. Also sizes the process-global [`ProbePool`] for this many
-    /// dispatching shards, so concurrent re-advises do not oversubscribe
-    /// the cores (`PINUM_THREADS` still overrides; see the pool docs).
+    /// [`ServerHandle::addr`]) and starts the shard workers, then — once
+    /// they are running — the accept loop. Also sizes the process-global
+    /// [`ProbePool`] for this many dispatching shards, so concurrent
+    /// re-advises do not oversubscribe the cores (`PINUM_THREADS` still
+    /// overrides; see the pool docs).
     pub fn start(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<ServerHandle> {
         let shards = config.shards.max(1);
         ProbePool::init_global_for_dispatchers(shards);
@@ -122,9 +123,11 @@ impl Server {
 
         let mut shard_txs = Vec::with_capacity(shards);
         let mut shard_threads = Vec::with_capacity(shards);
+        let (up_tx, up_rx) = mpsc::channel::<()>();
         for shard in 0..shards {
             let (tx, rx) = mpsc::channel::<ShardMsg>();
             let budget = budget.clone();
+            let up = up_tx.clone();
             let persistence = Persistence {
                 root: config.snapshot_dir.clone(),
                 snapshot_every: config.snapshot_every,
@@ -135,9 +138,27 @@ impl Server {
             shard_threads.push(
                 std::thread::Builder::new()
                     .name(format!("pinum-shard-{shard}"))
-                    .spawn(move || shard_worker(rx, &budget, &persistence))
+                    .spawn(move || {
+                        // The send allocates: once `start` hears it, this
+                        // thread has its malloc arena.
+                        let _ = up.send(());
+                        drop(up);
+                        shard_worker(rx, &budget, &persistence)
+                    })
                     .expect("spawn shard worker"),
             );
+        }
+        // Every shard worker is running before any other thread is spawned.
+        // glibc hands a new thread the arena of the most recently exited
+        // one, and `stop` joins the shards last, so a daemon started again
+        // in the same process gives the heaps its shards recovered into
+        // back to shards. Left to a race with the accept loop (its start-up
+        // trails a shard's by tens of µs) a losing shard grows a fresh
+        // arena beside the retained one: +100–150 MiB of peak RSS on
+        // perfbench's `serve_durable`, in some runs and not in others.
+        drop(up_tx);
+        for _ in 0..shards {
+            let _ = up_rx.recv();
         }
 
         let listener = TcpListener::bind(addr)?;

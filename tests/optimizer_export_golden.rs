@@ -1,0 +1,242 @@
+//! Golden fingerprints of `Optimizer::optimize`: the exported plan set, the
+//! winner, the access costs and the deterministic work counters, folded
+//! into one FNV-64 per (workload, option set).
+//!
+//! The constants in [`GOLDEN`] were generated at the commit *before* the
+//! join enumeration was rewritten cost-first and pin that rewrite to
+//! byte-identical behaviour: same retained plans, same tie-breaks, same
+//! `paths_added` / `paths_rejected` / `paths_displaced`. Only the public
+//! API is used, so the file compiles on either side of the change.
+//! `PlannerStats::arena_size` and `elapsed` are deliberately not folded:
+//! the first counts arena nodes (wrappers included) and legitimately
+//! shrinks when less is materialised, the second is a clock.
+
+use pinum::catalog::{Catalog, Configuration};
+use pinum::core::builder::covering_configuration;
+use pinum::optimizer::{
+    AccessSource, IndexRef, Optimizer, OptimizerOptions, PlannedQuery, PlannerStats,
+};
+use pinum::query::Query;
+use pinum::workload::star::{StarSchema, StarWorkload};
+use pinum::workload::tpch::{tpch_catalog, tpch_q10, tpch_q3, tpch_q5};
+
+/// FNV-1a, 64 bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
+    }
+
+    fn f64s(&mut self, xs: &[f64]) {
+        self.u64(xs.len() as u64);
+        for &x in xs {
+            self.f64(x);
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+fn fold_planned(h: &mut Fnv, p: &PlannedQuery) {
+    h.u64(p.exported.len() as u64);
+    for e in &p.exported {
+        h.u64(e.ioc.raw());
+        h.f64(e.internal);
+        h.f64s(&e.coefs);
+        h.f64s(&e.probe_coefs);
+        h.u64(u64::from(e.uses_nlj));
+        h.f64(e.rows);
+        h.f64(e.total_at_build);
+        h.str(&e.description);
+    }
+    h.f64(p.best_cost.startup);
+    h.f64(p.best_cost.total);
+    h.str(&p.best_export.description);
+    h.u64(p.access_costs.len() as u64);
+    for a in &p.access_costs {
+        h.u64(u64::from(a.rel));
+        match a.source {
+            AccessSource::SeqScan => h.u64(0),
+            AccessSource::Index(IndexRef::Catalog(id)) => {
+                h.u64(1);
+                h.str(&format!("{id:?}"));
+            }
+            AccessSource::Index(IndexRef::Config(i)) => {
+                h.u64(2);
+                h.u64(i as u64);
+            }
+        }
+        h.u64(a.order.map_or(u64::MAX, u64::from));
+        h.f64(a.cost.startup);
+        h.f64(a.cost.total);
+        h.u64(u64::from(a.index_only));
+        h.f64(a.rows);
+        h.str(&format!("{:?}", a.probe_spec));
+    }
+    let PlannerStats {
+        paths_added,
+        paths_rejected,
+        paths_displaced,
+        joinrels_planned,
+        final_paths,
+        ..
+    } = p.stats;
+    for c in [
+        paths_added,
+        paths_rejected,
+        paths_displaced,
+        joinrels_planned,
+        final_paths,
+    ] {
+        h.u64(c as u64);
+    }
+}
+
+const OPTION_SETS: [&str; 5] = [
+    "export",
+    "export_no_nlj",
+    "export_unpruned_le4",
+    "standard_covering",
+    "standard_empty",
+];
+
+/// One fingerprint per option set over `queries`, in [`OPTION_SETS`] order.
+fn fingerprints(catalog: &Catalog, queries: &[Query]) -> [u64; 5] {
+    let opt = Optimizer::new(catalog);
+    let empty = Configuration::empty();
+    let export = OptimizerOptions::pinum_export();
+    let option_sets: [(OptimizerOptions, bool, usize); 5] = [
+        (export, true, usize::MAX),
+        (
+            OptimizerOptions {
+                enable_nestloop: false,
+                ..export
+            },
+            true,
+            usize::MAX,
+        ),
+        // Without the §V-D sweeps the retained lists explode with width.
+        (
+            OptimizerOptions {
+                pinum_subset_pruning: false,
+                ..export
+            },
+            true,
+            4,
+        ),
+        (OptimizerOptions::standard(), true, usize::MAX),
+        (OptimizerOptions::standard(), false, usize::MAX),
+    ];
+    let mut hashes = [(); 5].map(|_| Fnv::new());
+    for q in queries {
+        let covering = covering_configuration(catalog, q);
+        for (h, (options, on_covering, max_rels)) in hashes.iter_mut().zip(&option_sets) {
+            if q.relation_count() > *max_rels {
+                continue;
+            }
+            let config = if *on_covering { &covering } else { &empty };
+            h.str(&q.name);
+            fold_planned(h, &opt.optimize(q, config, options));
+        }
+    }
+    hashes.map(|h| h.0)
+}
+
+/// (workload, fingerprints in [`OPTION_SETS`] order) at the parent commit.
+const GOLDEN: [(&str, [u64; 5]); 4] = [
+    (
+        "star/seed1",
+        [
+            0x60a30e62db30634f,
+            0xd655aaf5df865c8c,
+            0x0543a838a5a61b0f,
+            0xb21cc13c88d13d85,
+            0x222e873f0e43f015,
+        ],
+    ),
+    (
+        "star/seed2",
+        [
+            0xf99ab776f23694ee,
+            0x353222b9c5731b2a,
+            0x7e7e447fef78a2a4,
+            0xbad649022586b845,
+            0xad1005d99fb97d4e,
+        ],
+    ),
+    (
+        "star/seed3",
+        [
+            0xf67c1d92bb69a9a3,
+            0xea3a84e7d81e066e,
+            0xaa00e2133e559e34,
+            0xd5e9f20c43e89beb,
+            0x520858d782782233,
+        ],
+    ),
+    (
+        "tpch/q3_q5_q10",
+        [
+            0x59eaf8e0fc601007,
+            0xa2faf48781e495ce,
+            0x9d681fb93936ccbf,
+            0xfc152e01e6723f1b,
+            0x5e99b71b198cfd88,
+        ],
+    ),
+];
+
+#[test]
+fn exports_winner_access_costs_and_work_counters_are_bit_identical_to_the_golden() {
+    let schema = StarSchema::generate(42, 1.0);
+    let tpch = tpch_catalog(1.0);
+    let mut actual: Vec<(&str, [u64; 5])> = Vec::new();
+    for (seed, name) in [(1, "star/seed1"), (2, "star/seed2"), (3, "star/seed3")] {
+        let queries = StarWorkload::generate(&schema, seed, 24).queries;
+        assert_eq!(queries.first().map(Query::relation_count), Some(2));
+        assert_eq!(queries.last().map(Query::relation_count), Some(6));
+        actual.push((name, fingerprints(&schema.catalog, &queries)));
+    }
+    let queries = [tpch_q3(&tpch), tpch_q5(&tpch), tpch_q10(&tpch)];
+    actual.push(("tpch/q3_q5_q10", fingerprints(&tpch, &queries)));
+
+    let mut diverged = Vec::new();
+    for ((name, got), (gname, want)) in actual.iter().zip(&GOLDEN) {
+        assert_eq!(name, gname);
+        for (i, set) in OPTION_SETS.iter().enumerate() {
+            if got[i] != want[i] {
+                diverged.push(format!("{name} × {set}"));
+            }
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "optimizer output diverged from the golden on {diverged:?}; computed table:\n{}",
+        actual
+            .iter()
+            .map(|(n, f)| format!(
+                "    ({n:?}, [{}]),\n",
+                f.map(|x| format!("{x:#018x}")).join(", ")
+            ))
+            .collect::<String>()
+    );
+}
