@@ -51,8 +51,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::convert::ConvertError;
-use crate::log::{encode_admit, encode_record, read_log, LogRecord, LogWriter};
-use crate::snapshot::{load_latest, write_snapshot};
+use crate::log::{encode_admit, encode_record, LogRecord, LogScan, LogWriter};
+use crate::snapshot::{list_snapshots, load_latest, write_snapshot};
 use pinum_core::CandidatePool;
 
 pub use crate::log::{GroupCommitPolicy, PersistStats};
@@ -172,9 +172,13 @@ impl PersistentAdvisor {
         }
     }
 
-    /// Creates a fresh durable tenant in `dir` (created if missing; any
-    /// existing log there is truncated). The `Create` record — pool +
-    /// options — is on disk when this returns.
+    /// Creates a fresh durable tenant in `dir` (created if missing). The
+    /// `Create` record — pool + options — is on disk when this returns.
+    ///
+    /// A directory that already holds a log or any snapshot is refused
+    /// with [`PersistError::State`] and left untouched: a fresh log
+    /// beside an old tenant's snapshots would make the next [`Self::open`]
+    /// restore the old state and replay the new log onto it.
     pub fn create(
         dir: &Path,
         pool: CandidatePool,
@@ -183,6 +187,11 @@ impl PersistentAdvisor {
     ) -> Result<Self, PersistError> {
         validate_opts(&opts)?;
         fs::create_dir_all(dir)?;
+        if dir.join(LOG_FILE).try_exists()? || !list_snapshots(dir)?.is_empty() {
+            return Err(PersistError::State(
+                "tenant directory already holds a log or snapshots",
+            ));
+        }
         let mut writer = LogWriter::create(&dir.join(LOG_FILE))?;
         let create = LogRecord::Create {
             pool: pool.clone(),
@@ -207,64 +216,63 @@ impl PersistentAdvisor {
     /// log tail after it, replayed through the same `apply` path the
     /// live daemon used. A torn log tail is truncated and reported —
     /// recovery never panics on a crashed predecessor's leftovers.
+    ///
+    /// The snapshot is loaded first, so its cut is known before the log
+    /// is read. The log is then streamed one record at a time: each
+    /// record after the cut is decoded, replayed and dropped, and each
+    /// record at or before it is only verified (see [`log`]). Memory is
+    /// therefore one snapshot plus one record, whatever the length of
+    /// the tenant's history.
     pub fn open(dir: &Path, snapshot_every: usize) -> Result<(Self, RecoveryReport), PersistError> {
         let log_path = dir.join(LOG_FILE);
-        let recovered = read_log(&log_path)?;
         let (snap, snapshots_discarded) = load_latest(dir)?;
-        let (mut advisor, base_seq, snapshot_seq, last_snapshot_seq) = match snap {
+        let snapshot_seq = snap.as_ref().map(|s| s.log_seq);
+        let base_seq = snapshot_seq.unwrap_or(1);
+        let mut log = LogScan::open(&log_path, base_seq)?;
+        let mut advisor = match snap {
             Some(s) => {
                 validate_opts(&s.opts)?;
-                let seq = s.log_seq;
-                (
-                    OnlineAdvisor::from_parts(s.pool, s.opts, s.parts)?,
-                    seq,
-                    Some(seq),
-                    Some(seq),
-                )
+                OnlineAdvisor::from_parts(s.pool, s.opts, s.parts)?
             }
             None => {
-                let Some((_, LogRecord::Create { pool, opts })) = recovered.records.first() else {
+                let Some((_, Some(LogRecord::Create { pool, opts }))) = log.next_record()? else {
                     return Err(PersistError::State(
                         "no valid snapshot and no create record to recover from",
                     ));
                 };
-                validate_opts(opts)?;
-                (OnlineAdvisor::new(pool.clone(), *opts), 1, None, None)
+                validate_opts(&opts)?;
+                OnlineAdvisor::new(pool, opts)
             }
         };
+        let mut replayed = 0usize;
+        let mut admits_replayed = 0usize;
+        while let Some((record_seq, record)) = log.next_record()? {
+            let Some(record) = record.filter(|_| record_seq > base_seq) else {
+                continue;
+            };
+            replay(&mut advisor, &record)?;
+            replayed += 1;
+            admits_replayed += usize::from(matches!(record, LogRecord::Admit { .. }));
+        }
         // The writer appends and fsyncs before applying, and snapshots
         // cut at the last applied record — so an intact log can only end
         // *at or after* the newest snapshot's cut. Ending before it
         // means the log was damaged mid-file (the reader truncates from
-        // the first bad record); appending past the snapshot would then
-        // leave a sequence gap no future recovery could trust.
-        let last_log_seq = recovered.records.last().map_or(0, |&(s, _)| s);
-        if last_log_seq < base_seq {
+        // the first bad record; nothing was replayed); appending past
+        // the snapshot would then leave a sequence gap no future
+        // recovery could trust.
+        let seq = log.last_seq();
+        if seq < base_seq {
             return Err(PersistError::State(
                 "log is corrupt before the snapshot cut",
             ));
         }
-        let mut replayed = 0usize;
-        let mut admits_replayed = 0usize;
-        let mut seq = base_seq;
-        for (record_seq, record) in &recovered.records {
-            if *record_seq <= base_seq {
-                continue;
-            }
-            if *record_seq != seq + 1 {
-                return Err(PersistError::State("log tail does not continue snapshot"));
-            }
-            replay(&mut advisor, record)?;
-            seq = *record_seq;
-            replayed += 1;
-            admits_replayed += usize::from(matches!(record, LogRecord::Admit { .. }));
-        }
-        let writer = LogWriter::reopen(&log_path, recovered.valid_len)?;
+        let writer = LogWriter::reopen(&log_path, log.valid_len())?;
         let report = RecoveryReport {
             snapshot_seq,
             snapshots_discarded,
             replayed,
-            log_discarded_bytes: recovered.discarded_bytes,
+            log_discarded_bytes: log.discarded_bytes(),
         };
         Ok((
             Self {
@@ -278,7 +286,7 @@ impl PersistentAdvisor {
                     // snapshot: a tenant that keeps crashing short of
                     // `snapshot_every` must still reach a cut.
                     admits_since_snapshot: admits_replayed,
-                    last_snapshot_seq,
+                    last_snapshot_seq: snapshot_seq,
                 }),
             },
             report,

@@ -25,6 +25,17 @@
 //! corrupt record mid-file poisons everything after it — the reader
 //! cannot resynchronize reliably — so the tail from the first bad record
 //! onward is discarded the same way.
+//!
+//! Recovery reads the log as a stream (`LogScan`): one frame at a time
+//! through a `BufReader` into one reused buffer, so its memory does not
+//! grow with the tenant's history. Only the records after the snapshot
+//! cut (plus the seq-1 `Create`, which bounds candidate ids) are
+//! *decoded*. A record at or before the cut is *verified*: length cap,
+//! checksum, contiguous seq, a known tag, and no `Create` past seq 1.
+//! Those checks alone decide where the intact log ends, so a torn tail,
+//! a sequence gap or a duplicate create ends or fails recovery whether
+//! or not the body is decoded. The body itself is never needed: the
+//! snapshot already holds its effect.
 
 use pinum_core::access_costs::AccessCostCatalog;
 use pinum_core::cache::PlanCache;
@@ -34,7 +45,7 @@ use pinum_online::{AdmissionSpec, OnlineAdvisorOptions, ReadviseTrigger};
 use pinum_protocol::wire::{put_bool, put_f64, put_u32, put_u64, put_u8, put_vec, Cursor};
 use pinum_protocol::{WireAccessCatalog, WireError, WireIndex, WirePlanCache, WireTemplate};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 use crate::codec::{self, fnv1a};
@@ -185,14 +196,14 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, record: &LogRecord) {
     }
 }
 
-/// `pool_len` scopes candidate-id validation for admission payloads; it
-/// is `None` only until the `Create` record has been decoded.
-fn decode_record(
+/// One record's body after its `tag`. `pool_len` scopes candidate-id
+/// validation for admission payloads; it is `None` only until the
+/// `Create` record has been decoded.
+fn decode_body(
+    tag: u8,
     c: &mut Cursor<'_>,
     pool_len: Option<usize>,
-) -> Result<(u64, LogRecord), PersistError> {
-    let seq = c.u64()?;
-    let tag = c.u8()?;
+) -> Result<LogRecord, PersistError> {
     let record = match tag {
         TAG_CREATE => {
             let pool = pool_from_wire(&c.vec(4, WireIndex::decode)?)?;
@@ -239,7 +250,7 @@ fn decode_record(
     if !c.exhausted() {
         return Err(WireError::Malformed("log record has trailing bytes").into());
     }
-    Ok((seq, record))
+    Ok(record)
 }
 
 /// Caps on how many records one group commit may fold into a single
@@ -312,7 +323,7 @@ impl LogWriter {
     }
 
     /// Reopens an existing log for appending. `valid_len` is the byte
-    /// length of the intact prefix as reported by [`read_log`]; anything
+    /// length of the intact prefix as found by recovery's scan; anything
     /// beyond it (a torn tail) is truncated away first so new records
     /// never land after garbage.
     pub fn reopen(path: &Path, valid_len: u64) -> Result<Self, PersistError> {
@@ -403,82 +414,117 @@ fn frame(buf: &mut Vec<u8>, seq: u64, body: impl FnOnce(&mut Vec<u8>)) {
     put_u64(buf, sum);
 }
 
-/// Everything [`read_log`] recovered.
-pub struct RecoveredLog {
-    /// The intact records, in order. Sequence numbers are checked to be
-    /// contiguous starting at 1.
-    pub records: Vec<(u64, LogRecord)>,
-    /// Byte length of the intact prefix (header + whole records).
-    pub valid_len: u64,
-    /// Bytes discarded behind the first torn or corrupt record.
-    pub discarded_bytes: u64,
+/// One streaming pass over a log file, stopping cleanly at the first torn
+/// or corrupt record. Structural corruption *of the tail* is expected
+/// after a crash and is reported, not an error; a bad header, a
+/// non-contiguous sequence or a second `Create` is real corruption and
+/// fails the whole recovery. Records after `cut` (and the seq-1
+/// `Create`) are decoded; the rest are verified only (module docs).
+pub(crate) struct LogScan {
+    reader: BufReader<File>,
+    /// The current record's payload and checksum, reused for every frame.
+    frame: Vec<u8>,
+    file_len: u64,
+    /// Byte length of the intact prefix (header + whole records) so far.
+    valid_len: u64,
+    /// Sequence number of the last intact record (0 before the first).
+    last_seq: u64,
+    cut: u64,
+    pool_len: Option<usize>,
 }
 
-/// Reads a log file, stopping cleanly at the first torn or corrupt
-/// record. Structural corruption *of the tail* is expected after a
-/// crash and is reported, not an error; a bad header or a non-contiguous
-/// sequence is real corruption and fails the whole recovery.
-pub fn read_log(path: &Path) -> Result<RecoveredLog, PersistError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 8 {
-        return Err(PersistError::State("log file shorter than its header"));
-    }
-    {
-        let mut c = Cursor::new(&bytes[..8]);
+impl LogScan {
+    /// Opens `path` and checks its header.
+    pub(crate) fn open(path: &Path, cut: u64) -> Result<Self, PersistError> {
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        if file_len < 8 {
+            return Err(PersistError::State("log file shorter than its header"));
+        }
+        let mut reader = BufReader::new(file);
+        let mut header = [0u8; 8];
+        reader.read_exact(&mut header)?;
+        let mut c = Cursor::new(&header);
         if c.u32()? != LOG_MAGIC {
             return Err(PersistError::State("log file has the wrong magic"));
         }
         if c.u32()? != LOG_VERSION {
             return Err(PersistError::State("log file has an unsupported version"));
         }
+        Ok(Self {
+            reader,
+            frame: Vec::new(),
+            file_len,
+            valid_len: 8,
+            last_seq: 0,
+            cut,
+            pool_len: None,
+        })
     }
-    let mut records = Vec::new();
-    let mut pool_len = None;
-    let mut offset = 8usize;
-    let mut next_seq = 1u64;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.is_empty() {
-            break;
-        }
+
+    /// The next intact record — `Some(record)` if decoded, `None` if only
+    /// verified — or `Ok(None)` where the intact log ends.
+    pub(crate) fn next_record(&mut self) -> Result<Option<(u64, Option<LogRecord>)>, PersistError> {
         // Frame: len u32 + payload + checksum u64. Anything that does
-        // not parse from here on is a torn tail.
-        let Some(framed) = try_frame(rest) else { break };
-        let Ok((seq, record)) = decode_record(&mut Cursor::new(framed), pool_len) else {
-            break;
+        // not parse from here on is a torn tail. The length is checked
+        // against the cap and the bytes left before anything is read.
+        let rest = self.file_len - self.valid_len;
+        if rest < 12 {
+            return Ok(None);
+        }
+        let mut len = [0u8; 4];
+        self.reader.read_exact(&mut len)?;
+        let len = u32::from_le_bytes(len) as usize;
+        if len > MAX_RECORD_LEN || rest < 12 + len as u64 {
+            return Ok(None);
+        }
+        self.frame.resize(len + 8, 0);
+        self.reader.read_exact(&mut self.frame)?;
+        let (payload, stored) = self.frame.split_at(len);
+        if fnv1a(payload) != u64::from_le_bytes(stored.try_into().expect("8-byte checksum")) {
+            return Ok(None);
+        }
+        let mut c = Cursor::new(payload);
+        let (Ok(seq), Ok(tag)) = (c.u64(), c.u8()) else {
+            return Ok(None);
         };
-        if seq != next_seq {
+        let record = if seq == 1 || seq > self.cut {
+            match decode_body(tag, &mut c, self.pool_len) {
+                Ok(record) => Some(record),
+                Err(_) => return Ok(None),
+            }
+        } else if (TAG_CREATE..=TAG_SET_SHARE_POLICY).contains(&tag) {
+            None
+        } else {
+            return Ok(None);
+        };
+        if seq != self.last_seq + 1 {
             return Err(PersistError::State("log sequence numbers not contiguous"));
         }
-        if let LogRecord::Create { pool, .. } = &record {
-            if pool_len.is_some() {
-                return Err(PersistError::State("duplicate create record in log"));
-            }
-            pool_len = Some(pool.len());
+        if tag == TAG_CREATE && seq != 1 {
+            return Err(PersistError::State("duplicate create record in log"));
         }
-        next_seq += 1;
-        records.push((seq, record));
-        offset += 12 + framed.len();
+        if let Some(LogRecord::Create { pool, .. }) = &record {
+            self.pool_len = Some(pool.len());
+        }
+        self.last_seq = seq;
+        self.valid_len += 12 + len as u64;
+        Ok(Some((seq, record)))
     }
-    Ok(RecoveredLog {
-        records,
-        valid_len: offset as u64,
-        discarded_bytes: (bytes.len() - offset) as u64,
-    })
-}
 
-/// Extracts one whole checksum-verified record payload from the head of
-/// `rest`, or `None` if the bytes do not contain one (torn tail).
-fn try_frame(rest: &[u8]) -> Option<&[u8]> {
-    if rest.len() < 12 {
-        return None;
+    /// Sequence number of the last intact record read so far.
+    pub(crate) fn last_seq(&self) -> u64 {
+        self.last_seq
     }
-    let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-    if len > MAX_RECORD_LEN || rest.len() < 12 + len {
-        return None;
+
+    /// Byte length of the intact prefix read so far.
+    pub(crate) fn valid_len(&self) -> u64 {
+        self.valid_len
     }
-    let payload = &rest[4..4 + len];
-    let stored = u64::from_le_bytes(rest[4 + len..12 + len].try_into().unwrap());
-    (fnv1a(payload) == stored).then_some(payload)
+
+    /// Bytes behind the intact prefix (once the scan has ended: the torn
+    /// or corrupt tail).
+    pub(crate) fn discarded_bytes(&self) -> u64 {
+        self.file_len - self.valid_len
+    }
 }

@@ -8,6 +8,7 @@ mod common;
 
 use common::{fingerprint, fixture, opts, Fixture, ScratchDir};
 use pinum_online::{AdmissionSpec, OnlineAdvisor};
+use pinum_persist::codec::fnv1a;
 use pinum_persist::{GroupCommitPolicy, PersistError, PersistentAdvisor, LOG_FILE};
 use std::path::Path;
 
@@ -202,6 +203,149 @@ fn mid_log_corruption_before_the_snapshot_cut_is_a_typed_error() {
         }
         Err(other) => panic!("expected a typed state error, got {other:?}"),
         Ok(_) => panic!("recovery must refuse a log corrupted before the snapshot cut"),
+    }
+}
+
+/// The on-disk tag of an `Admit` record.
+const TAG_ADMIT: u8 = 2;
+
+/// Rewrites, in place, the payload (`seq tag body`) of the first `Admit`
+/// record whose seq `pick` accepts, then fixes up its checksum: the frame
+/// stays intact and only what it holds changes. Returns the record's seq
+/// and the byte offset its frame starts at.
+fn rewrite_admit(
+    log: &Path,
+    pick: impl Fn(u64) -> bool,
+    edit: impl FnOnce(&mut [u8]),
+) -> (u64, usize) {
+    let mut bytes = std::fs::read(log).expect("read log");
+    let mut off = 8usize;
+    while off < bytes.len() {
+        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        let payload = off + 4..off + 4 + len;
+        let seq = u64::from_le_bytes(bytes[payload.start..payload.start + 8].try_into().unwrap());
+        if bytes[payload.start + 8] == TAG_ADMIT && pick(seq) {
+            edit(&mut bytes[payload.clone()]);
+            let sum = fnv1a(&bytes[payload.clone()]);
+            bytes[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(log, bytes).expect("rewrite log");
+            return (seq, off);
+        }
+        off = payload.end + 8;
+    }
+    panic!("no Admit record matched");
+}
+
+/// A body that cannot decode: the `deferred` flag right after the weight
+/// becomes 0xFF, which is not a bool.
+fn garble_body(payload: &mut [u8]) {
+    payload[9..].fill(0xFF);
+}
+
+/// `result` must be a `PersistError::State` whose message contains `want`.
+fn expect_state_error<T>(result: Result<T, PersistError>, want: &str) {
+    match result {
+        Err(PersistError::State(msg)) => {
+            assert!(msg.contains(want), "expected {want:?}, got {msg:?}")
+        }
+        Err(other) => panic!("expected a typed state error ({want}), got {other:?}"),
+        Ok(_) => panic!("the call must refuse ({want})"),
+    }
+}
+
+#[test]
+fn records_before_the_snapshot_cut_are_verified_not_decoded() {
+    let fx = fixture(2, 10);
+    let scratch = ScratchDir::new("verify-not-decode");
+    let n = fx.models.len();
+
+    // Cuts after the 8th and 16th admissions; the 16th is followed by a
+    // reweight, so the tail after the newest cut is a reweight and then
+    // admissions 16..20.
+    let mut durable =
+        PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(12, 5), 8).expect("create");
+    drive_durable(&mut durable, &fx, 0..n);
+    let cut = durable.last_snapshot_seq().expect("snapshots were cut");
+    let log_seq = durable.log_seq();
+    drop(durable);
+    let log = scratch.0.join(LOG_FILE);
+    let pristine = std::fs::read(&log).expect("read log");
+    let mut baseline = OnlineAdvisor::new(fx.pool.clone(), opts(12, 5));
+    drive_volatile(&mut baseline, &fx, 0..n);
+
+    // (a) A pre-cut body that does not decode, under a valid checksum: the
+    // snapshot already holds its effect, so recovery never reads it.
+    rewrite_admit(&log, |seq| seq <= cut, garble_body);
+    let (restored, report) = PersistentAdvisor::open(&scratch.0, 8).expect("open (a)");
+    assert_eq!(report.snapshot_seq, Some(cut));
+    assert_eq!(report.replayed as u64, log_seq - cut);
+    assert_eq!(report.log_discarded_bytes, 0);
+    assert_eq!(fingerprint(restored.advisor()), fingerprint(&baseline));
+    drop(restored);
+
+    // (b) An unknown tag before the cut still ends the intact log there.
+    std::fs::write(&log, &pristine).expect("restore log");
+    rewrite_admit(&log, |seq| seq <= cut, |p| p[8] = 0xEE);
+    expect_state_error(PersistentAdvisor::open(&scratch.0, 8), "snapshot cut");
+
+    // (c) A second `Create` before the cut is a typed refusal.
+    std::fs::write(&log, &pristine).expect("restore log");
+    rewrite_admit(&log, |seq| seq <= cut, |p| p[8] = 1);
+    expect_state_error(PersistentAdvisor::open(&scratch.0, 8), "duplicate create");
+
+    // (d) After the cut, (a)'s corruption ends the log, as a torn tail does.
+    std::fs::write(&log, &pristine).expect("restore log");
+    let (bad_seq, bad_off) = rewrite_admit(&log, |seq| seq > cut, garble_body);
+    let (restored, report) = PersistentAdvisor::open(&scratch.0, 8).expect("open (d)");
+    assert_eq!(restored.log_seq(), bad_seq - 1);
+    assert_eq!(report.replayed as u64, bad_seq - 1 - cut);
+    assert_eq!(
+        report.log_discarded_bytes,
+        (pristine.len() - bad_off) as u64
+    );
+    let admitted = restored.advisor().stats().admits;
+    let mut prefix = OnlineAdvisor::new(fx.pool.clone(), opts(12, 5));
+    drive_volatile(&mut prefix, &fx, 0..admitted);
+    assert_eq!(fingerprint(restored.advisor()), fingerprint(&prefix));
+}
+
+#[test]
+fn create_refuses_a_directory_that_holds_a_tenant() {
+    let fx = fixture(1, 4);
+    let scratch = ScratchDir::new("create-over");
+    let mut durable =
+        PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(8, 4), 2).expect("create");
+    drive_durable(&mut durable, &fx, 0..4);
+    assert!(durable.last_snapshot_seq().is_some());
+    drop(durable);
+
+    let contents = |dir: &Path| {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| {
+                let path = e.expect("entry").path();
+                let bytes = std::fs::read(&path).expect("read file");
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    // A log with snapshots, then snapshots alone (the log lost): either
+    // way a fresh tenant would restore the old one's snapshot.
+    for lose_log in [false, true] {
+        if lose_log {
+            std::fs::remove_file(scratch.0.join(LOG_FILE)).expect("remove log");
+        }
+        let before = contents(&scratch.0);
+        expect_state_error(
+            PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(8, 4), 2),
+            "already holds",
+        );
+        assert!(
+            contents(&scratch.0) == before,
+            "the refused create changed the directory"
+        );
     }
 }
 

@@ -116,6 +116,9 @@ impl Server {
     /// [`ProbePool`] for this many dispatching shards, so concurrent
     /// re-advises do not oversubscribe the cores (`PINUM_THREADS` still
     /// overrides; see the pool docs).
+    ///
+    /// If a thread cannot be spawned, the shards already started are
+    /// stopped and joined and the spawn's `io::Error` is returned.
     pub fn start(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<ServerHandle> {
         let shards = config.shards.max(1);
         ProbePool::init_global_for_dispatchers(shards);
@@ -134,28 +137,38 @@ impl Server {
                 shard,
                 shards,
             };
-            shard_txs.push(tx);
-            shard_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pinum-shard-{shard}"))
-                    .spawn(move || {
-                        // The send allocates: once `start` hears it, this
-                        // thread has its malloc arena.
-                        let _ = up.send(());
-                        drop(up);
-                        shard_worker(rx, &budget, &persistence)
-                    })
-                    .expect("spawn shard worker"),
-            );
+            let spawned = std::thread::Builder::new()
+                .name(format!("pinum-shard-{shard}"))
+                .spawn(move || {
+                    // The send allocates: once `start` hears it, this
+                    // thread has its malloc arena.
+                    let _ = up.send(());
+                    drop(up);
+                    shard_worker(rx, &budget, &persistence)
+                });
+            match spawned {
+                Ok(thread) => {
+                    shard_txs.push(tx);
+                    shard_threads.push(thread);
+                }
+                Err(e) => {
+                    stop_shards(&shard_txs, shard_threads);
+                    return Err(e);
+                }
+            }
         }
         // Every shard worker is running before any other thread is spawned.
         // glibc hands a new thread the arena of the most recently exited
         // one, and `stop` joins the shards last, so a daemon started again
-        // in the same process gives the heaps its shards recovered into
-        // back to shards. Left to a race with the accept loop (its start-up
-        // trails a shard's by tens of µs) a losing shard grows a fresh
-        // arena beside the retained one: +100–150 MiB of peak RSS on
-        // perfbench's `serve_durable`, in some runs and not in others.
+        // in the same process gives the arenas its shards used back to
+        // shards. Left to a race with the accept loop (its start-up trails
+        // a shard's by tens of µs) a losing shard grows a fresh arena
+        // beside the retained one. While recovery decoded whole logs that
+        // cost +100–150 MiB of peak RSS on perfbench's `serve_durable`, in
+        // some runs and not in others. Recovery now streams the log and
+        // leaves one snapshot per tenant behind, not a large heap; the
+        // ordering is kept because it is free and keeps the peak from
+        // depending on a race.
         drop(up_tx);
         for _ in 0..shards {
             let _ = up_rx.recv();
@@ -185,12 +198,24 @@ impl Server {
                         let shutdown = shutdown.clone();
                         let reader = std::thread::Builder::new()
                             .name("pinum-conn".into())
-                            .spawn(move || serve_connection(stream, &shard_txs, &shutdown))
-                            .expect("spawn connection reader");
-                        conns.lock().expect("conns lock").push((peer, reader));
+                            .spawn(move || serve_connection(stream, &shard_txs, &shutdown));
+                        match reader {
+                            Ok(reader) => conns.lock().expect("conns lock").push((peer, reader)),
+                            // No thread to serve it: close this connection
+                            // and keep accepting.
+                            Err(_) => {
+                                let _ = peer.shutdown(std::net::Shutdown::Both);
+                            }
+                        }
                     }
                 })
-                .expect("spawn accept loop")
+        };
+        let accept = match accept {
+            Ok(accept) => accept,
+            Err(e) => {
+                stop_shards(&shard_txs, shard_threads);
+                return Err(e);
+            }
         };
 
         Ok(ServerHandle {
@@ -264,12 +289,20 @@ impl ServerHandle {
             let _ = stream.shutdown(std::net::Shutdown::Both);
             let _ = reader.join();
         }
-        for tx in &self.shard_txs {
-            let _ = tx.send(ShardMsg::Stop);
-        }
-        for t in self.shard_threads.drain(..) {
-            let _ = t.join();
-        }
+        stop_shards(&self.shard_txs, self.shard_threads.drain(..));
+    }
+}
+
+/// Asks every shard worker to stop, then joins them.
+fn stop_shards(
+    shard_txs: &[mpsc::Sender<ShardMsg>],
+    shard_threads: impl IntoIterator<Item = JoinHandle<()>>,
+) {
+    for tx in shard_txs {
+        let _ = tx.send(ShardMsg::Stop);
+    }
+    for t in shard_threads {
+        let _ = t.join();
     }
 }
 
@@ -301,8 +334,13 @@ fn serve_connection(
                     break;
                 }
             }
-        })
-        .expect("spawn connection writer");
+        });
+    // No writer, no replies: close the connection (explicitly, for the
+    // reason given at the end of this function).
+    let Ok(writer) = writer else {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        return;
+    };
 
     loop {
         match read_request(&mut stream) {
@@ -371,7 +409,10 @@ struct Persistence {
 
 /// Recovers every durable tenant under `root` that hashes to this shard.
 /// A tenant whose files will not recover is skipped with a note on
-/// stderr — one corrupt directory must not take the daemon down.
+/// stderr — one corrupt directory must not take the daemon down. Its
+/// files stay as they are: a later `CreateTenant` for that id gets a
+/// typed persistence error ([`PersistentAdvisor::create`] refuses a
+/// directory that holds a tenant) instead of wiping them.
 fn recover_shard_tenants(
     tenants: &mut HashMap<u64, TenantState>,
     persistence: &Persistence,

@@ -535,6 +535,96 @@ fn restarted_daemon_resumes_bit_identically_over_the_wire() {
 }
 
 #[test]
+fn create_tenant_over_an_unrecovered_tenant_is_refused_and_leaves_its_files() {
+    let scratch = ScratchDir::new("unrecovered");
+    let config = ServerConfig {
+        shards: 1,
+        budget: 1,
+        snapshot_dir: Some(scratch.0.clone()),
+        snapshot_every: 4,
+    };
+    let fx = fixture(9, 2, 4);
+    let opts = options(8, 4);
+    let tenant = 6u64;
+    let create = Request::CreateTenant {
+        tenant,
+        pool: convert::pool_to_wire(&fx.pool),
+        options: wire_options(&opts),
+    };
+
+    let server = Server::start(("127.0.0.1", 0), config.clone()).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let resp = client.call(&create).expect("create tenant");
+    assert!(matches!(resp, Response::TenantCreated { .. }));
+    for (i, (cache, access)) in fx.models.iter().enumerate() {
+        let (query, weight) = &fx.queries[i];
+        let admission = wire_admission(cache, access, *weight, &query_templates(query));
+        let resp = client
+            .call(&Request::AdmitQuery { tenant, admission })
+            .expect("admit");
+        assert!(matches!(resp, Response::Admitted { .. }));
+    }
+    drop(client);
+    server.shutdown();
+
+    // Corrupt the log inside its `Create` record, i.e. before the snapshot
+    // cut: the tenant no longer recovers, and the restarted daemon skips it.
+    let dir = pinum_server::daemon::tenant_dir(&scratch.0, tenant);
+    let log = dir.join(pinum_persist::LOG_FILE);
+    let mut bytes = std::fs::read(&log).expect("read log");
+    bytes[99] ^= 0xFF;
+    std::fs::write(&log, bytes).expect("write log");
+    let contents = || {
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read tenant dir")
+            .map(|e| {
+                let path = e.expect("entry").path();
+                let bytes = std::fs::read(&path).expect("read file");
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = contents();
+    assert!(before.len() > 1, "the log and at least one snapshot");
+
+    let server = Server::start(("127.0.0.1", 0), config).expect("restart server");
+    let mut client = Client::connect(server.addr()).expect("reconnect");
+    let resp = client
+        .call(&Request::TenantEpoch { tenant })
+        .expect("epoch after restart");
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::UnknownTenant,
+                ..
+            }
+        ),
+        "got {resp:?}"
+    );
+    // Re-creating it must not wipe its log beside its old snapshots.
+    let resp = client.call(&create).expect("create over the old tenant");
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::Persistence,
+                ..
+            }
+        ),
+        "got {resp:?}"
+    );
+    assert!(
+        contents() == before,
+        "the refused create changed the tenant's files"
+    );
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
 fn batched_admissions_group_commit_and_surface_persist_counters() {
     let scratch = ScratchDir::new("group-commit");
     let config = ServerConfig {
