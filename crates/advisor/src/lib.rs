@@ -27,8 +27,8 @@
 //!   pluggable cost oracle so the cache-based model can be compared
 //!   against direct optimizer calls.
 //!
-//! With the `parallel` feature, the workload model flattens queries and
-//! prices full re-pricings across std threads (see `pinum-core`).
+//! Every search runs on the caller's thread: batched probes are priced
+//! one after another by the workload model's serial kernel.
 
 pub mod candidates;
 pub mod greedy;

@@ -3,9 +3,8 @@
 //! blocks against the block-start state and priced as one
 //! [`WorkloadModel::price_delta_batch`] (add, drop, and swap probes in
 //! one batch). The RNG is the in-tree `rand` shim seeded explicitly and
-//! its consumption schedule is independent of the worker pool, so a run
-//! is a pure function of `(pool, model, options, seed)` — identical for
-//! every thread count.
+//! its consumption schedule is fixed by the block size, so a run is a
+//! pure function of `(pool, model, options, seed)`.
 
 use super::{apply_changed, debug_assert_state_matches, LazyGreedy, SearchScope, SearchStrategy};
 use crate::greedy::{GreedyOptions, GreedyResult};
@@ -13,10 +12,8 @@ use pinum_core::{CandidatePool, Probe, Selection, WorkloadModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Proposals drawn (and batch-priced) per annealing block. A fixed
-/// constant — never derived from the thread count — so the proposal
-/// schedule, the RNG stream, and every metric are identical for every
-/// pool size.
+/// Proposals drawn (and batch-priced) per annealing block. The constant
+/// fixes the proposal schedule, the RNG stream, and every metric.
 const BLOCK: usize = 16;
 
 /// Simulated annealing seeded from [`LazyGreedy`]. Proposes random
@@ -102,7 +99,6 @@ impl SearchStrategy for Anneal {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut temp = self.initial_temp;
         let mut scratch = Vec::new();
-        let exec = scope.pool();
 
         if pool.is_empty() {
             return seed_result;
@@ -119,9 +115,9 @@ impl SearchStrategy for Anneal {
         // the number of states the Metropolis chain actually visits —
         // at every acceptance rate. RNG consumption is: all of a block's
         // proposal draws first, then one acceptance draw per walked
-        // finite-worsening proposal — a fixed schedule, identical for
-        // every thread count and chunk size (though not the serial
-        // walk's stream: discarded proposals consumed draws).
+        // finite-worsening proposal — a fixed schedule (though not a
+        // one-proposal-at-a-time walk's stream: discarded proposals
+        // consumed draws).
         let mut moves: Vec<Option<Move>> = Vec::with_capacity(BLOCK);
         let mut probes: Vec<Probe> = Vec::with_capacity(BLOCK);
         let mut remaining = self.iterations;
@@ -177,8 +173,7 @@ impl SearchStrategy for Anneal {
                 moves.push(mv);
             }
 
-            let deltas =
-                model.price_delta_batch(&state, &selection, &probes, scope.query_mask, exec);
+            let deltas = model.price_delta_batch(&state, &selection, &probes, scope.query_mask);
             let mut pi = 0usize;
             let mut walked = 0usize;
             for entry in &moves {

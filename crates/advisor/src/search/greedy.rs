@@ -21,13 +21,12 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Cap on how many stale heap entries lazy greedy re-prices per batched
-/// wave. Waves start at one entry (the serial lazy behavior: in the
+/// wave. Waves start at one entry (the one-pop lazy behavior: in the
 /// common case the re-priced top stays the top and is committed with no
 /// extra probes) and double on each consecutive stale encounter within a
-/// round, so heavy heap churn is re-priced in parallel batches. Both the
-/// cap and the doubling schedule are fixed constants — never derived from
-/// the thread count — so the probe accounting (and therefore every gated
-/// metric) is identical for every pool size.
+/// round, so heavy heap churn is re-priced in batches. The cap and the
+/// doubling schedule fix the probe accounting, and with it every gated
+/// metric.
 const LAZY_WAVE: usize = 32;
 
 /// The reference greedy: every round probes every remaining in-budget
@@ -71,15 +70,13 @@ impl SearchStrategy for EagerGreedy {
         );
         let mut trajectory = vec![state.total()];
         let mut scratch = Vec::new();
-        let exec = scope.pool();
         let mut frontier: Vec<(usize, u64)> = Vec::new();
         let mut probes: Vec<Probe> = Vec::new();
 
         loop {
             // The round's frontier, in ascending candidate order; the
-            // batch prices every probe concurrently and writes each delta
-            // at its probe's index, so the serial argmax scan below sees
-            // exactly the serial loop's visit order and bits.
+            // batch writes each delta at its probe's index, so the argmax
+            // scan below visits candidates in ascending order.
             frontier.clear();
             probes.clear();
             for cand in 0..pool.len() {
@@ -93,8 +90,7 @@ impl SearchStrategy for EagerGreedy {
                 frontier.push((cand, size));
                 probes.push(Probe::Add { cand });
             }
-            let deltas =
-                model.price_delta_batch(&state, &selection, &probes, scope.query_mask, exec);
+            let deltas = model.price_delta_batch(&state, &selection, &probes, scope.query_mask);
             // Each frontier entry's score, `None` once it is no longer a
             // contender this round (non-positive or NaN benefit, or a
             // masked winner whose exact benefit fell through below).
@@ -312,12 +308,11 @@ impl SearchStrategy for LazyGreedy {
         // (exactly the eager scan's skip-but-rescan treatment).
         let mut parked: Vec<Entry> = Vec::new();
 
-        let exec = scope.pool();
         // One wave of stale entries, re-priced as a single batch. The
         // wave is drained from the heap top, so every entry in it was a
         // candidate for the current argmax; re-pricing replaces bounds
         // with exact scores, which never changes which candidate greedy
-        // ultimately commits — it only front-loads probes the serial loop
+        // ultimately commits — it only front-loads probes a one-pop loop
         // would have issued one pop at a time.
         let mut wave: Vec<Entry> = Vec::new();
         let mut wave_cap = 1usize;
@@ -334,7 +329,7 @@ impl SearchStrategy for LazyGreedy {
                     cand: e.cand as usize,
                 })
                 .collect();
-            let deltas = model.price_delta_batch(state, selection, &probes, scope.query_mask, exec);
+            let deltas = model.price_delta_batch(state, selection, &probes, scope.query_mask);
             for (e, delta) in wave.drain(..).zip(&deltas) {
                 *evaluations += 1;
                 *queries_repriced += delta.repriced;

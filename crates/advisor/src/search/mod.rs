@@ -35,6 +35,13 @@
 //!   Metropolis rule. Seeded from lazy greedy and returning the best
 //!   selection ever visited, so it can never end worse than its seed.
 //!
+//! Each strategy prices its moves in batches
+//! ([`WorkloadModel::price_delta_batch`]) on the caller's thread: lazy
+//! greedy in waves of 1→32 heap tops, eager greedy one frontier per
+//! round, the swap climb one neighbourhood per round, annealing in blocks
+//! of 16 moves. The batch shapes fix the probe accounting, so they are
+//! part of each strategy's output.
+//!
 //! The naive closure-driven `greedy_select` stays in [`crate::greedy`] for
 //! the direct-optimizer oracle, which has no [`WorkloadModel`] to search
 //! over.
@@ -48,7 +55,7 @@ pub use greedy::{EagerGreedy, LazyGreedy};
 pub use swap::SwapHillClimb;
 
 use crate::greedy::{GreedyOptions, GreedyResult};
-use pinum_core::{CandidatePool, PricedWorkload, ProbePool, Selection, WorkloadModel};
+use pinum_core::{CandidatePool, PricedWorkload, Selection, WorkloadModel};
 
 /// Restrictions and carried-over state for one search run — the scoping
 /// layer of template-attributed online re-advising.
@@ -78,9 +85,6 @@ use pinum_core::{CandidatePool, PricedWorkload, ProbePool, Selection, WorkloadMo
 ///   the deliberate exception: its Metropolis rule may accept
 ///   exact-worsening moves by design, and it returns the best *exact*
 ///   state visited.
-/// * `probe_pool` overrides the worker pool probes fan out over (None =
-///   the process-global [`ProbePool::global`]). Thread count never
-///   changes results — the batch reduction is deterministic.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchScope<'a> {
     /// Candidates the search may add (None = every candidate).
@@ -90,8 +94,6 @@ pub struct SearchScope<'a> {
     pub warm_state: Option<&'a PricedWorkload>,
     /// Sorted query ids probes re-price (None = all queries, exact).
     pub query_mask: Option<&'a [u32]>,
-    /// Worker pool for batched probes (None = the global pool).
-    pub probe_pool: Option<&'a ProbePool>,
 }
 
 impl<'a> SearchScope<'a> {
@@ -121,20 +123,9 @@ impl<'a> SearchScope<'a> {
         self
     }
 
-    /// Fan probes out over `pool` instead of the process-global one.
-    pub fn with_probe_pool(mut self, pool: &'a ProbePool) -> Self {
-        self.probe_pool = Some(pool);
-        self
-    }
-
     /// Whether the scope lets the search add `candidate`.
     pub fn allows(&self, candidate: usize) -> bool {
         self.mask.is_none_or(|m| m.contains(candidate))
-    }
-
-    /// The pool batched probes run on.
-    pub(crate) fn pool(&self) -> &'a ProbePool {
-        self.probe_pool.unwrap_or_else(|| ProbePool::global())
     }
 }
 

@@ -53,17 +53,15 @@ impl SearchStrategy for SwapHillClimb {
         // re-pricing between seed and climb.
         let mut state = seed.final_state.expect("lazy greedy tracks state");
         let mut scratch = Vec::new();
-        let exec = scope.pool();
         let mut probes: Vec<Probe> = Vec::new();
 
         for _ in 0..self.max_rounds {
             // Steepest descent: batch-price all (drop, add) exchanges that
             // fit the budget, keep the lowest resulting cost. The
             // neighborhood is enumerated in ascending drop id, then add
-            // id; deltas land at their probe's index, so the serial
-            // argmin scan breaks ties toward the first exchange scanned —
-            // the climb is deterministic for every thread count. Drops
-            // may touch any member; adds are restricted to the scope.
+            // id; deltas land at their probe's index, so the argmin scan
+            // breaks ties toward the first exchange scanned. Drops may
+            // touch any member; adds are restricted to the scope.
             let members: Vec<usize> = selection.ids().collect();
             probes.clear();
             for &drop in &members {
@@ -79,8 +77,7 @@ impl SearchStrategy for SwapHillClimb {
                     probes.push(Probe::Swap { add, drop });
                 }
             }
-            let deltas =
-                model.price_delta_batch(&state, &selection, &probes, scope.query_mask, exec);
+            let deltas = model.price_delta_batch(&state, &selection, &probes, scope.query_mask);
             let mut improving: Vec<(usize, f64)> = Vec::new(); // (probe idx, proposed cost)
             for (i, delta) in deltas.iter().enumerate() {
                 evaluations += 1;

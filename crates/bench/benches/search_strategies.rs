@@ -1,7 +1,7 @@
 //! Criterion bench of the pluggable search strategies over one pre-built
 //! workload model (model construction excluded — the comparison is purely
 //! the search policy): eager greedy vs lazy greedy vs swap hill climbing
-//! vs annealing, plus serial vs feature-selected model construction.
+//! vs annealing, plus model construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pinum_advisor::greedy::GreedyOptions;
@@ -33,9 +33,6 @@ fn bench_search_strategies(c: &mut Criterion) {
     });
     group.bench_function("model_build", |b| {
         b.iter(|| WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a))))
-    });
-    group.bench_function("model_build_serial", |b| {
-        b.iter(|| WorkloadModel::build_serial(pool.len(), models.iter().map(|(c, a)| (c, a))))
     });
     group.finish();
 }

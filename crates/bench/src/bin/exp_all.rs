@@ -21,7 +21,6 @@ fn main() {
     e::search_strategies::run(scale);
     e::online_drift::run(scale);
     e::scoped_readvise::run(scale);
-    e::parallel_search::run(scale);
     e::multi_tenant::run(scale);
     e::warm_restart::run(scale);
     e::durable_throughput::run(scale);

@@ -12,7 +12,6 @@ pub mod index_selection;
 pub mod multi_tenant;
 pub mod nlj;
 pub mod online_drift;
-pub mod parallel_search;
 pub mod price_kernel;
 pub mod pruning;
 pub mod redundancy;

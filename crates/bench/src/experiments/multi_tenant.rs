@@ -356,8 +356,6 @@ pub fn run(scale: f64) -> MultiTenantOutcome {
 
     let baselines: Vec<TenantRun> = fixtures.iter().map(|fx| baseline(fx, &opts)).collect();
 
-    // Sharded pass first: the process-global probe pool is sized on
-    // first server start, and both passes then share it.
     let (sharded, sharded_wall) = run_server_pass(TENANTS, &fixtures, &opts);
     let (serialized, serialized_wall) = run_server_pass(1, &fixtures, &opts);
 

@@ -36,11 +36,9 @@
 //! call reduction (≥3× on the 200q×400c workload) plus an identical
 //! advisor pick sequence.
 //!
-//! With the `parallel` feature, [`WorkloadCollector::prime`] prices the
-//! distinct missing templates of a whole workload across std threads
-//! (each template call is independent and deterministic); fan-out is
-//! always serial per query, so the produced catalogs are identical to the
-//! serial path's.
+//! [`WorkloadCollector::prime`] prices the distinct missing templates of
+//! a whole workload up front, one call each in first-encounter order, so
+//! the per-query fan-out that follows is all cache hits.
 
 use crate::access_costs::{AccessCostCatalog, CandidateAccess, CollectStats};
 use crate::builder::{build_cache_pinum, BuilderOptions};
@@ -213,10 +211,8 @@ impl WorkloadCollector {
     }
 
     /// Prices every template of `queries` not yet in the cache, returning
-    /// the number of optimizer calls spent. With the `parallel` feature
-    /// the missing groups are priced across std threads (each template
-    /// call is independent); insertion order is the serial first-encounter
-    /// order either way, and the cached groups are identical.
+    /// the number of optimizer calls spent, one per missing template in
+    /// first-encounter order.
     pub fn prime(
         &mut self,
         optimizer: &Optimizer<'_>,
@@ -237,21 +233,19 @@ impl WorkloadCollector {
         pool: &CandidatePool,
     ) -> usize {
         self.guard_pool(pool);
-        let missing: Vec<&(TemplateKey, RelTemplate)> = templates
-            .iter()
-            .filter(|(key, _)| !self.groups.contains_key(key))
-            .collect();
-        let groups = price_groups(optimizer, pool, &missing, cfg!(feature = "parallel"));
-        let calls = groups.len();
-        for ((key, _), group) in missing.into_iter().zip(groups) {
-            self.groups.insert(key.clone(), group);
+        let mut calls = 0usize;
+        for (key, template) in templates {
+            if !self.groups.contains_key(key) {
+                let group = Self::price_group(optimizer, pool, template);
+                self.groups.insert(key.clone(), group);
+                calls += 1;
+            }
         }
         self.optimizer_calls += calls;
         calls
     }
 
-    /// Collects the whole workload: [`Self::prime`] (parallel group
-    /// pricing under the `parallel` feature) followed by per-query
+    /// Collects the whole workload: [`Self::prime`] followed by per-query
     /// fan-out. The aggregate stats count one optimizer call per template
     /// priced — the headline "one call per template-shape instead of per
     /// query".
@@ -301,44 +295,6 @@ pub fn workload_templates(queries: &[Query]) -> Vec<(TemplateKey, RelTemplate)> 
         }
     }
     templates
-}
-
-/// Prices `templates` in order; fans across std threads when `parallel`.
-fn price_groups(
-    optimizer: &Optimizer<'_>,
-    pool: &CandidatePool,
-    templates: &[&(TemplateKey, RelTemplate)],
-    parallel: bool,
-) -> Vec<TemplateGroup> {
-    let n = templates.len();
-    let threads = if parallel {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n.div_ceil(4).max(1))
-    } else {
-        1
-    };
-    if threads <= 1 {
-        return templates
-            .iter()
-            .map(|(_, t)| WorkloadCollector::price_group(optimizer, pool, t))
-            .collect();
-    }
-    let mut out: Vec<Option<TemplateGroup>> = vec![None; n];
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, slots) in out.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            scope.spawn(move || {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    let (_, template) = &templates[start + i];
-                    *slot = Some(WorkloadCollector::price_group(optimizer, pool, template));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|g| g.expect("priced")).collect()
 }
 
 /// Fans one cached template group out to a member relation, pushing

@@ -38,8 +38,7 @@
 //! **struct-of-arrays** pricing kernel: one contiguous cost array, a
 //! parallel candidate-id array, and extent tables per slot/plan/query, so
 //! pricing a slot is a branchless min-scan against a bitset snapshot of
-//! the selection (the `simd` feature adds an explicitly lane-unrolled
-//! variant with identical bits). `price_full` prices a selection; the
+//! the selection. `price_full` prices a selection; the
 //! **bidirectional** deltas — `price_delta` (add), `price_delta_removed`
 //! (drop), and `price_delta_swapped` (drop-one/add-one) — re-price only
 //! the queries the touched candidates can affect (per-query bloom +
@@ -49,11 +48,9 @@
 //! as [`workload_model::pairwise_total`] — defines the bit pattern of
 //! every total, so spliced and from-scratch pricing agree bit for bit.
 //! This is the substrate the advisor's pluggable search strategies run
-//! on. With the `parallel` feature, both model *construction* (per-query
-//! flattening) and full re-pricings fan out across std threads, with
-//! output identical to the serial paths. The pre-SoA nested-layout
-//! engine is frozen in [`reference::ReferenceModel`] as the equivalence
-//! oracle and microbenchmark baseline.
+//! on; one serial kernel prices every probe, in the caller's order. The
+//! pre-SoA nested-layout engine is frozen in [`reference::ReferenceModel`]
+//! as the equivalence oracle and microbenchmark baseline.
 //!
 //! The model is also **streaming**: `admit_query` / `evict_query` /
 //! `reweight_query` splice queries in and out of the dense arrays and
@@ -72,13 +69,14 @@
 //! from-scratch references; [`sampling`] bounds the cost of those
 //! checks on large workloads via `PINUM_ASSERT_SAMPLE`.
 
+#![forbid(unsafe_code)]
+
 pub mod access_costs;
 pub mod builder;
 pub mod cache;
 pub mod candidates;
 pub mod collector;
 pub mod costing;
-pub mod pool;
 pub mod reference;
 pub mod sampling;
 pub mod session;
@@ -95,7 +93,6 @@ pub use cache::{CachedPlan, PlanCache};
 pub use candidates::{CandidatePool, Selection};
 pub use collector::{build_workload_models, WorkloadCollector, WorkloadModels};
 pub use costing::{CacheCostModel, Estimate};
-pub use pool::ProbePool;
 pub use reference::ReferenceModel;
 pub use session::PricingSession;
 pub use workload_model::{

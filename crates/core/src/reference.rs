@@ -46,8 +46,7 @@ impl ReferenceModel {
     where
         I: IntoIterator<Item = (&'a PlanCache, &'a AccessCostCatalog)>,
     {
-        let models: Vec<_> = models.into_iter().collect();
-        let queries = flatten_models(&models, false);
+        let queries = flatten_models(models);
         let mut affected: Vec<Vec<u32>> = vec![Vec::new(); pool_size];
         for (qid, qm) in queries.iter().enumerate() {
             for c in touched_candidates(qm) {

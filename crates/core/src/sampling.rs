@@ -16,10 +16,10 @@
 //!   experiment-sized workloads while still sweeping the whole space over
 //!   a run.
 //!
-//! The counter is thread-local (the `parallel` feature prices across
-//! threads); sampling is a per-thread stride, which is all the guarantee
-//! the debug leg needs — *which* checks fire is deterministic for a
-//! single-threaded run and arbitrary-but-bounded for a parallel one.
+//! The counter is thread-local because the daemon prices each tenant on
+//! its shard's thread, and the test harness runs tests on threads of its
+//! own: sampling is a per-thread stride, so *which* checks fire in one
+//! thread's run does not depend on what other shards or tests priced.
 //! Release builds compile the asserts out entirely; callers gate on
 //! `#[cfg(debug_assertions)]` first so release code never pays even the
 //! counter bump.

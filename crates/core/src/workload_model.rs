@@ -35,9 +35,7 @@
 //! arm wins" (ties share the same `f64` bits; arm costs are finite, so
 //! `+∞` means exactly "inapplicable"). The scan reads two flat arrays and
 //! one bitset word per arm — no pointer chasing, no `Option`, and the
-//! loop autovectorizes; the `simd` feature swaps in an explicitly
-//! 4-lane-unrolled variant with the same (reassociation-safe) min
-//! semantics.
+//! loop autovectorizes.
 //!
 //! The selection itself is snapshotted per pricing call into a `SelView`
 //! — a fixed-width copy of the selection's bitset words with the delta's
@@ -445,7 +443,6 @@ const INLINE_WORDS: usize = 16;
 /// arm applicability with a single word load — no `Option` compares, no
 /// bounds surprises (the view is always `pool_size` bits wide, zero
 /// padded past the selection's own word count).
-#[derive(Clone)]
 struct SelView {
     nwords: usize,
     inline: [u64; INLINE_WORDS],
@@ -503,7 +500,7 @@ impl SelView {
     }
 
     /// Sets candidate `c`'s bit — a probe's virtual add, O(1). Batch
-    /// pricing shares one base view per worker and toggles probe bits in
+    /// pricing keeps one base view per batch and toggles probe bits in
     /// and out instead of rebuilding the snapshot per probe.
     fn set_bit(&mut self, c: usize) {
         let w = c / 64;
@@ -525,43 +522,10 @@ impl SelView {
 /// bit is set in `words`. Arm costs are finite, so `+∞` encodes
 /// "inapplicable"; arms are ascending by cost below the always arm, so
 /// the masked min carries the exact bits of "first applicable arm wins".
-#[cfg(not(feature = "simd"))]
 #[inline]
 fn min_arm(costs: &[f64], cands: &[u32], words: &[u64], init: f64) -> f64 {
     let mut m = init;
     for (&cost, &cand) in costs.iter().zip(cands) {
-        let sel = (words[(cand >> 6) as usize] >> (cand & 63)) & 1;
-        let x = if sel != 0 { cost } else { f64::INFINITY };
-        m = if x < m { x } else { m };
-    }
-    m
-}
-
-/// [`min_arm`], hand-unrolled into four independent accumulator lanes so
-/// the selects vectorize even when the compiler won't reassociate on its
-/// own. `min` over non-NaN values is associative and commutative, so the
-/// lane fold is bit-identical to the scalar scan.
-#[cfg(feature = "simd")]
-#[inline]
-fn min_arm(costs: &[f64], cands: &[u32], words: &[u64], init: f64) -> f64 {
-    let mut lanes = [f64::INFINITY; 4];
-    let main = costs.len() & !3;
-    for (costs4, cands4) in costs[..main]
-        .chunks_exact(4)
-        .zip(cands[..main].chunks_exact(4))
-    {
-        for k in 0..4 {
-            let cand = cands4[k];
-            let sel = (words[(cand >> 6) as usize] >> (cand & 63)) & 1;
-            let x = if sel != 0 { costs4[k] } else { f64::INFINITY };
-            lanes[k] = if x < lanes[k] { x } else { lanes[k] };
-        }
-    }
-    let mut m = init;
-    for &x in &lanes {
-        m = if x < m { x } else { m };
-    }
-    for (&cost, &cand) in costs[main..].iter().zip(&cands[main..]) {
         let sel = (words[(cand >> 6) as usize] >> (cand & 63)) & 1;
         let x = if sel != 0 { cost } else { f64::INFINITY };
         m = if x < m { x } else { m };
@@ -602,32 +566,11 @@ impl WorkloadModel {
     /// Flattens per-query `(plan cache, access-cost catalog)` models into
     /// the packed pricing structure. `pool_size` is the candidate pool
     /// cardinality the access catalogs were collected against.
-    ///
-    /// With the `parallel` feature the per-query flattening fans out over
-    /// std threads (each query is independent); packing and the inverted
-    /// index are always assembled serially in query order, so the built
-    /// model is identical to [`Self::build_serial`]'s.
     pub fn build<'a, I>(pool_size: usize, models: I) -> Self
     where
         I: IntoIterator<Item = (&'a PlanCache, &'a AccessCostCatalog)>,
     {
-        let models: Vec<_> = models.into_iter().collect();
-        Self::assemble(
-            pool_size,
-            flatten_models(&models, cfg!(feature = "parallel")),
-        )
-    }
-
-    /// [`Self::build`] forced onto the single-threaded flattening path,
-    /// regardless of the `parallel` feature. The result is `==` to
-    /// `build`'s — kept public so the determinism claim stays testable in
-    /// feature-enabled builds.
-    pub fn build_serial<'a, I>(pool_size: usize, models: I) -> Self
-    where
-        I: IntoIterator<Item = (&'a PlanCache, &'a AccessCostCatalog)>,
-    {
-        let models: Vec<_> = models.into_iter().collect();
-        Self::assemble(pool_size, flatten_models(&models, false))
+        Self::assemble(pool_size, flatten_models(models))
     }
 
     /// A model holding zero queries over a pool.
@@ -1356,36 +1299,19 @@ impl WorkloadModel {
         self.weights[query] * self.price_query_in(query, words)
     }
 
-    /// Prices the entire workload under `selection`. Per-query pricing
-    /// fans out over the shared [`ProbePool`](crate::pool::ProbePool)
-    /// (no per-call thread spawning); the sum tree is always assembled
-    /// serially in query order, so the result is deterministic and
-    /// identical across every thread count — `PINUM_THREADS=1` forces
-    /// the fully serial path even with `--features parallel`. Entries
-    /// are weighted contributions (tombstones contribute exactly 0.0).
+    /// Prices the entire workload under `selection`, query by query, and
+    /// assembles the sum tree in query order. Entries are weighted
+    /// contributions (tombstones contribute exactly 0.0).
     pub fn price_full(&self, selection: &Selection) -> PricedWorkload {
         PricedWorkload::from_costs(self.per_query_costs(selection))
     }
 
     fn per_query_costs(&self, selection: &Selection) -> Vec<f64> {
-        let n = self.qmeta.len();
         let view = SelView::new(self.pool_size, selection, None, None);
         let words = view.words();
-        let pool = crate::pool::ProbePool::global();
-        if pool.threads() <= 1 || n < 32 {
-            return (0..n).map(|q| self.contribution_in(q, words)).collect();
-        }
-        let mut per_query = vec![0.0f64; n];
-        let out = crate::pool::SyncPtr::new(per_query.as_mut_ptr());
-        pool.for_each_chunk(n, &move |_worker, range| {
-            for q in range {
-                // SAFETY: chunk ranges are disjoint, so each index is
-                // written by exactly one worker; the Vec outlives the
-                // dispatch (for_each_chunk blocks until all chunks ran).
-                unsafe { *out.get().add(q) = self.contribution_in(q, words) };
-            }
-        });
-        per_query
+        (0..self.qmeta.len())
+            .map(|q| self.contribution_in(q, words))
+            .collect()
     }
 
     /// The workload total if `added` joined `selection`, re-pricing only
@@ -1567,21 +1493,17 @@ impl WorkloadModel {
     }
 
     /// Prices a batch of independent probes against one `(selection,
-    /// state)` snapshot, fanned out over `pool`. Each result lands at
-    /// its probe's own index, so the output is deterministic regardless
-    /// of thread count or chunk claiming order, and every entry holds
-    /// the *same bits* as the serial [`Self::price_delta_into`] /
+    /// state)` snapshot. Each result lands at its probe's own index and
+    /// holds the *same bits* as the [`Self::price_delta_into`] /
     /// [`Self::price_delta_removed_into`] /
     /// [`Self::price_delta_swapped_into`] call it replaces
     /// (debug-asserted, sampled).
     ///
-    /// Each worker owns a reusable scratch: a clone of the shared base
-    /// `SelView` bitset whose probe bits are toggled in and back out around
-    /// each probe (O(1) per probe instead of re-baking the snapshot per
-    /// probe), and a changed-query buffer that persists across the
-    /// worker's chunks. Bloom/footprint-prefiltered no-ops touch only
-    /// their (empty or tiny) inverted-index entry, so chunking keeps
-    /// their cost near zero.
+    /// The batch snapshots the selection into one `SelView` bitset and
+    /// toggles each probe's bits in and back out around it (O(1) per
+    /// probe instead of re-baking the snapshot per probe), reusing one
+    /// changed-query buffer across probes. Bloom/footprint-prefiltered
+    /// no-ops touch only their (empty or tiny) inverted-index entry.
     ///
     /// `qmask` (sorted ascending query ids) restricts re-pricing to the
     /// masked subset of each probe's affected list — the scoped-pricing
@@ -1596,36 +1518,24 @@ impl WorkloadModel {
         selection: &Selection,
         probes: &[Probe],
         qmask: Option<&[u32]>,
-        pool: &crate::pool::ProbePool,
     ) -> Vec<ProbeDelta> {
         debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
-        let mut out = vec![ProbeDelta::default(); probes.len()];
         if probes.is_empty() {
-            return out;
+            return Vec::new();
         }
-        let base = SelView::new(self.pool_size, selection, None, None);
-        let mut scratch: Vec<(SelView, Vec<(u32, f64)>)> = (0..pool.threads())
-            .map(|_| (base.clone(), Vec::new()))
-            .collect();
-        let scratch_ptr = crate::pool::SyncPtr::new(scratch.as_mut_ptr());
-        let out_ptr = crate::pool::SyncPtr::new(out.as_mut_ptr());
-        pool.for_each_chunk(probes.len(), &move |worker, range| {
-            // SAFETY: each worker index is owned by exactly one thread
-            // per dispatch and chunk ranges are disjoint, so every slot
-            // is written by exactly one worker; both vectors outlive
-            // the dispatch (for_each_chunk blocks until all chunks ran).
-            let (view, changed) = unsafe { &mut *scratch_ptr.get().add(worker) };
-            for i in range {
-                let delta = self.price_one_probe(state, selection, probes[i], qmask, view, changed);
-                unsafe { *out_ptr.get().add(i) = delta };
-            }
-        });
-        out
+        let mut view = SelView::new(self.pool_size, selection, None, None);
+        let mut changed = Vec::new();
+        probes
+            .iter()
+            .map(|&probe| {
+                self.price_one_probe(state, selection, probe, qmask, &mut view, &mut changed)
+            })
+            .collect()
     }
 
-    /// One probe of a batch: toggle the probe's bits on the worker's
+    /// One probe of a batch: toggle the probe's bits on the batch's
     /// view, re-price its (optionally masked) affected queries, restore
-    /// the bits. Exactly the serial delta arithmetic — same affected
+    /// the bits. Exactly the single-probe delta arithmetic — same affected
     /// iteration order, same bit-equality filter, same overlay total.
     fn price_one_probe(
         &self,
@@ -1802,16 +1712,6 @@ pub struct ProbeDelta {
     pub changed: usize,
 }
 
-impl Default for ProbeDelta {
-    fn default() -> Self {
-        ProbeDelta {
-            total: f64::INFINITY,
-            repriced: 0,
-            changed: 0,
-        }
-    }
-}
-
 /// Appends the distinct candidates in `cands` (one query's packed arm
 /// candidates — always-arms are already split out) to `out`, sorted
 /// ascending. Small footprints (the overwhelmingly common case) dedup by
@@ -1890,30 +1790,15 @@ pub(crate) fn prune_arms(arms: &mut Vec<AccessArm>) {
     arms.truncate(keep);
 }
 
-/// Flattens every `(cache, access)` pair, optionally fanning the per-query
-/// work over the shared [`crate::pool::ProbePool`] (no per-call thread
-/// spawning). Each query's flattening is independent and the output order
-/// is the input order, so both paths yield identical vectors.
-pub(crate) fn flatten_models(
-    models: &[(&PlanCache, &AccessCostCatalog)],
-    parallel: bool,
-) -> Vec<QueryModel> {
-    let n = models.len();
-    let pool = crate::pool::ProbePool::global();
-    if !parallel || pool.threads() <= 1 || n < 2 {
-        return models.iter().map(|(c, a)| flatten_query(c, a)).collect();
-    }
-    let mut out: Vec<Option<QueryModel>> = vec![None; n];
-    let slots = crate::pool::SyncPtr::new(out.as_mut_ptr());
-    pool.for_each_chunk(n, &move |_worker, range| {
-        for i in range {
-            let (cache, access) = models[i];
-            // SAFETY: chunk ranges are disjoint, so each slot is written
-            // by exactly one worker; the Vec outlives the dispatch.
-            unsafe { *slots.get().add(i) = Some(flatten_query(cache, access)) };
-        }
-    });
-    out.into_iter().map(|q| q.expect("flattened")).collect()
+/// Flattens every `(cache, access)` pair, in input order.
+pub(crate) fn flatten_models<'a, I>(models: I) -> Vec<QueryModel>
+where
+    I: IntoIterator<Item = (&'a PlanCache, &'a AccessCostCatalog)>,
+{
+    models
+        .into_iter()
+        .map(|(c, a)| flatten_query(c, a))
+        .collect()
 }
 
 pub(crate) fn flatten_query(cache: &PlanCache, access: &AccessCostCatalog) -> QueryModel {
@@ -2004,7 +1889,6 @@ mod tests {
     use crate::builder::{build_cache_pinum, BuilderOptions};
     use crate::candidates::CandidatePool;
     use crate::costing::CacheCostModel;
-    use crate::pool::ProbePool;
     use pinum_catalog::{Catalog, Column, ColumnType, Index, Table};
     use pinum_optimizer::Optimizer;
     use pinum_query::{Query, QueryBuilder};
@@ -2331,15 +2215,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_and_serial_builds_are_identical() {
-        let (cat, queries, pool) = setup();
-        let models = build_models(&cat, &queries, &pool);
-        let built = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
-        let serial = WorkloadModel::build_serial(pool.len(), models.iter().map(|(c, a)| (c, a)));
-        assert_eq!(built, serial, "build and build_serial diverged");
-    }
-
     /// Every selection of the 5-candidate pool (the fixtures are tiny
     /// enough to enumerate).
     fn all_selections(pool: &CandidatePool) -> impl Iterator<Item = Selection> + '_ {
@@ -2533,7 +2408,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_deltas_for_every_thread_and_chunk() {
+    fn batch_matches_single_probe_deltas_bit_for_bit() {
         let (cat, queries, pool) = setup();
         let models = build_models(&cat, &queries, &pool);
         let wm = model_of(&models, &pool);
@@ -2541,7 +2416,7 @@ mod tests {
         let state = wm.price_full(&selection);
         let probes = all_probes(&selection, pool.len());
 
-        // Serial reference: the three *_into paths, one probe at a time.
+        // Reference: the three *_into paths, one probe at a time.
         let mut scratch = Vec::new();
         let expect: Vec<(u64, usize)> = probes
             .iter()
@@ -2561,23 +2436,11 @@ mod tests {
             })
             .collect();
 
-        for threads in [1, 2, 3, 8] {
-            for chunk in [1, 3, 16] {
-                let batch_pool = ProbePool::with_chunk(threads, chunk);
-                let got = wm.price_delta_batch(&state, &selection, &probes, None, &batch_pool);
-                assert_eq!(got.len(), probes.len());
-                for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-                    assert_eq!(
-                        g.total.to_bits(),
-                        e.0,
-                        "probe {i} total diverged (threads {threads}, chunk {chunk})"
-                    );
-                    assert_eq!(
-                        g.changed, e.1,
-                        "probe {i} changed-count diverged (threads {threads}, chunk {chunk})"
-                    );
-                }
-            }
+        let got = wm.price_delta_batch(&state, &selection, &probes, None);
+        assert_eq!(got.len(), probes.len());
+        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(g.total.to_bits(), e.0, "probe {i} total diverged");
+            assert_eq!(g.changed, e.1, "probe {i} changed-count diverged");
         }
     }
 
@@ -2589,7 +2452,7 @@ mod tests {
         let selection = Selection::from_ids(pool.len(), &[0]);
         let state = wm.price_full(&selection);
         let probes: Vec<Probe> = (1..pool.len()).map(|cand| Probe::Add { cand }).collect();
-        let got = wm.price_delta_batch(&state, &selection, &probes, None, ProbePool::global());
+        let got = wm.price_delta_batch(&state, &selection, &probes, None);
         for (p, d) in probes.iter().zip(&got) {
             let Probe::Add { cand } = *p else {
                 unreachable!()
@@ -2614,8 +2477,7 @@ mod tests {
             .collect();
         let mut scratch = Vec::new();
         for mask in &masks {
-            let got =
-                wm.price_delta_batch(&state, &selection, &probes, Some(mask), ProbePool::global());
+            let got = wm.price_delta_batch(&state, &selection, &probes, Some(mask));
             for (&p, d) in probes.iter().zip(&got) {
                 match p {
                     Probe::Add { cand } => {

@@ -803,9 +803,7 @@ impl OnlineAdvisor {
         let result = if self.opts.warm_start {
             // The tentpole handoff: the session's exact priced state
             // rides into the search, so a steady-state re-advise prices
-            // nothing it does not have to. Batched probes fan out over
-            // the persistent process-global worker pool (the scope
-            // default), reused across every re-advise.
+            // nothing it does not have to.
             let mut scope = SearchScope::all().with_warm_state(self.session.state());
             if let Some(mask) = &mask {
                 scope.mask = Some(mask);

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! - `--port` (default 0): TCP port to bind on 127.0.0.1; 0 picks an
-//!   ephemeral port. The bound address is printed as
-//!   `listening on <addr>` so harnesses can parse it.
+//!   ephemeral port; values above 65535 are refused. The bound address
+//!   is printed as `listening on <addr>` so harnesses can parse it.
 //! - `--shards` (default 4): shard worker threads; tenants are assigned
 //!   by tenant-id hash.
 //! - `--budget` (default 2): re-advises allowed to run concurrently.
@@ -17,10 +17,9 @@
 //! - `--snapshot-every` (default 32): admissions between automatic
 //!   snapshots per tenant; 0 cuts snapshots only on `SnapshotNow`.
 //!
-//! `PINUM_THREADS` passes through to the probe pool: it overrides the
-//! pool's worker count exactly as in the library (see the Sizing notes
-//! on `pinum_core::ProbePool`); without it the pool divides the cores by
-//! `--shards` so concurrent re-advises do not oversubscribe.
+//! Every tenant is priced and re-advised on its shard's thread, so
+//! `--shards` bounds the threads that price at once and `--budget` the
+//! re-advises among them.
 //!
 //! The process exits after a wire `Shutdown` request.
 
@@ -50,7 +49,12 @@ fn main() {
         );
         return;
     }
-    let port = parse_flag(&args, "--port").unwrap_or(0) as u16;
+    let port = parse_flag(&args, "--port").map_or(0, |port| {
+        u16::try_from(port).unwrap_or_else(|_| {
+            eprintln!("error: --port wants a port in 0..=65535, got {port}");
+            std::process::exit(2);
+        })
+    });
     let snapshot_dir =
         args.iter()
             .position(|a| a == "--snapshot-dir")

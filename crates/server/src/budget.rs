@@ -4,10 +4,11 @@
 //!
 //! ## Why a budget
 //!
-//! Re-advises are the daemon's expensive operation and they all fan out
-//! over the one process-global `ProbePool`; letting every shard re-advise
-//! whenever its tenants drift would oversubscribe the pool's dispatch
-//! mutex and stall admissions behind a convoy. The budget caps the
+//! Re-advises are the daemon's expensive operation. Each runs on its
+//! tenant's shard thread and holds up that shard's other tenants until it
+//! finishes; letting every shard re-advise whenever its tenants drift
+//! would put every core into re-advises at once and stall admissions
+//! behind them. The budget caps the
 //! concurrency at a configured K and decides *who goes next* when a
 //! permit frees.
 //!

@@ -33,7 +33,6 @@ use crate::budget::ReadviseBudget;
 use crate::convert::{self, ConvertError};
 use pinum_core::access_costs::AccessCostCatalog;
 use pinum_core::cache::PlanCache;
-use pinum_core::ProbePool;
 use pinum_online::{Admission, AdmissionSpec};
 use pinum_persist::{GroupCommitPolicy, PersistError, PersistentAdvisor};
 use pinum_protocol::{
@@ -112,16 +111,14 @@ pub struct Server;
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port — read it back via
     /// [`ServerHandle::addr`]) and starts the shard workers, then — once
-    /// they are running — the accept loop. Also sizes the process-global
-    /// [`ProbePool`] for this many dispatching shards, so concurrent
-    /// re-advises do not oversubscribe the cores (`PINUM_THREADS` still
-    /// overrides; see the pool docs).
+    /// they are running — the accept loop. Each tenant's pricing and
+    /// re-advises run on its shard's thread, so `config.shards` bounds
+    /// the threads that price at once.
     ///
     /// If a thread cannot be spawned, the shards already started are
     /// stopped and joined and the spawn's `io::Error` is returned.
     pub fn start(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<ServerHandle> {
         let shards = config.shards.max(1);
-        ProbePool::init_global_for_dispatchers(shards);
         let budget = Arc::new(ReadviseBudget::new(config.budget));
 
         let mut shard_txs = Vec::with_capacity(shards);
@@ -342,16 +339,13 @@ fn serve_connection(
         return;
     };
 
+    let mut stop_daemon = false;
     loop {
         match read_request(&mut stream) {
             Ok(FrameIn::Msg { request_id, msg }) => match msg {
                 Request::Shutdown => {
                     let _ = reply_tx.send((request_id, Response::ShuttingDown));
-                    shutdown.store(true, Ordering::SeqCst);
-                    // Nudge the accept loop awake so it observes the flag.
-                    if let Ok(addr) = stream.local_addr() {
-                        let _ = TcpStream::connect(addr);
-                    }
+                    stop_daemon = true;
                     break;
                 }
                 req => {
@@ -392,6 +386,16 @@ fn serve_connection(
     }
     drop(reply_tx);
     let _ = writer.join();
+    // Raise the flag only once the replies, `ShuttingDown` included, are
+    // written: a raised flag lets the handle force-close every connection,
+    // this one too.
+    if stop_daemon {
+        shutdown.store(true, Ordering::SeqCst);
+        // Nudge the accept loop awake so it observes the flag.
+        if let Ok(addr) = stream.local_addr() {
+            let _ = TcpStream::connect(addr);
+        }
+    }
     // Shut the socket down explicitly: the handle keeps a clone of this
     // stream for forced close, and that clone would otherwise hold the
     // fd open and deny the peer its EOF.

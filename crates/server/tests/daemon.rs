@@ -175,8 +175,7 @@ fn daemon_tenants_are_bit_identical_to_in_process_advisors() {
     // Two shards, two tenants driven concurrently from separate
     // connections: the shard serialization must keep each tenant's
     // results exactly what a single-threaded embedding computes, even on
-    // a 1-core box (satellite: the global probe pool defaults stay
-    // deterministic under a sharded server).
+    // a 1-core box.
     let server = Server::start(
         ("127.0.0.1", 0),
         ServerConfig {
@@ -902,4 +901,41 @@ fn binary_smoke_boots_serves_and_shuts_down() {
 
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "daemon exited with {status}");
+}
+
+#[test]
+fn binary_refuses_a_port_above_65535_instead_of_wrapping() {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    // 70000 wraps to 4464 as a u16; the daemon must refuse it like any
+    // other bad flag instead of binding the wrapped port.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pinum-server"))
+        .args(["--port", "70000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon binary");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll daemon") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("daemon accepted --port 70000 and kept running");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("error: --port"), "stderr: {stderr}");
 }

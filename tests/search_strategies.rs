@@ -5,9 +5,7 @@
 //!   cost trajectory, byte total) across seeded star workloads and the
 //!   TPC-H trio, at strictly fewer probes;
 //! * **swap / anneal never worse than greedy** — both are greedy-seeded,
-//!   so their final workload cost is bounded by the seed's;
-//! * **parallel and serial model construction agree** — the flattened
-//!   `WorkloadModel` is identical whichever path built it.
+//!   so their final workload cost is bounded by the seed's.
 
 use pinum::advisor::candidates::generate_candidates;
 use pinum::advisor::greedy::{greedy_select_model, GreedyOptions};
@@ -156,22 +154,4 @@ fn swap_and_anneal_never_worse_than_greedy_on_star_and_tpch() {
             );
         }
     }
-}
-
-#[test]
-fn parallel_and_serial_model_construction_agree_on_star_workload() {
-    // 24 queries so the parallel feature's thread fan-out actually kicks
-    // in (it stays serial below 8 queries per thread).
-    let schema = StarSchema::generate(42, 0.01);
-    let workload = StarWorkload::generate(&schema, 7, 24);
-    let pool = generate_candidates(&schema.catalog, &workload.queries);
-    let models = build_models(&schema.catalog, &workload.queries, &pool);
-    let built = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
-    let serial = WorkloadModel::build_serial(pool.len(), models.iter().map(|(c, a)| (c, a)));
-    assert_eq!(built, serial, "parallel flattening changed the model");
-    // And the two price identically (belt and braces beyond PartialEq).
-    let sel = Selection::from_ids(pool.len(), &[0, pool.len() / 2, pool.len() - 1]);
-    let a = built.price_full(&sel);
-    let b = serial.price_full(&sel);
-    assert_eq!(a.per_query(), b.per_query());
 }
