@@ -14,8 +14,8 @@
 //!   ablations.
 //! * [`greedy_select_model`] — the incremental engine over a
 //!   [`WorkloadModel`]: a probe re-prices only the queries the candidate
-//!   can affect ([`WorkloadModel::price_delta_into`]); a full re-pricing
-//!   happens once per *pick*, not per probe. Produces the identical pick
+//!   can affect ([`WorkloadModel::price_delta_batch`]), and a pick is
+//!   spliced in as an exact delta. Produces the identical pick
 //!   sequence and cost trajectory (bit for bit) as the naive engine over
 //!   the same cached models — verified by the `advisor_scale` experiment.
 //!
@@ -49,9 +49,11 @@ pub struct GreedyResult {
     pub total_bytes: u64,
     /// Number of workload-cost evaluations performed.
     pub evaluations: usize,
-    /// Number of individual query re-pricings those evaluations cost
-    /// (only tracked by [`greedy_select_model`]; the naive engine cannot
-    /// see inside its cost closure and reports 0).
+    /// Number of individual query re-pricings those evaluations cost:
+    /// the seed pricing's query count plus every probe's
+    /// [`pinum_core::ProbeDelta::repriced`], batch-ranked and exact
+    /// alike (only tracked by the model-driven strategies; the naive
+    /// engine cannot see inside its cost closure and reports 0).
     pub queries_repriced: usize,
     /// Number of **full** workload re-pricings the search performed. The
     /// model-driven strategies price every probe *and every accepted
@@ -138,9 +140,9 @@ pub fn greedy_select(
 }
 
 /// The incremental greedy engine: identical search to [`greedy_select`],
-/// but candidate probes are priced with `WorkloadModel::price_delta_into`
-/// (re-pricing only affected queries, no allocation) and the workload is
-/// fully re-priced only when a candidate is actually picked. The pick
+/// but candidate probes are priced with `WorkloadModel::price_delta_batch`
+/// (re-pricing only affected queries) and a picked candidate is spliced
+/// in as an exact delta instead of a full re-pricing. The pick
 /// sequence, cost trajectory, evaluation count, and final selection are
 /// exactly those of the naive engine over the same cached models.
 ///

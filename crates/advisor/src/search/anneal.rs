@@ -1,8 +1,10 @@
 //! Deterministic simulated annealing over the selection space, driven
-//! entirely by incremental deltas: proposals are drawn in fixed-size
-//! blocks against the block-start state and priced as one
-//! [`WorkloadModel::price_delta_batch`] (add, drop, and swap probes in
-//! one batch). The RNG is the in-tree `rand` shim seeded explicitly and
+//! entirely by incremental deltas: a proposal *is* a [`Probe`] (add,
+//! drop, or swap), proposals are drawn in fixed-size blocks against the
+//! block-start state and priced as one
+//! [`WorkloadModel::price_delta_batch`], and an accepted one is
+//! re-derived exactly with [`WorkloadModel::price_probe_into`] before it
+//! is spliced. The RNG is the in-tree `rand` shim seeded explicitly and
 //! its consumption schedule is fixed by the block size, so a run is a
 //! pure function of `(pool, model, options, seed)`.
 
@@ -118,7 +120,7 @@ impl SearchStrategy for Anneal {
         // finite-worsening proposal — a fixed schedule (though not a
         // one-proposal-at-a-time walk's stream: discarded proposals
         // consumed draws).
-        let mut moves: Vec<Option<Move>> = Vec::with_capacity(BLOCK);
+        let mut moves: Vec<Option<Probe>> = Vec::with_capacity(BLOCK);
         let mut probes: Vec<Probe> = Vec::with_capacity(BLOCK);
         let mut remaining = self.iterations;
         while remaining > 0 {
@@ -131,7 +133,7 @@ impl SearchStrategy for Anneal {
                 // draws so the stream (and thus the run) stays
                 // deterministic.
                 let kind = rng.gen_range(0..3u32);
-                let mv: Option<Move> = match kind {
+                let mv: Option<Probe> = match kind {
                     // Add a random unselected in-scope candidate that fits
                     // the budget (out-of-scope draws are invalid
                     // proposals, so the RNG stream — and thus an unmasked
@@ -142,11 +144,12 @@ impl SearchStrategy for Anneal {
                         (!selection.contains(cand)
                             && scope.allows(cand)
                             && used_bytes + bytes <= opts.budget_bytes)
-                            .then_some(Move::Add(cand))
+                            .then_some(Probe::Add { cand })
                     }
                     // Drop a random member.
-                    1 => (!members.is_empty())
-                        .then(|| Move::Drop(members[rng.gen_range(0..members.len())])),
+                    1 => (!members.is_empty()).then(|| Probe::Drop {
+                        cand: members[rng.gen_range(0..members.len())],
+                    }),
                     // Swap a random member for a random non-member.
                     _ => {
                         if members.is_empty() {
@@ -159,17 +162,11 @@ impl SearchStrategy for Anneal {
                                 && used_bytes - pool.index(drop).size().total_bytes()
                                     + pool.index(add).size().total_bytes()
                                     <= opts.budget_bytes;
-                            fits.then_some(Move::Swap { add, drop })
+                            fits.then_some(Probe::Swap { add, drop })
                         }
                     }
                 };
-                if let Some(mv) = mv {
-                    probes.push(match mv {
-                        Move::Add(cand) => Probe::Add { cand },
-                        Move::Drop(cand) => Probe::Drop { cand },
-                        Move::Swap { add, drop } => Probe::Swap { add, drop },
-                    });
-                }
+                probes.extend(mv);
                 moves.push(mv);
             }
 
@@ -182,11 +179,11 @@ impl SearchStrategy for Anneal {
                 // walk; the block's unwalked remainder is refunded.
                 walked += 1;
                 temp *= self.cooling;
-                let Some(mv) = entry else { continue };
+                let Some(mv) = *entry else { continue };
                 let delta = deltas[pi];
                 pi += 1;
                 evaluations += 1;
-                queries_repriced += delta.changed;
+                queries_repriced += delta.repriced;
 
                 if !accept(state.total(), delta.total, temp, &mut rng) {
                     continue;
@@ -195,34 +192,26 @@ impl SearchStrategy for Anneal {
                 // serially and splice it, so the maintained state stays
                 // bit-identical to `price_full` even when a query mask
                 // ranked the proposals. O(affected), never a full reprice.
-                let total = match *mv {
-                    Move::Add(c) => model.price_delta_into(&state, &selection, c, &mut scratch),
-                    Move::Drop(c) => {
-                        model.price_delta_removed_into(&state, &selection, c, &mut scratch)
-                    }
-                    Move::Swap { add, drop } => {
-                        model.price_delta_swapped_into(&state, &selection, add, drop, &mut scratch)
-                    }
-                };
+                let exact = model.price_probe_into(&state, &selection, mv, &mut scratch);
                 evaluations += 1;
-                queries_repriced += scratch.len();
-                match *mv {
-                    Move::Add(c) => {
-                        selection.insert(c);
-                        used_bytes += pool.index(c).size().total_bytes();
+                queries_repriced += exact.repriced;
+                match mv {
+                    Probe::Add { cand } => {
+                        selection.insert(cand);
+                        used_bytes += pool.index(cand).size().total_bytes();
                     }
-                    Move::Drop(c) => {
-                        selection.remove(c);
-                        used_bytes -= pool.index(c).size().total_bytes();
+                    Probe::Drop { cand } => {
+                        selection.remove(cand);
+                        used_bytes -= pool.index(cand).size().total_bytes();
                     }
-                    Move::Swap { add, drop } => {
+                    Probe::Swap { add, drop } => {
                         selection.remove(drop);
                         selection.insert(add);
                         used_bytes = used_bytes - pool.index(drop).size().total_bytes()
                             + pool.index(add).size().total_bytes();
                     }
                 }
-                apply_changed(&mut state, &scratch, total);
+                apply_changed(&mut state, &scratch, exact.total);
                 debug_assert_state_matches(model, &selection, &state);
                 if state.total() < best_cost {
                     best_cost = state.total();
@@ -251,13 +240,6 @@ impl SearchStrategy for Anneal {
             final_state: Some(best_state),
         }
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Move {
-    Add(usize),
-    Drop(usize),
-    Swap { add: usize, drop: usize },
 }
 
 /// Metropolis acceptance on *relative* cost change: always accept

@@ -5,7 +5,7 @@
 //! lazy greedy just prices far fewer probes to get there.
 //!
 //! Accepted picks are applied as **delta splices**: the winning probe is
-//! re-priced with [`WorkloadModel::price_delta_into`] (its total is
+//! re-priced with [`WorkloadModel::price_probe_into`] (its total is
 //! debug-asserted bit-identical to a full re-pricing) and its changed
 //! queries are overlaid onto the running [`PricedWorkload`] state. A
 //! search seeded from a carried warm state therefore performs **zero**
@@ -30,7 +30,7 @@ use std::collections::BinaryHeap;
 const LAZY_WAVE: usize = 32;
 
 /// The reference greedy: every round probes every remaining in-budget
-/// candidate with an add-delta ([`WorkloadModel::price_delta_into`]) and
+/// candidate with an add probe ([`WorkloadModel::price_delta_batch`]) and
 /// picks the best strictly positive benefit (ties to the lowest candidate
 /// id). This is the loop body extracted from the original
 /// `greedy_select_model`, which now delegates here.
@@ -131,9 +131,9 @@ impl SearchStrategy for EagerGreedy {
                 // accepted pick costs O(affected), never a full
                 // re-pricing, and the exact delta total is bit-identical
                 // to `price_full` (asserted inside the delta itself).
-                let total = model.price_delta_into(&state, &selection, cand, &mut scratch);
+                let exact = model.price_probe_into(&state, &selection, probes[i], &mut scratch);
                 evaluations += 1;
-                queries_repriced += scratch.len();
+                queries_repriced += exact.repriced;
                 // A query mask ranks the frontier by *masked* benefit; a
                 // winner that improves the masked queries while regressing
                 // the rest would raise the true workload total. Re-check
@@ -142,7 +142,7 @@ impl SearchStrategy for EagerGreedy {
                 // monotone in the true objective. Unmasked, the exact
                 // delta is bit-identical to the batch's, so this check
                 // never fires.
-                let exact_benefit = state.total() - total;
+                let exact_benefit = state.total() - exact.total;
                 if exact_benefit.is_nan() || exact_benefit <= 0.0 {
                     debug_assert!(
                         scope.query_mask.is_some(),
@@ -151,7 +151,7 @@ impl SearchStrategy for EagerGreedy {
                     scores[i] = None;
                     continue;
                 }
-                super::apply_changed(&mut state, &scratch, total);
+                super::apply_changed(&mut state, &scratch, exact.total);
                 selection.insert(cand);
                 picked.push(cand);
                 used_bytes += pool.index(cand).size().total_bytes();
@@ -413,9 +413,10 @@ impl SearchStrategy for LazyGreedy {
                 // splice: O(affected) instead of a full re-pricing, with
                 // the exact bit-identical total even when a query mask
                 // ranked the heap.
-                let total = model.price_delta_into(&state, &selection, cand, &mut scratch);
+                let exact =
+                    model.price_probe_into(&state, &selection, Probe::Add { cand }, &mut scratch);
                 evaluations += 1;
-                queries_repriced += scratch.len();
+                queries_repriced += exact.repriced;
                 // Masked scores rank by *masked* benefit; before the pick
                 // is committed its exact unmasked benefit must also be
                 // positive, or the move would regress the true workload
@@ -423,7 +424,7 @@ impl SearchStrategy for LazyGreedy {
                 // parked like any non-positive entry (back in contention
                 // after the next pick); unmasked, the exact delta is
                 // bit-identical to the batch's and this never fires.
-                let exact_benefit = state.total() - total;
+                let exact_benefit = state.total() - exact.total;
                 if exact_benefit.is_nan() || exact_benefit <= 0.0 {
                     debug_assert!(
                         scope.query_mask.is_some(),
@@ -432,7 +433,7 @@ impl SearchStrategy for LazyGreedy {
                     parked.push(top);
                     continue;
                 }
-                super::apply_changed(&mut state, &scratch, total);
+                super::apply_changed(&mut state, &scratch, exact.total);
                 selection.insert(cand);
                 picked.push(cand);
                 used_bytes += size;

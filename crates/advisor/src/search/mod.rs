@@ -26,8 +26,8 @@
 //!   of the pool. Ties break toward the lowest candidate id, exactly like
 //!   the eager scan's strict `>` argmax.
 //! * [`SwapHillClimb`] — drop-one/add-one local search seeded from lazy
-//!   greedy, enabled by the removal deltas
-//!   ([`WorkloadModel::price_delta_swapped_into`]). Escapes the
+//!   greedy, enabled by swap probes ([`pinum_core::Probe::Swap`]), which
+//!   the delta kernel prices over the merged affected lists. Escapes the
 //!   one-directional greedy's local optima (e.g. a narrow index picked
 //!   early whose slot a later covering index serves better).
 //! * [`Anneal`] — deterministic seeded simulated annealing over
@@ -40,7 +40,10 @@
 //! greedy in waves of 1→32 heap tops, eager greedy one frontier per
 //! round, the swap climb one neighbourhood per round, annealing in blocks
 //! of 16 moves. The batch shapes fix the probe accounting, so they are
-//! part of each strategy's output.
+//! part of each strategy's output. A move the strategy accepts is
+//! re-derived exactly, on the probe it ranked, with
+//! [`WorkloadModel::price_probe_into`] — the same kernel body, one probe,
+//! unmasked — and its changed queries are spliced into the running state.
 //!
 //! The naive closure-driven `greedy_select` stays in [`crate::greedy`] for
 //! the direct-optimizer oracle, which has no [`WorkloadModel`] to search
@@ -75,9 +78,9 @@ use pinum_core::{CandidatePool, PricedWorkload, Selection, WorkloadModel};
 /// * `query_mask` (sorted ascending qids) scopes the *pricing* itself:
 ///   batched probes re-price only the masked queries, ranking moves by
 ///   their masked deltas. Accepted moves are always re-derived with the
-///   exact unmasked serial delta before being applied, so the maintained
-///   state stays bit-identical to `price_full` even when the mask
-///   changes which move wins. The greedy family and the swap climb also
+///   exact unmasked single-probe delta before being applied, so the
+///   maintained state stays bit-identical to `price_full` even when the
+///   mask changes which move wins. The greedy family and the swap climb also
 ///   **re-check the exact benefit** before committing — a move that
 ///   improves only the masked queries while regressing the full workload
 ///   is skipped (the next-best contender is tried instead), so masked
@@ -427,6 +430,58 @@ mod tests {
             );
             assert_eq!(warm.selection.len(), warm.picked.len());
         }
+    }
+
+    #[test]
+    fn queries_repriced_counts_every_probed_affected_list() {
+        let (pool, model) = fixture();
+        let opts = GreedyOptions {
+            budget_bytes: u64::MAX,
+            benefit_per_byte: false,
+        };
+        // What one unmasked probe over `cands` re-prices: the union of
+        // their affected lists.
+        let repriced = |cands: &[usize]| {
+            let mut qs: Vec<u32> = cands
+                .iter()
+                .flat_map(|&c| model.affected(c))
+                .copied()
+                .collect();
+            qs.sort_unstable();
+            qs.dedup();
+            qs.len()
+        };
+        // Unscoped eager greedy: the seed pricing, then every round probes
+        // every non-member and re-derives the pick it commits.
+        let eager = EagerGreedy.search(&pool, &model, &opts);
+        assert!(eager.picked.len() >= 2);
+        let mut expect = model.query_count();
+        for round in 0..=eager.picked.len() {
+            let selection = Selection::from_ids(pool.len(), &eager.picked[..round]);
+            expect += (0..pool.len())
+                .filter(|&c| !selection.contains(c))
+                .map(|c| repriced(&[c]))
+                .sum::<usize>();
+            expect += eager.picked.get(round).map_or(0, |&pick| repriced(&[pick]));
+        }
+        assert_eq!(eager.queries_repriced, expect, "eager-greedy");
+
+        // One swap round on the lazy seed: every exchange, then the
+        // re-derivation of the one it accepts (if any).
+        let seed = LazyGreedy.search(&pool, &model, &opts);
+        let swap = SwapHillClimb { max_rounds: 1 }.search(&pool, &model, &opts);
+        let mut expect = seed.queries_repriced;
+        for drop in seed.selection.ids() {
+            expect += (0..pool.len())
+                .filter(|&add| !seed.selection.contains(add))
+                .map(|add| repriced(&[add, drop]))
+                .sum::<usize>();
+        }
+        let exchanged: Vec<usize> = (0..pool.len())
+            .filter(|&c| seed.selection.contains(c) != swap.selection.contains(c))
+            .collect();
+        expect += repriced(&exchanged);
+        assert_eq!(swap.queries_repriced, expect, "swap-hill-climb");
     }
 
     #[test]

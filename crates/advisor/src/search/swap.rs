@@ -1,8 +1,8 @@
 //! Drop-one/add-one local search on top of a greedy seed — the first
 //! consumer of the bidirectional deltas. Greedy only ever *adds*, so it
 //! can strand capacity on a narrow index whose job a later, wider pick
-//! also covers; a swap probe prices "replace selected `s` with unselected
-//! `c`" in one [`WorkloadModel::price_delta_swapped_into`] call over the
+//! also covers; a swap probe ([`pinum_core::Probe::Swap`]) prices
+//! "replace selected `s` with unselected `c`" as one delta over the
 //! merged affected-query sets.
 
 use super::{apply_changed, debug_assert_state_matches, LazyGreedy, SearchScope, SearchStrategy};
@@ -81,7 +81,7 @@ impl SearchStrategy for SwapHillClimb {
             let mut improving: Vec<(usize, f64)> = Vec::new(); // (probe idx, proposed cost)
             for (i, delta) in deltas.iter().enumerate() {
                 evaluations += 1;
-                queries_repriced += delta.changed;
+                queries_repriced += delta.repriced;
                 // Same NaN-proof guard as the greedy engines: an
                 // inf/NaN probe must never win the argmin.
                 let gain = state.total() - delta.total;
@@ -111,11 +111,10 @@ impl SearchStrategy for SwapHillClimb {
                 // fall through to the next-best exchange otherwise, so the
                 // climb stays a strict descent in the true objective.
                 // Unmasked, the first candidate always passes.
-                let total =
-                    model.price_delta_swapped_into(&state, &selection, add, drop, &mut scratch);
+                let exact = model.price_probe_into(&state, &selection, probes[i], &mut scratch);
                 evaluations += 1;
-                queries_repriced += scratch.len();
-                let exact_gain = state.total() - total;
+                queries_repriced += exact.repriced;
+                let exact_gain = state.total() - exact.total;
                 if exact_gain.is_nan() || exact_gain <= 0.0 {
                     debug_assert!(
                         scope.query_mask.is_some(),
@@ -123,7 +122,7 @@ impl SearchStrategy for SwapHillClimb {
                     );
                     continue;
                 }
-                apply_changed(&mut state, &scratch, total);
+                apply_changed(&mut state, &scratch, exact.total);
                 selection.remove(drop);
                 selection.insert(add);
                 debug_assert_state_matches(model, &selection, &state);

@@ -15,7 +15,7 @@
 use crate::experiments::advisor_scale::{build_scale_fixture, CANDIDATE_CAP, QUERIES};
 use crate::json::{emit, JsonObject};
 use crate::table::{fmt_duration, TextTable};
-use pinum_core::{pairwise_total, ReferenceModel, Selection, WorkloadModel};
+use pinum_core::{pairwise_total, Probe, ReferenceModel, Selection, WorkloadModel};
 use std::time::{Duration, Instant};
 
 /// Probe schedule: every candidate outside the base selection, from a
@@ -96,7 +96,7 @@ pub fn run(scale: f64) -> KernelOutcome {
     let mut affected_total = 0usize;
     let mut changed_total = 0usize;
     for &c in &probes {
-        model.price_delta_into(&state, &selection, c, &mut scratch);
+        model.price_probe_into(&state, &selection, Probe::Add { cand: c }, &mut scratch);
         affected_total += model.affected(c).len();
         changed_total += scratch.len();
     }
@@ -126,7 +126,9 @@ pub fn run(scale: f64) -> KernelOutcome {
     let (kernel_once, _) = sweep(1, || {
         let mut total = 0.0;
         for &c in &probes {
-            total += model.price_delta_into(&state, &selection, c, &mut scratch);
+            total += model
+                .price_probe_into(&state, &selection, Probe::Add { cand: c }, &mut scratch)
+                .total;
         }
         total
     });
@@ -134,7 +136,9 @@ pub fn run(scale: f64) -> KernelOutcome {
     let (kernel_wall, kernel_check) = sweep(kernel_passes, || {
         let mut total = 0.0;
         for &c in &probes {
-            total += model.price_delta_into(&state, &selection, c, &mut scratch);
+            total += model
+                .price_probe_into(&state, &selection, Probe::Add { cand: c }, &mut scratch)
+                .total;
         }
         total
     });

@@ -38,11 +38,12 @@
 //! **struct-of-arrays** pricing kernel: one contiguous cost array, a
 //! parallel candidate-id array, and extent tables per slot/plan/query, so
 //! pricing a slot is a branchless min-scan against a bitset snapshot of
-//! the selection. `price_full` prices a selection; the
-//! **bidirectional** deltas — `price_delta` (add), `price_delta_removed`
-//! (drop), and `price_delta_swapped` (drop-one/add-one) — re-price only
-//! the queries the touched candidates can affect (per-query bloom +
-//! footprint prefilters prove the rest untouched) and re-total in
+//! the selection. `price_full` prices a selection; a **delta** prices a
+//! [`workload_model::Probe`] — add, drop, or drop-one/add-one swap —
+//! through one kernel body (`price_probe_into` for one probe,
+//! `price_delta_batch` for many) that re-prices only the queries the
+//! touched candidates can affect (per-query bloom + footprint
+//! prefilters prove the rest untouched) and re-totals in
 //! O(changed·log n) through the fixed-shape pairwise sum tree every
 //! [`workload_model::PricedWorkload`] carries. The tree shape — exposed
 //! as [`workload_model::pairwise_total`] — defines the bit pattern of

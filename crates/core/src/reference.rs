@@ -268,14 +268,14 @@ mod tests {
             let ids: Vec<usize> = (0..pool.len()).filter(|i| mask & (1 << i) != 0).collect();
             let sel = Selection::from_ids(pool.len(), &ids);
             for q in 0..soa.query_count() {
-                let a = soa.price_query_view(q, &sel, None, None);
+                let a = soa.price_query(q, &sel, None);
                 let b = reference.price_query(q, &sel, None, None);
                 assert_eq!(a.to_bits(), b.to_bits(), "query {q} selection {ids:?}");
                 for cand in 0..pool.len() {
-                    let a = soa.price_query_view(q, &sel, Some(cand), None);
+                    let a = soa.price_query(q, &sel.with(cand), None);
                     let b = reference.price_query(q, &sel, Some(cand), None);
                     assert_eq!(a.to_bits(), b.to_bits(), "+{cand} query {q} sel {ids:?}");
-                    let a = soa.price_query_view(q, &sel, None, Some(cand));
+                    let a = soa.price_query(q, &sel.without(cand), None);
                     let b = reference.price_query(q, &sel, None, Some(cand));
                     assert_eq!(a.to_bits(), b.to_bits(), "-{cand} query {q} sel {ids:?}");
                 }

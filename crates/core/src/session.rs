@@ -36,10 +36,9 @@
 //!   is preserved, so the total is the fresh build's total);
 //! * [`PricingSession::install`] adopts a search result's final selection
 //!   *and its final priced state* — produced move-by-move from the same
-//!   delta splices ([`WorkloadModel::price_delta_into`] and friends are
-//!   each debug-asserted equal to a full re-pricing) — so a re-advise
-//!   whose search found nothing new performs **zero** full re-pricings
-//!   end to end.
+//!   delta splices ([`WorkloadModel::price_probe_into`], debug-asserted
+//!   equal to a full re-pricing) — so a re-advise whose search found
+//!   nothing new performs **zero** full re-pricings end to end.
 //!
 //! [`PricingSession::full_repricings`] counts every `price_full` the
 //! session (or a search it fed) did perform; the `exp_scoped_readvise`

@@ -38,9 +38,9 @@
 //! loop autovectorizes.
 //!
 //! The selection itself is snapshotted per pricing call into a `SelView`
-//! — a fixed-width copy of the selection's bitset words with the delta's
-//! `extra`/`without` candidate baked in as a set/cleared bit — so the hot
-//! loop tests membership with one word load and no `Option` compares.
+//! — a fixed-width copy of the selection's bitset words — so the hot loop
+//! tests membership with one word load and no `Option` compares. A delta
+//! toggles its probe's bits on the view in place and restores them after.
 //!
 //! ## Prefilters
 //!
@@ -82,16 +82,18 @@
 //! costs by hand (naive reference engines, tests) must use it to stay
 //! bit-comparable.
 //!
-//! ## Incremental pricing — bidirectional
+//! ## Incremental pricing — one delta kernel
 //!
-//! [`WorkloadModel::price_full`] prices every query;
-//! [`WorkloadModel::price_delta`] / [`WorkloadModel::price_delta_removed`]
-//! / [`WorkloadModel::price_delta_swapped`] re-price only the affected
-//! queries under a virtual add/drop/swap and re-total through the sum
-//! tree. Queries whose re-priced cost is bit-identical to the stored cost
-//! are dropped from the `changed` list (exact, since the comparison is on
-//! bits) — so the splice a search strategy applies afterwards is
-//! proportional to what actually moved.
+//! [`WorkloadModel::price_full`] prices every query. Every other pricing
+//! question is a [`Probe`] — a virtual add, drop or swap — and one private
+//! body answers it: toggle the probe's bits on the view, re-price only the
+//! affected queries, restore the bits, and re-total through the sum tree.
+//! [`WorkloadModel::price_probe_into`] runs it for one probe,
+//! [`WorkloadModel::price_delta_batch`] for many over one view. Queries
+//! whose re-priced cost is bit-identical to the stored cost are dropped
+//! from the `changed` list (exact, since the comparison is on bits) — so
+//! the splice a search strategy applies afterwards is proportional to
+//! what actually moved.
 //!
 //! ## Streaming — the workload as a mutable object
 //!
@@ -437,12 +439,12 @@ pub struct WorkloadModelParts {
 /// 1024 candidates, far above every workload in the experiments.
 const INLINE_WORDS: usize = 16;
 
-/// A per-pricing-call snapshot of the selection as a fixed-width bitset,
-/// with a delta's virtual add (`extra`) baked in as a set bit and its
-/// virtual drop (`without`) as a cleared bit. The hot min-scan then tests
-/// arm applicability with a single word load — no `Option` compares, no
-/// bounds surprises (the view is always `pool_size` bits wide, zero
-/// padded past the selection's own word count).
+/// A per-pricing-call snapshot of the selection as a fixed-width bitset.
+/// The hot min-scan tests arm applicability with a single word load — no
+/// `Option` compares, no bounds surprises (the view is always `pool_size`
+/// bits wide, zero padded past the selection's own word count). A delta
+/// moves the view to its probe's selection with [`Self::set`] and back
+/// again afterwards, so one view serves a whole batch of probes.
 struct SelView {
     nwords: usize,
     inline: [u64; INLINE_WORDS],
@@ -450,12 +452,7 @@ struct SelView {
 }
 
 impl SelView {
-    fn new(
-        pool_size: usize,
-        selection: &Selection,
-        extra: Option<usize>,
-        without: Option<usize>,
-    ) -> Self {
+    fn new(pool_size: usize, selection: &Selection) -> Self {
         let nwords = pool_size.div_ceil(64).max(1);
         let mut view = Self {
             nwords,
@@ -470,16 +467,6 @@ impl SelView {
         let dst = view.words_mut();
         let n = src.len().min(nwords);
         dst[..n].copy_from_slice(&src[..n]);
-        if let Some(e) = extra {
-            if e / 64 < nwords {
-                dst[e / 64] |= 1u64 << (e % 64);
-            }
-        }
-        if let Some(w) = without {
-            if w / 64 < nwords {
-                dst[w / 64] &= !(1u64 << (w % 64));
-            }
-        }
         view
     }
 
@@ -499,21 +486,25 @@ impl SelView {
         }
     }
 
-    /// Sets candidate `c`'s bit — a probe's virtual add, O(1). Batch
-    /// pricing keeps one base view per batch and toggles probe bits in
-    /// and out instead of rebuilding the snapshot per probe.
-    fn set_bit(&mut self, c: usize) {
+    /// Sets (`on`) or clears candidate `c`'s bit, O(1).
+    fn set(&mut self, c: usize, on: bool) {
         let w = c / 64;
         if w < self.nwords {
-            self.words_mut()[w] |= 1u64 << (c % 64);
+            let bit = 1u64 << (c % 64);
+            let word = &mut self.words_mut()[w];
+            *word = if on { *word | bit } else { *word & !bit };
         }
     }
 
-    /// Clears candidate `c`'s bit — a probe's virtual drop, O(1).
-    fn clear_bit(&mut self, c: usize) {
-        let w = c / 64;
-        if w < self.nwords {
-            self.words_mut()[w] &= !(1u64 << (c % 64));
+    /// Moves the view to `probe`'s selection (`apply`) or back from it.
+    fn toggle(&mut self, probe: Probe, apply: bool) {
+        match probe {
+            Probe::Add { cand } => self.set(cand, apply),
+            Probe::Drop { cand } => self.set(cand, !apply),
+            Probe::Swap { add, drop } => {
+                self.set(add, apply);
+                self.set(drop, !apply);
+            }
         }
     }
 }
@@ -1207,21 +1198,10 @@ impl WorkloadModel {
     /// cached plan is applicable (e.g. an empty cache) — matching the
     /// advisor's treatment of `CacheCostModel::estimate == None`.
     pub fn price_query(&self, query: usize, selection: &Selection, extra: Option<usize>) -> f64 {
-        self.price_query_view(query, selection, extra, None)
-    }
-
-    /// [`Self::price_query`] over a *virtual* selection view: `extra` is
-    /// overlaid as a member, `without` is masked out — both without
-    /// cloning the selection. This is the primitive behind all three delta
-    /// directions (add, drop, swap).
-    pub fn price_query_view(
-        &self,
-        query: usize,
-        selection: &Selection,
-        extra: Option<usize>,
-        without: Option<usize>,
-    ) -> f64 {
-        let view = SelView::new(self.pool_size, selection, extra, without);
+        let mut view = SelView::new(self.pool_size, selection);
+        if let Some(cand) = extra {
+            view.set(cand, true);
+        }
         self.price_query_in(query, view.words())
     }
 
@@ -1307,211 +1287,55 @@ impl WorkloadModel {
     }
 
     fn per_query_costs(&self, selection: &Selection) -> Vec<f64> {
-        let view = SelView::new(self.pool_size, selection, None, None);
+        let view = SelView::new(self.pool_size, selection);
         let words = view.words();
         (0..self.qmeta.len())
             .map(|q| self.contribution_in(q, words))
             .collect()
     }
 
-    /// The workload total if `added` joined `selection`, re-pricing only
-    /// the affected queries. `state` must be the [`PricedWorkload`] of
-    /// `selection` itself. Allocates a scratch vector; the greedy hot loop
-    /// uses [`Self::price_delta_into`] with a reused buffer.
+    /// The workload total if `added` joined `selection` — the add-only
+    /// shorthand of [`Self::price_probe_into`], with a scratch buffer of
+    /// its own. `state` must be the [`PricedWorkload`] of `selection`.
     pub fn price_delta(&self, state: &PricedWorkload, selection: &Selection, added: usize) -> f64 {
         let mut scratch = Vec::new();
-        self.price_delta_into(state, selection, added, &mut scratch)
+        self.price_probe_into(state, selection, Probe::Add { cand: added }, &mut scratch)
+            .total
     }
 
-    /// [`Self::price_delta`] with a caller-owned scratch buffer; on return
+    /// The exact delta of one probe: the workload total of the probed
+    /// selection, re-pricing only the queries the probe's candidates can
+    /// affect. `state` must be the [`PricedWorkload`] of `selection`, and
+    /// a probe adds only non-members and drops only members. On return
     /// `changed` holds the `(query, cost)` pairs that actually moved
     /// (ascending by query — re-priced queries whose cost is bit-identical
-    /// to `state`'s are filtered out, which is exact). The returned total
-    /// descends the sum tree with `changed` overlaid, so it is
-    /// bit-identical to `price_full(selection ∪ {added})`.
-    pub fn price_delta_into(
+    /// to `state`'s are filtered out, which is exact), ready for
+    /// [`PricedWorkload::apply_changed`]. The total descends the sum tree
+    /// with `changed` overlaid, so it is bit-identical to `price_full` of
+    /// the probed selection (debug-asserted, sampled).
+    pub fn price_probe_into(
         &self,
         state: &PricedWorkload,
         selection: &Selection,
-        added: usize,
+        probe: Probe,
         changed: &mut Vec<(u32, f64)>,
-    ) -> f64 {
-        debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
-        changed.clear();
-        let view = SelView::new(self.pool_size, selection, Some(added), None);
-        let words = view.words();
-        for &q in &self.affected[added] {
-            debug_assert!(self.live[q as usize], "inverted index holds a tombstone");
-            let cost = self.contribution_in(q as usize, words);
-            if cost.to_bits() != state.per_query[q as usize].to_bits() {
-                changed.push((q, cost));
-            }
-        }
-        let total = state.overlaid_total(changed);
-        #[cfg(debug_assertions)]
-        if crate::sampling::should_assert() {
-            // The whole point: delta pricing must equal full re-pricing.
-            let full = self.price_full(&selection.with(added));
-            debug_assert!(
-                total == full.total() || (total.is_infinite() && full.total().is_infinite()),
-                "price_delta diverged from price_full: {total} vs {} (candidate {added})",
-                full.total()
-            );
-        }
-        total
-    }
-
-    /// The workload total if `dropped` *left* `selection` — the removal
-    /// mirror of [`Self::price_delta`]. `state` must be the
-    /// [`PricedWorkload`] of `selection` itself, and `dropped` must be a
-    /// member. Only the queries whose arms mention `dropped` can change
-    /// price, so the affected set is the same inverted-index entry as for
-    /// adds.
-    pub fn price_delta_removed(
-        &self,
-        state: &PricedWorkload,
-        selection: &Selection,
-        dropped: usize,
-    ) -> f64 {
-        let mut scratch = Vec::new();
-        self.price_delta_removed_into(state, selection, dropped, &mut scratch)
-    }
-
-    /// [`Self::price_delta_removed`] with a caller-owned scratch buffer.
-    /// The returned total is bit-identical to
-    /// `price_full(selection ∖ {dropped})` (debug-asserted).
-    pub fn price_delta_removed_into(
-        &self,
-        state: &PricedWorkload,
-        selection: &Selection,
-        dropped: usize,
-        changed: &mut Vec<(u32, f64)>,
-    ) -> f64 {
-        debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
-        debug_assert!(
-            selection.contains(dropped),
-            "removing candidate {dropped} that is not selected"
-        );
-        changed.clear();
-        let view = SelView::new(self.pool_size, selection, None, Some(dropped));
-        let words = view.words();
-        for &q in &self.affected[dropped] {
-            debug_assert!(self.live[q as usize], "inverted index holds a tombstone");
-            let cost = self.contribution_in(q as usize, words);
-            if cost.to_bits() != state.per_query[q as usize].to_bits() {
-                changed.push((q, cost));
-            }
-        }
-        let total = state.overlaid_total(changed);
-        #[cfg(debug_assertions)]
-        if crate::sampling::should_assert() {
-            let full = self.price_full(&selection.without(dropped));
-            debug_assert!(
-                total == full.total() || (total.is_infinite() && full.total().is_infinite()),
-                "price_delta_removed diverged from price_full: {total} vs {} (candidate {dropped})",
-                full.total()
-            );
-        }
-        total
-    }
-
-    /// The workload total if `added` replaced `dropped` in `selection` —
-    /// one drop-one/add-one swap priced as a single delta over the merged
-    /// affected sets. `state` must be the [`PricedWorkload`] of
-    /// `selection`; `dropped` must be a member and `added` must not be.
-    pub fn price_delta_swapped(
-        &self,
-        state: &PricedWorkload,
-        selection: &Selection,
-        added: usize,
-        dropped: usize,
-    ) -> f64 {
-        let mut scratch = Vec::new();
-        self.price_delta_swapped_into(state, selection, added, dropped, &mut scratch)
-    }
-
-    /// [`Self::price_delta_swapped`] with a caller-owned scratch buffer.
-    /// The returned total is bit-identical to
-    /// `price_full((selection ∖ {dropped}) ∪ {added})` (debug-asserted).
-    pub fn price_delta_swapped_into(
-        &self,
-        state: &PricedWorkload,
-        selection: &Selection,
-        added: usize,
-        dropped: usize,
-        changed: &mut Vec<(u32, f64)>,
-    ) -> f64 {
-        debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
-        debug_assert!(selection.contains(dropped), "swap drops a non-member");
-        debug_assert!(!selection.contains(added), "swap adds a member");
-        changed.clear();
-        let view = SelView::new(self.pool_size, selection, Some(added), Some(dropped));
-        let words = view.words();
-        // Merge the two sorted affected lists (ascending, deduplicated):
-        // a query is re-priced once even when both candidates mention it.
-        let (a, d) = (&self.affected[added], &self.affected[dropped]);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < d.len() {
-            let q = match (a.get(i), d.get(j)) {
-                (Some(&x), Some(&y)) if x == y => {
-                    i += 1;
-                    j += 1;
-                    x
-                }
-                (Some(&x), Some(&y)) if x < y => {
-                    i += 1;
-                    x
-                }
-                (Some(_) | None, Some(&y)) => {
-                    j += 1;
-                    y
-                }
-                (Some(&x), None) => {
-                    i += 1;
-                    x
-                }
-                (None, None) => unreachable!(),
-            };
-            debug_assert!(self.live[q as usize], "inverted index holds a tombstone");
-            let cost = self.contribution_in(q as usize, words);
-            if cost.to_bits() != state.per_query[q as usize].to_bits() {
-                changed.push((q, cost));
-            }
-        }
-        let total = state.overlaid_total(changed);
-        #[cfg(debug_assertions)]
-        if crate::sampling::should_assert() {
-            let full = self.price_full(&selection.without(dropped).with(added));
-            debug_assert!(
-                total == full.total() || (total.is_infinite() && full.total().is_infinite()),
-                "price_delta_swapped diverged from price_full: {total} vs {} \
-                 (+{added} -{dropped})",
-                full.total()
-            );
-        }
-        total
+    ) -> ProbeDelta {
+        let mut view = SelView::new(self.pool_size, selection);
+        self.price_probe_in(state, selection, probe, None, &mut view, changed)
     }
 
     /// Prices a batch of independent probes against one `(selection,
-    /// state)` snapshot. Each result lands at its probe's own index and
-    /// holds the *same bits* as the [`Self::price_delta_into`] /
-    /// [`Self::price_delta_removed_into`] /
-    /// [`Self::price_delta_swapped_into`] call it replaces
-    /// (debug-asserted, sampled).
-    ///
-    /// The batch snapshots the selection into one `SelView` bitset and
-    /// toggles each probe's bits in and back out around it (O(1) per
-    /// probe instead of re-baking the snapshot per probe), reusing one
-    /// changed-query buffer across probes. Bloom/footprint-prefiltered
-    /// no-ops touch only their (empty or tiny) inverted-index entry.
+    /// state)` snapshot; each result lands at its probe's own index. The
+    /// batch runs [`Self::price_probe_into`]'s body once per probe over one
+    /// shared selection view and changed-list buffer, so an unmasked
+    /// result is the single-probe result, bit for bit.
     ///
     /// `qmask` (sorted ascending query ids) restricts re-pricing to the
     /// masked subset of each probe's affected list — the scoped-pricing
     /// path. Masked totals overlay only the masked changed queries and
     /// are therefore comparable *ranks*, not exact workload totals;
-    /// callers must re-derive accepted moves through the exact serial
-    /// deltas. The sampled debug assert checks the masked changed list
-    /// equals the unmasked one restricted to the mask.
+    /// callers must re-derive accepted moves through
+    /// [`Self::price_probe_into`].
     pub fn price_delta_batch(
         &self,
         state: &PricedWorkload,
@@ -1519,25 +1343,25 @@ impl WorkloadModel {
         probes: &[Probe],
         qmask: Option<&[u32]>,
     ) -> Vec<ProbeDelta> {
-        debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
         if probes.is_empty() {
             return Vec::new();
         }
-        let mut view = SelView::new(self.pool_size, selection, None, None);
+        let mut view = SelView::new(self.pool_size, selection);
         let mut changed = Vec::new();
         probes
             .iter()
             .map(|&probe| {
-                self.price_one_probe(state, selection, probe, qmask, &mut view, &mut changed)
+                self.price_probe_in(state, selection, probe, qmask, &mut view, &mut changed)
             })
             .collect()
     }
 
-    /// One probe of a batch: toggle the probe's bits on the batch's
-    /// view, re-price its (optionally masked) affected queries, restore
-    /// the bits. Exactly the single-probe delta arithmetic — same affected
-    /// iteration order, same bit-equality filter, same overlay total.
-    fn price_one_probe(
+    /// The delta kernel behind both entry points: move `view` (a snapshot
+    /// of `selection`) to the probe's selection, re-price the probe's
+    /// affected queries — optionally clipped to `qmask` — in ascending
+    /// order, move `view` back, and overlay the moved costs on the sum
+    /// tree.
+    fn price_probe_in(
         &self,
         state: &PricedWorkload,
         selection: &Selection,
@@ -1546,23 +1370,17 @@ impl WorkloadModel {
         view: &mut SelView,
         changed: &mut Vec<(u32, f64)>,
     ) -> ProbeDelta {
+        debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
+        debug_assert!(
+            match probe {
+                Probe::Add { cand } => !selection.contains(cand),
+                Probe::Drop { cand } => selection.contains(cand),
+                Probe::Swap { add, drop } => !selection.contains(add) && selection.contains(drop),
+            },
+            "{probe:?} adds a member or drops a non-member"
+        );
         changed.clear();
-        match probe {
-            Probe::Add { cand } => {
-                debug_assert!(!selection.contains(cand), "batch adds a member");
-                view.set_bit(cand);
-            }
-            Probe::Drop { cand } => {
-                debug_assert!(selection.contains(cand), "batch drops a non-member");
-                view.clear_bit(cand);
-            }
-            Probe::Swap { add, drop } => {
-                debug_assert!(!selection.contains(add), "batch swap adds a member");
-                debug_assert!(selection.contains(drop), "batch swap drops a non-member");
-                view.set_bit(add);
-                view.clear_bit(drop);
-            }
-        }
+        view.toggle(probe, true);
         let mut repriced = 0usize;
         {
             let words = view.words();
@@ -1592,7 +1410,9 @@ impl WorkloadModel {
                     }
                 }
                 Probe::Swap { add, drop } => {
-                    // Same sorted-merge dedup as the serial swap delta.
+                    // Merge the two sorted affected lists (ascending,
+                    // deduplicated): a query is re-priced once even when
+                    // both candidates mention it.
                     let (a, d) = (&self.affected[add], &self.affected[drop]);
                     let (mut i, mut j) = (0, 0);
                     while i < a.len() || j < d.len() {
@@ -1621,72 +1441,49 @@ impl WorkloadModel {
                 }
             }
         }
-        match probe {
-            Probe::Add { cand } => view.clear_bit(cand),
-            Probe::Drop { cand } => view.set_bit(cand),
-            Probe::Swap { add, drop } => {
-                view.clear_bit(add);
-                view.set_bit(drop);
-            }
-        }
+        view.toggle(probe, false);
         let total = state.overlaid_total(changed);
         #[cfg(debug_assertions)]
         if crate::sampling::should_assert() {
-            // The batch path must compute the serial delta's bits —
-            // unmasked verbatim, masked after restricting to the mask.
-            let mut serial = Vec::new();
-            let serial_total = match probe {
-                Probe::Add { cand } => self.price_delta_into(state, selection, cand, &mut serial),
-                Probe::Drop { cand } => {
-                    self.price_delta_removed_into(state, selection, cand, &mut serial)
-                }
-                Probe::Swap { add, drop } => {
-                    self.price_delta_swapped_into(state, selection, add, drop, &mut serial)
-                }
-            };
+            // Unmasked, the changed list is the per-query diff against the
+            // probed selection's full pricing; masked, it is the exact
+            // delta's list restricted to the mask.
+            let mut expect = Vec::new();
             match qmask {
                 None => {
-                    debug_assert!(
-                        total.to_bits() == serial_total.to_bits(),
-                        "batch delta diverged from serial: {total} vs {serial_total} ({probe:?})"
+                    let full = self.price_full(&probed_selection(selection, probe));
+                    debug_assert_eq!(
+                        total.to_bits(),
+                        full.total().to_bits(),
+                        "delta diverged from price_full ({probe:?})"
                     );
-                    debug_assert!(
-                        changed.len() == serial.len()
-                            && changed
-                                .iter()
-                                .zip(&serial)
-                                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-                        "batch changed list diverged from serial ({probe:?})"
+                    expect.extend(
+                        (0..full.per_query.len() as u32)
+                            .map(|q| (q, full.per_query[q as usize]))
+                            .filter(|&(q, c)| c.to_bits() != state.per_query[q as usize].to_bits()),
                     );
                 }
                 Some(mask) => {
-                    let filtered: Vec<(u32, f64)> = serial
-                        .iter()
-                        .filter(|(q, _)| mask.binary_search(q).is_ok())
-                        .copied()
-                        .collect();
-                    debug_assert!(
-                        changed.len() == filtered.len()
-                            && changed
-                                .iter()
-                                .zip(&filtered)
-                                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-                        "masked batch delta is not the mask-restriction of the serial delta \
-                         ({probe:?})"
-                    );
+                    let mut view = SelView::new(self.pool_size, selection);
+                    self.price_probe_in(state, selection, probe, None, &mut view, &mut expect);
+                    expect.retain(|(q, _)| mask.binary_search(q).is_ok());
                 }
             }
+            let bits = |v: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                v.iter().map(|&(q, c)| (q, c.to_bits())).collect()
+            };
+            debug_assert_eq!(
+                bits(changed),
+                bits(&expect),
+                "changed list diverged ({probe:?})"
+            );
         }
-        ProbeDelta {
-            total,
-            repriced,
-            changed: changed.len(),
-        }
+        ProbeDelta { total, repriced }
     }
 }
 
-/// One independent probe in a [`WorkloadModel::price_delta_batch`]
-/// call: the selection move whose workload total the batch prices.
+/// One selection move: the unit of delta pricing, priced by
+/// [`WorkloadModel::price_probe_into`] and [`WorkloadModel::price_delta_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
     /// Price `selection ∪ {cand}` — the greedy frontier probe.
@@ -1697,19 +1494,28 @@ pub enum Probe {
     Swap { add: usize, drop: usize },
 }
 
-/// One probe's priced outcome from [`WorkloadModel::price_delta_batch`].
+/// The selection `probe` moves `selection` to — what its delta must
+/// price to, bit for bit.
+#[cfg(any(debug_assertions, test))]
+fn probed_selection(selection: &Selection, probe: Probe) -> Selection {
+    match probe {
+        Probe::Add { cand } => selection.with(cand),
+        Probe::Drop { cand } => selection.without(cand),
+        Probe::Swap { add, drop } => selection.without(drop).with(add),
+    }
+}
+
+/// One probe's priced outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeDelta {
-    /// The probed selection's workload total — bit-identical to the
-    /// serial delta (and to `price_full`) when the batch ran unmasked;
-    /// under a query mask it overlays only masked changed queries and
-    /// is a comparable rank, not an exact total.
+    /// The probed selection's workload total — bit-identical to
+    /// `price_full` when priced unmasked; under a query mask it overlays
+    /// only masked changed queries and is a comparable rank, not an exact
+    /// total.
     pub total: f64,
-    /// Queries actually re-priced: the probe's affected list, clipped
-    /// to the query mask when one was given.
+    /// Queries actually re-priced: the probe's affected list (for a swap,
+    /// the union of both), clipped to the query mask when one was given.
     pub repriced: usize,
-    /// Re-priced queries whose cost moved (bit-inequality filter).
-    pub changed: usize,
 }
 
 /// Appends the distinct candidates in `cands` (one query's packed arm
@@ -1958,6 +1764,17 @@ mod tests {
         WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)))
     }
 
+    /// The exact single-probe delta total.
+    fn probe_total(
+        wm: &WorkloadModel,
+        state: &PricedWorkload,
+        selection: &Selection,
+        probe: Probe,
+    ) -> f64 {
+        wm.price_probe_into(state, selection, probe, &mut Vec::new())
+            .total
+    }
+
     #[test]
     fn matches_cache_cost_model_on_every_subset() {
         let (cat, queries, pool) = setup();
@@ -2164,7 +1981,7 @@ mod tests {
             let sel = Selection::from_ids(pool.len(), &ids);
             let state = wm.price_full(&sel);
             for &cand in &ids {
-                let delta = wm.price_delta_removed(&state, &sel, cand);
+                let delta = probe_total(&wm, &state, &sel, Probe::Drop { cand });
                 let full = wm.price_full(&sel.without(cand));
                 assert_eq!(delta, full.total(), "selection {ids:?} - candidate {cand}");
             }
@@ -2180,14 +1997,14 @@ mod tests {
             let ids: Vec<usize> = (0..pool.len()).filter(|i| mask & (1 << i) != 0).collect();
             let sel = Selection::from_ids(pool.len(), &ids);
             let state = wm.price_full(&sel);
-            for &dropped in &ids {
-                for added in 0..pool.len() {
-                    if sel.contains(added) {
+            for &drop in &ids {
+                for add in 0..pool.len() {
+                    if sel.contains(add) {
                         continue;
                     }
-                    let delta = wm.price_delta_swapped(&state, &sel, added, dropped);
-                    let full = wm.price_full(&sel.without(dropped).with(added));
-                    assert_eq!(delta, full.total(), "selection {ids:?} +{added} -{dropped}");
+                    let delta = probe_total(&wm, &state, &sel, Probe::Swap { add, drop });
+                    let full = wm.price_full(&sel.without(drop).with(add));
+                    assert_eq!(delta, full.total(), "selection {ids:?} +{add} -{drop}");
                 }
             }
         }
@@ -2206,7 +2023,7 @@ mod tests {
             }
             let extended = base.with(cand);
             let ext_state = wm.price_full(&extended);
-            let back = wm.price_delta_removed(&ext_state, &extended, cand);
+            let back = probe_total(&wm, &ext_state, &extended, Probe::Drop { cand });
             assert_eq!(
                 back,
                 base_state.total(),
@@ -2322,7 +2139,7 @@ mod tests {
             let state = wm.price_full(&sel);
             for cand in 0..pool.len() {
                 if sel.contains(cand) {
-                    let delta = wm.price_delta_removed(&state, &sel, cand);
+                    let delta = probe_total(&wm, &state, &sel, Probe::Drop { cand });
                     let full = wm.price_full(&sel.without(cand));
                     assert_eq!(delta, full.total());
                 } else {
@@ -2408,39 +2225,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_probe_deltas_bit_for_bit() {
+    fn mixed_batch_prices_every_probe_to_its_full_repricing() {
         let (cat, queries, pool) = setup();
         let models = build_models(&cat, &queries, &pool);
         let wm = model_of(&models, &pool);
-        let selection = Selection::from_ids(pool.len(), &[1, 3]);
-        let state = wm.price_full(&selection);
-        let probes = all_probes(&selection, pool.len());
-
-        // Reference: the three *_into paths, one probe at a time.
-        let mut scratch = Vec::new();
-        let expect: Vec<(u64, usize)> = probes
-            .iter()
-            .map(|&p| {
-                let total = match p {
-                    Probe::Add { cand } => {
-                        wm.price_delta_into(&state, &selection, cand, &mut scratch)
-                    }
-                    Probe::Drop { cand } => {
-                        wm.price_delta_removed_into(&state, &selection, cand, &mut scratch)
-                    }
-                    Probe::Swap { add, drop } => {
-                        wm.price_delta_swapped_into(&state, &selection, add, drop, &mut scratch)
-                    }
-                };
-                (total.to_bits(), scratch.len())
-            })
-            .collect();
-
-        let got = wm.price_delta_batch(&state, &selection, &probes, None);
-        assert_eq!(got.len(), probes.len());
-        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-            assert_eq!(g.total.to_bits(), e.0, "probe {i} total diverged");
-            assert_eq!(g.changed, e.1, "probe {i} changed-count diverged");
+        let bits = |v: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            v.iter().map(|&(q, c)| (q, c.to_bits())).collect()
+        };
+        for selection in all_selections(&pool) {
+            let state = wm.price_full(&selection);
+            // Every probe twice back-to-back, then the whole list
+            // reversed: a probe whose bits were not restored would leave
+            // the shared view dirty for its successor.
+            let once = all_probes(&selection, pool.len());
+            let mut probes: Vec<Probe> = once.iter().flat_map(|&p| [p, p]).collect();
+            probes.extend(once.iter().rev());
+            let got = wm.price_delta_batch(&state, &selection, &probes, None);
+            assert_eq!(got.len(), probes.len());
+            for (&probe, d) in probes.iter().zip(&got) {
+                let full = wm.price_full(&probed_selection(&selection, probe));
+                let moved: Vec<(u32, f64)> = (0..wm.query_count() as u32)
+                    .map(|q| (q, full.per_query()[q as usize]))
+                    .filter(|&(q, c)| c.to_bits() != state.per_query()[q as usize].to_bits())
+                    .collect();
+                let mut changed = Vec::new();
+                let single = wm.price_probe_into(&state, &selection, probe, &mut changed);
+                assert_eq!(d.total.to_bits(), full.total().to_bits(), "{probe:?}");
+                assert_eq!(single.total.to_bits(), d.total.to_bits(), "{probe:?}");
+                assert_eq!(single.repriced, d.repriced, "{probe:?}");
+                assert_eq!(bits(&changed), bits(&moved), "{probe:?}");
+            }
         }
     }
 
@@ -2479,31 +2293,22 @@ mod tests {
         for mask in &masks {
             let got = wm.price_delta_batch(&state, &selection, &probes, Some(mask));
             for (&p, d) in probes.iter().zip(&got) {
-                match p {
-                    Probe::Add { cand } => {
-                        wm.price_delta_into(&state, &selection, cand, &mut scratch)
-                    }
-                    Probe::Drop { cand } => {
-                        wm.price_delta_removed_into(&state, &selection, cand, &mut scratch)
-                    }
-                    Probe::Swap { add, drop } => {
-                        wm.price_delta_swapped_into(&state, &selection, add, drop, &mut scratch)
-                    }
-                };
+                let exact = wm.price_probe_into(&state, &selection, p, &mut scratch);
                 let restricted: Vec<(u32, f64)> = scratch
                     .iter()
                     .filter(|(q, _)| mask.binary_search(q).is_ok())
                     .copied()
                     .collect();
-                assert_eq!(d.changed, restricted.len(), "mask {mask:?} probe {p:?}");
                 assert_eq!(
                     d.total.to_bits(),
                     state.overlaid_total(&restricted).to_bits(),
                     "mask {mask:?} probe {p:?}"
                 );
+                assert!(d.repriced <= exact.repriced, "mask {mask:?} probe {p:?}");
                 // The full mask is exact: identical to the unmasked delta.
                 if mask.len() == nq as usize {
-                    assert_eq!(d.changed, scratch.len());
+                    assert_eq!(d.total.to_bits(), exact.total.to_bits());
+                    assert_eq!(d.repriced, exact.repriced);
                 }
             }
         }

@@ -10,7 +10,7 @@ use pinum_catalog::{Catalog, Column, ColumnType, Index, Table};
 use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
 use pinum_core::builder::{build_cache_pinum, BuilderOptions};
 use pinum_core::{
-    pairwise_total, CandidatePool, PlanCache, PricedWorkload, ReferenceModel, Selection,
+    pairwise_total, CandidatePool, PlanCache, PricedWorkload, Probe, ReferenceModel, Selection,
     WorkloadModel,
 };
 use pinum_optimizer::Optimizer;
@@ -196,10 +196,11 @@ proptest! {
                     if !outside.is_empty() {
                         let cand = outside[pick as usize % outside.len()];
                         let mut scratch = Vec::new();
-                        let total =
-                            model.price_delta_into(&state, &selection, cand, &mut scratch);
+                        let delta = model.price_probe_into(
+                            &state, &selection, Probe::Add { cand }, &mut scratch,
+                        );
                         state.apply_changed(&scratch);
-                        prop_assert_eq!(state.total().to_bits(), total.to_bits());
+                        prop_assert_eq!(state.total().to_bits(), delta.total.to_bits());
                         selection.insert(cand);
                     }
                 }
@@ -209,11 +210,11 @@ proptest! {
                     if !inside.is_empty() {
                         let cand = inside[pick as usize % inside.len()];
                         let mut scratch = Vec::new();
-                        let total = model.price_delta_removed_into(
-                            &state, &selection, cand, &mut scratch,
+                        let delta = model.price_probe_into(
+                            &state, &selection, Probe::Drop { cand }, &mut scratch,
                         );
                         state.apply_changed(&scratch);
-                        prop_assert_eq!(state.total().to_bits(), total.to_bits());
+                        prop_assert_eq!(state.total().to_bits(), delta.total.to_bits());
                         selection = selection.without(cand);
                     }
                 }
@@ -244,7 +245,7 @@ proptest! {
                 if selection.contains(cand) {
                     continue;
                 }
-                model.price_delta_into(&state, &selection, cand, &mut scratch);
+                model.price_probe_into(&state, &selection, Probe::Add { cand }, &mut scratch);
                 for &(q, _) in &scratch {
                     prop_assert!(
                         model.query_touches(q as usize, cand),

@@ -22,7 +22,7 @@ use pinum_protocol::{
     WireAccess, WireAccessCatalog, WireCostParams, WireIndex, WireOptions, WirePlan, WirePlanCache,
     WireProbe, WireReadviseReport, WireStats, WireTemplate,
 };
-use pinum_query::{InterestingOrders, Ioc, TemplateKey, MAX_ORDERS_PER_REL, MAX_RELATIONS};
+use pinum_query::{InterestingOrders, Ioc, RelIdx, TemplateKey, MAX_ORDERS_PER_REL, MAX_RELATIONS};
 
 /// A structurally valid frame whose payload violates a domain invariant
 /// (the wire layer cannot know them). Reported to the client as a
@@ -175,12 +175,36 @@ pub fn access_to_wire(catalog: &AccessCostCatalog) -> WireAccessCatalog {
 }
 
 /// `pool_len` bounds the candidate ids a catalog may reference — an
-/// out-of-pool id would index out of bounds deep inside pricing.
+/// out-of-pool id would index out of bounds deep inside pricing. The
+/// catalog must also be what a collector produces: finite cost
+/// parameters and probe inputs, and per relation at least one
+/// always-available entry (the sequential scan) with finite,
+/// non-negative costs in ascending order — flattening a catalog into a
+/// workload model relies on all of it.
 pub fn access_from_wire(w: &WireAccessCatalog, pool_len: usize) -> Result<AccessCostCatalog> {
+    let p = &w.params;
+    if !all_finite(&[
+        p.seq_page_cost,
+        p.random_page_cost,
+        p.cpu_tuple_cost,
+        p.cpu_index_tuple_cost,
+        p.cpu_operator_cost,
+        p.effective_cache_pages,
+    ]) {
+        return Err(ConvertError("cost parameter is not finite"));
+    }
     let per_rel = w
         .per_rel
         .iter()
         .map(|rel| {
+            if !rel.iter().any(|e| e.candidate.is_none()) {
+                return Err(ConvertError(
+                    "relation has no always-available access entry",
+                ));
+            }
+            if rel.windows(2).any(|pair| pair[0].cost > pair[1].cost) {
+                return Err(ConvertError("access costs are not ascending"));
+            }
             rel.iter()
                 .map(|e| {
                     if let Some(c) = e.candidate {
@@ -188,6 +212,20 @@ pub fn access_from_wire(w: &WireAccessCatalog, pool_len: usize) -> Result<Access
                             return Err(ConvertError(
                                 "access entry references candidate outside the pool",
                             ));
+                        }
+                    }
+                    if !(e.cost.is_finite() && e.cost >= 0.0) {
+                        return Err(ConvertError("access cost is not finite and non-negative"));
+                    }
+                    if let Some(probe) = &e.probe {
+                        if !all_finite(&[
+                            probe.index_rows,
+                            probe.heap_rows,
+                            probe.index_selectivity,
+                            probe.correlation,
+                            probe.loop_count,
+                        ]) {
+                            return Err(ConvertError("probe input is not finite"));
                         }
                     }
                     Ok(CandidateAccess {
@@ -249,8 +287,17 @@ pub fn cache_from_wire(w: &WirePlanCache) -> Result<PlanCache> {
         if p.coefs.len() != n_rels || p.probe_coefs.len() != n_rels {
             return Err(ConvertError("plan coefficient arity mismatch"));
         }
+        // Each relation's nibble names one of its orders (or none), and
+        // relations past `n_rels` have none.
+        let ioc = Ioc::from_raw(p.ioc);
+        let unused_clear = n_rels == MAX_RELATIONS || p.ioc >> (4 * n_rels) == 0;
+        if !unused_clear
+            || (0..n_rels).any(|rel| ioc.nibble(rel as RelIdx) as usize > w.orders[rel].len())
+        {
+            return Err(ConvertError("plan order combination out of range"));
+        }
         cache.insert(CachedPlan {
-            ioc: Ioc::from_raw(p.ioc),
+            ioc,
             internal: p.internal,
             coefs: p.coefs.clone(),
             probe_coefs: p.probe_coefs.clone(),
@@ -260,6 +307,10 @@ pub fn cache_from_wire(w: &WirePlanCache) -> Result<PlanCache> {
         });
     }
     Ok(cache)
+}
+
+fn all_finite(xs: &[f64]) -> bool {
+    xs.iter().all(|x| x.is_finite())
 }
 
 // --- Templates. ---
@@ -458,6 +509,67 @@ mod tests {
             params: params_to_wire(&CostParams::default()),
         };
         assert!(access_from_wire(&bad_access, 5).is_err());
+
+        // Payloads that decode but would panic a shard while flattening.
+        let plan = |ioc: u64| WirePlan {
+            ioc,
+            internal: 1.0,
+            coefs: vec![1.0],
+            probe_coefs: vec![0.0],
+            uses_nlj: false,
+            rows: 1.0,
+            description: String::new(),
+        };
+        let cache = |ioc: u64| WirePlanCache {
+            query_name: "q".into(),
+            n_rels: 1,
+            orders: vec![vec![3]],
+            plans: vec![plan(ioc)],
+        };
+        assert!(cache_from_wire(&cache(0x1)).is_ok());
+        assert!(
+            cache_from_wire(&cache(0xF)).is_err(),
+            "nibble past the orders"
+        );
+        assert!(cache_from_wire(&cache(0x10)).is_err(), "nibble past n_rels");
+
+        let entry = |candidate: Option<u32>, cost: f64| WireAccess {
+            candidate,
+            order: None,
+            cost,
+            probe: None,
+        };
+        let access = |rel: Vec<WireAccess>| WireAccessCatalog {
+            per_rel: vec![rel],
+            params: params_to_wire(&CostParams::default()),
+        };
+        let good = access(vec![entry(Some(0), 1.0), entry(None, 2.0)]);
+        assert!(access_from_wire(&good, 5).is_ok());
+        for (bad, why) in [
+            (access(Vec::new()), "no entries"),
+            (
+                access(vec![entry(Some(0), 1.0)]),
+                "no always-available entry",
+            ),
+            (
+                access(vec![entry(None, 2.0), entry(Some(0), 1.0)]),
+                "descending",
+            ),
+            (access(vec![entry(None, f64::NAN)]), "NaN cost"),
+            (access(vec![entry(None, -1.0)]), "negative cost"),
+            (access(vec![entry(None, f64::INFINITY)]), "infinite cost"),
+        ] {
+            assert!(access_from_wire(&bad, 5).is_err(), "{why}");
+        }
+        let mut nan_params = good.clone();
+        nan_params.params.random_page_cost = f64::NAN;
+        assert!(access_from_wire(&nan_params, 5).is_err());
+        let mut nan_probe = good.clone();
+        nan_probe.per_rel[0][0].probe = Some(WireProbe {
+            loop_count: f64::NAN,
+            ..probe_to_wire(&IndexScanInput::default())
+        });
+        assert!(access_from_wire(&nan_probe, 5).is_err());
     }
 
     #[test]

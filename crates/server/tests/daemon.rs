@@ -822,6 +822,157 @@ fn pipelined_admissions_match_the_lockstep_client() {
     server.shutdown();
 }
 
+/// How long a test waits for a reply that must come: a dead shard never
+/// answers, so an unbounded call would hang rather than fail.
+const REPLY_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
+
+/// `client.call(request)` on a helper thread, failing the test when no
+/// reply arrives within [`REPLY_DEADLINE`]. Hands the client back so the
+/// same connection serves the next call.
+fn call_within(client: Client, request: Request) -> (Client, Response) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = client;
+        let resp = client.call(&request);
+        let _ = tx.send((client, resp));
+    });
+    let (client, resp) = rx
+        .recv_timeout(REPLY_DEADLINE)
+        .expect("no reply within the deadline: the shard died");
+    (client, resp.expect("call"))
+}
+
+/// Three well-framed admissions that convert to well-typed values but
+/// used to panic the shard while it flattened them, each derived from a
+/// real admission whose plans price nested-loop probes: a plan naming an
+/// interesting order its relation does not have, a relation with no
+/// access entries, and NaN cost parameters.
+fn hostile_admissions(fx: &Fixture) -> Vec<(&'static str, WireAdmission)> {
+    let i = fx
+        .models
+        .iter()
+        .position(|(cache, _)| {
+            cache
+                .plans()
+                .iter()
+                .any(|p| p.probe_coefs.iter().any(|&c| c != 0.0))
+        })
+        .expect("the fixture has a nested-loop plan");
+    let (cache, access) = &fx.models[i];
+    let (query, weight) = &fx.queries[i];
+    let real = wire_admission(cache, access, *weight, &query_templates(query));
+    let mut bad_order = real.clone();
+    bad_order.cache.plans[0].ioc |= 0xF;
+    let mut no_access = real.clone();
+    no_access.access.per_rel[0].clear();
+    let mut nan_params = real;
+    nan_params.access.params.random_page_cost = f64::NAN;
+    vec![
+        ("order past the relation's orders", bad_order),
+        ("relation without access entries", no_access),
+        ("NaN cost parameters", nan_params),
+    ]
+}
+
+#[test]
+fn hostile_admissions_are_refused_and_the_shard_keeps_serving() {
+    let fx = fixture(9, 2, 4);
+    let opts = options(8, 4);
+    let hostile = hostile_admissions(&fx);
+    let scratch = ScratchDir::new("hostile-admissions");
+    let tenant = 3u64;
+    for durable in [false, true] {
+        let config = ServerConfig {
+            shards: 1,
+            budget: 1,
+            snapshot_dir: durable.then(|| scratch.0.clone()),
+            snapshot_every: 4,
+        };
+        let server = Server::start(("127.0.0.1", 0), config.clone()).expect("start server");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let resp;
+        (client, resp) = call_within(
+            client,
+            Request::CreateTenant {
+                tenant,
+                pool: convert::pool_to_wire(&fx.pool),
+                options: wire_options(&opts),
+            },
+        );
+        assert!(
+            matches!(resp, Response::TenantCreated { .. }),
+            "got {resp:?}"
+        );
+        for i in 0..2 {
+            let (query, weight) = &fx.queries[i];
+            let admission = wire_admission(
+                &fx.models[i].0,
+                &fx.models[i].1,
+                *weight,
+                &query_templates(query),
+            );
+            let resp;
+            (client, resp) = call_within(client, Request::AdmitQuery { tenant, admission });
+            assert!(matches!(resp, Response::Admitted { .. }), "got {resp:?}");
+        }
+        let (epoch, selection);
+        (client, epoch) = call_within(client, Request::TenantEpoch { tenant });
+        (client, selection) = call_within(client, Request::GetSelection { tenant });
+        assert!(
+            matches!(selection, Response::Selection { .. }),
+            "got {selection:?}"
+        );
+
+        for (what, admission) in &hostile {
+            let resp;
+            (client, resp) = call_within(
+                client,
+                Request::AdmitQuery {
+                    tenant,
+                    admission: admission.clone(),
+                },
+            );
+            assert!(
+                matches!(
+                    resp,
+                    Response::Error {
+                        code: ErrorCode::Malformed,
+                        ..
+                    }
+                ),
+                "{what} (durable: {durable}): got {resp:?}"
+            );
+        }
+        // The same connection is still served by a live shard, and the
+        // refused admissions left no trace: same selection, nothing
+        // journaled.
+        let (resp_selection, resp_epoch);
+        (client, resp_selection) = call_within(client, Request::GetSelection { tenant });
+        assert_eq!(resp_selection, selection, "durable: {durable}");
+        (client, resp_epoch) = call_within(client, Request::TenantEpoch { tenant });
+        assert_eq!(resp_epoch, epoch, "durable: {durable}");
+        drop(client);
+        server.shutdown();
+
+        if durable {
+            let Response::Epoch { log_seq, .. } = epoch else {
+                panic!("unexpected epoch reply: {epoch:?}");
+            };
+            let server = Server::start(("127.0.0.1", 0), config).expect("restart server");
+            let client = Client::connect(server.addr()).expect("reconnect");
+            let (client, resp) = call_within(client, Request::TenantEpoch { tenant });
+            assert!(
+                matches!(resp, Response::Epoch { durable: true, log_seq: l, .. } if l == log_seq),
+                "got {resp:?}"
+            );
+            let (client, resp) = call_within(client, Request::GetSelection { tenant });
+            assert_eq!(resp, selection, "selection after restart");
+            drop(client);
+            server.shutdown();
+        }
+    }
+}
+
 #[test]
 fn snapshot_requests_on_a_volatile_daemon_are_typed_errors() {
     let server = Server::start(("127.0.0.1", 0), ServerConfig::default()).expect("start server");

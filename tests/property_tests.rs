@@ -3,7 +3,9 @@
 use pinum::catalog::{Catalog, Column, ColumnStats, ColumnType, Index, Table};
 use pinum::core::access_costs::collect_pinum;
 use pinum::core::builder::{build_cache_pinum, BuilderOptions};
-use pinum::core::{CacheCostModel, CandidatePool, Selection, WorkloadCollector, WorkloadModel};
+use pinum::core::{
+    CacheCostModel, CandidatePool, Probe, Selection, WorkloadCollector, WorkloadModel,
+};
 use pinum::optimizer::{Optimizer, OptimizerOptions};
 use pinum::query::{InterestingOrders, Ioc, QueryBuilder};
 use proptest::prelude::*;
@@ -177,13 +179,18 @@ proptest! {
     /// The workload model's incremental pricing is exact: on random
     /// two-table workloads, for every base selection and every candidate,
     /// `price_delta` equals a full re-pricing under the extended
-    /// selection, and both agree with the per-query `CacheCostModel`.
+    /// selection, and both agree with the per-query `CacheCostModel`;
+    /// every drop and swap probe, and random mixed batches of all three,
+    /// price to the full re-pricing of the moved selection bit for bit,
+    /// with exactly the queries whose cost moved in the changed list.
     #[test]
     fn workload_model_delta_pricing_is_exact(
         fact_rows in 50_000u64..400_000,
         dim_rows in 500u64..20_000,
         sel_pct in 1u32..20,
         sel_masks in prop::collection::vec(0u64..64, 6),
+        batch_kinds in prop::collection::vec(0u32..3, 12),
+        batch_picks in prop::collection::vec(0u32..64, 24),
     ) {
         let mut cat = Catalog::new();
         cat.add_table(Table::new(
@@ -265,27 +272,70 @@ proptest! {
             }
 
             // Removal deltas are exact too: for every selected candidate,
-            // `price_delta_removed` equals a full re-pricing of the
-            // shrunken selection.
+            // a drop probe equals a full re-pricing of the shrunken
+            // selection.
+            let mut scratch = Vec::new();
             for &cand in &ids {
-                let delta = wm.price_delta_removed(&state, &sel, cand);
+                let delta = wm.price_probe_into(&state, &sel, Probe::Drop { cand }, &mut scratch);
                 let full = wm.price_full(&sel.without(cand));
-                prop_assert_eq!(delta, full.total(),
+                prop_assert_eq!(delta.total, full.total(),
                     "selection {:?} - candidate {}", &ids, cand);
             }
 
             // And swaps (drop one member, add one non-member) match the
             // two-step full re-pricing in a single delta.
-            for &dropped in &ids {
-                for added in 0..pool.len() {
-                    if sel.contains(added) {
+            for &drop in &ids {
+                for add in 0..pool.len() {
+                    if sel.contains(add) {
                         continue;
                     }
-                    let delta = wm.price_delta_swapped(&state, &sel, added, dropped);
-                    let full = wm.price_full(&sel.without(dropped).with(added));
-                    prop_assert_eq!(delta, full.total(),
-                        "selection {:?} + {} - {}", &ids, added, dropped);
+                    let delta = wm.price_probe_into(&state, &sel, Probe::Swap { add, drop }, &mut scratch);
+                    let full = wm.price_full(&sel.without(drop).with(add));
+                    prop_assert_eq!(delta.total, full.total(),
+                        "selection {:?} + {} - {}", &ids, add, drop);
                 }
+            }
+
+            // A random mixed batch over one shared view: every result is
+            // the full re-pricing of its moved selection, and the exact
+            // changed list is the per-query diff of the two pricings.
+            let outside: Vec<usize> = (0..pool.len()).filter(|&c| !sel.contains(c)).collect();
+            let probes: Vec<Probe> = batch_kinds
+                .iter()
+                .zip(batch_picks.chunks(2))
+                .filter_map(|(&kind, pick)| {
+                    let add = (!outside.is_empty())
+                        .then(|| outside[pick[0] as usize % outside.len()]);
+                    let drop = (!ids.is_empty()).then(|| ids[pick[1] as usize % ids.len()]);
+                    match kind {
+                        0 => add.map(|cand| Probe::Add { cand }),
+                        1 => drop.map(|cand| Probe::Drop { cand }),
+                        _ => add.zip(drop).map(|(add, drop)| Probe::Swap { add, drop }),
+                    }
+                })
+                .collect();
+            let batch = wm.price_delta_batch(&state, &sel, &probes, None);
+            for (&probe, got) in probes.iter().zip(&batch) {
+                let moved = match probe {
+                    Probe::Add { cand } => sel.with(cand),
+                    Probe::Drop { cand } => sel.without(cand),
+                    Probe::Swap { add, drop } => sel.without(drop).with(add),
+                };
+                let full = wm.price_full(&moved);
+                prop_assert_eq!(got.total.to_bits(), full.total().to_bits(),
+                    "selection {:?} {:?}", &ids, probe);
+                wm.price_probe_into(&state, &sel, probe, &mut scratch);
+                let changed: Vec<(u32, u64)> =
+                    scratch.iter().map(|&(q, c)| (q, c.to_bits())).collect();
+                let diff: Vec<(u32, u64)> = state
+                    .per_query()
+                    .iter()
+                    .zip(full.per_query())
+                    .enumerate()
+                    .filter(|(_, (b, a))| b.to_bits() != a.to_bits())
+                    .map(|(q, (_, a))| (q as u32, a.to_bits()))
+                    .collect();
+                prop_assert_eq!(changed, diff, "selection {:?} {:?}", &ids, probe);
             }
         }
     }
