@@ -6,25 +6,16 @@
 //! winning set, and iterates till adding an index would violate the space
 //! constraint."
 //!
-//! Two engines implement the same search:
-//!
-//! * [`greedy_select`] — the naive engine: every probe re-prices the whole
-//!   workload through an arbitrary cost closure. O(workload) per probe;
-//!   still needed for the direct-optimizer oracle and as the reference in
-//!   ablations.
-//! * [`greedy_select_model`] — the incremental engine over a
-//!   [`WorkloadModel`]: a probe re-prices only the queries the candidate
-//!   can affect ([`WorkloadModel::price_delta_batch`]), and a pick is
-//!   spliced in as an exact delta. Produces the identical pick
-//!   sequence and cost trajectory (bit for bit) as the naive engine over
-//!   the same cached models — verified by the `advisor_scale` experiment.
-//!
-//! The model-based search itself is pluggable: `greedy_select_model` is
-//! the reference [`crate::search::EagerGreedy`] strategy, and
-//! [`crate::search`] adds lazy greedy, swap hill climbing, and annealing
-//! on the same substrate.
+//! [`greedy_select`] is the naive engine: every probe re-prices the whole
+//! workload through an arbitrary cost closure, O(workload) per probe. It
+//! is the search oracle: the equivalence tests run it over
+//! `CacheCostModel::estimate` and require the incremental
+//! [`crate::search::EagerGreedy`] strategy over a
+//! [`pinum_core::WorkloadModel`] to reproduce its pick sequence and cost
+//! trajectory bit for bit. [`exhaustive_select`] is the §V-E greedy-quality
+//! ablation (A3). The production searches live in [`crate::search`].
 
-use pinum_core::{CandidatePool, PricedWorkload, Selection, WorkloadModel};
+use pinum_core::{CandidatePool, PricedWorkload, Selection};
 
 /// Greedy knobs.
 #[derive(Debug, Clone, Copy)]
@@ -70,8 +61,8 @@ pub struct GreedyResult {
 }
 
 /// Runs the greedy selection against an arbitrary workload-cost function
-/// `workload_cost(selection) -> f64` (the sum of per-query costs under the
-/// cache-based model, or a direct-optimizer oracle in ablations).
+/// `workload_cost(selection) -> f64` (e.g. the pairwise total of
+/// per-query `CacheCostModel::estimate` costs).
 pub fn greedy_select(
     pool: &CandidatePool,
     opts: &GreedyOptions,
@@ -137,25 +128,6 @@ pub fn greedy_select(
         full_repricings: evaluations,
         final_state: None,
     }
-}
-
-/// The incremental greedy engine: identical search to [`greedy_select`],
-/// but candidate probes are priced with `WorkloadModel::price_delta_batch`
-/// (re-pricing only affected queries) and a picked candidate is spliced
-/// in as an exact delta instead of a full re-pricing. The pick
-/// sequence, cost trajectory, evaluation count, and final selection are
-/// exactly those of the naive engine over the same cached models.
-///
-/// The loop body now lives in [`crate::search::EagerGreedy`]; this is the
-/// stable function-style entry point, kept as the reference engine the
-/// equivalence tests and experiments compare against.
-pub fn greedy_select_model(
-    pool: &CandidatePool,
-    opts: &GreedyOptions,
-    model: &WorkloadModel,
-) -> GreedyResult {
-    use crate::search::{EagerGreedy, SearchStrategy};
-    EagerGreedy.search(pool, model, opts)
 }
 
 /// Exhaustive reference search over all selections within budget (tiny

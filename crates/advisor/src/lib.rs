@@ -12,20 +12,17 @@
 //! * [`greedy`] implements the iterative benefit-greedy selection — simple,
 //!   but "it has been shown to perform better in terms of accuracy than
 //!   more complex algorithms used in the commercial designers, mainly
-//!   because of its significantly larger candidate index set". Two engines
-//!   share the search: a naive full-repricing one and an incremental one
-//!   over [`pinum_core::WorkloadModel`] that re-prices only the queries a
-//!   probed candidate can affect;
+//!   because of its significantly larger candidate index set". Its naive
+//!   full-repricing engine is the search oracle the incremental strategies
+//!   are tested against, and its exhaustive search is the A3 ablation;
 //! * [`search`] turns the model-driven search into a framework: a
 //!   [`search::SearchStrategy`] trait with eager greedy, **lazy greedy**
 //!   (max-heap of stale benefit upper bounds, identical picks at a
 //!   fraction of the probes), drop-one/add-one **swap hill climbing**, and
 //!   deterministic **simulated annealing** — the latter two built on the
 //!   workload model's removal deltas;
-//! * [`tool`] wires candidates + INUM/PINUM caches + the workload model +
-//!   the selected search strategy into the end-to-end advisor, with a
-//!   pluggable cost oracle so the cache-based model can be compared
-//!   against direct optimizer calls.
+//! * [`tool`] wires candidates, INUM or PINUM caches, the workload model
+//!   and the selected search strategy into the end-to-end advisor.
 //!
 //! Every search runs on the caller's thread: batched probes are priced
 //! one after another by the workload model's serial kernel.
@@ -39,6 +36,6 @@ pub use candidates::{
     generate_candidates, generate_candidates_merged, merge_prefix_subsumed,
     merge_prefix_subsumed_with, MERGE_PENALTY_NOISE_FLOOR,
 };
-pub use greedy::{greedy_select, greedy_select_model, GreedyOptions, GreedyResult};
+pub use greedy::{greedy_select, GreedyOptions, GreedyResult};
 pub use search::{Anneal, EagerGreedy, LazyGreedy, SearchStrategy, StrategyKind, SwapHillClimb};
 pub use tool::{advise, Advice, AdvisorOptions, CostOracle, QueryOutcome};

@@ -32,8 +32,8 @@ const LAZY_WAVE: usize = 32;
 /// The reference greedy: every round probes every remaining in-budget
 /// candidate with an add probe ([`WorkloadModel::price_delta_batch`]) and
 /// picks the best strictly positive benefit (ties to the lowest candidate
-/// id). This is the loop body extracted from the original
-/// `greedy_select_model`, which now delegates here.
+/// id). Its picks and cost trajectory are bit-identical to the naive
+/// [`crate::greedy::greedy_select`] over the same cached models.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EagerGreedy;
 

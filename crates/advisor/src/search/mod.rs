@@ -7,10 +7,9 @@
 //! [`SearchStrategy`] implementations, all budget-aware through the same
 //! [`GreedyOptions`] and all reporting the same [`GreedyResult`]:
 //!
-//! * [`EagerGreedy`] — the reference §V-E greedy, loop body extracted from
-//!   the old `greedy_select_model`: every round probes every remaining
-//!   in-budget candidate with an add-delta and picks the best strictly
-//!   positive benefit.
+//! * [`EagerGreedy`] — the reference §V-E greedy: every round probes every
+//!   remaining in-budget candidate with an add-delta and picks the best
+//!   strictly positive benefit.
 //! * [`LazyGreedy`] — the same search driven by a max-heap of **stale
 //!   benefit upper bounds** (Minoux's lazy evaluation). A candidate is
 //!   re-priced only when its stale bound tops the heap; a *fresh* top is
@@ -45,9 +44,9 @@
 //! [`WorkloadModel::price_probe_into`] — the same kernel body, one probe,
 //! unmasked — and its changed queries are spliced into the running state.
 //!
-//! The naive closure-driven `greedy_select` stays in [`crate::greedy`] for
-//! the direct-optimizer oracle, which has no [`WorkloadModel`] to search
-//! over.
+//! The naive closure-driven `greedy_select` in [`crate::greedy`] is the
+//! search oracle: the equivalence tests require [`EagerGreedy`] to
+//! reproduce it bit for bit over the same cached models.
 
 mod anneal;
 mod greedy;

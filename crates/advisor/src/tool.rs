@@ -2,36 +2,33 @@
 //! per-query INUM caches → workload pricing model → pluggable search
 //! strategy → per-query outcomes (paper §V-E / §VI-E).
 //!
-//! For the cache-backed oracles the search runs on the incremental
-//! [`WorkloadModel`] engine through a [`crate::search::SearchStrategy`]
-//! selected by [`AdvisorOptions::strategy`] (lazy greedy by default): each
-//! candidate probe re-prices only the queries that candidate can affect,
-//! instead of the whole workload. The direct-optimizer oracle (ablations
-//! only) keeps the naive closure-driven engine, since every probe there is
-//! an optimizer call anyway.
+//! Either oracle fills per-query plan caches, which are flattened into
+//! one incremental [`WorkloadModel`]; the search runs on it through a
+//! [`crate::search::SearchStrategy`] selected by
+//! [`AdvisorOptions::strategy`] (lazy greedy by default): each candidate
+//! probe re-prices only the queries that candidate can affect, instead of
+//! the whole workload.
 
 use crate::candidates::{generate_candidates, merge_prefix_subsumed};
-use crate::greedy::{greedy_select, GreedyOptions, GreedyResult};
+use crate::greedy::{GreedyOptions, GreedyResult};
 use crate::search::StrategyKind;
 use pinum_catalog::Catalog;
 use pinum_core::access_costs::{collect_inum, AccessCostCatalog};
 use pinum_core::builder::{build_cache_inum, BuilderOptions};
 use pinum_core::collector::build_workload_models;
 use pinum_core::{CandidatePool, PlanCache, Selection, WorkloadModel};
-use pinum_optimizer::{Optimizer, OptimizerOptions};
+use pinum_optimizer::Optimizer;
 use pinum_query::Query;
 use std::time::Duration;
 
-/// Which machinery answers what-if questions.
+/// Which cache construction fills the model that answers what-if
+/// questions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostOracle {
     /// PINUM: caches filled with ~2 optimizer calls, access costs with 1.
     PinumCache,
     /// Classic INUM: caches filled with one call per IOC.
     InumCache,
-    /// No cache at all: every greedy evaluation calls the optimizer
-    /// (intractably slow beyond tiny inputs; ablations only).
-    DirectOptimizer,
 }
 
 /// Advisor knobs.
@@ -42,9 +39,7 @@ pub struct AdvisorOptions {
     pub builder: BuilderOptions,
     /// Rank by benefit per byte instead of raw benefit.
     pub benefit_per_byte: bool,
-    /// Search strategy over the workload model (ignored by the
-    /// direct-optimizer oracle, which has no model and keeps the naive
-    /// closure greedy).
+    /// Search strategy over the workload model.
     pub strategy: StrategyKind,
     /// Merge prefix-subsumed candidates before pricing (workload-level
     /// pool shrinking; see
@@ -182,69 +177,33 @@ pub fn advise(catalog: &Catalog, queries: &[Query], options: &AdvisorOptions) ->
                 models.push((built.cache, access));
             }
         }
-        CostOracle::DirectOptimizer => {}
     }
 
-    // --- Flatten into the workload pricing model (cache oracles). ---
-    let workload_model = (options.oracle != CostOracle::DirectOptimizer)
-        .then(|| WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a))));
+    // --- Flatten into the workload pricing model. ---
+    let model = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
 
     // --- Search over the pool with the selected strategy. ---
     let gopts = GreedyOptions {
         budget_bytes: options.budget_bytes,
         benefit_per_byte: options.benefit_per_byte,
     };
-    let greedy = match &workload_model {
-        Some(model) => options.strategy.build().search(&pool, model, &gopts),
-        None => greedy_select(&pool, &gopts, |sel: &Selection| -> f64 {
-            let (config, _) = pool.configuration(sel);
-            queries
-                .iter()
-                .map(|q| {
-                    optimizer
-                        .optimize(q, &config, &OptimizerOptions::standard())
-                        .best_cost
-                        .total
-                })
-                .sum()
-        }),
-    };
+    let greedy = options.strategy.build().search(&pool, &model, &gopts);
 
-    // --- Per-query outcomes (reported from the same oracle). ---
+    // --- Per-query outcomes (reported from the same model). ---
     let empty = Selection::empty(pool.len());
-    let per_query: Vec<QueryOutcome> = match &workload_model {
-        None => {
-            let (cfg_final, _) = pool.configuration(&greedy.selection);
-            let cfg_empty = pinum_catalog::Configuration::empty();
-            queries
-                .iter()
-                .map(|q| QueryOutcome {
-                    name: q.name.clone(),
-                    original_cost: optimizer
-                        .optimize(q, &cfg_empty, &OptimizerOptions::standard())
-                        .best_cost
-                        .total,
-                    final_cost: optimizer
-                        .optimize(q, &cfg_final, &OptimizerOptions::standard())
-                        .best_cost
-                        .total,
-                })
-                .collect()
-        }
-        Some(model) => queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let original = model.price_query(i, &empty, None);
-                let fin = model.price_query(i, &greedy.selection, None);
-                QueryOutcome {
-                    name: q.name.clone(),
-                    original_cost: if original.is_finite() { original } else { 0.0 },
-                    final_cost: if fin.is_finite() { fin } else { 0.0 },
-                }
-            })
-            .collect(),
-    };
+    let per_query: Vec<QueryOutcome> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let original = model.price_query(i, &empty, None);
+            let fin = model.price_query(i, &greedy.selection, None);
+            QueryOutcome {
+                name: q.name.clone(),
+                original_cost: if original.is_finite() { original } else { 0.0 },
+                final_cost: if fin.is_finite() { fin } else { 0.0 },
+            }
+        })
+        .collect();
 
     Advice {
         pool,
@@ -332,66 +291,6 @@ mod tests {
         let advice = advise(&cat, &queries, &opts);
         assert!(advice.greedy.picked.is_empty());
         assert_eq!(advice.average_improvement(), 0.0);
-    }
-
-    #[test]
-    fn model_engine_matches_naive_engine_exactly() {
-        use crate::greedy::{greedy_select, greedy_select_model, GreedyOptions};
-        use pinum_core::access_costs::collect_pinum;
-        use pinum_core::builder::build_cache_pinum;
-        use pinum_core::{CacheCostModel, WorkloadModel};
-        use pinum_optimizer::Optimizer;
-
-        let (cat, queries) = setup();
-        let optimizer = Optimizer::new(&cat);
-        let pool = generate_candidates(&cat, &queries);
-        let models: Vec<(PlanCache, AccessCostCatalog)> = queries
-            .iter()
-            .map(|q| {
-                let built = build_cache_pinum(&optimizer, q, &BuilderOptions::default());
-                let (access, _) = collect_pinum(&optimizer, q, &pool);
-                (built.cache, access)
-            })
-            .collect();
-        let gopts = GreedyOptions {
-            budget_bytes: 512 * 1024 * 1024,
-            benefit_per_byte: false,
-        };
-        // The pre-WorkloadModel advisor: full re-pricing per probe. Totals
-        // go through the canonical pairwise shape so the trajectory is
-        // bit-comparable to the model engine's sum tree.
-        let naive = greedy_select(&pool, &gopts, |sel: &Selection| {
-            let costs: Vec<f64> = models
-                .iter()
-                .map(|(cache, access)| {
-                    CacheCostModel::new(cache, access)
-                        .estimate(sel)
-                        .map(|e| e.cost)
-                        .unwrap_or(f64::INFINITY)
-                })
-                .collect();
-            pinum_core::pairwise_total(&costs)
-        });
-        let model = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
-        let incremental = greedy_select_model(&pool, &gopts, &model);
-        assert_eq!(naive.picked, incremental.picked);
-        assert_eq!(
-            naive.cost_trajectory, incremental.cost_trajectory,
-            "trajectories diverged"
-        );
-        assert_eq!(naive.total_bytes, incremental.total_bytes);
-        // The incremental engine re-probes each accepted winner once to
-        // splice it into the priced state (instead of re-pricing the whole
-        // workload), so it spends exactly one extra delta per pick.
-        assert_eq!(
-            naive.evaluations + naive.picked.len(),
-            incremental.evaluations
-        );
-        assert!(incremental.queries_repriced > 0);
-        assert_eq!(
-            incremental.full_repricings, 1,
-            "only the seed pricing may be full"
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Runs every experiment in sequence — regenerates all of the paper's
-//! tables and figures (EXPERIMENTS.md records one full run).
+//! tables and figures.
 use pinum_bench::experiments as e;
 use pinum_bench::fixtures::scale_from_env;
 
@@ -15,8 +15,6 @@ fn main() {
     e::nlj::run(scale);
     e::greedy_quality::run(scale);
     e::engine_validation::run(scale);
-    e::advisor_scale::run(scale);
-    e::price_kernel::run(scale);
     e::batched_collection::run(scale);
     e::search_strategies::run(scale);
     e::online_drift::run(scale);

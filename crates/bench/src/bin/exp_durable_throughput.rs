@@ -11,11 +11,10 @@ fn main() {
     // The gates are asserted inside `run`; re-state the headline for CI.
     println!(
         "acceptance ok: batched run bit-identical at {:.4} fsyncs/admission \
-         ({} vs {} serial), {:.2}x speedup, crash leg replayed {} records identically",
+         ({} vs {} serial), crash leg replayed {} records identically",
         outcome.fsyncs_per_admission,
         outcome.batched_fsyncs,
         outcome.serial_fsyncs,
-        outcome.durable_speedup,
         outcome.crash_replayed
     );
 }

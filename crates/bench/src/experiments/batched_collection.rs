@@ -20,12 +20,12 @@
 //!   models produces a bit-identical pick sequence, cost trajectory and
 //!   byte total.
 
-use crate::experiments::advisor_scale::{CANDIDATE_CAP, QUERIES};
-use crate::fixtures::{SCHEMA_SEED, WORKLOAD_SEED};
+use crate::fixtures::{CANDIDATE_CAP, QUERIES, SCHEMA_SEED, WORKLOAD_SEED};
 use crate::json::{emit, JsonObject};
 use crate::table::{fmt_duration, TextTable};
 use pinum_advisor::candidates::generate_candidates;
-use pinum_advisor::greedy::{greedy_select_model, GreedyOptions};
+use pinum_advisor::greedy::GreedyOptions;
+use pinum_advisor::search::{EagerGreedy, SearchStrategy};
 use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
 use pinum_core::builder::{build_cache_pinum, BuilderOptions};
 use pinum_core::{CandidatePool, PlanCache, WorkloadCollector, WorkloadModel};
@@ -115,8 +115,8 @@ pub fn run(scale: f64) -> BatchedOutcome {
     };
     let model_ref = WorkloadModel::build(pool.len(), caches.iter().zip(reference.iter()));
     let model_batched = WorkloadModel::build(pool.len(), caches.iter().zip(batched.iter()));
-    let greedy_ref = greedy_select_model(&pool, &gopts, &model_ref);
-    let greedy_batched = greedy_select_model(&pool, &gopts, &model_batched);
+    let greedy_ref = EagerGreedy.search(&pool, &model_ref, &gopts);
+    let greedy_batched = EagerGreedy.search(&pool, &model_batched, &gopts);
     let picks_identical = greedy_ref.picked == greedy_batched.picked
         && greedy_ref.cost_trajectory == greedy_batched.cost_trajectory
         && greedy_ref.total_bytes == greedy_batched.total_bytes;

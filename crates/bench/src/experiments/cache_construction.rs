@@ -12,7 +12,7 @@ use pinum_core::access_costs::{collect_inum, collect_pinum};
 use pinum_core::builder::{build_cache_inum, build_cache_pinum, BuilderOptions};
 use pinum_optimizer::Optimizer;
 
-/// Per-query measurements, returned for tests and EXPERIMENTS.md.
+/// Per-query measurements, returned for tests and callers.
 pub struct ConstructionRow {
     pub name: String,
     pub tables: usize,

@@ -17,10 +17,9 @@
 //!   restored (snapshot + group-committed log tail), and finished
 //!   batched lands bit-identically on the uninterrupted run.
 //!
-//! The wall-clock speedup is reported and trend-tracked with a wide
-//! tolerance rather than hard-gated: on tmpfs or fancy NVMe an fsync is
-//! nearly free and the speedup shrinks toward 1×, while the fsync
-//! *count* ratio is invariant.
+//! Only fsync *counts* are gated here: they hold on any disk, while the
+//! wall-clock effect of an fsync depends on the storage. Durable write
+//! throughput is measured by perfbench's `serve_durable` workload.
 
 use crate::fixtures::SCHEMA_SEED;
 use crate::json::{emit, JsonObject};
@@ -37,7 +36,7 @@ use pinum_query::TemplateKey;
 use pinum_workload::drift::{DriftProfile, DriftStream, DriftedQuery};
 use pinum_workload::star::StarSchema;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Stream shape: 3 phases × 40 admissions, admissions only — the batch
 /// pipeline coalesces admissions, so the stream is pure admissions.
@@ -71,9 +70,6 @@ pub struct DurableThroughputOutcome {
     pub queries: usize,
     pub candidates: usize,
     pub batch_identity: bool,
-    pub serial_wall: Duration,
-    pub batched_wall: Duration,
-    pub durable_speedup: f64,
     pub serial_fsyncs: u64,
     pub batched_fsyncs: u64,
     pub fsyncs_per_admission: f64,
@@ -243,9 +239,7 @@ pub fn run(scale: f64) -> DurableThroughputOutcome {
     let mut serial = PersistentAdvisor::create(&scratch_serial.0, fx.pool.clone(), opts, 0)
         .expect("create serial advisor");
     let serial_at_start = serial.persist_stats();
-    let serial_start = Instant::now();
     drive_serial(&mut serial, &fx, 0..n);
-    let serial_wall = serial_start.elapsed();
     let serial_stats = serial.persist_stats();
     let serial_fsyncs = serial_stats.fsyncs - serial_at_start.fsyncs;
     let want = fingerprint(serial.advisor());
@@ -256,14 +250,11 @@ pub fn run(scale: f64) -> DurableThroughputOutcome {
     let mut batched = PersistentAdvisor::create(&scratch_batched.0, fx.pool.clone(), opts, 0)
         .expect("create batched advisor");
     let batched_at_start = batched.persist_stats();
-    let batched_start = Instant::now();
     drive_batched(&mut batched, &fx, 0..n);
-    let batched_wall = batched_start.elapsed();
     let batched_stats = batched.persist_stats();
     let batched_fsyncs = batched_stats.fsyncs - batched_at_start.fsyncs;
     let batch_identity = fingerprint(batched.advisor()) == want;
     let fsyncs_per_admission = batched_fsyncs as f64 / n as f64;
-    let durable_speedup = serial_wall.as_secs_f64() / batched_wall.as_secs_f64().max(1e-9);
     drop(batched);
 
     // --- Crash leg: kill a batched run mid-stream, restore from the
@@ -287,25 +278,22 @@ pub fn run(scale: f64) -> DurableThroughputOutcome {
     drop(restored);
 
     // --- Report. ---
-    let mut table = TextTable::new(vec!["leg", "wall", "appends", "fsyncs", "fsyncs/admit"]);
+    let mut table = TextTable::new(vec!["leg", "appends", "fsyncs", "fsyncs/admit"]);
     table.row(vec![
         "serial durable".into(),
-        fmt_duration(serial_wall),
         (serial_stats.appends - serial_at_start.appends).to_string(),
         serial_fsyncs.to_string(),
         format!("{:.4}", serial_fsyncs as f64 / n as f64),
     ]);
     table.row(vec![
         format!("batched (chunk {BATCH})"),
-        fmt_duration(batched_wall),
         (batched_stats.appends - batched_at_start.appends).to_string(),
         batched_fsyncs.to_string(),
         format!("{fsyncs_per_admission:.4}"),
     ]);
     println!("{}", table.render());
     println!(
-        "batch identity: {batch_identity}; durable speedup: {durable_speedup:.2}×; \
-         crash leg: {crash_replayed} records replayed, identical: {crash_identity}\n"
+        "batch identity: {batch_identity}; crash leg: {crash_replayed} records replayed, identical: {crash_identity}\n"
     );
 
     emit(
@@ -319,9 +307,6 @@ pub fn run(scale: f64) -> DurableThroughputOutcome {
             .int("epoch", EPOCH as u64)
             .int("batch", BATCH as u64)
             .bool("batch_identity", batch_identity)
-            .num("serial_wall_seconds", serial_wall.as_secs_f64())
-            .num("batched_wall_seconds", batched_wall.as_secs_f64())
-            .num("durable_speedup", durable_speedup)
             .int("serial_fsyncs", serial_fsyncs)
             .int("batched_fsyncs", batched_fsyncs)
             .int("batched_max_batch_records", batched_stats.max_batch_records)
@@ -352,9 +337,6 @@ pub fn run(scale: f64) -> DurableThroughputOutcome {
         queries: n,
         candidates: fx.pool.len(),
         batch_identity,
-        serial_wall,
-        batched_wall,
-        durable_speedup,
         serial_fsyncs,
         batched_fsyncs,
         fsyncs_per_admission,

@@ -6,7 +6,7 @@
 //! reduces the cost of the most expensive queries by building covering
 //! indexes for them."
 //!
-//! Substitution note (DESIGN.md): the paper reports wall-clock execution
+//! Substitution note: the paper reports wall-clock execution
 //! times on PostgreSQL; we report optimizer-estimated costs, which
 //! preserve the figure's message — the per-query relative improvement.
 

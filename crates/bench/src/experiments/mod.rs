@@ -1,7 +1,6 @@
 //! Experiment implementations, one module per paper artefact. Thin
 //! binaries under `src/bin/` call these, and `exp_all` chains them.
 
-pub mod advisor_scale;
 pub mod batched_collection;
 pub mod cache_construction;
 pub mod cost_accuracy;
@@ -12,7 +11,6 @@ pub mod index_selection;
 pub mod multi_tenant;
 pub mod nlj;
 pub mod online_drift;
-pub mod price_kernel;
 pub mod pruning;
 pub mod redundancy;
 pub mod scoped_readvise;

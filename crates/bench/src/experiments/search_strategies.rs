@@ -13,21 +13,26 @@
 //! * **swap hill climbing** and **annealing** must never end with a
 //!   higher final workload cost than greedy (both are greedy-seeded).
 //!
-//! Also reports workload-level candidate merging: the prefix-subsumed
-//! pool shrink applied before any pricing.
+//! Also reports workload-level candidate merging (the prefix-subsumed
+//! pool shrink applied before any pricing) and how much work one add
+//! probe does: the share of the workload its inverted-index entry
+//! touches, and the share of those queries whose cost actually changes.
 
-use crate::experiments::advisor_scale::{build_scale_fixture, CANDIDATE_CAP, QUERIES};
-use crate::fixtures::{SCHEMA_SEED, WORKLOAD_SEED};
+use crate::fixtures::{build_scale_fixture, CANDIDATE_CAP, QUERIES, SCHEMA_SEED, WORKLOAD_SEED};
 use crate::json::{emit, json_array, JsonObject};
 use crate::table::{fmt_duration, TextTable};
 use pinum_advisor::candidates::merge_prefix_subsumed;
 use pinum_advisor::greedy::{GreedyOptions, GreedyResult};
 use pinum_advisor::search::{Anneal, EagerGreedy, LazyGreedy, SearchStrategy, SwapHillClimb};
-use pinum_core::WorkloadModel;
+use pinum_core::{Probe, Selection, WorkloadModel};
 use std::time::{Duration, Instant};
 
 /// Fixed annealing seed so the experiment is reproducible.
 pub const ANNEAL_SEED: u64 = 0xC0FFEE;
+
+/// The probe-work snapshot selects every `SELECTED_EVERY`-th candidate —
+/// a mid-search state, the kind every strategy probes from.
+const SELECTED_EVERY: usize = 50;
 
 /// One strategy's scorecard.
 pub struct StrategyOutcome {
@@ -81,13 +86,35 @@ pub fn run(scale: f64) -> SearchStrategiesOutcome {
         fmt_duration(build_start.elapsed()),
         fmt_duration(flatten_wall),
     );
-    // Workload-level merging, reported on the same pool the strategies use
-    // a capped slice of (the strategies themselves keep the uncapped pool
-    // so pick sequences stay comparable with exp_advisor_scale).
+    // Workload-level merging is only reported: the strategies search the
+    // unmerged pool.
     let (_merged_pool, merged_away) = merge_prefix_subsumed(&pool);
     println!(
-        "candidate merging would drop {merged_away} of {} prefix-subsumed candidates\n",
+        "candidate merging would drop {merged_away} of {} prefix-subsumed candidates",
         pool.len()
+    );
+
+    // Probe work: one add probe per non-member of the snapshot selection.
+    let selection = Selection::from_ids(
+        pool.len(),
+        &(0..pool.len()).step_by(SELECTED_EVERY).collect::<Vec<_>>(),
+    );
+    let state = model.price_full(&selection);
+    let mut scratch = Vec::new();
+    let (mut probes_per_pass, mut affected_total, mut changed_total) = (0usize, 0usize, 0usize);
+    for cand in (0..pool.len()).filter(|&c| !selection.contains(c)) {
+        model.price_probe_into(&state, &selection, Probe::Add { cand }, &mut scratch);
+        probes_per_pass += 1;
+        affected_total += model.affected(cand).len();
+        changed_total += scratch.len();
+    }
+    let affected_fraction =
+        affected_total as f64 / (probes_per_pass * model.query_count()).max(1) as f64;
+    let changed_fraction = changed_total as f64 / affected_total.max(1) as f64;
+    println!(
+        "an add probe touches {:.1}% of the workload ({:.1}% of touched queries change cost)\n",
+        affected_fraction * 100.0,
+        changed_fraction * 100.0,
     );
 
     let budget = (5.0 * 1024.0 * 1024.0 * 1024.0 * scale) as u64;
@@ -145,6 +172,9 @@ pub fn run(scale: f64) -> SearchStrategiesOutcome {
             .int("budget_bytes", budget)
             .bool("lazy_identical", lazy_identical)
             .num("lazy_probe_fraction", probe_fraction)
+            .int("probes_per_pass", probes_per_pass as u64)
+            .num("affected_fraction", affected_fraction)
+            .num("changed_fraction", changed_fraction)
             .raw(
                 "strategies",
                 json_array(strategies.iter().map(|s| {

@@ -2,6 +2,11 @@
 //! scale, with one place defining the seeds so every experiment sees the
 //! same database and queries.
 
+use pinum_advisor::candidates::generate_candidates;
+use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
+use pinum_core::builder::{build_cache_pinum, BuilderOptions};
+use pinum_core::{CandidatePool, PlanCache};
+use pinum_optimizer::Optimizer;
 use pinum_workload::star::{StarSchema, StarWorkload};
 
 /// Default schema seed (printed by every experiment for reproducibility).
@@ -9,6 +14,45 @@ pub const SCHEMA_SEED: u64 = 42;
 
 /// Default workload seed.
 pub const WORKLOAD_SEED: u64 = 7;
+
+/// Query count of the workload-scale fixture (the paper uses 10 queries;
+/// the scale target is 200).
+pub const QUERIES: usize = 200;
+
+/// Cap on the scale fixture's candidate pool.
+pub const CANDIDATE_CAP: usize = 400;
+
+/// Builds the scaled-up workload and its per-query cached models.
+pub fn build_scale_fixture(
+    scale: f64,
+    queries: usize,
+    candidate_cap: usize,
+) -> (
+    StarSchema,
+    StarWorkload,
+    CandidatePool,
+    Vec<(PlanCache, AccessCostCatalog)>,
+) {
+    let schema = StarSchema::generate(SCHEMA_SEED, scale);
+    let workload = StarWorkload::generate(&schema, WORKLOAD_SEED, queries);
+    let full_pool = generate_candidates(&schema.catalog, &workload.queries);
+    let pool = if full_pool.len() > candidate_cap {
+        CandidatePool::from_indexes(full_pool.indexes()[..candidate_cap].to_vec())
+    } else {
+        full_pool
+    };
+    let optimizer = Optimizer::new(&schema.catalog);
+    let models = workload
+        .queries
+        .iter()
+        .map(|q| {
+            let built = build_cache_pinum(&optimizer, q, &BuilderOptions::default());
+            let (access, _) = collect_pinum(&optimizer, q, &pool);
+            (built.cache, access)
+        })
+        .collect();
+    (schema, workload, pool, models)
+}
 
 /// The paper's experimental setup: star schema plus ten queries.
 pub struct PaperWorkload {

@@ -1,8 +1,8 @@
 //! # pinum-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md's per-experiment index and EXPERIMENTS.md for results), plus
-//! shared fixtures and a plain-text table renderer.
+//! the crate README for the JSON output and the trend gate), plus shared
+//! fixtures and a plain-text table renderer.
 //!
 //! | Binary | Paper artefact |
 //! |--------|----------------|
@@ -15,11 +15,13 @@
 //! | `exp_nlj_ablation` | §V-D nested-loop handling ablation |
 //! | `exp_greedy_quality` | §V-E greedy vs exhaustive ablation |
 //! | `exp_engine_validation` | cost-model validation against the mini engine |
-//! | `exp_advisor_scale` | workload-scale advisor: incremental `WorkloadModel` greedy vs naive full repricing (200 queries) |
-//! | `exp_price_kernel` | pricing-kernel microbench: SoA delta kernel vs the frozen nested reference engine (200×400) |
-//! | `exp_search_strategies` | pluggable search strategies (eager/lazy greedy, swap hill climb, anneal) over one shared model |
+//! | `exp_batched_collection` | workload-level batched access-cost collection: one optimizer call per template shape, bit-identical to per-query collection (200 queries) |
+//! | `exp_search_strategies` | pluggable search strategies (eager/lazy greedy, swap hill climb, anneal) over one shared 200×400 model, plus the work one add probe does |
 //! | `exp_online_drift` | online tuning under workload drift: the `pinum_online` daemon vs periodic full rebuild-and-reselect |
-//! | `exp_multi_tenant` | multi-tenant `pinum-server` over loopback TCP: per-tenant wire determinism, budget aging bounds, shard throughput |
+//! | `exp_scoped_readvise` | persistent pricing sessions and template-scoped re-advising on a reweight-heavy drift stream |
+//! | `exp_multi_tenant` | multi-tenant `pinum-server` over loopback TCP: per-tenant wire determinism, budget aging bounds |
+//! | `exp_warm_restart` | journaled advisor killed and restored from snapshot + log tail, bit-identical to an uninterrupted run |
+//! | `exp_durable_throughput` | group-commit batched admissions: bit-identical to the serial journaled path at ≤ 1/8 fsyncs per admission |
 //! | `exp_trend` | cross-commit trend gate: diffs `PINUM_JSON_DIR` output against the committed baseline (`baselines/trend.json`) |
 //! | `exp_all` | runs everything in sequence |
 //!
@@ -35,3 +37,30 @@ pub mod trend;
 
 pub use fixtures::{paper_workload, PaperWorkload};
 pub use table::TextTable;
+
+#[cfg(test)]
+mod tests {
+    use std::path::Path;
+
+    /// Every binary under `src/bin/` has a row in the table above.
+    #[test]
+    fn every_binary_is_in_the_crate_table() {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let docs = std::fs::read_to_string(src.join("lib.rs")).unwrap();
+        let mut missing = Vec::new();
+        for entry in std::fs::read_dir(src.join("bin")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+                if !docs.contains(&format!("//! | `{name}` |")) {
+                    missing.push(name);
+                }
+            }
+        }
+        missing.sort();
+        assert!(
+            missing.is_empty(),
+            "binaries missing from the lib.rs table: {missing:?}"
+        );
+    }
+}

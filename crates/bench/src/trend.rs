@@ -10,8 +10,8 @@
 //!
 //! ```json
 //! { "metrics": [
-//!   { "file": "advisor_scale", "key": "incremental_probes",
-//!     "kind": "max", "baseline": 1867, "tolerance_pct": 10 } ] }
+//!   { "file": "search_strategies", "key": "strategies.0.probes",
+//!     "kind": "max", "baseline": 1875, "tolerance_pct": 10 } ] }
 //! ```
 //!
 //! * `kind: "max"` — regression when `current > baseline × (1 + tol)`
@@ -234,13 +234,16 @@ pub fn write_baseline(dir: &Path, path: &Path) -> Result<String, String> {
         if current != o.spec.baseline {
             moved += 1;
         }
+        // `{}` writes the shortest decimal that parses back to the same
+        // f64 (integers without a fraction), so a refreshed baseline holds
+        // exactly the value it was taken from: a tolerance-0 row can never
+        // fail its own gate through rounding.
         out.push_str(&format!(
             "    {{ \"file\": \"{}\", \"key\": \"{}\", \"kind\": \"{kind}\", \
-             \"baseline\": {}, \"tolerance_pct\": {} }}{}\n",
+             \"baseline\": {current}, \"tolerance_pct\": {} }}{}\n",
             escape(&o.spec.file),
             escape(&o.spec.key),
-            render_number(current),
-            render_number(o.spec.tolerance_pct),
+            o.spec.tolerance_pct,
             if i + 1 < outcomes.len() { "," } else { "" },
         ));
     }
@@ -252,17 +255,6 @@ pub fn write_baseline(dir: &Path, path: &Path) -> Result<String, String> {
         outcomes.len(),
         path.display()
     ))
-}
-
-/// Integers stay integers; everything else is rounded to four decimals
-/// (matching the report's precision) with trailing zeros trimmed.
-fn render_number(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        let s = format!("{v:.4}");
-        s.trim_end_matches('0').trim_end_matches('.').to_string()
-    }
 }
 
 #[cfg(test)]
@@ -371,12 +363,16 @@ mod tests {
         // carries the current values as the new baselines.
         let text = std::fs::read_to_string(&baseline).unwrap();
         assert!(text.contains("keep me"));
+        assert!(
+            text.contains("\"baseline\": 120,"),
+            "integers stay integers: {text}"
+        );
         let specs = load_baseline(&baseline).unwrap();
         assert_eq!(specs.len(), 2);
         assert_eq!(specs[0].baseline, 120.0);
         assert_eq!(specs[0].kind, TrendKind::Max);
         assert_eq!(specs[0].tolerance_pct, 10.0);
-        assert_eq!(specs[1].baseline, 9.1234, "rounded to report precision");
+        assert_eq!(specs[1].baseline, 9.12341, "written exactly, not rounded");
         assert_eq!(specs[1].kind, TrendKind::Min);
 
         // A missing metric refuses to write (and leaves the file alone).
@@ -389,6 +385,36 @@ mod tests {
         let before = std::fs::read_to_string(&baseline).unwrap();
         assert!(write_baseline(&dir, &baseline).is_err());
         assert_eq!(std::fs::read_to_string(&baseline).unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn refreshed_baseline_passes_its_own_gate() {
+        let dir = std::env::temp_dir().join(format!("pinum_trend_rt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Values whose 4-decimal rounding goes down (1.00194) and up
+        // (1.00196): either direction breaks a tolerance-0 bound.
+        std::fs::write(dir.join("exp.json"), r#"{"down": 1.00194, "up": 1.00196}"#).unwrap();
+        let baseline = dir.join("trend.json");
+        std::fs::write(
+            &baseline,
+            r#"{ "metrics": [
+                   { "file": "exp", "key": "down", "kind": "max", "baseline": 1, "tolerance_pct": 0 },
+                   { "file": "exp", "key": "up", "kind": "min", "baseline": 1, "tolerance_pct": 0 },
+                   { "file": "exp", "key": "down", "kind": "near", "baseline": 1, "tolerance_pct": 0 },
+                   { "file": "exp", "key": "up", "kind": "near", "baseline": 1, "tolerance_pct": 0 } ] }"#,
+        )
+        .unwrap();
+
+        write_baseline(&dir, &baseline).expect("write must succeed");
+        let outcomes = evaluate(&dir, &load_baseline(&baseline).unwrap());
+        for o in &outcomes {
+            assert!(
+                o.ok,
+                "{} row {} reads {:?} against its own refreshed baseline {}",
+                o.bound, o.spec.key, o.current, o.spec.baseline
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

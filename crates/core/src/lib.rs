@@ -49,9 +49,10 @@
 //! as [`workload_model::pairwise_total`] — defines the bit pattern of
 //! every total, so spliced and from-scratch pricing agree bit for bit.
 //! This is the substrate the advisor's pluggable search strategies run
-//! on; one serial kernel prices every probe, in the caller's order. The
-//! pre-SoA nested-layout engine is frozen in [`reference::ReferenceModel`]
-//! as the equivalence oracle and microbenchmark baseline.
+//! on; one serial kernel prices every probe, in the caller's order.
+//! [`costing::CacheCostModel::estimate`], which reads the plan cache and
+//! access catalog directly, is the one per-query oracle the kernel is
+//! tested against bit for bit.
 //!
 //! The model is also **streaming**: `admit_query` / `evict_query` /
 //! `reweight_query` splice queries in and out of the dense arrays and
@@ -78,7 +79,6 @@ pub mod cache;
 pub mod candidates;
 pub mod collector;
 pub mod costing;
-pub mod reference;
 pub mod sampling;
 pub mod session;
 pub mod workload_model;
@@ -94,7 +94,6 @@ pub use cache::{CachedPlan, PlanCache};
 pub use candidates::{CandidatePool, Selection};
 pub use collector::{build_workload_models, WorkloadCollector, WorkloadModels};
 pub use costing::{CacheCostModel, Estimate};
-pub use reference::ReferenceModel;
 pub use session::PricingSession;
 pub use workload_model::{
     pairwise_total, PricedWorkload, Probe, ProbeDelta, WorkloadModel, WorkloadModelParts,

@@ -111,9 +111,8 @@
 //! The arithmetic deliberately mirrors `CacheCostModel::estimate` term
 //! for term (same entry order, same addition order, same tie-breaking),
 //! so the incremental advisor reproduces the naive advisor's pick
-//! sequence exactly; the frozen pre-SoA engine is kept in
-//! [`crate::reference`] as the equivalence oracle and microbenchmark
-//! baseline.
+//! sequence exactly; `CacheCostModel::estimate` is the equivalence oracle
+//! the kernel is tested against.
 
 use crate::access_costs::AccessCostCatalog;
 use crate::cache::PlanCache;
@@ -160,8 +159,7 @@ pub(crate) struct FlatPlan {
 }
 
 /// One flattened query (flattening form; packed into the SoA arrays by
-/// [`WorkloadModel::push_query`], kept nested by the frozen
-/// [`crate::reference`] engine).
+/// [`WorkloadModel::push_query`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct QueryModel {
     pub(crate) plans: Vec<FlatPlan>,
@@ -1539,24 +1537,6 @@ fn collect_touched(cands: &[u32], out: &mut Vec<u32>) {
         tmp.dedup();
         out.extend_from_slice(&tmp);
     }
-}
-
-/// Distinct pool candidates referenced by a query's access arms,
-/// ascending — its inverted-index footprint. O(this query's arms). Used
-/// by the frozen [`crate::reference`] engine; the packed kernel keeps the
-/// same information in its `touched` CSR array.
-pub(crate) fn touched_candidates(qm: &QueryModel) -> Vec<u32> {
-    let mut touched: Vec<u32> = qm
-        .plans
-        .iter()
-        .flat_map(|p| &p.slots)
-        .flat_map(|s| s.standalone.iter().chain(&s.probes))
-        .filter(|a| a.candidate != ALWAYS)
-        .map(|a| a.candidate)
-        .collect();
-    touched.sort_unstable();
-    touched.dedup();
-    touched
 }
 
 /// Constructor-level validation that a flattened access path stays inside

@@ -3,14 +3,14 @@
 //! compact / add-delta / drop-delta), asserting after **every** step that
 //! the incrementally-spliced [`PricedWorkload`] is bit-identical to a
 //! from-scratch `price_full`, that the bloom/footprint prefilter never
-//! lets a delta change a query it cannot touch, and that the frozen
-//! nested [`ReferenceModel`] prices every query to the same bits.
+//! lets a delta change a query it cannot touch, and that the per-query
+//! [`CacheCostModel`] oracle prices every query to the same bits.
 
 use pinum_catalog::{Catalog, Column, ColumnType, Index, Table};
 use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
 use pinum_core::builder::{build_cache_pinum, BuilderOptions};
 use pinum_core::{
-    pairwise_total, CandidatePool, PlanCache, PricedWorkload, Probe, ReferenceModel, Selection,
+    pairwise_total, CacheCostModel, CandidatePool, PlanCache, PricedWorkload, Probe, Selection,
     WorkloadModel,
 };
 use pinum_optimizer::Optimizer;
@@ -273,9 +273,10 @@ proptest! {
         }
     }
 
-    /// The frozen nested reference engine prices every query to the same
-    /// bits as the SoA kernel, and the kernel's tree total is exactly the
-    /// canonical pairwise shape over its per-query costs.
+    /// `CacheCostModel::estimate`, reading each plan cache and access
+    /// catalog directly, prices every query to the same bits as the SoA
+    /// kernel, and the kernel's tree total is exactly the canonical
+    /// pairwise shape over its per-query costs.
     #[test]
     fn reference_model_agrees_on_random_workloads(
         fact_rows in 60_000u64..400_000,
@@ -285,13 +286,16 @@ proptest! {
     ) {
         let (pool, models) = random_workload(fact_rows, dim_rows, &widths);
         let model = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
-        let reference = ReferenceModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
         for mask in masks {
             let ids: Vec<usize> = (0..pool.len()).filter(|i| mask & (1 << i) != 0).collect();
             let selection = Selection::from_ids(pool.len(), &ids);
             let state = model.price_full(&selection);
-            let (ref_costs, _) = reference.price_full(&selection);
-            for (q, (a, b)) in state.per_query().iter().zip(&ref_costs).enumerate() {
+            let ref_costs = models.iter().map(|(cache, access)| {
+                CacheCostModel::new(cache, access)
+                    .estimate(&selection)
+                    .map_or(f64::INFINITY, |e| e.cost)
+            });
+            for (q, (a, b)) in state.per_query().iter().zip(ref_costs).enumerate() {
                 prop_assert_eq!(
                     a.to_bits(),
                     b.to_bits(),

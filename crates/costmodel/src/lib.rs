@@ -2,7 +2,7 @@
 //!
 //! A PostgreSQL-style cost model for the PINUM reproduction: the formulas
 //! follow `optimizer/path/costsize.c` (v8.3 lineage, with index-only scans
-//! modeled as in later versions — see DESIGN.md substitution table).
+//! modeled as in later versions).
 //!
 //! Costs are expressed in the usual abstract units where one sequential page
 //! fetch costs `seq_page_cost = 1.0`. Every function here is **pure**: it

@@ -3,7 +3,7 @@
 //! A mini row-level execution engine over synthetic in-memory data.
 //!
 //! The paper runs its workload on a 10 GB PostgreSQL database; this crate
-//! is the scaled-down stand-in (DESIGN.md substitution table): it
+//! is the scaled-down stand-in: it
 //! materializes data matching the catalog's statistics ([`data`]) and
 //! executes the optimizer's [`pinum_optimizer::PlanNode`] trees against it
 //! ([`exec`]). It serves two purposes:

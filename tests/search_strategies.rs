@@ -8,8 +8,8 @@
 //!   so their final workload cost is bounded by the seed's.
 
 use pinum::advisor::candidates::generate_candidates;
-use pinum::advisor::greedy::{greedy_select_model, GreedyOptions};
-use pinum::advisor::search::{Anneal, LazyGreedy, SearchStrategy, SwapHillClimb};
+use pinum::advisor::greedy::GreedyOptions;
+use pinum::advisor::search::{Anneal, EagerGreedy, LazyGreedy, SearchStrategy, SwapHillClimb};
 use pinum::core::access_costs::{collect_pinum, AccessCostCatalog};
 use pinum::core::builder::{build_cache_pinum, BuilderOptions};
 use pinum::core::{CandidatePool, PlanCache, Selection, WorkloadModel};
@@ -67,7 +67,7 @@ fn assert_lazy_matches_plain(pool: &CandidatePool, model: &WorkloadModel, budget
         budget_bytes: budget,
         benefit_per_byte: false,
     };
-    let plain = greedy_select_model(pool, &gopts, model);
+    let plain = EagerGreedy.search(pool, model, &gopts);
     let lazy = LazyGreedy.search(pool, model, &gopts);
     assert_eq!(plain.picked, lazy.picked, "{tag}: pick sequences diverged");
     assert_eq!(
