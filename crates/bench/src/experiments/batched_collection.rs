@@ -22,7 +22,7 @@
 
 use crate::fixtures::{CANDIDATE_CAP, QUERIES, SCHEMA_SEED, WORKLOAD_SEED};
 use crate::json::{emit, JsonObject};
-use crate::table::{fmt_duration, TextTable};
+use crate::table::TextTable;
 use pinum_advisor::candidates::generate_candidates;
 use pinum_advisor::greedy::GreedyOptions;
 use pinum_advisor::search::{EagerGreedy, SearchStrategy};
@@ -32,7 +32,6 @@ use pinum_core::{CandidatePool, PlanCache, WorkloadCollector, WorkloadModel};
 use pinum_optimizer::Optimizer;
 use pinum_workload::star::{StarSchema, StarWorkload};
 use pinum_workload::templates::summarize_templates;
-use std::time::{Duration, Instant};
 
 pub struct BatchedOutcome {
     pub queries: usize,
@@ -40,8 +39,6 @@ pub struct BatchedOutcome {
     pub per_query_calls: usize,
     pub batched_calls: usize,
     pub call_reduction: f64,
-    pub per_query_wall: Duration,
-    pub batched_wall: Duration,
     pub catalogs_identical: bool,
     pub picks_identical: bool,
 }
@@ -73,7 +70,6 @@ pub fn run(scale: f64) -> BatchedOutcome {
     );
 
     // --- Per-query reference path: one keep-all call per query. ---
-    let per_query_start = Instant::now();
     let mut reference: Vec<AccessCostCatalog> = Vec::with_capacity(QUERIES);
     let mut per_query_calls = 0usize;
     for q in &workload.queries {
@@ -81,13 +77,10 @@ pub fn run(scale: f64) -> BatchedOutcome {
         per_query_calls += stats.optimizer_calls;
         reference.push(access);
     }
-    let per_query_wall = per_query_start.elapsed();
 
     // --- Batched path: one call per template-shape. ---
-    let batched_start = Instant::now();
     let mut collector = WorkloadCollector::new();
     let (batched, bstats) = collector.collect_workload(&optimizer, &workload.queries, &pool);
-    let batched_wall = batched_start.elapsed();
     let batched_calls = bstats.optimizer_calls;
 
     // --- Exactness: bit-identical catalogs, release mode included. ---
@@ -126,16 +119,10 @@ pub fn run(scale: f64) -> BatchedOutcome {
     );
 
     let call_reduction = per_query_calls as f64 / batched_calls.max(1) as f64;
-    let mut table = TextTable::new(vec![
-        "collection path",
-        "optimizer calls",
-        "wall",
-        "entries",
-    ]);
+    let mut table = TextTable::new(vec!["collection path", "optimizer calls", "entries"]);
     table.row(vec![
         "per-query collect_pinum".to_string(),
         per_query_calls.to_string(),
-        fmt_duration(per_query_wall),
         reference
             .iter()
             .map(catalog_entries)
@@ -145,7 +132,6 @@ pub fn run(scale: f64) -> BatchedOutcome {
     table.row(vec![
         "batched WorkloadCollector".to_string(),
         batched_calls.to_string(),
-        fmt_duration(batched_wall),
         bstats.entries.to_string(),
     ]);
     println!("{}", table.render());
@@ -167,12 +153,6 @@ pub fn run(scale: f64) -> BatchedOutcome {
             .int("per_query_calls", per_query_calls as u64)
             .int("batched_calls", batched_calls as u64)
             .num("call_reduction", call_reduction)
-            .num("per_query_wall_seconds", per_query_wall.as_secs_f64())
-            .num("batched_wall_seconds", batched_wall.as_secs_f64())
-            .num(
-                "wall_speedup",
-                per_query_wall.as_secs_f64() / batched_wall.as_secs_f64().max(1e-9),
-            )
             .bool("catalogs_identical", catalogs_identical)
             .bool("picks_identical", picks_identical)
             .int("picks", greedy_batched.picked.len() as u64),
@@ -188,8 +168,6 @@ pub fn run(scale: f64) -> BatchedOutcome {
         per_query_calls,
         batched_calls,
         call_reduction,
-        per_query_wall,
-        batched_wall,
         catalogs_identical,
         picks_identical,
     }

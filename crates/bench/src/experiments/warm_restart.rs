@@ -129,11 +129,8 @@ fn options(budget: u64) -> OnlineAdvisorOptions {
         window_capacity: WINDOW,
         epoch_length: EPOCH,
         drift_threshold: DRIFT_THRESHOLD,
-        decay: 1.0,
         strategy: StrategyKind::SwapHillClimb,
         budget_bytes: budget,
-        benefit_per_byte: false,
-        warm_start: true,
         scoped_readvise: false,
         attribution_threshold: 0.1,
     }

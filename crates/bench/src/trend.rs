@@ -426,6 +426,6 @@ mod tests {
         assert!(specs.len() >= 8, "baseline lost its metrics");
         assert!(specs
             .iter()
-            .any(|s| s.file == "online_drift" && s.key == "full_rebuilds"));
+            .any(|s| s.file == "online_drift" && s.key == "admit_arms_identical"));
     }
 }

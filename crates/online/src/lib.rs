@@ -14,7 +14,7 @@
 //!   priced state stays bit-identical to a fresh `price_full` at every
 //!   step (debug-asserted, sampled via `PINUM_ASSERT_SAMPLE`). Admissions
 //!   may carry the query's [`TemplateKey`]s for drift attribution; the
-//!   window slides by count, with optional per-round weight decay.
+//!   window slides by count.
 //!   In-place [`OnlineAdvisor::reweight`] events (the same query
 //!   getting hotter) re-price exactly one query.
 //! * **attribute** — [`DriftAttribution`] tracks each template's share of
@@ -44,7 +44,7 @@
 
 pub mod attribution;
 
-pub use attribution::{DriftAttribution, DriftAttributionParts, SharePolicy};
+pub use attribution::{DriftAttribution, DriftAttributionParts};
 
 use pinum_advisor::greedy::GreedyOptions;
 use pinum_advisor::search::{SearchScope, StrategyKind};
@@ -69,19 +69,12 @@ pub struct OnlineAdvisorOptions {
     /// Relative regression of the window's mean priced cost (vs the mean
     /// right after the last re-advise) that fires an early re-advise.
     pub drift_threshold: f64,
-    /// Per-advising-round weight decay applied to every resident query
-    /// (1.0 = pure count window, no decay).
-    pub decay: f64,
-    /// Search strategy used at re-advise time.
+    /// Search strategy used at re-advise time, always warm-started from
+    /// the previous selection and its carried priced state, ranking
+    /// candidates by absolute benefit.
     pub strategy: StrategyKind,
     /// Index disk budget handed to the strategy.
     pub budget_bytes: u64,
-    /// Rank candidates by benefit per byte inside the strategy.
-    pub benefit_per_byte: bool,
-    /// Warm-start re-advises from the previous selection and its carried
-    /// priced state (the whole point; `false` keeps a cold-search mode
-    /// for ablations).
-    pub warm_start: bool,
     /// Scope drift-triggered re-advises to the candidates that can affect
     /// the regressed templates (needs template-attributed admissions;
     /// falls back to the full-scope search — bit-identical to the
@@ -94,18 +87,15 @@ pub struct OnlineAdvisorOptions {
 
 impl OnlineAdvisorOptions {
     /// Sensible daemon defaults for a given budget: 256-query window,
-    /// epoch of 64, 20 % drift threshold, warm-started lazy greedy,
-    /// template-scoped drift re-advising at a 10 % per-template bar.
+    /// epoch of 64, 20 % drift threshold, lazy greedy, template-scoped
+    /// drift re-advising at a 10 % per-template bar.
     pub fn defaults(budget_bytes: u64) -> Self {
         Self {
             window_capacity: 256,
             epoch_length: 64,
             drift_threshold: 0.2,
-            decay: 1.0,
             strategy: StrategyKind::LazyGreedy,
             budget_bytes,
-            benefit_per_byte: false,
-            warm_start: true,
             scoped_readvise: true,
             attribution_threshold: 0.1,
         }
@@ -190,8 +180,7 @@ pub struct Admission {
 /// ```
 ///
 /// Defaults: weight 1.0, no templates (the query counts as
-/// conservatively regressed whenever drift fires), shares derived from
-/// the access catalog (each relation's cheapest arm), re-advises inline.
+/// conservatively regressed whenever drift fires), re-advises inline.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionSpec<'a> {
     /// The query's cached plans — one half of the paper's
@@ -204,10 +193,6 @@ pub struct AdmissionSpec<'a> {
     /// Per-relation [`TemplateKey`]s for drift attribution (empty ⇒
     /// unattributed).
     pub templates: &'a [TemplateKey],
-    /// Explicit per-template cost shares for
-    /// [`SharePolicy::AccessShare`]; `None` derives them from the access
-    /// catalog (each relation's cheapest arm).
-    pub shares: Option<&'a [f64]>,
     /// Defer a triggered re-advise: return it in [`Admission::pending`]
     /// instead of executing it inline ([`OnlineAdvisor::apply`] only —
     /// the gated batch path runs every trigger under its caller's guard).
@@ -223,7 +208,6 @@ impl<'a> AdmissionSpec<'a> {
             access,
             weight: 1.0,
             templates: &[],
-            shares: None,
             deferred: false,
         }
     }
@@ -238,12 +222,6 @@ impl<'a> AdmissionSpec<'a> {
     /// [`query_templates`]) for template-scoped drift attribution.
     pub fn templates(mut self, templates: &'a [TemplateKey]) -> Self {
         self.templates = templates;
-        self
-    }
-
-    /// Overrides the per-template cost shares (must be one per template).
-    pub fn shares(mut self, shares: &'a [f64]) -> Self {
-        self.shares = Some(shares);
         self
     }
 
@@ -303,11 +281,6 @@ pub struct OnlineStats {
     pub forced_readvises: usize,
     /// Re-advises that ran under a template-derived candidate mask.
     pub scoped_readvises: usize,
-    /// From-scratch [`pinum_core::WorkloadModel`] builds performed after
-    /// start-up. Never incremented by this implementation — the counter
-    /// exists so the acceptance experiment can *assert* the online path
-    /// stayed incremental.
-    pub full_rebuilds: usize,
     /// Full workload re-pricings the session performed or adopted from
     /// searches. Stays 0 while warm states carry across re-advises.
     pub full_repricings: usize,
@@ -415,10 +388,6 @@ impl OnlineAdvisor {
         assert!(
             opts.attribution_threshold >= 0.0 && opts.attribution_threshold.is_finite(),
             "attribution threshold must be a finite non-negative ratio"
-        );
-        assert!(
-            opts.decay > 0.0 && opts.decay <= 1.0,
-            "decay must be in (0, 1]"
         );
         let session = PricingSession::new(pool.len());
         Self {
@@ -539,28 +508,7 @@ impl OnlineAdvisor {
             debug_assert_eq!(self.qid_ordinal.len(), qid);
             self.admission_qid.push(qid as u32);
             self.qid_ordinal.push(ordinal as u32);
-            // Per-relation access-cost shares for SharePolicy::AccessShare:
-            // explicit when the spec carried them, else each relation's
-            // cheapest access arm (entries are sorted ascending)
-            // approximates its slice of the query's cost. When neither
-            // holds — no override and the template list doesn't line up
-            // one-per-relation — the attribution falls back to the even
-            // split.
-            if let Some(shares) = spec.shares {
-                self.attribution
-                    .admit_with_shares(qid, spec.templates, shares);
-            } else if spec.templates.len() == spec.access.per_rel().len() {
-                let derived: Vec<f64> = spec
-                    .access
-                    .per_rel()
-                    .iter()
-                    .map(|entries| entries.first().map_or(0.0, |e| e.cost))
-                    .collect();
-                self.attribution
-                    .admit_with_shares(qid, spec.templates, &derived);
-            } else {
-                self.attribution.admit(qid, spec.templates);
-            }
+            self.attribution.admit(qid, spec.templates);
             self.admits_since_advise += 1;
             out.push(Admission {
                 qid,
@@ -761,21 +709,6 @@ impl OnlineAdvisor {
         if model.query_count() - model.live_query_count() > model.live_query_count() {
             self.compact();
         }
-        // Weight decay: every resident fades one round before re-selection
-        // sees the window (no-op at decay = 1.0; each fade re-prices only
-        // its own query).
-        if self.opts.decay < 1.0 {
-            // Batched: every resident re-priced once, the total re-summed
-            // once — O(window), not O(window²).
-            let decay = self.opts.decay;
-            let model = self.session.model();
-            let updates: Vec<(usize, f64)> = self
-                .window
-                .iter()
-                .map(|&qid| (qid, (model.weight(qid) * decay).max(f64::MIN_POSITIVE)))
-                .collect();
-            self.session.reweight_queries(updates);
-        }
         let cost_before = self.session.total();
 
         // Scope: when drift fired and attribution can pin it on specific
@@ -784,43 +717,36 @@ impl OnlineAdvisor {
         // scope the *pricing* itself: the regressed set rides into the
         // search as a query mask, so probes re-price only the queries
         // that drifted (accepted moves re-derive exact totals).
-        let regressed: Option<Vec<u32>> = if trigger == ReadviseTrigger::Drift
-            && self.opts.scoped_readvise
-            && self.opts.warm_start
-        {
-            self.attribution
-                .regressed_queries(self.session.state(), self.opts.attribution_threshold)
-        } else {
-            None
-        };
+        let regressed: Option<Vec<u32>> =
+            if trigger == ReadviseTrigger::Drift && self.opts.scoped_readvise {
+                self.attribution
+                    .regressed_queries(self.session.state(), self.opts.attribution_threshold)
+            } else {
+                None
+            };
         let mask: Option<Selection> = regressed.as_ref().map(|r| self.scope_mask(r));
 
         let gopts = GreedyOptions {
             budget_bytes: self.opts.budget_bytes,
-            benefit_per_byte: self.opts.benefit_per_byte,
+            benefit_per_byte: false,
         };
-        let strategy = self.opts.strategy.build();
-        let result = if self.opts.warm_start {
-            // The tentpole handoff: the session's exact priced state
-            // rides into the search, so a steady-state re-advise prices
-            // nothing it does not have to.
-            let mut scope = SearchScope::all().with_warm_state(self.session.state());
-            if let Some(mask) = &mask {
-                scope.mask = Some(mask);
-            }
-            if let Some(regressed) = &regressed {
-                scope = scope.with_query_mask(regressed);
-            }
-            strategy.search_scoped(
-                &self.pool,
-                self.session.model(),
-                &gopts,
-                self.session.selection(),
-                &scope,
-            )
-        } else {
-            strategy.search(&self.pool, self.session.model(), &gopts)
-        };
+        // The tentpole handoff: the session's exact priced state rides
+        // into the search, so a steady-state re-advise prices nothing it
+        // does not have to.
+        let mut scope = SearchScope::all().with_warm_state(self.session.state());
+        if let Some(mask) = &mask {
+            scope.mask = Some(mask);
+        }
+        if let Some(regressed) = &regressed {
+            scope = scope.with_query_mask(regressed);
+        }
+        let result = self.opts.strategy.build().search_scoped(
+            &self.pool,
+            self.session.model(),
+            &gopts,
+            self.session.selection(),
+            &scope,
+        );
         let scoped = mask.is_some();
         let scope_candidates = mask.as_ref().map_or(self.pool.len(), Selection::len);
 
@@ -927,13 +853,6 @@ impl OnlineAdvisor {
         self.session.total()
     }
 
-    /// Alias of [`Self::current_cost`] kept for the monitor-centric
-    /// callers: with the persistent session, what the drift detector
-    /// sees *is* the exact priced state.
-    pub fn monitored_cost(&self) -> f64 {
-        self.session.total()
-    }
-
     pub fn selection(&self) -> &Selection {
         self.session.selection()
     }
@@ -950,12 +869,6 @@ impl OnlineAdvisor {
     /// The drift-attribution books behind scoped re-advising.
     pub fn attribution(&self) -> &DriftAttribution {
         &self.attribution
-    }
-
-    /// Switches how multi-template queries split their priced cost
-    /// across templates (see [`attribution::SharePolicy`]).
-    pub fn set_share_policy(&mut self, policy: attribution::SharePolicy) {
-        self.attribution.set_share_policy(policy);
     }
 
     pub fn pool(&self) -> &CandidatePool {
@@ -1027,7 +940,6 @@ impl OnlineAdvisor {
             || opts.epoch_length < 1
             || !(opts.drift_threshold >= 0.0 && opts.drift_threshold.is_finite())
             || !(opts.attribution_threshold >= 0.0 && opts.attribution_threshold.is_finite())
-            || !(opts.decay > 0.0 && opts.decay <= 1.0)
         {
             return Err("invalid daemon options");
         }
@@ -1264,7 +1176,7 @@ mod tests {
         for (c, a) in &models {
             advisor.apply(AdmissionSpec::new(c, a));
         }
-        assert_eq!(advisor.stats().full_rebuilds, 0);
+        assert_eq!(advisor.session().full_repricings(), 0);
         assert!(advisor.stats().admit_arms_max > 0);
         assert!(advisor.stats().readvises > 0);
     }
@@ -1415,26 +1327,33 @@ mod tests {
     #[test]
     fn warm_and_cold_readvising_land_within_a_percent() {
         let (_s, _q, pool, models) = fixture(3, 10);
-        let run = |warm: bool| {
-            let mut advisor = OnlineAdvisor::new(
-                pool.clone(),
-                OnlineAdvisorOptions {
-                    warm_start: warm,
-                    ..opts(15, 6)
-                },
-            );
-            for (c, a) in &models {
-                advisor.apply(AdmissionSpec::new(c, a));
-            }
-            advisor.readvise();
-            advisor.current_cost()
+        let o = opts(15, 6);
+        let gopts = GreedyOptions {
+            budget_bytes: o.budget_bytes,
+            benefit_per_byte: false,
         };
-        let (w, c) = (run(true), run(false));
-        assert!(w.is_finite() && c.is_finite());
-        assert!(
-            w <= c * 1.01,
-            "warm-started steady state {w} more than 1% above cold {c}"
-        );
+        let mut advisor = OnlineAdvisor::new(pool.clone(), o);
+        // Every warm re-advise, held against a cold search over the very
+        // window it re-advised.
+        let check = |advisor: &OnlineAdvisor, warm: f64| {
+            let cold = o.strategy.build().search(&pool, advisor.model(), &gopts);
+            let cold = advisor.model().price_full(&cold.selection).total();
+            assert!(warm.is_finite() && cold.is_finite());
+            assert!(
+                warm <= cold * 1.01,
+                "warm-started re-advise {warm} more than 1% above cold {cold}"
+            );
+        };
+        let mut rounds = 0;
+        for (c, a) in &models {
+            if let Some(r) = advisor.apply(AdmissionSpec::new(c, a)).readvise {
+                check(&advisor, r.cost_after);
+                rounds += 1;
+            }
+        }
+        let r = advisor.readvise();
+        check(&advisor, r.cost_after);
+        assert!(rounds > 0, "no re-advise fired mid-stream");
     }
 
     #[test]
@@ -1451,11 +1370,10 @@ mod tests {
             (
                 advisor.current_cost(),
                 advisor.selection().ids().collect::<Vec<_>>(),
-                advisor.monitored_cost(),
             )
         };
-        let (c_base, s_base, m_base) = run(None);
-        let (c_cmp, s_cmp, m_cmp) = run(Some(12));
+        let (c_base, s_base) = run(None);
+        let (c_cmp, s_cmp) = run(Some(12));
         // Compaction drops tombstone slots, which regroups the pairwise
         // sum tree: totals may drift by an ulp even though every live
         // per-query cost is unchanged. Decisions must match exactly.
@@ -1464,10 +1382,6 @@ mod tests {
         assert!(
             close(c_base, c_cmp),
             "current cost drifted: {c_base} vs {c_cmp}"
-        );
-        assert!(
-            close(m_base, m_cmp),
-            "monitored cost drifted: {m_base} vs {m_cmp}"
         );
     }
 
@@ -1492,7 +1406,6 @@ mod tests {
             advisor.stats().compactions > 0,
             "a 30-admission stream over a 4-query window never compacted"
         );
-        assert_eq!(advisor.stats().full_rebuilds, 0);
         assert_eq!(advisor.window_len(), window);
         // The admission-ordinal book retires its dead prefix at each
         // compaction, so its live span tracks the window, not lifetime
@@ -1508,28 +1421,6 @@ mod tests {
         assert!(base > 0, "compaction never retired a dead prefix");
         assert!(!advisor.reweight(0, 9.9, false).applied);
         assert_eq!(advisor.stats().reweight_misses, 1);
-    }
-
-    #[test]
-    fn decay_fades_resident_weights() {
-        let (_s, _q, pool, models) = fixture(2, 10);
-        let mut advisor = OnlineAdvisor::new(
-            pool,
-            OnlineAdvisorOptions {
-                decay: 0.5,
-                ..opts(20, 5)
-            },
-        );
-        for (c, a) in &models[..10] {
-            advisor.apply(AdmissionSpec::new(c, a));
-        }
-        // Two epochs passed (admissions 5 and 10): the first resident
-        // decayed twice, the most recent admission only once (it was in
-        // the window when its own epoch boundary fired).
-        let model = advisor.model();
-        assert!(model.weight(0) <= 0.25 + 1e-12);
-        assert!(model.weight(9) <= 0.5 + 1e-12);
-        assert!(model.weight(0) < model.weight(9));
     }
 
     #[test]
@@ -1792,7 +1683,6 @@ mod tests {
         assert_eq!(b.drift_readvises, r.drift_readvises);
         assert_eq!(b.scoped_readvises, r.scoped_readvises);
         assert_eq!(b.compactions, r.compactions);
-        assert_eq!(b.full_rebuilds, r.full_rebuilds);
         assert_eq!(b.full_repricings, r.full_repricings);
         assert_eq!(
             baseline.admission_book_span(),

@@ -16,11 +16,8 @@
 
 use pinum_advisor::search::StrategyKind;
 use pinum_core::WorkloadModelParts;
-use pinum_online::attribution::SharePolicy;
 use pinum_online::{DriftAttributionParts, OnlineAdvisorOptions, OnlineAdvisorParts, OnlineStats};
-use pinum_protocol::wire::{
-    put_bool, put_f64, put_option, put_u32, put_u64, put_u8, put_vec, Cursor,
-};
+use pinum_protocol::wire::{put_bool, put_f64, put_u32, put_u64, put_u8, put_vec, Cursor};
 use pinum_protocol::{WireError, WireTemplate};
 use std::time::Duration;
 
@@ -77,7 +74,6 @@ pub fn encode_options(out: &mut Vec<u8>, o: &OnlineAdvisorOptions) {
     put_u64(out, o.window_capacity as u64);
     put_u64(out, o.epoch_length as u64);
     put_f64(out, o.drift_threshold);
-    put_f64(out, o.decay);
     match o.strategy {
         StrategyKind::LazyGreedy => put_u8(out, 0),
         StrategyKind::EagerGreedy => put_u8(out, 1),
@@ -88,8 +84,6 @@ pub fn encode_options(out: &mut Vec<u8>, o: &OnlineAdvisorOptions) {
         }
     }
     put_u64(out, o.budget_bytes);
-    put_bool(out, o.benefit_per_byte);
-    put_bool(out, o.warm_start);
     put_bool(out, o.scoped_readvise);
     put_f64(out, o.attribution_threshold);
 }
@@ -98,7 +92,6 @@ pub fn decode_options(c: &mut Cursor<'_>) -> Result<OnlineAdvisorOptions, WireEr
     let window_capacity = c.u64()? as usize;
     let epoch_length = c.u64()? as usize;
     let drift_threshold = c.f64()?;
-    let decay = c.f64()?;
     let strategy = match c.u8()? {
         0 => StrategyKind::LazyGreedy,
         1 => StrategyKind::EagerGreedy,
@@ -110,35 +103,10 @@ pub fn decode_options(c: &mut Cursor<'_>) -> Result<OnlineAdvisorOptions, WireEr
         window_capacity,
         epoch_length,
         drift_threshold,
-        decay,
         strategy,
         budget_bytes: c.u64()?,
-        benefit_per_byte: c.bool()?,
-        warm_start: c.bool()?,
         scoped_readvise: c.bool()?,
         attribution_threshold: c.f64()?,
-    })
-}
-
-// --- Share policies. ---
-
-pub fn encode_share_policy(out: &mut Vec<u8>, p: SharePolicy) {
-    put_u8(
-        out,
-        match p {
-            SharePolicy::Split => 0,
-            SharePolicy::Full => 1,
-            SharePolicy::AccessShare => 2,
-        },
-    );
-}
-
-pub fn decode_share_policy(c: &mut Cursor<'_>) -> Result<SharePolicy, WireError> {
-    Ok(match c.u8()? {
-        0 => SharePolicy::Split,
-        1 => SharePolicy::Full,
-        2 => SharePolicy::AccessShare,
-        _ => return Err(WireError::Malformed("unknown share policy tag")),
     })
 }
 
@@ -205,12 +173,9 @@ pub fn decode_model_parts(c: &mut Cursor<'_>) -> Result<WorkloadModelParts, Wire
 pub fn encode_attribution_parts(out: &mut Vec<u8>, p: &DriftAttributionParts) {
     put_vec(out, &p.templates, |o, t| template_to_wire(t).encode(o));
     put_vec(out, &p.per_query, |o, ids| put_u32s(o, ids));
-    put_vec(out, &p.per_query_share, |o, sh| put_f64s(o, sh));
     put_vec(out, &p.status, |o, &s| put_u8(o, s));
     put_f64s(out, &p.baseline);
     put_bool(out, p.baseline_captured);
-    encode_share_policy(out, p.share_policy);
-    encode_share_policy(out, p.baseline_policy);
 }
 
 pub fn decode_attribution_parts(c: &mut Cursor<'_>) -> Result<DriftAttributionParts, WireError> {
@@ -221,12 +186,9 @@ pub fn decode_attribution_parts(c: &mut Cursor<'_>) -> Result<DriftAttributionPa
             .map(template_from_wire)
             .collect(),
         per_query: c.vec(4, u32s)?,
-        per_query_share: c.vec(4, f64s)?,
         status: c.vec(1, |c| c.u8())?,
         baseline: f64s(c)?,
         baseline_captured: c.bool()?,
-        share_policy: decode_share_policy(c)?,
-        baseline_policy: decode_share_policy(c)?,
     })
 }
 
@@ -242,7 +204,6 @@ pub fn encode_stats(out: &mut Vec<u8>, s: &OnlineStats) {
     put_u64(out, s.drift_readvises as u64);
     put_u64(out, s.forced_readvises as u64);
     put_u64(out, s.scoped_readvises as u64);
-    put_u64(out, s.full_rebuilds as u64);
     put_u64(out, s.full_repricings as u64);
     put_u64(out, s.compactions as u64);
     put_u64(out, s.admit_arms_total as u64);
@@ -265,7 +226,6 @@ pub fn decode_stats(c: &mut Cursor<'_>) -> Result<OnlineStats, WireError> {
         drift_readvises: c.u64()? as usize,
         forced_readvises: c.u64()? as usize,
         scoped_readvises: c.u64()? as usize,
-        full_rebuilds: c.u64()? as usize,
         full_repricings: c.u64()? as usize,
         compactions: c.u64()? as usize,
         admit_arms_total: c.u64()? as usize,
@@ -312,16 +272,6 @@ pub fn decode_advisor_parts(c: &mut Cursor<'_>) -> Result<OnlineAdvisorParts, Wi
     })
 }
 
-/// Optional f64 slice (admission share overrides).
-pub fn put_shares(out: &mut Vec<u8>, shares: Option<&[f64]>) {
-    put_option(out, &shares, |o, v| put_f64s(o, v));
-}
-
-/// Counterpart of [`put_shares`].
-pub fn shares(c: &mut Cursor<'_>) -> Result<Option<Vec<f64>>, WireError> {
-    c.option(f64s)
-}
-
 /// FNV-1a 64 over a byte slice — the integrity check every snapshot and
 /// log record carries (the TCP protocol trusts its transport; files do
 /// not get that luxury).
@@ -348,7 +298,7 @@ mod tests {
         ] {
             let opts = OnlineAdvisorOptions {
                 strategy,
-                decay: 0.75,
+                drift_threshold: 0.75,
                 ..OnlineAdvisorOptions::defaults(1 << 28)
             };
             let mut buf = Vec::new();
@@ -358,7 +308,10 @@ mod tests {
             assert!(c.exhausted());
             assert_eq!(back.strategy, opts.strategy);
             assert_eq!(back.window_capacity, opts.window_capacity);
-            assert_eq!(back.decay.to_bits(), opts.decay.to_bits());
+            assert_eq!(
+                back.drift_threshold.to_bits(),
+                opts.drift_threshold.to_bits()
+            );
         }
     }
 

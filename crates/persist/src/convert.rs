@@ -339,11 +339,8 @@ pub fn options_to_wire(o: &OnlineAdvisorOptions) -> Result<WireOptions> {
         window_capacity: o.window_capacity as u64,
         epoch_length: o.epoch_length as u64,
         drift_threshold: o.drift_threshold,
-        decay: o.decay,
         strategy,
         budget_bytes: o.budget_bytes,
-        benefit_per_byte: o.benefit_per_byte,
-        warm_start: o.warm_start,
         scoped_readvise: o.scoped_readvise,
         attribution_threshold: o.attribution_threshold,
     })
@@ -369,18 +366,12 @@ pub fn options_from_wire(w: &WireOptions) -> Result<OnlineAdvisorOptions> {
             "attribution threshold must be finite and non-negative",
         ));
     }
-    if !(w.decay > 0.0 && w.decay <= 1.0) {
-        return Err(ConvertError("decay must be in (0, 1]"));
-    }
     Ok(OnlineAdvisorOptions {
         window_capacity: w.window_capacity as usize,
         epoch_length: w.epoch_length as usize,
         drift_threshold: w.drift_threshold,
-        decay: w.decay,
         strategy,
         budget_bytes: w.budget_bytes,
-        benefit_per_byte: w.benefit_per_byte,
-        warm_start: w.warm_start,
         scoped_readvise: w.scoped_readvise,
         attribution_threshold: w.attribution_threshold,
     })
@@ -418,7 +409,6 @@ pub fn stats_to_wire(s: &OnlineStats) -> WireStats {
         drift_readvises: s.drift_readvises as u64,
         forced_readvises: s.forced_readvises as u64,
         scoped_readvises: s.scoped_readvises as u64,
-        full_rebuilds: s.full_rebuilds as u64,
         full_repricings: s.full_repricings as u64,
         compactions: s.compactions as u64,
         admit_arms_total: s.admit_arms_total as u64,
@@ -485,9 +475,9 @@ mod tests {
         assert!(index_from_wire(&w).is_err());
 
         let mut o = options_to_wire(&OnlineAdvisorOptions::defaults(1 << 30)).unwrap();
-        o.decay = 0.0;
+        o.drift_threshold = f64::NAN;
         assert!(options_from_wire(&o).is_err());
-        o.decay = 1.0;
+        o.drift_threshold = 0.2;
         o.strategy = 200;
         assert!(options_from_wire(&o).is_err());
 
@@ -576,14 +566,17 @@ mod tests {
     fn options_roundtrip() {
         let opts = OnlineAdvisorOptions {
             strategy: StrategyKind::SwapHillClimb,
-            decay: 0.9,
+            drift_threshold: 0.9,
             ..OnlineAdvisorOptions::defaults(123456)
         };
         let back = options_from_wire(&options_to_wire(&opts).unwrap()).unwrap();
         assert_eq!(back.window_capacity, opts.window_capacity);
         assert_eq!(back.epoch_length, opts.epoch_length);
         assert_eq!(back.strategy, StrategyKind::SwapHillClimb);
-        assert_eq!(back.decay.to_bits(), opts.decay.to_bits());
+        assert_eq!(
+            back.drift_threshold.to_bits(),
+            opts.drift_threshold.to_bits()
+        );
         assert_eq!(back.budget_bytes, opts.budget_bytes);
     }
 }

@@ -13,7 +13,7 @@
 //!   *before* allocation, FNV-1a 64 checksum verified before decoding.
 //! - [`log`] — an append-only record of every mutation the daemon
 //!   accepted ([`pinum_online::AdmissionSpec`] payloads, reweights,
-//!   evictions, executed deferred triggers, policy changes), fsynced
+//!   evictions, executed deferred triggers, compactions), fsynced
 //!   record by record.
 //! - [`PersistentAdvisor`] — the write-ahead pairing of the two: log
 //!   first, apply second, snapshot every K admissions. Recovery loads
@@ -44,7 +44,7 @@ pub mod snapshot;
 
 use pinum_online::{
     Admission, AdmissionSpec, OnlineAdvisor, OnlineAdvisorOptions, ReadviseReport, ReadviseTrigger,
-    ReweightOutcome, SharePolicy,
+    ReweightOutcome,
 };
 use pinum_protocol::WireError;
 use std::fs;
@@ -64,7 +64,8 @@ pub enum PersistError {
     Io(std::io::Error),
     /// Structurally malformed bytes (shares the protocol's error type).
     Wire(WireError),
-    /// Structurally valid bytes that violate a domain invariant.
+    /// Structurally valid bytes, or a caller's argument, that violate a
+    /// domain invariant (a refused argument is never journaled).
     Convert(ConvertError),
     /// A cross-file or cross-array consistency violation.
     State(&'static str),
@@ -156,11 +157,30 @@ fn validate_opts(opts: &OnlineAdvisorOptions) -> Result<(), PersistError> {
         || opts.epoch_length < 1
         || !(opts.drift_threshold >= 0.0 && opts.drift_threshold.is_finite())
         || !(opts.attribution_threshold >= 0.0 && opts.attribution_threshold.is_finite())
-        || !(opts.decay > 0.0 && opts.decay <= 1.0)
     {
         return Err(PersistError::State("invalid advisor options"));
     }
     Ok(())
+}
+
+/// The argument checks [`OnlineAdvisor`] asserts, as values: a mutation
+/// they refuse would panic the advisor. The live calls run them before
+/// journaling (so a refused call writes nothing); replay runs them on
+/// every recovered record (so a poisoned log is a typed error).
+fn check_weight(weight: f64) -> Result<(), &'static str> {
+    if weight.is_finite() && weight > 0.0 {
+        Ok(())
+    } else {
+        Err("weight must be finite and positive")
+    }
+}
+
+fn check_ordinal(advisor: &OnlineAdvisor, ordinal: usize) -> Result<(), &'static str> {
+    if ordinal < advisor.admission_book_span().1 {
+        Ok(())
+    } else {
+        Err("admission ordinal was never issued")
+    }
 }
 
 impl PersistentAdvisor {
@@ -362,8 +382,11 @@ impl PersistentAdvisor {
     /// Journals and applies one admission. On the durable path the spec
     /// payload — encoded straight from the borrowed artifacts — is on
     /// disk before the splice runs (write-ahead), and every
-    /// `snapshot_every` admissions a snapshot is cut afterwards.
+    /// `snapshot_every` admissions a snapshot is cut afterwards. A weight
+    /// that is not finite and positive is refused with
+    /// [`PersistError::Convert`] and nothing journaled.
     pub fn apply(&mut self, spec: AdmissionSpec<'_>) -> Result<Admission, PersistError> {
+        check_weight(spec.weight).map_err(ConvertError)?;
         self.journal(|out| encode_admit(out, &spec))?;
         let admission = self.advisor.apply(spec);
         self.note_admitted(1)?;
@@ -387,13 +410,17 @@ impl PersistentAdvisor {
     /// journals plain inline admissions (`deferred: false`) and no
     /// `Readvise` records — replay re-derives every round, exactly like
     /// the inline serial path. Snapshot accounting advances once per
-    /// batch.
+    /// batch. A batch holding any spec [`Self::apply`] would refuse is
+    /// refused whole, with nothing journaled.
     pub fn apply_batch<G>(
         &mut self,
         specs: &[AdmissionSpec<'_>],
         policy: GroupCommitPolicy,
         acquire: impl FnMut(ReadviseTrigger) -> G,
     ) -> Result<Vec<Admission>, PersistError> {
+        for spec in specs {
+            check_weight(spec.weight).map_err(ConvertError)?;
+        }
         if let Some(store) = &mut self.store {
             let inline = specs.iter().map(|spec| spec.deferred(false));
             store.writer.append_batch(store.seq + 1, inline, policy)?;
@@ -415,13 +442,18 @@ impl PersistentAdvisor {
             .map_or_else(PersistStats::default, |s| s.writer.stats())
     }
 
-    /// Journals and applies one reweight event.
+    /// Journals and applies one reweight event. An ordinal that was never
+    /// issued, or a weight that is not finite and positive, is refused
+    /// with [`PersistError::Convert`] and nothing journaled.
     pub fn reweight(
         &mut self,
         admission: usize,
         weight: f64,
         deferred: bool,
     ) -> Result<ReweightOutcome, PersistError> {
+        check_ordinal(&self.advisor, admission)
+            .and(check_weight(weight))
+            .map_err(ConvertError)?;
         self.append(&LogRecord::Reweight {
             ordinal: admission as u64,
             weight,
@@ -430,8 +462,10 @@ impl PersistentAdvisor {
         Ok(self.advisor.reweight(admission, weight, deferred))
     }
 
-    /// Journals and applies one explicit eviction.
+    /// Journals and applies one explicit eviction. An ordinal that was
+    /// never issued is refused like [`Self::reweight`]'s.
     pub fn evict_admission(&mut self, admission: usize) -> Result<bool, PersistError> {
+        check_ordinal(&self.advisor, admission).map_err(ConvertError)?;
         self.append(&LogRecord::Evict {
             ordinal: admission as u64,
         })?;
@@ -464,13 +498,6 @@ impl PersistentAdvisor {
         Ok(())
     }
 
-    /// Journals and applies a share-policy change.
-    pub fn set_share_policy(&mut self, policy: SharePolicy) -> Result<(), PersistError> {
-        self.append(&LogRecord::SetSharePolicy { policy })?;
-        self.advisor.set_share_policy(policy);
-        Ok(())
-    }
-
     /// Cuts a snapshot right now. Returns the log position it covers,
     /// or `None` when the advisor is volatile.
     pub fn snapshot_now(&mut self) -> Result<Option<u64>, PersistError> {
@@ -494,7 +521,8 @@ impl PersistentAdvisor {
 /// the live daemon used. Pending triggers returned by deferred specs are
 /// dropped here: their *execution* shows up as its own
 /// [`LogRecord::Readvise`] record at the position the caller actually
-/// released it.
+/// released it. A record the live call would have refused is a
+/// [`PersistError::State`], never a panic.
 fn replay(advisor: &mut OnlineAdvisor, record: &LogRecord) -> Result<(), PersistError> {
     match record {
         LogRecord::Create { .. } => {
@@ -505,33 +533,35 @@ fn replay(advisor: &mut OnlineAdvisor, record: &LogRecord) -> Result<(), Persist
             access,
             weight,
             templates,
-            shares,
             deferred,
         } => {
-            let mut spec = AdmissionSpec::new(cache, access)
-                .weight(*weight)
-                .templates(templates)
-                .deferred(*deferred);
-            if let Some(shares) = shares {
-                spec = spec.shares(shares);
-            }
-            advisor.apply(spec);
+            check_weight(*weight)?;
+            advisor.apply(
+                AdmissionSpec::new(cache, access)
+                    .weight(*weight)
+                    .templates(templates)
+                    .deferred(*deferred),
+            );
         }
         LogRecord::Reweight {
             ordinal,
             weight,
             deferred,
         } => {
-            advisor.reweight(*ordinal as usize, *weight, *deferred);
+            let ordinal = *ordinal as usize;
+            check_ordinal(advisor, ordinal)?;
+            check_weight(*weight)?;
+            advisor.reweight(ordinal, *weight, *deferred);
         }
         LogRecord::Evict { ordinal } => {
-            advisor.evict_admission(*ordinal as usize);
+            let ordinal = *ordinal as usize;
+            check_ordinal(advisor, ordinal)?;
+            advisor.evict_admission(ordinal);
         }
         LogRecord::Readvise { trigger } => {
             advisor.readvise_triggered(*trigger);
         }
         LogRecord::Compact => advisor.compact(),
-        LogRecord::SetSharePolicy { policy } => advisor.set_share_policy(*policy),
     }
     Ok(())
 }

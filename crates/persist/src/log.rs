@@ -40,7 +40,6 @@
 use pinum_core::access_costs::AccessCostCatalog;
 use pinum_core::cache::PlanCache;
 use pinum_core::CandidatePool;
-use pinum_online::attribution::SharePolicy;
 use pinum_online::{AdmissionSpec, OnlineAdvisorOptions, ReadviseTrigger};
 use pinum_protocol::wire::{put_bool, put_f64, put_u32, put_u64, put_u8, put_vec, Cursor};
 use pinum_protocol::{WireAccessCatalog, WireError, WireIndex, WirePlanCache, WireTemplate};
@@ -58,7 +57,7 @@ use crate::PersistError;
 /// Log file magic: `PLOG`.
 pub const LOG_MAGIC: u32 = 0x504C_4F47;
 /// Bumped on every incompatible layout change.
-pub const LOG_VERSION: u32 = 1;
+pub const LOG_VERSION: u32 = 2;
 /// Per-record payload cap, checked before allocating (a log record is at
 /// most one admission's artifacts — far below this).
 pub const MAX_RECORD_LEN: usize = 64 * 1024 * 1024;
@@ -78,7 +77,6 @@ pub enum LogRecord {
         access: AccessCostCatalog,
         weight: f64,
         templates: Vec<TemplateKeyOwned>,
-        shares: Option<Vec<f64>>,
         deferred: bool,
     },
     /// One reweight event against a stable admission ordinal.
@@ -95,8 +93,6 @@ pub enum LogRecord {
     /// An explicit compaction (re-advise-time auto-compactions are
     /// consequences and are not logged).
     Compact,
-    /// A share-policy change.
-    SetSharePolicy { policy: SharePolicy },
 }
 
 /// Alias kept for readability in [`LogRecord::Admit`].
@@ -108,7 +104,6 @@ const TAG_REWEIGHT: u8 = 3;
 const TAG_EVICT: u8 = 4;
 const TAG_READVISE: u8 = 5;
 const TAG_COMPACT: u8 = 6;
-const TAG_SET_SHARE_POLICY: u8 = 7;
 
 fn encode_trigger(out: &mut Vec<u8>, t: ReadviseTrigger) {
     put_u8(
@@ -138,7 +133,6 @@ pub(crate) fn encode_admit(out: &mut Vec<u8>, spec: &AdmissionSpec<'_>) {
     put_u8(out, TAG_ADMIT);
     put_f64(out, spec.weight);
     put_bool(out, spec.deferred);
-    codec::put_shares(out, spec.shares);
     cache_to_wire(spec.cache).encode(out);
     access_to_wire(spec.access).encode(out);
     put_vec(out, spec.templates, |o, t| template_to_wire(t).encode(o));
@@ -157,7 +151,6 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, record: &LogRecord) {
             access,
             weight,
             templates,
-            shares,
             deferred,
         } => encode_admit(
             out,
@@ -166,7 +159,6 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, record: &LogRecord) {
                 access,
                 weight: *weight,
                 templates,
-                shares: shares.as_deref(),
                 deferred: *deferred,
             },
         ),
@@ -189,10 +181,6 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, record: &LogRecord) {
             encode_trigger(out, *trigger);
         }
         LogRecord::Compact => put_u8(out, TAG_COMPACT),
-        LogRecord::SetSharePolicy { policy } => {
-            put_u8(out, TAG_SET_SHARE_POLICY);
-            codec::encode_share_policy(out, *policy);
-        }
     }
 }
 
@@ -215,7 +203,6 @@ fn decode_body(
                 pool_len.ok_or(PersistError::State("admission before the create record"))?;
             let weight = c.f64()?;
             let deferred = c.bool()?;
-            let shares = codec::shares(c)?;
             let cache = cache_from_wire(&WirePlanCache::decode(c)?)?;
             let access = access_from_wire(&WireAccessCatalog::decode(c)?, pool_len)?;
             let templates = c
@@ -228,7 +215,6 @@ fn decode_body(
                 access,
                 weight,
                 templates,
-                shares,
                 deferred,
             }
         }
@@ -242,9 +228,6 @@ fn decode_body(
             trigger: decode_trigger(c)?,
         },
         TAG_COMPACT => LogRecord::Compact,
-        TAG_SET_SHARE_POLICY => LogRecord::SetSharePolicy {
-            policy: codec::decode_share_policy(c)?,
-        },
         _ => return Err(WireError::Malformed("unknown log record tag").into()),
     };
     if !c.exhausted() {
@@ -493,7 +476,7 @@ impl LogScan {
                 Ok(record) => Some(record),
                 Err(_) => return Ok(None),
             }
-        } else if (TAG_CREATE..=TAG_SET_SHARE_POLICY).contains(&tag) {
+        } else if (TAG_CREATE..=TAG_COMPACT).contains(&tag) {
             None
         } else {
             return Ok(None);

@@ -9,6 +9,8 @@ mod common;
 use common::{fingerprint, fixture, opts, Fixture, ScratchDir};
 use pinum_online::{AdmissionSpec, OnlineAdvisor};
 use pinum_persist::codec::fnv1a;
+use pinum_persist::log::LOG_VERSION;
+use pinum_persist::snapshot::{read_snapshot, SNAPSHOT_VERSION};
 use pinum_persist::{GroupCommitPolicy, PersistError, PersistentAdvisor, LOG_FILE};
 use std::path::Path;
 
@@ -206,15 +208,17 @@ fn mid_log_corruption_before_the_snapshot_cut_is_a_typed_error() {
     }
 }
 
-/// The on-disk tag of an `Admit` record.
+/// The on-disk tags of `Admit` and `Reweight` records.
 const TAG_ADMIT: u8 = 2;
+const TAG_REWEIGHT: u8 = 3;
 
-/// Rewrites, in place, the payload (`seq tag body`) of the first `Admit`
-/// record whose seq `pick` accepts, then fixes up its checksum: the frame
-/// stays intact and only what it holds changes. Returns the record's seq
-/// and the byte offset its frame starts at.
-fn rewrite_admit(
+/// Rewrites, in place, the payload (`seq tag body`) of the first record
+/// tagged `tag` whose seq `pick` accepts, then fixes up its checksum: the
+/// frame stays intact and only what it holds changes. Returns the
+/// record's seq and the byte offset its frame starts at.
+fn rewrite_record(
     log: &Path,
+    tag: u8,
     pick: impl Fn(u64) -> bool,
     edit: impl FnOnce(&mut [u8]),
 ) -> (u64, usize) {
@@ -224,7 +228,7 @@ fn rewrite_admit(
         let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
         let payload = off + 4..off + 4 + len;
         let seq = u64::from_le_bytes(bytes[payload.start..payload.start + 8].try_into().unwrap());
-        if bytes[payload.start + 8] == TAG_ADMIT && pick(seq) {
+        if bytes[payload.start + 8] == tag && pick(seq) {
             edit(&mut bytes[payload.clone()]);
             let sum = fnv1a(&bytes[payload.clone()]);
             bytes[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
@@ -233,7 +237,7 @@ fn rewrite_admit(
         }
         off = payload.end + 8;
     }
-    panic!("no Admit record matched");
+    panic!("no record tagged {tag} matched");
 }
 
 /// A body that cannot decode: the `deferred` flag right after the weight
@@ -275,7 +279,7 @@ fn records_before_the_snapshot_cut_are_verified_not_decoded() {
 
     // (a) A pre-cut body that does not decode, under a valid checksum: the
     // snapshot already holds its effect, so recovery never reads it.
-    rewrite_admit(&log, |seq| seq <= cut, garble_body);
+    rewrite_record(&log, TAG_ADMIT, |seq| seq <= cut, garble_body);
     let (restored, report) = PersistentAdvisor::open(&scratch.0, 8).expect("open (a)");
     assert_eq!(report.snapshot_seq, Some(cut));
     assert_eq!(report.replayed as u64, log_seq - cut);
@@ -285,17 +289,17 @@ fn records_before_the_snapshot_cut_are_verified_not_decoded() {
 
     // (b) An unknown tag before the cut still ends the intact log there.
     std::fs::write(&log, &pristine).expect("restore log");
-    rewrite_admit(&log, |seq| seq <= cut, |p| p[8] = 0xEE);
+    rewrite_record(&log, TAG_ADMIT, |seq| seq <= cut, |p| p[8] = 0xEE);
     expect_state_error(PersistentAdvisor::open(&scratch.0, 8), "snapshot cut");
 
     // (c) A second `Create` before the cut is a typed refusal.
     std::fs::write(&log, &pristine).expect("restore log");
-    rewrite_admit(&log, |seq| seq <= cut, |p| p[8] = 1);
+    rewrite_record(&log, TAG_ADMIT, |seq| seq <= cut, |p| p[8] = 1);
     expect_state_error(PersistentAdvisor::open(&scratch.0, 8), "duplicate create");
 
     // (d) After the cut, (a)'s corruption ends the log, as a torn tail does.
     std::fs::write(&log, &pristine).expect("restore log");
-    let (bad_seq, bad_off) = rewrite_admit(&log, |seq| seq > cut, garble_body);
+    let (bad_seq, bad_off) = rewrite_record(&log, TAG_ADMIT, |seq| seq > cut, garble_body);
     let (restored, report) = PersistentAdvisor::open(&scratch.0, 8).expect("open (d)");
     assert_eq!(restored.log_seq(), bad_seq - 1);
     assert_eq!(report.replayed as u64, bad_seq - 1 - cut);
@@ -498,4 +502,98 @@ fn open_or_create_round_trips_and_missing_dirs_are_io_errors() {
         PersistentAdvisor::open_or_create(&dir, fx.pool.clone(), opts(8, 4), 0).expect("reopen");
     assert_eq!(report.replayed, 5, "4 admissions + 1 reweight");
     assert_eq!(fingerprint(reopened.advisor()), before);
+}
+
+#[test]
+fn refused_arguments_write_nothing_and_the_log_still_opens() {
+    let fx = fixture(1, 4);
+    let scratch = ScratchDir::new("refused-args");
+    let log = scratch.0.join(LOG_FILE);
+    let mut durable =
+        PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(8, 4), 0).expect("create");
+    drive_durable(&mut durable, &fx, 0..4);
+    let pristine = std::fs::read(&log).expect("read log");
+    let before = fingerprint(durable.advisor());
+
+    // Each argument the advisor would panic on is refused before it is
+    // journaled: the call errors, the log keeps its bytes, the advisor
+    // its state. A batch holding one bad spec is refused whole.
+    let check = |what: &str, err: Option<PersistError>, durable: &PersistentAdvisor| {
+        assert!(
+            matches!(err, Some(PersistError::Convert(_))),
+            "{what}: expected a refusal, got {err:?}"
+        );
+        assert!(
+            std::fs::read(&log).expect("read log") == pristine,
+            "{what} wrote to the log"
+        );
+        assert_eq!(fingerprint(durable.advisor()), before, "{what}");
+    };
+    let nan = spec_at(&fx, 0).weight(f64::NAN);
+    let err = durable.reweight(999, 1.0, false).err();
+    check("never-issued reweight", err, &durable);
+    let err = durable.reweight(0, f64::NAN, false).err();
+    check("NaN reweight", err, &durable);
+    let err = durable.evict_admission(999).err();
+    check("never-issued evict", err, &durable);
+    let err = durable.apply(nan).err();
+    check("NaN apply", err, &durable);
+    let err = durable
+        .apply_batch(
+            &[spec_at(&fx, 1), nan],
+            GroupCommitPolicy::default(),
+            |_| (),
+        )
+        .err();
+    check("batch with a NaN spec", err, &durable);
+    drop(durable);
+    let (restored, report) = PersistentAdvisor::open(&scratch.0, 0).expect("open");
+    assert_eq!(report.log_discarded_bytes, 0);
+    assert_eq!(fingerprint(restored.advisor()), before);
+    drop(restored);
+
+    // A record the live call would have refused, should one reach the
+    // log anyway, is a typed error on replay.
+    rewrite_record(
+        &log,
+        TAG_ADMIT,
+        |_| true,
+        |p| p[9..17].copy_from_slice(&f64::NAN.to_le_bytes()),
+    );
+    expect_state_error(PersistentAdvisor::open(&scratch.0, 0), "weight");
+    std::fs::write(&log, &pristine).expect("restore log");
+    rewrite_record(
+        &log,
+        TAG_REWEIGHT,
+        |_| true,
+        |p| p[9..17].copy_from_slice(&999u64.to_le_bytes()),
+    );
+    expect_state_error(PersistentAdvisor::open(&scratch.0, 0), "never issued");
+}
+
+#[test]
+fn an_old_format_tenant_is_refused_typed() {
+    let fx = fixture(1, 4);
+    let scratch = ScratchDir::new("old-format");
+    let mut durable =
+        PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(8, 4), 2).expect("create");
+    drive_durable(&mut durable, &fx, 0..4);
+    assert!(durable.last_snapshot_seq().is_some());
+    drop(durable);
+
+    // Rewrite the version word after each file's magic to the previous
+    // format's: both readers refuse at the header, before any body.
+    let set_version = |path: &Path, version: u32| {
+        let mut bytes = std::fs::read(path).expect("read file");
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(path, bytes).expect("write file");
+    };
+    let snap = newest_snapshot(&scratch.0);
+    set_version(&snap, SNAPSHOT_VERSION - 1);
+    expect_state_error(read_snapshot(&snap), "unsupported version");
+    set_version(&scratch.0.join(LOG_FILE), LOG_VERSION - 1);
+    expect_state_error(
+        PersistentAdvisor::open(&scratch.0, 2),
+        "unsupported version",
+    );
 }

@@ -7,7 +7,7 @@
 mod common;
 
 use common::{fingerprint, fixture, opts, Fixture, ScratchDir};
-use pinum_online::{AdmissionSpec, OnlineAdvisor, SharePolicy};
+use pinum_online::{AdmissionSpec, OnlineAdvisor};
 use pinum_persist::PersistentAdvisor;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -25,7 +25,6 @@ enum Op {
     Admit {
         weight: f64,
         attributed: bool,
-        with_shares: bool,
         deferred: bool,
     },
     Reweight {
@@ -37,7 +36,6 @@ enum Op {
         pick: u64,
     },
     Compact,
-    Policy(SharePolicy),
     Readvise,
 }
 
@@ -51,7 +49,6 @@ fn materialize(raw: &[u64]) -> Vec<Op> {
             0..=4 => Op::Admit {
                 weight: positive_weight(x >> 4),
                 attributed: x & (1 << 40) != 0,
-                with_shares: x & (1 << 41) != 0,
                 deferred: x & (1 << 42) != 0,
             },
             5 | 6 => Op::Reweight {
@@ -60,23 +57,9 @@ fn materialize(raw: &[u64]) -> Vec<Op> {
                 deferred: x & (1 << 40) != 0,
             },
             7 => Op::Evict { pick: x >> 4 },
-            8 => match (x >> 4) % 4 {
-                0 => Op::Compact,
-                1 => Op::Policy(SharePolicy::Split),
-                2 => Op::Policy(SharePolicy::Full),
-                _ => Op::Policy(SharePolicy::AccessShare),
-            },
+            8 => Op::Compact,
             _ => Op::Readvise,
         })
-        .collect()
-}
-
-/// Deterministic per-template shares for an attributed admission.
-fn shares_for(fx: &Fixture, i: usize) -> Vec<f64> {
-    fx.templates[i]
-        .iter()
-        .enumerate()
-        .map(|(k, _)| 1.0 / (k + 1) as f64)
         .collect()
 }
 
@@ -87,20 +70,15 @@ fn apply_spec(advisor: &mut OnlineAdvisor, fx: &Fixture, admits: usize, op: &Op)
         Op::Admit {
             weight,
             attributed,
-            with_shares,
             deferred,
         } => {
             let i = admits % fx.models.len();
             let (cache, access) = &fx.models[i];
-            let shares = shares_for(fx, i);
             let mut spec = AdmissionSpec::new(cache, access)
                 .weight(*weight)
                 .deferred(*deferred);
             if *attributed {
                 spec = spec.templates(&fx.templates[i]);
-                if *with_shares {
-                    spec = spec.shares(&shares);
-                }
             }
             let adm = advisor.apply(spec);
             if let Some(t) = adm.pending {
@@ -127,10 +105,6 @@ fn apply_spec(advisor: &mut OnlineAdvisor, fx: &Fixture, admits: usize, op: &Op)
             advisor.compact();
             admits
         }
-        Op::Policy(policy) => {
-            advisor.set_share_policy(*policy);
-            admits
-        }
         Op::Readvise => {
             advisor.readvise();
             admits
@@ -147,20 +121,15 @@ fn apply_durable(advisor: &mut PersistentAdvisor, fx: &Fixture, admits: usize, o
         Op::Admit {
             weight,
             attributed,
-            with_shares,
             deferred,
         } => {
             let i = admits % fx.models.len();
             let (cache, access) = &fx.models[i];
-            let shares = shares_for(fx, i);
             let mut spec = AdmissionSpec::new(cache, access)
                 .weight(*weight)
                 .deferred(*deferred);
             if *attributed {
                 spec = spec.templates(&fx.templates[i]);
-                if *with_shares {
-                    spec = spec.shares(&shares);
-                }
             }
             let adm = advisor.apply(spec).expect("journaled apply");
             if let Some(t) = adm.pending {
@@ -190,10 +159,6 @@ fn apply_durable(advisor: &mut PersistentAdvisor, fx: &Fixture, admits: usize, o
         }
         Op::Compact => {
             advisor.compact().expect("journaled compact");
-            admits
-        }
-        Op::Policy(policy) => {
-            advisor.set_share_policy(*policy).expect("journaled policy");
             admits
         }
         Op::Readvise => {

@@ -298,18 +298,24 @@ mod tests {
 
     #[test]
     fn wrong_version_is_recoverable() {
-        let mut payload = Vec::new();
-        put_u8(&mut payload, 9);
-        put_u64(&mut payload, 1);
-        put_u8(&mut payload, 9);
-        let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
-        buf.extend_from_slice(&payload);
-        match read_request(&mut buf.as_slice()).unwrap() {
-            FrameIn::Bad { error, .. } => {
-                assert!(matches!(error, WireError::UnsupportedVersion(9)));
-                assert!(error.frame_recoverable());
+        // The previous layout's version and a version never issued.
+        for version in [WIRE_VERSION - 1, 9] {
+            let mut payload = Vec::new();
+            put_u8(&mut payload, version);
+            put_u64(&mut payload, 1);
+            put_u8(&mut payload, 9);
+            let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
+            buf.extend_from_slice(&payload);
+            match read_request(&mut buf.as_slice()).unwrap() {
+                FrameIn::Bad { error, .. } => {
+                    assert!(
+                        matches!(error, WireError::UnsupportedVersion(v) if v == version),
+                        "version {version}: got {error:?}"
+                    );
+                    assert!(error.frame_recoverable());
+                }
+                other => panic!("expected Bad, got {other:?}"),
             }
-            other => panic!("expected Bad, got {other:?}"),
         }
     }
 

@@ -66,8 +66,10 @@ pub use messages::{
     WireReadviseReport, WireStats, WireTemplate,
 };
 
-/// Protocol version byte carried by every frame.
-pub const WIRE_VERSION: u8 = 1;
+/// Protocol version byte carried by every frame. Version 2 dropped three
+/// never-set fields of [`WireOptions`] and an always-zero counter of
+/// [`WireStats`] from version 1's layout.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard cap on a frame's payload length. Large enough for any real
 /// admission batch (a full plan-cache + access-catalog snapshot is tens

@@ -302,14 +302,11 @@ pub struct WireOptions {
     pub window_capacity: u64,
     pub epoch_length: u64,
     pub drift_threshold: f64,
-    pub decay: f64,
     /// 0 = lazy greedy, 1 = eager greedy, 2 = swap hill-climb (the
     /// server validates the tag; the annealing strategy is not exposed
     /// over the wire).
     pub strategy: u8,
     pub budget_bytes: u64,
-    pub benefit_per_byte: bool,
-    pub warm_start: bool,
     pub scoped_readvise: bool,
     pub attribution_threshold: f64,
 }
@@ -319,11 +316,8 @@ impl WireOptions {
         put_u64(out, self.window_capacity);
         put_u64(out, self.epoch_length);
         put_f64(out, self.drift_threshold);
-        put_f64(out, self.decay);
         put_u8(out, self.strategy);
         put_u64(out, self.budget_bytes);
-        put_bool(out, self.benefit_per_byte);
-        put_bool(out, self.warm_start);
         put_bool(out, self.scoped_readvise);
         put_f64(out, self.attribution_threshold);
     }
@@ -333,11 +327,8 @@ impl WireOptions {
             window_capacity: c.u64()?,
             epoch_length: c.u64()?,
             drift_threshold: c.f64()?,
-            decay: c.f64()?,
             strategy: c.u8()?,
             budget_bytes: c.u64()?,
-            benefit_per_byte: c.bool()?,
-            warm_start: c.bool()?,
             scoped_readvise: c.bool()?,
             attribution_threshold: c.f64()?,
         })
@@ -463,7 +454,6 @@ pub struct WireStats {
     pub drift_readvises: u64,
     pub forced_readvises: u64,
     pub scoped_readvises: u64,
-    pub full_rebuilds: u64,
     pub full_repricings: u64,
     pub compactions: u64,
     pub admit_arms_total: u64,
@@ -484,7 +474,6 @@ impl WireStats {
         put_u64(out, self.drift_readvises);
         put_u64(out, self.forced_readvises);
         put_u64(out, self.scoped_readvises);
-        put_u64(out, self.full_rebuilds);
         put_u64(out, self.full_repricings);
         put_u64(out, self.compactions);
         put_u64(out, self.admit_arms_total);
@@ -505,7 +494,6 @@ impl WireStats {
             drift_readvises: c.u64()?,
             forced_readvises: c.u64()?,
             scoped_readvises: c.u64()?,
-            full_rebuilds: c.u64()?,
             full_repricings: c.u64()?,
             compactions: c.u64()?,
             admit_arms_total: c.u64()?,

@@ -145,11 +145,8 @@ fn options(r: &mut TestRng) -> WireOptions {
         window_capacity: r.next_u64(),
         epoch_length: r.next_u64(),
         drift_threshold: f(r),
-        decay: f(r),
         strategy: (r.next_u64() % 3) as u8,
         budget_bytes: r.next_u64(),
-        benefit_per_byte: b(r),
-        warm_start: b(r),
         scoped_readvise: b(r),
         attribution_threshold: f(r),
     }
@@ -259,7 +256,6 @@ fn response(r: &mut TestRng) -> Response {
                 drift_readvises: r.next_u64(),
                 forced_readvises: r.next_u64(),
                 scoped_readvises: r.next_u64(),
-                full_rebuilds: r.next_u64(),
                 full_repricings: r.next_u64(),
                 compactions: r.next_u64(),
                 admit_arms_total: r.next_u64(),

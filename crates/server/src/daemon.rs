@@ -726,10 +726,16 @@ fn unknown_tenant(tenant: u64) -> Response {
     }
 }
 
+/// A persistence-layer error as a reply: an argument the advisor refused
+/// before journaling ([`PersistError::Convert`]) is the client's
+/// `Malformed` request; anything else is a `Persistence` failure.
 fn persistence_failed(e: &PersistError) -> Response {
-    Response::Error {
-        code: ErrorCode::Persistence,
-        detail: e.to_string(),
+    match e {
+        PersistError::Convert(c) => malformed(c.clone()),
+        _ => Response::Error {
+            code: ErrorCode::Persistence,
+            detail: e.to_string(),
+        },
     }
 }
 
@@ -784,12 +790,6 @@ fn handle_request(
             let Some(state) = tenants.get_mut(&tenant) else {
                 return unknown_tenant(tenant);
             };
-            if !(weight.is_finite() && weight > 0.0) {
-                return malformed(ConvertError("weight must be finite and positive"));
-            }
-            if admission >= state.advisor.advisor().stats().admits as u64 {
-                return malformed(ConvertError("admission ordinal was never issued"));
-            }
             let outcome = match state.advisor.reweight(admission as usize, weight, true) {
                 Ok(o) => o,
                 Err(e) => return persistence_failed(&e),
@@ -811,9 +811,6 @@ fn handle_request(
             let Some(state) = tenants.get_mut(&tenant) else {
                 return unknown_tenant(tenant);
             };
-            if admission >= state.advisor.advisor().stats().admits as u64 {
-                return malformed(ConvertError("admission ordinal was never issued"));
-            }
             match state.advisor.evict_admission(admission as usize) {
                 Ok(applied) => Response::Evicted { applied },
                 Err(e) => persistence_failed(&e),

@@ -253,9 +253,9 @@ fn tenant_errors_are_typed() {
     );
 
     // A structurally valid frame whose payload violates a domain
-    // invariant: zero decay cannot construct an advisor.
+    // invariant: a zero-length window cannot construct an advisor.
     let mut bad_options = wire_options(&options(8, 4));
-    bad_options.decay = 0.0;
+    bad_options.window_capacity = 0;
     let resp = client
         .call(&Request::CreateTenant {
             tenant: 8,
@@ -304,12 +304,12 @@ fn hostile_frames_get_typed_errors_and_the_connection_survives() {
     let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect raw");
     raw.set_nodelay(true).expect("nodelay");
 
-    // Intact framing, garbage payload: version 1, request id 77, then an
-    // unknown tag. The daemon must answer with a typed error on the same
-    // connection.
+    // Intact framing, garbage payload: the current version, request id
+    // 77, then an unknown tag. The daemon must answer with a typed error
+    // on the same connection.
     let mut frame = Vec::new();
     let payload = {
-        let mut p = vec![1u8]; // version
+        let mut p = vec![pinum_protocol::WIRE_VERSION];
         p.extend_from_slice(&77u64.to_le_bytes());
         p.push(250); // unknown request tag
         p
