@@ -25,7 +25,7 @@ use std::time::Duration;
 /// questions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostOracle {
-    /// PINUM: caches filled with ~2 optimizer calls, access costs with 1.
+    /// PINUM: caches filled with one optimizer call, access costs with 1.
     PinumCache,
     /// Classic INUM: caches filled with one call per IOC.
     InumCache,
@@ -160,8 +160,8 @@ pub fn advise(catalog: &Catalog, queries: &[Query], options: &AdvisorOptions) ->
     let mut models: Vec<(PlanCache, AccessCostCatalog)> = Vec::new();
     match options.oracle {
         CostOracle::PinumCache => {
-            // Workload-level batched collection: plan caches stay two
-            // calls per query, access costs cost one call per distinct
+            // Workload-level batched collection: plan caches stay one
+            // call per query, access costs cost one call per distinct
             // template shape instead of one per query.
             let built = build_workload_models(&optimizer, queries, &pool, &options.builder);
             build_time += built.wall;

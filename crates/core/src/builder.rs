@@ -1,6 +1,5 @@
 //! Plan-cache construction: classic INUM (one optimizer call per
-//! interesting-order combination) vs PINUM (one call — two with nested-loop
-//! joins — §V-D).
+//! interesting-order combination) vs PINUM (one call, §V-D).
 
 use crate::cache::{CachedPlan, PlanCache};
 use pinum_catalog::{Catalog, Configuration, Index};
@@ -80,9 +79,10 @@ pub fn covering_configuration_for_ioc(
     Configuration::new(indexes)
 }
 
-/// PINUM cache construction (§V-D): one exporting call with nested loops
-/// disabled plus, when NLJ plans are wanted, one exporting call with them
-/// enabled — two calls regardless of how many IOCs the query has.
+/// PINUM cache construction (§V-D): one exporting call however many IOCs
+/// the query has. With NLJ plans wanted, it plans the merge/hash family and
+/// then the nested-loop one (at the low-access-cost extreme: every covering
+/// index present) over one set of access paths.
 pub fn build_cache_pinum(
     optimizer: &Optimizer<'_>,
     query: &Query,
@@ -92,32 +92,28 @@ pub fn build_cache_pinum(
     let orders = query.interesting_orders();
     let mut cache = PlanCache::new(&query.name, query.relation_count(), orders.clone());
     let covering = covering_configuration(optimizer.catalog(), query);
-    let mut calls = 0usize;
+    let mut options = OptimizerOptions::pinum_export();
+    options.enable_nestloop = opts.include_nlj;
+    let planned = optimizer.optimize(query, &covering, &options);
 
-    // Call 1: merge/hash plans for every IOC.
-    let no_nlj = OptimizerOptions {
-        enable_nestloop: false,
-        ..OptimizerOptions::pinum_export()
-    };
-    let planned = optimizer.optimize(query, &covering, &no_nlj);
-    calls += 1;
-    for e in planned.exported {
+    #[cfg(debug_assertions)]
+    if opts.include_nlj && crate::sampling::should_assert() {
+        // Plan for plan what a standalone NLJ-free call exports (sampled).
+        options.enable_nestloop = false;
+        let reference = optimizer.optimize(query, &covering, &options).exported;
+        debug_assert!(planned.exported_nlj_free == reference, "{}", query.name);
+    }
+
+    // Merge/hash plans for every IOC first, then the nested-loop family.
+    for e in [planned.exported_nlj_free, planned.exported]
+        .into_iter()
+        .flatten()
+    {
         cache.insert(CachedPlan::from(e));
     }
 
-    // Call 2: nested-loop plans (low-access-cost extreme — every covering
-    // index present).
-    if opts.include_nlj {
-        let with_nlj = OptimizerOptions::pinum_export();
-        let planned = optimizer.optimize(query, &covering, &with_nlj);
-        calls += 1;
-        for e in planned.exported {
-            cache.insert(CachedPlan::from(e));
-        }
-    }
-
     let stats = BuildStats {
-        optimizer_calls: calls,
+        optimizer_calls: 1,
         wall: start.elapsed(),
         ioc_count: orders.combination_count(),
         plans_cached: cache.len(),
@@ -221,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn pinum_uses_two_calls_inum_one_per_ioc() {
+    fn pinum_uses_one_call_inum_one_per_ioc() {
         let (cat, q) = setup();
         let opt = Optimizer::new(&cat);
         let opts = BuilderOptions::default();
@@ -229,7 +225,7 @@ mod tests {
         let inum = build_cache_inum(&opt, &q, &opts);
         // f: fk1, fk2 → 2; d1: k, a → 2; d2: k → 1 ⇒ 3·3·2 = 18 IOCs.
         assert_eq!(pinum.stats.ioc_count, 18);
-        assert_eq!(pinum.stats.optimizer_calls, 2);
+        assert_eq!(pinum.stats.optimizer_calls, 1);
         assert_eq!(inum.stats.optimizer_calls, 18 + 2);
         assert!(!pinum.cache.is_empty());
         assert!(!inum.cache.is_empty());
@@ -324,7 +320,7 @@ mod single_table_tests {
         assert_eq!(pinum.stats.ioc_count, 2); // (a) and (Φ)
         assert!(!pinum.cache.is_empty());
         assert!(!inum.cache.is_empty());
-        assert!(pinum.stats.optimizer_calls <= 2);
+        assert_eq!(pinum.stats.optimizer_calls, 1);
         assert_eq!(inum.stats.optimizer_calls, 2 + 2);
     }
 

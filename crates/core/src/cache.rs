@@ -49,7 +49,7 @@ impl From<ExportedPlan> for CachedPlan {
 }
 
 /// The per-query plan cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanCache {
     /// Query name (diagnostics).
     pub query_name: String,

@@ -532,7 +532,7 @@ impl OnlineAdvisor {
     }
 
     /// Builds the owned [`AdmissionSpec`] artifacts for a raw query:
-    /// its PINUM plan cache (two optimizer calls), its access costs
+    /// its PINUM plan cache (one optimizer call), its access costs
     /// collected through the daemon's shared template cache, and its
     /// templates.
     ///

@@ -61,7 +61,7 @@ pub struct AddPathStats {
 const NO_SLOT: u32 = u32::MAX;
 
 /// A set of surviving paths for one relation set.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PathList {
     ids: Vec<PathId>,
     /// KeepIoc index, first level: leaf IOC → a slot of `ids` holding it.

@@ -13,7 +13,10 @@
 //!    [`OptimizerOptions::export_ioc_plans`]) switches the join planner to
 //!    the subset-cost pruning rule and piggy-backs one optimal plan per
 //!    interesting-order combination on the result — the titular "caching
-//!    all plans with just one optimizer call".
+//!    all plans with just one optimizer call". With nested loops enabled,
+//!    the same call also plans the NLJ-free family over its access paths
+//!    and returns it in [`PlannedQuery::exported_nlj_free`], so both
+//!    families INUM caches (§V-D) cost one call.
 //!
 //! A fourth, workload-level hook extends §V-C across queries:
 //! [`Optimizer::price_template`] prices every access arm of one relation

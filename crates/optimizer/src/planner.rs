@@ -76,14 +76,15 @@ pub struct PlannerStats {
     /// or not it was displaced or swept later), every sort, materialize and
     /// aggregation wrapper (memoized, built whether or not a candidate above
     /// it survived), and one parameterized index scan per (outer relation
-    /// set, inner index). Rejected candidates are never nodes.
+    /// set, inner index). Rejected candidates are never nodes. An export
+    /// with nested loops on counts both plan families: they share one arena.
     pub arena_size: usize,
 }
 
 /// One cached-plan payload exported by the §V-D hook: a plan's interesting
 /// order requirements plus its cost as a linear function of per-table
 /// access costs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExportedPlan {
     /// Leaf interesting-order combination the plan requires.
     pub ioc: Ioc,
@@ -144,6 +145,12 @@ pub struct PlannedQuery {
     /// §V-D payload: one optimal plan per retained IOC (empty unless
     /// `export_ioc_plans`).
     pub exported: Vec<ExportedPlan>,
+    /// The §V-D payload of the same call with nested loops disabled: what
+    /// `exported` would be under `enable_nestloop: false`, planned in this
+    /// call over its access paths. Empty unless `export_ioc_plans` and
+    /// `enable_nestloop` (with nested loops off, `exported` is that family).
+    /// Every other field describes the nested-loop family only.
+    pub exported_nlj_free: Vec<ExportedPlan>,
     /// §V-C payload: all access costs (empty unless
     /// `keep_all_access_paths`).
     pub access_costs: Vec<AccessCostEntry>,
@@ -239,32 +246,43 @@ impl<'a> Optimizer<'a> {
             base_lists.push(list);
         }
 
-        // --- Join Planner. ---
-        let search_opts = JoinSearchOptions {
-            enable_nestloop: options.enable_nestloop,
-            enable_bushy: options.enable_bushy,
-            prune_mode,
-            subset_pruning: options.pinum_subset_pruning,
+        // --- Join Planner + Grouping Planner, once per plan family. ---
+        let plan_family = |arena: &mut PathArena,
+                           base_lists: Vec<PathList>,
+                           enable_nestloop: bool,
+                           add_stats: &mut AddPathStats| {
+            let search_opts = JoinSearchOptions {
+                enable_nestloop,
+                enable_bushy: options.enable_bushy,
+                prune_mode,
+                subset_pruning: options.pinum_subset_pruning,
+            };
+            let search = JoinSearch::new(&info, &self.params, search_opts);
+            let (top, join_stats, joinrels) = search.run(arena, base_lists);
+            add_stats.added += join_stats.added;
+            add_stats.rejected += join_stats.rejected;
+            add_stats.displaced += join_stats.displaced;
+            let mut finished = finish_paths(arena, &info, &self.params, top, prune_mode, add_stats);
+            if prune_mode == PruneMode::KeepIoc && options.pinum_subset_pruning {
+                finished.subset_cost_sweep(arena, add_stats);
+            }
+            assert!(!finished.is_empty(), "no plan produced for {}", query.name);
+            (finished, joinrels)
         };
-        let search = JoinSearch::new(&info, &self.params, search_opts);
-        let (top, join_stats, joinrels) = search.run(&mut arena, base_lists);
-        add_stats.added += join_stats.added;
-        add_stats.rejected += join_stats.rejected;
-        add_stats.displaced += join_stats.displaced;
-
-        // --- Grouping Planner. ---
-        let mut finished = finish_paths(
+        // An export with nested loops on also plans the NLJ-free family
+        // over the same access paths. It runs first, so it sees exactly the
+        // arena — and the `PathId` tie-breaks — of a standalone
+        // `enable_nestloop: false` call; its counters are not reported.
+        let nlj_free = (options.export_ioc_plans && options.enable_nestloop).then(|| {
+            let scratch = &mut AddPathStats::default();
+            plan_family(&mut arena, base_lists.clone(), false, scratch).0
+        });
+        let (finished, joinrels) = plan_family(
             &mut arena,
-            &info,
-            &self.params,
-            top,
-            prune_mode,
+            base_lists,
+            options.enable_nestloop,
             &mut add_stats,
         );
-        if prune_mode == PruneMode::KeepIoc && options.pinum_subset_pruning {
-            finished.subset_cost_sweep(&arena, &mut add_stats);
-        }
-        assert!(!finished.is_empty(), "no plan produced for {}", query.name);
 
         // --- Winner + exports. ---
         let export = |id: PathId| {
@@ -288,8 +306,8 @@ impl<'a> Optimizer<'a> {
         let best_export = export(best_id);
         let plan = build_plan(&arena, &info, best_id);
 
-        let exported = if options.export_ioc_plans {
-            // One cheapest plan per retained leaf IOC.
+        // One cheapest plan per retained leaf IOC.
+        let export_family = |finished: &PathList| {
             let mut per_ioc: HashMap<Ioc, PathId> = HashMap::new();
             for &id in finished.ids() {
                 let p = arena.get(id);
@@ -305,9 +323,13 @@ impl<'a> Optimizer<'a> {
             let mut plans: Vec<ExportedPlan> = per_ioc.into_values().map(export).collect();
             plans.sort_by_key(|p| p.ioc);
             plans
+        };
+        let exported = if options.export_ioc_plans {
+            export_family(&finished)
         } else {
             Vec::new()
         };
+        let exported_nlj_free = nlj_free.as_ref().map_or_else(Vec::new, export_family);
 
         let stats = PlannerStats {
             elapsed: start.elapsed(),
@@ -325,6 +347,7 @@ impl<'a> Optimizer<'a> {
             best_rows,
             best_export,
             exported,
+            exported_nlj_free,
             access_costs,
             orders: info.orders.clone(),
             stats,
@@ -387,7 +410,7 @@ mod tests {
         let q = star_query(&cat);
         let opt = Optimizer::new(&cat);
         let planned = opt.optimize(&q, &Configuration::empty(), &OptimizerOptions::standard());
-        assert!(planned.exported.is_empty());
+        assert!(planned.exported.is_empty() && planned.exported_nlj_free.is_empty());
         assert!(planned.access_costs.is_empty());
         assert!(planned.best_cost.total > 0.0);
         assert!(planned.plan.node_count() >= 5);

@@ -1,5 +1,5 @@
 //! Quickstart: build a small star schema, optimize a query, fill the INUM
-//! plan cache with two optimizer calls (the paper's titular trick), and
+//! plan cache with one optimizer call (the paper's titular trick), and
 //! price a few configurations without calling the optimizer again.
 //!
 //! Run with: `cargo run --release --example quickstart`
@@ -37,7 +37,7 @@ fn main() {
     );
     println!("{}", planned.plan.explain());
 
-    // Fill the whole INUM plan cache with two calls (paper §V-D).
+    // Fill the whole INUM plan cache with one call (paper §V-D).
     let built = build_cache_pinum(&optimizer, query, &BuilderOptions::default());
     println!(
         "PINUM cache: {} plans for {} IOCs from {} optimizer calls in {:?}",

@@ -19,7 +19,7 @@ fn fixture() -> (StarSchema, StarWorkload) {
     (schema, workload)
 }
 
-/// The headline invariant: a PINUM cache built from two optimizer calls
+/// The headline invariant: a PINUM cache built from one optimizer call
 /// prices configurations like a fresh optimizer call would, across random
 /// atomic configurations.
 #[test]
@@ -30,7 +30,7 @@ fn pinum_cache_tracks_the_optimizer() {
     let mut rng = StdRng::seed_from_u64(1);
     for q in workload.queries.iter().step_by(3) {
         let built = build_cache_pinum(&opt, q, &BuilderOptions::default());
-        assert!(built.stats.optimizer_calls <= 2);
+        assert_eq!(built.stats.optimizer_calls, 1);
         let (access, astats) = collect_pinum(&opt, q, &pool);
         assert_eq!(astats.optimizer_calls, 1);
         let model = CacheCostModel::new(&built.cache, &access);
@@ -62,7 +62,7 @@ fn pinum_cache_tracks_the_optimizer() {
     }
 }
 
-/// Classic INUM (per-IOC calls) and PINUM (two calls) must agree on
+/// Classic INUM (per-IOC calls) and PINUM (one call) must agree on
 /// configuration costs — the paper's "without compromising accuracy".
 #[test]
 fn inum_and_pinum_caches_agree() {
@@ -178,7 +178,8 @@ fn advisor_budget_and_improvement() {
 }
 
 /// With nested loops disabled the optimizer must produce NLJ-free plans,
-/// and the exported cache partitions accordingly (paper §V-B).
+/// and the exported cache partitions accordingly (paper §V-B) — as must
+/// the NLJ-free family an export with nested loops on plans beside them.
 #[test]
 fn enable_nestloop_contract() {
     let (schema, workload) = fixture();
@@ -190,7 +191,10 @@ fn enable_nestloop_contract() {
         };
         let planned = opt.optimize(q, &Configuration::empty(), &opts);
         assert!(!planned.plan.uses_nestloop());
-        for e in &planned.exported {
+        let covering = pinum::core::builder::covering_configuration(&schema.catalog, q);
+        let fused = opt.optimize(q, &covering, &OptimizerOptions::pinum_export());
+        assert!(!fused.exported_nlj_free.is_empty());
+        for e in planned.exported.iter().chain(&fused.exported_nlj_free) {
             assert!(!e.uses_nlj);
         }
     }

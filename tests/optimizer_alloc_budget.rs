@@ -1,6 +1,8 @@
 //! Allocation budget of one exporting optimizer call — the noise-free
 //! evidence that the join enumeration costs a candidate before it builds
-//! it: a rejected candidate is a comparison, not a materialised plan.
+//! it: a rejected candidate is a comparison, not a materialised plan — and
+//! that planning both plan families in one call allocates less than the two
+//! calls it replaces.
 //!
 //! This is its own test binary with a single `#[test]`, so no other test
 //! thread allocates while the counter is read.
@@ -73,12 +75,22 @@ fn exporting_call_stays_within_its_allocation_budget() {
     let rejected = planned_six.stats.paths_rejected as u64;
     println!("allocations: 6-way {six} ({rejected} candidates rejected), 4-way {four}");
 
-    // Parent commit (every candidate built, cloned and boxed before
-    // `add_path` saw it): 6-way 859 491, 4-way 42 491 (debug; release
-    // 859 487 and 42 488). This change, measured in both profiles: 6-way
-    // 6 132, 4-way 834; the bounds are those counts + 25 %.
-    assert!(six <= 7_665, "6-way export call: {six} allocations");
-    assert!(four <= 1_042, "4-way export call: {four} allocations");
+    // Before cost-first enumeration (every candidate built, cloned and
+    // boxed before `add_path` saw it): 6-way 859 491, 4-way 42 491 (debug;
+    // release 859 487 and 42 488). After it, with the NLJ-free family still
+    // a call of its own: 6-way 1 320 + 6 132 = 7 452, 4-way 373 + 834 =
+    // 1 207 for the two calls. One call planning both families, measured in
+    // both profiles: 6-way 7 257, 4-way 1 076. The budgets are those counts
+    // + 25 %; fusing must also allocate less than the two calls did.
+    for (query, got, budget, two_calls) in
+        [("6-way", six, 9_071, 7_452), ("4-way", four, 1_345, 1_207)]
+    {
+        assert!(got <= budget, "{query} export call: {got} allocations");
+        assert!(
+            got < two_calls,
+            "{query}: {got} allocations, two calls {two_calls}"
+        );
+    }
     // A rejected candidate allocates nothing: the whole call allocates far
     // less often than it rejects (38 696 times on the 6-way query).
     assert!(six < rejected / 4, "{six} allocations, {rejected} rejects");

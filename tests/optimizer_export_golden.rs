@@ -10,11 +10,15 @@
 //! `PlannerStats::arena_size` and `elapsed` are deliberately not folded:
 //! the first counts arena nodes (wrappers included) and legitimately
 //! shrinks when less is materialised, the second is a clock.
+//!
+//! A second test pins `build_cache_pinum`'s one exporting call to the two
+//! calls (nested loops off, then on) it replaced, on the same queries.
 
 use pinum::catalog::{Catalog, Configuration};
-use pinum::core::builder::covering_configuration;
+use pinum::core::builder::{build_cache_pinum, covering_configuration, BuilderOptions};
+use pinum::core::{CachedPlan, PlanCache};
 use pinum::optimizer::{
-    AccessSource, IndexRef, Optimizer, OptimizerOptions, PlannedQuery, PlannerStats,
+    AccessSource, ExportedPlan, IndexRef, Optimizer, OptimizerOptions, PlannedQuery, PlannerStats,
 };
 use pinum::query::Query;
 use pinum::workload::star::{StarSchema, StarWorkload};
@@ -56,9 +60,9 @@ impl Fnv {
     }
 }
 
-fn fold_planned(h: &mut Fnv, p: &PlannedQuery) {
-    h.u64(p.exported.len() as u64);
-    for e in &p.exported {
+fn fold_exports(h: &mut Fnv, exported: &[ExportedPlan]) {
+    h.u64(exported.len() as u64);
+    for e in exported {
         h.u64(e.ioc.raw());
         h.f64(e.internal);
         h.f64s(&e.coefs);
@@ -68,6 +72,10 @@ fn fold_planned(h: &mut Fnv, p: &PlannedQuery) {
         h.f64(e.total_at_build);
         h.str(&e.description);
     }
+}
+
+fn fold_planned(h: &mut Fnv, p: &PlannedQuery) {
+    fold_exports(h, &p.exported);
     h.f64(p.best_cost.startup);
     h.f64(p.best_cost.total);
     h.str(&p.best_export.description);
@@ -205,19 +213,27 @@ const GOLDEN: [(&str, [u64; 5]); 4] = [
     ),
 ];
 
-#[test]
-fn exports_winner_access_costs_and_work_counters_are_bit_identical_to_the_golden() {
+/// The golden's workloads: (name, catalog, queries) in [`GOLDEN`] order.
+fn golden_workloads() -> Vec<(&'static str, Catalog, Vec<Query>)> {
     let schema = StarSchema::generate(42, 1.0);
-    let tpch = tpch_catalog(1.0);
-    let mut actual: Vec<(&str, [u64; 5])> = Vec::new();
+    let mut workloads = Vec::new();
     for (seed, name) in [(1, "star/seed1"), (2, "star/seed2"), (3, "star/seed3")] {
         let queries = StarWorkload::generate(&schema, seed, 24).queries;
         assert_eq!(queries.first().map(Query::relation_count), Some(2));
         assert_eq!(queries.last().map(Query::relation_count), Some(6));
-        actual.push((name, fingerprints(&schema.catalog, &queries)));
+        workloads.push((name, schema.catalog.clone(), queries));
     }
-    let queries = [tpch_q3(&tpch), tpch_q5(&tpch), tpch_q10(&tpch)];
-    actual.push(("tpch/q3_q5_q10", fingerprints(&tpch, &queries)));
+    let tpch = tpch_catalog(1.0);
+    let queries = vec![tpch_q3(&tpch), tpch_q5(&tpch), tpch_q10(&tpch)];
+    workloads.push(("tpch/q3_q5_q10", tpch, queries));
+    workloads
+}
+
+#[test]
+fn exports_winner_access_costs_and_work_counters_are_bit_identical_to_the_golden() {
+    let actual: Vec<(&str, [u64; 5])> = (golden_workloads().iter())
+        .map(|(name, catalog, queries)| (*name, fingerprints(catalog, queries)))
+        .collect();
 
     let mut diverged = Vec::new();
     for ((name, got), (gname, want)) in actual.iter().zip(&GOLDEN) {
@@ -239,4 +255,45 @@ fn exports_winner_access_costs_and_work_counters_are_bit_identical_to_the_golden
             ))
             .collect::<String>()
     );
+}
+
+/// One exporting call with nested loops on yields both plan families: its
+/// `exported_nlj_free` is, bit for bit, what a standalone
+/// `enable_nestloop: false` call exports, and `build_cache_pinum`'s one
+/// call fills the cache the two separate calls filled, in the same order.
+#[test]
+fn one_exporting_call_reproduces_the_two_calls_it_replaces() {
+    for (name, catalog, queries) in golden_workloads() {
+        let opt = Optimizer::new(&catalog);
+        let export = OptimizerOptions::pinum_export();
+        let no_nlj = OptimizerOptions {
+            enable_nestloop: false,
+            ..export
+        };
+        for q in &queries {
+            let covering = covering_configuration(&catalog, q);
+            let fused = opt.optimize(q, &covering, &export);
+            let standalone = opt.optimize(q, &covering, &no_nlj);
+            assert!(standalone.exported_nlj_free.is_empty());
+            let fold = |exported: &[ExportedPlan]| {
+                let mut h = Fnv::new();
+                fold_exports(&mut h, exported);
+                h.0
+            };
+            assert_eq!(
+                fold(&fused.exported_nlj_free),
+                fold(&standalone.exported),
+                "{name} {}: NLJ-free family",
+                q.name
+            );
+
+            let mut two_calls = PlanCache::new(&q.name, q.relation_count(), fused.orders.clone());
+            for e in standalone.exported.into_iter().chain(fused.exported) {
+                two_calls.insert(CachedPlan::from(e));
+            }
+            let built = build_cache_pinum(&opt, q, &BuilderOptions::default());
+            assert_eq!(built.stats.optimizer_calls, 1);
+            assert!(built.cache == two_calls, "{name} {}: plan cache", q.name);
+        }
+    }
 }
