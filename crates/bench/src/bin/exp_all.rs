@@ -1,5 +1,5 @@
-//! Runs every experiment in sequence — regenerates all of the paper's
-//! tables and figures.
+//! Runs the nine paper-figure experiments in sequence — regenerates all
+//! of the paper's tables and figures.
 use pinum_bench::experiments as e;
 use pinum_bench::fixtures::scale_from_env;
 
@@ -15,12 +15,5 @@ fn main() {
     e::nlj::run(scale);
     e::greedy_quality::run(scale);
     e::engine_validation::run(scale);
-    e::batched_collection::run(scale);
-    e::search_strategies::run(scale);
-    e::online_drift::run(scale);
-    e::scoped_readvise::run(scale);
-    e::multi_tenant::run(scale);
-    e::warm_restart::run(scale);
-    e::durable_throughput::run(scale);
     println!("==== done ====");
 }

@@ -1,107 +1,7 @@
-//! Minimal machine-readable JSON emission for experiments (no serde in
-//! the offline build environment).
-//!
-//! Every experiment that participates in CI acceptance prints one line
-//! `JSON <name>: {...}` to stdout — greppable by scripts — and, when the
-//! `PINUM_JSON_DIR` environment variable is set, also writes the object to
-//! `<dir>/<name>.json`.
+//! A minimal JSON parser (no serde in the offline build environment):
+//! perfbench's `--compare` reads its JSON result lines back with it.
 
-use std::fmt::Write as _;
-
-/// An append-only JSON object builder. Keys are emitted in insertion
-/// order; values are pre-rendered JSON fragments.
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObject {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A string field (escapes quotes and backslashes; experiment names
-    /// and labels need nothing fancier).
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        let escaped = value.replace('\\', "\\\\").replace('"', "\\\"");
-        self.fields
-            .push((key.to_string(), format!("\"{escaped}\"")));
-        self
-    }
-
-    /// An integer field.
-    pub fn int(mut self, key: &str, value: u64) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// A float field; non-finite values become `null` (JSON has no
-    /// Infinity/NaN).
-    pub fn num(mut self, key: &str, value: f64) -> Self {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// A nested pre-rendered JSON value (object or array).
-    pub fn raw(mut self, key: &str, json: String) -> Self {
-        self.fields.push((key.to_string(), json));
-        self
-    }
-
-    pub fn render(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Renders a JSON array from pre-rendered element fragments.
-pub fn json_array(elements: impl IntoIterator<Item = String>) -> String {
-    let mut out = String::from("[");
-    for (i, e) in elements.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&e);
-    }
-    out.push(']');
-    out
-}
-
-/// Prints the `JSON <name>: {...}` line and mirrors it to
-/// `$PINUM_JSON_DIR/<name>.json` when that variable is set.
-pub fn emit(name: &str, object: &JsonObject) {
-    let rendered = object.render();
-    println!("JSON {name}: {rendered}");
-    if let Ok(dir) = std::env::var("PINUM_JSON_DIR") {
-        if !dir.is_empty() {
-            let path = std::path::Path::new(&dir).join(format!("{name}.json"));
-            if let Err(e) = std::fs::write(&path, &rendered) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-    }
-}
-
-/// A parsed JSON value — the read half of this module, used by the
-/// `exp_trend` regression harness to diff experiment output against the
-/// committed baseline (still no serde in the offline build environment).
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
@@ -113,10 +13,10 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Parses one JSON document (recursive descent; full value grammar,
-    /// which is more than the emitter ever produces).
+    /// Parses one JSON document (recursive descent; full value grammar).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -137,22 +37,7 @@ impl JsonValue {
         }
     }
 
-    /// Dotted-path lookup; numeric segments index into arrays
-    /// (`"strategies.1.probes"`).
-    pub fn path(&self, path: &str) -> Option<&JsonValue> {
-        let mut cur = self;
-        for seg in path.split('.') {
-            cur = match cur {
-                JsonValue::Obj(_) => cur.get(seg)?,
-                JsonValue::Arr(items) => items.get(seg.parse::<usize>().ok()?)?,
-                _ => return None,
-            };
-        }
-        Some(cur)
-    }
-
-    /// Numeric view: numbers as-is, booleans as 0/1 (lets the trend
-    /// harness gate on `identical`-style flags).
+    /// Numeric view: numbers as-is, booleans as 0/1.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
@@ -167,16 +52,10 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -335,11 +214,9 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. `pos` only ever advances
+                    // by whole scalars, so it is on a char boundary.
+                    let ch = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -351,11 +228,10 @@ impl Parser<'_> {
     /// already consumed).
     fn hex4(&mut self) -> Result<u32, String> {
         let hex = self
-            .bytes
+            .text
             .get(self.pos..self.pos + 4)
             .ok_or("truncated \\u escape")?;
-        let code = u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
-            .map_err(|e| e.to_string())?;
+        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
         self.pos += 4;
         Ok(code)
     }
@@ -369,9 +245,9 @@ impl Parser<'_> {
                 break;
             }
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .map(JsonValue::Num)
             .ok_or_else(|| format!("invalid number at byte {start}"))
     }
@@ -382,44 +258,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_valid_shapes() {
-        let obj = JsonObject::new()
-            .str("name", "a \"quoted\" label")
-            .int("count", 42)
-            .num("cost", 1.5)
-            .num("inf", f64::INFINITY)
-            .bool("ok", true)
-            .raw("nested", json_array(vec!["1".into(), "2".into()]));
-        assert_eq!(
-            obj.render(),
-            "{\"name\":\"a \\\"quoted\\\" label\",\"count\":42,\"cost\":1.5,\
-             \"inf\":null,\"ok\":true,\"nested\":[1,2]}"
-        );
-    }
-
-    #[test]
     fn empty_object_and_array() {
-        assert_eq!(JsonObject::new().render(), "{}");
-        assert_eq!(json_array(Vec::<String>::new()), "[]");
+        assert_eq!(JsonValue::parse("{}"), Ok(JsonValue::Obj(Vec::new())));
+        assert_eq!(JsonValue::parse(" [ ] "), Ok(JsonValue::Arr(Vec::new())));
     }
 
     #[test]
     fn parser_round_trips_emitted_objects() {
-        let rendered = JsonObject::new()
-            .str("name", "a \"quoted\" label")
-            .int("count", 42)
-            .num("cost", 1.5)
-            .num("inf", f64::INFINITY)
-            .bool("ok", true)
-            .raw("nested", json_array(vec!["1".into(), "2.5".into()]))
-            .render();
-        let v = JsonValue::parse(&rendered).expect("parse");
+        // One object as a JSON writer renders it: no whitespace, quoted
+        // keys, a non-finite number as `null`.
+        let rendered = r#"{"name":"a \"quoted\" label","count":42,"cost":1.5,"inf":null,"ok":true,"nested":[1,2.5]}"#;
+        let v = JsonValue::parse(rendered).expect("parse");
         assert_eq!(v.get("name").unwrap().as_str(), Some("a \"quoted\" label"));
         assert_eq!(v.get("count").unwrap().as_f64(), Some(42.0));
         assert_eq!(v.get("cost").unwrap().as_f64(), Some(1.5));
         assert_eq!(v.get("inf"), Some(&JsonValue::Null));
         assert_eq!(v.get("ok").unwrap().as_f64(), Some(1.0));
-        assert_eq!(v.path("nested.1").unwrap().as_f64(), Some(2.5));
+        assert_eq!(
+            v.get("nested"),
+            Some(&JsonValue::Arr(vec![
+                JsonValue::Num(1.0),
+                JsonValue::Num(2.5)
+            ]))
+        );
     }
 
     #[test]
@@ -428,13 +289,32 @@ mod tests {
             { "a" : [ { "b\n" : -1.25e2 }, null, false ],
               "metrics": [ {"file":"x","key":"k.0"} ] }
         "#;
-        let v = JsonValue::parse(text).expect("parse");
-        assert_eq!(v.path("a.0.b\n").unwrap().as_f64(), Some(-125.0));
-        assert_eq!(v.path("a.1"), Some(&JsonValue::Null));
-        assert_eq!(v.path("a.2").unwrap().as_f64(), Some(0.0));
-        assert_eq!(v.path("metrics.0.file").unwrap().as_str(), Some("x"));
-        assert_eq!(v.path("missing"), None);
-        assert_eq!(v.path("a.7"), None);
+        let obj = |fields: &[(&str, JsonValue)]| {
+            JsonValue::Obj(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            )
+        };
+        let want = obj(&[
+            (
+                "a",
+                JsonValue::Arr(vec![
+                    obj(&[("b\n", JsonValue::Num(-125.0))]),
+                    JsonValue::Null,
+                    JsonValue::Bool(false),
+                ]),
+            ),
+            (
+                "metrics",
+                JsonValue::Arr(vec![obj(&[
+                    ("file", JsonValue::Str("x".into())),
+                    ("key", JsonValue::Str("k.0".into())),
+                ])]),
+            ),
+        ]);
+        assert_eq!(JsonValue::parse(text), Ok(want));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # pinum-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! the crate README for the JSON output and the trend gate), plus shared
-//! fixtures and a plain-text table renderer.
+//! the crate README for the acceptance tests), plus shared fixtures, a
+//! plain-text table renderer and the JSON parser perfbench's `--compare`
+//! reads its result lines with.
 //!
 //! | Binary | Paper artefact |
 //! |--------|----------------|
@@ -15,25 +16,20 @@
 //! | `exp_nlj_ablation` | §V-D nested-loop handling ablation |
 //! | `exp_greedy_quality` | §V-E greedy vs exhaustive ablation |
 //! | `exp_engine_validation` | cost-model validation against the mini engine |
-//! | `exp_batched_collection` | workload-level batched access-cost collection: one optimizer call per template shape, bit-identical to per-query collection (200 queries) |
-//! | `exp_search_strategies` | pluggable search strategies (eager/lazy greedy, swap hill climb, anneal) over one shared 200×400 model, plus the work one add probe does |
-//! | `exp_online_drift` | online tuning under workload drift: the `pinum_online` daemon vs periodic full rebuild-and-reselect |
-//! | `exp_scoped_readvise` | persistent pricing sessions and template-scoped re-advising on a reweight-heavy drift stream |
-//! | `exp_multi_tenant` | multi-tenant `pinum-server` over loopback TCP: per-tenant wire determinism, budget aging bounds |
-//! | `exp_warm_restart` | journaled advisor killed and restored from snapshot + log tail, bit-identical to an uninterrupted run |
-//! | `exp_durable_throughput` | group-commit batched admissions: bit-identical to the serial journaled path at ≤ 1/8 fsyncs per admission |
-//! | `exp_trend` | cross-commit trend gate: diffs `PINUM_JSON_DIR` output against the committed baseline (`baselines/trend.json`) |
-//! | `exp_all` | runs everything in sequence |
+//! | `exp_all` | runs the nine above in sequence |
 //!
-//! Experiments that participate in CI acceptance also print a machine-
-//! readable `JSON <name>: {...}` line (see [`json`]) and mirror it to
-//! `$PINUM_JSON_DIR/<name>.json` when that variable is set.
+//! The seven extension experiments (batched collection, search
+//! strategies, online drift, scoped re-advise, multi-tenant daemon, warm
+//! restart, durable throughput) are not binaries: they are the
+//! `acceptance` integration tests under `tests/acceptance/`, each
+//! asserting its exact values at full scale in the release profile.
+
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod fixtures;
 pub mod json;
 pub mod table;
-pub mod trend;
 
 pub use fixtures::{paper_workload, PaperWorkload};
 pub use table::TextTable;

@@ -12,9 +12,9 @@
 //!   *distinct template* instead of per query, fanning the shared arms
 //!   out to each member query's covering/ordering interpretation. The
 //!   result is bit-identical to [`collect_pinum`] (debug-asserted on
-//!   every collection, release-checked by `exp_batched_collection`) at a
-//!   fraction of the calls — 200 → 33 (6.1×) on the 200-query scale
-//!   workload.
+//!   every collection, release-checked by the `batched_collection`
+//!   acceptance test) at a fraction of the calls — 200 → 33 (6.1×) on
+//!   the 200-query scale workload.
 //! * **Classic INUM**: "the optimizer can be queried with a single index
 //!   per each table in the query and the access cost can be determined by
 //!   parsing the generated plan" — [`collect_inum`] makes one call per

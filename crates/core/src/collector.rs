@@ -32,9 +32,9 @@
 //! returns. Debug builds assert exactly that on every `collect` call
 //! (sampled to every k-th query via `PINUM_ASSERT_SAMPLE` — see
 //! [`crate::sampling`] — so debug acceptance runs stay bounded);
-//! `exp_batched_collection` re-checks it in release mode and gates the
-//! call reduction (≥3× on the 200q×400c workload) plus an identical
-//! advisor pick sequence.
+//! `pinum-bench`'s `batched_collection` acceptance test re-checks it in
+//! release mode and gates the call reduction (200 → 33 calls on the
+//! 200q×400c workload) plus an identical advisor pick sequence.
 //!
 //! [`WorkloadCollector::prime`] prices the distinct missing templates of
 //! a whole workload up front, one call each in first-encounter order, so
@@ -145,8 +145,8 @@ impl WorkloadCollector {
     /// The result is bit-identical to
     /// [`collect_pinum`](crate::access_costs::collect_pinum) over the
     /// same `(optimizer, query, pool)` — debug-asserted here on every
-    /// call, and re-checked in release mode by the
-    /// `exp_batched_collection` acceptance experiment.
+    /// call, and re-checked in release mode by the `batched_collection`
+    /// acceptance test.
     pub fn collect(
         &mut self,
         optimizer: &Optimizer<'_>,

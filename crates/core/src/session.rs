@@ -41,11 +41,11 @@
 //!   nothing new performs **zero** full re-pricings end to end.
 //!
 //! [`PricingSession::full_repricings`] counts every `price_full` the
-//! session (or a search it fed) did perform; the `exp_scoped_readvise`
-//! acceptance experiment gates that counter at 0 across steady-state
-//! re-advises. The session's own invariant is `debug_assert`ed against a
-//! fresh `price_full` after every mutation, sampled by
-//! [`crate::sampling::should_assert`] (`PINUM_ASSERT_SAMPLE`).
+//! session (or a search it fed) did perform; `pinum-bench`'s
+//! `scoped_readvise` acceptance test gates that counter at 0 across
+//! steady-state re-advises. The session's own invariant is
+//! `debug_assert`ed against a fresh `price_full` after every mutation,
+//! sampled by [`crate::sampling::should_assert`] (`PINUM_ASSERT_SAMPLE`).
 
 use crate::access_costs::AccessCostCatalog;
 use crate::cache::PlanCache;

@@ -27,10 +27,10 @@
 //!   [`SearchStrategy::search_scoped`] — so a steady-state re-advise
 //!   performs **zero** full workload re-pricings (accepted picks are
 //!   delta splices too; [`OnlineStats::full_repricings`] counts the
-//!   exceptions and the `exp_scoped_readvise` gate holds it at 0). When
-//!   drift fired and attribution localized it, the search is additionally
-//!   **scoped**: only candidates whose inverted-index entry intersects
-//!   the regressed queries are probed.
+//!   exceptions and the `scoped_readvise` acceptance test holds it at
+//!   0). When drift fired and attribution localized it, the search is
+//!   additionally **scoped**: only candidates whose inverted-index entry
+//!   intersects the regressed queries are probed.
 //! * **compact** — once tombstones outnumber live queries the session
 //!   compacts (bit-identical pricing, O(window) renumbering), keeping
 //!   lifetime memory O(window).
@@ -130,7 +130,7 @@ pub struct ReadviseReport {
     pub queries_repriced: usize,
     /// Full workload re-pricings this round performed (search seed +
     /// session refreshes). 0 whenever the warm state was carried intact —
-    /// the steady-state gate of `exp_scoped_readvise`.
+    /// the steady-state gate of the `scoped_readvise` acceptance test.
     pub full_repricings: usize,
     /// Whether the search ran under a template-derived candidate mask.
     pub scoped: bool,

@@ -29,9 +29,9 @@
 //! **zero** full re-pricings, because
 //! [`pinum_core::PricingSession::restore`] adopts the serialized
 //! per-query costs and re-derives the pairwise total tree as the pure
-//! function of them that it is. `exp_warm_restart` gates this end to
-//! end: kill mid-stream, restore, finish the stream, compare every bit
-//! against an uninterrupted baseline.
+//! function of them that it is. `pinum-bench`'s `warm_restart` test
+//! gates this end to end: kill mid-stream, restore, finish the stream,
+//! compare every bit against an uninterrupted baseline.
 //!
 //! [`convert`] (re-exported to `pinum-server`) hosts the validated
 //! wire ↔ domain conversions both the TCP daemon and the on-disk

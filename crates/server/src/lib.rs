@@ -15,8 +15,8 @@
 //!
 //! The determinism contract is the whole point: moving a tenant behind
 //! the daemon changes *where* and *when* its advisor runs, never *what*
-//! it computes. `exp_multi_tenant` gates this end to end over loopback
-//! TCP.
+//! it computes. The `multi_tenant` acceptance test (in `pinum-bench`)
+//! gates this end to end over loopback TCP.
 
 pub mod budget;
 pub mod daemon;

@@ -20,9 +20,9 @@
 //!   schema, the long tail no window ever fully covers.
 //!
 //! The stream is a pure function of `(schema, seed, profile)`: replays
-//! are bit-identical, which is what lets `exp_online_drift` compare an
-//! online advisor against a periodic-rebuild baseline on the exact same
-//! history.
+//! are bit-identical, which is what lets the `online_drift` acceptance
+//! test compare an online advisor against a periodic-rebuild baseline on
+//! the exact same history.
 //!
 //! [`DriftEventStream`] layers a fourth mechanism on top: **in-place
 //! reweights**. Real workloads do not only shift by *new* queries

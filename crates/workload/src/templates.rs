@@ -68,7 +68,8 @@ mod tests {
         assert_eq!(summary.rel_instances, 800, "widths 2..6, 40 queries each");
         // The 200-query workload must collapse onto far fewer templates
         // than queries — the premise of batched collection (the exact
-        // count is pinned by the trend baseline, not here).
+        // count is pinned by `pinum-bench`'s `batched_collection`
+        // acceptance test, not here).
         assert!(
             summary.distinct_templates * 3 <= workload.queries.len(),
             "only {} queries over {} templates",
