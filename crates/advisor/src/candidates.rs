@@ -38,11 +38,6 @@ pub fn generate_candidates(catalog: &Catalog, queries: &[Query]) -> CandidatePoo
     pool
 }
 
-/// [`generate_candidates`] followed by [`merge_prefix_subsumed`].
-pub fn generate_candidates_merged(catalog: &Catalog, queries: &[Query]) -> CandidatePool {
-    merge_prefix_subsumed(&generate_candidates(catalog, queries)).0
-}
-
 /// Scan-cost penalty a subsuming wide index charges over the narrow one
 /// it replaces, above which [`merge_prefix_subsumed`] keeps the narrow
 /// candidate. The penalty is relative leaf-page growth — the dominant
@@ -361,10 +356,6 @@ mod tests {
         let (again, dropped_again) = merge_prefix_subsumed(&merged);
         assert_eq!(dropped_again, 0, "merging must be idempotent");
         assert_eq!(again.len(), merged.len());
-        assert_eq!(
-            generate_candidates_merged(&cat, std::slice::from_ref(&q)).len(),
-            merged.len()
-        );
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod search;
 pub mod tool;
 
 pub use candidates::{
-    generate_candidates, generate_candidates_merged, merge_prefix_subsumed,
-    merge_prefix_subsumed_with, MERGE_PENALTY_NOISE_FLOOR,
+    generate_candidates, merge_prefix_subsumed, merge_prefix_subsumed_with,
+    MERGE_PENALTY_NOISE_FLOOR,
 };
 pub use greedy::{greedy_select, GreedyOptions, GreedyResult};
 pub use search::{Anneal, EagerGreedy, LazyGreedy, SearchStrategy, StrategyKind, SwapHillClimb};

@@ -18,6 +18,20 @@ use rand::{Rng, SeedableRng};
 /// fixes the proposal schedule, the RNG stream, and every metric.
 const BLOCK: usize = 16;
 
+/// Number of proposals the Metropolis walk visits. Proposals drawn into a
+/// block but discarded after an earlier acceptance are *refunded* — they
+/// neither spend an iteration nor advance the temperature — so the count
+/// means the same thing it does for a serial walk at every acceptance
+/// rate.
+const ITERATIONS: usize = 1_500;
+
+/// Initial temperature, in units of *relative* cost change (0.05 ⇒ a 5 %
+/// cost increase is accepted with probability 1/e at the start).
+const INITIAL_TEMP: f64 = 0.05;
+
+/// Geometric cooling factor applied per iteration.
+const COOLING: f64 = 0.997;
+
 /// Simulated annealing seeded from [`LazyGreedy`]. Proposes random
 /// add/drop/swap moves, accepts improving moves always and worsening moves
 /// with probability `exp(-Δrel / T)` under a geometric cooling schedule,
@@ -34,28 +48,12 @@ const BLOCK: usize = 16;
 pub struct Anneal {
     /// RNG seed; the whole run is determined by it.
     pub seed: u64,
-    /// Number of proposals the Metropolis walk visits. Proposals drawn
-    /// into a block but discarded after an earlier acceptance are
-    /// *refunded* — they neither spend an iteration nor advance the
-    /// temperature — so the knob means the same thing it does for a
-    /// serial walk at every acceptance rate.
-    pub iterations: usize,
-    /// Initial temperature, in units of *relative* cost change (0.05 ⇒ a
-    /// 5 % cost increase is accepted with probability 1/e at the start).
-    pub initial_temp: f64,
-    /// Geometric cooling factor applied per iteration.
-    pub cooling: f64,
 }
 
 impl Anneal {
-    /// Default knobs with an explicit seed.
+    /// The annealing walk with an explicit seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self {
-            seed,
-            iterations: 1_500,
-            initial_temp: 0.05,
-            cooling: 0.997,
-        }
+        Self { seed }
     }
 }
 
@@ -99,7 +97,7 @@ impl SearchStrategy for Anneal {
         let mut best_bytes = used_bytes;
 
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut temp = self.initial_temp;
+        let mut temp = INITIAL_TEMP;
         let mut scratch = Vec::new();
 
         if pool.is_empty() {
@@ -112,8 +110,8 @@ impl SearchStrategy for Anneal {
         // acceptance applies its move and discards the block's remaining
         // proposals — their deltas (and draw-time validity) are stale
         // against the new state. Discarded proposals are **refunded**:
-        // only walked proposals are charged against `iterations` and
-        // advance the temperature, so the knob keeps its serial meaning —
+        // only walked proposals are charged against `ITERATIONS` and
+        // advance the temperature, so the count keeps its serial meaning —
         // the number of states the Metropolis chain actually visits —
         // at every acceptance rate. RNG consumption is: all of a block's
         // proposal draws first, then one acceptance draw per walked
@@ -122,7 +120,7 @@ impl SearchStrategy for Anneal {
         // consumed draws).
         let mut moves: Vec<Option<Probe>> = Vec::with_capacity(BLOCK);
         let mut probes: Vec<Probe> = Vec::with_capacity(BLOCK);
-        let mut remaining = self.iterations;
+        let mut remaining = ITERATIONS;
         while remaining > 0 {
             let block_len = BLOCK.min(remaining);
             let members: Vec<usize> = selection.ids().collect();
@@ -178,7 +176,7 @@ impl SearchStrategy for Anneal {
                 // iteration and one cooling step, exactly like the serial
                 // walk; the block's unwalked remainder is refunded.
                 walked += 1;
-                temp *= self.cooling;
+                temp *= COOLING;
                 let Some(mv) = *entry else { continue };
                 let delta = deltas[pi];
                 pi += 1;

@@ -7,7 +7,8 @@
 //! Accepted picks are applied as **delta splices**: the winning probe is
 //! re-priced with [`WorkloadModel::price_probe_into`] (its total is
 //! debug-asserted bit-identical to a full re-pricing) and its changed
-//! queries are overlaid onto the running [`PricedWorkload`] state. A
+//! queries are overlaid onto the running
+//! [`PricedWorkload`](pinum_core::PricedWorkload) state. A
 //! search seeded from a carried warm state therefore performs **zero**
 //! full workload re-pricings — the property persistent pricing sessions
 //! and their steady-state re-advises are built on.
@@ -597,9 +598,12 @@ mod tests {
         // exactly within the mask.
         let only = Selection::from_ids(pool.len(), &unscoped.picked[..1]);
         let empty = Selection::empty(pool.len());
+        let scope = SearchScope {
+            mask: Some(&only),
+            ..SearchScope::all()
+        };
         for strategy in [&LazyGreedy as &dyn SearchStrategy, &EagerGreedy] {
-            let scoped =
-                strategy.search_scoped(&pool, &model, &opts, &empty, &SearchScope::masked(&only));
+            let scoped = strategy.search_scoped(&pool, &model, &opts, &empty, &scope);
             assert_eq!(
                 scoped.picked,
                 unscoped.picked[..1].to_vec(),

@@ -104,14 +104,6 @@ impl<'a> SearchScope<'a> {
         Self::default()
     }
 
-    /// Restrict addition probes to `mask`'s members.
-    pub fn masked(mask: &'a Selection) -> Self {
-        Self {
-            mask: Some(mask),
-            ..Self::default()
-        }
-    }
-
     /// Attach the warm selection's exact priced state.
     pub fn with_warm_state(mut self, state: &'a PricedWorkload) -> Self {
         self.warm_state = Some(state);

@@ -19,8 +19,9 @@
 use crate::fixture::{star_fixture, BUDGET};
 use pinum_advisor::greedy::GreedyOptions;
 use pinum_advisor::search::{EagerGreedy, SearchStrategy};
-use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
+use pinum_core::access_costs::{collect_pinum, AccessCostCatalog, CollectStats};
 use pinum_core::builder::{build_cache_pinum, BuilderOptions};
+use pinum_core::collector::workload_templates;
 use pinum_core::{WorkloadCollector, WorkloadModel};
 use pinum_optimizer::Optimizer;
 use pinum_workload::templates::summarize_templates;
@@ -40,9 +41,17 @@ fn acceptance() {
         reference.push(access);
     }
 
-    // Batched path: one call per template shape.
-    let (batched, bstats) =
-        WorkloadCollector::new().collect_workload(&optimizer, &fx.queries, &fx.pool);
+    // Batched path: one call per template shape, all spent priming; the
+    // per-query fan-out that follows is all template hits.
+    let mut collector = WorkloadCollector::new();
+    let templates = workload_templates(&fx.queries);
+    let bstats = CollectStats {
+        optimizer_calls: collector.prime_templates(&optimizer, &templates, &fx.pool),
+        ..CollectStats::default()
+    };
+    let batched: Vec<AccessCostCatalog> = (fx.queries.iter())
+        .map(|q| collector.collect(&optimizer, q, &fx.pool).0)
+        .collect();
 
     assert!(
         reference == batched,

@@ -139,7 +139,6 @@ pub fn swap_options(window: usize, epoch: usize, scoped_readvise: bool) -> Onlin
         strategy: StrategyKind::SwapHillClimb,
         budget_bytes: BUDGET,
         scoped_readvise,
-        attribution_threshold: 0.1,
     }
 }
 

@@ -54,24 +54,9 @@ impl Configuration {
             .flat_map(move |v| v.iter().map(move |i| &self.indexes[*i]))
     }
 
-    /// True if the configuration has at most one index per table in
-    /// `tables` — the paper's *atomic* property (definition 1).
-    pub fn is_atomic_for(&self, tables: &[TableId]) -> bool {
-        tables
-            .iter()
-            .all(|t| self.by_table.get(t).map_or(0, Vec::len) <= 1)
-    }
-
     /// Total bytes of all configuration indexes (advisor budget accounting).
     pub fn total_bytes(&self) -> u64 {
         self.indexes.iter().map(|ix| ix.size().total_bytes()).sum()
-    }
-
-    /// A new configuration extended with one more index.
-    pub fn with_index(&self, index: Index) -> Self {
-        let mut indexes = self.indexes.clone();
-        indexes.push(index);
-        Self::new(indexes)
     }
 }
 
@@ -149,25 +134,16 @@ mod tests {
         assert_eq!(cfg.len(), 3);
         assert_eq!(cfg.table_indexes(t0).count(), 2);
         assert_eq!(cfg.table_indexes(t1).count(), 1);
-        assert!(!cfg.is_atomic_for(&[t0]));
-        assert!(cfg.is_atomic_for(&[t1]));
         assert!(cfg.total_bytes() > 0);
     }
 
     #[test]
     fn empty_is_atomic() {
+        // No table has more than one index: atomic for every query.
         let cfg = Configuration::empty();
-        assert!(cfg.is_atomic_for(&[TableId(0), TableId(5)]));
+        assert!(cfg.is_empty());
+        assert_eq!(cfg.table_indexes(TableId(0)).count(), 0);
+        assert_eq!(cfg.table_indexes(TableId(5)).count(), 0);
         assert_eq!(cfg.total_bytes(), 0);
-    }
-
-    #[test]
-    fn with_index_is_persistent() {
-        let cat = catalog();
-        let t0 = cat.table_id("fact").unwrap();
-        let base = Configuration::empty();
-        let bigger = base.with_index(Index::hypothetical(cat.table(t0), vec![0], false));
-        assert_eq!(base.len(), 0);
-        assert_eq!(bigger.len(), 1);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::page;
 use crate::table::Table;
-use crate::types::{aligned_tuple_width, ColumnRef, TableId};
+use crate::types::{aligned_tuple_width, TableId};
 
 /// Identifies a *materialized* index in the catalog. Hypothetical indexes in
 /// a [`crate::Configuration`] get ids in a separate space (see
@@ -172,11 +172,6 @@ impl Index {
         self.key_columns[0]
     }
 
-    /// `ColumnRef` of the leading key.
-    pub fn leading_column_ref(&self) -> ColumnRef {
-        ColumnRef::new(self.table, self.key_columns[0])
-    }
-
     pub fn is_unique(&self) -> bool {
         self.unique
     }
@@ -203,11 +198,6 @@ impl Index {
     /// index-only scan can answer a query touching just those columns.
     pub fn covers_columns(&self, ordinals: &[u16]) -> bool {
         ordinals.iter().all(|o| self.key_columns.contains(o))
-    }
-
-    /// Structural identity used for candidate deduplication.
-    pub fn structural_key(&self) -> (TableId, &[u16], bool) {
-        (self.table, self.key_columns.as_slice(), self.unique)
     }
 }
 
@@ -276,6 +266,28 @@ mod tests {
         assert!(m.size().internal_pages > 0);
         assert_eq!(h.size().internal_pages, 0);
         assert_eq!(m.size().height, h.size().height);
+    }
+
+    /// The §V-A size gap of the what-if twin, relative to the materialized
+    /// index: `(materialized_pages - whatif_pages) / materialized_pages`.
+    fn whatif_gap(rows: u64) -> f64 {
+        let t = table(rows);
+        let m = Index::materialized(&t, vec![0], false).size().total_pages() as f64;
+        let h = Index::hypothetical(&t, vec![0], false).size().total_pages() as f64;
+        (m - h) / m
+    }
+
+    #[test]
+    fn whatif_gap_is_small_but_positive_for_large_indexes() {
+        let gap = whatif_gap(50_000_000);
+        assert!(gap > 0.0, "the what-if twin must have fewer pages");
+        assert!(gap < 0.02, "gap {gap} should stay below 2 %");
+    }
+
+    #[test]
+    fn whatif_gap_larger_for_tiny_indexes() {
+        // "they affect the relative page sizes only on very small indexes"
+        assert!(whatif_gap(2_000) >= whatif_gap(50_000_000));
     }
 
     #[test]

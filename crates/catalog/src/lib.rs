@@ -24,7 +24,6 @@ pub mod page;
 pub mod stats;
 pub mod table;
 pub mod types;
-pub mod whatif;
 
 pub use config::{Configuration, ConfigurationBuilder};
 pub use index::{Index, IndexId, IndexKind, IndexSize};
@@ -98,11 +97,6 @@ impl Catalog {
         &mut self.tables[id.0 as usize]
     }
 
-    /// Looks a table up by name.
-    pub fn table_by_name(&self, name: &str) -> Option<&Table> {
-        self.by_name.get(name).map(|id| self.table(*id))
-    }
-
     /// Id of the table with the given name, if any.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
         self.by_name.get(name).copied()
@@ -128,12 +122,6 @@ impl Catalog {
     pub fn table_indexes(&self, table: TableId) -> &[IndexId] {
         self.by_table.get(&table).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Total size, in bytes, of every materialized index (used when
-    /// reporting advisor budgets).
-    pub fn total_index_bytes(&self) -> u64 {
-        self.indexes.iter().map(|ix| ix.size().total_bytes()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +144,7 @@ mod tests {
         let t1 = cat.add_table(toy_table("dim", 10_000, 4));
         assert_eq!(cat.table_count(), 2);
         assert_eq!(cat.table(t0).name(), "fact");
-        assert_eq!(cat.table_by_name("dim").unwrap().id(), t1);
+        assert_eq!(cat.table(t1).name(), "dim");
         assert_eq!(cat.table_id("fact"), Some(t0));
         assert_eq!(cat.table_id("nope"), None);
     }
@@ -183,6 +171,5 @@ mod tests {
         let i2 = cat.add_index(Index::materialized(&cat.table(t1).clone(), vec![0], true));
         assert_eq!(cat.table_indexes(t0), &[i0, i1]);
         assert_eq!(cat.table_indexes(t1), &[i2]);
-        assert!(cat.total_index_bytes() > 0);
     }
 }

@@ -97,10 +97,6 @@ impl Table {
         self.rows
     }
 
-    pub fn set_rows(&mut self, rows: u64) {
-        self.rows = rows;
-    }
-
     pub fn columns(&self) -> &[Column] {
         &self.columns
     }
@@ -191,8 +187,7 @@ mod tests {
         let table = t();
         let p = table.heap_pages();
         assert!(p > 0);
-        let mut bigger = t();
-        bigger.set_rows(20_000);
+        let bigger = Table::new("t", 20_000, t().columns().to_vec());
         assert!(bigger.heap_pages() >= 2 * p - 1);
     }
 

@@ -67,11 +67,6 @@ impl ColumnType {
             ColumnType::Int8 | ColumnType::Float8 => 8,
         }
     }
-
-    /// True for types whose values we model as orderable numbers.
-    pub fn is_numeric(self) -> bool {
-        !matches!(self, ColumnType::Text { .. })
-    }
 }
 
 /// Rounds `offset` up to the next multiple of `align`.

@@ -110,14 +110,6 @@ impl PlanCache {
         descs.len()
     }
 
-    /// Number of distinct IOCs with at least one plan.
-    pub fn covered_iocs(&self) -> usize {
-        let mut iocs: Vec<Ioc> = self.plans.iter().map(|p| p.ioc).collect();
-        iocs.sort_unstable();
-        iocs.dedup();
-        iocs.len()
-    }
-
     /// Plans usable without nested-loop joins / with them.
     pub fn partition_by_nlj(&self) -> (usize, usize) {
         let nlj = self.plans.iter().filter(|p| p.uses_nlj).count();
@@ -171,7 +163,7 @@ mod tests {
         cache.insert(plan(b, 1.0, "P2"));
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.unique_plan_structures(), 2);
-        assert_eq!(cache.covered_iocs(), 2);
+        assert_eq!(crate::builder::tests::covered_iocs(&cache), 2);
     }
 
     #[test]

@@ -36,9 +36,10 @@
 //! release mode and gates the call reduction (200 → 33 calls on the
 //! 200q×400c workload) plus an identical advisor pick sequence.
 //!
-//! [`WorkloadCollector::prime`] prices the distinct missing templates of
-//! a whole workload up front, one call each in first-encounter order, so
-//! the per-query fan-out that follows is all cache hits.
+//! [`WorkloadCollector::prime_templates`] over [`workload_templates`]
+//! prices the distinct missing templates of a whole workload up front,
+//! one call each in first-encounter order, so the per-query fan-out that
+//! follows is all cache hits.
 
 use crate::access_costs::{AccessCostCatalog, CandidateAccess, CollectStats};
 use crate::builder::{build_cache_pinum, BuilderOptions};
@@ -95,12 +96,8 @@ impl WorkloadCollector {
         Self::default()
     }
 
-    /// Distinct templates priced so far (= optimizer calls spent).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Cumulative optimizer calls across all `collect`/`prime` calls.
+    /// Cumulative optimizer calls across all `collect`/`prime_templates`
+    /// calls — one per distinct template priced.
     pub fn optimizer_calls(&self) -> usize {
         self.optimizer_calls
     }
@@ -210,22 +207,9 @@ impl WorkloadCollector {
         )
     }
 
-    /// Prices every template of `queries` not yet in the cache, returning
-    /// the number of optimizer calls spent, one per missing template in
-    /// first-encounter order.
-    pub fn prime(
-        &mut self,
-        optimizer: &Optimizer<'_>,
-        queries: &[Query],
-        pool: &CandidatePool,
-    ) -> usize {
-        self.prime_templates(optimizer, &workload_templates(queries), pool)
-    }
-
-    /// [`Self::prime`] over an already-deduplicated template list (see
-    /// [`workload_templates`]) — callers that enumerate the workload's
-    /// templates for their own bookkeeping pass them in instead of paying
-    /// the enumeration twice.
+    /// Prices every template of `templates` (a deduplicated list, see
+    /// [`workload_templates`]) not yet in the cache, returning the number
+    /// of optimizer calls spent, one per missing template in list order.
     pub fn prime_templates(
         &mut self,
         optimizer: &Optimizer<'_>,
@@ -243,40 +227,6 @@ impl WorkloadCollector {
         }
         self.optimizer_calls += calls;
         calls
-    }
-
-    /// Collects the whole workload: [`Self::prime`] followed by per-query
-    /// fan-out. The aggregate stats count one optimizer call per template
-    /// priced — the headline "one call per template-shape instead of per
-    /// query".
-    pub fn collect_workload(
-        &mut self,
-        optimizer: &Optimizer<'_>,
-        queries: &[Query],
-        pool: &CandidatePool,
-    ) -> (Vec<AccessCostCatalog>, CollectStats) {
-        let start = Instant::now();
-        let calls = self.prime(optimizer, queries, pool);
-        let catalogs: Vec<AccessCostCatalog> = queries
-            .iter()
-            .map(|q| self.collect(optimizer, q, pool).0)
-            .collect();
-        let entries = catalogs
-            .iter()
-            .map(|c| {
-                (0..c.relation_count() as RelIdx)
-                    .map(|rel| c.entries(rel).len())
-                    .sum::<usize>()
-            })
-            .sum();
-        (
-            catalogs,
-            CollectStats {
-                optimizer_calls: calls,
-                wall: start.elapsed(),
-                entries,
-            },
-        )
     }
 }
 
@@ -526,26 +476,26 @@ mod tests {
         assert_eq!(s2.optimizer_calls, 1, "q2 shares d, brings a new f filter");
         let (_, s3) = collector.collect(&opt, &queries[2], &pool);
         assert_eq!(s3.optimizer_calls, 0, "q3 is a full template hit");
-        assert_eq!(collector.group_count(), 3);
         assert_eq!(collector.optimizer_calls(), 3);
         assert_eq!(collector.template_hits(), 3); // q2's d + q3's f and d
     }
 
     #[test]
-    fn collect_workload_primes_then_fans_out() {
+    fn prime_templates_then_collect_fans_out() {
         let (cat, queries, pool) = setup();
         let opt = Optimizer::new(&cat);
         let mut collector = WorkloadCollector::new();
-        let (catalogs, stats) = collector.collect_workload(&opt, &queries, &pool);
-        assert_eq!(catalogs.len(), queries.len());
-        assert_eq!(stats.optimizer_calls, 3, "one call per distinct template");
-        for (q, batched) in queries.iter().zip(&catalogs) {
+        let templates = workload_templates(&queries);
+        let calls = collector.prime_templates(&opt, &templates, &pool);
+        assert_eq!(calls, 3, "one call per distinct template");
+        for q in &queries {
+            let (batched, stats) = collector.collect(&opt, q, &pool);
+            assert_eq!(stats.optimizer_calls, 0, "primed: {} is a full hit", q.name);
             let (reference, _) = collect_pinum(&opt, q, &pool);
-            assert_eq!(batched, &reference, "{} diverged", q.name);
+            assert_eq!(batched, reference, "{} diverged", q.name);
         }
         // A second pass over the same workload is free.
-        let (_, again) = collector.collect_workload(&opt, &queries, &pool);
-        assert_eq!(again.optimizer_calls, 0);
+        assert_eq!(collector.prime_templates(&opt, &templates, &pool), 0);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! * [`builder::build_cache_inum`] is the classic strategy — **one
 //!   optimizer call per IOC** (648 for TPC-H Q5), each with a what-if
 //!   configuration covering that combination;
-//! * [`builder::build_cache_pinum`] is the paper's contribution — **two
-//!   calls** (one with nested-loop joins disabled, one with them enabled),
-//!   both against a configuration covering *every* interesting order, with
-//!   the optimizer's §V-D hook exporting one optimal plan per IOC.
+//! * [`builder::build_cache_pinum`] is the paper's contribution — **one
+//!   call** against a configuration covering *every* interesting order,
+//!   with the optimizer's §V-D hook exporting one optimal plan per IOC;
+//!   the same call plans both plan families INUM caches (nested-loop
+//!   joins disabled and enabled).
 //!
 //! Access costs are collected analogously: [`access_costs::collect_pinum`]
 //! prices the entire candidate pool with **one** keep-all call (§V-C),
@@ -54,7 +55,7 @@
 //! access catalog directly, is the one per-query oracle the kernel is
 //! tested against bit for bit.
 //!
-//! The model is also **streaming**: `admit_query` / `evict_query` /
+//! The model is also **streaming**: `admit_batch` / `evict_query` /
 //! `reweight_query` splice queries in and out of the dense arrays and
 //! the inverted candidate→query index in O(that query's access arms),
 //! with the same debug-assert "equals a from-scratch rebuild"

@@ -23,14 +23,12 @@
 //!   the current selection, and appends their contributions as new
 //!   leaves of the state's pairwise sum tree — appending (and the
 //!   occasional exact zero-padded capacity growth) never changes the
-//!   bits of the total, however a stream is cut into runs
-//!   ([`PricingSession::admit_query_weighted`] is the width-1 call);
+//!   bits of the total, however a stream is cut into runs;
 //! * [`PricingSession::evict_query`] zeroes the tombstone's leaf, which
 //!   re-totals the O(log n) tree path above it — no re-pricing, no
 //!   O(window) re-sum;
-//! * [`PricingSession::reweight_queries`] re-prices **each named** query
-//!   once and updates its leaf the same way
-//!   ([`PricingSession::reweight_query`] is the width-1 call);
+//! * [`PricingSession::reweight_query`] re-prices **one** query and
+//!   updates its leaf the same way;
 //! * [`PricingSession::compact`] drops tombstone entries alongside the
 //!   model's slots and rebuilds the tree over the survivors (live order
 //!   is preserved, so the total is the fresh build's total);
@@ -80,24 +78,11 @@ impl PricingSession {
         }
     }
 
-    /// Wraps an existing model + selection, pricing the state once (this
-    /// is the session's only unavoidable full re-pricing — everything
-    /// after construction is spliced).
-    pub fn from_parts(model: WorkloadModel, selection: Selection) -> Self {
-        let state = model.price_full(&selection);
-        Self {
-            model,
-            selection,
-            state,
-            full_repricings: 1,
-        }
-    }
-
     /// Reconstructs a session bit-exactly from exported state — the
-    /// warm-restart path. Unlike [`Self::from_parts`], nothing is
-    /// re-priced: the sum tree is rebuilt from the exported per-query
-    /// costs ([`PricedWorkload::from_costs`] is a pure function of them,
-    /// so the total's bits are exactly the exported session's), and
+    /// warm-restart path. Nothing is re-priced: the sum tree is rebuilt
+    /// from the exported per-query costs
+    /// ([`PricedWorkload::from_costs`] is a pure function of them, so the
+    /// total's bits are exactly the exported session's), and
     /// `full_repricings` resumes at its exported value. The invariant
     /// `state == model.price_full(&selection)` is the *caller's* claim
     /// about the costs; it is debug-asserted (sampled) like every other
@@ -160,27 +145,9 @@ impl PricingSession {
         self.model.weight(qid) * self.model.price_query(qid, &self.selection, None)
     }
 
-    /// Splices one arriving query in at weight 1.0. O(its access arms)
-    /// model work + one single-query pricing; returns its stable id.
-    pub fn admit_query(&mut self, cache: &PlanCache, access: &AccessCostCatalog) -> usize {
-        self.admit_query_weighted(cache, access, 1.0)
-    }
-
-    /// [`Self::admit_query`] with an explicit workload weight — the
-    /// width-1 call of [`Self::admit_batch`].
-    pub fn admit_query_weighted(
-        &mut self,
-        cache: &PlanCache,
-        access: &AccessCostCatalog,
-        weight: f64,
-    ) -> usize {
-        self.admit_batch(&[(cache, access, weight)])
-    }
-
-    /// The admission body: splices a run of arriving `(cache, access,
-    /// weight)` queries with one model maintenance pass
-    /// ([`WorkloadModel::admit_batch`]), one single-query pricing per
-    /// newcomer, and one sum-tree extension
+    /// Splices a run of arriving `(cache, access, weight)` queries with
+    /// one model maintenance pass ([`WorkloadModel::admit_batch`]), one
+    /// single-query pricing per newcomer, and one sum-tree extension
     /// ([`PricedWorkload::extend_query_costs`] — at most one capacity
     /// rebuild). Returns the first new query id; the run occupies
     /// `first..first + queries.len()`.
@@ -208,23 +175,13 @@ impl PricingSession {
         self.debug_assert_state_matches_full();
     }
 
-    /// Changes one live query's weight, re-pricing only that query — the
-    /// width-1 call of [`Self::reweight_queries`].
+    /// Changes one live query's weight, re-pricing only that query and
+    /// splicing its new contribution into the sum tree — one
+    /// single-query pricing plus O(log n) tree updates.
     pub fn reweight_query(&mut self, qid: usize, weight: f64) {
-        self.reweight_queries([(qid, weight)]);
-    }
-
-    /// The reweight body: each `(qid, weight)` update re-prices its one
-    /// query and splices the new contribution into the sum tree —
-    /// O(updates) single-query pricings plus O(updates·log n) tree
-    /// updates, with the session invariant re-checked once per call
-    /// (window-sized callers, e.g. a decay round, pay one check).
-    pub fn reweight_queries(&mut self, updates: impl IntoIterator<Item = (usize, f64)>) {
-        for (qid, weight) in updates {
-            self.model.reweight_query(qid, weight);
-            let contribution = self.contribution(qid);
-            self.state.set_query_cost(qid, contribution);
-        }
+        self.model.reweight_query(qid, weight);
+        let contribution = self.contribution(qid);
+        self.state.set_query_cost(qid, contribution);
         self.debug_assert_state_matches_full();
     }
 
@@ -390,8 +347,8 @@ mod tests {
         let mut session = PricingSession::new(pool.len());
         assert_eq!(session.full_repricings(), 0);
 
-        let q0 = session.admit_query(&models[0].0, &models[0].1);
-        let q1 = session.admit_query_weighted(&models[1].0, &models[1].1, 2.5);
+        let q0 = session.admit_batch(&[(&models[0].0, &models[0].1, 1.0)]);
+        let q1 = session.admit_batch(&[(&models[1].0, &models[1].1, 2.5)]);
         assert_matches_fresh(&session, &models, &[(0, 1.0), (1, 2.5)], pool.len());
 
         session.install(Selection::from_ids(pool.len(), &[0, 3]), None, 0);
@@ -417,8 +374,10 @@ mod tests {
         let (cat, queries, pool) = setup();
         let models = build_models(&cat, &queries, &pool);
         let mut session = PricingSession::new(pool.len());
-        session.admit_query(&models[0].0, &models[0].1);
-        session.admit_query(&models[1].0, &models[1].1);
+        session.admit_batch(&[
+            (&models[0].0, &models[0].1, 1.0),
+            (&models[1].0, &models[1].1, 1.0),
+        ]);
         let selection = Selection::from_ids(pool.len(), &[1]);
         let exact = session.model().price_full(&selection);
         session.install(selection.clone(), Some(exact.clone()), 0);
@@ -428,30 +387,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_reweight_equals_one_by_one() {
-        let (cat, queries, pool) = setup();
-        let models = build_models(&cat, &queries, &pool);
-        let mut one_by_one = PricingSession::new(pool.len());
-        let mut batched = PricingSession::new(pool.len());
-        for session in [&mut one_by_one, &mut batched] {
-            session.admit_query(&models[0].0, &models[0].1);
-            session.admit_query(&models[1].0, &models[1].1);
-            session.install(Selection::from_ids(pool.len(), &[0, 3]), None, 0);
-        }
-        one_by_one.reweight_query(0, 0.5);
-        one_by_one.reweight_query(1, 3.0);
-        batched.reweight_queries([(0, 0.5), (1, 3.0)]);
-        assert_eq!(one_by_one.total().to_bits(), batched.total().to_bits());
-        assert_eq!(one_by_one.state().per_query(), batched.state().per_query());
-    }
-
-    #[test]
     fn restore_is_bit_exact_and_counts_no_repricing() {
         let (cat, queries, pool) = setup();
         let models = build_models(&cat, &queries, &pool);
         let mut session = PricingSession::new(pool.len());
-        session.admit_query(&models[0].0, &models[0].1);
-        session.admit_query_weighted(&models[1].0, &models[1].1, 2.5);
+        session.admit_batch(&[
+            (&models[0].0, &models[0].1, 1.0),
+            (&models[1].0, &models[1].1, 2.5),
+        ]);
         session.install(Selection::from_ids(pool.len(), &[0, 3]), None, 0);
 
         let model = crate::workload_model::WorkloadModel::from_parts(session.model().to_parts())

@@ -99,8 +99,7 @@
 //!
 //! [`WorkloadModel::admit_batch`] flattens a run of `(plan cache, access
 //! catalog)` pairs and appends them to the packed arrays in O(those
-//! queries' arms); [`WorkloadModel::admit_query`] is its width-1 call.
-//! [`WorkloadModel::evict_query`] retracts a query eagerly from
+//! queries' arms). [`WorkloadModel::evict_query`] retracts a query eagerly from
 //! the inverted index and tombstones its metadata (its packed arm data
 //! becomes unreachable and is reclaimed by [`WorkloadModel::compact`],
 //! which rebuilds the arrays over the survivors — bit-identical to a
@@ -247,12 +246,6 @@ impl PricedWorkload {
             i /= 2;
             self.tree[i] = self.tree[2 * i] + self.tree[2 * i + 1];
         }
-    }
-
-    /// Appends one newly admitted query's cost — the width-1 call of
-    /// [`Self::extend_query_costs`].
-    pub fn push_query_cost(&mut self, cost: f64) {
-        self.extend_query_costs(&[cost]);
     }
 
     /// Appends newly admitted queries' costs. Amortized O(log n) each,
@@ -679,33 +672,14 @@ impl WorkloadModel {
         self.live_count += 1;
     }
 
-    /// Flattens one more `(plan cache, access catalog)` pair and splices
-    /// it into the model at weight 1.0, returning its stable query id.
-    /// The work is O(this query's plans and access arms) — the rest of
-    /// the workload is never touched.
-    pub fn admit_query(&mut self, cache: &PlanCache, access: &AccessCostCatalog) -> usize {
-        self.admit_query_weighted(cache, access, 1.0)
-    }
-
-    /// [`Self::admit_query`] with an explicit workload weight (e.g. an
-    /// observed execution frequency) — the width-1 call of
-    /// [`Self::admit_batch`].
-    pub fn admit_query_weighted(
-        &mut self,
-        cache: &PlanCache,
-        access: &AccessCostCatalog,
-        weight: f64,
-    ) -> usize {
-        self.admit_batch(&[(cache, access, weight)])
-    }
-
-    /// The admission body: splices a run of `(cache, access, weight)`
-    /// queries (weights finite and > 0) in one maintenance pass. Every
-    /// query is flattened and packed in O(its plans and access arms), the
-    /// inverted index takes each newcomer's entries as O(1) sorted pushes
-    /// (new ids are issued in ascending order, so the lists stay sorted),
-    /// and the expensive index-rebuild debug assert runs **once** per
-    /// call. Returns the first new query id; the run occupies
+    /// Splices a run of `(cache, access, weight)` queries (weights finite
+    /// and > 0; a weight is e.g. an observed execution frequency) in one
+    /// maintenance pass. Every query is flattened and packed in O(its
+    /// plans and access arms) — the rest of the workload is never touched
+    /// — the inverted index takes each newcomer's entries as O(1) sorted
+    /// pushes (new ids are issued in ascending order, so the lists stay
+    /// sorted), and the expensive index-rebuild debug assert runs
+    /// **once** per call. Returns the first new query id; the run occupies
     /// `first..first + queries.len()`.
     ///
     /// How a stream is cut into runs changes no bit: admission never
@@ -1159,7 +1133,7 @@ impl WorkloadModel {
 
     /// Number of flattened access arms (standalone + probe, including
     /// always-available arms) in one query's model.
-    /// [`Self::admit_query`]'s work is proportional to this — a
+    /// [`Self::admit_batch`]'s work per query is proportional to this — a
     /// measurable witness that admission is O(the query), not
     /// O(the workload).
     pub fn query_arm_count(&self, qid: usize) -> usize {
@@ -1926,7 +1900,7 @@ mod tests {
         let costs: Vec<f64> = (0..13).map(|i| (i as f64) * 1.25 + 0.1).collect();
         let mut pushed = PricedWorkload::from_costs(Vec::new());
         for (i, &c) in costs.iter().enumerate() {
-            pushed.push_query_cost(c);
+            pushed.extend_query_costs(&[c]);
             let rebuilt = PricedWorkload::from_costs(costs[..=i].to_vec());
             assert_eq!(pushed.total().to_bits(), rebuilt.total().to_bits());
             assert_eq!(
@@ -2028,7 +2002,7 @@ mod tests {
         let batch = model_of(&models, &pool);
         let mut streamed = WorkloadModel::build(pool.len(), std::iter::empty());
         for (i, (c, a)) in models.iter().enumerate() {
-            let qid = streamed.admit_query(c, a);
+            let qid = streamed.admit_batch(&[(c, a, 1.0)]);
             assert_eq!(qid, i);
         }
         assert_eq!(streamed, batch, "admit-by-admit diverged from batch build");
@@ -2040,7 +2014,7 @@ mod tests {
         let models = build_models(&cat, &queries, &pool);
         let base = model_of(&models, &pool);
         let mut mutated = model_of(&models, &pool);
-        let qid = mutated.admit_query(&models[1].0, &models[1].1);
+        let qid = mutated.admit_batch(&[(&models[1].0, &models[1].1, 1.0)]);
         assert_eq!(mutated.live_query_count(), 3);
         mutated.evict_query(qid);
         assert_eq!(mutated.live_query_count(), base.live_query_count());
@@ -2111,7 +2085,7 @@ mod tests {
         let (cat, queries, pool) = setup();
         let models = build_models(&cat, &queries, &pool);
         let mut wm = model_of(&models, &pool);
-        let extra = wm.admit_query(&models[0].0, &models[0].1);
+        let extra = wm.admit_batch(&[(&models[0].0, &models[0].1, 1.0)]);
         wm.evict_query(0);
         wm.reweight_query(extra, 3.0);
         wm.reweight_query(1, 0.25);
@@ -2157,7 +2131,7 @@ mod tests {
         let models = build_models(&cat, &queries, &pool);
         let mut wm = WorkloadModel::build(pool.len(), std::iter::empty());
         for (c, a) in &models {
-            let qid = wm.admit_query(c, a);
+            let qid = wm.admit_batch(&[(c, a, 1.0)]);
             assert!(
                 wm.query_arm_count(qid) > 0,
                 "query {qid} flattened to nothing"

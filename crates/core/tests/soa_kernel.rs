@@ -152,8 +152,8 @@ proptest! {
                 0 => {
                     if let Some((cache, access)) = pending.next() {
                         let w = 1.0 + (pick % 4) as f64;
-                        let qid = model.admit_query_weighted(cache, access, w);
-                        state.push_query_cost(w * model.price_query(qid, &selection, None));
+                        let qid = model.admit_batch(&[(cache, access, w)]);
+                        state.extend_query_costs(&[w * model.price_query(qid, &selection, None)]);
                     }
                 }
                 // Evict a live query; its slot prices to exactly 0.

@@ -50,16 +50,6 @@ impl Cost {
     pub fn run(&self) -> f64 {
         (self.total - self.startup).max(0.0)
     }
-
-    /// Adds a pure run cost.
-    pub fn plus_run(self, run: f64) -> Self {
-        Self::new(self.startup, self.total + run)
-    }
-
-    /// Adds a startup cost (which also delays total).
-    pub fn plus_startup(self, startup: f64) -> Self {
-        Self::new(self.startup + startup, self.total + startup)
-    }
 }
 
 impl Add for Cost {
@@ -105,8 +95,6 @@ mod tests {
         let c = a + b;
         assert_eq!(c, Cost::new(1.5, 7.0));
         assert!((a.run() - 4.0).abs() < 1e-12);
-        assert_eq!(a.plus_run(1.0), Cost::new(1.0, 6.0));
-        assert_eq!(a.plus_startup(1.0), Cost::new(2.0, 6.0));
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl DriftAttribution {
         Self::default()
     }
 
-    /// Distinct templates seen so far.
-    pub fn template_count(&self) -> usize {
-        self.intern.len()
-    }
-
     /// Live queries that carried template info at admission.
     pub fn attributed_live(&self) -> usize {
         self.attributed_live
@@ -386,7 +381,7 @@ mod tests {
         attr.admit(0, &[k[0].clone()]);
         attr.admit(1, &[k[1].clone()]);
         attr.admit(2, &[k[0].clone(), k[2].clone()]);
-        assert_eq!(attr.template_count(), 3);
+        assert_eq!(attr.to_parts().templates.len(), 3);
         attr.capture_baseline(&state(&[10.0, 10.0, 10.0]));
         // Template k[1]'s only member doubled; the rest held still.
         let regressed = attr

@@ -79,16 +79,19 @@ pub struct OnlineAdvisorOptions {
     /// the regressed templates (needs template-attributed admissions;
     /// falls back to the full-scope search — bit-identical to the
     /// unscoped daemon — whenever attribution cannot localize the drift).
+    /// A template counts as regressed for scoping once its cost rose by
+    /// 10 %.
     pub scoped_readvise: bool,
-    /// Relative per-template cost regression that marks a template
-    /// regressed for scoping.
-    pub attribution_threshold: f64,
 }
+
+/// Relative per-template cost regression that marks a template regressed
+/// for scoped re-advising.
+const ATTRIBUTION_THRESHOLD: f64 = 0.1;
 
 impl OnlineAdvisorOptions {
     /// Sensible daemon defaults for a given budget: 256-query window,
     /// epoch of 64, 20 % drift threshold, lazy greedy, template-scoped
-    /// drift re-advising at a 10 % per-template bar.
+    /// drift re-advising.
     pub fn defaults(budget_bytes: u64) -> Self {
         Self {
             window_capacity: 256,
@@ -97,8 +100,24 @@ impl OnlineAdvisorOptions {
             strategy: StrategyKind::LazyGreedy,
             budget_bytes,
             scoped_readvise: true,
-            attribution_threshold: 0.1,
         }
+    }
+
+    /// The one validity rule for daemon options: a window that holds a
+    /// query, an epoch that spans an admission, and a finite non-negative
+    /// drift threshold. [`OnlineAdvisor::new`] panics on a violation;
+    /// every other layer maps it to its own typed error.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.window_capacity < 1 {
+            return Err("window must hold a query");
+        }
+        if self.epoch_length < 1 {
+            return Err("epoch must span an admission");
+        }
+        if !(self.drift_threshold >= 0.0 && self.drift_threshold.is_finite()) {
+            return Err("drift threshold must be a finite non-negative ratio");
+        }
+        Ok(())
     }
 }
 
@@ -379,16 +398,9 @@ impl OnlineAdvisor {
     /// Starts the daemon over a fixed candidate pool with an empty
     /// window and an empty selection.
     pub fn new(pool: CandidatePool, opts: OnlineAdvisorOptions) -> Self {
-        assert!(opts.window_capacity >= 1, "window must hold a query");
-        assert!(opts.epoch_length >= 1, "epoch must span an admission");
-        assert!(
-            opts.drift_threshold >= 0.0 && opts.drift_threshold.is_finite(),
-            "drift threshold must be a finite non-negative ratio"
-        );
-        assert!(
-            opts.attribution_threshold >= 0.0 && opts.attribution_threshold.is_finite(),
-            "attribution threshold must be a finite non-negative ratio"
-        );
+        if let Err(e) = opts.validate() {
+            panic!("{e}");
+        }
         let session = PricingSession::new(pool.len());
         Self {
             pool,
@@ -720,7 +732,7 @@ impl OnlineAdvisor {
         let regressed: Option<Vec<u32>> =
             if trigger == ReadviseTrigger::Drift && self.opts.scoped_readvise {
                 self.attribution
-                    .regressed_queries(self.session.state(), self.opts.attribution_threshold)
+                    .regressed_queries(self.session.state(), ATTRIBUTION_THRESHOLD)
             } else {
                 None
             };
@@ -879,16 +891,6 @@ impl OnlineAdvisor {
         &self.opts
     }
 
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Live query ids in admission order (front = oldest). Ids are valid
-    /// until the next re-advise (compaction renumbers).
-    pub fn window_ids(&self) -> Vec<usize> {
-        self.window.iter().copied().collect()
-    }
-
     /// The admission-ordinal book's live span `(base, next)`: ordinals
     /// below `base` were retired by compaction (reweights targeting them
     /// report misses), `next` is the ordinal the next admission gets.
@@ -936,13 +938,7 @@ impl OnlineAdvisor {
         opts: OnlineAdvisorOptions,
         parts: OnlineAdvisorParts,
     ) -> Result<Self, &'static str> {
-        if opts.window_capacity < 1
-            || opts.epoch_length < 1
-            || !(opts.drift_threshold >= 0.0 && opts.drift_threshold.is_finite())
-            || !(opts.attribution_threshold >= 0.0 && opts.attribution_threshold.is_finite())
-        {
-            return Err("invalid daemon options");
-        }
+        opts.validate()?;
         let OnlineAdvisorParts {
             model,
             selection_words,
@@ -1121,9 +1117,8 @@ mod tests {
             let adm = advisor.apply(AdmissionSpec::new(c, a).weight(queries[i].1));
             assert_eq!(adm.evicted.is_some(), i >= 8);
             assert_eq!(adm.ordinal, i);
-            assert!(advisor.window_len() <= 8);
+            assert!(advisor.model().live_query_count() <= 8);
         }
-        assert_eq!(advisor.window_len(), 8);
         assert_eq!(advisor.model().live_query_count(), 8);
         assert_eq!(advisor.stats().admits, 20);
         assert_eq!(advisor.stats().evictions, 12);
@@ -1262,11 +1257,10 @@ mod tests {
         );
         assert_eq!(s.collect_calls + s.collect_template_hits, rels_total);
         assert_eq!(shared.collector().optimizer_calls(), s.collect_calls);
-        assert_eq!(shared.collector().group_count(), s.collect_calls);
         assert_eq!(cold.stats().collect_calls, 0, "cold path never collects");
         // Only the shared daemon has attribution books.
-        assert!(shared.attribution().template_count() > 0);
-        assert_eq!(cold.attribution().template_count(), 0);
+        assert!(!shared.attribution().to_parts().templates.is_empty());
+        assert!(cold.attribution().to_parts().templates.is_empty());
     }
 
     #[test]
@@ -1406,7 +1400,7 @@ mod tests {
             advisor.stats().compactions > 0,
             "a 30-admission stream over a 4-query window never compacted"
         );
-        assert_eq!(advisor.window_len(), window);
+        assert_eq!(advisor.model().live_query_count(), window);
         // The admission-ordinal book retires its dead prefix at each
         // compaction, so its live span tracks the window, not lifetime
         // admissions — and retired ordinals degrade to counted misses.
@@ -1524,10 +1518,11 @@ mod tests {
         assert!(advisor.reweight(last_ordinal, 3.5, false).applied);
         assert_eq!(advisor.stats().reweight_misses, 0);
         let qid = *advisor
-            .window_ids()
+            .to_parts()
+            .window
             .last()
             .expect("window holds the newest admission");
-        assert_eq!(advisor.model().weight(qid), 3.5);
+        assert_eq!(advisor.model().weight(qid as usize), 3.5);
     }
 
     #[test]
@@ -1607,10 +1602,9 @@ mod tests {
         for (c, a) in &models[..8] {
             ordinals.push(advisor.apply(AdmissionSpec::new(c, a)).ordinal);
         }
-        assert_eq!(advisor.window_len(), 8);
+        assert_eq!(advisor.model().live_query_count(), 8);
         let before = advisor.current_cost();
         assert!(advisor.evict_admission(ordinals[2]));
-        assert_eq!(advisor.window_len(), 7);
         assert_eq!(advisor.model().live_query_count(), 7);
         assert_eq!(advisor.stats().evictions, 1);
         assert!(
@@ -1623,7 +1617,7 @@ mod tests {
         assert_eq!(advisor.stats().reweight_misses, 1);
         // The remaining residents still resolve.
         assert!(advisor.evict_admission(ordinals[7]));
-        assert_eq!(advisor.window_len(), 6);
+        assert_eq!(advisor.model().live_query_count(), 6);
     }
 
     /// A parts round-trip mid-stream is invisible: the restored daemon
@@ -1688,11 +1682,9 @@ mod tests {
             baseline.admission_book_span(),
             restored.admission_book_span()
         );
-        assert_eq!(baseline.window_ids(), restored.window_ids());
-        assert_eq!(
-            baseline.attribution().template_count(),
-            restored.attribution().template_count()
-        );
+        let (b, r) = (baseline.to_parts(), restored.to_parts());
+        assert_eq!(b.window, r.window);
+        assert_eq!(b.attribution.templates.len(), r.attribution.templates.len());
     }
 
     /// Corrupted parts are rejected with typed errors, never panics.

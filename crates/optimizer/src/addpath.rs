@@ -36,7 +36,6 @@
 //! [`PathList::add_path_in`] walks it comparing interned ordering ids.
 
 use crate::path::{Path, PathArena, PathId};
-use crate::preprocess::EcId;
 use pinum_query::Ioc;
 use std::collections::HashMap;
 
@@ -275,19 +274,13 @@ impl PathList {
     pub fn cheapest_total(&self, arena: &PathArena) -> Option<PathId> {
         (self.ids.iter().copied()).min_by(|a, b| by_total(arena, *a, *b))
     }
-
-    /// The cheapest path whose pathkeys satisfy `required` (prefix match).
-    pub fn cheapest_with_order(&self, arena: &PathArena, required: &[EcId]) -> Option<PathId> {
-        (self.ids.iter().copied())
-            .filter(|id| arena.get(*id).provides_order(arena, required))
-            .min_by(|a, b| by_total(arena, *a, *b))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::path::{KeysId, PathKind};
+    use crate::preprocess::EcId;
     use crate::relset::RelSet;
     use pinum_cost::Cost;
 
@@ -527,8 +520,8 @@ mod tests {
             .unwrap();
         let cheapest = list.cheapest_total(&arena).unwrap();
         assert_eq!(arena.get(cheapest).cost.total, 10.0);
-        assert_eq!(list.cheapest_with_order(&arena, &[EcId(3)]), Some(ordered));
-        assert!(list.cheapest_with_order(&arena, &[EcId(9)]).is_none());
+        // The dearer path survives beside it: it provides an order.
+        assert!(list.ids().contains(&ordered));
     }
 
     #[test]

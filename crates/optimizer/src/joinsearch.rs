@@ -50,8 +50,6 @@ pub struct JoinSearchOptions {
     /// PostgreSQL's `enable_nestloop`; PINUM "tweak\[s\] the join planner to
     /// remove nested loop operations if this flag is set" (§V-B).
     pub enable_nestloop: bool,
-    /// Allow bushy join trees (both sides composite).
-    pub enable_bushy: bool,
     pub prune_mode: PruneMode,
     /// Apply the §V-D sweep per completed join relation.
     pub subset_pruning: bool,
@@ -130,9 +128,6 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
             }
             if !self.info.connected(left, right) {
                 continue; // would be a Cartesian product
-            }
-            if !self.options.enable_bushy && left.len() > 1 && right.len() > 1 {
-                continue;
             }
             planned = true;
             self.make_joins(arena, &mut list, left, right);
@@ -569,7 +564,6 @@ mod tests {
     fn default_opts(mode: PruneMode) -> JoinSearchOptions {
         JoinSearchOptions {
             enable_nestloop: true,
-            enable_bushy: true,
             prune_mode: mode,
             subset_pruning: true,
         }
@@ -680,5 +674,45 @@ mod tests {
             (best_s - best_k).abs() / best_s < 1e-9,
             "best plans diverge: {best_s} vs {best_k}"
         );
+    }
+
+    #[test]
+    fn bushy_joins_are_enumerated() {
+        // A chain a–b–c–d: {a,b} ⋈ {c,d} is the one bushy split of the
+        // full set. Accepted candidates become arena nodes, so a join node
+        // whose two inputs each span two relations shows the search
+        // offered that split.
+        let mut cat = Catalog::new();
+        for name in ["a", "b", "c", "d"] {
+            cat.add_table(Table::new(
+                name,
+                100_000,
+                vec![
+                    Column::new("l", ColumnType::Int8).with_ndv(100_000),
+                    Column::new("r", ColumnType::Int8).with_ndv(100_000),
+                ],
+            ));
+        }
+        let q = QueryBuilder::new("chain", &cat)
+            .table("a")
+            .table("b")
+            .table("c")
+            .table("d")
+            .join(("a", "r"), ("b", "l"))
+            .join(("b", "r"), ("c", "l"))
+            .join(("c", "r"), ("d", "l"))
+            .select(("a", "l"))
+            .build();
+        let cfg = Configuration::empty();
+        let (arena, top) = run_search(&cat, &q, &cfg, default_opts(PruneMode::KeepIoc));
+        assert!(!top.is_empty());
+        let spans_two = |id: PathId| arena.get(id).rels.len() == 2;
+        let bushy = (0..arena.len() as u32).filter(|&i| match arena.get(PathId(i)).kind {
+            PathKind::NestLoop { outer, inner }
+            | PathKind::MergeJoin { outer, inner }
+            | PathKind::HashJoin { outer, inner } => spans_two(outer) && spans_two(inner),
+            _ => false,
+        });
+        assert!(bushy.count() > 0, "no bushy join was offered");
     }
 }

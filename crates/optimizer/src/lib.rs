@@ -25,9 +25,11 @@
 //! one call per distinct template instead of one keep-all call per query.
 //!
 //! The component layout follows the paper's Figure 2: query preprocessor
-//! ([`preprocess`]), sub-query planner ([`subquery`]), grouping planner
-//! ([`grouping`]), access path collector ([`access`]) and join planner
-//! ([`joinsearch`]).
+//! ([`preprocess`]), grouping planner ([`grouping`]), access path collector
+//! ([`access`]) and join planner ([`joinsearch`]). Figure 2's sub-query
+//! planner has no counterpart: like the paper's implementation, which
+//! "does not address queries containing complex sub-queries" (§VI-A), the
+//! reproduction plans no sub-queries.
 
 pub mod access;
 pub mod addpath;
@@ -38,7 +40,6 @@ pub mod plan;
 pub mod planner;
 pub mod preprocess;
 pub mod relset;
-pub mod subquery;
 
 pub use access::{collect_template_arms, AccessCostEntry, AccessSource, TemplateArm};
 pub use addpath::PruneMode;
@@ -47,4 +48,3 @@ pub use plan::PlanNode;
 pub use planner::{ExportedPlan, Optimizer, OptimizerOptions, PlannedQuery, PlannerStats};
 pub use preprocess::{EcId, PlannerInfo};
 pub use relset::RelSet;
-pub use subquery::{plan_statement, PlannedStatement, Statement};

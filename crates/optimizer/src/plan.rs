@@ -454,7 +454,6 @@ mod tests {
         }
         let opts = JoinSearchOptions {
             enable_nestloop: true,
-            enable_bushy: true,
             prune_mode: PruneMode::Standard,
             subset_pruning: true,
         };

@@ -26,8 +26,6 @@ pub struct OptimizerOptions {
     /// §V-D hook: retain and export one optimal plan per interesting-order
     /// combination (switches the join planner to subset-cost pruning).
     pub export_ioc_plans: bool,
-    /// Consider bushy join trees.
-    pub enable_bushy: bool,
     /// Apply the §V-D subset-cost pruning sweeps in export mode (on by
     /// default; the ablation experiment turns it off to measure what the
     /// pruning buys).
@@ -40,7 +38,6 @@ impl Default for OptimizerOptions {
             enable_nestloop: true,
             keep_all_access_paths: false,
             export_ioc_plans: false,
-            enable_bushy: true,
             pinum_subset_pruning: true,
         }
     }
@@ -107,27 +104,6 @@ pub struct ExportedPlan {
     pub total_at_build: f64,
     /// Compact operator summary, e.g. `HJ(ix(0),seq(1))`.
     pub description: String,
-}
-
-impl ExportedPlan {
-    /// Evaluates the cached plan under new per-relation standalone and
-    /// per-probe access costs.
-    pub fn evaluate(&self, access: &[f64], probes: &[f64]) -> f64 {
-        debug_assert_eq!(access.len(), self.coefs.len());
-        self.internal
-            + self
-                .coefs
-                .iter()
-                .zip(access)
-                .map(|(c, a)| c * a)
-                .sum::<f64>()
-            + self
-                .probe_coefs
-                .iter()
-                .zip(probes)
-                .map(|(c, a)| c * a)
-                .sum::<f64>()
-    }
 }
 
 /// The result of one optimize call.
@@ -253,7 +229,6 @@ impl<'a> Optimizer<'a> {
                            add_stats: &mut AddPathStats| {
             let search_opts = JoinSearchOptions {
                 enable_nestloop,
-                enable_bushy: options.enable_bushy,
                 prune_mode,
                 subset_pruning: options.pinum_subset_pruning,
             };

@@ -41,14 +41,6 @@ impl RelSet {
         RelSet(self.0 | other.0)
     }
 
-    pub fn intersect(self, other: RelSet) -> RelSet {
-        RelSet(self.0 & other.0)
-    }
-
-    pub fn is_disjoint(self, other: RelSet) -> bool {
-        self.0 & other.0 == 0
-    }
-
     pub fn is_subset_of(self, other: RelSet) -> bool {
         self.0 & !other.0 == 0
     }
@@ -129,7 +121,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.first(), 0);
         assert!(RelSet::single(0).is_subset_of(s));
-        assert!(s.is_disjoint(RelSet::single(1)));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(RelSet::all(3), RelSet(0b111));
     }

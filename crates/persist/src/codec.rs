@@ -85,7 +85,6 @@ pub fn encode_options(out: &mut Vec<u8>, o: &OnlineAdvisorOptions) {
     }
     put_u64(out, o.budget_bytes);
     put_bool(out, o.scoped_readvise);
-    put_f64(out, o.attribution_threshold);
 }
 
 pub fn decode_options(c: &mut Cursor<'_>) -> Result<OnlineAdvisorOptions, WireError> {
@@ -106,7 +105,6 @@ pub fn decode_options(c: &mut Cursor<'_>) -> Result<OnlineAdvisorOptions, WireEr
         strategy,
         budget_bytes: c.u64()?,
         scoped_readvise: c.bool()?,
-        attribution_threshold: c.f64()?,
     })
 }
 

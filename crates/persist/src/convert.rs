@@ -342,7 +342,6 @@ pub fn options_to_wire(o: &OnlineAdvisorOptions) -> Result<WireOptions> {
         strategy,
         budget_bytes: o.budget_bytes,
         scoped_readvise: o.scoped_readvise,
-        attribution_threshold: o.attribution_threshold,
     })
 }
 
@@ -353,28 +352,16 @@ pub fn options_from_wire(w: &WireOptions) -> Result<OnlineAdvisorOptions> {
         2 => StrategyKind::SwapHillClimb,
         _ => return Err(ConvertError("unknown strategy tag")),
     };
-    if w.window_capacity < 1 || w.epoch_length < 1 {
-        return Err(ConvertError("window and epoch must be at least 1"));
-    }
-    if !(w.drift_threshold.is_finite() && w.drift_threshold >= 0.0) {
-        return Err(ConvertError(
-            "drift threshold must be finite and non-negative",
-        ));
-    }
-    if !(w.attribution_threshold.is_finite() && w.attribution_threshold >= 0.0) {
-        return Err(ConvertError(
-            "attribution threshold must be finite and non-negative",
-        ));
-    }
-    Ok(OnlineAdvisorOptions {
+    let opts = OnlineAdvisorOptions {
         window_capacity: w.window_capacity as usize,
         epoch_length: w.epoch_length as usize,
         drift_threshold: w.drift_threshold,
         strategy,
         budget_bytes: w.budget_bytes,
         scoped_readvise: w.scoped_readvise,
-        attribution_threshold: w.attribution_threshold,
-    })
+    };
+    opts.validate().map_err(ConvertError)?;
+    Ok(opts)
 }
 
 // --- Reports / stats (daemon → client only). ---

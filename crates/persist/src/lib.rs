@@ -152,17 +152,6 @@ pub struct PersistentAdvisor {
 /// The log file name inside a tenant's persistence directory.
 pub const LOG_FILE: &str = "events.log";
 
-fn validate_opts(opts: &OnlineAdvisorOptions) -> Result<(), PersistError> {
-    if opts.window_capacity < 1
-        || opts.epoch_length < 1
-        || !(opts.drift_threshold >= 0.0 && opts.drift_threshold.is_finite())
-        || !(opts.attribution_threshold >= 0.0 && opts.attribution_threshold.is_finite())
-    {
-        return Err(PersistError::State("invalid advisor options"));
-    }
-    Ok(())
-}
-
 /// The argument checks [`OnlineAdvisor`] asserts, as values: a mutation
 /// they refuse would panic the advisor. The live calls run them before
 /// journaling (so a refused call writes nothing); replay runs them on
@@ -205,7 +194,7 @@ impl PersistentAdvisor {
         opts: OnlineAdvisorOptions,
         snapshot_every: usize,
     ) -> Result<Self, PersistError> {
-        validate_opts(&opts)?;
+        opts.validate()?;
         fs::create_dir_all(dir)?;
         if dir.join(LOG_FILE).try_exists()? || !list_snapshots(dir)?.is_empty() {
             return Err(PersistError::State(
@@ -250,17 +239,15 @@ impl PersistentAdvisor {
         let base_seq = snapshot_seq.unwrap_or(1);
         let mut log = LogScan::open(&log_path, base_seq)?;
         let mut advisor = match snap {
-            Some(s) => {
-                validate_opts(&s.opts)?;
-                OnlineAdvisor::from_parts(s.pool, s.opts, s.parts)?
-            }
+            // `from_parts` validates the options like every other part.
+            Some(s) => OnlineAdvisor::from_parts(s.pool, s.opts, s.parts)?,
             None => {
                 let Some((_, Some(LogRecord::Create { pool, opts }))) = log.next_record()? else {
                     return Err(PersistError::State(
                         "no valid snapshot and no create record to recover from",
                     ));
                 };
-                validate_opts(&opts)?;
+                opts.validate()?;
                 OnlineAdvisor::new(pool, opts)
             }
         };
@@ -311,24 +298,6 @@ impl PersistentAdvisor {
             },
             report,
         ))
-    }
-
-    /// [`Self::open`] when `dir` holds a log, [`Self::create`]
-    /// otherwise.
-    pub fn open_or_create(
-        dir: &Path,
-        pool: CandidatePool,
-        opts: OnlineAdvisorOptions,
-        snapshot_every: usize,
-    ) -> Result<(Self, RecoveryReport), PersistError> {
-        if dir.join(LOG_FILE).exists() {
-            Self::open(dir, snapshot_every)
-        } else {
-            Ok((
-                Self::create(dir, pool, opts, snapshot_every)?,
-                RecoveryReport::default(),
-            ))
-        }
     }
 
     /// Read-only view of the wrapped daemon.

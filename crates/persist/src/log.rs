@@ -57,7 +57,7 @@ use crate::PersistError;
 /// Log file magic: `PLOG`.
 pub const LOG_MAGIC: u32 = 0x504C_4F47;
 /// Bumped on every incompatible layout change.
-pub const LOG_VERSION: u32 = 2;
+pub const LOG_VERSION: u32 = 3;
 /// Per-record payload cap, checked before allocating (a log record is at
 /// most one admission's artifacts — far below this).
 pub const MAX_RECORD_LEN: usize = 64 * 1024 * 1024;

@@ -481,25 +481,24 @@ fn snapshot_failures_propagate_instead_of_being_swallowed() {
 }
 
 #[test]
-fn open_or_create_round_trips_and_missing_dirs_are_io_errors() {
+fn create_then_open_round_trips_and_missing_dirs_are_io_errors() {
     let fx = fixture(2, 4);
-    let scratch = ScratchDir::new("open-or-create");
+    let scratch = ScratchDir::new("create-then-open");
     let missing = scratch.0.join("never-created");
     assert!(matches!(
         PersistentAdvisor::open(&missing, 0),
         Err(PersistError::Io(_))
     ));
 
+    // `create` makes the missing directory; `open` recovers from it.
     let dir = scratch.0.join("tenant");
-    let (mut advisor, report) =
-        PersistentAdvisor::open_or_create(&dir, fx.pool.clone(), opts(8, 4), 0).expect("create");
-    assert_eq!(report, pinum_persist::RecoveryReport::default());
+    let mut advisor =
+        PersistentAdvisor::create(&dir, fx.pool.clone(), opts(8, 4), 0).expect("create");
     drive_durable(&mut advisor, &fx, 0..4);
     let before = fingerprint(advisor.advisor());
     drop(advisor);
 
-    let (reopened, report) =
-        PersistentAdvisor::open_or_create(&dir, fx.pool.clone(), opts(8, 4), 0).expect("reopen");
+    let (reopened, report) = PersistentAdvisor::open(&dir, 0).expect("reopen");
     assert_eq!(report.replayed, 5, "4 admissions + 1 reweight");
     assert_eq!(fingerprint(reopened.advisor()), before);
 }

@@ -68,8 +68,10 @@ pub use messages::{
 
 /// Protocol version byte carried by every frame. Version 2 dropped three
 /// never-set fields of [`WireOptions`] and an always-zero counter of
-/// [`WireStats`] from version 1's layout.
-pub const WIRE_VERSION: u8 = 2;
+/// [`WireStats`] from version 1's layout; version 3 dropped the
+/// attribution threshold, a constant of the daemon, from
+/// [`WireOptions`].
+pub const WIRE_VERSION: u8 = 3;
 
 /// Hard cap on a frame's payload length. Large enough for any real
 /// admission batch (a full plan-cache + access-catalog snapshot is tens

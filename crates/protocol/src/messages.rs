@@ -308,7 +308,6 @@ pub struct WireOptions {
     pub strategy: u8,
     pub budget_bytes: u64,
     pub scoped_readvise: bool,
-    pub attribution_threshold: f64,
 }
 
 impl WireOptions {
@@ -319,7 +318,6 @@ impl WireOptions {
         put_u8(out, self.strategy);
         put_u64(out, self.budget_bytes);
         put_bool(out, self.scoped_readvise);
-        put_f64(out, self.attribution_threshold);
     }
 
     pub fn decode(c: &mut Cursor<'_>) -> Result<Self, WireError> {
@@ -330,7 +328,6 @@ impl WireOptions {
             strategy: c.u8()?,
             budget_bytes: c.u64()?,
             scoped_readvise: c.bool()?,
-            attribution_threshold: c.f64()?,
         })
     }
 }

@@ -148,7 +148,6 @@ fn options(r: &mut TestRng) -> WireOptions {
         strategy: (r.next_u64() % 3) as u8,
         budget_bytes: r.next_u64(),
         scoped_readvise: b(r),
-        attribution_threshold: f(r),
     }
 }
 

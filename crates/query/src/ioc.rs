@@ -168,11 +168,6 @@ impl Ioc {
         }
     }
 
-    /// Number of relations with a required order.
-    pub fn required_count(self) -> u32 {
-        nibble_nonzero_mask(self.0).count_ones()
-    }
-
     /// Renders the combination like the paper's `(A, Φ, C)` notation, given
     /// the order lists.
     pub fn display(self, orders: &InterestingOrders) -> String {
@@ -276,7 +271,6 @@ mod tests {
         assert_eq!(orders.decode(ioc), vec![Some(7), None, Some(1)]);
         assert_eq!(orders.column_of(ioc, 0), Some(7));
         assert_eq!(orders.column_of(ioc, 1), None);
-        assert_eq!(ioc.required_count(), 2);
     }
 
     #[test]
@@ -284,15 +278,5 @@ mod tests {
         let orders = InterestingOrders::new(vec![vec![0], vec![2]]);
         let ioc = orders.encode(&[Some(0), None]);
         assert_eq!(ioc.display(&orders), "(c0,Φ)");
-    }
-
-    #[test]
-    fn required_count_counts_nonphi() {
-        assert_eq!(Ioc::NONE.required_count(), 0);
-        assert_eq!(Ioc::NONE.with_order(3, 2).required_count(), 1);
-        assert_eq!(
-            Ioc::NONE.with_order(0, 0).with_order(5, 1).required_count(),
-            2
-        );
     }
 }

@@ -62,17 +62,6 @@ pub struct JoinPredicate {
 }
 
 impl JoinPredicate {
-    /// The side of this predicate on `rel`, if any.
-    pub fn side_on(&self, rel: RelIdx) -> Option<u16> {
-        if self.left.0 == rel {
-            Some(self.left.1)
-        } else if self.right.0 == rel {
-            Some(self.right.1)
-        } else {
-            None
-        }
-    }
-
     /// True if the predicate connects `a` and `b` (in either direction).
     pub fn connects(&self, a: RelIdx, b: RelIdx) -> bool {
         (self.left.0 == a && self.right.0 == b) || (self.left.0 == b && self.right.0 == a)
@@ -177,13 +166,6 @@ impl Query {
     /// Filter predicates on relation `rel`.
     pub fn filters_on(&self, rel: RelIdx) -> impl Iterator<Item = &FilterPredicate> + '_ {
         self.filters.iter().filter(move |f| f.rel == rel)
-    }
-
-    /// Join predicates touching relation `rel`.
-    pub fn joins_on(&self, rel: RelIdx) -> impl Iterator<Item = &JoinPredicate> + '_ {
-        self.joins
-            .iter()
-            .filter(move |j| j.left.0 == rel || j.right.0 == rel)
     }
 
     /// The query's *interesting orders* per relation (definition 2): the

@@ -14,7 +14,7 @@
 //!   as "growing": queries that join it carry a workload weight that
 //!   compounds by `growth_per_phase` each phase, modelling a table whose
 //!   traffic share swells over time (consumed via
-//!   `WorkloadModel::admit_query_weighted` / `reweight_query`);
+//!   `WorkloadModel::admit_batch` / `reweight_query`);
 //! * **query churn** — with probability `churn`, a query ignores the
 //!   phase bias entirely and samples a one-off template from the whole
 //!   schema, the long tail no window ever fully covers.

@@ -226,9 +226,10 @@ mod tests {
     fn cardinalities_scale() {
         let sf1 = tpch_catalog(1.0);
         let sf10 = tpch_catalog(10.0);
-        assert_eq!(sf1.table_by_name("lineitem").unwrap().rows(), 6_000_000);
-        assert_eq!(sf10.table_by_name("lineitem").unwrap().rows(), 60_000_000);
-        assert_eq!(sf10.table_by_name("nation").unwrap().rows(), 25);
+        let rows = |cat: &Catalog, name: &str| cat.table(cat.table_id(name).unwrap()).rows();
+        assert_eq!(rows(&sf1, "lineitem"), 6_000_000);
+        assert_eq!(rows(&sf10, "lineitem"), 60_000_000);
+        assert_eq!(rows(&sf10, "nation"), 25);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use pinum::catalog::{Catalog, Column, ColumnStats, ColumnType, Index, Table};
 use pinum::core::access_costs::collect_pinum;
 use pinum::core::builder::{build_cache_pinum, BuilderOptions};
+use pinum::core::collector::workload_templates;
 use pinum::core::{
     CacheCostModel, CandidatePool, Probe, Selection, WorkloadCollector, WorkloadModel,
 };
@@ -446,11 +447,13 @@ proptest! {
 
         // A primed re-collection of the whole workload is free and still
         // exact.
-        let (again, again_stats) = collector.collect_workload(&opt, &queries, &pool);
-        prop_assert_eq!(again_stats.optimizer_calls, 0);
-        for (q, batched) in queries.iter().zip(&again) {
+        let primed = collector.prime_templates(&opt, &workload_templates(&queries), &pool);
+        prop_assert_eq!(primed, 0);
+        for q in &queries {
+            let (again, again_stats) = collector.collect(&opt, q, &pool);
+            prop_assert_eq!(again_stats.optimizer_calls, 0);
             let (reference, _) = collect_pinum(&opt, q, &pool);
-            prop_assert_eq!(batched, &reference, "{} diverged on re-collection", &q.name);
+            prop_assert_eq!(&again, &reference, "{} diverged on re-collection", &q.name);
         }
     }
 }
@@ -534,13 +537,13 @@ proptest! {
         let batch = WorkloadModel::build(pool.len(), base_models.iter().map(|(c, a)| (c, a)));
         let mut streamed = WorkloadModel::build(pool.len(), std::iter::empty());
         for (c, a) in &base_models {
-            streamed.admit_query(c, a);
+            streamed.admit_batch(&[(c, a, 1.0)]);
         }
         prop_assert_eq!(&streamed, &batch, "admit-by-admit diverged from batch build");
 
         // Admit q3, then evict it again.
         let mut mutated = batch.clone();
-        let qid = mutated.admit_query(&extra_cache, &extra_access);
+        let qid = mutated.admit_batch(&[(&extra_cache, &extra_access, 1.0)]);
         mutated.evict_query(qid);
 
         for mask in sel_masks {
@@ -671,7 +674,7 @@ proptest! {
                     let idx = (op as usize / 5) % models.len();
                     let weight = 1.0 + (op % 7) as f64 * 0.5;
                     let (c, a) = &models[idx];
-                    let qid = session.admit_query_weighted(c, a, weight);
+                    let qid = session.admit_batch(&[(c, a, weight)]);
                     prop_assert_eq!(qid, live.len());
                     live.push(Some((idx, weight)));
                 }
@@ -817,7 +820,10 @@ proptest! {
                 &model,
                 &gopts,
                 &warm,
-                &SearchScope::masked(&full_mask),
+                &SearchScope {
+                    mask: Some(&full_mask),
+                    ..SearchScope::all()
+                },
             );
             prop_assert_eq!(&plain.picked, &scoped.picked, "{} picks", strategy.name());
             prop_assert_eq!(&plain.selection, &scoped.selection, "{}", strategy.name());
