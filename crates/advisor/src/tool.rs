@@ -25,7 +25,8 @@ use std::time::Duration;
 /// questions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostOracle {
-    /// PINUM: caches filled with one optimizer call, access costs with 1.
+    /// PINUM: a query's cache and access costs filled with one optimizer
+    /// call.
     PinumCache,
     /// Classic INUM: caches filled with one call per IOC.
     InumCache,
@@ -160,9 +161,9 @@ pub fn advise(catalog: &Catalog, queries: &[Query], options: &AdvisorOptions) ->
     let mut models: Vec<(PlanCache, AccessCostCatalog)> = Vec::new();
     match options.oracle {
         CostOracle::PinumCache => {
-            // Workload-level batched collection: plan caches stay one
-            // call per query, access costs cost one call per distinct
-            // template shape instead of one per query.
+            // One exporting call per query fills its plan cache and
+            // prices the templates it is first to present; access costs
+            // fan out from the shared templates.
             let built = build_workload_models(&optimizer, queries, &pool, &options.builder);
             build_time += built.wall;
             build_calls += built.cache_calls + built.collect_calls;
@@ -405,5 +406,55 @@ mod tests {
         assert!(pinum.average_improvement() > 0.1);
         assert!(inum.average_improvement() > 0.1);
         assert!(pinum.model_build_calls < inum.model_build_calls);
+    }
+
+    /// More templates than queries: the PINUM oracle still spends one
+    /// optimizer call per query, and advises exactly as models built from
+    /// per-query `collect_pinum` catalogs do.
+    #[test]
+    fn pinum_oracle_spends_one_call_per_query_on_diverse_workloads() {
+        use pinum_core::access_costs::collect_pinum;
+        use pinum_core::builder::build_cache_pinum;
+        use pinum_core::collector::workload_templates;
+        let (cat, mut queries) = setup();
+        queries.push(
+            QueryBuilder::new("q3", &cat)
+                .table("f")
+                .table("d")
+                .join(("f", "fk"), ("d", "k"))
+                .filter_range(("f", "v"), 0.0, 25.0)
+                .filter_eq(("d", "w"), 7.0)
+                .select(("f", "s"))
+                .build(),
+        );
+        assert!(workload_templates(&queries).len() > queries.len());
+        let opts = AdvisorOptions {
+            budget_bytes: 512 * 1024 * 1024,
+            ..AdvisorOptions::default()
+        };
+        let advice = advise(&cat, &queries, &opts);
+        assert_eq!(advice.model_build_calls, queries.len());
+
+        let optimizer = Optimizer::new(&cat);
+        let models: Vec<(PlanCache, AccessCostCatalog)> = (queries.iter())
+            .map(|q| {
+                let cache = build_cache_pinum(&optimizer, q, &opts.builder).cache;
+                (cache, collect_pinum(&optimizer, q, &advice.pool).0)
+            })
+            .collect();
+        let model = WorkloadModel::build(advice.pool.len(), models.iter().map(|(c, a)| (c, a)));
+        let gopts = GreedyOptions {
+            budget_bytes: opts.budget_bytes,
+            benefit_per_byte: opts.benefit_per_byte,
+        };
+        let reference = opts.strategy.build().search(&advice.pool, &model, &gopts);
+        assert!(!reference.picked.is_empty());
+        assert_eq!(advice.greedy.picked, reference.picked);
+        let bits = |costs: &[f64]| costs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&advice.greedy.cost_trajectory),
+            bits(&reference.cost_trajectory)
+        );
+        assert_eq!(advice.greedy.total_bytes, reference.total_bytes);
     }
 }

@@ -9,9 +9,8 @@
 use crate::table::TextTable;
 use pinum_advisor::candidates::generate_candidates;
 use pinum_advisor::greedy::{exhaustive_select, greedy_select, GreedyOptions};
-use pinum_core::access_costs::collect_pinum;
-use pinum_core::builder::{build_cache_pinum, BuilderOptions};
-use pinum_core::{CacheCostModel, CandidatePool, Selection};
+use pinum_core::builder::BuilderOptions;
+use pinum_core::{CacheCostModel, CandidatePool, Selection, WorkloadCollector};
 use pinum_optimizer::Optimizer;
 use pinum_workload::star::{StarSchema, StarWorkload};
 
@@ -36,12 +35,13 @@ pub fn run(_scale: f64) {
         let pool =
             CandidatePool::from_indexes(keep.iter().map(|&i| full_pool.index(i).clone()).collect());
 
+        let mut collector = WorkloadCollector::new();
         let models: Vec<_> = workload
             .queries
             .iter()
             .map(|q| {
-                let built = build_cache_pinum(&opt, q, &BuilderOptions::default());
-                let (access, _) = collect_pinum(&opt, q, &pool);
+                let (built, access) =
+                    collector.build_query(&opt, q, &pool, &BuilderOptions::default());
                 (built.cache, access)
             })
             .collect();

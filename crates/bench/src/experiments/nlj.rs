@@ -12,9 +12,8 @@
 use crate::paper_workload;
 use crate::table::TextTable;
 use pinum_advisor::candidates::generate_candidates;
-use pinum_core::access_costs::collect_pinum;
-use pinum_core::builder::{build_cache_pinum, BuilderOptions};
-use pinum_core::{CacheCostModel, Selection};
+use pinum_core::builder::BuilderOptions;
+use pinum_core::{CacheCostModel, Selection, WorkloadCollector};
 use pinum_optimizer::{Optimizer, OptimizerOptions};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -34,9 +33,9 @@ pub fn run(scale: f64) {
         "err with NLJ",
         "err without NLJ",
     ]);
+    let mut collector = WorkloadCollector::new();
     for q in &pw.workload.queries {
-        let built = build_cache_pinum(&opt, q, &BuilderOptions::default());
-        let (access, _) = collect_pinum(&opt, q, &pool);
+        let (built, access) = collector.build_query(&opt, q, &pool, &BuilderOptions::default());
         let model = CacheCostModel::new(&built.cache, &access);
         let (_, nlj_count) = built.cache.partition_by_nlj();
 

@@ -12,6 +12,11 @@
 //!   to the per-query `collect_pinum` reference (checked here in release
 //!   builds too, where the collector's own `debug_assert` is compiled out);
 //! * **call reduction** — 200 calls become 33, one per template (≥ 3×);
+//! * **one call per query** — `build_workload_models` prices each
+//!   template inside the exporting call of the first query to present
+//!   it: 200 calls in all for caches and catalogs, no call of their own
+//!   for the 33 templates, every catalog and cache equal to the per-query
+//!   references;
 //! * **advisor equivalence** — the greedy advisor run on the batched
 //!   models produces a bit-identical pick sequence, cost trajectory and
 //!   byte total.
@@ -21,7 +26,7 @@ use pinum_advisor::greedy::GreedyOptions;
 use pinum_advisor::search::{EagerGreedy, SearchStrategy};
 use pinum_core::access_costs::{collect_pinum, AccessCostCatalog, CollectStats};
 use pinum_core::builder::{build_cache_pinum, BuilderOptions};
-use pinum_core::collector::workload_templates;
+use pinum_core::collector::{build_workload_models, workload_templates};
 use pinum_core::{WorkloadCollector, WorkloadModel};
 use pinum_optimizer::Optimizer;
 use pinum_workload::templates::summarize_templates;
@@ -72,6 +77,24 @@ fn acceptance() {
         .iter()
         .map(|q| build_cache_pinum(&optimizer, q, &BuilderOptions::default()).cache)
         .collect();
+    let fused = build_workload_models(
+        &optimizer,
+        &fx.queries,
+        &fx.pool,
+        &BuilderOptions::default(),
+    );
+    assert_eq!((fused.cache_calls, fused.collect_calls), (200, 0));
+    assert_eq!(fused.template_groups, bstats.optimizer_calls);
+    let (fused_caches, fused_access): (Vec<_>, Vec<_>) = fused.models.into_iter().unzip();
+    assert!(
+        fused_access == reference,
+        "fused collection diverged from per-query collect_pinum"
+    );
+    assert!(
+        fused_caches == caches,
+        "fused plan caches diverged from build_cache_pinum"
+    );
+
     let gopts = GreedyOptions {
         budget_bytes: BUDGET,
         benefit_per_byte: false,

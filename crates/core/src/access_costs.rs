@@ -8,13 +8,14 @@
 //!   path: every other strategy is held to its output.
 //! * **PINUM, batched across the workload**:
 //!   [`crate::WorkloadCollector`] groups relations by
-//!   `(table, filter shape)` template and spends one optimizer call per
-//!   *distinct template* instead of per query, fanning the shared arms
-//!   out to each member query's covering/ordering interpretation. The
-//!   result is bit-identical to [`collect_pinum`] (debug-asserted on
-//!   every collection, release-checked by the `batched_collection`
-//!   acceptance test) at a fraction of the calls — 200 → 33 (6.1×) on
-//!   the 200-query scale workload.
+//!   `(table, filter shape)` template, prices each *distinct template*
+//!   once — inside the exporting call of the first query to present it —
+//!   and fans the shared arms out to each member query's
+//!   covering/ordering interpretation. The result is bit-identical to
+//!   [`collect_pinum`] (debug-asserted, sampled; release-checked by the
+//!   `batched_collection` acceptance test) and costs no call beside the
+//!   query's exporting one: 200 calls for the 200-query scale workload's
+//!   caches and catalogs, against 200 + 200 with `collect_pinum`.
 //! * **Classic INUM**: "the optimizer can be queried with a single index
 //!   per each table in the query and the access cost can be determined by
 //!   parsing the generated plan" — [`collect_inum`] makes one call per

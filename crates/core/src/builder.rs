@@ -3,7 +3,7 @@
 
 use crate::cache::{CachedPlan, PlanCache};
 use pinum_catalog::{Catalog, Configuration, Index};
-use pinum_optimizer::{Optimizer, OptimizerOptions};
+use pinum_optimizer::{Optimizer, OptimizerOptions, PricingRequest, TemplateArm};
 use pinum_query::{InterestingOrders, Ioc, Query, RelIdx};
 use std::time::{Duration, Instant};
 
@@ -88,13 +88,25 @@ pub fn build_cache_pinum(
     query: &Query,
     opts: &BuilderOptions,
 ) -> BuiltCache {
+    build_cache_pinum_with_requests(optimizer, query, opts, &[]).0
+}
+
+/// [`build_cache_pinum`] whose one exporting call also answers §V-C
+/// pricing `requests` (see `Optimizer::optimize_with_requests`): returns
+/// the same cache plus one arm list per request, in request order.
+pub(crate) fn build_cache_pinum_with_requests(
+    optimizer: &Optimizer<'_>,
+    query: &Query,
+    opts: &BuilderOptions,
+    requests: &[PricingRequest],
+) -> (BuiltCache, Vec<Vec<TemplateArm>>) {
     let start = Instant::now();
     let orders = query.interesting_orders();
     let mut cache = PlanCache::new(&query.name, query.relation_count(), orders.clone());
     let covering = covering_configuration(optimizer.catalog(), query);
     let mut options = OptimizerOptions::pinum_export();
     options.enable_nestloop = opts.include_nlj;
-    let planned = optimizer.optimize(query, &covering, &options);
+    let planned = optimizer.optimize_with_requests(query, &covering, &options, requests);
 
     #[cfg(debug_assertions)]
     if opts.include_nlj && crate::sampling::should_assert() {
@@ -119,7 +131,7 @@ pub fn build_cache_pinum(
         plans_cached: cache.len(),
         unique_plan_structures: cache.unique_plan_structures(),
     };
-    BuiltCache { cache, stats }
+    (BuiltCache { cache, stats }, planned.template_arms)
 }
 
 /// Classic INUM cache construction: enumerate every interesting-order

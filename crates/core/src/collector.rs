@@ -2,20 +2,24 @@
 //!
 //! [`collect_pinum`](crate::access_costs::collect_pinum) prices a query's
 //! entire candidate pool with one keep-all optimizer call — but building a
-//! workload model still made one such call *per query*, re-deriving access
-//! paths for the same tables hundreds of times. On the 200-query scale
-//! workload, the 200 calls collapse onto a few dozen distinct
-//! **templates**: a relation's access-arm costs are a function of its
-//! `(table, filter shape)` signature alone
-//! ([`pinum_query::RelTemplate`]), not of the query around it.
+//! workload model that way spends that call *beside* the query's
+//! exporting call, re-deriving access paths for the same tables hundreds
+//! of times. On the 200-query scale workload, the 200 collections
+//! collapse onto a few dozen distinct **templates**: a relation's
+//! access-arm costs are a function of its `(table, filter shape)`
+//! signature alone ([`pinum_query::RelTemplate`]), not of the query
+//! around it.
 //!
-//! [`WorkloadCollector`] exploits that. Queries are grouped by template:
-//! the first relation to present a template triggers **one**
-//! `Optimizer::price_template` call against the pool's candidates on that
-//! table, producing arms priced in *both* covering variants and keyed by
-//! leading column; every subsequent member relation reuses the cached
-//! group and pays zero optimizer calls. Fan-out applies the member's own
-//! interpretation —
+//! [`WorkloadCollector`] exploits that. Relations are grouped by
+//! template, and each template's arms are priced **once**, against the
+//! pool's candidates on its table, in both covering variants and keyed by
+//! leading column. [`WorkloadCollector::build_query`] prices the
+//! templates a query is first to present inside that query's own
+//! exporting call (a `PricingRequest` to the optimizer, answered by its
+//! access-path collector), so a query costs exactly **one** optimizer
+//! call: its plan cache and its access costs come from the same call.
+//! Every later member relation reuses the cached group. Fan-out applies
+//! the member's own interpretation —
 //!
 //! * covering test: `index.covers_columns(member referenced columns)`
 //!   selects the heap or index-only variant of each arm;
@@ -29,24 +33,26 @@
 //! scan, then catalog indexes, then candidates ascending by pool id;
 //! plain before bitmap), so after the same stable sort the reconstructed
 //! [`AccessCostCatalog`] is **bit-identical** to what `collect_pinum`
-//! returns. Debug builds assert exactly that on every `collect` call
-//! (sampled to every k-th query via `PINUM_ASSERT_SAMPLE` — see
-//! [`crate::sampling`] — so debug acceptance runs stay bounded);
-//! `pinum-bench`'s `batched_collection` acceptance test re-checks it in
-//! release mode and gates the call reduction (200 → 33 calls on the
-//! 200q×400c workload) plus an identical advisor pick sequence.
+//! returns. Debug builds assert exactly that on every fan-out (sampled to
+//! every k-th query via `PINUM_ASSERT_SAMPLE` — see [`crate::sampling`] —
+//! so debug acceptance runs stay bounded); `pinum-bench`'s
+//! `batched_collection` acceptance test re-checks it in release mode and
+//! gates the call counts on the 200q×400c workload: 200 exporting calls
+//! and no other, against 200 + 33 with standalone template calls.
 //!
-//! [`WorkloadCollector::prime_templates`] over [`workload_templates`]
-//! prices the distinct missing templates of a whole workload up front,
-//! one call each in first-encounter order, so the per-query fan-out that
-//! follows is all cache hits.
+//! [`WorkloadCollector::collect`] and [`WorkloadCollector::prime_templates`]
+//! (over [`workload_templates`]) price missing templates with a
+//! standalone `Optimizer::price_template` call each instead: the path for
+//! a query whose plan cache is built elsewhere, and the reference the
+//! fused path is checked against.
 
 use crate::access_costs::{AccessCostCatalog, CandidateAccess, CollectStats};
-use crate::builder::{build_cache_pinum, BuilderOptions};
+use crate::builder::{build_cache_pinum_with_requests, BuilderOptions, BuiltCache};
 use crate::cache::PlanCache;
 use crate::candidates::CandidatePool;
-use pinum_catalog::Configuration;
-use pinum_optimizer::{AccessSource, IndexRef, Optimizer, TemplateArm};
+use pinum_catalog::{Configuration, IndexKind, TableId};
+use pinum_cost::CostParams;
+use pinum_optimizer::{AccessSource, IndexRef, Optimizer, PricingRequest, TemplateArm};
 use pinum_query::{Query, RelIdx, RelTemplate, TemplateKey};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -66,18 +72,20 @@ struct TemplateGroup {
 #[derive(Debug, Default)]
 pub struct WorkloadCollector {
     groups: HashMap<TemplateKey, TemplateGroup>,
-    /// Structural fingerprint of the candidate pool the groups were
-    /// collected against; a collector is valid for exactly one pool
-    /// (guarded loudly — same-length pools with different indexes must
-    /// not reuse each other's arms).
-    pool_fingerprint: Option<u64>,
+    /// What the groups were priced against: the candidate pool's
+    /// structural fingerprint and the optimizer's cost parameters. A
+    /// collector is valid for exactly one of each (guarded loudly — arms
+    /// priced for one pool, or under one set of parameters, must not
+    /// price another).
+    priced_against: Option<(u64, CostParams)>,
     optimizer_calls: usize,
+    templates_priced: usize,
     template_hits: usize,
 }
 
-/// Structural identity of a pool: every index's table, key columns and
-/// uniqueness, in pool order. Two pools with the same fingerprint price
-/// identically, so cached template arms transfer.
+/// Structural identity of a pool: every index's table, key columns,
+/// uniqueness, kind and size, in pool order. Two pools with the same
+/// fingerprint price identically, so cached template arms transfer.
 fn pool_fingerprint(pool: &CandidatePool) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -86,8 +94,21 @@ fn pool_fingerprint(pool: &CandidatePool) -> u64 {
         index.table().hash(&mut h);
         index.key_columns().hash(&mut h);
         index.is_unique().hash(&mut h);
+        // A materialized index and its hypothetical twin differ in
+        // internal pages, so in price.
+        (index.kind() == IndexKind::Hypothetical).hash(&mut h);
+        let size = index.size();
+        (size.leaf_pages, size.internal_pages, size.height).hash(&mut h);
     }
     h.finish()
+}
+
+/// The pool's candidates on `table` as a configuration, plus the
+/// position → pool id map its arms' `IndexRef::Config`s resolve through.
+fn pool_config(pool: &CandidatePool, table: TableId) -> (Configuration, Vec<usize>) {
+    let pool_ids = pool.on_table(table).to_vec();
+    let config = Configuration::new(pool_ids.iter().map(|&i| pool.index(i).clone()).collect());
+    (config, pool_ids)
 }
 
 impl WorkloadCollector {
@@ -96,53 +117,110 @@ impl WorkloadCollector {
         Self::default()
     }
 
-    /// Cumulative optimizer calls across all `collect`/`prime_templates`
-    /// calls — one per distinct template priced.
+    /// Cumulative standalone `price_template` calls, spent by `collect`
+    /// and `prime_templates` — one per template they priced. Templates
+    /// [`Self::build_query`] prices ride on the query's exporting call
+    /// and cost none.
     pub fn optimizer_calls(&self) -> usize {
         self.optimizer_calls
     }
 
+    /// Cumulative distinct templates priced, by either route.
+    pub fn templates_priced(&self) -> usize {
+        self.templates_priced
+    }
+
     /// Cumulative relation collections served from the template cache
-    /// without an optimizer call.
+    /// without pricing.
     pub fn template_hits(&self) -> usize {
         self.template_hits
     }
 
-    fn guard_pool(&mut self, pool: &CandidatePool) {
+    fn guard(&mut self, optimizer: &Optimizer<'_>, pool: &CandidatePool) {
         let fingerprint = pool_fingerprint(pool);
-        match self.pool_fingerprint {
-            None => self.pool_fingerprint = Some(fingerprint),
-            Some(f) => assert_eq!(
-                f, fingerprint,
-                "WorkloadCollector reused across candidate pools — cached template arms \
-                 reference candidates of the pool they were collected against"
-            ),
+        let params = *optimizer.params();
+        match self.priced_against {
+            None => self.priced_against = Some((fingerprint, params)),
+            Some((f, p)) => {
+                assert_eq!(
+                    f, fingerprint,
+                    "WorkloadCollector reused across candidate pools — cached template arms \
+                     reference candidates of the pool they were collected against"
+                );
+                assert!(
+                    p == params,
+                    "WorkloadCollector reused across cost parameters — cached template arms \
+                     carry the prices of the optimizer that first saw them"
+                );
+            }
         }
     }
 
-    /// Prices one template group with a single optimizer call.
+    /// Prices one template group with a standalone optimizer call.
     fn price_group(
         optimizer: &Optimizer<'_>,
         pool: &CandidatePool,
         template: &RelTemplate,
     ) -> TemplateGroup {
-        let pool_ids = pool.on_table(template.table).to_vec();
-        let config = Configuration::new(pool_ids.iter().map(|&i| pool.index(i).clone()).collect());
+        let (config, pool_ids) = pool_config(pool, template.table);
         TemplateGroup {
             arms: optimizer.price_template(template, &config),
             pool_ids,
         }
     }
 
+    /// Builds one query's PINUM plan cache and collects its access costs
+    /// with **one** optimizer call: the exporting call also prices every
+    /// template the query is first to present, and every other relation
+    /// reuses a cached group.
+    ///
+    /// The cache equals [`crate::build_cache_pinum`]'s and the catalog
+    /// equals [`collect_pinum`](crate::access_costs::collect_pinum)'s,
+    /// bit for bit — the catalog debug-asserted as in [`Self::collect`].
+    pub fn build_query(
+        &mut self,
+        optimizer: &Optimizer<'_>,
+        query: &Query,
+        pool: &CandidatePool,
+        opts: &BuilderOptions,
+    ) -> (BuiltCache, AccessCostCatalog) {
+        self.guard(optimizer, pool);
+        let rels = query.relation_count();
+        let mut keys: Vec<TemplateKey> = Vec::with_capacity(rels);
+        let mut requests = Vec::new();
+        let mut pool_ids = Vec::new();
+        for rel in 0..rels as RelIdx {
+            let template = RelTemplate::of(query, rel);
+            let key = template.key();
+            // A template seen earlier in this query is already requested.
+            if !self.groups.contains_key(&key) && !keys.contains(&key) {
+                let (config, ids) = pool_config(pool, template.table);
+                requests.push(PricingRequest { rel, config });
+                pool_ids.push(ids);
+            }
+            keys.push(key);
+        }
+        let (built, arms) = build_cache_pinum_with_requests(optimizer, query, opts, &requests);
+        for ((request, pool_ids), arms) in requests.iter().zip(pool_ids).zip(arms) {
+            let key = keys[request.rel as usize].clone();
+            self.groups.insert(key, TemplateGroup { arms, pool_ids });
+        }
+        self.templates_priced += requests.len();
+        self.template_hits += rels - requests.len();
+        let catalog = self.fan_out_query(optimizer, query, pool, &keys);
+        (built, catalog)
+    }
+
     /// Collects one query's access costs, sharing template groups with
     /// every query collected before (and after) it. Returns the catalog
     /// plus the stats of *this* call — `optimizer_calls` is the number of
-    /// templates this query was first to present (0 on a full cache hit).
+    /// templates this query was first to present (0 on a full cache hit),
+    /// each priced by a standalone `price_template` call.
     ///
     /// The result is bit-identical to
     /// [`collect_pinum`](crate::access_costs::collect_pinum) over the
-    /// same `(optimizer, query, pool)` — debug-asserted here on every
-    /// call, and re-checked in release mode by the `batched_collection`
+    /// same `(optimizer, query, pool)` — debug-asserted here (sampled),
+    /// and re-checked in release mode by the `batched_collection`
     /// acceptance test.
     pub fn collect(
         &mut self,
@@ -151,27 +229,52 @@ impl WorkloadCollector {
         pool: &CandidatePool,
     ) -> (AccessCostCatalog, CollectStats) {
         let start = Instant::now();
-        self.guard_pool(pool);
+        self.guard(optimizer, pool);
         let mut calls = 0usize;
+        let mut keys: Vec<TemplateKey> = Vec::with_capacity(query.relation_count());
+        for rel in 0..query.relation_count() as RelIdx {
+            let template = RelTemplate::of(query, rel);
+            let key = template.key();
+            if self.groups.contains_key(&key) {
+                self.template_hits += 1;
+            } else {
+                let group = Self::price_group(optimizer, pool, &template);
+                self.groups.insert(key.clone(), group);
+                calls += 1;
+            }
+            keys.push(key);
+        }
+        self.optimizer_calls += calls;
+        self.templates_priced += calls;
+        let catalog = self.fan_out_query(optimizer, query, pool, &keys);
+        let entries = catalog.per_rel().iter().map(Vec::len).sum();
+        (
+            catalog,
+            CollectStats {
+                optimizer_calls: calls,
+                wall: start.elapsed(),
+                entries,
+            },
+        )
+    }
+
+    /// Fans the cached groups of `keys` (one per relation of `query`) out
+    /// into the query's catalog.
+    fn fan_out_query(
+        &self,
+        optimizer: &Optimizer<'_>,
+        query: &Query,
+        pool: &CandidatePool,
+        keys: &[TemplateKey],
+    ) -> AccessCostCatalog {
         let mut catalog = AccessCostCatalog::new(query.relation_count());
         catalog.set_params(*optimizer.params());
         let orders = query.interesting_orders();
-        for rel in 0..query.relation_count() as RelIdx {
-            let template = RelTemplate::of(query, rel);
-            let group = match self.groups.entry(template.key()) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    self.template_hits += 1;
-                    e.into_mut()
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    calls += 1;
-                    v.insert(Self::price_group(optimizer, pool, &template))
-                }
-            };
+        for (rel, key) in (0..).zip(keys) {
             fan_out(
                 &mut catalog,
                 rel,
-                group,
+                &self.groups[key],
                 optimizer,
                 pool,
                 &query.referenced_columns(rel),
@@ -179,7 +282,6 @@ impl WorkloadCollector {
             );
         }
         catalog.sort();
-        self.optimizer_calls += calls;
 
         #[cfg(debug_assertions)]
         if crate::sampling::should_assert() {
@@ -193,18 +295,7 @@ impl WorkloadCollector {
                 query.name
             );
         }
-
-        let entries = (0..query.relation_count() as RelIdx)
-            .map(|rel| catalog.entries(rel).len())
-            .sum();
-        (
-            catalog,
-            CollectStats {
-                optimizer_calls: calls,
-                wall: start.elapsed(),
-                entries,
-            },
-        )
+        catalog
     }
 
     /// Prices every template of `templates` (a deduplicated list, see
@@ -216,7 +307,7 @@ impl WorkloadCollector {
         templates: &[(TemplateKey, RelTemplate)],
         pool: &CandidatePool,
     ) -> usize {
-        self.guard_pool(pool);
+        self.guard(optimizer, pool);
         let mut calls = 0usize;
         for (key, template) in templates {
             if !self.groups.contains_key(key) {
@@ -226,6 +317,7 @@ impl WorkloadCollector {
             }
         }
         self.optimizer_calls += calls;
+        self.templates_priced += calls;
         calls
     }
 }
@@ -319,10 +411,12 @@ fn fan_out(
 #[derive(Debug)]
 pub struct WorkloadModels {
     pub models: Vec<(PlanCache, AccessCostCatalog)>,
-    /// Optimizer calls spent building plan caches (1 per query, PINUM).
+    /// Optimizer calls spent building plan caches — one per query, each
+    /// also pricing the templates its query was first to present.
     pub cache_calls: usize,
-    /// Optimizer calls spent on access collection — one per distinct
-    /// template instead of one per query.
+    /// Optimizer calls spent on access collection alone: always 0, since
+    /// every template is priced inside an exporting call. Kept so that
+    /// `cache_calls + collect_calls` counts every call a build spends.
     pub collect_calls: usize,
     /// Distinct templates the workload collapsed onto.
     pub template_groups: usize,
@@ -333,14 +427,10 @@ pub struct WorkloadModels {
 /// the construction path behind `pinum_advisor::advise` and the scale
 /// experiments.
 ///
-/// Access collection is batched through a [`WorkloadCollector`] whenever
-/// that actually saves optimizer calls — i.e. when the workload's
-/// relations collapse onto fewer templates than it has queries (counted
-/// up front for free). Small, diverse workloads whose per-relation
-/// template count exceeds the query count (e.g. the paper's 10-query
-/// benchmark: 16 templates) keep the classic one-keep-all-call-per-query
-/// path, which is strictly fewer calls there. Both paths produce
-/// bit-identical catalogs.
+/// One [`WorkloadCollector::build_query`] per query: `queries.len()`
+/// optimizer calls in all, however many templates the workload presents.
+/// Every catalog is bit-identical to the per-query `collect_pinum`
+/// reference, every cache to `build_cache_pinum`'s.
 pub fn build_workload_models(
     optimizer: &Optimizer<'_>,
     queries: &[Query],
@@ -348,34 +438,12 @@ pub fn build_workload_models(
     opts: &BuilderOptions,
 ) -> WorkloadModels {
     let start = Instant::now();
-    let templates = workload_templates(queries);
-    let template_groups = templates.len();
-    let (catalogs, collect_calls) = if template_groups < queries.len() {
-        let mut collector = WorkloadCollector::new();
-        let calls = collector.prime_templates(optimizer, &templates, pool);
-        let catalogs: Vec<AccessCostCatalog> = queries
-            .iter()
-            .map(|q| collector.collect(optimizer, q, pool).0)
-            .collect();
-        (catalogs, calls)
-    } else {
-        let mut calls = 0usize;
-        let catalogs = queries
-            .iter()
-            .map(|q| {
-                let (access, stats) = crate::access_costs::collect_pinum(optimizer, q, pool);
-                calls += stats.optimizer_calls;
-                access
-            })
-            .collect();
-        (catalogs, calls)
-    };
+    let mut collector = WorkloadCollector::new();
     let mut cache_calls = 0usize;
     let models = queries
         .iter()
-        .zip(catalogs)
-        .map(|(q, access)| {
-            let built = build_cache_pinum(optimizer, q, opts);
+        .map(|q| {
+            let (built, access) = collector.build_query(optimizer, q, pool, opts);
             cache_calls += built.stats.optimizer_calls;
             (built.cache, access)
         })
@@ -383,8 +451,8 @@ pub fn build_workload_models(
     WorkloadModels {
         models,
         cache_calls,
-        collect_calls,
-        template_groups,
+        collect_calls: collector.optimizer_calls(),
+        template_groups: collector.templates_priced(),
         wall: start.elapsed(),
     }
 }
@@ -498,38 +566,74 @@ mod tests {
         assert_eq!(collector.prime_templates(&opt, &templates, &pool), 0);
     }
 
-    #[test]
-    fn build_workload_models_matches_per_query_construction() {
-        let (cat, mut queries, pool) = setup();
-        // A fourth query repeating q3's shape tips the workload into
-        // batching territory (3 templates < 4 queries).
-        queries.push(queries[2].clone());
-        let opt = Optimizer::new(&cat);
-        let built = build_workload_models(&opt, &queries, &pool, &BuilderOptions::default());
+    /// Every model of `built` against the per-query references: the
+    /// `collect_pinum` catalog and the `build_cache_pinum` cache.
+    fn assert_per_query_models(
+        opt: &Optimizer<'_>,
+        queries: &[Query],
+        pool: &CandidatePool,
+        built: &WorkloadModels,
+    ) {
         assert_eq!(built.models.len(), queries.len());
-        assert_eq!(built.collect_calls, 3, "batched: one call per template");
-        assert_eq!(built.template_groups, 3);
-        assert_eq!(built.cache_calls, queries.len());
-        for (q, (_, access)) in queries.iter().zip(&built.models) {
-            let (reference, _) = collect_pinum(&opt, q, &pool);
+        for (q, (cache, access)) in queries.iter().zip(&built.models) {
+            let (reference, _) = collect_pinum(opt, q, pool);
             assert_eq!(access, &reference, "{} diverged", q.name);
+            let cached = crate::build_cache_pinum(opt, q, &BuilderOptions::default()).cache;
+            assert!(cache == &cached, "{}: plan cache diverged", q.name);
         }
     }
 
     #[test]
-    fn build_workload_models_keeps_per_query_path_when_batching_cannot_win() {
+    fn build_workload_models_matches_per_query_construction() {
+        let (cat, mut queries, pool) = setup();
+        // A fourth query repeating q3's shape (3 templates < 4 queries).
+        queries.push(queries[2].clone());
+        let opt = Optimizer::new(&cat);
+        let built = build_workload_models(&opt, &queries, &pool, &BuilderOptions::default());
+        assert_eq!(
+            built.collect_calls, 0,
+            "templates priced inside exporting calls"
+        );
+        assert_eq!(built.template_groups, 3);
+        assert_eq!(built.cache_calls, queries.len());
+        assert_per_query_models(&opt, &queries, &pool, &built);
+    }
+
+    #[test]
+    fn build_workload_models_spends_one_call_per_diverse_query() {
         let (cat, queries, pool) = setup();
         let opt = Optimizer::new(&cat);
-        // q1 + q2 present 3 distinct templates over 2 queries: batching
-        // would *cost* calls, so the classic path must be kept.
+        // q1 + q2 present 3 distinct templates over 2 queries: still one
+        // exporting call per query and no other.
         let subset = &queries[..2];
         let built = build_workload_models(&opt, subset, &pool, &BuilderOptions::default());
-        assert_eq!(built.collect_calls, 2, "one keep-all call per query");
+        assert_eq!((built.cache_calls, built.collect_calls), (2, 0));
         assert_eq!(built.template_groups, 3);
-        for (q, (_, access)) in subset.iter().zip(&built.models) {
-            let (reference, _) = collect_pinum(&opt, q, &pool);
-            assert_eq!(access, &reference, "{} diverged", q.name);
-        }
+        assert_per_query_models(&opt, subset, &pool, &built);
+    }
+
+    #[test]
+    fn build_query_prices_each_template_once_inside_the_export() {
+        let (cat, queries, pool) = setup();
+        let opt = Optimizer::new(&cat);
+        let mut collector = WorkloadCollector::new();
+        let opts = BuilderOptions::default();
+        let priced: Vec<usize> = (queries.iter())
+            .map(|q| {
+                let before = collector.templates_priced();
+                let (built, _) = collector.build_query(&opt, q, &pool, &opts);
+                assert_eq!(built.stats.optimizer_calls, 1);
+                collector.templates_priced() - before
+            })
+            .collect();
+        // As in `shared_templates_need_no_further_calls`, but no call of
+        // its own: q1 brings both templates, q2 a new f filter, q3 none.
+        assert_eq!(priced, [2, 1, 0]);
+        assert_eq!(collector.optimizer_calls(), 0);
+        assert_eq!(collector.template_hits(), 3);
+        // The groups it cached serve a later standalone collection free.
+        let (_, stats) = collector.collect(&opt, &queries[2], &pool);
+        assert_eq!(stats.optimizer_calls, 0);
     }
 
     #[test]
@@ -558,5 +662,38 @@ mod tests {
         let twin = CandidatePool::from_indexes(indexes);
         assert_eq!(twin.len(), pool.len());
         let _ = collector.collect(&opt, &queries[1], &twin);
+    }
+
+    #[test]
+    #[should_panic(expected = "reused across candidate pools")]
+    fn materialized_twin_pool_also_fails_loudly() {
+        let (cat, queries, pool) = setup();
+        let opt = Optimizer::new(&cat);
+        let mut collector = WorkloadCollector::new();
+        let _ = collector.collect(&opt, &queries[0], &pool);
+        // Same table, keys and uniqueness, but materialized: its internal
+        // pages change the arms' prices.
+        let d = cat.table(cat.table_id("d").unwrap()).clone();
+        let mut indexes = pool.indexes().to_vec();
+        indexes[4] = Index::materialized(&d, vec![0, 1], false);
+        let twin = CandidatePool::from_indexes(indexes);
+        let _ = collector.collect(&opt, &queries[1], &twin);
+    }
+
+    #[test]
+    #[should_panic(expected = "reused across cost parameters")]
+    fn different_cost_parameters_fail_loudly() {
+        let (cat, queries, pool) = setup();
+        let opt = Optimizer::new(&cat);
+        let mut collector = WorkloadCollector::new();
+        let _ = collector.build_query(&opt, &queries[0], &pool, &BuilderOptions::default());
+        // Arms priced under the default parameters must not be labelled
+        // with another optimizer's.
+        let params = pinum_cost::CostParams {
+            random_page_cost: 2.0,
+            ..*opt.params()
+        };
+        let other = Optimizer::with_params(&cat, params);
+        let _ = collector.collect(&other, &queries[2], &pool);
     }
 }

@@ -27,12 +27,13 @@
 //! Access costs are collected analogously: [`access_costs::collect_pinum`]
 //! prices the entire candidate pool with **one** keep-all call (§V-C),
 //! [`access_costs::collect_inum`] needs one call per atomic batch of
-//! candidates. At workload scale, [`collector::WorkloadCollector`] takes
-//! the per-query call apart further: relations are grouped by
-//! `(table, filter shape)` template and each template's arms are priced
-//! **once** for the whole workload — one optimizer call per
-//! template-shape instead of per query, bit-identical to the per-query
-//! reference.
+//! candidates. At workload scale, [`collector::WorkloadCollector`] folds
+//! that call into the query's exporting one: relations are grouped by
+//! `(table, filter shape)` template, and each template's arms are priced
+//! **once** for the whole workload, inside the exporting call of the
+//! first query to present it. A query's plan cache and access costs then
+//! cost **one** optimizer call together, bit-identical to the per-query
+//! references ([`collector::build_workload_models`]).
 //!
 //! On top of the per-query caches, [`workload_model::WorkloadModel`]
 //! packs a whole workload's plans and access costs into a CSR-style

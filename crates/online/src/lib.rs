@@ -49,7 +49,7 @@ pub use attribution::{DriftAttribution, DriftAttributionParts};
 use pinum_advisor::greedy::GreedyOptions;
 use pinum_advisor::search::{SearchScope, StrategyKind};
 use pinum_core::access_costs::AccessCostCatalog;
-use pinum_core::builder::{build_cache_pinum, BuilderOptions};
+use pinum_core::builder::BuilderOptions;
 use pinum_core::cache::PlanCache;
 use pinum_core::{
     CandidatePool, PricingSession, Selection, WorkloadCollector, WorkloadModel, WorkloadModelParts,
@@ -310,10 +310,10 @@ pub struct OnlineStats {
     /// witness: these are stream properties, independent of window size).
     pub admit_arms_total: usize,
     pub admit_arms_max: usize,
-    /// Optimizer calls spent on access collection by
-    /// [`OnlineAdvisor::collect_admission`] — one per *new* template shape,
-    /// zero for admissions whose relations all hit the shared cache.
-    pub collect_calls: usize,
+    /// Template shapes [`OnlineAdvisor::collect_admission`] priced — one
+    /// per *new* shape, zero for admissions whose relations all hit the
+    /// shared cache. Each rides on its admission's one exporting call.
+    pub templates_priced: usize,
     /// Relation collections `collect_admission` served straight from the
     /// shared template cache.
     pub collect_template_hits: usize,
@@ -543,28 +543,31 @@ impl OnlineAdvisor {
         }
     }
 
-    /// Builds the owned [`AdmissionSpec`] artifacts for a raw query:
-    /// its PINUM plan cache (one optimizer call), its access costs
+    /// Builds the owned [`AdmissionSpec`] artifacts for a raw query with
+    /// **one** optimizer call: its PINUM plan cache, its access costs
     /// collected through the daemon's shared template cache, and its
     /// templates.
     ///
     /// The collection side is where streaming admission meets batched
-    /// collection: an admission whose relations all match templates seen
-    /// earlier in the stream pays **zero** collection calls
-    /// ([`OnlineStats::collect_calls`] counts the exceptions), and the
-    /// spliced model is bit-identical to one built from a dedicated
-    /// per-query `collect_pinum` call — the collector debug-asserts that
-    /// on every admission.
+    /// collection: the exporting call also prices the templates the
+    /// admission is first in the stream to present
+    /// ([`OnlineStats::templates_priced`]); every other relation reuses
+    /// the shared cache. The spliced model is bit-identical to one built
+    /// from a dedicated per-query `collect_pinum` call — the collector
+    /// debug-asserts that (sampled).
     pub fn collect_admission(
         &mut self,
         optimizer: &Optimizer<'_>,
         query: &Query,
         builder: &BuilderOptions,
     ) -> CollectedAdmission {
-        let built = build_cache_pinum(optimizer, query, builder);
-        let (access, cstats) = self.collector.collect(optimizer, query, &self.pool);
-        self.stats.collect_calls += cstats.optimizer_calls;
-        self.stats.collect_template_hits += query.relation_count() - cstats.optimizer_calls;
+        let before = self.collector.templates_priced();
+        let (built, access) = self
+            .collector
+            .build_query(optimizer, query, &self.pool, builder);
+        let priced = self.collector.templates_priced() - before;
+        self.stats.templates_priced += priced;
+        self.stats.collect_template_hits += query.relation_count() - priced;
         CollectedAdmission {
             cache: built.cache,
             access,
@@ -1247,17 +1250,19 @@ mod tests {
             cold.current_cost().to_bits(),
             shared.current_cost().to_bits()
         );
-        // The stream actually shared templates: far fewer collection calls
-        // than relation instances, and the counters reconcile.
+        // The stream actually shared templates: far fewer templates priced
+        // than relation instances, none by a call of its own, and the
+        // counters reconcile.
         let s = shared.stats();
         assert!(
-            s.collect_calls < rels_total,
-            "no template sharing: {} calls over {rels_total} relations",
-            s.collect_calls
+            s.templates_priced < rels_total,
+            "no template sharing: {} templates priced over {rels_total} relations",
+            s.templates_priced
         );
-        assert_eq!(s.collect_calls + s.collect_template_hits, rels_total);
-        assert_eq!(shared.collector().optimizer_calls(), s.collect_calls);
-        assert_eq!(cold.stats().collect_calls, 0, "cold path never collects");
+        assert_eq!(s.templates_priced + s.collect_template_hits, rels_total);
+        assert_eq!(shared.collector().templates_priced(), s.templates_priced);
+        assert_eq!(shared.collector().optimizer_calls(), 0);
+        assert_eq!(cold.stats().templates_priced, 0, "cold path never collects");
         // Only the shared daemon has attribution books.
         assert!(!shared.attribution().to_parts().templates.is_empty());
         assert!(cold.attribution().to_parts().templates.is_empty());

@@ -52,6 +52,9 @@ pub struct AccessCostEntry {
 pub struct RelAccessPaths {
     pub paths: Vec<Path>,
     pub entries: Vec<AccessCostEntry>,
+    /// The relation's template arms priced against a pricing request's
+    /// indexes (empty without a request).
+    pub arms: Vec<TemplateArm>,
 }
 
 /// Result of matching an index's key prefix against a relation's filters.
@@ -193,12 +196,18 @@ fn probe_spec(info: &PlannerInfo<'_>, rel: RelIdx, index: &Index) -> IndexScanIn
 /// [`AccessCostEntry`] even when its path is obviously dominated. The
 /// paths are candidates — not yet nodes of `arena`, which only interns
 /// their orderings.
+///
+/// `request` is a pricing request's index set: the relation's
+/// [`TemplateArm`]s are priced against it from the same filter shape, as
+/// [`collect_template_arms`] prices them. Its indexes are priced only —
+/// they add no path and no entry.
 pub fn collect_access_paths(
     info: &PlannerInfo<'_>,
     params: &CostParams,
     arena: &mut PathArena,
     rel: RelIdx,
     keep_all: bool,
+    request: Option<&Configuration>,
 ) -> RelAccessPaths {
     let base = &info.base[rel as usize];
     let table = info.catalog.table(base.table);
@@ -311,7 +320,14 @@ pub fn collect_access_paths(
     if !keep_all {
         entries.clear();
     }
-    RelAccessPaths { paths, entries }
+    let arms = request.map_or_else(Vec::new, |config| {
+        template_arms(info.catalog, params, base.table, &filters, seq_cost, config)
+    });
+    RelAccessPaths {
+        paths,
+        entries,
+        arms,
+    }
 }
 
 /// One access arm of a relation *template*, priced in **both** covering
@@ -367,12 +383,38 @@ pub fn collect_template_arms(
     config: &Configuration,
 ) -> Vec<TemplateArm> {
     let table = catalog.table(template.table);
-    let filter_ops = template.filter_count();
-    let mut arms = Vec::new();
+    let seq_cost = cost_seqscan(
+        params,
+        table.heap_pages(),
+        table.rows() as f64,
+        template.filter_count(),
+    );
+    template_arms(
+        catalog,
+        params,
+        template.table,
+        &template.filters,
+        seq_cost,
+        config,
+    )
+}
+
+/// The arms of the template `(table_id, filters)` against `config`, given
+/// its sequential-scan cost: the one body behind [`collect_template_arms`]
+/// and the pricing requests [`collect_access_paths`] answers.
+fn template_arms(
+    catalog: &Catalog,
+    params: &CostParams,
+    table_id: TableId,
+    filters: &[(u16, FilterOp)],
+    seq_cost: Cost,
+    config: &Configuration,
+) -> Vec<TemplateArm> {
+    let table = catalog.table(table_id);
+    let filter_ops = filters.len() as u32;
 
     // --- Sequential scan: covering-agnostic. ---
-    let seq_cost = cost_seqscan(params, table.heap_pages(), table.rows() as f64, filter_ops);
-    arms.push(TemplateArm {
+    let mut arms = vec![TemplateArm {
         source: AccessSource::SeqScan,
         leading: None,
         cost_heap: seq_cost,
@@ -380,22 +422,22 @@ pub fn collect_template_arms(
         bitmap: None,
         probe_heap: None,
         probe_cover: None,
-    });
+    }];
 
     // --- Index arms: catalog indexes then configuration indexes, the
     // per-query collector's order. ---
     let catalog_ixs = catalog
-        .table_indexes(template.table)
+        .table_indexes(table_id)
         .iter()
         .map(|id| (IndexRef::Catalog(*id), catalog.index(*id)));
     let config_ixs = config
         .indexes()
         .iter()
         .enumerate()
-        .filter(|(_, ix)| ix.table() == template.table)
+        .filter(|(_, ix)| ix.table() == table_id)
         .map(|(i, ix)| (IndexRef::Config(i), ix));
     for (ixref, index) in catalog_ixs.chain(config_ixs) {
-        let m = match_template_conditions(catalog, template.table, &template.filters, index);
+        let m = match_template_conditions(catalog, table_id, filters, index);
         let heap_input = standalone_input(table, index, &m, false);
         let cover_input = IndexScanInput {
             index_only: true,
@@ -515,7 +557,7 @@ mod tests {
         let cfg = Configuration::empty();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, false);
+        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, false, None);
         assert_eq!(acc.paths.len(), 1);
         assert!(matches!(acc.paths[0].kind, PathKind::SeqScan { .. }));
         assert!(acc.entries.is_empty(), "entries only in keep-all mode");
@@ -532,7 +574,7 @@ mod tests {
             .build();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, true);
+        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, true, None);
         // seq + 3 index scans + 1 bitmap scan (only the c-index has a
         // matched filter condition).
         assert_eq!(acc.paths.len(), 5);
@@ -569,7 +611,7 @@ mod tests {
             .build();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, false);
+        let acc = collect_access_paths(&info, &params, &mut PathArena::new(), 0, false, None);
         let seq = &acc.paths[0];
         let bitmap = acc
             .paths
@@ -651,7 +693,7 @@ mod tests {
             .build();
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
-        let per_query = collect_access_paths(&info, &params, &mut PathArena::new(), 0, true);
+        let per_query = collect_access_paths(&info, &params, &mut PathArena::new(), 0, true, None);
 
         let template = RelTemplate::of(&q, 0);
         let arms = collect_template_arms(&cat, &params, &template, &cfg);
@@ -737,7 +779,7 @@ mod tests {
         let info = PlannerInfo::new(&cat, &q, &cfg);
         let params = CostParams::default();
         let mut arena = PathArena::new();
-        let acc = collect_access_paths(&info, &params, &mut arena, 0, false);
+        let acc = collect_access_paths(&info, &params, &mut arena, 0, false, None);
         assert_eq!(acc.paths.len(), 2);
         for p in acc.paths {
             let id = arena.add(p);

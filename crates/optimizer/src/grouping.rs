@@ -148,7 +148,7 @@ mod tests {
         let mut arena = PathArena::new();
         let mut stats = AddPathStats::default();
         let mut list = PathList::new();
-        for p in collect_access_paths(&info, &params, &mut arena, 0, false).paths {
+        for p in collect_access_paths(&info, &params, &mut arena, 0, false, None).paths {
             list.add_path(&mut arena, p, PruneMode::Standard, &mut stats);
         }
         let out = finish_paths(

@@ -549,7 +549,7 @@ mod tests {
         let mut base_lists = Vec::new();
         let mut stats = AddPathStats::default();
         for r in 0..info.relation_count() as u16 {
-            let acc = collect_access_paths(&info, &params, &mut arena, r, keep_all);
+            let acc = collect_access_paths(&info, &params, &mut arena, r, keep_all, None);
             let mut list = PathList::new();
             for p in acc.paths {
                 list.add_path(&mut arena, p, options.prune_mode, &mut stats);

@@ -18,11 +18,14 @@
 //!    and returns it in [`PlannedQuery::exported_nlj_free`], so both
 //!    families INUM caches (§V-D) cost one call.
 //!
-//! A fourth, workload-level hook extends §V-C across queries:
-//! [`Optimizer::price_template`] prices every access arm of one relation
-//! *template* (`pinum_query::RelTemplate`: table + filter shape) in both
-//! covering variants with a single call, so a workload collector spends
-//! one call per distinct template instead of one keep-all call per query.
+//! A fourth, workload-level hook extends §V-C across queries: a
+//! [`PricingRequest`] to [`Optimizer::optimize_with_requests`] prices
+//! every access arm of one relation *template* (`pinum_query::RelTemplate`:
+//! table + filter shape) in both covering variants inside the query's own
+//! exporting call, so a workload collector prices each distinct template
+//! once and still spends exactly one call per query.
+//! [`Optimizer::price_template`] prices a template met outside an export
+//! with a call of its own.
 //!
 //! The component layout follows the paper's Figure 2: query preprocessor
 //! ([`preprocess`]), grouping planner ([`grouping`]), access path collector
@@ -45,6 +48,8 @@ pub use access::{collect_template_arms, AccessCostEntry, AccessSource, TemplateA
 pub use addpath::PruneMode;
 pub use path::{AggKind, IndexRef, LinearCost};
 pub use plan::PlanNode;
-pub use planner::{ExportedPlan, Optimizer, OptimizerOptions, PlannedQuery, PlannerStats};
+pub use planner::{
+    ExportedPlan, Optimizer, OptimizerOptions, PlannedQuery, PlannerStats, PricingRequest,
+};
 pub use preprocess::{EcId, PlannerInfo};
 pub use relset::RelSet;

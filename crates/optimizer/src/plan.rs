@@ -447,7 +447,7 @@ mod tests {
         let mut base = Vec::new();
         for r in 0..2u16 {
             let mut list = PathList::new();
-            for p in collect_access_paths(&info, &params, &mut arena, r, false).paths {
+            for p in collect_access_paths(&info, &params, &mut arena, r, false, None).paths {
                 list.add_path(&mut arena, p, PruneMode::Standard, &mut stats);
             }
             base.push(list);

@@ -1,7 +1,7 @@
 //! The top-level planner: orchestrates preprocessing, access-path
 //! collection, join search and grouping, and exports the PINUM payloads.
 
-use crate::access::{collect_access_paths, AccessCostEntry};
+use crate::access::{collect_access_paths, AccessCostEntry, TemplateArm};
 use crate::addpath::{AddPathStats, PathList, PruneMode};
 use crate::grouping::finish_paths;
 use crate::joinsearch::{JoinSearch, JoinSearchOptions};
@@ -10,7 +10,7 @@ use crate::plan::{build_plan, PlanNode};
 use crate::preprocess::PlannerInfo;
 use pinum_catalog::{Catalog, Configuration};
 use pinum_cost::{Cost, CostParams};
-use pinum_query::{InterestingOrders, Ioc, Query};
+use pinum_query::{InterestingOrders, Ioc, Query, RelIdx};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -106,6 +106,18 @@ pub struct ExportedPlan {
     pub description: String,
 }
 
+/// A §V-C pricing request riding on one optimize call: price the access
+/// arms of relation `rel`'s template against `config` — a caller's
+/// candidate indexes on that relation's table — as
+/// [`Optimizer::price_template`] would. The indexes are priced only:
+/// they never become paths, so the call plans and exports exactly what it
+/// would without the request.
+#[derive(Debug, Clone)]
+pub struct PricingRequest {
+    pub rel: RelIdx,
+    pub config: Configuration,
+}
+
 /// The result of one optimize call.
 #[derive(Debug)]
 pub struct PlannedQuery {
@@ -130,6 +142,9 @@ pub struct PlannedQuery {
     /// §V-C payload: all access costs (empty unless
     /// `keep_all_access_paths`).
     pub access_costs: Vec<AccessCostEntry>,
+    /// Answers to the call's [`PricingRequest`]s, in request order: each
+    /// relation's template arms against its request's configuration.
+    pub template_arms: Vec<Vec<TemplateArm>>,
     /// The query's interesting orders (needed to interpret [`Ioc`]s).
     pub orders: InterestingOrders,
     pub stats: PlannerStats,
@@ -172,9 +187,10 @@ impl<'a> Optimizer<'a> {
     /// Each arm carries both covering variants and its leading key column,
     /// so the caller can fan the shared arms out to every member query
     /// (applying that member's covering test and interesting-order
-    /// mapping) without further calls. `pinum_core`'s `WorkloadCollector`
-    /// is the consumer: one `price_template` call per distinct template
-    /// shape replaces one keep-all [`Self::optimize`] call per query.
+    /// mapping) without further calls. A template met inside an exporting
+    /// call is priced there instead, by a [`PricingRequest`] to
+    /// [`Self::optimize_with_requests`]; this standalone call prices only
+    /// templates met outside an export.
     pub fn price_template(
         &self,
         template: &pinum_query::RelTemplate,
@@ -190,8 +206,29 @@ impl<'a> Optimizer<'a> {
         config: &Configuration,
         options: &OptimizerOptions,
     ) -> PlannedQuery {
+        self.optimize_with_requests(query, config, options, &[])
+    }
+
+    /// [`Self::optimize`], also answering `requests` in the same call: the
+    /// access-path collector prices each requested relation's template
+    /// arms ([`PlannedQuery::template_arms`]). Everything else the call
+    /// returns is what it returns without requests. Each request must
+    /// name a distinct relation of `query`.
+    pub fn optimize_with_requests(
+        &self,
+        query: &Query,
+        config: &Configuration,
+        options: &OptimizerOptions,
+        requests: &[PricingRequest],
+    ) -> PlannedQuery {
         let start = Instant::now();
         let info = PlannerInfo::new(self.catalog, query, config);
+        assert!(
+            (requests.iter().enumerate()).all(|(i, r)| (r.rel as usize) < info.relation_count()
+                && requests[..i].iter().all(|o| o.rel != r.rel)),
+            "pricing requests must name distinct relations of {}",
+            query.name
+        );
         let prune_mode = if options.export_ioc_plans {
             PruneMode::KeepIoc
         } else {
@@ -202,16 +239,22 @@ impl<'a> Optimizer<'a> {
         let mut arena = PathArena::new();
         let mut add_stats = AddPathStats::default();
         let mut access_costs = Vec::new();
+        let mut template_arms = vec![Vec::new(); requests.len()];
         let mut base_lists = Vec::with_capacity(info.relation_count());
         for rel in 0..info.relation_count() as u16 {
+            let request = requests.iter().position(|r| r.rel == rel);
             let acc = collect_access_paths(
                 &info,
                 &self.params,
                 &mut arena,
                 rel,
                 options.keep_all_access_paths,
+                request.map(|i| &requests[i].config),
             );
             access_costs.extend(acc.entries);
+            if let Some(i) = request {
+                template_arms[i] = acc.arms;
+            }
             let mut list = PathList::new();
             for p in acc.paths {
                 list.add_path(&mut arena, p, prune_mode, &mut add_stats);
@@ -324,6 +367,7 @@ impl<'a> Optimizer<'a> {
             exported,
             exported_nlj_free,
             access_costs,
+            template_arms,
             orders: info.orders.clone(),
             stats,
         }

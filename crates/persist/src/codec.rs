@@ -206,7 +206,7 @@ pub fn encode_stats(out: &mut Vec<u8>, s: &OnlineStats) {
     put_u64(out, s.compactions as u64);
     put_u64(out, s.admit_arms_total as u64);
     put_u64(out, s.admit_arms_max as u64);
-    put_u64(out, s.collect_calls as u64);
+    put_u64(out, s.templates_priced as u64);
     put_u64(out, s.collect_template_hits as u64);
     put_duration(out, s.model_admit_wall);
     put_duration(out, s.readvise_wall);
@@ -228,7 +228,7 @@ pub fn decode_stats(c: &mut Cursor<'_>) -> Result<OnlineStats, WireError> {
         compactions: c.u64()? as usize,
         admit_arms_total: c.u64()? as usize,
         admit_arms_max: c.u64()? as usize,
-        collect_calls: c.u64()? as usize,
+        templates_priced: c.u64()? as usize,
         collect_template_hits: c.u64()? as usize,
         model_admit_wall: duration(c)?,
         readvise_wall: duration(c)?,

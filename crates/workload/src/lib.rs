@@ -15,7 +15,7 @@
 //!   churn) for exercising the online tuning subsystem;
 //! * [`templates`] — collection-template statistics: how many distinct
 //!   `(table, filter shape)` signatures a workload's relations collapse
-//!   onto, i.e. the optimizer-call count of workload-level batched
+//!   onto, i.e. the template pricings of workload-level batched
 //!   collection (`pinum_core::WorkloadCollector`).
 //!
 //! Only statistics are generated — the optimizer, the INUM cache and the

@@ -3,9 +3,10 @@
 //!
 //! This is the planning-side view of workload-level batched collection
 //! (`pinum_core::WorkloadCollector`): the number of distinct templates is
-//! the number of optimizer calls the batched collector will spend on the
-//! workload, and the group-size distribution shows where the sharing
-//! comes from. Experiments print the summary next to the measured call
+//! the number of template pricings the batched collector will do on the
+//! workload (each inside a query's exporting call, or one standalone call
+//! each), and the group-size distribution shows where the sharing comes
+//! from. Experiments print the summary next to the measured call
 //! counts so the grouping structure of a workload is visible without
 //! running the collector.
 

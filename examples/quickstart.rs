@@ -1,14 +1,14 @@
 //! Quickstart: build a small star schema, optimize a query, fill the INUM
-//! plan cache with one optimizer call (the paper's titular trick), and
-//! price a few configurations without calling the optimizer again.
+//! plan cache and price every candidate index with one optimizer call (the
+//! paper's titular trick), and price a few configurations without calling
+//! the optimizer again.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use pinum::advisor::candidates::generate_candidates;
 use pinum::catalog::Configuration;
-use pinum::core::access_costs::collect_pinum;
-use pinum::core::builder::{build_cache_pinum, BuilderOptions};
-use pinum::core::{CacheCostModel, Selection};
+use pinum::core::builder::BuilderOptions;
+use pinum::core::{CacheCostModel, Selection, WorkloadCollector};
 use pinum::optimizer::{Optimizer, OptimizerOptions};
 use pinum::workload::star::{StarSchema, StarWorkload};
 
@@ -37,23 +37,19 @@ fn main() {
     );
     println!("{}", planned.plan.explain());
 
-    // Fill the whole INUM plan cache with one call (paper §V-D).
-    let built = build_cache_pinum(&optimizer, query, &BuilderOptions::default());
+    // Fill the whole INUM plan cache (paper §V-D) and price every
+    // candidate index (§V-C) with the same call.
+    let pool = generate_candidates(&schema.catalog, std::slice::from_ref(query));
+    let (built, access) =
+        WorkloadCollector::new().build_query(&optimizer, query, &pool, &BuilderOptions::default());
     println!(
-        "PINUM cache: {} plans for {} IOCs from {} optimizer calls in {:?}",
+        "PINUM cache: {} plans for {} IOCs, access costs for {} candidates, \
+         from {} optimizer call(s) in {:?}\n",
         built.stats.plans_cached,
         built.stats.ioc_count,
+        pool.len(),
         built.stats.optimizer_calls,
         built.stats.wall
-    );
-
-    // Price every candidate index with one more call (paper §V-C).
-    let pool = generate_candidates(&schema.catalog, std::slice::from_ref(query));
-    let (access, astats) = collect_pinum(&optimizer, query, &pool);
-    println!(
-        "access costs for {} candidates from {} call(s)\n",
-        pool.len(),
-        astats.optimizer_calls
     );
 
     // Now any configuration is priced in microseconds.

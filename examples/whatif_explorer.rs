@@ -5,9 +5,8 @@
 //! Run with: `cargo run --release --example whatif_explorer`
 
 use pinum::catalog::{Configuration, Index};
-use pinum::core::access_costs::collect_pinum;
-use pinum::core::builder::{build_cache_pinum, BuilderOptions};
-use pinum::core::{CacheCostModel, CandidatePool, Selection};
+use pinum::core::builder::BuilderOptions;
+use pinum::core::{CacheCostModel, CandidatePool, Selection, WorkloadCollector};
 use pinum::optimizer::{Optimizer, OptimizerOptions};
 use pinum::workload::star::{StarSchema, StarWorkload};
 
@@ -35,13 +34,14 @@ fn main() {
         ),
     ];
 
-    // Build the cache once; price each configuration against it too.
-    let built = build_cache_pinum(&optimizer, query, &BuilderOptions::default());
+    // Build the cache and price the candidates with one call; price each
+    // configuration against it too.
     let pool = CandidatePool::from_indexes(vec![
         Index::hypothetical(fact, vec![filter_col], false),
         Index::hypothetical(fact, covering_keys, false),
     ]);
-    let (access, _) = collect_pinum(&optimizer, query, &pool);
+    let (built, access) =
+        WorkloadCollector::new().build_query(&optimizer, query, &pool, &BuilderOptions::default());
     let model = CacheCostModel::new(&built.cache, &access);
 
     for (i, (name, indexes)) in configs.into_iter().enumerate() {

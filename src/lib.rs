@@ -30,6 +30,8 @@
 //! use pinum::workload::star::{StarSchema, StarWorkload};
 //! use pinum::optimizer::{Optimizer, OptimizerOptions};
 //! use pinum::core::builder::{build_cache_pinum, BuilderOptions};
+//! use pinum::core::build_workload_models;
+//! use pinum::advisor::candidates::generate_candidates;
 //!
 //! // The paper's synthetic star-schema workload, scaled down.
 //! let schema = StarSchema::generate(42, 0.01);
@@ -41,6 +43,14 @@
 //! let query = &workload.queries[0];
 //! let built = build_cache_pinum(&optimizer, query, &BuilderOptions::default());
 //! assert_eq!(built.stats.optimizer_calls, 1);
+//!
+//! // A whole workload's caches *and* access costs over a candidate pool:
+//! // still one call per query, since each exporting call also prices the
+//! // access arms of the templates its query is first to present.
+//! let pool = generate_candidates(&schema.catalog, &workload.queries);
+//! let queries = &workload.queries;
+//! let models = build_workload_models(&optimizer, queries, &pool, &BuilderOptions::default());
+//! assert_eq!(models.cache_calls + models.collect_calls, queries.len());
 //! ```
 
 pub use pinum_advisor as advisor;

@@ -12,15 +12,18 @@
 //! shrinks when less is materialised, the second is a clock.
 //!
 //! A second test pins `build_cache_pinum`'s one exporting call to the two
-//! calls (nested loops off, then on) it replaced, on the same queries.
+//! calls (nested loops off, then on) it replaced, on the same queries. A
+//! third pins pricing requests to change nothing else the call returns.
 
+use pinum::advisor::candidates::generate_candidates;
 use pinum::catalog::{Catalog, Configuration};
 use pinum::core::builder::{build_cache_pinum, covering_configuration, BuilderOptions};
 use pinum::core::{CachedPlan, PlanCache};
 use pinum::optimizer::{
     AccessSource, ExportedPlan, IndexRef, Optimizer, OptimizerOptions, PlannedQuery, PlannerStats,
+    PricingRequest, TemplateArm,
 };
-use pinum::query::Query;
+use pinum::query::{Query, RelIdx, RelTemplate};
 use pinum::workload::star::{StarSchema, StarWorkload};
 use pinum::workload::tpch::{tpch_catalog, tpch_q10, tpch_q3, tpch_q5};
 
@@ -74,6 +77,20 @@ fn fold_exports(h: &mut Fnv, exported: &[ExportedPlan]) {
     }
 }
 
+fn fold_source(h: &mut Fnv, source: &AccessSource) {
+    match source {
+        AccessSource::SeqScan => h.u64(0),
+        AccessSource::Index(IndexRef::Catalog(id)) => {
+            h.u64(1);
+            h.str(&format!("{id:?}"));
+        }
+        AccessSource::Index(IndexRef::Config(i)) => {
+            h.u64(2);
+            h.u64(*i as u64);
+        }
+    }
+}
+
 fn fold_planned(h: &mut Fnv, p: &PlannedQuery) {
     fold_exports(h, &p.exported);
     h.f64(p.best_cost.startup);
@@ -82,17 +99,7 @@ fn fold_planned(h: &mut Fnv, p: &PlannedQuery) {
     h.u64(p.access_costs.len() as u64);
     for a in &p.access_costs {
         h.u64(u64::from(a.rel));
-        match a.source {
-            AccessSource::SeqScan => h.u64(0),
-            AccessSource::Index(IndexRef::Catalog(id)) => {
-                h.u64(1);
-                h.str(&format!("{id:?}"));
-            }
-            AccessSource::Index(IndexRef::Config(i)) => {
-                h.u64(2);
-                h.u64(i as u64);
-            }
-        }
+        fold_source(h, &a.source);
         h.u64(a.order.map_or(u64::MAX, u64::from));
         h.f64(a.cost.startup);
         h.f64(a.cost.total);
@@ -117,6 +124,23 @@ fn fold_planned(h: &mut Fnv, p: &PlannedQuery) {
     ] {
         h.u64(c as u64);
     }
+}
+
+fn fold_arms(arms: &[TemplateArm]) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(arms.len() as u64);
+    for arm in arms {
+        fold_source(&mut h, &arm.source);
+        h.u64(arm.leading.map_or(u64::MAX, u64::from));
+        for cost in [Some(arm.cost_heap), Some(arm.cost_cover), arm.bitmap] {
+            match cost {
+                Some(c) => h.f64s(&[c.startup, c.total]),
+                None => h.u64(u64::MAX),
+            }
+        }
+        h.str(&format!("{:?} {:?}", arm.probe_heap, arm.probe_cover));
+    }
+    h.0
 }
 
 const OPTION_SETS: [&str; 5] = [
@@ -294,6 +318,79 @@ fn one_exporting_call_reproduces_the_two_calls_it_replaces() {
             let built = build_cache_pinum(&opt, q, &BuilderOptions::default());
             assert_eq!(built.stats.optimizer_calls, 1);
             assert!(built.cache == two_calls, "{name} {}: plan cache", q.name);
+        }
+    }
+}
+
+/// Pricing requests ride on an exporting call without perturbing it. With
+/// a request for every relation, carrying the candidate pool's indexes on
+/// its table, the call exports the same plans, access costs and work
+/// counters as the request-free call, and each answer equals a standalone
+/// `price_template` call bit for bit.
+#[test]
+fn pricing_requests_never_perturb_the_export() {
+    for (name, catalog, queries) in golden_workloads() {
+        let opt = Optimizer::new(&catalog);
+        let pool = generate_candidates(&catalog, &queries);
+        let export = OptimizerOptions::pinum_export();
+        let no_nlj = OptimizerOptions {
+            enable_nestloop: false,
+            ..export
+        };
+        let fold = |p: &PlannedQuery| {
+            let mut h = Fnv::new();
+            fold_planned(&mut h, p);
+            fold_exports(&mut h, &p.exported_nlj_free);
+            h.0
+        };
+        let counters = |s: &PlannerStats| {
+            (
+                s.paths_added,
+                s.paths_rejected,
+                s.paths_displaced,
+                s.joinrels_planned,
+                s.arena_size,
+            )
+        };
+        for q in &queries {
+            let covering = covering_configuration(&catalog, q);
+            let requests: Vec<PricingRequest> = (0..q.relation_count() as RelIdx)
+                .map(|rel| {
+                    let on_table = pool.on_table(q.table_of(rel));
+                    let indexes = on_table.iter().map(|&i| pool.index(i).clone()).collect();
+                    PricingRequest {
+                        rel,
+                        config: Configuration::new(indexes),
+                    }
+                })
+                .collect();
+            for options in [export, no_nlj] {
+                let plain = opt.optimize(q, &covering, &options);
+                let priced = opt.optimize_with_requests(q, &covering, &options, &requests);
+                let what = format!(
+                    "{name} {} (nested loops {})",
+                    q.name, options.enable_nestloop
+                );
+                assert_eq!(fold(&plain), fold(&priced), "{what}: export");
+                assert_eq!(
+                    counters(&plain.stats),
+                    counters(&priced.stats),
+                    "{what}: work counters"
+                );
+                assert!(plain.template_arms.is_empty());
+                assert_eq!(priced.template_arms.len(), requests.len());
+                for (request, arms) in requests.iter().zip(&priced.template_arms) {
+                    let template = RelTemplate::of(q, request.rel);
+                    let standalone = opt.price_template(&template, &request.config);
+                    assert!(arms.len() > 1 || request.config.is_empty());
+                    assert_eq!(
+                        fold_arms(arms),
+                        fold_arms(&standalone),
+                        "{what}: arms of relation {}",
+                        request.rel
+                    );
+                }
+            }
         }
     }
 }
