@@ -1,12 +1,14 @@
 //! Deterministic simulated annealing over the selection space, driven
 //! entirely by incremental deltas: a proposal *is* a [`Probe`] (add,
-//! drop, or swap), proposals are drawn in fixed-size blocks against the
-//! block-start state and priced as one
-//! [`WorkloadModel::price_delta_batch`], and an accepted one is
-//! re-derived exactly with [`WorkloadModel::price_probe_into`] before it
-//! is spliced. The RNG is the in-tree `rand` shim seeded explicitly and
-//! its consumption schedule is fixed by the block size, so a run is a
-//! pure function of `(pool, model, options, seed)`.
+//! drop, or swap). Proposals are drawn in fixed-size blocks against the
+//! block-start state, and each is priced only when the Metropolis walk
+//! reaches it — a one-probe [`WorkloadModel::price_delta_batch`] under
+//! the scope's query mask — so the proposals a block draws after its
+//! first acceptance are never priced. An accepted one is re-derived
+//! exactly with [`WorkloadModel::price_probe_into`] before it is spliced.
+//! The RNG is the in-tree `rand` shim seeded explicitly and its
+//! consumption schedule is fixed by the block size, so a run is a pure
+//! function of `(pool, model, options, seed)`.
 
 use super::{apply_changed, debug_assert_state_matches, LazyGreedy, SearchScope, SearchStrategy};
 use crate::greedy::{GreedyOptions, GreedyResult};
@@ -14,8 +16,9 @@ use pinum_core::{CandidatePool, Probe, Selection, WorkloadModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Proposals drawn (and batch-priced) per annealing block. The constant
-/// fixes the proposal schedule, the RNG stream, and every metric.
+/// Proposals drawn per annealing block. The constant fixes the proposal
+/// schedule and the RNG stream, and with them every output; pricing is
+/// per walked proposal, not per block.
 const BLOCK: usize = 16;
 
 /// Number of proposals the Metropolis walk visits. Proposals drawn into a
@@ -104,28 +107,26 @@ impl SearchStrategy for Anneal {
             return seed_result;
         }
 
-        // The walk runs in blocks: a block's proposals are all drawn (and
-        // batch-priced) against the block-start state, then walked
-        // serially through the Metropolis rule in draw order. The first
-        // acceptance applies its move and discards the block's remaining
-        // proposals — their deltas (and draw-time validity) are stale
-        // against the new state. Discarded proposals are **refunded**:
-        // only walked proposals are charged against `ITERATIONS` and
-        // advance the temperature, so the count keeps its serial meaning —
-        // the number of states the Metropolis chain actually visits —
-        // at every acceptance rate. RNG consumption is: all of a block's
-        // proposal draws first, then one acceptance draw per walked
-        // finite-worsening proposal — a fixed schedule (though not a
-        // one-proposal-at-a-time walk's stream: discarded proposals
-        // consumed draws).
+        // The walk runs in blocks: a block's proposals are all drawn
+        // against the block-start state, then walked serially through the
+        // Metropolis rule in draw order, each priced against that state
+        // when the walk reaches it. The first acceptance applies its move
+        // and discards the block's remaining proposals unpriced — their
+        // draw-time validity is stale against the new state. Discarded
+        // proposals are **refunded**: only walked proposals are charged
+        // against `ITERATIONS` and advance the temperature, so the count
+        // keeps its serial meaning — the number of states the Metropolis
+        // chain actually visits — at every acceptance rate. RNG
+        // consumption is: all of a block's proposal draws first, then one
+        // acceptance draw per walked finite-worsening proposal — a fixed
+        // schedule (though not a one-proposal-at-a-time walk's stream:
+        // discarded proposals consumed draws).
         let mut moves: Vec<Option<Probe>> = Vec::with_capacity(BLOCK);
-        let mut probes: Vec<Probe> = Vec::with_capacity(BLOCK);
         let mut remaining = ITERATIONS;
         while remaining > 0 {
             let block_len = BLOCK.min(remaining);
             let members: Vec<usize> = selection.ids().collect();
             moves.clear();
-            probes.clear();
             for _ in 0..block_len {
                 // Propose a move; invalid proposals still consume RNG
                 // draws so the stream (and thus the run) stays
@@ -164,12 +165,9 @@ impl SearchStrategy for Anneal {
                         }
                     }
                 };
-                probes.extend(mv);
                 moves.push(mv);
             }
 
-            let deltas = model.price_delta_batch(&state, &selection, &probes, scope.query_mask);
-            let mut pi = 0usize;
             let mut walked = 0usize;
             for entry in &moves {
                 // Each walked proposal — valid or not — spends one
@@ -178,8 +176,7 @@ impl SearchStrategy for Anneal {
                 walked += 1;
                 temp *= COOLING;
                 let Some(mv) = *entry else { continue };
-                let delta = deltas[pi];
-                pi += 1;
+                let delta = model.price_delta_batch(&state, &selection, &[mv], scope.query_mask)[0];
                 evaluations += 1;
                 queries_repriced += delta.repriced;
 
@@ -260,7 +257,7 @@ fn accept(current: f64, proposed: f64, temp: f64, rng: &mut StdRng) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::fixture;
+    use super::super::tests::{fixture, pinned_runs, Pin};
     use super::*;
 
     #[test]
@@ -294,6 +291,67 @@ mod tests {
                 assert!(anneal.total_bytes <= opts.budget_bytes);
             }
         }
+    }
+
+    /// Three seeded walks, every output bit for bit, (a) cold and (b) as
+    /// the scoped warm re-advise (see [`pinned_runs`]). Under (b) every
+    /// walk moves past its lazy seed, whose trajectory has two entries.
+    /// Any change to the RNG schedule, the Metropolis walk or its probe
+    /// accounting moves these values.
+    #[test]
+    fn seeded_walks_are_pinned() {
+        let cold = |evaluations, queries_repriced| Pin {
+            picked: vec![5, 11],
+            trajectory_bits: vec![0x40c5f84000000000, 0x40865ac28f5c28f6, 0x40859ac28f5c28f6],
+            evaluations,
+            queries_repriced,
+            total_bytes: 18_841_600,
+            final_total_bits: 0x40859ac28f5c28f6,
+        };
+        let warm_prefix = [0x40af4f9b33695430, 0x40af1f9b33695430, 0x40a22b25eba02f37];
+        assert_eq!(
+            pinned_runs(&Anneal::with_seed(1)),
+            [
+                cold(1_266, 1_697),
+                Pin {
+                    picked: vec![5, 11],
+                    trajectory_bits: [&warm_prefix[..], &[0x40865ac28f5c28f6, 0x40859ac28f5c28f6]]
+                        .concat(),
+                    evaluations: 1_606,
+                    queries_repriced: 1_323,
+                    total_bytes: 18_841_600,
+                    final_total_bits: 0x40859ac28f5c28f6,
+                },
+            ]
+        );
+        assert_eq!(
+            pinned_runs(&Anneal::with_seed(7)),
+            [
+                cold(1_299, 1_693),
+                Pin {
+                    picked: vec![5, 6, 11],
+                    trajectory_bits: [&warm_prefix[..], &[0x40859ac28f5c28f6]].concat(),
+                    evaluations: 1_594,
+                    queries_repriced: 1_333,
+                    total_bytes: 18_923_520,
+                    final_total_bits: 0x40859ac28f5c28f6,
+                },
+            ]
+        );
+        assert_eq!(
+            pinned_runs(&Anneal::with_seed(0xDEAD)),
+            [
+                cold(1_366, 1_753),
+                Pin {
+                    picked: vec![5, 8, 9, 11],
+                    trajectory_bits: [&warm_prefix[..], &[0x40859ac28f5c28f6]].concat(),
+                    evaluations: 1_617,
+                    queries_repriced: 1_349,
+                    total_bytes: 19_054_592,
+                    final_total_bits: 0x40859ac28f5c28f6,
+                },
+            ]
+        );
     }
 
     #[test]

@@ -34,13 +34,20 @@
 //!   Metropolis rule. Seeded from lazy greedy and returning the best
 //!   selection ever visited, so it can never end worse than its seed.
 //!
-//! Each strategy prices its moves in batches
-//! ([`WorkloadModel::price_delta_batch`]) on the caller's thread: lazy
-//! greedy in waves of 1→32 heap tops, eager greedy one frontier per
-//! round, the swap climb one neighbourhood per round, annealing in blocks
-//! of 16 moves. The batch shapes fix the probe accounting, so they are
-//! part of each strategy's output. A move the strategy accepts is
-//! re-derived exactly, on the probe it ranked, with
+//! Each strategy prices its moves through
+//! [`WorkloadModel::price_delta_batch`] on the caller's thread: eager
+//! greedy one frontier per round, the swap climb one drop-major
+//! neighbourhood per round (the kernel prices each dropped index's
+//! affected queries once per neighbourhood, not once per exchange), and
+//! annealing one proposal at a time, when its Metropolis walk reaches it.
+//! Annealing's block of 16 fixes only its RNG draws: a block's proposals
+//! are all drawn first, and those after its first acceptance are never
+//! priced. Lazy greedy re-prices stale heap tops in waves of 1→32, the one
+//! batch shape that can price a probe ahead of need; its waves are part of
+//! its probe accounting. So [`GreedyResult::evaluations`] counts the
+//! probes a search priced, and [`GreedyResult::queries_repriced`] sums
+//! their [`pinum_core::ProbeDelta::repriced`]. A move the strategy accepts
+//! is re-derived exactly, on the probe it ranked, with
 //! [`WorkloadModel::price_probe_into`] — the same kernel body, one probe,
 //! unmasked — and its changed queries are spliced into the running state.
 //!
@@ -339,6 +346,51 @@ mod tests {
             .collect();
         let model = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
         (pool, model)
+    }
+
+    /// Everything a search reports, floats as bits: what the walk pins
+    /// compare.
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct Pin {
+        pub picked: Vec<usize>,
+        pub trajectory_bits: Vec<u64>,
+        pub evaluations: usize,
+        pub queries_repriced: usize,
+        pub total_bytes: u64,
+        pub final_total_bits: u64,
+    }
+
+    fn pin(r: &GreedyResult) -> Pin {
+        Pin {
+            picked: r.picked.clone(),
+            trajectory_bits: r.cost_trajectory.iter().map(|c| c.to_bits()).collect(),
+            evaluations: r.evaluations,
+            queries_repriced: r.queries_repriced,
+            total_bytes: r.total_bytes,
+            final_total_bits: r.final_state.as_ref().unwrap().total().to_bits(),
+        }
+    }
+
+    /// The two pinned shapes of a run on [`fixture`] under a 20 MiB
+    /// budget: (a) a cold, unscoped search; (b) the scoped re-advise the
+    /// online advisor runs — warm-started from the stale set {2, 7} with
+    /// its exact priced state, pricing scoped to query 0. Under (b) the
+    /// swap climb and the annealing walk both move past their lazy seed.
+    pub(crate) fn pinned_runs(strategy: &dyn SearchStrategy) -> [Pin; 2] {
+        let (pool, model) = fixture();
+        let opts = GreedyOptions {
+            budget_bytes: 20 << 20,
+            benefit_per_byte: false,
+        };
+        let warm = Selection::from_ids(pool.len(), &[2, 7]);
+        let warm_state = model.price_full(&warm);
+        let scope = SearchScope::all()
+            .with_query_mask(&[0])
+            .with_warm_state(&warm_state);
+        [
+            pin(&strategy.search(&pool, &model, &opts)),
+            pin(&strategy.search_scoped(&pool, &model, &opts, &warm, &scope)),
+        ]
     }
 
     const ALL_KINDS: [StrategyKind; 4] = [

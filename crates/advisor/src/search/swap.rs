@@ -3,7 +3,9 @@
 //! can strand capacity on a narrow index whose job a later, wider pick
 //! also covers; a swap probe ([`pinum_core::Probe::Swap`]) prices
 //! "replace selected `s` with unselected `c`" as one delta over the
-//! merged affected-query sets.
+//! merged affected-query sets. A round sends its neighbourhood drop-major,
+//! so the kernel prices each dropped index's affected queries once and
+//! re-prices only the added index's queries per exchange.
 
 use super::{apply_changed, debug_assert_state_matches, LazyGreedy, SearchScope, SearchStrategy};
 use crate::greedy::{GreedyOptions, GreedyResult};
@@ -59,9 +61,10 @@ impl SearchStrategy for SwapHillClimb {
             // Steepest descent: batch-price all (drop, add) exchanges that
             // fit the budget, keep the lowest resulting cost. The
             // neighborhood is enumerated in ascending drop id, then add
-            // id; deltas land at their probe's index, so the argmin scan
-            // breaks ties toward the first exchange scanned. Drops may
-            // touch any member; adds are restricted to the scope.
+            // id — one run of swaps per drop, whose drop pass the batch
+            // shares; deltas land at their probe's index, so the argmin
+            // scan breaks ties toward the first exchange scanned. Drops
+            // may touch any member; adds are restricted to the scope.
             let members: Vec<usize> = selection.ids().collect();
             probes.clear();
             for &drop in &members {
@@ -157,7 +160,7 @@ impl SearchStrategy for SwapHillClimb {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::fixture;
+    use super::super::tests::{fixture, pinned_runs, Pin};
     use super::*;
 
     #[test]
@@ -189,5 +192,42 @@ mod tests {
         let swap = SwapHillClimb { max_rounds: 0 }.search(&pool, &model, &opts);
         assert_eq!(greedy.picked, swap.picked);
         assert_eq!(greedy.cost_trajectory, swap.cost_trajectory);
+    }
+
+    /// The default climb, every output bit for bit, (a) cold and (b) as
+    /// the scoped warm re-advise (see [`pinned_runs`]). Under (b) the
+    /// climb exchanges stale member 2 for 5, one step past its lazy seed;
+    /// the swap neighbourhood is priced under a query mask there.
+    #[test]
+    fn default_climb_is_pinned() {
+        assert_eq!(
+            pinned_runs(&SwapHillClimb::default()),
+            [
+                Pin {
+                    picked: vec![5, 11],
+                    trajectory_bits: vec![
+                        0x40c5f84000000000,
+                        0x40865ac28f5c28f6,
+                        0x40859ac28f5c28f6
+                    ],
+                    evaluations: 41,
+                    queries_repriced: 65,
+                    total_bytes: 18_841_600,
+                    final_total_bits: 0x40859ac28f5c28f6,
+                },
+                Pin {
+                    picked: vec![7, 1, 5],
+                    trajectory_bits: vec![
+                        0x40af4f9b33695430,
+                        0x40af1f9b33695430,
+                        0x40865ac28f5c28f6
+                    ],
+                    evaluations: 57,
+                    queries_repriced: 53,
+                    total_bytes: 18_923_520,
+                    final_total_bits: 0x40865ac28f5c28f6,
+                },
+            ]
+        );
     }
 }

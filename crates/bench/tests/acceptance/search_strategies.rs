@@ -91,6 +91,8 @@ fn acceptance() {
     // Eager, lazy, swap, anneal: lazy probes 544 / 1 875 ≈ 0.290 of eager's.
     let probes: Vec<_> = runs.iter().map(|r| r.evaluations).collect();
     assert_eq!(probes, [1_875, 544, 2_336, 2_169]);
+    let repriced: Vec<_> = runs.iter().map(|r| r.queries_repriced).collect();
+    assert_eq!(repriced, [79_501, 28_191, 205_122, 116_713]);
     let picks: Vec<_> = runs.iter().map(|r| r.picked.len()).collect();
     assert_eq!(picks, [8; 4]);
     // All four end at 137 587 758.019 846 68.

@@ -43,7 +43,8 @@
 //! the selection. `price_full` prices a selection; a **delta** prices a
 //! [`workload_model::Probe`] — add, drop, or drop-one/add-one swap —
 //! through one kernel body (`price_probe_into` for one probe,
-//! `price_delta_batch` for many) that re-prices only the queries the
+//! `price_delta_batch` for many, where a run of swaps sharing a drop
+//! prices the drop's queries once) that re-prices only the queries the
 //! touched candidates can affect (per-query bloom + footprint
 //! prefilters prove the rest untouched) and re-totals in
 //! O(changed·log n) through the fixed-shape pairwise sum tree every

@@ -89,11 +89,15 @@
 //! body answers it: toggle the probe's bits on the view, re-price only the
 //! affected queries, restore the bits, and re-total through the sum tree.
 //! [`WorkloadModel::price_probe_into`] runs it for one probe,
-//! [`WorkloadModel::price_delta_batch`] for many over one view. Queries
-//! whose re-priced cost is bit-identical to the stored cost are dropped
-//! from the `changed` list (exact, since the comparison is on bits) — so
-//! the splice a search strategy applies afterwards is proportional to
-//! what actually moved.
+//! [`WorkloadModel::price_delta_batch`] for many over one view. In a
+//! batch, a run of swaps sharing one drop prices the drop's affected
+//! queries once under `selection − drop`, and each swap re-prices only
+//! its added candidate's queries on top — bit-identical to the
+//! single-probe body, since a query a candidate does not touch prices the
+//! same with or without it. Queries whose re-priced cost is bit-identical
+//! to the stored cost are dropped from the `changed` list (exact, since
+//! the comparison is on bits) — so the splice a search strategy applies
+//! afterwards is proportional to what actually moved.
 //!
 //! ## Streaming — the workload as a mutable object
 //!
@@ -1297,10 +1301,16 @@ impl WorkloadModel {
     }
 
     /// Prices a batch of independent probes against one `(selection,
-    /// state)` snapshot; each result lands at its probe's own index. The
-    /// batch runs [`Self::price_probe_into`]'s body once per probe over one
-    /// shared selection view and changed-list buffer, so an unmasked
-    /// result is the single-probe result, bit for bit.
+    /// state)` snapshot; each result lands at its probe's own index, and
+    /// an unmasked result is [`Self::price_probe_into`]'s, bit for bit.
+    /// Probes share one selection view and changed-list buffer.
+    ///
+    /// A run of consecutive [`Probe::Swap`]s with the same `drop` — the
+    /// drop-major neighbourhood a swap search sends — shares the drop's
+    /// work: `affected(drop)` is priced once under `selection − drop`, and
+    /// each swap re-prices only `affected(add)`, taking the rest from the
+    /// drop pass (a query `add` does not touch prices the same with or
+    /// without it). Every other probe runs the single-probe body.
     ///
     /// `qmask` (sorted ascending query ids) restricts re-pricing to the
     /// masked subset of each probe's affected list — the scoped-pricing
@@ -1315,17 +1325,131 @@ impl WorkloadModel {
         probes: &[Probe],
         qmask: Option<&[u32]>,
     ) -> Vec<ProbeDelta> {
+        let mut out = Vec::with_capacity(probes.len());
+        self.price_batch_each(state, selection, probes, qmask, |delta, _| out.push(delta));
+        out
+    }
+
+    /// [`Self::price_delta_batch`]'s body: hands each probe's delta and
+    /// changed list to `emit`, in probe order.
+    fn price_batch_each(
+        &self,
+        state: &PricedWorkload,
+        selection: &Selection,
+        probes: &[Probe],
+        qmask: Option<&[u32]>,
+        mut emit: impl FnMut(ProbeDelta, &[(u32, f64)]),
+    ) {
         if probes.is_empty() {
-            return Vec::new();
+            return;
         }
         let mut view = SelView::new(self.pool_size, selection);
         let mut changed = Vec::new();
-        probes
+        let mut rest = probes;
+        while let Some(&first) = rest.first() {
+            let run = match first {
+                Probe::Swap { drop, .. } => rest
+                    .iter()
+                    .take_while(|p| matches!(p, Probe::Swap { drop: d, .. } if *d == drop))
+                    .count(),
+                _ => 1,
+            };
+            if run > 1 {
+                let run = &rest[..run];
+                self.price_swap_run(state, selection, run, qmask, &mut view, &mut emit);
+            } else {
+                let delta =
+                    self.price_probe_in(state, selection, first, qmask, &mut view, &mut changed);
+                emit(delta, &changed);
+            }
+            rest = &rest[run..];
+        }
+    }
+
+    /// A run of swaps sharing one `drop`: price the drop's (masked)
+    /// affected queries once under `selection − drop`, then, per swap,
+    /// re-price the (masked) `affected(add)` under `selection − drop +
+    /// add` and merge the two in ascending query order. Each swap's
+    /// changed list, total and `repriced` (the union, clipped to the
+    /// mask) equal [`Self::price_probe_in`]'s bit for bit (debug-asserted,
+    /// sampled).
+    fn price_swap_run(
+        &self,
+        state: &PricedWorkload,
+        selection: &Selection,
+        run: &[Probe],
+        qmask: Option<&[u32]>,
+        view: &mut SelView,
+        emit: &mut impl FnMut(ProbeDelta, &[(u32, f64)]),
+    ) {
+        debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
+        let Probe::Swap { drop, .. } = run[0] else {
+            unreachable!("a swap run starts with a swap")
+        };
+        debug_assert!(selection.contains(drop), "swap drops a non-member {drop}");
+        view.set(drop, false);
+        let mut mask = MaskCursor::new(qmask);
+        let drop_pass: Vec<(u32, f64)> = self.affected[drop]
             .iter()
-            .map(|&probe| {
-                self.price_probe_in(state, selection, probe, qmask, &mut view, &mut changed)
-            })
-            .collect()
+            .filter(|&&q| mask.admits(q))
+            .map(|&q| (q, self.contribution_in(q as usize, view.words())))
+            .collect();
+        let mut changed = Vec::new();
+        for &probe in run {
+            let Probe::Swap { add, drop: d } = probe else {
+                unreachable!("a swap run holds only swaps")
+            };
+            debug_assert!(
+                d == drop && !selection.contains(add),
+                "{probe:?} breaks the run"
+            );
+            changed.clear();
+            view.set(add, true);
+            let words = view.words();
+            let mut repriced = 0usize;
+            let mut keep = |q: u32, cost: f64| {
+                repriced += 1;
+                if cost.to_bits() != state.per_query[q as usize].to_bits() {
+                    changed.push((q, cost));
+                }
+            };
+            let mut mask = MaskCursor::new(qmask);
+            let mut from_drop = drop_pass.iter().peekable();
+            for &q in &self.affected[add] {
+                if !mask.admits(q) {
+                    continue;
+                }
+                while let Some(&(dq, cost)) = from_drop.next_if(|&&(dq, _)| dq < q) {
+                    keep(dq, cost);
+                }
+                // `add` touches q: its drop-pass price is stale here.
+                from_drop.next_if(|&&(dq, _)| dq == q);
+                keep(q, self.contribution_in(q as usize, words));
+            }
+            for &(dq, cost) in from_drop {
+                keep(dq, cost);
+            }
+            view.set(add, false);
+            let total = state.overlaid_total(&changed);
+            #[cfg(debug_assertions)]
+            if crate::sampling::should_assert() {
+                let mut fresh = SelView::new(self.pool_size, selection);
+                let mut expect = Vec::new();
+                let single =
+                    self.price_probe_in(state, selection, probe, qmask, &mut fresh, &mut expect);
+                debug_assert_eq!(
+                    (total.to_bits(), repriced, changed_bits(&changed)),
+                    (
+                        single.total.to_bits(),
+                        single.repriced,
+                        changed_bits(&expect)
+                    ),
+                    "shared-drop swap pricing diverged from the single-probe delta ({probe:?})"
+                );
+            }
+            emit(ProbeDelta { total, repriced }, &changed);
+        }
+        view.set(drop, true);
     }
 
     /// The delta kernel behind both entry points: move `view` (a snapshot
@@ -1356,18 +1480,11 @@ impl WorkloadModel {
         let mut repriced = 0usize;
         {
             let words = view.words();
-            let mut mask_i = 0usize;
+            let mut mask = MaskCursor::new(qmask);
             let mut visit = |q: u32| {
                 debug_assert!(self.live[q as usize], "inverted index holds a tombstone");
-                if let Some(mask) = qmask {
-                    // Both the affected list and the mask are sorted
-                    // ascending, so one forward cursor intersects them.
-                    while mask_i < mask.len() && mask[mask_i] < q {
-                        mask_i += 1;
-                    }
-                    if mask_i >= mask.len() || mask[mask_i] != q {
-                        return;
-                    }
+                if !mask.admits(q) {
+                    return;
                 }
                 repriced += 1;
                 let cost = self.contribution_in(q as usize, words);
@@ -1441,12 +1558,9 @@ impl WorkloadModel {
                     expect.retain(|(q, _)| mask.binary_search(q).is_ok());
                 }
             }
-            let bits = |v: &[(u32, f64)]| -> Vec<(u32, u64)> {
-                v.iter().map(|&(q, c)| (q, c.to_bits())).collect()
-            };
             debug_assert_eq!(
-                bits(changed),
-                bits(&expect),
+                changed_bits(changed),
+                changed_bits(&expect),
                 "changed list diverged ({probe:?})"
             );
         }
@@ -1477,6 +1591,34 @@ fn probed_selection(selection: &Selection, probe: Probe) -> Selection {
     }
 }
 
+/// A changed list with its costs as bits, for exact comparisons.
+#[cfg(any(debug_assertions, test))]
+fn changed_bits(changed: &[(u32, f64)]) -> Vec<(u32, u64)> {
+    changed.iter().map(|&(q, c)| (q, c.to_bits())).collect()
+}
+
+/// Intersects an ascending stream of query ids with a sorted query mask
+/// in one forward pass; no mask admits every query.
+struct MaskCursor<'a> {
+    mask: Option<&'a [u32]>,
+    at: usize,
+}
+
+impl<'a> MaskCursor<'a> {
+    fn new(mask: Option<&'a [u32]>) -> Self {
+        Self { mask, at: 0 }
+    }
+
+    /// Whether `q` is masked in; calls must come in ascending `q`.
+    fn admits(&mut self, q: u32) -> bool {
+        let Some(mask) = self.mask else { return true };
+        while self.at < mask.len() && mask[self.at] < q {
+            self.at += 1;
+        }
+        self.at < mask.len() && mask[self.at] == q
+    }
+}
+
 /// One probe's priced outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeDelta {
@@ -1485,8 +1627,11 @@ pub struct ProbeDelta {
     /// only masked changed queries and is a comparable rank, not an exact
     /// total.
     pub total: f64,
-    /// Queries actually re-priced: the probe's affected list (for a swap,
-    /// the union of both), clipped to the query mask when one was given.
+    /// The queries this probe's total covers: its affected list (for a
+    /// swap, the union of both), clipped to the query mask when one was
+    /// given. In a [`WorkloadModel::price_delta_batch`] run of swaps
+    /// sharing one drop, the drop's part of that union is priced once per
+    /// run, not once per swap.
     pub repriced: usize,
 }
 
@@ -2263,6 +2408,82 @@ mod tests {
                 if mask.len() == nq as usize {
                     assert_eq!(d.total.to_bits(), exact.total.to_bits());
                     assert_eq!(d.repriced, exact.repriced);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_drop_swap_runs_price_like_single_probes() {
+        let (cat, queries, pool) = setup();
+        let models = build_models(&cat, &queries, &pool);
+        let wm = model_of(&models, &pool);
+        let nq = wm.query_count() as u32;
+        // No mask, then every subset mask of the (tiny) query set.
+        let masks: Vec<Option<Vec<u32>>> = std::iter::once(None)
+            .chain(
+                (0..(1u32 << nq))
+                    .map(|bits| Some((0..nq).filter(|q| bits & (1 << q) != 0).collect())),
+            )
+            .collect();
+        for selection in all_selections(&pool) {
+            let members: Vec<usize> = selection.ids().collect();
+            let outside: Vec<usize> = (0..pool.len())
+                .filter(|&c| !selection.contains(c))
+                .collect();
+            let (Some(&d0), Some(&a0)) = (members.first(), outside.first()) else {
+                continue;
+            };
+            let swap = |add, drop| Probe::Swap { add, drop };
+            let sep = Probe::Add { cand: a0 };
+            // The full drop-major neighbourhood, every member used as a
+            // drop; then runs of length 1 and 2; then d0's neighbourhood
+            // split into two runs by an add.
+            let mut probes: Vec<Probe> = members
+                .iter()
+                .flat_map(|&d| outside.iter().map(move |&a| swap(a, d)))
+                .collect();
+            let a_last = *outside.last().unwrap();
+            probes.extend([sep, swap(a0, d0), sep, swap(a0, d0), swap(a_last, d0), sep]);
+            let half = outside.len().div_ceil(2);
+            probes.extend(outside[..half].iter().map(|&a| swap(a, d0)));
+            probes.push(sep);
+            probes.extend(outside[half..].iter().map(|&a| swap(a, d0)));
+
+            let state = wm.price_full(&selection);
+            for mask in &masks {
+                let mask = mask.as_deref();
+                let admitted = |q: &u32| mask.is_none_or(|m| m.binary_search(q).is_ok());
+                let mut got = Vec::new();
+                wm.price_batch_each(&state, &selection, &probes, mask, |d, changed| {
+                    got.push((d.total.to_bits(), d.repriced, changed_bits(changed)))
+                });
+                let public = wm.price_delta_batch(&state, &selection, &probes, mask);
+                assert_eq!(got.len(), probes.len());
+                for ((&probe, got), public) in probes.iter().zip(&got).zip(&public) {
+                    // The single-probe delta, restricted to the mask
+                    // (unmasked, its own total and `repriced`).
+                    let mut exact = Vec::new();
+                    wm.price_probe_into(&state, &selection, probe, &mut exact);
+                    let cands = match probe {
+                        Probe::Add { cand } | Probe::Drop { cand } => vec![cand],
+                        Probe::Swap { add, drop } => vec![add, drop],
+                    };
+                    let mut union: Vec<u32> = cands
+                        .iter()
+                        .flat_map(|&c| wm.affected(c))
+                        .copied()
+                        .collect();
+                    union.sort_unstable();
+                    union.dedup();
+                    exact.retain(|(q, _)| admitted(q));
+                    let want = (
+                        state.overlaid_total(&exact).to_bits(),
+                        union.iter().filter(|q| admitted(q)).count(),
+                        changed_bits(&exact),
+                    );
+                    assert_eq!(*got, want, "mask {mask:?} {probe:?}");
+                    assert_eq!((public.total.to_bits(), public.repriced), (got.0, got.1));
                 }
             }
         }

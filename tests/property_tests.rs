@@ -338,6 +338,37 @@ proptest! {
                     .collect();
                 prop_assert_eq!(changed, diff, "selection {:?} {:?}", &ids, probe);
             }
+
+            // The drop-major swap neighbourhood a swap search sends: each
+            // drop's run shares one pricing of the drop's affected queries.
+            // Unmasked, every swap equals its single-probe delta (and so
+            // the full re-pricing); under every query mask, it equals the
+            // single-probe delta restricted to the mask.
+            let neighbourhood: Vec<Probe> = ids
+                .iter()
+                .flat_map(|&drop| outside.iter().map(move |&add| Probe::Swap { add, drop }))
+                .collect();
+            for qmask in [None, Some(&[][..]), Some(&[0][..]), Some(&[1][..]), Some(&[0, 1][..])] {
+                let batch = wm.price_delta_batch(&state, &sel, &neighbourhood, qmask);
+                for (&probe, got) in neighbourhood.iter().zip(&batch) {
+                    let exact = wm.price_probe_into(&state, &sel, probe, &mut scratch);
+                    let admitted = |q: &u32| qmask.is_none_or(|m| m.contains(q));
+                    scratch.retain(|(q, _)| admitted(q));
+                    prop_assert_eq!(got.total.to_bits(), state.overlaid_total(&scratch).to_bits(),
+                        "selection {:?} {:?} mask {:?}", &ids, probe, qmask);
+                    let Probe::Swap { add, drop } = probe else { unreachable!() };
+                    let mut union: Vec<u32> =
+                        wm.affected(add).iter().chain(wm.affected(drop)).copied().collect();
+                    union.sort_unstable();
+                    union.dedup();
+                    prop_assert_eq!(got.repriced, union.iter().filter(|q| admitted(q)).count(),
+                        "selection {:?} {:?} mask {:?}", &ids, probe, qmask);
+                    if qmask.is_none() {
+                        prop_assert_eq!(got.total.to_bits(), exact.total.to_bits());
+                        prop_assert_eq!(got.repriced, exact.repriced);
+                    }
+                }
+            }
         }
     }
 }
