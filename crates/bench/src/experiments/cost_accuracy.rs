@@ -7,95 +7,39 @@
 //! error in cost estimation. Further three queries had about 4% error, and
 //! only one query had 9% error."
 
-use crate::paper_workload;
-use crate::table::TextTable;
-use pinum_advisor::candidates::generate_candidates;
-use pinum_core::builder::BuilderOptions;
-use pinum_core::{CacheCostModel, Selection, WorkloadCollector};
-use pinum_optimizer::{Optimizer, OptimizerOptions};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use super::sample_atomic_configurations;
 
-/// Per-query outcome, returned for integration tests.
+/// Random atomic configurations per query, as in the paper.
+pub const CONFIGS_PER_QUERY: usize = 1000;
+
+/// Seed of the configuration draws (one stream across all queries).
+pub const SEED: u64 = 0xC0575;
+
+/// One query's relative estimation error over its configurations.
 pub struct QueryAccuracy {
     pub name: String,
+    pub tables: usize,
     pub mean_error: f64,
     pub p95_error: f64,
     pub max_error: f64,
 }
 
-pub fn run(scale: f64) -> Vec<QueryAccuracy> {
-    run_with(scale, 1000, 0xC0575)
-}
-
-pub fn run_with(scale: f64, configs_per_query: usize, seed: u64) -> Vec<QueryAccuracy> {
-    println!(
-        "E3: cache cost-model accuracy (paper §VI-C) — {configs_per_query} random atomic configurations per query, seed {seed:#x}\n"
-    );
-    let pw = paper_workload(scale);
-    let catalog = &pw.schema.catalog;
-    let opt = Optimizer::new(catalog);
-    let pool = generate_candidates(catalog, &pw.workload.queries);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
-
-    let mut table = TextTable::new(vec!["query", "tables", "mean err", "p95 err", "max err"]);
-    let mut collector = WorkloadCollector::new();
-    for q in &pw.workload.queries {
-        let (built, access) = collector.build_query(&opt, q, &pool, &BuilderOptions::default());
-        let model = CacheCostModel::new(&built.cache, &access);
-
-        // Candidates per relation of this query.
-        let per_rel: Vec<Vec<usize>> = (0..q.relation_count() as u16)
-            .map(|rel| pool.on_table(q.table_of(rel)).to_vec())
+pub fn run() -> Vec<QueryAccuracy> {
+    sample_atomic_configurations(CONFIGS_PER_QUERY, SEED, |q, _, model, samples| {
+        let mut errors: Vec<f64> = samples
+            .iter()
+            .map(|(sel, direct)| {
+                let est = model.estimate(sel).expect("non-empty cache").cost;
+                (est - direct).abs() / direct
+            })
             .collect();
-
-        let mut errors = Vec::with_capacity(configs_per_query);
-        for _ in 0..configs_per_query {
-            // Random atomic configuration: ≤1 candidate per table.
-            let mut ids = Vec::new();
-            for cands in &per_rel {
-                if cands.is_empty() || rng.gen_bool(0.35) {
-                    continue;
-                }
-                ids.push(*cands.choose(&mut rng).unwrap());
-            }
-            let sel = Selection::from_ids(pool.len(), &ids);
-            let est = model.estimate(&sel).expect("non-empty cache").cost;
-            let (config, _) = pool.configuration(&sel);
-            let direct = opt
-                .optimize(q, &config, &OptimizerOptions::standard())
-                .best_cost
-                .total;
-            errors.push((est - direct).abs() / direct);
-        }
-        errors.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = errors.iter().sum::<f64>() / errors.len() as f64;
-        let p95 = errors[(errors.len() * 95 / 100).min(errors.len() - 1)];
-        let max = *errors.last().unwrap();
-        table.row(vec![
-            q.name.clone(),
-            q.relation_count().to_string(),
-            format!("{:.2}%", mean * 100.0),
-            format!("{:.2}%", p95 * 100.0),
-            format!("{:.2}%", max * 100.0),
-        ]);
-        out.push(QueryAccuracy {
+        errors.sort_by(f64::total_cmp);
+        QueryAccuracy {
             name: q.name.clone(),
-            mean_error: mean,
-            p95_error: p95,
-            max_error: max,
-        });
-    }
-    println!("{}", table.render());
-    let under_1 = out.iter().filter(|a| a.mean_error < 0.01).count();
-    let under_5 = out
-        .iter()
-        .filter(|a| (0.01..0.05).contains(&a.mean_error))
-        .count();
-    let over_5 = out.iter().filter(|a| a.mean_error >= 0.05).count();
-    println!("this repro: {under_1} queries <1% error, {under_5} in 1–5%, {over_5} ≥5%");
-    println!("paper:      6 queries <1% error, 3 ≈4%, 1 ≈9% (NLJ-favouring query)\n");
-    out
+            tables: q.relation_count(),
+            mean_error: errors.iter().sum::<f64>() / errors.len() as f64,
+            p95_error: errors[(errors.len() * 95 / 100).min(errors.len() - 1)],
+            max_error: errors[errors.len() - 1],
+        }
+    })
 }

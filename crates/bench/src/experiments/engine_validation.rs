@@ -5,57 +5,53 @@
 //! checks (a) plan result-equivalence across configurations and (b) that
 //! cardinality estimates track actual row counts on uniform data.
 
-use crate::table::TextTable;
 use pinum_catalog::Configuration;
 use pinum_core::builder::covering_configuration;
 use pinum_engine::{execute, Database};
 use pinum_optimizer::{Optimizer, OptimizerOptions};
 use pinum_workload::star::{StarSchema, StarWorkload};
 
-pub fn run(_scale: f64) {
-    const ENGINE_SCALE: f64 = 0.0004; // ≈ 18k fact rows: execution stays fast
-    println!("V1: engine validation at scale {ENGINE_SCALE}\n");
+/// ≈ 18k fact rows: execution stays fast.
+pub const ENGINE_SCALE: f64 = 0.0004;
+
+/// One query executed under no indexes and under its covering
+/// configuration.
+pub struct ValidationRow {
+    pub name: String,
+    /// The optimizer's row estimate for the unindexed plan.
+    pub estimated_rows: f64,
+    pub actual_rows: usize,
+    /// Both plans return the same rows.
+    pub plans_agree: bool,
+}
+
+pub fn run() -> Vec<ValidationRow> {
     let schema = StarSchema::generate(42, ENGINE_SCALE);
     let workload = StarWorkload::generate(&schema, 7, 10);
     let opt = Optimizer::new(&schema.catalog);
     let db = Database::generate(&schema.catalog, 99);
 
-    let mut table = TextTable::new(vec![
-        "query",
-        "est rows",
-        "actual rows",
-        "ratio",
-        "plans agree",
-    ]);
-    for q in workload.queries.iter().take(6) {
-        let plain = opt.optimize(q, &Configuration::empty(), &OptimizerOptions::standard());
-        let covered = opt.optimize(
-            q,
-            &covering_configuration(&schema.catalog, q),
-            &OptimizerOptions::standard(),
-        );
-        let out_a = execute(&schema.catalog, q, &db, &plain.plan);
-        let out_b = execute(&schema.catalog, q, &db, &covered.plan);
-        let mut pa = out_a.project(&schema.catalog, q);
-        let mut pb = out_b.project(&schema.catalog, q);
-        pa.sort_unstable();
-        pb.sort_unstable();
-        let agree = pa == pb;
-        let est = plain.best_rows;
-        let actual = out_a.rows.len().max(1) as f64;
-        table.row(vec![
-            q.name.clone(),
-            format!("{est:.0}"),
-            format!("{:.0}", out_a.rows.len()),
-            format!("{:.2}", est / actual),
-            if agree {
-                "yes".into()
-            } else {
-                "NO".to_string()
-            },
-        ]);
-        assert!(agree, "{}: plans disagree on results", q.name);
-    }
-    println!("{}", table.render());
-    println!("(identical results under different configurations; estimates track uniform-data actuals)\n");
+    workload
+        .queries
+        .iter()
+        .take(6)
+        .map(|q| {
+            // The optimizer's row estimate and the plan's sorted results.
+            let results = |config: &Configuration| {
+                let planned = opt.optimize(q, config, &OptimizerOptions::standard());
+                let out = execute(&schema.catalog, q, &db, &planned.plan);
+                let mut rows = out.project(&schema.catalog, q);
+                rows.sort_unstable();
+                (planned.best_rows, rows)
+            };
+            let (estimated_rows, plain) = results(&Configuration::empty());
+            let (_, covered) = results(&covering_configuration(&schema.catalog, q));
+            ValidationRow {
+                name: q.name.clone(),
+                estimated_rows,
+                actual_rows: plain.len(),
+                plans_agree: plain == covered,
+            }
+        })
+        .collect()
 }

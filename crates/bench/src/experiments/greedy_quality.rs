@@ -6,7 +6,6 @@
 //! candidate index set." We verify the greedy heuristic lands near the
 //! exhaustive optimum on instances small enough to enumerate.
 
-use crate::table::TextTable;
 use pinum_advisor::candidates::generate_candidates;
 use pinum_advisor::greedy::{exhaustive_select, greedy_select, GreedyOptions};
 use pinum_core::builder::BuilderOptions;
@@ -14,65 +13,67 @@ use pinum_core::{CacheCostModel, CandidatePool, Selection, WorkloadCollector};
 use pinum_optimizer::Optimizer;
 use pinum_workload::star::{StarSchema, StarWorkload};
 
-pub fn run(_scale: f64) {
-    println!("A3: greedy vs exhaustive selection quality (small instances)\n");
-    let mut table = TextTable::new(vec![
-        "queries",
-        "candidates",
-        "budget MB",
-        "greedy cost",
-        "optimal cost",
-        "gap",
-    ]);
-    for (nq, budget_mb) in [(2usize, 64u64), (3, 128), (3, 512)] {
-        let schema = StarSchema::generate(11, 0.002);
-        let workload = StarWorkload::generate(&schema, 3, nq);
-        let opt = Optimizer::new(&schema.catalog);
-        let full_pool = generate_candidates(&schema.catalog, &workload.queries);
-        // Shrink to ≤14 candidates for tractable exhaustion: keep the
-        // first candidates per table in pool order.
-        let keep: Vec<usize> = (0..full_pool.len()).take(14).collect();
-        let pool =
-            CandidatePool::from_indexes(keep.iter().map(|&i| full_pool.index(i).clone()).collect());
+/// One small instance: its size, budget and the two searches' final
+/// workload costs.
+pub struct GreedyQualityRow {
+    pub queries: usize,
+    pub candidates: usize,
+    pub budget_mb: u64,
+    pub greedy_cost: f64,
+    pub optimal_cost: f64,
+}
 
-        let mut collector = WorkloadCollector::new();
-        let models: Vec<_> = workload
-            .queries
-            .iter()
-            .map(|q| {
-                let (built, access) =
-                    collector.build_query(&opt, q, &pool, &BuilderOptions::default());
-                (built.cache, access)
-            })
-            .collect();
-        let cost = |sel: &Selection| -> f64 {
-            models
+pub fn run() -> Vec<GreedyQualityRow> {
+    [(2usize, 64u64), (3, 128), (3, 512)]
+        .into_iter()
+        .map(|(nq, budget_mb)| {
+            let schema = StarSchema::generate(11, 0.002);
+            let workload = StarWorkload::generate(&schema, 3, nq);
+            let opt = Optimizer::new(&schema.catalog);
+            let full_pool = generate_candidates(&schema.catalog, &workload.queries);
+            // Shrink to ≤14 candidates for tractable exhaustion: keep the
+            // first candidates per table in pool order.
+            let keep = full_pool.len().min(14);
+            let pool = CandidatePool::from_indexes(full_pool.indexes()[..keep].to_vec());
+
+            let mut collector = WorkloadCollector::new();
+            let models: Vec<_> = workload
+                .queries
                 .iter()
-                .map(|(c, a)| CacheCostModel::new(c, a).estimate(sel).unwrap().cost)
-                .sum()
-        };
-        let budget = budget_mb * 1024 * 1024;
-        let g = greedy_select(
-            &pool,
-            &GreedyOptions {
-                budget_bytes: budget,
-                benefit_per_byte: false,
-            },
-            cost,
-        );
-        let (_, best) = exhaustive_select(&pool, budget, cost);
-        let greedy_cost = *g.cost_trajectory.last().unwrap();
-        table.row(vec![
-            nq.to_string(),
-            pool.len().to_string(),
-            budget_mb.to_string(),
-            format!("{greedy_cost:.0}"),
-            format!("{best:.0}"),
-            format!("{:.1}%", (greedy_cost / best - 1.0) * 100.0),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "(the greedy gap stays small; the paper's quality comes from the large candidate set)\n"
-    );
+                .map(|q| {
+                    let (built, access) =
+                        collector.build_query(&opt, q, &pool, &BuilderOptions::default());
+                    (built.cache, access)
+                })
+                .collect();
+            let cost = |sel: &Selection| -> f64 {
+                models
+                    .iter()
+                    .map(|(c, a)| {
+                        CacheCostModel::new(c, a)
+                            .estimate(sel)
+                            .expect("non-empty cache")
+                            .cost
+                    })
+                    .sum()
+            };
+            let budget = budget_mb * 1024 * 1024;
+            let g = greedy_select(
+                &pool,
+                &GreedyOptions {
+                    budget_bytes: budget,
+                    benefit_per_byte: false,
+                },
+                cost,
+            );
+            let (_, optimal_cost) = exhaustive_select(&pool, budget, cost);
+            GreedyQualityRow {
+                queries: nq,
+                candidates: pool.len(),
+                budget_mb,
+                greedy_cost: *g.cost_trajectory.last().expect("starts at no indexes"),
+                optimal_cost,
+            }
+        })
+        .collect()
 }

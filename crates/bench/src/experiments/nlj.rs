@@ -9,67 +9,40 @@
 //! extreme calls (the paper's design) and (b) no NLJ plans at all
 //! (merge/hash only), over random atomic configurations.
 
-use crate::paper_workload;
-use crate::table::TextTable;
-use pinum_advisor::candidates::generate_candidates;
-use pinum_core::builder::BuilderOptions;
-use pinum_core::{CacheCostModel, Selection, WorkloadCollector};
-use pinum_optimizer::{Optimizer, OptimizerOptions};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use super::sample_atomic_configurations;
+use pinum_core::{Estimate, Selection};
 
-pub fn run(scale: f64) {
-    const CONFIGS: usize = 200;
-    println!("A2: nested-loop plan caching ablation — {CONFIGS} random configurations per query\n");
-    let pw = paper_workload(scale);
-    let opt = Optimizer::new(&pw.schema.catalog);
-    let pool = generate_candidates(&pw.schema.catalog, &pw.workload.queries);
-    let mut rng = StdRng::seed_from_u64(0x1417);
+/// Random atomic configurations per query.
+pub const CONFIGS: usize = 200;
 
-    let mut table = TextTable::new(vec![
-        "query",
-        "NLJ plans cached",
-        "err with NLJ",
-        "err without NLJ",
-    ]);
-    let mut collector = WorkloadCollector::new();
-    for q in &pw.workload.queries {
-        let (built, access) = collector.build_query(&opt, q, &pool, &BuilderOptions::default());
-        let model = CacheCostModel::new(&built.cache, &access);
-        let (_, nlj_count) = built.cache.partition_by_nlj();
+/// Seed of the configuration draws (one stream across all queries).
+const SEED: u64 = 0x1417;
 
-        let per_rel: Vec<Vec<usize>> = (0..q.relation_count() as u16)
-            .map(|rel| pool.on_table(q.table_of(rel)).to_vec())
-            .collect();
-        let mut err_with = 0.0;
-        let mut err_without = 0.0;
-        for _ in 0..CONFIGS {
-            let mut ids = Vec::new();
-            for cands in &per_rel {
-                if cands.is_empty() || rng.gen_bool(0.35) {
-                    continue;
-                }
-                ids.push(*cands.choose(&mut rng).unwrap());
-            }
-            let sel = Selection::from_ids(pool.len(), &ids);
-            let (config, _) = pool.configuration(&sel);
-            let direct = opt
-                .optimize(q, &config, &OptimizerOptions::standard())
-                .best_cost
-                .total;
-            let with = model.estimate(&sel).unwrap().cost;
-            let without = model.estimate_without_nlj(&sel).unwrap().cost;
-            err_with += (with - direct).abs() / direct;
-            err_without += (without - direct).abs() / direct;
+/// One query's NLJ plan count and mean relative errors.
+pub struct NljRow {
+    pub name: String,
+    pub nlj_plans: usize,
+    pub error_with_nlj: f64,
+    pub error_without_nlj: f64,
+}
+
+pub fn run() -> Vec<NljRow> {
+    sample_atomic_configurations(CONFIGS, SEED, |q, cache, model, samples| {
+        let mean_error = |estimate: &dyn Fn(&Selection) -> Option<Estimate>| {
+            samples
+                .iter()
+                .map(|(sel, direct)| {
+                    let est = estimate(sel).expect("non-empty cache").cost;
+                    (est - direct).abs() / direct
+                })
+                .sum::<f64>()
+                / CONFIGS as f64
+        };
+        NljRow {
+            name: q.name.clone(),
+            nlj_plans: cache.partition_by_nlj().1,
+            error_with_nlj: mean_error(&|sel| model.estimate(sel)),
+            error_without_nlj: mean_error(&|sel| model.estimate_without_nlj(sel)),
         }
-        table.row(vec![
-            q.name.clone(),
-            nlj_count.to_string(),
-            format!("{:.2}%", err_with / CONFIGS as f64 * 100.0),
-            format!("{:.2}%", err_without / CONFIGS as f64 * 100.0),
-        ]);
-    }
-    println!("{}", table.render());
-    println!("(the paper's star schema favours nested loops; dropping the NLJ plans degrades accuracy)\n");
+    })
 }

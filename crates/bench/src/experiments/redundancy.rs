@@ -4,78 +4,70 @@
 //! the optimizer 648 times to fully build the cache; if we carefully parse
 //! the plans, however, we find only 64 unique plans in the cache; 90% of
 //! the optimizer calls and the cached plans are therefore redundant!"
+//!
+//! Two redundancy measures: the distinct plans among classic INUM's
+//! per-IOC winners (the paper's §IV counting), and the plans the PINUM
+//! skyline retains per §V-D — the set a configuration with expensive
+//! unordered access will actually need.
+//!
+//! **Gap:** INUM's unique winners read 1 on every row, against the paper's
+//! 64 of 648 for TPC-H Q5: every per-IOC call here picks the same plan
+//! structure. The per-IOC indexes are single-column, but that is not the
+//! cause: giving them every referenced column moves only star Q1 (1 → 2).
 
-use crate::fixtures;
 use crate::paper_workload;
-use crate::table::TextTable;
 use pinum_core::builder::{build_cache_inum, build_cache_pinum, BuilderOptions};
 use pinum_optimizer::Optimizer;
+use pinum_query::Query;
 use pinum_workload::{tpch_catalog, tpch_q5};
 
-pub fn run(scale: f64) {
-    println!(
-        "E1: plan redundancy (paper §IV) — seeds {}, {}\n",
-        fixtures::SCHEMA_SEED,
-        fixtures::WORKLOAD_SEED
-    );
+/// One query's counts.
+pub struct RedundancyRow {
+    pub query: String,
+    pub tables: usize,
+    /// Interesting-order combinations, = classic INUM's per-IOC calls.
+    pub iocs: u64,
+    pub inum_unique_winners: usize,
+    pub pinum_useful_plans: usize,
+}
 
-    let mut table = TextTable::new(vec![
-        "query",
-        "tables",
-        "IOCs (=INUM calls)",
-        "INUM unique winners",
-        "redundant calls",
-        "PINUM useful plans",
-    ]);
+/// TPC-H Q5 (the paper's motivating example) and the star workload.
+pub struct Redundancy {
+    pub tpch_q5: RedundancyRow,
+    pub star: Vec<RedundancyRow>,
+}
 
-    // Two redundancy measures: the distinct plans among classic INUM's
-    // per-IOC winners (the paper's §IV counting), and the plans the PINUM
-    // skyline retains per §V-D — the set a configuration with expensive
-    // unordered access will actually need.
-    let add_row =
-        |table: &mut TextTable, opt: &Optimizer<'_>, q: &pinum_query::Query| -> (u64, usize) {
-            let inum = build_cache_inum(
-                opt,
-                q,
-                &BuilderOptions {
-                    include_nlj: false,
-                    nlj_extreme_calls: false,
-                },
-            );
-            let pinum = build_cache_pinum(opt, q, &BuilderOptions::default());
-            let ioc = inum.stats.ioc_count;
-            let unique = inum.stats.unique_plan_structures;
-            table.row(vec![
-                q.name.clone(),
-                q.relation_count().to_string(),
-                ioc.to_string(),
-                unique.to_string(),
-                format!("{:.0}%", 100.0 * (1.0 - unique as f64 / ioc as f64)),
-                pinum.stats.plans_cached.to_string(),
-            ]);
-            (ioc, pinum.stats.plans_cached)
-        };
+pub fn run() -> Redundancy {
+    let row = |opt: &Optimizer<'_>, q: &Query, label: String| {
+        let inum = build_cache_inum(
+            opt,
+            q,
+            &BuilderOptions {
+                include_nlj: false,
+                nlj_extreme_calls: false,
+            },
+        );
+        let pinum = build_cache_pinum(opt, q, &BuilderOptions::default());
+        RedundancyRow {
+            query: label,
+            tables: q.relation_count(),
+            iocs: inum.stats.ioc_count,
+            inum_unique_winners: inum.stats.unique_plan_structures,
+            pinum_useful_plans: pinum.stats.plans_cached,
+        }
+    };
 
-    // --- TPC-H Q5 (the paper's motivating example). ---
     let tpch = tpch_catalog(1.0);
     let q5 = tpch_q5(&tpch);
-    let opt = Optimizer::new(&tpch);
-    add_row(&mut table, &opt, &q5);
+    let tpch_q5 = row(&Optimizer::new(&tpch), &q5, format!("TPC-H {}", q5.name));
 
-    // --- The star workload. ---
-    let pw = paper_workload(scale);
+    let pw = paper_workload();
     let opt = Optimizer::new(&pw.schema.catalog);
-    let mut total_iocs = 0u64;
-    let mut total_plans = 0usize;
-    for q in &pw.workload.queries {
-        let (ioc, unique) = add_row(&mut table, &opt, q);
-        total_iocs += ioc;
-        total_plans += unique;
-    }
-    println!("{}", table.render());
-    println!(
-        "star workload totals: {total_iocs} interesting-order combinations, {total_plans} useful plans"
-    );
-    println!("paper (§VI-A):       266 interesting-order combinations, 43 useful plans");
-    println!("paper (§IV, Q5):     648 IOCs → 64 unique plans (90% redundant)\n");
+    let star = pw
+        .workload
+        .queries
+        .iter()
+        .map(|q| row(&opt, q, q.name.clone()))
+        .collect();
+    Redundancy { tpch_q5, star }
 }

@@ -11,28 +11,40 @@
 //! materialized sizing also counts the internal B-tree pages (§V-A).
 
 use crate::paper_workload;
-use crate::table::TextTable;
 use pinum_catalog::{Configuration, Index};
 use pinum_optimizer::{Optimizer, OptimizerOptions};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-pub fn run(scale: f64) {
-    const TRIALS: usize = 50;
-    let seed = 0xACC0;
-    println!(
-        "E2: what-if index accuracy (paper §VI-B) — {TRIALS} random index sets, seed {seed:#x}\n"
-    );
+/// Index sets measured, as in the paper.
+pub const INDEX_SETS: usize = 50;
 
-    let pw = paper_workload(scale);
+/// Seed of the index-set draws.
+pub const SEED: u64 = 0xACC0;
+
+/// Relative what-if error over the index sets.
+pub struct WhatIfAccuracy {
+    pub index_sets: usize,
+    pub average: f64,
+    pub maximum: f64,
+}
+
+/// Draws until [`INDEX_SETS`] non-empty sets exist: a draw that leaves
+/// every table of its query unindexed is skipped, and the next draw takes
+/// the next query in turn.
+pub fn run() -> WhatIfAccuracy {
+    let pw = paper_workload();
     let catalog = &pw.schema.catalog;
     let opt = Optimizer::new(catalog);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut errors = Vec::new();
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut errors = Vec::with_capacity(INDEX_SETS);
 
-    for trial in 0..TRIALS {
-        let q = pw.workload.queries[trial % pw.workload.queries.len()].clone();
+    let queries = &pw.workload.queries;
+    for q in queries.iter().cycle() {
+        if errors.len() == INDEX_SETS {
+            break;
+        }
         // A random atomic index set over the query's tables.
         let mut whatif = Vec::new();
         let mut materialized = Vec::new();
@@ -52,46 +64,18 @@ pub fn run(scale: f64) {
         if whatif.is_empty() {
             continue;
         }
-        let c_whatif = opt
-            .optimize(
-                &q,
-                &Configuration::new(whatif),
-                &OptimizerOptions::standard(),
-            )
-            .best_cost
-            .total;
-        let c_real = opt
-            .optimize(
-                &q,
-                &Configuration::new(materialized),
-                &OptimizerOptions::standard(),
-            )
-            .best_cost
-            .total;
-        let err = (c_whatif - c_real).abs() / c_real;
-        errors.push(err);
+        let cost = |indexes| {
+            let config = Configuration::new(indexes);
+            opt.optimize(q, &config, &OptimizerOptions::standard())
+                .best_cost
+                .total
+        };
+        let (c_whatif, c_real) = (cost(whatif), cost(materialized));
+        errors.push((c_whatif - c_real).abs() / c_real);
     }
-
-    let avg = errors.iter().sum::<f64>() / errors.len() as f64;
-    let max = errors.iter().cloned().fold(0.0, f64::max);
-    let mut table = TextTable::new(vec!["metric", "this repro", "paper"]);
-    table.row(vec![
-        "average error".to_string(),
-        format!("{:.2}%", avg * 100.0),
-        "0.33%".into(),
-    ]);
-    table.row(vec![
-        "maximum error".to_string(),
-        format!("{:.2}%", max * 100.0),
-        "1.05%".into(),
-    ]);
-    table.row(vec![
-        "index sets".to_string(),
-        errors.len().to_string(),
-        TRIALS.to_string(),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "(what-if sizes ignore internal B-tree pages; the residual error is that page-count gap)\n"
-    );
+    WhatIfAccuracy {
+        index_sets: errors.len(),
+        average: errors.iter().sum::<f64>() / errors.len() as f64,
+        maximum: errors.iter().cloned().fold(0.0, f64::max),
+    }
 }

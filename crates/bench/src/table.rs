@@ -21,38 +21,28 @@ impl TextTable {
         self
     }
 
-    /// Renders with a separator line under the header.
+    /// Renders with a separator line under the header: the first column
+    /// left-aligned, the rest right-aligned.
     pub fn render(&self) -> String {
-        let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for i in 0..cols {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                // Left-align the first column, right-align the rest.
-                if i == 0 {
-                    line.push_str(&format!("{:<w$}", cells[i], w = widths[i]));
-                } else {
-                    line.push_str(&format!("{:>w$}", cells[i], w = widths[i]));
-                }
+        let line = |cells: &[String]| {
+            let mut cells = cells.iter().zip(&widths);
+            let (first, w) = cells.next().expect("at least one column");
+            let mut line = format!("{first:<w$}");
+            for (c, w) in cells {
+                line += &format!("  {c:>w$}");
             }
-            line
+            line + "\n"
         };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-        out.push('\n');
+        let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+        let mut out = line(&self.header) + &rule + "\n";
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
+            out += &line(row);
         }
         out
     }

@@ -1,10 +1,11 @@
-//! Full-scale acceptance tests for the seven extension experiments, one
-//! `#[test]` each. A PINUM cache answers cost questions exactly, so every
-//! value these check is deterministic at scale 1.0: picks, probe counts,
-//! optimizer calls, fsyncs, replayed records, cost bits and identity
-//! flags. Each is asserted exactly; a change that moves one edits its
-//! assert, and the diff shows the shift. Timing is not checked here: it
-//! is perfbench's (`BENCHMARK.json`).
+//! Full-scale acceptance tests, one `#[test]` each: the paper's nine
+//! experiments (module `paper`) and the seven extension experiments.
+//! Every value they check is deterministic at scale 1.0: picks, probe
+//! counts, optimizer calls, plan and arena counts, fsyncs, replayed
+//! records, cost and error bits and identity flags. Each is asserted
+//! exactly; a change that moves one edits its assert, and the diff shows
+//! the shift. Timing is not checked here: it is perfbench's
+//! (`BENCHMARK.json`).
 //!
 //! In a debug build the core's `debug_assert` self-checks make these slow,
 //! so they are ignored there:
@@ -12,7 +13,9 @@
 //! ```sh
 //! cargo test --release -p pinum-bench --test acceptance
 //! cargo test -p pinum-bench --test acceptance -- --ignored batched_collection
-//! PINUM_ASSERT_SAMPLE=4 cargo test -p pinum-bench --test acceptance -- --ignored
+//! PINUM_ASSERT_SAMPLE=4 cargo test -p pinum-bench --test acceptance -- --ignored paper::
+//! PINUM_ASSERT_SAMPLE=4 cargo test -p pinum-bench --test acceptance -- --ignored \
+//!     --skip batched_collection --skip paper::
 //! ```
 
 mod batched_collection;
@@ -20,6 +23,7 @@ mod durable_throughput;
 mod fixture;
 mod multi_tenant;
 mod online_drift;
+mod paper;
 mod scoped_readvise;
 mod search_strategies;
 mod warm_restart;

@@ -37,6 +37,11 @@ pub struct BuildStats {
     pub ioc_count: u64,
     pub plans_cached: usize,
     pub unique_plan_structures: usize,
+    /// `PlannerStats::paths_added` summed over the calls made.
+    pub paths_added: usize,
+    /// `PlannerStats::arena_size` (path-arena nodes) summed over the calls
+    /// made.
+    pub arena_nodes: usize,
 }
 
 /// A built cache plus its statistics.
@@ -130,6 +135,8 @@ pub(crate) fn build_cache_pinum_with_requests(
         ioc_count: orders.combination_count(),
         plans_cached: cache.len(),
         unique_plan_structures: cache.unique_plan_structures(),
+        paths_added: planned.stats.paths_added,
+        arena_nodes: planned.stats.arena_size,
     };
     (BuiltCache { cache, stats }, planned.template_arms)
 }
@@ -146,33 +153,32 @@ pub fn build_cache_inum(
     let start = Instant::now();
     let orders = query.interesting_orders();
     let mut cache = PlanCache::new(&query.name, query.relation_count(), orders.clone());
-    let mut calls = 0usize;
+    let (mut calls, mut paths_added, mut arena_nodes) = (0usize, 0usize, 0usize);
+    let mut call = |config: &Configuration, options: &OptimizerOptions| {
+        let planned = optimizer.optimize(query, config, options);
+        calls += 1;
+        paths_added += planned.stats.paths_added;
+        arena_nodes += planned.stats.arena_size;
+        cache.insert(CachedPlan::from(planned.best_export));
+    };
 
     let no_nlj = OptimizerOptions {
         enable_nestloop: false,
         ..OptimizerOptions::standard()
     };
     for ioc in orders.combinations() {
-        let config = covering_configuration_for_ioc(optimizer.catalog(), query, &orders, ioc);
-        let planned = optimizer.optimize(query, &config, &no_nlj);
-        calls += 1;
-        cache.insert(CachedPlan::from(planned.best_export));
+        call(
+            &covering_configuration_for_ioc(optimizer.catalog(), query, &orders, ioc),
+            &no_nlj,
+        );
     }
 
     if opts.include_nlj && opts.nlj_extreme_calls {
         // Low extreme: all covering indexes present (cheap access).
         let covering = covering_configuration(optimizer.catalog(), query);
-        let planned = optimizer.optimize(query, &covering, &OptimizerOptions::standard());
-        calls += 1;
-        cache.insert(CachedPlan::from(planned.best_export));
+        call(&covering, &OptimizerOptions::standard());
         // High extreme: no indexes at all (expensive access).
-        let planned = optimizer.optimize(
-            query,
-            &Configuration::empty(),
-            &OptimizerOptions::standard(),
-        );
-        calls += 1;
-        cache.insert(CachedPlan::from(planned.best_export));
+        call(&Configuration::empty(), &OptimizerOptions::standard());
     }
 
     let stats = BuildStats {
@@ -181,6 +187,8 @@ pub fn build_cache_inum(
         ioc_count: orders.combination_count(),
         plans_cached: cache.len(),
         unique_plan_structures: cache.unique_plan_structures(),
+        paths_added,
+        arena_nodes,
     };
     BuiltCache { cache, stats }
 }

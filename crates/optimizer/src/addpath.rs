@@ -10,12 +10,22 @@
 //!   Cost(SA) < Cost(SB), then we remove Plan B" — applied as a sweep when
 //!   a join relation is complete ([`PathList::subset_cost_sweep`]). The
 //!   split keeps inserts O(1) (hash-keyed) while the sweep "reduces the
-//!   search space of the join planner, while preserving all useful plans".
+//!   search space of the join planner, while preserving all useful plans"
+//!   — useful *at the build configuration's access costs*.
 //!
 //! Keeping only the cheapest *total* per key in KeepIoc mode is lossless
-//! for final plan totals: every parent operator's total cost in this cost
-//! model is a function of child totals only (startup is pass-through
-//! bookkeeping), so a path that loses on total can never win later.
+//! for final plan totals *at the build configuration's access costs*:
+//! every parent operator's total cost in this cost model is a function of
+//! child totals only (startup is pass-through bookkeeping), so a path that
+//! loses on total can never win later under those costs. Neither rule is
+//! lossless once the access costs change. Both compare totals, and two
+//! plans whose per-relation access coefficients differ (a nested-loop
+//! inner's coefficient is its outer cardinality) can swap order under
+//! another configuration. The E3 acceptance test
+//! (`crates/bench/tests/acceptance/paper/cost_accuracy.rs`) pins the
+//! counter-example: the cache over-estimates star query Q9 by up to
+//! +492 %, because the sweep dropped nested-loop plans that win under
+//! other configurations; with the sweep off, Q9's maximum is 0.08 %.
 //!
 //! # The precheck/insert contract
 //!

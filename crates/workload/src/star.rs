@@ -203,7 +203,7 @@ pub struct StarWorkload {
 
 impl StarWorkload {
     /// Generates `count` queries (the paper uses 10), ordered by join
-    /// width: Q1 joins 2 tables, later queries up to 7 — matching the
+    /// width: Q1 joins 2 tables, later queries up to 6 — matching the
     /// paper's observation that PINUM's advantage grows with join width.
     pub fn generate(schema: &StarSchema, seed: u64, count: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5741_5243);
