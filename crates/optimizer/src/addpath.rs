@@ -38,16 +38,45 @@
 //! [`PathArena`] (`added`, plus `displaced` for what it evicts). A loser
 //! costs those comparisons and nothing else: no arena node, no allocation.
 //!
+//! The precheck reads the list alone. Each member carries inline what
+//! pruning compares — total, startup, interned ordering, leaf IOC — beside
+//! its arena id and its IOC-chain link, so neither a chain walk, a
+//! Standard-mode dominance test, the sweep nor [`PathList::cheapest_total`]
+//! follows an id into the arena (only orderings are resolved there, in
+//! the arena's small table of interned [`KeysId`]s).
+//!
 //! In KeepIoc mode the key lookup is split so the join planner pays one
 //! hash per *(outer, inner) pair* rather than per candidate: every hash,
 //! merge and nested-loop candidate of a pair has the same leaf IOC, so
 //! [`PathList::chain`] resolves that IOC once to the [`IocChain`] of its
 //! slots (one per output ordering, a handful) and
 //! [`PathList::add_path_in`] walks it comparing interned ordering ids.
+//!
+//! # The sweep
+//!
+//! [`PathList::subset_cost_sweep`] makes the decisions of the plain rule —
+//! visit the members by ascending `(total, id)`, drop one if an earlier
+//! *kept* member requires a subset of its orders, delivers an ordering
+//! subsuming its own and starts no later — without the O(n · kept) pair
+//! loop. It sorts strict integer keys (a total ≥ 0 orders as its IEEE
+//! bits), then holds bitset rows over the sorted positions: the kept set;
+//! per distinct ordering of the list, the positions whose ordering
+//! subsumes it (from the table of which of those orderings subsumes
+//! which); and per (required relation, nibble), the positions with that
+//! nibble. A member's possible dominators are the kept row AND its
+//! ordering's row AND, per relation some member requires an order on (at
+//! most 16), the OR of that relation's Φ row and the member's own nibble
+//! row; only the positions left are startup-checked. For n members, A
+//! required relations and K distinct orderings, that is O(n log n) for the
+//! sort, O(n · A + K² · ⌈n/64⌉) to build the rows and at most
+//! n · ⌈n/64⌉ · (2A + 2) word operations to filter — linear in n up to 64
+//! members, where the pair loop is quadratic. Its buffers live in a
+//! [`SweepScratch`] the caller owns and reuses, so once they have grown a
+//! sweep allocates only to hand its list's growth slack back.
 
-use crate::path::{Path, PathArena, PathId};
-use pinum_query::Ioc;
-use std::collections::HashMap;
+use crate::intmap::IntMap;
+use crate::path::{KeysId, Path, PathArena, PathId};
+use pinum_query::{Ioc, MAX_RELATIONS};
 
 /// Pruning discipline for a [`PathList`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,18 +95,67 @@ pub struct AddPathStats {
     pub displaced: usize,
 }
 
-/// Ends an [`IocChain`].
+/// Ends an [`IocChain`]; marks an ordering absent from a sweep's table.
 const NO_SLOT: u32 = u32::MAX;
+
+/// One path of a [`PathList`]: its arena id, what pruning compares, and
+/// its link in the KeepIoc index.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    total: f64,
+    startup: f64,
+    ioc: Ioc,
+    id: PathId,
+    keys: KeysId,
+    /// KeepIoc index, second level: the next slot with the same leaf IOC
+    /// and another ordering ([`NO_SLOT`] ends the chain).
+    next: u32,
+}
+
+impl Member {
+    fn new(id: PathId, path: &Path) -> Self {
+        // `-0.0` is held as `0.0` (equal in every comparison), so the bits
+        // of a total ≥ 0 order as the total does.
+        let total = if path.cost.total == 0.0 {
+            0.0
+        } else {
+            path.cost.total
+        };
+        Self {
+            total,
+            startup: path.cost.startup,
+            ioc: path.leaf_ioc,
+            id,
+            keys: path.pathkeys,
+            next: NO_SLOT,
+        }
+    }
+
+    /// Sort key of the sweep and of [`PathList::cheapest_total`], for a
+    /// total checked ≥ 0: by total, ties to the older path.
+    fn rank(&self) -> (u64, u32) {
+        (self.total.to_bits(), self.id.0)
+    }
+
+    /// Panics, naming the path, unless its total is ≥ 0 (and so not NaN).
+    fn check_total(&self, arena: &PathArena) {
+        assert!(
+            self.total >= 0.0,
+            "{} over {} has total cost {}: path totals must be ≥ 0",
+            arena.describe(self.id),
+            arena.get(self.id).rels,
+            self.total
+        );
+    }
+}
 
 /// A set of surviving paths for one relation set.
 #[derive(Debug, Default, Clone)]
 pub struct PathList {
-    ids: Vec<PathId>,
-    /// KeepIoc index, first level: leaf IOC → a slot of `ids` holding it.
-    first: HashMap<u64, u32>,
-    /// KeepIoc index, second level, parallel to `ids`: the next slot with
-    /// the same leaf IOC and another ordering ([`NO_SLOT`] ends the chain).
-    next: Vec<u32>,
+    members: Vec<Member>,
+    /// KeepIoc index, first level: leaf IOC → a slot of `members` holding
+    /// it.
+    first: IntMap<u64, u32>,
 }
 
 /// The slots of one leaf IOC in a KeepIoc list, resolved by
@@ -95,21 +173,28 @@ impl IocChain {
     }
 }
 
+/// The buffers of [`PathList::subset_cost_sweep`], owned by its caller and
+/// reused from sweep to sweep.
+#[derive(Debug, Default)]
+pub struct SweepScratch {
+    /// Bitset rows over the sorted positions, `⌈n/64⌉` words each: kept,
+    /// then per ordering its exact and its subsuming row, then per
+    /// (required relation, nibble) its row.
+    rows: Vec<u64>,
+    /// The list's distinct orderings, in first-seen order.
+    orderings: Vec<KeysId>,
+    /// Interned ordering → its index in `orderings` ([`NO_SLOT`] if not in
+    /// the list); reset after every sweep.
+    ordering_slot: Vec<u32>,
+}
+
 /// Numeric slack: costs within this relative tolerance count as equal, so
 /// tie-breaking is deterministic (first-added wins).
 const FUZZ: f64 = 1.0 + 1e-10;
 
-/// Full PostgreSQL-style dominance (Standard mode).
-fn dominates_standard(arena: &PathArena, a: &Path, b: &Path) -> bool {
-    a.cost.total <= b.cost.total * FUZZ
-        && a.cost.startup <= b.cost.startup * FUZZ
-        && arena.keys_subsume(a.pathkeys, b.pathkeys)
-}
-
-/// Total order on paths by total cost, ties to the older path.
-fn by_total(arena: &PathArena, a: PathId, b: PathId) -> std::cmp::Ordering {
-    let (ta, tb) = (arena.get(a).cost.total, arena.get(b).cost.total);
-    ta.partial_cmp(&tb).unwrap().then(a.0.cmp(&b.0))
+/// Full PostgreSQL-style dominance (Standard mode) of `a` over `b`.
+fn dominates_standard(arena: &PathArena, a: &Member, b: &Member) -> bool {
+    a.total <= b.total * FUZZ && a.startup <= b.startup * FUZZ && arena.keys_subsume(a.keys, b.keys)
 }
 
 impl PathList {
@@ -117,16 +202,17 @@ impl PathList {
         Self::default()
     }
 
-    pub fn ids(&self) -> &[PathId] {
-        &self.ids
+    /// The members' arena ids, in list order.
+    pub fn ids(&self) -> impl ExactSizeIterator<Item = PathId> + '_ {
+        self.members.iter().map(|m| m.id)
     }
 
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.members.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.members.is_empty()
     }
 
     /// Resolves `ioc` to its chain of slots: the one hash lookup shared by
@@ -187,55 +273,57 @@ impl PathList {
         mode: PruneMode,
         stats: &mut AddPathStats,
     ) -> Option<PathId> {
+        // Its id is fixed only if it survives the precheck.
+        let mut new = Member::new(node.unwrap_or(PathId(NO_SLOT)), candidate);
         match mode {
             PruneMode::Standard => {
-                for &id in &self.ids {
-                    if dominates_standard(arena, arena.get(id), candidate) {
-                        stats.rejected += 1;
-                        return None;
-                    }
+                if (self.members.iter()).any(|m| dominates_standard(arena, m, &new)) {
+                    stats.rejected += 1;
+                    return None;
                 }
-                let before = self.ids.len();
-                self.ids
-                    .retain(|&id| !dominates_standard(arena, candidate, arena.get(id)));
-                stats.displaced += before - self.ids.len();
-                let id = node.unwrap_or_else(|| arena.add(*candidate));
-                self.ids.push(id);
+                let before = self.members.len();
+                self.members.retain(|m| !dominates_standard(arena, &new, m));
+                stats.displaced += before - self.members.len();
+                new.id = node.unwrap_or_else(|| arena.add(*candidate));
+                self.members.push(new);
                 stats.added += 1;
-                Some(id)
+                Some(new.id)
             }
             // O(1) retention per (ioc, pathkeys): keep the cheapest total.
             PruneMode::KeepIoc => {
                 debug_assert_eq!(chain.ioc, candidate.leaf_ioc);
-                let holder = |slot: u32| arena.get(self.ids[slot as usize]);
+                let members = &mut self.members;
                 let (mut slot, mut tail) = (chain.head, NO_SLOT);
-                while slot != NO_SLOT && holder(slot).pathkeys != candidate.pathkeys {
-                    (tail, slot) = (slot, self.next[slot as usize]);
+                while slot != NO_SLOT && members[slot as usize].keys != new.keys {
+                    (tail, slot) = (slot, members[slot as usize].next);
                 }
                 if slot != NO_SLOT {
-                    let cheaper = candidate.cost.total * FUZZ < holder(slot).cost.total;
+                    let cheaper = new.total * FUZZ < members[slot as usize].total;
                     if !cheaper {
                         stats.rejected += 1;
                         return None;
                     }
                 }
-                let id = node.unwrap_or_else(|| arena.add(*candidate));
+                new.id = node.unwrap_or_else(|| arena.add(*candidate));
                 if slot != NO_SLOT {
-                    self.ids[slot as usize] = id;
+                    let held = &mut members[slot as usize];
+                    *held = Member {
+                        next: held.next,
+                        ..new
+                    };
                     stats.displaced += 1;
                 } else {
-                    let new = self.ids.len() as u32;
-                    self.ids.push(id);
-                    self.next.push(NO_SLOT);
+                    let slot = members.len() as u32;
+                    members.push(new);
                     if tail == NO_SLOT {
-                        self.first.insert(chain.ioc.raw(), new);
-                        chain.head = new;
+                        self.first.insert(chain.ioc.raw(), slot);
+                        chain.head = slot;
                     } else {
-                        self.next[tail as usize] = new;
+                        members[tail as usize].next = slot;
                     }
                 }
                 stats.added += 1;
-                Some(id)
+                Some(new.id)
             }
         }
     }
@@ -243,46 +331,135 @@ impl PathList {
     /// The §V-D subset-cost pruning pass: drops every path for which a
     /// cheaper path with a subset of its interesting-order requirements
     /// (and an output ordering subsuming its own) exists. Called once per
-    /// completed join relation in KeepIoc mode.
-    pub fn subset_cost_sweep(&mut self, arena: &PathArena, stats: &mut AddPathStats) {
-        if self.ids.len() <= 1 {
+    /// completed join relation in KeepIoc mode; see the module doc for how
+    /// it decides and what it costs. Panics, naming the path, on a total
+    /// that is negative or NaN.
+    pub fn subset_cost_sweep(
+        &mut self,
+        arena: &PathArena,
+        scratch: &mut SweepScratch,
+        stats: &mut AddPathStats,
+    ) {
+        let n = self.members.len();
+        if n <= 1 {
             return;
         }
-        let mut order = std::mem::take(&mut self.ids);
-        order.sort_by(|a, b| by_total(arena, *a, *b));
-        let mut kept: Vec<PathId> = Vec::with_capacity(order.len());
-        'candidates: for id in order {
-            let p = arena.get(id);
-            for &k in &kept {
-                let a = arena.get(k);
-                // Kept paths are no costlier (total) than p by
-                // construction; like PostgreSQL's add_path, a better
-                // startup cost or stronger ordering still saves p.
-                if a.leaf_ioc.is_subset_of(p.leaf_ioc)
-                    && arena.keys_subsume(a.pathkeys, p.pathkeys)
-                    && a.cost.startup <= p.cost.startup * FUZZ
-                {
-                    stats.rejected += 1;
-                    continue 'candidates;
+        // The relations some member requires an order on (non-zero
+        // nibbles of the union), and the distinct orderings.
+        let mut required = 0u64;
+        scratch.orderings.clear();
+        for m in &self.members {
+            m.check_total(arena);
+            required |= m.ioc.raw();
+            let k = m.keys.index();
+            if k >= scratch.ordering_slot.len() {
+                scratch.ordering_slot.resize(k + 1, NO_SLOT);
+            }
+            if scratch.ordering_slot[k] == NO_SLOT {
+                scratch.ordering_slot[k] = scratch.orderings.len() as u32;
+                scratch.orderings.push(m.keys);
+            }
+        }
+        let mut rels = [0u16; MAX_RELATIONS];
+        let mut n_rels = 0;
+        for rel in 0..MAX_RELATIONS as u16 {
+            if Ioc::from_raw(required).nibble(rel) != 0 {
+                rels[n_rels] = rel;
+                n_rels += 1;
+            }
+        }
+        let rels = &rels[..n_rels];
+        self.members.sort_unstable_by_key(Member::rank);
+        let sorted = &self.members;
+
+        // Row layout, `w` words per row: kept | per ordering: exact,
+        // subsuming | per (required relation, nibble 0..16).
+        let (w, n_orderings) = (n.div_ceil(64), scratch.orderings.len());
+        let (exact, subsuming) = (|k: usize| (1 + 2 * k) * w, |k: usize| (2 + 2 * k) * w);
+        let by_nibble = |r: usize, nibble: u8| (1 + 2 * n_orderings + 16 * r + nibble as usize) * w;
+        let rows = &mut scratch.rows;
+        rows.clear();
+        rows.resize((1 + 2 * n_orderings + 16 * n_rels) * w, 0);
+        for (i, m) in sorted.iter().enumerate() {
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            rows[exact(scratch.ordering_slot[m.keys.index()] as usize) + word] |= bit;
+            for (r, &rel) in rels.iter().enumerate() {
+                rows[by_nibble(r, m.ioc.nibble(rel)) + word] |= bit;
+            }
+        }
+        for (k, &keys) in scratch.orderings.iter().enumerate() {
+            for (j, &by) in scratch.orderings.iter().enumerate() {
+                if arena.keys_subsume(by, keys) {
+                    for word in 0..w {
+                        rows[subsuming(k) + word] |= rows[exact(j) + word];
+                    }
                 }
             }
-            kept.push(id);
         }
-        self.ids = kept;
+
+        // Ascending (total, id): a member is kept unless an earlier kept
+        // one requires a subset of its orders, delivers an ordering
+        // subsuming its own and starts no later — like PostgreSQL's
+        // add_path, a better startup cost or stronger ordering saves it.
+        // On each relation a dominator requires Φ or p's own order: the
+        // OR of two rows (the same row twice where p requires Φ).
+        let mut allowed = [(0, 0); MAX_RELATIONS];
+        for (i, p) in sorted.iter().enumerate() {
+            let ordering = subsuming(scratch.ordering_slot[p.keys.index()] as usize);
+            for (r, &rel) in rels.iter().enumerate() {
+                allowed[r] = (by_nibble(r, 0), by_nibble(r, p.ioc.nibble(rel)));
+            }
+            let allowed = &allowed[..n_rels];
+            let dominated = (0..=i / 64).any(|word| {
+                let mut bits = rows[word] & rows[ordering + word];
+                for &(phi, own) in allowed {
+                    bits &= rows[phi + word] | rows[own + word];
+                }
+                while bits != 0 {
+                    let a = word * 64 + bits.trailing_zeros() as usize;
+                    if sorted[a].startup <= p.startup * FUZZ {
+                        return true;
+                    }
+                    bits &= bits - 1;
+                }
+                false
+            });
+            if dominated {
+                stats.rejected += 1;
+            } else {
+                rows[i / 64] |= 1 << (i % 64);
+            }
+        }
+        for &keys in &scratch.orderings {
+            scratch.ordering_slot[keys.index()] = NO_SLOT;
+        }
+        // The survivors in sweep order; a swept list is final in the DP,
+        // so it hands back its growth slack.
+        let mut kept = 0;
+        for i in 0..n {
+            if rows[i / 64] & (1 << (i % 64)) != 0 {
+                self.members[kept] = self.members[i];
+                kept += 1;
+            }
+        }
+        self.members.truncate(kept);
+        self.members.shrink_to_fit();
         // Rebuild the index so later inserts (e.g. the grouping planner's
         // finished list) stay consistent: each slot chains to the previous
         // one of its IOC.
         self.first.clear();
-        self.next.clear();
-        for (slot, &id) in self.ids.iter().enumerate() {
-            let previous = self.first.insert(arena.get(id).leaf_ioc.raw(), slot as u32);
-            self.next.push(previous.unwrap_or(NO_SLOT));
+        for (slot, m) in self.members.iter_mut().enumerate() {
+            m.next = (self.first.insert(m.ioc.raw(), slot as u32)).unwrap_or(NO_SLOT);
         }
     }
 
-    /// The cheapest-total path.
+    /// The cheapest-total path, ties to the older one. Panics, naming the
+    /// path, on a total that is negative or NaN.
     pub fn cheapest_total(&self, arena: &PathArena) -> Option<PathId> {
-        (self.ids.iter().copied()).min_by(|a, b| by_total(arena, *a, *b))
+        (self.members.iter())
+            .inspect(|m| m.check_total(arena))
+            .min_by_key(|m| m.rank())
+            .map(|m| m.id)
     }
 }
 
@@ -443,7 +620,7 @@ mod tests {
             .is_some());
         assert_eq!(list.len(), 2);
         // … but the sweep removes it.
-        list.subset_cost_sweep(&arena, &mut st);
+        list.subset_cost_sweep(&arena, &mut SweepScratch::default(), &mut st);
         assert_eq!(list.len(), 1);
         // A cheaper superset-requirement plan survives the sweep, along
         // with the subset plan.
@@ -453,7 +630,7 @@ mod tests {
             PruneMode::KeepIoc,
             &mut st,
         );
-        list.subset_cost_sweep(&arena, &mut st);
+        list.subset_cost_sweep(&arena, &mut SweepScratch::default(), &mut st);
         assert_eq!(list.len(), 2);
     }
 
@@ -479,7 +656,7 @@ mod tests {
             PruneMode::KeepIoc,
             &mut st,
         );
-        list.subset_cost_sweep(&arena, &mut st);
+        list.subset_cost_sweep(&arena, &mut SweepScratch::default(), &mut st);
         assert_eq!(list.len(), 2);
         // But a costlier *less-ordered* plan is swept: [1,2] at 12 beats
         // [1] at 20.
@@ -496,12 +673,8 @@ mod tests {
             &mut st,
         );
         // The 15-cost [1] plan is now dominated by the 12-cost [1,2] plan.
-        list.subset_cost_sweep(&arena, &mut st);
-        let totals: Vec<f64> = list
-            .ids()
-            .iter()
-            .map(|&i| arena.get(i).cost.total)
-            .collect();
+        list.subset_cost_sweep(&arena, &mut SweepScratch::default(), &mut st);
+        let totals: Vec<f64> = list.ids().map(|i| arena.get(i).cost.total).collect();
         assert!(totals.contains(&10.0));
         assert!(totals.contains(&12.0));
         assert!(!totals.contains(&15.0));
@@ -531,7 +704,7 @@ mod tests {
         let cheapest = list.cheapest_total(&arena).unwrap();
         assert_eq!(arena.get(cheapest).cost.total, 10.0);
         // The dearer path survives beside it: it provides an order.
-        assert!(list.ids().contains(&ordered));
+        assert!(list.ids().any(|i| i == ordered));
     }
 
     #[test]
@@ -576,13 +749,11 @@ mod tests {
             );
             assert_eq!(added.is_some(), survives, "{total} {keys:?}");
         }
-        let totals: Vec<f64> = (list.ids().iter())
-            .map(|&i| arena.get(i).cost.total)
-            .collect();
+        let totals: Vec<f64> = list.ids().map(|i| arena.get(i).cost.total).collect();
         assert_eq!(totals, vec![10.0, 11.0, 14.0]);
         assert_eq!((st.added, st.rejected, st.displaced), (4, 1, 1));
         // A sweep rebuilds the index: the same keys are still found.
-        list.subset_cost_sweep(&arena, &mut st);
+        list.subset_cost_sweep(&arena, &mut SweepScratch::default(), &mut st);
         let again = mk(11.0, 0.0, k1, a);
         assert!(list
             .add_path(&mut arena, again, PruneMode::KeepIoc, &mut st)
@@ -598,6 +769,258 @@ mod tests {
         let dear = arena.add(mk(9.0, 0.0, KeysId::NONE, Ioc::NONE));
         assert!(list.add_existing(&mut arena, cheap, PruneMode::KeepIoc, &mut st));
         assert!(!list.add_existing(&mut arena, dear, PruneMode::KeepIoc, &mut st));
-        assert_eq!((list.ids(), arena.len()), (&[cheap][..], 2));
+        assert_eq!(
+            (list.ids().collect::<Vec<_>>(), arena.len()),
+            (vec![cheap], 2)
+        );
+    }
+
+    /// A splitmix64 stream: the test's own randomness, seeded per trial.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The plain rule the sweep must reproduce: sort by (total, id) through
+    /// the arena, then test every path against every path kept so far.
+    /// Returns the kept ids in order and the number rejected.
+    fn naive_sweep(arena: &PathArena, ids: &[PathId]) -> (Vec<PathId>, usize) {
+        let mut order = ids.to_vec();
+        order.sort_by(|&a, &b| {
+            let (ta, tb) = (arena.get(a).cost.total, arena.get(b).cost.total);
+            ta.partial_cmp(&tb).unwrap().then(a.0.cmp(&b.0))
+        });
+        let (mut kept, mut rejected) = (Vec::<PathId>::new(), 0);
+        'candidates: for id in order {
+            let p = arena.get(id);
+            for &k in &kept {
+                let a = arena.get(k);
+                if a.leaf_ioc.is_subset_of(p.leaf_ioc)
+                    && arena.keys_subsume(a.pathkeys, p.pathkeys)
+                    && a.cost.startup <= p.cost.startup * FUZZ
+                {
+                    rejected += 1;
+                    continue 'candidates;
+                }
+            }
+            kept.push(id);
+        }
+        (kept, rejected)
+    }
+
+    /// The index a list over `ids` must hold: each slot chains to the
+    /// previous slot of its IOC, and the IOC's entry names its last slot.
+    fn expected_chains(arena: &PathArena, ids: &[PathId]) -> (Vec<u32>, Vec<(u64, u32)>) {
+        let mut first = std::collections::BTreeMap::new();
+        let next = (ids.iter().enumerate())
+            .map(|(slot, &id)| {
+                let ioc = arena.get(id).leaf_ioc.raw();
+                first.insert(ioc, slot as u32).unwrap_or(NO_SLOT)
+            })
+            .collect();
+        (next, first.into_iter().collect())
+    }
+
+    /// The list's own index, in the shape of [`expected_chains`]; also
+    /// checks each member's inline keys against its arena node.
+    fn chains(arena: &PathArena, list: &PathList) -> (Vec<u32>, Vec<(u64, u32)>) {
+        for m in &list.members {
+            let p = arena.get(m.id);
+            // `==`, not bits: a `-0.0` total is held as `0.0`.
+            assert_eq!(
+                (m.total, m.startup.to_bits(), m.keys, m.ioc),
+                (
+                    p.cost.total,
+                    p.cost.startup.to_bits(),
+                    p.pathkeys,
+                    p.leaf_ioc
+                )
+            );
+        }
+        let mut first: Vec<(u64, u32)> = list.first.iter().map(|(&k, &v)| (k, v)).collect();
+        first.sort_unstable();
+        (list.members.iter().map(|m| m.next).collect(), first)
+    }
+
+    /// One random KeepIoc list: `n` candidates over `rels` relations whose
+    /// nibbles run to `max_nibble`, orderings drawn from `orderings`, totals
+    /// from `totals`, startups at or below them.
+    fn random_list(
+        rng: &mut Rng,
+        arena: &mut PathArena,
+        orderings: &[KeysId],
+        n: usize,
+        rels: u16,
+        max_nibble: u64,
+        totals: &[f64],
+    ) -> PathList {
+        let mut list = PathList::new();
+        let mut st = AddPathStats::default();
+        for _ in 0..n {
+            let mut ioc = Ioc::NONE;
+            for rel in 0..rels {
+                // Mostly Φ, so subsets are common.
+                let nibble = rng.below(2 * max_nibble + 1);
+                if nibble > 0 && nibble <= max_nibble {
+                    ioc = ioc.with_order(rel, nibble as u8 - 1);
+                }
+            }
+            let total = totals[rng.below(totals.len() as u64) as usize];
+            let startup = match rng.below(4) {
+                0 => total,
+                1 => 0.0,
+                _ => totals[rng.below(totals.len() as u64) as usize].min(total),
+            };
+            let keys = orderings[rng.below(orderings.len() as u64) as usize];
+            let mut path = mk(total, 0.0, keys, ioc);
+            path.cost = Cost { startup, total };
+            list.add_path(arena, path, PruneMode::KeepIoc, &mut st);
+        }
+        list
+    }
+
+    #[test]
+    fn sweep_matches_the_naive_rule() {
+        let tie = 1.0 + 5e-11; // within FUZZ
+        let mut widest = [0; 3]; // kept paths, orderings, relations
+        for trial in 0..240u64 {
+            let mut rng = Rng(trial);
+            let mut arena = PathArena::new();
+            // Orderings: prefix chains over a few classes, and for some
+            // trials more distinct ones than a 64-bit word holds.
+            let n_orderings = [1, 3, 8, 80][trial as usize % 4];
+            let mut orderings = vec![KeysId::NONE];
+            while orderings.len() < n_orderings {
+                let len = 1 + rng.below(3) as usize;
+                let keys: Vec<EcId> = (0..len).map(|_| EcId(rng.below(6) as u16)).collect();
+                for end in 1..=len {
+                    let id = arena.intern(&keys[..end]);
+                    if !orderings.contains(&id) {
+                        orderings.push(id);
+                    }
+                }
+            }
+            let (rels, max_nibble) = match trial % 3 {
+                0 => (3, 2),
+                1 => (6, 4),
+                _ => (16, 15),
+            };
+            let totals: Vec<f64> = match trial % 5 {
+                // Few distinct values: many exact ties, broken by id.
+                0 => (0..6).map(f64::from).collect(),
+                // Ties within FUZZ, and a signed zero.
+                1 => vec![-0.0, 0.0, 1.0, tie, 2.0, 2.0 * tie, 2.0 / tie],
+                _ => (0..200)
+                    .map(|_| rng.below(1_000_000) as f64 / 7.0)
+                    .collect(),
+            };
+            let n = [4, 40, 150, 400][(trial / 4) as usize % 4];
+            let mut list = random_list(
+                &mut rng, &mut arena, &orderings, n, rels, max_nibble, &totals,
+            );
+            let before: Vec<PathId> = list.ids().collect();
+            let (kept, rejected) = naive_sweep(&arena, &before);
+            let mut st = AddPathStats::default();
+            let mut scratch = SweepScratch::default();
+            list.subset_cost_sweep(&arena, &mut scratch, &mut st);
+            let after: Vec<PathId> = list.ids().collect();
+            assert_eq!(after, kept, "trial {trial}");
+            assert_eq!(st.rejected, rejected, "trial {trial}");
+            assert_eq!(chains(&arena, &list), expected_chains(&arena, &kept));
+            let cheapest = (before.iter().copied()).min_by(|&a, &b| {
+                let (ta, tb) = (arena.get(a).cost.total, arena.get(b).cost.total);
+                ta.partial_cmp(&tb).unwrap().then(a.0.cmp(&b.0))
+            });
+            assert_eq!(list.cheapest_total(&arena), cheapest, "trial {trial}");
+            // The scratch is reused: a second sweep keeps everything.
+            list.subset_cost_sweep(&arena, &mut scratch, &mut st);
+            assert_eq!(list.ids().collect::<Vec<_>>(), kept);
+            assert_eq!(st.rejected, rejected);
+            for (most, seen) in widest
+                .iter_mut()
+                .zip([kept.len(), orderings.len(), rels.into()])
+            {
+                *most = seen.max(*most);
+            }
+        }
+        // The trials reached multi-word rows, every nibble on 16 relations
+        // and more orderings than one word holds.
+        assert!(
+            widest[0] > 64 && widest[1] > 64 && widest[2] == 16,
+            "{widest:?}"
+        );
+    }
+
+    #[test]
+    fn sweep_keeps_a_costlier_path_saved_by_startup_or_ordering() {
+        let mut arena = PathArena::new();
+        let (k1, k12) = (arena.intern(&[EcId(1)]), arena.intern(&[EcId(1), EcId(2)]));
+        let a = Ioc::NONE.with_order(0, 0);
+        let mut list = PathList::new();
+        let mut st = AddPathStats::default();
+        let path = |total, startup, keys, ioc| Path {
+            cost: Cost { startup, total },
+            ..mk(total, 0.0, keys, ioc)
+        };
+        for p in [
+            path(10.0, 5.0, k1, Ioc::NONE),
+            path(12.0, 1.0, k1, a),           // saved by its startup
+            path(13.0, 9.0, k12, a),          // saved by its ordering
+            path(14.0, 9.0, KeysId::NONE, a), // dominated by the first
+            path(-0.0, 0.0, KeysId::NONE, a.with_order(1, 0)),
+            path(0.0, 0.0, KeysId::NONE, a.with_order(1, 0).with_order(2, 1)),
+        ] {
+            list.add_path(&mut arena, p, PruneMode::KeepIoc, &mut st);
+        }
+        let before: Vec<PathId> = list.ids().collect();
+        list.subset_cost_sweep(&arena, &mut SweepScratch::default(), &mut st);
+        let kept: Vec<PathId> = list.ids().collect();
+        assert_eq!(kept, naive_sweep(&arena, &before).0);
+        // -0.0 sorts as 0.0: the older zero-cost path comes first and
+        // removes the younger, which requires a superset of its orders.
+        assert_eq!(kept, [before[4], before[0], before[1], before[2]]);
+        assert_eq!(st.rejected, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "has total cost NaN: path totals must be ≥ 0")]
+    fn a_nan_total_fails_the_sweep_naming_the_path() {
+        let mut arena = PathArena::new();
+        let mut list = PathList::new();
+        let mut st = AddPathStats::default();
+        let a = Ioc::NONE.with_order(0, 0);
+        list.add_path(
+            &mut arena,
+            mk(1.0, 0.0, KeysId::NONE, a),
+            PruneMode::KeepIoc,
+            &mut st,
+        );
+        let mut nan = mk(1.0, 0.0, KeysId::NONE, Ioc::NONE);
+        nan.cost.total = f64::NAN;
+        list.add_path(&mut arena, nan, PruneMode::KeepIoc, &mut st);
+        list.subset_cost_sweep(&arena, &mut SweepScratch::default(), &mut st);
+    }
+
+    #[test]
+    #[should_panic(expected = "seq(0) over {0} has total cost -1")]
+    fn a_negative_total_fails_cheapest_total_naming_the_path() {
+        let mut arena = PathArena::new();
+        let mut list = PathList::new();
+        let mut st = AddPathStats::default();
+        let mut negative = mk(1.0, 0.0, KeysId::NONE, Ioc::NONE);
+        negative.cost.total = -1.0;
+        list.add_path(&mut arena, negative, PruneMode::Standard, &mut st);
+        list.cheapest_total(&arena);
     }
 }

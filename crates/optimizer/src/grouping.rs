@@ -33,7 +33,7 @@ pub fn finish_paths(
     let required_keys = arena.intern(&info.required_order);
 
     let mut finished = PathList::new();
-    for &id in top.ids() {
+    for id in top.ids() {
         let pathkeys = arena.keys(arena.get(id).pathkeys);
         let grouped = if sorted_group_ecs.is_empty() {
             [Some(id), None]
@@ -211,7 +211,7 @@ mod tests {
         let cfg = Configuration::empty();
         let (arena, out) = finish_single_table(&cat, &q, &cfg);
         assert!(!out.is_empty());
-        for &id in out.ids() {
+        for id in out.ids() {
             assert!(matches!(arena.get(id).kind, PathKind::Agg { .. }));
             // Group output cardinality applies.
             assert!(arena.get(id).rows <= 51.0);

@@ -16,8 +16,10 @@
 //! becomes an arena node (see `addpath`'s precheck/insert contract).
 //! Whatever does not depend on the candidate is computed further out:
 //!
-//! * **per relation set** (`plan_joinrel`): the list under construction and
-//!   its §V-D sweep;
+//! * **per relation set** (`plan_joinrel`): the list under construction —
+//!   its members carry their pruning keys inline, so no precheck reads the
+//!   arena — and its §V-D sweep, an integer sort plus a bitset dominance
+//!   filter in buffers ([`SweepScratch`]) the whole search reuses;
 //! * **per (outer set, inner set)** (`make_joins`): output rows, the join
 //!   edges and their merge keys, the inner width — and, when the inner is
 //!   one base relation, its parameterized index scans, priced once at the
@@ -35,14 +37,14 @@
 //! candidate above them survives.
 
 use crate::access::param_index_scan;
-use crate::addpath::{AddPathStats, IocChain, PathList, PruneMode};
+use crate::addpath::{AddPathStats, IocChain, PathList, PruneMode, SweepScratch};
+use crate::intmap::IntMap;
 use crate::path::{nestloop_scale, IndexRef, KeysId, Path, PathArena, PathId, PathKind};
 use crate::preprocess::{EcId, PlannerInfo};
 use crate::relset::RelSet;
 use pinum_cost::join::{cost_hashjoin, cost_mergejoin, cost_nestloop, JoinInput};
 use pinum_cost::sort::{cost_material, cost_rescan_material, cost_sort};
 use pinum_cost::{Cost, CostParams};
-use std::collections::HashMap;
 
 /// Options consumed by the join search.
 #[derive(Debug, Clone, Copy)]
@@ -88,12 +90,14 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
         }
     }
 
-    /// Runs the DP; `base_lists[r]` holds relation `r`'s access paths.
-    /// Returns the path list of the full relation set.
+    /// Runs the DP; `base_lists[r]` holds relation `r`'s access paths, and
+    /// every §V-D sweep runs in `sweep`. Returns the path list of the full
+    /// relation set.
     pub fn run(
         mut self,
         arena: &mut PathArena,
         base_lists: Vec<PathList>,
+        sweep: &mut SweepScratch,
     ) -> (PathList, AddPathStats, usize) {
         // At most `MAX_RELATIONS` = 16 (`InterestingOrders` enforces it).
         let n = self.info.relation_count();
@@ -106,7 +110,7 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
             // Enumerate masks with the right population count.
             for mask in 1..=full.0 {
                 if RelSet(mask).len() == size {
-                    self.plan_joinrel(arena, RelSet(mask));
+                    self.plan_joinrel(arena, RelSet(mask), sweep);
                 }
             }
         }
@@ -118,7 +122,7 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
         self.lists[set.0 as usize].as_ref()
     }
 
-    fn plan_joinrel(&mut self, arena: &mut PathArena, set: RelSet) {
+    fn plan_joinrel(&mut self, arena: &mut PathArena, set: RelSet, sweep: &mut SweepScratch) {
         let mut list = PathList::new();
         let mut planned = false;
         for left in set.proper_submasks_with_first() {
@@ -139,7 +143,7 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
             // space of the join planner, while preserving all useful
             // plans."
             if self.options.prune_mode == PruneMode::KeepIoc && self.options.subset_pruning {
-                list.subset_cost_sweep(arena, &mut self.stats);
+                list.subset_cost_sweep(arena, sweep, &mut self.stats);
             }
             self.joinrels_planned += 1;
             self.lists[set.0 as usize] = Some(list);
@@ -164,8 +168,8 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
         let qual_ops = ecs.len() as u32;
         let inner_width = info.joinrel_width(inner_set);
         let lists = &self.lists;
-        let ids = |set: RelSet| lists[set.0 as usize].as_ref().expect("planned").ids();
-        let (outers, inners) = (ids(outer_set), ids(inner_set));
+        let list_of = |set: RelSet| lists[set.0 as usize].as_ref().expect("planned");
+        let (outers, inners) = (list_of(outer_set), list_of(inner_set));
         let set = outer_set.union(inner_set);
         let rows = info.joinrel_rows(set);
         let mut offers = Offers {
@@ -189,7 +193,7 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
         // `inner_sorted`, `ecs.len()` apiece) and its nested-loop forms.
         let mut inner_sides: Vec<InnerSide> = Vec::with_capacity(inners.len());
         let mut inner_sorted: Vec<Node> = Vec::with_capacity(inners.len() * ecs.len());
-        for &id in inners {
+        for id in inners.ids() {
             let wrappers = &mut self.wrappers;
             inner_sorted.extend(
                 (ecs.iter()).map(|&on| wrappers.ensure_sorted(offers.arena, info, params, id, on)),
@@ -208,7 +212,8 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
         // scans (PostgreSQL 8.3 creates these at join time when the inner
         // is a single base relation), probed once per outer row — and the
         // outer rows are the outer *set's*.
-        let outer_rows = offers.arena.get(outers[0]).rows;
+        let first_outer = outers.ids().next().expect("a planned list is non-empty");
+        let outer_rows = offers.arena.get(first_outer).rows;
         let probes = if nestloop && inner_set.len() == 1 {
             param_scans(
                 info,
@@ -223,7 +228,7 @@ impl<'a, 'q> JoinSearch<'a, 'q> {
         };
 
         let mut outer_sorted: Vec<Node> = Vec::with_capacity(ecs.len());
-        for &outer_id in outers {
+        for outer_id in outers.ids() {
             let outer = *offers.arena.get(outer_id);
             assert!(
                 outer.rows == outer_rows,
@@ -390,9 +395,9 @@ impl Offers<'_> {
 #[derive(Default)]
 struct Wrappers {
     /// (input, sort keys) → sort node.
-    sorts: HashMap<(PathId, KeysId), PathId>,
+    sorts: IntMap<(PathId, KeysId), PathId>,
     /// input → materialize node.
-    materials: HashMap<PathId, PathId>,
+    materials: IntMap<PathId, PathId>,
 }
 
 impl Wrappers {
@@ -557,7 +562,7 @@ mod tests {
             base_lists.push(list);
         }
         let search = JoinSearch::new(&info, &params, options);
-        let (top, _, _) = search.run(&mut arena, base_lists);
+        let (top, _, _) = search.run(&mut arena, base_lists, &mut SweepScratch::default());
         (arena, top)
     }
 
@@ -592,7 +597,7 @@ mod tests {
             .build();
         let (arena, top) = run_search(&cat, &q, &cfg, default_opts(PruneMode::KeepIoc));
         assert!(!top.is_empty());
-        for &id in top.ids() {
+        for id in top.ids() {
             let p = arena.get(id);
             let (access, probes) = arena.leaf_access(id, 3);
             let eval = arena.linear(id, 3).eval(&access, &probes);
@@ -612,7 +617,7 @@ mod tests {
         let mut opts = default_opts(PruneMode::KeepIoc);
         opts.enable_nestloop = false;
         let (arena, top) = run_search(&cat, &q, &cfg, opts);
-        for &id in top.ids() {
+        for id in top.ids() {
             assert!(
                 !arena.get(id).uses_nestloop(&arena),
                 "NL plan survived with enable_nestloop=off: {}",
@@ -638,7 +643,7 @@ mod tests {
         let (arena_s, std_top) = run_search(&cat, &q, &cfg, default_opts(PruneMode::Standard));
         let (arena_k, ioc_top) = run_search(&cat, &q, &cfg, default_opts(PruneMode::KeepIoc));
         let distinct_iocs = |arena: &PathArena, list: &PathList| {
-            let mut iocs: Vec<_> = list.ids().iter().map(|&i| arena.get(i).leaf_ioc).collect();
+            let mut iocs: Vec<_> = list.ids().map(|i| arena.get(i).leaf_ioc).collect();
             iocs.sort_unstable();
             iocs.dedup();
             iocs.len()

@@ -37,6 +37,7 @@
 pub mod access;
 pub mod addpath;
 pub mod grouping;
+mod intmap;
 pub mod joinsearch;
 pub mod path;
 pub mod plan;

@@ -46,6 +46,11 @@ pub struct KeysId(u32);
 impl KeysId {
     /// No ordering.
     pub const NONE: KeysId = KeysId(0);
+
+    /// Its slot in the arena's table of orderings: dense from 0.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// Which index a scan uses.

@@ -414,7 +414,7 @@ fn join_quals(
 mod tests {
     use super::*;
     use crate::access::collect_access_paths;
-    use crate::addpath::{AddPathStats, PathList, PruneMode};
+    use crate::addpath::{AddPathStats, PathList, PruneMode, SweepScratch};
     use crate::joinsearch::{JoinSearch, JoinSearchOptions};
     use pinum_catalog::{Catalog, Column, ColumnType, Configuration, Table};
     use pinum_cost::CostParams;
@@ -457,7 +457,8 @@ mod tests {
             prune_mode: PruneMode::Standard,
             subset_pruning: true,
         };
-        let (top, _, _) = JoinSearch::new(&info, &params, opts).run(&mut arena, base);
+        let search = JoinSearch::new(&info, &params, opts);
+        let (top, _, _) = search.run(&mut arena, base, &mut SweepScratch::default());
         let best = top.cheapest_total(&arena).unwrap();
         let plan = build_plan(&arena, &info, best);
         assert!(plan.node_count() >= 3);

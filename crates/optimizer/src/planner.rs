@@ -2,8 +2,9 @@
 //! collection, join search and grouping, and exports the PINUM payloads.
 
 use crate::access::{collect_access_paths, AccessCostEntry, TemplateArm};
-use crate::addpath::{AddPathStats, PathList, PruneMode};
+use crate::addpath::{AddPathStats, PathList, PruneMode, SweepScratch};
 use crate::grouping::finish_paths;
+use crate::intmap::IntMap;
 use crate::joinsearch::{JoinSearch, JoinSearchOptions};
 use crate::path::{PathArena, PathId};
 use crate::plan::{build_plan, PlanNode};
@@ -11,7 +12,6 @@ use crate::preprocess::PlannerInfo;
 use pinum_catalog::{Catalog, Configuration};
 use pinum_cost::{Cost, CostParams};
 use pinum_query::{InterestingOrders, Ioc, Query, RelIdx};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Optimizer switches, including the three PINUM hooks (§V).
@@ -241,6 +241,7 @@ impl<'a> Optimizer<'a> {
         let mut access_costs = Vec::new();
         let mut template_arms = vec![Vec::new(); requests.len()];
         let mut base_lists = Vec::with_capacity(info.relation_count());
+        let mut sweep = SweepScratch::default();
         for rel in 0..info.relation_count() as u16 {
             let request = requests.iter().position(|r| r.rel == rel);
             let acc = collect_access_paths(
@@ -260,7 +261,7 @@ impl<'a> Optimizer<'a> {
                 list.add_path(&mut arena, p, prune_mode, &mut add_stats);
             }
             if prune_mode == PruneMode::KeepIoc && options.pinum_subset_pruning {
-                list.subset_cost_sweep(&arena, &mut add_stats);
+                list.subset_cost_sweep(&arena, &mut sweep, &mut add_stats);
             }
             base_lists.push(list);
         }
@@ -269,20 +270,21 @@ impl<'a> Optimizer<'a> {
         let plan_family = |arena: &mut PathArena,
                            base_lists: Vec<PathList>,
                            enable_nestloop: bool,
-                           add_stats: &mut AddPathStats| {
+                           add_stats: &mut AddPathStats,
+                           sweep: &mut SweepScratch| {
             let search_opts = JoinSearchOptions {
                 enable_nestloop,
                 prune_mode,
                 subset_pruning: options.pinum_subset_pruning,
             };
             let search = JoinSearch::new(&info, &self.params, search_opts);
-            let (top, join_stats, joinrels) = search.run(arena, base_lists);
+            let (top, join_stats, joinrels) = search.run(arena, base_lists, sweep);
             add_stats.added += join_stats.added;
             add_stats.rejected += join_stats.rejected;
             add_stats.displaced += join_stats.displaced;
             let mut finished = finish_paths(arena, &info, &self.params, top, prune_mode, add_stats);
             if prune_mode == PruneMode::KeepIoc && options.pinum_subset_pruning {
-                finished.subset_cost_sweep(arena, add_stats);
+                finished.subset_cost_sweep(arena, sweep, add_stats);
             }
             assert!(!finished.is_empty(), "no plan produced for {}", query.name);
             (finished, joinrels)
@@ -293,13 +295,14 @@ impl<'a> Optimizer<'a> {
         // `enable_nestloop: false` call; its counters are not reported.
         let nlj_free = (options.export_ioc_plans && options.enable_nestloop).then(|| {
             let scratch = &mut AddPathStats::default();
-            plan_family(&mut arena, base_lists.clone(), false, scratch).0
+            plan_family(&mut arena, base_lists.clone(), false, scratch, &mut sweep).0
         });
         let (finished, joinrels) = plan_family(
             &mut arena,
             base_lists,
             options.enable_nestloop,
             &mut add_stats,
+            &mut sweep,
         );
 
         // --- Winner + exports. ---
@@ -326,8 +329,8 @@ impl<'a> Optimizer<'a> {
 
         // One cheapest plan per retained leaf IOC.
         let export_family = |finished: &PathList| {
-            let mut per_ioc: HashMap<Ioc, PathId> = HashMap::new();
-            for &id in finished.ids() {
+            let mut per_ioc: IntMap<Ioc, PathId> = IntMap::default();
+            for id in finished.ids() {
                 let p = arena.get(id);
                 per_ioc
                     .entry(p.leaf_ioc)
