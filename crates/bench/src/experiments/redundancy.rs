@@ -39,14 +39,7 @@ pub struct Redundancy {
 
 pub fn run() -> Redundancy {
     let row = |opt: &Optimizer<'_>, q: &Query, label: String| {
-        let inum = build_cache_inum(
-            opt,
-            q,
-            &BuilderOptions {
-                include_nlj: false,
-                nlj_extreme_calls: false,
-            },
-        );
+        let inum = build_cache_inum(opt, q, &BuilderOptions { include_nlj: false });
         let pinum = build_cache_pinum(opt, q, &BuilderOptions::default());
         RedundancyRow {
             query: label,

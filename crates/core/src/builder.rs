@@ -11,20 +11,16 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct BuilderOptions {
     /// Cache nested-loop plans too (INUM treats them separately; disabling
-    /// models the pure merge/hash cache of INUM observation 2).
-    pub include_nlj: bool,
-    /// For classic INUM: also make the two extreme-access-cost calls with
+    /// models the pure merge/hash cache of INUM observation 2). For
+    /// classic INUM this also makes the two extreme-access-cost calls with
     /// nested loops enabled ("Typically, only two calls to the optimizer at
     /// the extreme access costs are sufficient", §V-D).
-    pub nlj_extreme_calls: bool,
+    pub include_nlj: bool,
 }
 
 impl Default for BuilderOptions {
     fn default() -> Self {
-        Self {
-            include_nlj: true,
-            nlj_extreme_calls: true,
-        }
+        Self { include_nlj: true }
     }
 }
 
@@ -173,7 +169,7 @@ pub fn build_cache_inum(
         );
     }
 
-    if opts.include_nlj && opts.nlj_extreme_calls {
+    if opts.include_nlj {
         // Low extreme: all covering indexes present (cheap access).
         let covering = covering_configuration(optimizer.catalog(), query);
         call(&covering, &OptimizerOptions::standard());
@@ -318,10 +314,7 @@ pub(crate) mod tests {
     fn nlj_free_build_has_no_nlj_plans() {
         let (cat, q) = setup();
         let opt = Optimizer::new(&cat);
-        let opts = BuilderOptions {
-            include_nlj: false,
-            nlj_extreme_calls: false,
-        };
+        let opts = BuilderOptions { include_nlj: false };
         let built = build_cache_pinum(&opt, &q, &opts);
         assert_eq!(built.stats.optimizer_calls, 1);
         let (_, nlj) = built.cache.partition_by_nlj();

@@ -45,8 +45,8 @@
 //! through one kernel body (`price_probe_into` for one probe,
 //! `price_delta_batch` for many, where a run of swaps sharing a drop
 //! prices the drop's queries once) that re-prices only the queries the
-//! touched candidates can affect (per-query bloom + footprint
-//! prefilters prove the rest untouched) and re-totals in
+//! touched candidates can affect (the inverted candidate→query index
+//! proves the rest untouched) and re-totals in
 //! O(changed·log n) through the fixed-shape pairwise sum tree every
 //! [`workload_model::PricedWorkload`] carries. The tree shape — exposed
 //! as [`workload_model::pairwise_total`] — defines the bit pattern of

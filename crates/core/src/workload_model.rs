@@ -24,8 +24,7 @@
 //!   the always-arm costs, and `[start, end)` extents into the arm arrays
 //!   for the standalone and probe arm runs;
 //! * `plans: Vec<PlanMeta>` — internal cost plus a slot extent;
-//! * `qmeta: Vec<QueryMeta>` — a plan extent, the candidate-footprint
-//!   prefilters (below), and the query's arm count.
+//! * `qmeta: Vec<QueryMeta>` — a plan extent per query.
 //!
 //! Pricing a slot is then a **branchless min-scan**: seed the accumulator
 //! with the always-arm cost (`+∞` when the slot has none) and scan the
@@ -42,24 +41,19 @@
 //! tests membership with one word load and no `Option` compares. A delta
 //! toggles its probe's bits on the view in place and restores them after.
 //!
-//! ## Prefilters
+//! ## Prefilter — the inverted index
 //!
-//! On top of the packed queries sit two per-query footprint structures,
-//! both maintained under streaming mutation:
+//! The one stored footprint structure is the **inverted index**
+//! `candidate → sorted live query ids`, maintained under streaming
+//! mutation: adding or dropping candidate `c` can only re-price queries
+//! whose arms mention `c`, so a delta visits `affected(c)` and nothing
+//! else. The invariant: a query not in `affected(c)` prices identically
+//! with and without `c` in the selection, under **every** base selection.
 //!
-//! * the **inverted index** `candidate → sorted live query ids` (as
-//!   before): adding/dropping candidate `c` can only re-price queries
-//!   whose arms mention `c`;
-//! * a per-query **touched-candidate list** (sorted, in one CSR array)
-//!   plus a 64-bit **bloom filter** over `candidate mod 64`.
-//!   [`WorkloadModel::query_touches`] answers "can this candidate change
-//!   this query?" with one AND plus (on a bloom hit) a binary search —
-//!   zero pointer loads on the miss path. Scoped/online consumers use it
-//!   to skip untouched queries without consulting the inverted index.
-//!
-//! The invariant for both: a query not in `affected(c)` (equivalently,
-//! `query_touches(q, c) == false`) prices identically with and without
-//! `c` in the selection, under **every** base selection.
+//! A query's own footprint — its sorted distinct candidates and its
+//! flattened arm count — is not stored: `footprint` derives it from the
+//! query's arm extents in O(its arms + pool words), which is what
+//! admission, eviction, compaction and restore already pay per query.
 //!
 //! ## Totals — fixed-shape pairwise sum tree
 //!
@@ -108,8 +102,8 @@
 //! becomes unreachable and is reclaimed by [`WorkloadModel::compact`],
 //! which rebuilds the arrays over the survivors — bit-identical to a
 //! fresh build). [`WorkloadModel::reweight_query`] is O(1). Every
-//! mutation debug-asserts (sampled) that the maintained index, footprint
-//! lists, and blooms match a from-scratch recomputation.
+//! mutation debug-asserts (sampled) that the maintained inverted index
+//! matches a from-scratch recomputation.
 //!
 //! The arithmetic deliberately mirrors `CacheCostModel::estimate` term
 //! for term (same entry order, same addition order, same tie-breaking),
@@ -375,21 +369,12 @@ struct PlanMeta {
     slot_end: u32,
 }
 
-/// One packed query: a plan extent, the candidate-footprint prefilters,
-/// and the flattened arm count (tombstones zero everything).
+/// One packed query: a plan extent (empty for tombstones). Everything
+/// else about the query is derived from its plans' arm extents.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct QueryMeta {
     plan_start: u32,
     plan_end: u32,
-    /// Sorted distinct candidates this query's arms mention, as an extent
-    /// into the shared `touched` CSR array.
-    touched_start: u32,
-    touched_end: u32,
-    /// Bloom filter over the touched candidates (bit `c mod 64`): a clear
-    /// bit proves the candidate cannot re-price this query.
-    bloom: u64,
-    /// Flattened access arms (standalone + probe, always-arms included).
-    arm_count: u32,
 }
 
 /// The packed model exploded into flat parallel vectors of primitives —
@@ -398,8 +383,9 @@ struct QueryMeta {
 /// group is a struct-of-arrays view of the corresponding private meta
 /// array, so a snapshot writer can stream every field as one contiguous
 /// length-prefixed section with no pointer chasing. Derived data (the
-/// inverted index and the live count) is deliberately absent:
-/// `from_parts` recomputes it, which doubles as validation.
+/// inverted index, the live count, and each query's candidate footprint
+/// and arm count) is deliberately absent: `from_parts` recomputes it from
+/// the arm extents, which doubles as validation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkloadModelParts {
     /// Candidate pool cardinality (`u64` so the field width is
@@ -421,11 +407,6 @@ pub struct WorkloadModelParts {
     pub plan_slot_end: Vec<u32>,
     pub query_plan_start: Vec<u32>,
     pub query_plan_end: Vec<u32>,
-    pub query_touched_start: Vec<u32>,
-    pub query_touched_end: Vec<u32>,
-    pub query_bloom: Vec<u64>,
-    pub query_arm_count: Vec<u32>,
-    pub touched: Vec<u32>,
     pub weights: Vec<f64>,
     pub live: Vec<bool>,
 }
@@ -531,8 +512,6 @@ pub struct WorkloadModel {
     slots: Vec<SlotMeta>,
     plans: Vec<PlanMeta>,
     qmeta: Vec<QueryMeta>,
-    /// CSR array of per-query sorted distinct touched candidates.
-    touched: Vec<u32>,
     /// Per-query workload weight (1.0 at build/admit time; 0.0 for
     /// tombstones). A query contributes `weight × price` to every total.
     weights: Vec<f64>,
@@ -567,7 +546,6 @@ impl WorkloadModel {
             slots: Vec::new(),
             plans: Vec::new(),
             qmeta: Vec::new(),
-            touched: Vec::new(),
             weights: Vec::new(),
             live: Vec::new(),
             live_count: 0,
@@ -615,16 +593,13 @@ impl WorkloadModel {
     }
 
     /// Packs one flattened query onto the end of the SoA arrays and
-    /// pushes its [`QueryMeta`] (footprint list, bloom, arm count).
-    /// [`Self::finish_admit`] must follow to index and weight it.
+    /// pushes its [`QueryMeta`]. [`Self::finish_admit`] must follow to
+    /// index and weight it.
     fn push_query(&mut self, qm: &QueryModel) {
         let plan_start = self.plans.len() as u32;
-        let arm_lo = self.arm_cands.len();
-        let mut arm_count = 0u32;
         for plan in &qm.plans {
             let slot_start = self.slots.len() as u32;
             for slot in &plan.slots {
-                arm_count += (slot.standalone.len() + slot.probes.len()) as u32;
                 let (s_start, s_end, s_always) = self.push_arms(&slot.standalone);
                 let (p_start, p_end, p_always) = self.push_arms(&slot.probes);
                 self.slots.push(SlotMeta {
@@ -645,35 +620,63 @@ impl WorkloadModel {
                 slot_end: self.slots.len() as u32,
             });
         }
-        let touched_start = self.touched.len() as u32;
-        collect_touched(&self.arm_cands[arm_lo..], &mut self.touched);
-        let mut bloom = 0u64;
-        for &c in &self.touched[touched_start as usize..] {
-            bloom |= 1u64 << (c & 63);
-        }
         self.qmeta.push(QueryMeta {
             plan_start,
             plan_end: self.plans.len() as u32,
-            touched_start,
-            touched_end: self.touched.len() as u32,
-            bloom,
-            arm_count,
         });
     }
 
-    /// Indexes and weights the most recently packed query. The new id is
-    /// the largest ever issued, so every inverted-index insertion is an
-    /// O(1) push that keeps the lists sorted.
+    /// Indexes and weights the most recently packed query.
     fn finish_admit(&mut self, weight: f64) {
-        let qid = (self.qmeta.len() - 1) as u32;
-        let qm = self.qmeta[qid as usize];
-        for &c in &self.touched[qm.touched_start as usize..qm.touched_end as usize] {
-            validate_candidate(c, self.pool_size);
-            self.affected[c as usize].push(qid);
-        }
+        self.index_query(self.qmeta.len() - 1);
         self.weights.push(weight);
         self.live.push(true);
         self.live_count += 1;
+    }
+
+    /// Enters a live query into the inverted index. Queries are indexed
+    /// in ascending id order (the new id is the largest ever issued), so
+    /// every insertion is an O(1) push that keeps the lists sorted.
+    fn index_query(&mut self, qid: usize) {
+        for c in self.footprint(qid).0 {
+            self.affected[c as usize].push(qid as u32);
+        }
+    }
+
+    /// A query's footprint, derived from its arm extents: the sorted
+    /// distinct candidates its gated arms mention, and its flattened arm
+    /// count (standalone + probe, always-arms included). A tombstone has
+    /// no plans, so it touches nothing and counts no arms. The one source
+    /// of both facts — admission, eviction, compaction, restore and the
+    /// index rebuild check all derive them here, in O(the query's arms +
+    /// pool words): candidates are deduplicated through a pool-wide
+    /// bitset, which also yields them sorted.
+    fn footprint(&self, qid: usize) -> (Vec<u32>, usize) {
+        let qm = self.qmeta[qid];
+        let mut seen = vec![0u64; self.pool_size.div_ceil(64)];
+        let mut arms = 0;
+        for plan in &self.plans[qm.plan_start as usize..qm.plan_end as usize] {
+            for slot in &self.slots[plan.slot_start as usize..plan.slot_end as usize] {
+                let standalone = &self.arm_cands[slot.s_start as usize..slot.s_end as usize];
+                let probes = &self.arm_cands[slot.p_start as usize..slot.p_end as usize];
+                for &c in standalone.iter().chain(probes) {
+                    validate_candidate(c, self.pool_size);
+                    seen[(c / 64) as usize] |= 1 << (c % 64);
+                }
+                arms += standalone.len() + probes.len();
+                arms += usize::from(slot.s_always.is_finite());
+                arms += usize::from(slot.p_always.is_finite());
+            }
+        }
+        let mut cands = Vec::new();
+        for (w, &word) in seen.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                cands.push(w as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        (cands, arms)
     }
 
     /// Splices a run of `(cache, access, weight)` queries (weights finite
@@ -710,8 +713,8 @@ impl WorkloadModel {
     }
 
     /// Retracts a live query: its inverted-index entries are removed
-    /// (binary search per touched candidate — delta pricing never has to
-    /// skip dead entries) and its metadata is tombstoned, so its packed
+    /// (binary search per footprint candidate — delta pricing never has
+    /// to skip dead entries) and its metadata is tombstoned, so its packed
     /// arm data becomes unreachable (reclaimed by [`Self::compact`]).
     /// The slot itself keeps other query ids stable; a tombstone
     /// contributes exactly 0.0 to every total, which keeps the sum tree
@@ -721,9 +724,7 @@ impl WorkloadModel {
             self.live.get(qid).copied().unwrap_or(false),
             "evicting unknown or already-evicted query {qid}"
         );
-        let qm = self.qmeta[qid];
-        for i in qm.touched_start..qm.touched_end {
-            let c = self.touched[i as usize];
+        for c in self.footprint(qid).0 {
             let list = &mut self.affected[c as usize];
             let pos = list
                 .binary_search(&(qid as u32))
@@ -733,10 +734,6 @@ impl WorkloadModel {
         self.qmeta[qid] = QueryMeta {
             plan_start: 0,
             plan_end: 0,
-            touched_start: 0,
-            touched_end: 0,
-            bloom: 0,
-            arm_count: 0,
         };
         self.weights[qid] = 0.0;
         self.live[qid] = false;
@@ -815,24 +812,17 @@ impl WorkloadModel {
                 slot_end: self.slots.len() as u32,
             });
         }
-        let touched_start = self.touched.len() as u32;
-        self.touched
-            .extend_from_slice(&src.touched[qm.touched_start as usize..qm.touched_end as usize]);
         self.qmeta.push(QueryMeta {
             plan_start,
             plan_end: self.plans.len() as u32,
-            touched_start,
-            touched_end: self.touched.len() as u32,
-            bloom: qm.bloom,
-            arm_count: qm.arm_count,
         });
     }
 
-    /// Recomputes the footprint lists, blooms, and inverted index from
-    /// the packed arm arrays and compares — the mutation-path analogue of
-    /// the deltas' full-reprice `debug_assert`. Compiled away in release
-    /// builds; sampled (every k-th mutation) via `PINUM_ASSERT_SAMPLE` so
-    /// long streams keep a bounded debug cost.
+    /// Recomputes the inverted index from the packed arm arrays and
+    /// compares — the mutation-path analogue of the deltas'
+    /// full-reprice `debug_assert`. Compiled away in release builds;
+    /// sampled (every k-th mutation) via `PINUM_ASSERT_SAMPLE` so long
+    /// streams keep a bounded debug cost.
     fn debug_assert_index_matches_rebuild(&self) {
         #[cfg(debug_assertions)]
         {
@@ -843,36 +833,12 @@ impl WorkloadModel {
             for (qid, qm) in self.qmeta.iter().enumerate() {
                 if !self.live[qid] {
                     debug_assert!(
-                        qm.plan_start == qm.plan_end && qm.arm_count == 0,
+                        qm.plan_start == qm.plan_end,
                         "tombstone {qid} retains plans"
-                    );
-                    debug_assert!(
-                        qm.touched_start == qm.touched_end && qm.bloom == 0,
-                        "tombstone {qid} retains a candidate footprint"
                     );
                     continue;
                 }
-                let mut cands: Vec<u32> = Vec::new();
-                for plan in &self.plans[qm.plan_start as usize..qm.plan_end as usize] {
-                    for slot in &self.slots[plan.slot_start as usize..plan.slot_end as usize] {
-                        cands.extend_from_slice(
-                            &self.arm_cands[slot.s_start as usize..slot.s_end as usize],
-                        );
-                        cands.extend_from_slice(
-                            &self.arm_cands[slot.p_start as usize..slot.p_end as usize],
-                        );
-                    }
-                }
-                cands.sort_unstable();
-                cands.dedup();
-                let stored = &self.touched[qm.touched_start as usize..qm.touched_end as usize];
-                debug_assert!(
-                    stored == cands.as_slice(),
-                    "stored candidate footprint diverged for query {qid}"
-                );
-                let bloom = cands.iter().fold(0u64, |b, &c| b | 1u64 << (c & 63));
-                debug_assert_eq!(bloom, qm.bloom, "bloom prefilter diverged for query {qid}");
-                for c in cands {
+                for c in self.footprint(qid).0 {
                     expect[c as usize].push(qid as u32);
                 }
             }
@@ -908,24 +874,21 @@ impl WorkloadModel {
             plan_slot_end: self.plans.iter().map(|p| p.slot_end).collect(),
             query_plan_start: self.qmeta.iter().map(|q| q.plan_start).collect(),
             query_plan_end: self.qmeta.iter().map(|q| q.plan_end).collect(),
-            query_touched_start: self.qmeta.iter().map(|q| q.touched_start).collect(),
-            query_touched_end: self.qmeta.iter().map(|q| q.touched_end).collect(),
-            query_bloom: self.qmeta.iter().map(|q| q.bloom).collect(),
-            query_arm_count: self.qmeta.iter().map(|q| q.arm_count).collect(),
-            touched: self.touched.clone(),
             weights: self.weights.clone(),
             live: self.live.clone(),
         }
     }
 
     /// Rebuilds a model from exported parts, validating every structural
-    /// invariant the mutation paths maintain (extent bounds, per-query
-    /// footprints, blooms, arm counts, tombstone emptiness, weight
-    /// positivity) and recomputing the derived data (`affected`,
-    /// `live_count`) from scratch — the restore-side mirror of
-    /// `debug_assert_index_matches_rebuild`, but unconditional
-    /// and returning a typed error instead of panicking, since parts
-    /// arrive from disk.
+    /// invariant the mutation paths maintain (extent bounds, tombstone
+    /// emptiness, weight positivity) and every term the bounded kernel
+    /// scan relies on (arm costs finite and ≥ 0, internal costs and
+    /// coefficients finite and ≥ 0, always-arm costs ≥ 0 or `+∞`), then
+    /// recomputing the derived data (`affected`, `live_count`) from the
+    /// arm extents — the restore-side mirror of
+    /// `debug_assert_index_matches_rebuild`, but unconditional and
+    /// returning a typed error instead of panicking, since parts arrive
+    /// from disk.
     pub fn from_parts(parts: WorkloadModelParts) -> Result<Self, &'static str> {
         let WorkloadModelParts {
             pool_size,
@@ -945,20 +908,18 @@ impl WorkloadModel {
             plan_slot_end,
             query_plan_start,
             query_plan_end,
-            query_touched_start,
-            query_touched_end,
-            query_bloom,
-            query_arm_count,
-            touched,
             weights,
             live,
         } = parts;
+        // The kernel skips a plan once its running cost reaches the best
+        // so far, which is exact only when no term can lower a cost.
+        let non_negative_finite = |x: &f64| x.is_finite() && *x >= 0.0;
         let pool_size = usize::try_from(pool_size).map_err(|_| "pool size overflows usize")?;
         if arm_costs.len() != arm_cands.len() {
             return Err("arm cost/candidate arrays differ in length");
         }
-        if arm_costs.iter().any(|c| !c.is_finite()) {
-            return Err("non-finite arm cost");
+        if !arm_costs.iter().all(non_negative_finite) {
+            return Err("arm cost not finite and non-negative");
         }
         if arm_cands.iter().any(|&c| c as usize >= pool_size) {
             return Err("arm candidate outside the pool");
@@ -997,10 +958,20 @@ impl WorkloadModel {
             if s.s_start > s.s_end || s.s_end > n_arms || s.p_start > s.p_end || s.p_end > n_arms {
                 return Err("slot arm extent out of bounds");
             }
+            if !(non_negative_finite(&s.coef) && non_negative_finite(&s.pcoef)) {
+                return Err("slot coefficient not finite and non-negative");
+            }
+            // `+∞` is the "no always-available arm" mark.
+            if !(s.s_always >= 0.0 && s.p_always >= 0.0) {
+                return Err("always-arm cost negative or NaN");
+            }
         }
         let n_plans = plan_internal.len();
         if plan_slot_start.len() != n_plans || plan_slot_end.len() != n_plans {
             return Err("plan arrays differ in length");
+        }
+        if !plan_internal.iter().all(non_negative_finite) {
+            return Err("plan internal cost not finite and non-negative");
         }
         let plans: Vec<PlanMeta> = (0..n_plans)
             .map(|i| PlanMeta {
@@ -1015,17 +986,9 @@ impl WorkloadModel {
             }
         }
         let n_queries = query_plan_start.len();
-        if [
-            query_plan_end.len(),
-            query_touched_start.len(),
-            query_touched_end.len(),
-            query_bloom.len(),
-            query_arm_count.len(),
-            weights.len(),
-            live.len(),
-        ]
-        .iter()
-        .any(|&l| l != n_queries)
+        if [query_plan_end.len(), weights.len(), live.len()]
+            .iter()
+            .any(|&l| l != n_queries)
         {
             return Err("query arrays differ in length");
         }
@@ -1033,85 +996,44 @@ impl WorkloadModel {
             .map(|i| QueryMeta {
                 plan_start: query_plan_start[i],
                 plan_end: query_plan_end[i],
-                touched_start: query_touched_start[i],
-                touched_end: query_touched_end[i],
-                bloom: query_bloom[i],
-                arm_count: query_arm_count[i],
             })
             .collect();
-        if touched.iter().any(|&c| c as usize >= pool_size) {
-            return Err("touched candidate outside the pool");
-        }
-        let mut affected: Vec<Vec<u32>> = vec![Vec::new(); pool_size];
-        let mut live_count = 0usize;
-        for (qid, qm) in qmeta.iter().enumerate() {
-            if qm.plan_start > qm.plan_end
-                || qm.plan_end as usize > n_plans
-                || qm.touched_start > qm.touched_end
-                || qm.touched_end as usize > touched.len()
-            {
-                return Err("query extent out of bounds");
-            }
-            if !live[qid] {
-                if qm.plan_start != qm.plan_end
-                    || qm.touched_start != qm.touched_end
-                    || qm.bloom != 0
-                    || qm.arm_count != 0
-                {
-                    return Err("tombstone query retains plan or footprint data");
-                }
-                if weights[qid] != 0.0 {
-                    return Err("tombstone query retains a weight");
-                }
-                continue;
-            }
-            if !(weights[qid].is_finite() && weights[qid] > 0.0) {
-                return Err("live query weight not finite and positive");
-            }
-            // Recompute the footprint, bloom, and arm count from the arm
-            // extents — a checksum can vouch for bytes, not invariants.
-            let mut cands: Vec<u32> = Vec::new();
-            let mut arm_count = 0u32;
-            for plan in &plans[qm.plan_start as usize..qm.plan_end as usize] {
-                for slot in &slots[plan.slot_start as usize..plan.slot_end as usize] {
-                    cands.extend_from_slice(&arm_cands[slot.s_start as usize..slot.s_end as usize]);
-                    cands.extend_from_slice(&arm_cands[slot.p_start as usize..slot.p_end as usize]);
-                    arm_count += (slot.s_end - slot.s_start) + (slot.p_end - slot.p_start);
-                    arm_count += slot.s_always.is_finite() as u32;
-                    arm_count += slot.p_always.is_finite() as u32;
-                }
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            let stored = &touched[qm.touched_start as usize..qm.touched_end as usize];
-            if stored != cands.as_slice() {
-                return Err("stored candidate footprint diverges from the arm data");
-            }
-            let bloom = cands.iter().fold(0u64, |b, &c| b | 1u64 << (c & 63));
-            if bloom != qm.bloom {
-                return Err("stored bloom prefilter diverges from the footprint");
-            }
-            if arm_count != qm.arm_count {
-                return Err("stored arm count diverges from the arm extents");
-            }
-            for c in cands {
-                affected[c as usize].push(qid as u32);
-            }
-            live_count += 1;
-        }
-        Ok(Self {
+        let mut model = Self {
             arm_costs,
             arm_cands,
             slots,
             plans,
             qmeta,
-            touched,
             weights,
             live,
-            live_count,
-            affected,
+            live_count: 0,
+            affected: vec![Vec::new(); pool_size],
             pool_size,
-        })
+        };
+        for qid in 0..n_queries {
+            let qm = model.qmeta[qid];
+            if qm.plan_start > qm.plan_end || qm.plan_end as usize > n_plans {
+                return Err("query extent out of bounds");
+            }
+            let weight = model.weights[qid];
+            if !model.live[qid] {
+                if qm.plan_start != qm.plan_end {
+                    return Err("tombstone query retains plans");
+                }
+                if weight != 0.0 {
+                    return Err("tombstone query retains a weight");
+                }
+                continue;
+            }
+            if !(weight.is_finite() && weight > 0.0) {
+                return Err("live query weight not finite and positive");
+            }
+            // Every extent this query reaches was bounds-checked above,
+            // and every arm candidate lies inside the pool.
+            model.index_query(qid);
+            model.live_count += 1;
+        }
+        Ok(model)
     }
 
     /// Total query *slots*, including tombstones — the length every
@@ -1136,12 +1058,12 @@ impl WorkloadModel {
     }
 
     /// Number of flattened access arms (standalone + probe, including
-    /// always-available arms) in one query's model.
-    /// [`Self::admit_batch`]'s work per query is proportional to this — a
-    /// measurable witness that admission is O(the query), not
+    /// always-available arms) in one query's model, derived from its arm
+    /// extents. [`Self::admit_batch`]'s work per query is proportional to
+    /// this — a measurable witness that admission is O(the query), not
     /// O(the workload).
     pub fn query_arm_count(&self, qid: usize) -> usize {
-        self.qmeta[qid].arm_count as usize
+        self.footprint(qid).1
     }
 
     pub fn pool_size(&self) -> usize {
@@ -1152,21 +1074,6 @@ impl WorkloadModel {
     /// (ascending).
     pub fn affected(&self, candidate: usize) -> &[u32] {
         &self.affected[candidate]
-    }
-
-    /// Whether `candidate` appears in `qid`'s access arms — i.e. whether
-    /// it can change the query's price at all. One AND against the
-    /// per-query bloom word; only a bloom hit (≤ 1/64 false-positive rate
-    /// per distinct residue) pays a binary search in the footprint list.
-    /// Tombstones touch nothing.
-    pub fn query_touches(&self, qid: usize, candidate: usize) -> bool {
-        let qm = &self.qmeta[qid];
-        if qm.bloom & (1u64 << (candidate as u64 & 63)) == 0 {
-            return false;
-        }
-        self.touched[qm.touched_start as usize..qm.touched_end as usize]
-            .binary_search(&(candidate as u32))
-            .is_ok()
     }
 
     /// Prices one query under `selection`, with `extra` overlaid as a
@@ -1635,29 +1542,6 @@ pub struct ProbeDelta {
     pub repriced: usize,
 }
 
-/// Appends the distinct candidates in `cands` (one query's packed arm
-/// candidates — always-arms are already split out) to `out`, sorted
-/// ascending. Small footprints (the overwhelmingly common case) dedup by
-/// insertion into the sorted tail of `out` with **no** intermediate
-/// allocation; large ones fall back to sort+dedup on a scratch copy.
-fn collect_touched(cands: &[u32], out: &mut Vec<u32>) {
-    const SMALL: usize = 32;
-    let start = out.len();
-    if cands.len() <= SMALL {
-        for &c in cands {
-            match out[start..].binary_search(&c) {
-                Ok(_) => {}
-                Err(pos) => out.insert(start + pos, c),
-            }
-        }
-    } else {
-        let mut tmp = cands.to_vec();
-        tmp.sort_unstable();
-        tmp.dedup();
-        out.extend_from_slice(&tmp);
-    }
-}
-
 /// Constructor-level validation that a flattened access path stays inside
 /// the candidate pool it was collected against — a mis-sized `pool_size`
 /// fails loudly here instead of silently mispricing (or panicking with an
@@ -1952,8 +1836,36 @@ mod tests {
         p.arm_cands[0] = pool.len() as u32; // candidate outside the pool
         assert!(WorkloadModel::from_parts(p).is_err());
 
+        // Terms the bounded kernel scan needs non-negative (and, but for
+        // the always-arm `+∞` mark, finite).
         let mut p = good.clone();
-        p.query_bloom[0] ^= 1; // bloom no longer matches the footprint
+        p.arm_costs[0] = -1.0;
+        assert!(WorkloadModel::from_parts(p).is_err());
+
+        let mut p = good.clone();
+        p.plan_internal[0] = -1.0;
+        assert!(WorkloadModel::from_parts(p).is_err());
+
+        let mut p = good.clone();
+        p.plan_internal[0] = f64::NAN;
+        assert!(WorkloadModel::from_parts(p).is_err());
+
+        let mut p = good.clone();
+        p.slot_coef[0] = f64::NAN;
+        assert!(WorkloadModel::from_parts(p).is_err());
+
+        let mut p = good.clone();
+        p.slot_pcoef[0] = -0.5;
+        assert!(WorkloadModel::from_parts(p).is_err());
+
+        let scan = good.slot_s_always.iter().position(|c| c.is_finite());
+        let mut p = good.clone();
+        p.slot_s_always[scan.expect("a slot with an always arm")] = -1.0;
+        assert!(WorkloadModel::from_parts(p).is_err());
+
+        let no_probe = good.slot_p_always.iter().position(|c| c.is_infinite());
+        let mut p = good.clone();
+        p.slot_p_always[no_probe.expect("a slot without an always probe")] = f64::NAN;
         assert!(WorkloadModel::from_parts(p).is_err());
 
         let mut p = good.clone();
@@ -1998,26 +1910,27 @@ mod tests {
     }
 
     #[test]
-    fn bloom_prefilter_agrees_with_inverted_index() {
+    fn derived_footprint_agrees_with_inverted_index() {
         let (cat, queries, pool) = setup();
         let models = build_models(&cat, &queries, &pool);
         let mut wm = model_of(&models, &pool);
-        for cand in 0..pool.len() {
-            for q in 0..wm.query_count() {
+        for q in 0..wm.query_count() {
+            let (cands, arms) = wm.footprint(q);
+            assert!(arms >= cands.len() && arms > 0, "query {q} counts no arms");
+            for cand in 0..pool.len() {
                 assert_eq!(
-                    wm.query_touches(q, cand),
+                    cands.contains(&(cand as u32)),
                     wm.affected(cand).contains(&(q as u32)),
-                    "query_touches({q}, {cand}) disagrees with the inverted index"
+                    "footprint of query {q} disagrees with the inverted index on {cand}"
                 );
             }
         }
         wm.evict_query(1);
-        for cand in 0..pool.len() {
-            assert!(
-                !wm.query_touches(1, cand),
-                "tombstone touches candidate {cand}"
-            );
-        }
+        assert_eq!(
+            wm.footprint(1),
+            (Vec::new(), 0),
+            "tombstone keeps a footprint"
+        );
     }
 
     #[test]

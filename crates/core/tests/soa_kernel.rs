@@ -2,7 +2,7 @@
 //! through randomized mutation sequences (admit / evict / reweight /
 //! compact / add-delta / drop-delta), asserting after **every** step that
 //! the incrementally-spliced [`PricedWorkload`] is bit-identical to a
-//! from-scratch `price_full`, that the bloom/footprint prefilter never
+//! from-scratch `price_full`, that the inverted-index prefilter never
 //! lets a delta change a query it cannot touch, and that the per-query
 //! [`CacheCostModel`] oracle prices every query to the same bits.
 
@@ -223,10 +223,10 @@ proptest! {
         }
     }
 
-    /// The bloom/footprint prefilter is sound: a delta's changed list only
-    /// ever names queries whose arms mention the candidate, and every
-    /// query the prefilter skips prices to exactly the same bits with the
-    /// candidate present.
+    /// The inverted-index prefilter is sound: a delta's changed list only
+    /// ever names queries in `affected(cand)`, and every query the
+    /// prefilter skips prices to exactly the same bits with the candidate
+    /// present.
     #[test]
     fn prefilter_skipped_queries_never_change_cost(
         fact_rows in 60_000u64..400_000,
@@ -248,7 +248,7 @@ proptest! {
                 model.price_probe_into(&state, &selection, Probe::Add { cand }, &mut scratch);
                 for &(q, _) in &scratch {
                     prop_assert!(
-                        model.query_touches(q as usize, cand),
+                        model.affected(cand).contains(&q),
                         "delta for candidate {} changed untouched query {}",
                         cand,
                         q
@@ -256,7 +256,7 @@ proptest! {
                 }
                 let extended = selection.with(cand);
                 for q in 0..model.query_count() {
-                    if model.query_touches(q, cand) {
+                    if model.affected(cand).contains(&(q as u32)) {
                         continue;
                     }
                     let before = model.price_query(q, &selection, None);

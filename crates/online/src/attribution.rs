@@ -43,33 +43,18 @@ use pinum_core::PricedWorkload;
 use pinum_query::TemplateKey;
 use std::collections::HashMap;
 
-/// Liveness/attribution status of one query slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    /// Evicted (or compacted away); contributes nowhere.
-    Dead,
-    /// Live but admitted without template info — rides along in every
-    /// localized scope (it can never be ruled out).
-    Unattributed,
-    /// Live with template info.
-    Attributed,
-}
-
 /// The attribution books exploded into plain data — the serialization
 /// surface of [`DriftAttribution::to_parts`] /
 /// [`DriftAttribution::from_parts`]. The intern map travels as the key
 /// list in dense id order (index = id), which also fixes a
 /// serialization order for a structure whose in-memory iteration order
-/// is nondeterministic; the live counters are derived and rebuilt on
-/// import.
+/// is nondeterministic. Liveness is not stored here: it is the model's.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DriftAttributionParts {
     /// Interned template keys, index = dense template id.
     pub templates: Vec<TemplateKey>,
     /// Query slot → template ids (empty for dead/unattributed slots).
     pub per_query: Vec<Vec<u32>>,
-    /// Query slot status: 0 = dead, 1 = unattributed, 2 = attributed.
-    pub status: Vec<u8>,
     /// Per-template baseline sums (may be shorter than `templates` —
     /// templates interned after the capture baseline at 0.0).
     pub baseline: Vec<f64>,
@@ -82,13 +67,9 @@ pub struct DriftAttribution {
     /// Template key → dense template id.
     intern: HashMap<TemplateKey, u32>,
     /// Query slot → template ids it carries (deduplicated; empty for
-    /// dead or unattributed slots).
+    /// dead or unattributed slots — the model's liveness tells them
+    /// apart).
     per_query: Vec<Vec<u32>>,
-    status: Vec<Status>,
-    /// Live attributed / unattributed slot counts (cheap invariants for
-    /// the fallback decisions).
-    attributed_live: usize,
-    unattributed_live: usize,
     /// Per-template cost sums captured right after the last re-advise;
     /// templates interned later implicitly baseline at 0.0.
     baseline: Vec<f64>,
@@ -100,9 +81,10 @@ impl DriftAttribution {
         Self::default()
     }
 
-    /// Live queries that carried template info at admission.
+    /// Live queries that carried template info at admission (a dead slot
+    /// carries none).
     pub fn attributed_live(&self) -> usize {
-        self.attributed_live
+        self.per_query.iter().filter(|ids| !ids.is_empty()).count()
     }
 
     /// Records one admission. `qid` must be the next query slot (the
@@ -115,12 +97,6 @@ impl DriftAttribution {
             self.per_query.len(),
             "attribution fell out of step with the model's query ids"
         );
-        if templates.is_empty() {
-            self.per_query.push(Vec::new());
-            self.status.push(Status::Unattributed);
-            self.unattributed_live += 1;
-            return;
-        }
         let mut ids: Vec<u32> = templates
             .iter()
             .map(|key| match self.intern.get(key) {
@@ -135,19 +111,11 @@ impl DriftAttribution {
         ids.sort_unstable();
         ids.dedup();
         self.per_query.push(ids);
-        self.status.push(Status::Attributed);
-        self.attributed_live += 1;
     }
 
     /// Records an eviction; the slot stops contributing to template sums
     /// (its priced cost is 0.0 from here on anyway).
     pub fn evict(&mut self, qid: usize) {
-        match self.status[qid] {
-            Status::Attributed => self.attributed_live -= 1,
-            Status::Unattributed => self.unattributed_live -= 1,
-            Status::Dead => panic!("evicting already-dead attribution slot {qid}"),
-        }
-        self.status[qid] = Status::Dead;
         self.per_query[qid] = Vec::new();
     }
 
@@ -157,15 +125,12 @@ impl DriftAttribution {
         assert_eq!(remap.len(), self.per_query.len(), "stale compaction remap");
         let live = remap.iter().filter(|&&n| n != u32::MAX).count();
         let mut per_query = vec![Vec::new(); live];
-        let mut status = vec![Status::Dead; live];
         for (old, &new) in remap.iter().enumerate() {
             if new != u32::MAX {
                 per_query[new as usize] = std::mem::take(&mut self.per_query[old]);
-                status[new as usize] = self.status[old];
             }
         }
         self.per_query = per_query;
-        self.status = status;
     }
 
     /// Exports the books as plain data (see [`DriftAttributionParts`]).
@@ -182,29 +147,20 @@ impl DriftAttribution {
         DriftAttributionParts {
             templates,
             per_query: self.per_query.clone(),
-            status: self
-                .status
-                .iter()
-                .map(|s| match s {
-                    Status::Dead => 0,
-                    Status::Unattributed => 1,
-                    Status::Attributed => 2,
-                })
-                .collect(),
             baseline: self.baseline.clone(),
             baseline_captured: self.baseline_captured,
         }
     }
 
-    /// Rebuilds the books from exported parts, validating shape (status
-    /// bytes, parallel-array lengths, template-id bounds, per-status
-    /// emptiness) and recomputing the live counters. Typed errors, never
-    /// panics — parts arrive from disk.
+    /// Rebuilds the books from exported parts, validating shape (template
+    /// keys distinct, template-id bounds, per-query ids sorted distinct,
+    /// a baseline no longer than the template table). Typed errors, never
+    /// panics — parts arrive from disk. Whether dead slots carry no ids
+    /// is the caller's to check: liveness is the model's.
     pub fn from_parts(parts: DriftAttributionParts) -> Result<Self, &'static str> {
         let DriftAttributionParts {
             templates,
             per_query,
-            status,
             baseline,
             baseline_captured,
         } = parts;
@@ -214,54 +170,20 @@ impl DriftAttribution {
                 return Err("duplicate interned template key");
             }
         }
-        let n = per_query.len();
-        if status.len() != n {
-            return Err("attribution query arrays differ in length");
-        }
         if baseline.len() > templates.len() {
             return Err("baseline longer than the template table");
         }
-        let mut attributed_live = 0usize;
-        let mut unattributed_live = 0usize;
-        let mut parsed_status = Vec::with_capacity(n);
-        for qid in 0..n {
-            let ids = &per_query[qid];
+        for ids in &per_query {
             if ids.iter().any(|&t| t as usize >= templates.len()) {
                 return Err("template id outside the interned table");
             }
             if ids.windows(2).any(|w| w[0] >= w[1]) {
                 return Err("per-query template ids not sorted distinct");
             }
-            let status = match status[qid] {
-                0 => Status::Dead,
-                1 => Status::Unattributed,
-                2 => Status::Attributed,
-                _ => return Err("unknown attribution status byte"),
-            };
-            match status {
-                Status::Dead | Status::Unattributed => {
-                    if !ids.is_empty() {
-                        return Err("dead or unattributed slot retains template ids");
-                    }
-                    if status == Status::Unattributed {
-                        unattributed_live += 1;
-                    }
-                }
-                Status::Attributed => {
-                    if ids.is_empty() {
-                        return Err("attributed slot has no template ids");
-                    }
-                    attributed_live += 1;
-                }
-            }
-            parsed_status.push(status);
         }
         Ok(Self {
             intern,
             per_query,
-            status: parsed_status,
-            attributed_live,
-            unattributed_live,
             baseline,
             baseline_captured,
         })
@@ -294,7 +216,9 @@ impl DriftAttribution {
     /// templates whose cost sum regressed more than `threshold`
     /// (relative) since the baseline, plus — whenever some template did
     /// regress — every live unattributed query (they cannot be ruled
-    /// out, so they ride along in any localized scope).
+    /// out, so they ride along in any localized scope). `is_live` is the
+    /// model's liveness: it tells a live unattributed slot from a dead
+    /// one, since neither carries template ids.
     ///
     /// Returns `None` — "search everything" — when the per-template lens
     /// has nothing to say: no baseline yet, no attributed queries live,
@@ -302,8 +226,13 @@ impl DriftAttribution {
     /// spread under the per-template bar, or drift coming entirely from
     /// queries the lens cannot see — either way the full scope is the
     /// only honest answer).
-    pub fn regressed_queries(&self, state: &PricedWorkload, threshold: f64) -> Option<Vec<u32>> {
-        if !self.baseline_captured || self.attributed_live == 0 {
+    pub fn regressed_queries(
+        &self,
+        state: &PricedWorkload,
+        threshold: f64,
+        is_live: impl Fn(usize) -> bool,
+    ) -> Option<Vec<u32>> {
+        if !self.baseline_captured || self.attributed_live() == 0 {
             return None;
         }
         let current = self.template_sums(state);
@@ -325,10 +254,12 @@ impl DriftAttribution {
             .per_query
             .iter()
             .enumerate()
-            .filter(|(qid, ids)| match self.status[*qid] {
-                Status::Dead => false,
-                Status::Unattributed => true,
-                Status::Attributed => ids.iter().any(|&t| regressed_template[t as usize]),
+            .filter(|(qid, ids)| {
+                if ids.is_empty() {
+                    is_live(*qid)
+                } else {
+                    ids.iter().any(|&t| regressed_template[t as usize])
+                }
             })
             .map(|(qid, _)| qid as u32)
             .collect();
@@ -385,7 +316,7 @@ mod tests {
         attr.capture_baseline(&state(&[10.0, 10.0, 10.0]));
         // Template k[1]'s only member doubled; the rest held still.
         let regressed = attr
-            .regressed_queries(&state(&[10.0, 25.0, 10.0]), 0.2)
+            .regressed_queries(&state(&[10.0, 25.0, 10.0]), 0.2, |_| true)
             .expect("a template regressed");
         assert_eq!(regressed, vec![1]);
     }
@@ -399,7 +330,7 @@ mod tests {
         // A new phase's template arrives after the baseline.
         attr.admit(1, &[k[1].clone()]);
         let regressed = attr
-            .regressed_queries(&state(&[10.0, 5.0]), 0.2)
+            .regressed_queries(&state(&[10.0, 5.0]), 0.2, |_| true)
             .expect("new template must be in scope");
         assert_eq!(regressed, vec![1]);
     }
@@ -414,7 +345,7 @@ mod tests {
         // Template k[0] regressed: the scope must hold its member *and*
         // the unattributed query, which can never be ruled out.
         let regressed = attr
-            .regressed_queries(&state(&[25.0, 10.0]), 0.2)
+            .regressed_queries(&state(&[25.0, 10.0]), 0.2, |_| true)
             .expect("a template regressed");
         assert_eq!(regressed, vec![0, 1]);
     }
@@ -425,10 +356,14 @@ mod tests {
         let mut attr = DriftAttribution::new();
         // No baseline yet.
         attr.admit(0, &[k[0].clone()]);
-        assert!(attr.regressed_queries(&state(&[10.0]), 0.2).is_none());
+        assert!(attr
+            .regressed_queries(&state(&[10.0]), 0.2, |_| true)
+            .is_none());
         // Baseline captured, nothing regressed.
         attr.capture_baseline(&state(&[10.0]));
-        assert!(attr.regressed_queries(&state(&[10.0]), 0.2).is_none());
+        assert!(attr
+            .regressed_queries(&state(&[10.0]), 0.2, |_| true)
+            .is_none());
         // No template regressed but an unattributed query is live: the
         // drift may well come from the query the lens cannot see — full
         // scope, not a mask around the blind spot.
@@ -437,13 +372,15 @@ mod tests {
         mixed.admit(1, &[]);
         mixed.capture_baseline(&state(&[10.0, 10.0]));
         assert!(mixed
-            .regressed_queries(&state(&[10.0, 99.0]), 0.2)
+            .regressed_queries(&state(&[10.0, 99.0]), 0.2, |_| true)
             .is_none());
         // No attributed queries at all.
         let mut blind = DriftAttribution::new();
         blind.admit(0, &[]);
         blind.capture_baseline(&state(&[10.0]));
-        assert!(blind.regressed_queries(&state(&[99.0]), 0.2).is_none());
+        assert!(blind
+            .regressed_queries(&state(&[99.0]), 0.2, |_| true)
+            .is_none());
     }
 
     #[test]
@@ -458,7 +395,7 @@ mod tests {
         attr.admit(1, &[k[0].clone(), k[1].clone()]);
         attr.capture_baseline(&state(&[10.0, 10.0]));
         let split = attr
-            .regressed_queries(&state(&[10.0, 16.0]), 0.2)
+            .regressed_queries(&state(&[10.0, 16.0]), 0.2, |_| true)
             .expect("a template regressed");
         assert_eq!(split, vec![1], "the split pins the mask on the mover");
     }
@@ -476,7 +413,7 @@ mod tests {
         // q0 rises 10 → 14: T0 5 → 7 (+40%), T1 15 → 17 (+13%) — the
         // mask holds q0 alone.
         let regressed = attr
-            .regressed_queries(&state(&[14.0, 10.0]), 0.2)
+            .regressed_queries(&state(&[14.0, 10.0]), 0.2, |_| true)
             .expect("T0 regressed");
         assert_eq!(regressed, vec![0]);
         // Compaction: q0 dies, q1 slides to slot 0 and keeps working.
@@ -484,7 +421,7 @@ mod tests {
         attr.remap(&[u32::MAX, 0]);
         attr.capture_baseline(&state(&[10.0]));
         let regressed = attr
-            .regressed_queries(&state(&[30.0]), 0.2)
+            .regressed_queries(&state(&[30.0]), 0.2, |_| true)
             .expect("T1 regressed after remap");
         assert_eq!(regressed, vec![0]);
     }
@@ -503,9 +440,26 @@ mod tests {
         attr.remap(&[u32::MAX, 0, 1]);
         attr.capture_baseline(&state(&[10.0, 10.0]));
         let regressed = attr
-            .regressed_queries(&state(&[10.0, 30.0]), 0.2)
+            .regressed_queries(&state(&[10.0, 30.0]), 0.2, |_| true)
             .expect("regression after remap");
         // Both survivors carry k[1], whose sum regressed.
         assert_eq!(regressed, vec![0, 1]);
+    }
+
+    #[test]
+    fn dead_slots_never_ride_along() {
+        let k = keys();
+        let mut attr = DriftAttribution::new();
+        attr.admit(0, &[k[0].clone()]);
+        attr.admit(1, &[]);
+        attr.admit(2, &[]);
+        attr.capture_baseline(&state(&[10.0, 10.0, 10.0]));
+        // Slot 1 was evicted: with no template ids, only the model's
+        // liveness tells it from the live unattributed slot 2.
+        attr.evict(1);
+        let regressed = attr
+            .regressed_queries(&state(&[25.0, 0.0, 10.0]), 0.2, |q| q != 1)
+            .expect("a template regressed");
+        assert_eq!(regressed, vec![0, 2]);
     }
 }

@@ -56,7 +56,6 @@ use pinum_core::{
 };
 use pinum_optimizer::Optimizer;
 use pinum_query::{Query, RelIdx, RelTemplate, TemplateKey};
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Knobs of the online tuning daemon.
@@ -327,11 +326,18 @@ pub struct OnlineStats {
 }
 
 /// Plain-data export of the daemon's complete mutable state — everything
-/// the `pinum-persist` snapshot format serializes. The shared template
-/// cache is deliberately **excluded**: it is a pure performance cache, so
-/// a restored daemon re-collects template shapes on demand with
-/// bit-identical results (its collection *counters* live in
-/// [`OnlineStats`] and are restored verbatim).
+/// the `pinum-persist` snapshot format serializes, and nothing a restore
+/// can recompute. The shared template cache is deliberately **excluded**:
+/// it is a pure performance cache, so a restored daemon re-collects
+/// template shapes on demand with bit-identical results (its collection
+/// *counters* live in [`OnlineStats`] and are restored verbatim).
+///
+/// The window and the ordinal book are derived, not stored. Query ids
+/// are issued in admission order and compaction keeps their relative
+/// order, so the window is the model's live ids in ascending order (its
+/// oldest resident is the lowest live id), and `qid_ordinal` — strictly
+/// increasing, every entry below `stats.admits` — resolves an admission
+/// ordinal by binary search. Attribution liveness is the model's too.
 #[derive(Debug, Clone)]
 pub struct OnlineAdvisorParts {
     /// Streaming model export ([`pinum_core::WorkloadModel::to_parts`]).
@@ -344,13 +350,7 @@ pub struct OnlineAdvisorParts {
     pub full_repricings: usize,
     /// Attribution books export ([`DriftAttribution::to_parts`]).
     pub attribution: DriftAttributionParts,
-    /// Live qids in admission order (front = oldest).
-    pub window: Vec<u32>,
-    /// Oldest admission ordinal the book below still holds.
-    pub admission_base: usize,
-    /// Admission ordinal − base → current qid (`u32::MAX` once evicted).
-    pub admission_qid: Vec<u32>,
-    /// Query slot → admission ordinal.
+    /// Query slot → admission ordinal (tombstones included).
     pub qid_ordinal: Vec<u32>,
     /// Drift baseline: mean priced cost per live query after the last
     /// re-advise (+∞ disarms the detector).
@@ -373,18 +373,11 @@ pub struct OnlineAdvisor {
     collector: WorkloadCollector,
     /// Per-template priced-cost attribution for scoped re-advising.
     attribution: DriftAttribution,
-    /// Live query ids, admission order (front = oldest).
-    window: VecDeque<usize>,
-    /// Ordinal of the oldest admission the book below still holds;
-    /// compaction retires the dead prefix so the books stay O(window)
-    /// over the daemon's lifetime. Ordinals below the base are evicted
-    /// by definition (they predate every live resident).
-    admission_base: usize,
-    /// Admission ordinal − `admission_base` → current qid (`u32::MAX`
-    /// once evicted). The stable handle behind
-    /// [`Self::reweight`].
-    admission_qid: Vec<u32>,
-    /// Query slot → admission ordinal (for eviction/compaction upkeep).
+    /// Query slot → admission ordinal, tombstones included. Ids are
+    /// issued in admission order and compaction keeps their order, so
+    /// this is strictly increasing: the ordinal handle behind
+    /// [`Self::reweight`] resolves by binary search, and compaction
+    /// retires evicted ordinals with their slots, keeping it O(window).
     qid_ordinal: Vec<u32>,
     /// Mean priced cost per live query right after the last re-advise
     /// (infinite before the first one, which disarms the drift detector
@@ -408,9 +401,6 @@ impl OnlineAdvisor {
             session,
             collector: WorkloadCollector::new(),
             attribution: DriftAttribution::new(),
-            window: VecDeque::new(),
-            admission_base: 0,
-            admission_qid: Vec::new(),
             qid_ordinal: Vec::new(),
             baseline_mean: f64::INFINITY,
             admits_since_advise: 0,
@@ -488,7 +478,10 @@ impl OnlineAdvisor {
         if self.baseline_mean.is_finite() {
             return 0;
         }
-        let window_room = self.opts.window_capacity.saturating_sub(self.window.len());
+        let window_room = self
+            .opts
+            .window_capacity
+            .saturating_sub(self.session.model().live_query_count());
         let epoch_room = (self.opts.epoch_length - 1).saturating_sub(self.admits_since_advise);
         pending.min(window_room).min(epoch_room)
     }
@@ -497,9 +490,9 @@ impl OnlineAdvisor {
     /// session admission ([`PricingSession::admit_batch`] — one model
     /// maintenance pass, one tree extension; O(the run's access arms)
     /// plus one single-query pricing per newcomer, never an O(window)
-    /// *re-pricing*), then books each spec into the window, the ordinal
-    /// maps and the attribution, appending one [`Admission`] per spec to
-    /// `out`. Triggers are the caller's: nothing here re-advises.
+    /// *re-pricing*), then books each spec into the ordinal map and the
+    /// attribution, appending one [`Admission`] per spec to `out`.
+    /// Triggers are the caller's: nothing here re-advises.
     fn splice(&mut self, specs: &[AdmissionSpec<'_>], out: &mut Vec<Admission>) {
         let splice = Instant::now();
         let queries: Vec<(&PlanCache, &AccessCostCatalog, f64)> = specs
@@ -512,13 +505,11 @@ impl OnlineAdvisor {
         for (i, spec) in specs.iter().enumerate() {
             let qid = first + i;
             let model_arms = self.session.model().query_arm_count(qid);
-            let ordinal = self.admission_base + self.admission_qid.len();
+            let ordinal = self.stats.admits;
             self.stats.admits += 1;
             self.stats.admit_arms_total += model_arms;
             self.stats.admit_arms_max = self.stats.admit_arms_max.max(model_arms);
-            self.window.push_back(qid);
             debug_assert_eq!(self.qid_ordinal.len(), qid);
-            self.admission_qid.push(qid as u32);
             self.qid_ordinal.push(ordinal as u32);
             self.attribution.admit(qid, spec.templates);
             self.admits_since_advise += 1;
@@ -535,9 +526,14 @@ impl OnlineAdvisor {
         // --- Window overflow: retract the oldest resident (an O(log n)
         // leaf update, nothing priced). Only a run of one can overflow —
         // wider runs are sized to the window's room. ---
-        if self.window.len() > self.opts.window_capacity {
+        let model = self.session.model();
+        if model.live_query_count() > self.opts.window_capacity {
             debug_assert_eq!(specs.len(), 1, "a run wider than the window's room");
-            let oldest = self.window.pop_front().expect("window non-empty");
+            // The oldest resident is the lowest live id: a scan past at
+            // most the window plus the uncompacted tombstones.
+            let oldest = (0..model.query_count())
+                .find(|&q| model.is_live(q))
+                .expect("window non-empty");
             self.retract(oldest);
             out.last_mut().expect("splice reports every spec").evicted = Some(oldest);
         }
@@ -575,12 +571,11 @@ impl OnlineAdvisor {
         }
     }
 
-    /// Removes one query from the session, the attribution books, and the
-    /// ordinal map (the window entry is the caller's to drop).
+    /// Removes one query from the session and the attribution books (its
+    /// ordinal stays booked until compaction retires the slot).
     fn retract(&mut self, qid: usize) {
         self.session.evict_query(qid);
         self.attribution.evict(qid);
-        self.admission_qid[self.qid_ordinal[qid] as usize - self.admission_base] = u32::MAX;
         self.stats.evictions += 1;
     }
 
@@ -635,45 +630,34 @@ impl OnlineAdvisor {
         let Some(qid) = self.resolve_ordinal(admission, "evicting") else {
             return false;
         };
-        let pos = self
-            .window
-            .iter()
-            .position(|&w| w == qid)
-            .expect("live qid must be in the window");
-        self.window.remove(pos);
         self.retract(qid);
         true
     }
 
     /// Ordinal → live qid, or `None` when the admission has left the
-    /// window (ordinals below the compaction base are evicted by
-    /// definition). A never-issued ordinal is a caller bug and panics.
+    /// window (evicted, or compacted away with its slot). A never-issued
+    /// ordinal is a caller bug and panics.
     fn resolve_ordinal(&self, admission: usize, verb: &str) -> Option<usize> {
-        if admission < self.admission_base {
-            return None;
-        }
-        let issued = self.admission_base + self.admission_qid.len();
-        let qid = *self
-            .admission_qid
-            .get(admission - self.admission_base)
-            .unwrap_or_else(|| {
-                panic!("{verb} unknown admission ordinal {admission} (only {issued} issued)")
-            });
-        if qid == u32::MAX {
-            None
-        } else {
-            Some(qid as usize)
-        }
+        let issued = self.stats.admits;
+        assert!(
+            admission < issued,
+            "{verb} unknown admission ordinal {admission} (only {issued} issued)"
+        );
+        let qid = u32::try_from(admission)
+            .ok()
+            .and_then(|ordinal| self.qid_ordinal.binary_search(&ordinal).ok())?;
+        self.session.model().is_live(qid).then_some(qid)
     }
 
     /// Whether the window's mean priced cost has regressed past the
     /// threshold (written so a NaN mean — possible only if the state
     /// were corrupted — also fires and self-heals on the re-advise).
     fn drift_fired(&self) -> bool {
-        if self.window.is_empty() || !self.baseline_mean.is_finite() {
+        let live = self.session.model().live_query_count();
+        if live == 0 || !self.baseline_mean.is_finite() {
             return false;
         }
-        let mean_now = self.session.total() / self.window.len() as f64;
+        let mean_now = self.session.total() / live as f64;
         let bound = self.baseline_mean * (1.0 + self.opts.drift_threshold);
         // Fires on Greater *and* on NaN (incomparable) — an unpriceable
         // window must trigger the re-advise that can heal it.
@@ -732,13 +716,16 @@ impl OnlineAdvisor {
         // scope the *pricing* itself: the regressed set rides into the
         // search as a query mask, so probes re-price only the queries
         // that drifted (accepted moves re-derive exact totals).
-        let regressed: Option<Vec<u32>> =
-            if trigger == ReadviseTrigger::Drift && self.opts.scoped_readvise {
-                self.attribution
-                    .regressed_queries(self.session.state(), ATTRIBUTION_THRESHOLD)
-            } else {
-                None
-            };
+        let regressed: Option<Vec<u32>> = if trigger == ReadviseTrigger::Drift
+            && self.opts.scoped_readvise
+        {
+            let model = self.session.model();
+            let is_live = |q| model.is_live(q);
+            self.attribution
+                .regressed_queries(self.session.state(), ATTRIBUTION_THRESHOLD, is_live)
+        } else {
+            None
+        };
         let mask: Option<Selection> = regressed.as_ref().map(|r| self.scope_mask(r));
 
         let gopts = GreedyOptions {
@@ -770,10 +757,11 @@ impl OnlineAdvisor {
         self.session
             .install(result.selection, result.final_state, result.full_repricings);
         let cost_after = self.session.total();
-        self.baseline_mean = if self.window.is_empty() {
+        let live = self.session.model().live_query_count();
+        self.baseline_mean = if live == 0 {
             f64::INFINITY
         } else {
-            cost_after / self.window.len() as f64
+            cost_after / live as f64
         };
         self.attribution.capture_baseline(self.session.state());
         self.admits_since_advise = 0;
@@ -823,43 +811,24 @@ impl OnlineAdvisor {
         mask
     }
 
-    /// Drops eviction tombstones from the session; window ids, the
-    /// attribution books, and the ordinal maps are remapped, so behaviour
-    /// is unchanged. Runs automatically at re-advise time whenever
-    /// tombstones outnumber live queries (which renumbers query ids —
-    /// treat an [`Admission`]'s `qid` as valid only until the next
-    /// re-advise; `ordinal` is the stable handle), and stays public for
-    /// callers who want memory back sooner.
+    /// Drops eviction tombstones from the session; the attribution books
+    /// and the ordinal map are remapped, so behaviour is unchanged. Runs
+    /// automatically at re-advise time whenever tombstones outnumber live
+    /// queries (which renumbers query ids — treat an [`Admission`]'s `qid`
+    /// as valid only until the next re-advise; `ordinal` is the stable
+    /// handle), and stays public for callers who want memory back sooner.
     pub fn compact(&mut self) {
         self.stats.compactions += 1;
         let remap = self.session.compact();
         self.attribution.remap(&remap);
-        for qid in self.window.iter_mut() {
-            let new = remap[*qid];
-            debug_assert_ne!(new, u32::MAX, "window held an evicted query");
-            *qid = new as usize;
-        }
-        let mut qid_ordinal = vec![u32::MAX; self.session.model().query_count()];
-        for (old, &new) in remap.iter().enumerate() {
-            let ordinal = self.qid_ordinal[old];
-            if new != u32::MAX {
-                qid_ordinal[new as usize] = ordinal;
-                self.admission_qid[ordinal as usize - self.admission_base] = new;
-            }
-        }
-        self.qid_ordinal = qid_ordinal;
-        // Retire the admission book's dead prefix: every ordinal below
-        // the oldest live resident's is evicted by definition, so the
-        // base moves up and the books stay O(window) for the daemon's
-        // whole lifetime (retired ordinals keep reporting misses).
-        let new_base = self
-            .window
-            .front()
-            .map_or(self.admission_base + self.admission_qid.len(), |&q| {
-                self.qid_ordinal[q] as usize
-            });
-        self.admission_qid.drain(..new_base - self.admission_base);
-        self.admission_base = new_base;
+        // Survivors keep their relative order, so their ordinals stay
+        // strictly increasing; retired ordinals keep reporting misses.
+        self.qid_ordinal = remap
+            .iter()
+            .zip(&self.qid_ordinal)
+            .filter(|&(&new, _)| new != u32::MAX)
+            .map(|(_, &ordinal)| ordinal)
+            .collect();
     }
 
     /// Exact priced cost of the current selection over the live window —
@@ -894,17 +863,6 @@ impl OnlineAdvisor {
         &self.opts
     }
 
-    /// The admission-ordinal book's live span `(base, next)`: ordinals
-    /// below `base` were retired by compaction (reweights targeting them
-    /// report misses), `next` is the ordinal the next admission gets.
-    /// `next - base` stays O(window) over the daemon's lifetime.
-    pub fn admission_book_span(&self) -> (usize, usize) {
-        (
-            self.admission_base,
-            self.admission_base + self.admission_qid.len(),
-        )
-    }
-
     pub fn stats(&self) -> &OnlineStats {
         &self.stats
     }
@@ -918,9 +876,6 @@ impl OnlineAdvisor {
             per_query: self.session.state().per_query().to_vec(),
             full_repricings: self.session.full_repricings(),
             attribution: self.attribution.to_parts(),
-            window: self.window.iter().map(|&q| q as u32).collect(),
-            admission_base: self.admission_base,
-            admission_qid: self.admission_qid.clone(),
             qid_ordinal: self.qid_ordinal.clone(),
             baseline_mean: self.baseline_mean,
             admits_since_advise: self.admits_since_advise,
@@ -933,8 +888,12 @@ impl OnlineAdvisor {
     /// daemon: same selection and priced bits, same counters, and the
     /// restore itself performs zero full re-pricings (the priced state is
     /// adopted, the pairwise tree rebuilt as the pure function of the
-    /// per-query costs it is). Validates every cross-array invariant and
-    /// returns an error — never panics — on inconsistent or hostile
+    /// per-query costs it is). The window and the ordinal book are
+    /// derived from the model, so what is left to validate is the
+    /// ordinal map (one strictly increasing entry per slot, each below
+    /// the admission counter), the live set (no larger than the window),
+    /// and the attribution books (one entry per slot, none on a dead
+    /// one). Returns an error — never panics — on inconsistent or hostile
     /// input. The shared template cache starts empty.
     pub fn from_parts(
         pool: CandidatePool,
@@ -948,9 +907,6 @@ impl OnlineAdvisor {
             per_query,
             full_repricings,
             attribution,
-            window,
-            admission_base,
-            admission_qid,
             qid_ordinal,
             baseline_mean,
             admits_since_advise,
@@ -959,68 +915,39 @@ impl OnlineAdvisor {
         if baseline_mean.is_nan() {
             return Err("drift baseline is NaN");
         }
-        // Cross-array bookkeeping invariants, checked against the raw
-        // parts before any of them is consumed.
-        let query_count = model.query_plan_start.len();
-        if qid_ordinal.len() != query_count {
-            return Err("ordinal map sized for a different model");
-        }
-        if attribution.per_query.len() != query_count {
-            return Err("attribution books sized for a different model");
-        }
-        let live_count = model.live.iter().filter(|&&l| l).count();
-        if window.len() != live_count || window.len() > opts.window_capacity {
-            return Err("window does not match the model's live set");
-        }
-        if admission_base + admission_qid.len() != stats.admits {
-            return Err("admission book does not end at the admission counter");
-        }
-        for (off, &q) in admission_qid.iter().enumerate() {
-            if q == u32::MAX {
-                continue;
-            }
-            let q = q as usize;
-            if q >= query_count || !model.live[q] || qid_ordinal[q] as usize != admission_base + off
-            {
-                return Err("admission book does not round-trip through the ordinal map");
-            }
-        }
-        let mut prev_ordinal = None;
-        let mut seen = vec![false; query_count];
-        for &q in &window {
-            let q = q as usize;
-            if q >= query_count || !model.live[q] || seen[q] {
-                return Err("window holds a dead, duplicate, or out-of-range query");
-            }
-            seen[q] = true;
-            let ordinal = qid_ordinal[q] as usize;
-            if ordinal < admission_base
-                || ordinal - admission_base >= admission_qid.len()
-                || admission_qid[ordinal - admission_base] as usize != q
-            {
-                return Err("a resident's ordinal does not resolve back to it");
-            }
-            if prev_ordinal.is_some_and(|p| ordinal <= p) {
-                return Err("window is not in admission order");
-            }
-            prev_ordinal = Some(ordinal);
-        }
         let model = WorkloadModel::from_parts(model)?;
         if model.pool_size() != pool.len() {
             return Err("model built over a different candidate pool");
         }
+        if model.live_query_count() > opts.window_capacity {
+            return Err("more live queries than the window holds");
+        }
+        if qid_ordinal.len() != model.query_count() {
+            return Err("ordinal map sized for a different model");
+        }
+        if qid_ordinal.windows(2).any(|w| w[0] >= w[1])
+            || qid_ordinal
+                .last()
+                .is_some_and(|&o| o as usize >= stats.admits)
+        {
+            return Err("ordinal map not strictly increasing below the admission counter");
+        }
+        let books = &attribution.per_query;
+        if books.len() != model.query_count() {
+            return Err("attribution books sized for a different model");
+        }
+        if (0..books.len()).any(|q| !model.is_live(q) && !books[q].is_empty()) {
+            return Err("dead slot retains template ids");
+        }
+        let attribution = DriftAttribution::from_parts(attribution)?;
         let selection = Selection::from_words(pool.len(), selection_words)?;
         let session = PricingSession::restore(model, selection, per_query, full_repricings)?;
-        let attribution = DriftAttribution::from_parts(attribution)?;
         Ok(Self {
             pool,
             opts,
             session,
             collector: WorkloadCollector::new(),
             attribution,
-            window: window.into_iter().map(|q| q as usize).collect(),
-            admission_base,
-            admission_qid,
             qid_ordinal,
             baseline_mean,
             admits_since_advise,
@@ -1406,18 +1333,19 @@ mod tests {
             "a 30-admission stream over a 4-query window never compacted"
         );
         assert_eq!(advisor.model().live_query_count(), window);
-        // The admission-ordinal book retires its dead prefix at each
-        // compaction, so its live span tracks the window, not lifetime
-        // admissions — and retired ordinals degrade to counted misses.
-        let (base, next) = advisor.admission_book_span();
-        assert_eq!(next, advisor.stats().admits);
+        // The admission-ordinal book holds one entry per model slot, and
+        // compaction retires evicted ordinals with their slots, so it
+        // tracks the window, not lifetime admissions — and retired
+        // ordinals degrade to counted misses.
+        let book = advisor.to_parts().qid_ordinal;
+        assert_eq!(book.len(), advisor.model().query_count());
         assert!(
-            next - base <= 2 * window + 3,
+            book.len() <= 2 * window + 3,
             "admission book grew to {} entries on a {}-query window",
-            next - base,
+            book.len(),
             window
         );
-        assert!(base > 0, "compaction never retired a dead prefix");
+        assert!(book[0] > 0, "compaction never retired a dead prefix");
         assert!(!advisor.reweight(0, 9.9, false).applied);
         assert_eq!(advisor.stats().reweight_misses, 1);
     }
@@ -1522,12 +1450,10 @@ mod tests {
         // handle must still resolve after however many compactions.
         assert!(advisor.reweight(last_ordinal, 3.5, false).applied);
         assert_eq!(advisor.stats().reweight_misses, 0);
-        let qid = *advisor
-            .to_parts()
-            .window
-            .last()
-            .expect("window holds the newest admission");
-        assert_eq!(advisor.model().weight(qid as usize), 3.5);
+        // Ids follow admission order, so the newest admission holds the
+        // highest slot.
+        let qid = advisor.model().query_count() - 1;
+        assert_eq!(advisor.model().weight(qid), 3.5);
     }
 
     #[test]
@@ -1628,7 +1554,10 @@ mod tests {
     /// A parts round-trip mid-stream is invisible: the restored daemon
     /// finishes the stream bit-identically to one that never stopped —
     /// selection, priced bits, counters, ordinal handles — and the
-    /// restore itself performs zero full re-pricings.
+    /// restore itself performs zero full re-pricings. Before the export
+    /// a mid-window eviction, a compaction and a second mid-window
+    /// eviction leave the derived window with a renumbering behind it and
+    /// a tombstone inside it.
     #[test]
     fn parts_roundtrip_resumes_bit_identically() {
         let (_s, queries, pool, models) = fixture(3, 10);
@@ -1646,6 +1575,12 @@ mod tests {
                 );
                 if i % 7 == 6 {
                     advisor.reweight(i, queries[i].1 * 2.0, false);
+                }
+                match i {
+                    13 => assert!(advisor.evict_admission(9)),
+                    15 => advisor.compact(),
+                    16 => assert!(advisor.evict_admission(12)),
+                    _ => {}
                 }
             }
         };
@@ -1683,12 +1618,9 @@ mod tests {
         assert_eq!(b.scoped_readvises, r.scoped_readvises);
         assert_eq!(b.compactions, r.compactions);
         assert_eq!(b.full_repricings, r.full_repricings);
-        assert_eq!(
-            baseline.admission_book_span(),
-            restored.admission_book_span()
-        );
         let (b, r) = (baseline.to_parts(), restored.to_parts());
-        assert_eq!(b.window, r.window);
+        assert_eq!(b.qid_ordinal, r.qid_ordinal);
+        assert_eq!(b.model.live, r.model.live);
         assert_eq!(b.attribution.templates.len(), r.attribution.templates.len());
     }
 
@@ -1706,21 +1638,27 @@ mod tests {
                     .templates(&templates),
             );
         }
+        // A mid-window eviction leaves a dead slot in the parts.
+        assert!(advisor.evict_admission(advisor.stats().admits - 2));
         let good = advisor.to_parts();
         assert!(OnlineAdvisor::from_parts(pool.clone(), o, good.clone()).is_ok());
+        let dead = good
+            .model
+            .live
+            .iter()
+            .position(|&l| !l)
+            .expect("a dead slot");
 
         let mut p = good.clone();
-        p.window.pop();
+        p.qid_ordinal.swap(0, 1); // ordinals out of admission order
         assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
 
         let mut p = good.clone();
-        p.stats.admits += 1;
+        p.stats.admits -= 1; // the newest resident's ordinal was never issued
         assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
 
         let mut p = good.clone();
-        if let Some(w) = p.window.first_mut() {
-            *w = u32::MAX - 1;
-        }
+        p.qid_ordinal.pop();
         assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
 
         let mut p = good.clone();
@@ -1736,7 +1674,7 @@ mod tests {
         assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
 
         let mut p = good.clone();
-        p.attribution.status.fill(9);
+        p.attribution.per_query[dead] = vec![0]; // a dead slot with templates
         assert!(OnlineAdvisor::from_parts(pool, o, p).is_err());
     }
 

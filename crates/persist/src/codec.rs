@@ -128,11 +128,6 @@ pub fn encode_model_parts(out: &mut Vec<u8>, p: &WorkloadModelParts) {
     put_u32s(out, &p.plan_slot_end);
     put_u32s(out, &p.query_plan_start);
     put_u32s(out, &p.query_plan_end);
-    put_u32s(out, &p.query_touched_start);
-    put_u32s(out, &p.query_touched_end);
-    put_u64s(out, &p.query_bloom);
-    put_u32s(out, &p.query_arm_count);
-    put_u32s(out, &p.touched);
     put_f64s(out, &p.weights);
     put_bools(out, &p.live);
 }
@@ -156,11 +151,6 @@ pub fn decode_model_parts(c: &mut Cursor<'_>) -> Result<WorkloadModelParts, Wire
         plan_slot_end: u32s(c)?,
         query_plan_start: u32s(c)?,
         query_plan_end: u32s(c)?,
-        query_touched_start: u32s(c)?,
-        query_touched_end: u32s(c)?,
-        query_bloom: u64s(c)?,
-        query_arm_count: u32s(c)?,
-        touched: u32s(c)?,
         weights: f64s(c)?,
         live: bools(c)?,
     })
@@ -171,7 +161,6 @@ pub fn decode_model_parts(c: &mut Cursor<'_>) -> Result<WorkloadModelParts, Wire
 pub fn encode_attribution_parts(out: &mut Vec<u8>, p: &DriftAttributionParts) {
     put_vec(out, &p.templates, |o, t| template_to_wire(t).encode(o));
     put_vec(out, &p.per_query, |o, ids| put_u32s(o, ids));
-    put_vec(out, &p.status, |o, &s| put_u8(o, s));
     put_f64s(out, &p.baseline);
     put_bool(out, p.baseline_captured);
 }
@@ -184,7 +173,6 @@ pub fn decode_attribution_parts(c: &mut Cursor<'_>) -> Result<DriftAttributionPa
             .map(template_from_wire)
             .collect(),
         per_query: c.vec(4, u32s)?,
-        status: c.vec(1, |c| c.u8())?,
         baseline: f64s(c)?,
         baseline_captured: c.bool()?,
     })
@@ -244,9 +232,6 @@ pub fn encode_advisor_parts(out: &mut Vec<u8>, p: &OnlineAdvisorParts) {
     put_f64s(out, &p.per_query);
     put_u64(out, p.full_repricings as u64);
     encode_attribution_parts(out, &p.attribution);
-    put_u32s(out, &p.window);
-    put_u64(out, p.admission_base as u64);
-    put_u32s(out, &p.admission_qid);
     put_u32s(out, &p.qid_ordinal);
     put_f64(out, p.baseline_mean);
     put_u64(out, p.admits_since_advise as u64);
@@ -260,9 +245,6 @@ pub fn decode_advisor_parts(c: &mut Cursor<'_>) -> Result<OnlineAdvisorParts, Wi
         per_query: f64s(c)?,
         full_repricings: c.u64()? as usize,
         attribution: decode_attribution_parts(c)?,
-        window: u32s(c)?,
-        admission_base: c.u64()? as usize,
-        admission_qid: u32s(c)?,
         qid_ordinal: u32s(c)?,
         baseline_mean: c.f64()?,
         admits_since_advise: c.u64()? as usize,
@@ -337,6 +319,81 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// The snapshot payload's layout, pinned: a fixed daemon state over a
+    /// small real model (two star queries, three admissions, one
+    /// evicted), with default counters so no wall clock enters the bytes.
+    ///
+    /// Changing either pinned value changes the on-disk format: bump
+    /// `SNAPSHOT_VERSION` in the same change, so a tenant written by the
+    /// older build is refused typed (`an_old_format_tenant_is_refused_typed`)
+    /// instead of misread, then update the pins.
+    #[test]
+    fn advisor_parts_encoding_is_pinned() {
+        use pinum_catalog::{Catalog, Column, ColumnType, Index, Table};
+        use pinum_core::access_costs::collect_pinum;
+        use pinum_core::builder::{build_cache_pinum, BuilderOptions};
+        use pinum_core::CandidatePool;
+        use pinum_online::{query_templates, AdmissionSpec, OnlineAdvisor};
+        use pinum_optimizer::Optimizer;
+        use pinum_query::QueryBuilder;
+
+        let mut cat = Catalog::new();
+        cat.add_table(Table::new(
+            "f",
+            300_000,
+            vec![
+                Column::new("fk", ColumnType::Int8).with_ndv(3_000),
+                Column::new("v", ColumnType::Int4).with_ndv(1_000),
+            ],
+        ));
+        cat.add_table(Table::new(
+            "d",
+            3_000,
+            vec![
+                Column::new("k", ColumnType::Int8).with_ndv(3_000),
+                Column::new("w", ColumnType::Int4).with_ndv(50),
+            ],
+        ));
+        let join = QueryBuilder::new("join", &cat)
+            .table("f")
+            .table("d")
+            .join(("f", "fk"), ("d", "k"))
+            .filter_range(("f", "v"), 0.0, 10.0)
+            .order_by(("d", "w"))
+            .build();
+        let scan = QueryBuilder::new("scan", &cat)
+            .table("f")
+            .filter_range(("f", "v"), 0.0, 10.0)
+            .build();
+        let f = cat.table(cat.table_id("f").unwrap()).clone();
+        let d = cat.table(cat.table_id("d").unwrap()).clone();
+        let pool = CandidatePool::from_indexes(vec![
+            Index::hypothetical(&f, vec![1], false),
+            Index::hypothetical(&f, vec![0], false),
+            Index::hypothetical(&d, vec![0], false),
+        ]);
+        let optimizer = Optimizer::new(&cat);
+        let mut advisor = OnlineAdvisor::new(pool.clone(), OnlineAdvisorOptions::defaults(1 << 30));
+        for query in [&join, &scan, &join] {
+            let cache = build_cache_pinum(&optimizer, query, &BuilderOptions::default()).cache;
+            let (access, _) = collect_pinum(&optimizer, query, &pool);
+            let templates = query_templates(query);
+            advisor.apply(AdmissionSpec::new(&cache, &access).templates(&templates));
+        }
+        advisor.readvise();
+        assert!(advisor.evict_admission(1));
+        let parts = OnlineAdvisorParts {
+            stats: OnlineStats::default(),
+            ..advisor.to_parts()
+        };
+        let mut bytes = Vec::new();
+        encode_advisor_parts(&mut bytes, &parts);
+        let mut c = Cursor::new(&bytes);
+        decode_advisor_parts(&mut c).expect("the pinned parts decode");
+        assert!(c.exhausted());
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (776, 0x1674_8728_22be_6de3));
     }
 
     #[test]

@@ -287,6 +287,16 @@ pub fn cache_from_wire(w: &WirePlanCache) -> Result<PlanCache> {
         if p.coefs.len() != n_rels || p.probe_coefs.len() != n_rels {
             return Err(ConvertError("plan coefficient arity mismatch"));
         }
+        // Pricing skips a plan once its running cost reaches the best so
+        // far, which is exact only when no term can lower a cost.
+        let mut terms = std::iter::once(&p.internal)
+            .chain(&p.coefs)
+            .chain(&p.probe_coefs);
+        if !terms.all(|t| t.is_finite() && *t >= 0.0) {
+            return Err(ConvertError(
+                "plan cost term is not finite and non-negative",
+            ));
+        }
         // Each relation's nibble names one of its orders (or none), and
         // relations past `n_rels` have none.
         let ioc = Ioc::from_raw(p.ioc);

@@ -6,11 +6,12 @@
 //! restart means re-paying every optimizer call the paper's one-call
 //! construction saved. This crate makes the state survive:
 //!
-//! - [`snapshot`] — a versioned binary image of the complete daemon
-//!   (model SoA arrays, selection bitset, spliced per-query costs,
-//!   attribution books, ordinal bookkeeping, counters), framed like the
-//!   wire protocol: magic, format version, length checked against a cap
-//!   *before* allocation, FNV-1a 64 checksum verified before decoding.
+//! - [`snapshot`] — a versioned binary image of the daemon state a
+//!   restore cannot recompute (model SoA arrays, selection bitset,
+//!   spliced per-query costs, attribution books, the slot → ordinal
+//!   map, counters), framed like the wire protocol: magic, format
+//!   version, length checked against a cap *before* allocation, FNV-1a
+//!   64 checksum verified before decoding.
 //! - [`log`] — an append-only record of every mutation the daemon
 //!   accepted ([`pinum_online::AdmissionSpec`] payloads, reweights,
 //!   evictions, executed deferred triggers, compactions), fsynced
@@ -165,7 +166,7 @@ fn check_weight(weight: f64) -> Result<(), &'static str> {
 }
 
 fn check_ordinal(advisor: &OnlineAdvisor, ordinal: usize) -> Result<(), &'static str> {
-    if ordinal < advisor.admission_book_span().1 {
+    if ordinal < advisor.stats().admits {
         Ok(())
     } else {
         Err("admission ordinal was never issued")

@@ -32,7 +32,7 @@ use crate::PersistError;
 /// Snapshot file magic: `PSNP`.
 pub const SNAPSHOT_MAGIC: u32 = 0x5053_4E50;
 /// Bumped on every incompatible layout change.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 /// Payload cap, checked against the actual file size before allocating.
 pub const MAX_SNAPSHOT_LEN: usize = 256 * 1024 * 1024;
 /// How many snapshot generations to keep on disk.

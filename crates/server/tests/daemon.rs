@@ -842,11 +842,14 @@ fn call_within(client: Client, request: Request) -> (Client, Response) {
     (client, resp.expect("call"))
 }
 
-/// Three well-framed admissions that convert to well-typed values but
-/// used to panic the shard while it flattened them, each derived from a
-/// real admission whose plans price nested-loop probes: a plan naming an
-/// interesting order its relation does not have, a relation with no
-/// access entries, and NaN cost parameters.
+/// Well-framed admissions that convert to well-typed values but used to
+/// panic the shard while it flattened them, or to misprice, each derived
+/// from a real admission whose plans price nested-loop probes: a plan
+/// naming an interesting order its relation does not have, a relation
+/// with no access entries, NaN cost parameters, and plan cost terms
+/// (internal cost, coefficients, probe coefficients) that are NaN,
+/// infinite or negative — the bounded pricing scan is exact only when
+/// every term is finite and ≥ 0.
 fn hostile_admissions(fx: &Fixture) -> Vec<(&'static str, WireAdmission)> {
     let i = fx
         .models
@@ -865,12 +868,28 @@ fn hostile_admissions(fx: &Fixture) -> Vec<(&'static str, WireAdmission)> {
     bad_order.cache.plans[0].ioc |= 0xF;
     let mut no_access = real.clone();
     no_access.access.per_rel[0].clear();
-    let mut nan_params = real;
+    let mut nan_params = real.clone();
     nan_params.access.params.random_page_cost = f64::NAN;
+    let mut nan_internal = real.clone();
+    nan_internal.cache.plans[0].internal = f64::NAN;
+    let mut infinite_coef = real.clone();
+    infinite_coef.cache.plans[0].coefs[0] = f64::INFINITY;
+    let mut negative_probe = real;
+    let probe = negative_probe
+        .cache
+        .plans
+        .iter_mut()
+        .flat_map(|p| p.probe_coefs.iter_mut())
+        .find(|c| **c != 0.0)
+        .expect("the fixture has a nested-loop plan");
+    *probe = -*probe;
     vec![
         ("order past the relation's orders", bad_order),
         ("relation without access entries", no_access),
         ("NaN cost parameters", nan_params),
+        ("NaN plan internal cost", nan_internal),
+        ("infinite plan coefficient", infinite_coef),
+        ("negative probe coefficient", negative_probe),
     ]
 }
 
