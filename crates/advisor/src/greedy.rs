@@ -10,7 +10,7 @@
 //! workload through an arbitrary cost closure, O(workload) per probe. It
 //! is the search oracle: the equivalence tests run it over
 //! `CacheCostModel::estimate` and require the incremental
-//! [`crate::search::EagerGreedy`] strategy over a
+//! [`crate::search::StrategyKind::EagerGreedy`] search over a
 //! [`pinum_core::WorkloadModel`] to reproduce its pick sequence and cost
 //! trajectory bit for bit. [`exhaustive_select`] is the §V-E greedy-quality
 //! ablation (A3). The production searches live in [`crate::search`].

@@ -13,16 +13,17 @@
 //!   but "it has been shown to perform better in terms of accuracy than
 //!   more complex algorithms used in the commercial designers, mainly
 //!   because of its significantly larger candidate index set". Its naive
-//!   full-repricing engine is the search oracle the incremental strategies
-//!   are tested against, and its exhaustive search is the A3 ablation;
-//! * [`search`] turns the model-driven search into a framework: a
-//!   [`search::SearchStrategy`] trait with eager greedy, **lazy greedy**
+//!   full-repricing engine is the search oracle the model-driven search is
+//!   tested against, and its exhaustive search is the A3 ablation;
+//! * [`search`] runs the selection over the workload model. One enum,
+//!   [`StrategyKind`], names the policy — eager greedy, **lazy greedy**
 //!   (max-heap of stale benefit upper bounds, identical picks at a
-//!   fraction of the probes), drop-one/add-one **swap hill climbing**, and
-//!   deterministic **simulated annealing** — the latter two built on the
-//!   workload model's removal deltas;
-//! * [`tool`] wires candidates, INUM or PINUM caches, the workload model
-//!   and the selected search strategy into the end-to-end advisor.
+//!   fraction of the probes), drop-one/add-one **swap hill climbing**, or
+//!   deterministic **simulated annealing**, the latter two built on the
+//!   workload model's removal deltas — and its `search` / `search_scoped`
+//!   match on the kind and drive one shared run's bookkeeping;
+//! * [`tool`] wires candidates, PINUM caches, the workload model and the
+//!   selected [`StrategyKind`] into the end-to-end advisor.
 //!
 //! Every search runs on the caller's thread: batched probes are priced
 //! one after another by the workload model's serial kernel.
@@ -37,5 +38,5 @@ pub use candidates::{
     MERGE_PENALTY_NOISE_FLOOR,
 };
 pub use greedy::{greedy_select, GreedyOptions, GreedyResult};
-pub use search::{Anneal, EagerGreedy, LazyGreedy, SearchStrategy, StrategyKind, SwapHillClimb};
-pub use tool::{advise, Advice, AdvisorOptions, CostOracle, QueryOutcome};
+pub use search::StrategyKind;
+pub use tool::{advise, Advice, AdvisorOptions, QueryOutcome};

@@ -2,17 +2,15 @@
 //! entirely by incremental deltas: a proposal *is* a [`Probe`] (add,
 //! drop, or swap). Proposals are drawn in fixed-size blocks against the
 //! block-start state, and each is priced only when the Metropolis walk
-//! reaches it — a one-probe [`WorkloadModel::price_delta_batch`] under
-//! the scope's query mask — so the proposals a block draws after its
-//! first acceptance are never priced. An accepted one is re-derived
-//! exactly with [`WorkloadModel::price_probe_into`] before it is spliced.
-//! The RNG is the in-tree `rand` shim seeded explicitly and its
-//! consumption schedule is fixed by the block size, so a run is a pure
-//! function of `(pool, model, options, seed)`.
+//! reaches it — a one-probe [`Run::price`] under the scope's query mask —
+//! so the proposals a block draws after its first acceptance are never
+//! priced. An accepted one is re-derived exactly by [`Run::commit`]
+//! before it is spliced. The RNG is the in-tree `rand` shim seeded
+//! explicitly and its consumption schedule is fixed by the block size, so
+//! a run is a pure function of `(pool, model, options, seed)`.
 
-use super::{apply_changed, debug_assert_state_matches, LazyGreedy, SearchScope, SearchStrategy};
-use crate::greedy::{GreedyOptions, GreedyResult};
-use pinum_core::{CandidatePool, Probe, Selection, WorkloadModel};
+use super::Run;
+use pinum_core::Probe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,206 +33,104 @@ const INITIAL_TEMP: f64 = 0.05;
 /// Geometric cooling factor applied per iteration.
 const COOLING: f64 = 0.997;
 
-/// Simulated annealing seeded from [`LazyGreedy`]. Proposes random
+/// Simulated annealing on the run's lazy-greedy seed. Proposes random
 /// add/drop/swap moves, accepts improving moves always and worsening moves
 /// with probability `exp(-Δrel / T)` under a geometric cooling schedule,
-/// and returns the **best selection ever visited** — so the final cost is
-/// never above the greedy seed's.
+/// and leaves the run at the **best selection ever visited** — so the
+/// final cost is never above the greedy seed's. The trajectory records
+/// each new best; picks are the final set in ascending id order (pick
+/// order is meaningless after annealing).
 ///
-/// Under a [`SearchScope::query_mask`] the Metropolis rule evaluates the
-/// *masked* delta, so a move that helps the masked queries while
-/// regressing the rest can be accepted — that is ordinary annealing
-/// (worsening moves are allowed by design), and the maintained state and
-/// best-ever tracking always use the exact unmasked totals, so the
-/// returned selection is the best true-cost state the walk visited.
-#[derive(Debug, Clone, Copy)]
-pub struct Anneal {
-    /// RNG seed; the whole run is determined by it.
-    pub seed: u64,
-}
-
-impl Anneal {
-    /// The annealing walk with an explicit seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Self { seed }
+/// Under a [`SearchScope::query_mask`](super::SearchScope::query_mask) the
+/// Metropolis rule evaluates the *masked* delta, so a move that helps the
+/// masked queries while regressing the rest can be accepted — that is
+/// ordinary annealing (worsening moves are allowed by design), and the
+/// maintained state and best-ever tracking always use the exact unmasked
+/// totals, so the run ends at the best true-cost state the walk visited.
+pub(super) fn walk(run: &mut Run, seed: u64) {
+    if run.pool.is_empty() {
+        return;
     }
-}
+    let mut best_selection = run.selection.clone();
+    let mut best_state = run.state.clone();
+    let mut best_bytes = run.used_bytes;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut temp = INITIAL_TEMP;
 
-impl Default for Anneal {
-    fn default() -> Self {
-        Self::with_seed(0x5EED)
-    }
-}
-
-impl SearchStrategy for Anneal {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    fn search_scoped(
-        &self,
-        pool: &CandidatePool,
-        model: &WorkloadModel,
-        opts: &GreedyOptions,
-        warm: &Selection,
-        scope: &SearchScope<'_>,
-    ) -> GreedyResult {
-        let seed_result = LazyGreedy.search_scoped(pool, model, opts, warm, scope);
-        let mut selection = seed_result.selection.clone();
-        let mut used_bytes = seed_result.total_bytes;
-        let mut evaluations = seed_result.evaluations;
-        let mut queries_repriced = seed_result.queries_repriced;
-        let full_repricings = seed_result.full_repricings;
-        let mut trajectory = seed_result.cost_trajectory.clone();
-
-        // The greedy seed's exact final state carries straight into the
-        // annealing walk — no re-pricing between seed and walk.
-        let mut state = seed_result
-            .final_state
-            .clone()
-            .expect("lazy greedy tracks state");
-
-        let mut best_selection = selection.clone();
-        let mut best_state = state.clone();
-        let mut best_cost = state.total();
-        let mut best_bytes = used_bytes;
-
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut temp = INITIAL_TEMP;
-        let mut scratch = Vec::new();
-
-        if pool.is_empty() {
-            return seed_result;
+    // The walk runs in blocks: a block's proposals are all drawn against
+    // the block-start state, then walked serially through the Metropolis
+    // rule in draw order, each priced against that state when the walk
+    // reaches it. The first acceptance applies its move and discards the
+    // block's remaining proposals unpriced — their draw-time validity is
+    // stale against the new state. Discarded proposals are **refunded**:
+    // only walked proposals are charged against `ITERATIONS` and advance
+    // the temperature, so the count keeps its serial meaning — the number
+    // of states the Metropolis chain actually visits — at every
+    // acceptance rate. RNG consumption is: all of a block's proposal draws
+    // first, then one acceptance draw per walked finite-worsening proposal
+    // — a fixed schedule (though not a one-proposal-at-a-time walk's
+    // stream: discarded proposals consumed draws).
+    let mut moves: Vec<Option<Probe>> = Vec::with_capacity(BLOCK);
+    let mut remaining = ITERATIONS;
+    while remaining > 0 {
+        let members: Vec<usize> = run.selection.ids().collect();
+        moves.clear();
+        for _ in 0..BLOCK.min(remaining) {
+            // Propose a move; invalid proposals still consume RNG draws so
+            // the stream (and thus the run) stays deterministic.
+            let mv = match rng.gen_range(0..3u32) {
+                // Add a random unselected in-scope candidate that fits the
+                // budget (out-of-scope draws are invalid proposals, so the
+                // RNG stream — and thus an unmasked run — is unchanged).
+                0 => Some(Probe::Add {
+                    cand: rng.gen_range(0..run.pool.len()),
+                }),
+                // Drop a random member.
+                1 => (!members.is_empty()).then(|| Probe::Drop {
+                    cand: members[rng.gen_range(0..members.len())],
+                }),
+                // Swap a random member for a random non-member.
+                _ => (!members.is_empty()).then(|| Probe::Swap {
+                    drop: members[rng.gen_range(0..members.len())],
+                    add: rng.gen_range(0..run.pool.len()),
+                }),
+            };
+            moves.push(mv.filter(|&mv| run.admits(mv)));
         }
 
-        // The walk runs in blocks: a block's proposals are all drawn
-        // against the block-start state, then walked serially through the
-        // Metropolis rule in draw order, each priced against that state
-        // when the walk reaches it. The first acceptance applies its move
-        // and discards the block's remaining proposals unpriced — their
-        // draw-time validity is stale against the new state. Discarded
-        // proposals are **refunded**: only walked proposals are charged
-        // against `ITERATIONS` and advance the temperature, so the count
-        // keeps its serial meaning — the number of states the Metropolis
-        // chain actually visits — at every acceptance rate. RNG
-        // consumption is: all of a block's proposal draws first, then one
-        // acceptance draw per walked finite-worsening proposal — a fixed
-        // schedule (though not a one-proposal-at-a-time walk's stream:
-        // discarded proposals consumed draws).
-        let mut moves: Vec<Option<Probe>> = Vec::with_capacity(BLOCK);
-        let mut remaining = ITERATIONS;
-        while remaining > 0 {
-            let block_len = BLOCK.min(remaining);
-            let members: Vec<usize> = selection.ids().collect();
-            moves.clear();
-            for _ in 0..block_len {
-                // Propose a move; invalid proposals still consume RNG
-                // draws so the stream (and thus the run) stays
-                // deterministic.
-                let kind = rng.gen_range(0..3u32);
-                let mv: Option<Probe> = match kind {
-                    // Add a random unselected in-scope candidate that fits
-                    // the budget (out-of-scope draws are invalid
-                    // proposals, so the RNG stream — and thus an unmasked
-                    // run — is unchanged).
-                    0 => {
-                        let cand = rng.gen_range(0..pool.len());
-                        let bytes = pool.index(cand).size().total_bytes();
-                        (!selection.contains(cand)
-                            && scope.allows(cand)
-                            && used_bytes + bytes <= opts.budget_bytes)
-                            .then_some(Probe::Add { cand })
-                    }
-                    // Drop a random member.
-                    1 => (!members.is_empty()).then(|| Probe::Drop {
-                        cand: members[rng.gen_range(0..members.len())],
-                    }),
-                    // Swap a random member for a random non-member.
-                    _ => {
-                        if members.is_empty() {
-                            None
-                        } else {
-                            let drop = members[rng.gen_range(0..members.len())];
-                            let add = rng.gen_range(0..pool.len());
-                            let fits = !selection.contains(add)
-                                && scope.allows(add)
-                                && used_bytes - pool.index(drop).size().total_bytes()
-                                    + pool.index(add).size().total_bytes()
-                                    <= opts.budget_bytes;
-                            fits.then_some(Probe::Swap { add, drop })
-                        }
-                    }
-                };
-                moves.push(mv);
+        let mut walked = 0usize;
+        for entry in &moves {
+            // Each walked proposal — valid or not — spends one iteration
+            // and one cooling step, exactly like the serial walk; the
+            // block's unwalked remainder is refunded.
+            walked += 1;
+            temp *= COOLING;
+            let Some(mv) = *entry else { continue };
+            let delta = run.price(&[mv])[0];
+            if !accept(run.state.total(), delta.total, temp, &mut rng) {
+                continue;
             }
-
-            let mut walked = 0usize;
-            for entry in &moves {
-                // Each walked proposal — valid or not — spends one
-                // iteration and one cooling step, exactly like the serial
-                // walk; the block's unwalked remainder is refunded.
-                walked += 1;
-                temp *= COOLING;
-                let Some(mv) = *entry else { continue };
-                let delta = model.price_delta_batch(&state, &selection, &[mv], scope.query_mask)[0];
-                evaluations += 1;
-                queries_repriced += delta.repriced;
-
-                if !accept(state.total(), delta.total, temp, &mut rng) {
-                    continue;
-                }
-                // Accepted: re-derive the move's exact **unmasked** delta
-                // serially and splice it, so the maintained state stays
-                // bit-identical to `price_full` even when a query mask
-                // ranked the proposals. O(affected), never a full reprice.
-                let exact = model.price_probe_into(&state, &selection, mv, &mut scratch);
-                evaluations += 1;
-                queries_repriced += exact.repriced;
-                match mv {
-                    Probe::Add { cand } => {
-                        selection.insert(cand);
-                        used_bytes += pool.index(cand).size().total_bytes();
-                    }
-                    Probe::Drop { cand } => {
-                        selection.remove(cand);
-                        used_bytes -= pool.index(cand).size().total_bytes();
-                    }
-                    Probe::Swap { add, drop } => {
-                        selection.remove(drop);
-                        selection.insert(add);
-                        used_bytes = used_bytes - pool.index(drop).size().total_bytes()
-                            + pool.index(add).size().total_bytes();
-                    }
-                }
-                apply_changed(&mut state, &scratch, exact.total);
-                debug_assert_state_matches(model, &selection, &state);
-                if state.total() < best_cost {
-                    best_cost = state.total();
-                    best_selection = selection.clone();
-                    best_state = state.clone();
-                    best_bytes = used_bytes;
-                    trajectory.push(best_cost);
-                }
-                break; // discard the block's stale remainder
+            // Accepted: the commit re-derives the move's exact
+            // **unmasked** delta and splices it, so the maintained state
+            // stays bit-identical to `price_full` even when a query mask
+            // ranked the proposals.
+            run.commit(mv, false);
+            if run.state.total() < best_state.total() {
+                best_selection = run.selection.clone();
+                best_state = run.state.clone();
+                best_bytes = run.used_bytes;
+                run.trajectory.push(best_state.total());
             }
-            // Charge only what was walked (≥ 1, so the loop terminates);
-            // the discarded remainder is redrawn next block.
-            remaining -= walked;
+            break; // discard the block's stale remainder
         }
-
-        GreedyResult {
-            // Pick order is meaningless after annealing; report the final
-            // set in ascending id order.
-            picked: best_selection.ids().collect(),
-            selection: best_selection,
-            cost_trajectory: trajectory,
-            total_bytes: best_bytes,
-            evaluations,
-            queries_repriced,
-            full_repricings,
-            final_state: Some(best_state),
-        }
+        // Charge only what was walked (≥ 1, so the loop terminates); the
+        // discarded remainder is redrawn next block.
+        remaining -= walked;
     }
+    run.picked = best_selection.ids().collect();
+    run.selection = best_selection;
+    run.state = best_state;
+    run.used_bytes = best_bytes;
 }
 
 /// Metropolis acceptance on *relative* cost change: always accept
@@ -258,7 +154,9 @@ fn accept(current: f64, proposed: f64, temp: f64, rng: &mut StdRng) -> bool {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{fixture, pinned_runs, Pin};
+    use super::super::StrategyKind;
     use super::*;
+    use crate::greedy::GreedyOptions;
 
     #[test]
     fn deterministic_for_a_fixed_seed() {
@@ -267,8 +165,8 @@ mod tests {
             budget_bytes: 256 << 20,
             benefit_per_byte: false,
         };
-        let a = Anneal::with_seed(42).search(&pool, &model, &opts);
-        let b = Anneal::with_seed(42).search(&pool, &model, &opts);
+        let a = StrategyKind::Anneal { seed: 42 }.search(&pool, &model, &opts);
+        let b = StrategyKind::Anneal { seed: 42 }.search(&pool, &model, &opts);
         assert_eq!(a.picked, b.picked);
         assert_eq!(a.cost_trajectory, b.cost_trajectory);
         assert_eq!(a.evaluations, b.evaluations);
@@ -283,8 +181,8 @@ mod tests {
                     budget_bytes: budget,
                     benefit_per_byte: false,
                 };
-                let greedy = LazyGreedy.search(&pool, &model, &opts);
-                let anneal = Anneal::with_seed(seed).search(&pool, &model, &opts);
+                let greedy = StrategyKind::LazyGreedy.search(&pool, &model, &opts);
+                let anneal = StrategyKind::Anneal { seed }.search(&pool, &model, &opts);
                 let g = *greedy.cost_trajectory.last().unwrap();
                 let a = *anneal.cost_trajectory.last().unwrap();
                 assert!(a <= g, "seed {seed}: anneal {a} worse than greedy {g}");
@@ -310,7 +208,7 @@ mod tests {
         };
         let warm_prefix = [0x40af4f9b33695430, 0x40af1f9b33695430, 0x40a22b25eba02f37];
         assert_eq!(
-            pinned_runs(&Anneal::with_seed(1)),
+            pinned_runs(StrategyKind::Anneal { seed: 1 }),
             [
                 cold(1_266, 1_697),
                 Pin {
@@ -325,7 +223,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            pinned_runs(&Anneal::with_seed(7)),
+            pinned_runs(StrategyKind::Anneal { seed: 7 }),
             [
                 cold(1_299, 1_693),
                 Pin {
@@ -339,7 +237,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            pinned_runs(&Anneal::with_seed(0xDEAD)),
+            pinned_runs(StrategyKind::Anneal { seed: 0xDEAD }),
             [
                 cold(1_366, 1_753),
                 Pin {

@@ -1,41 +1,47 @@
-//! # Pluggable index-selection search strategies
+//! # Index-selection search over the workload model
 //!
-//! PR 1 turned workload pricing into an incremental substrate
-//! ([`pinum_core::WorkloadModel`]): one flattening, then cheap deltas.
-//! This module turns the *search* that runs on top of it into a framework.
-//! The paper's single hard-coded greedy loop becomes one of several
-//! [`SearchStrategy`] implementations, all budget-aware through the same
-//! [`GreedyOptions`] and all reporting the same [`GreedyResult`]:
+//! The paper's §V-E tool is one greedy loop over a what-if cost oracle.
+//! Here the oracle is the incremental [`pinum_core::WorkloadModel`], and
+//! the loop comes in four [`StrategyKind`]s, all budget-aware through the
+//! same [`GreedyOptions`] and all reporting the same [`GreedyResult`]:
 //!
-//! * [`EagerGreedy`] — the reference §V-E greedy: every round probes every
-//!   remaining in-budget candidate with an add-delta and picks the best
-//!   strictly positive benefit.
-//! * [`LazyGreedy`] — the same search driven by a max-heap of **stale
-//!   benefit upper bounds** (Minoux's lazy evaluation). A candidate is
-//!   re-priced only when its stale bound tops the heap; a *fresh* top is
-//!   the exact argmax and is picked without touching the rest of the pool.
+//! * [`StrategyKind::EagerGreedy`] — the reference §V-E greedy: every
+//!   round probes every remaining in-budget candidate with an add-delta
+//!   and picks the best strictly positive benefit.
+//! * [`StrategyKind::LazyGreedy`] — the same search driven by a max-heap
+//!   of **stale benefit upper bounds** (Minoux's lazy evaluation). A
+//!   candidate is re-priced only when its stale bound tops the heap; a
+//!   *fresh* top is the exact argmax and is picked without touching the
+//!   rest of the pool.
 //!
 //!   **Invariant this relies on:** a candidate's observed benefit never
 //!   increases as the selection grows (diminishing returns). The flattened
 //!   cost model makes that plausible — adding an index can only lower the
 //!   per-query minimum, shrinking what any *other* index can still save —
 //!   and the `search_strategies` experiment and equivalence tests verify
-//!   the consequence: lazy greedy reproduces [`EagerGreedy`]'s pick
-//!   sequence and cost trajectory **bit for bit** while probing a fraction
-//!   of the pool. Ties break toward the lowest candidate id, exactly like
-//!   the eager scan's strict `>` argmax.
-//! * [`SwapHillClimb`] — drop-one/add-one local search seeded from lazy
-//!   greedy, enabled by swap probes ([`pinum_core::Probe::Swap`]), which
-//!   the delta kernel prices over the merged affected lists. Escapes the
-//!   one-directional greedy's local optima (e.g. a narrow index picked
-//!   early whose slot a later covering index serves better).
-//! * [`Anneal`] — deterministic seeded simulated annealing over
-//!   add/drop/swap moves, accepting uphill moves with a cooling
+//!   the consequence: lazy greedy reproduces eager greedy's pick sequence
+//!   and cost trajectory **bit for bit** while probing a fraction of the
+//!   pool. Ties break toward the lowest candidate id, exactly like the
+//!   eager scan's strict `>` argmax.
+//! * [`StrategyKind::SwapHillClimb`] — drop-one/add-one local search
+//!   seeded from lazy greedy, enabled by swap probes
+//!   ([`pinum_core::Probe::Swap`]), which the delta kernel prices over the
+//!   merged affected lists. Escapes the one-directional greedy's local
+//!   optima (e.g. a narrow index picked early whose slot a later covering
+//!   index serves better).
+//! * [`StrategyKind::Anneal`] — deterministic seeded simulated annealing
+//!   over add/drop/swap moves, accepting uphill moves with a cooling
 //!   Metropolis rule. Seeded from lazy greedy and returning the best
 //!   selection ever visited, so it can never end worse than its seed.
 //!
-//! Each strategy prices its moves through
-//! [`WorkloadModel::price_delta_batch`] on the caller's thread: eager
+//! [`StrategyKind::search_scoped`] matches on the kind and drives one
+//! private function per strategy over one `Run`, which owns everything a
+//! search carries: the selection, its picks, bytes and exact priced state,
+//! the cost trajectory and the probe counters. The swap climb and the
+//! annealing walk continue the very run their lazy-greedy seed built.
+//!
+//! Each strategy prices its moves through `Run::price`
+//! ([`WorkloadModel::price_delta_batch`] on the caller's thread): eager
 //! greedy one frontier per round, the swap climb one drop-major
 //! neighbourhood per round (the kernel prices each dropped index's
 //! affected queries once per neighbourhood, not once per exchange), and
@@ -47,24 +53,26 @@
 //! its probe accounting. So [`GreedyResult::evaluations`] counts the
 //! probes a search priced, and [`GreedyResult::queries_repriced`] sums
 //! their [`pinum_core::ProbeDelta::repriced`]. A move the strategy accepts
-//! is re-derived exactly, on the probe it ranked, with
-//! [`WorkloadModel::price_probe_into`] — the same kernel body, one probe,
-//! unmasked — and its changed queries are spliced into the running state.
+//! goes through `Run::commit`: it is re-derived exactly, on the probe it
+//! ranked, with [`WorkloadModel::price_probe_into`] — the same kernel
+//! body, one probe, unmasked — and its changed queries are spliced into
+//! the running state.
 //!
 //! The naive closure-driven `greedy_select` in [`crate::greedy`] is the
-//! search oracle: the equivalence tests require [`EagerGreedy`] to
-//! reproduce it bit for bit over the same cached models.
+//! search oracle: the equivalence tests require eager greedy to reproduce
+//! it bit for bit over the same cached models.
 
 mod anneal;
 mod greedy;
 mod swap;
 
-pub use anneal::Anneal;
-pub use greedy::{EagerGreedy, LazyGreedy};
-pub use swap::SwapHillClimb;
-
 use crate::greedy::{GreedyOptions, GreedyResult};
-use pinum_core::{CandidatePool, PricedWorkload, Selection, WorkloadModel};
+use pinum_core::{CandidatePool, PricedWorkload, Probe, ProbeDelta, Selection, WorkloadModel};
+
+/// Upper bound on the swaps [`StrategyKind::SwapHillClimb`] accepts (each
+/// round scans |selection| × |pool| exchanges; the bound keeps worst-case
+/// cost predictable).
+const SWAP_ROUNDS: usize = 32;
 
 /// Restrictions and carried-over state for one search run — the scoping
 /// layer of template-attributed online re-advising.
@@ -130,139 +138,13 @@ impl<'a> SearchScope<'a> {
     }
 }
 
-/// One search policy over the incremental pricing substrate.
+/// The search policy over the incremental pricing substrate — what
+/// [`crate::tool::AdvisorOptions`], the online advisor's options, the wire
+/// and the snapshot codec carry. A plain enum, so options stay `Copy`.
 ///
-/// Implementations must be deterministic: the same pool, model, and
-/// options yield the same [`GreedyResult`] on every run (randomized
-/// strategies carry their own seed).
-pub trait SearchStrategy {
-    /// Stable human-readable name (used in experiment tables and JSON).
-    fn name(&self) -> &'static str;
-
-    /// Runs the search from scratch (an empty warm set), returning picks,
-    /// final selection, cost trajectory, and probe accounting.
-    fn search(
-        &self,
-        pool: &CandidatePool,
-        model: &WorkloadModel,
-        opts: &GreedyOptions,
-    ) -> GreedyResult {
-        self.search_warm(pool, model, opts, &Selection::empty(pool.len()))
-    }
-
-    /// Runs the search **warm-started** from a previous selection instead
-    /// of from empty — the online re-advising entry point. `warm` members
-    /// are adopted in ascending id order while they fit the budget
-    /// (deterministic truncation when the budget shrank), then the
-    /// strategy continues from there: the greedy family keeps adding,
-    /// swap/anneal can also drop or exchange stale warm picks. A search
-    /// warm-started from an empty selection is exactly [`Self::search`].
-    fn search_warm(
-        &self,
-        pool: &CandidatePool,
-        model: &WorkloadModel,
-        opts: &GreedyOptions,
-        warm: &Selection,
-    ) -> GreedyResult {
-        self.search_scoped(pool, model, opts, warm, &SearchScope::all())
-    }
-
-    /// [`Self::search_warm`] under a [`SearchScope`]: addition probes are
-    /// restricted to the scope's mask and the seed pricing reuses the
-    /// scope's carried warm state when valid. With [`SearchScope::all`]
-    /// this **is** `search_warm`, bit for bit — scoping only ever removes
-    /// probes. The required method every strategy implements.
-    fn search_scoped(
-        &self,
-        pool: &CandidatePool,
-        model: &WorkloadModel,
-        opts: &GreedyOptions,
-        warm: &Selection,
-        scope: &SearchScope<'_>,
-    ) -> GreedyResult;
-}
-
-/// Adopts `warm` members in ascending id order while they fit the budget.
-/// Returns the seeded selection, its members in adoption order, and its
-/// total size — the shared warm-start preamble of every strategy.
-pub(crate) fn seed_within_budget(
-    pool: &CandidatePool,
-    opts: &GreedyOptions,
-    warm: &Selection,
-) -> (Selection, Vec<usize>, u64) {
-    let mut selection = Selection::empty(pool.len());
-    let mut picked = Vec::new();
-    let mut used_bytes = 0u64;
-    for id in warm.ids() {
-        let size = pool.index(id).size().total_bytes();
-        if used_bytes + size > opts.budget_bytes {
-            continue;
-        }
-        selection.insert(id);
-        picked.push(id);
-        used_bytes += size;
-    }
-    (selection, picked, used_bytes)
-}
-
-/// Splices a delta's `changed` list into a [`PricedWorkload`] through its
-/// sum tree, turning an accepted move into an O(changed·log n) state
-/// update instead of an O(workload) full re-pricing. The spliced tree
-/// root lands bit-identical to the `total` the delta reported (same
-/// leaves, same fixed tree shape); callers re-assert the whole state
-/// against `price_full` in debug builds.
-pub(crate) fn apply_changed(state: &mut PricedWorkload, changed: &[(u32, f64)], total: f64) {
-    state.apply_changed(changed);
-    debug_assert_eq!(
-        state.total().to_bits(),
-        total.to_bits(),
-        "spliced sum-tree total diverged from the delta's overlaid total"
-    );
-}
-
-/// The seed pricing every strategy starts from. When the scope carries
-/// the warm selection's exact priced state *and* the budget adopted the
-/// warm set untruncated, the carried state is cloned — zero re-pricing —
-/// and nothing is added to the probe accounting. Otherwise the seeded
-/// selection is fully priced, with the classic accounting (one
-/// evaluation, `query_count` re-pricings, one full re-pricing).
-pub(crate) fn seed_state(
-    model: &WorkloadModel,
-    warm: &Selection,
-    seeded: &Selection,
-    scope: &SearchScope<'_>,
-    evaluations: &mut usize,
-    queries_repriced: &mut usize,
-    full_repricings: &mut usize,
-) -> PricedWorkload {
-    match scope.warm_state {
-        Some(state) if seeded.ids().eq(warm.ids()) => {
-            debug_assert_state_matches(model, seeded, state);
-            state.clone()
-        }
-        _ => {
-            *evaluations += 1;
-            *queries_repriced += model.query_count();
-            *full_repricings += 1;
-            model.price_full(seeded)
-        }
-    }
-}
-
-/// Sampled (`PINUM_ASSERT_SAMPLE`) debug re-check that an incrementally
-/// maintained [`PricedWorkload`] still equals a fresh full re-pricing —
-/// the strategy-side leg of the session's bit-identity discipline
-/// (shared rule: [`PricedWorkload::debug_assert_bit_identical_to_full`]).
-pub(crate) fn debug_assert_state_matches(
-    model: &WorkloadModel,
-    selection: &Selection,
-    state: &PricedWorkload,
-) {
-    state.debug_assert_bit_identical_to_full(model, selection);
-}
-
-/// Strategy selector for [`crate::tool::AdvisorOptions`] — a plain enum so
-/// advisor options stay `Copy`.
+/// Every kind is deterministic: the same pool, model, options, warm set
+/// and scope yield the same [`GreedyResult`] on every run (annealing
+/// carries its own seed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// Lazy greedy (the default): identical output to the reference
@@ -280,14 +162,252 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// Instantiates the strategy with its default knobs.
-    pub fn build(self) -> Box<dyn SearchStrategy> {
+    /// The kind itself. It exists only because the benchmark (`perfbench`)
+    /// calls `kind.build().search(..)`; ROADMAP direction 4(c) removes it.
+    pub fn build(self) -> Self {
+        self
+    }
+
+    /// Runs the search from scratch (an empty warm set), returning picks,
+    /// final selection, cost trajectory, and probe accounting.
+    pub fn search(
+        self,
+        pool: &CandidatePool,
+        model: &WorkloadModel,
+        opts: &GreedyOptions,
+    ) -> GreedyResult {
+        let empty = Selection::empty(pool.len());
+        self.search_scoped(pool, model, opts, &empty, &SearchScope::all())
+    }
+
+    /// Runs the search **warm-started** from a previous selection under a
+    /// [`SearchScope`] — the online re-advising entry point. `warm`
+    /// members are adopted in ascending id order while they fit the budget
+    /// (deterministic truncation when the budget shrank), then the
+    /// strategy continues from there: the greedy family keeps adding,
+    /// swap/anneal can also drop or exchange stale warm picks. Addition
+    /// probes are restricted to the scope's mask and the seed pricing
+    /// reuses the scope's carried warm state when valid. With an empty
+    /// `warm` and [`SearchScope::all`] this **is** [`Self::search`], bit
+    /// for bit — scoping only ever removes probes.
+    pub fn search_scoped(
+        self,
+        pool: &CandidatePool,
+        model: &WorkloadModel,
+        opts: &GreedyOptions,
+        warm: &Selection,
+        scope: &SearchScope<'_>,
+    ) -> GreedyResult {
+        let mut run = Run::seed(pool, model, opts, warm, *scope);
         match self {
-            Self::LazyGreedy => Box::new(LazyGreedy),
-            Self::EagerGreedy => Box::new(EagerGreedy),
-            Self::SwapHillClimb => Box::new(SwapHillClimb::default()),
-            Self::Anneal { seed } => Box::new(Anneal::with_seed(seed)),
+            Self::EagerGreedy => greedy::eager(&mut run),
+            Self::LazyGreedy => greedy::lazy(&mut run),
+            Self::SwapHillClimb => {
+                greedy::lazy(&mut run);
+                swap::climb(&mut run, SWAP_ROUNDS);
+            }
+            Self::Anneal { seed } => {
+                greedy::lazy(&mut run);
+                anneal::walk(&mut run, seed);
+            }
         }
+        run.finish()
+    }
+}
+
+/// One search run: the bookkeeping every strategy shares. The strategies
+/// differ only in which probes they price and which moves they commit.
+struct Run<'a> {
+    pool: &'a CandidatePool,
+    model: &'a WorkloadModel,
+    opts: &'a GreedyOptions,
+    scope: SearchScope<'a>,
+    selection: Selection,
+    /// Members in acquisition order: a dropped index leaves, an added one
+    /// joins at the end.
+    picked: Vec<usize>,
+    used_bytes: u64,
+    /// The exact priced state of `selection`, bit-identical to
+    /// `model.price_full(&selection)`.
+    state: PricedWorkload,
+    trajectory: Vec<f64>,
+    evaluations: usize,
+    queries_repriced: usize,
+    full_repricings: usize,
+    /// The changed-query list [`Self::commit`] splices.
+    scratch: Vec<(u32, f64)>,
+}
+
+impl<'a> Run<'a> {
+    /// Adopts `warm` members in ascending id order while they fit the
+    /// budget, then prices the seeded selection. When the scope carries
+    /// the warm selection's exact priced state *and* the budget adopted
+    /// the warm set untruncated, the carried state is cloned — zero
+    /// re-pricing — and nothing is added to the probe accounting.
+    /// Otherwise the seeded selection is fully priced, with the classic
+    /// accounting (one evaluation, `query_count` re-pricings, one full
+    /// re-pricing).
+    fn seed(
+        pool: &'a CandidatePool,
+        model: &'a WorkloadModel,
+        opts: &'a GreedyOptions,
+        warm: &Selection,
+        scope: SearchScope<'a>,
+    ) -> Self {
+        assert_eq!(
+            pool.len(),
+            model.pool_size(),
+            "model built against a different candidate pool"
+        );
+        let mut selection = Selection::empty(pool.len());
+        let mut picked = Vec::new();
+        let mut used_bytes = 0u64;
+        for id in warm.ids() {
+            let size = pool.index(id).size().total_bytes();
+            if used_bytes + size <= opts.budget_bytes {
+                selection.insert(id);
+                picked.push(id);
+                used_bytes += size;
+            }
+        }
+        let mut full_repricings = 0;
+        let state = match scope.warm_state {
+            Some(state) if selection.ids().eq(warm.ids()) => {
+                state.debug_assert_bit_identical_to_full(model, &selection);
+                state.clone()
+            }
+            _ => {
+                full_repricings = 1;
+                model.price_full(&selection)
+            }
+        };
+        Self {
+            pool,
+            model,
+            opts,
+            scope,
+            selection,
+            picked,
+            used_bytes,
+            trajectory: vec![state.total()],
+            state,
+            evaluations: full_repricings,
+            queries_repriced: full_repricings * model.query_count(),
+            full_repricings,
+            scratch: Vec::new(),
+        }
+    }
+
+    fn bytes(&self, cand: usize) -> u64 {
+        self.pool.index(cand).size().total_bytes()
+    }
+
+    /// Whether the run may take `probe`: what it adds is a non-member the
+    /// scope allows, and the selection it moves to fits the budget.
+    fn admits(&self, probe: Probe) -> bool {
+        let (add, drop) = moved(probe);
+        let bytes = self.used_bytes - drop.map_or(0, |d| self.bytes(d));
+        let bytes = bytes + add.map_or(0, |a| self.bytes(a));
+        let addable = add.is_none_or(|a| !self.selection.contains(a) && self.scope.allows(a));
+        addable && bytes <= self.opts.budget_bytes
+    }
+
+    /// What greedy ranks adding `cand` by: its `benefit`, per byte when
+    /// the options ask for it.
+    fn score(&self, cand: usize, benefit: f64) -> f64 {
+        if self.opts.benefit_per_byte {
+            benefit / self.bytes(cand).max(1) as f64
+        } else {
+            benefit
+        }
+    }
+
+    /// Prices `probes` against the current state under the scope's query
+    /// mask, counting each; every delta lands at its probe's index.
+    fn price(&mut self, probes: &[Probe]) -> Vec<ProbeDelta> {
+        let deltas = self.model.price_delta_batch(
+            &self.state,
+            &self.selection,
+            probes,
+            self.scope.query_mask,
+        );
+        self.evaluations += deltas.len();
+        self.queries_repriced += deltas.iter().map(|d| d.repriced).sum::<usize>();
+        deltas
+    }
+
+    /// Applies `probe`: re-derives its exact **unmasked** delta (counted,
+    /// and debug-asserted bit-identical to a full re-pricing inside the
+    /// kernel) and splices the changed queries into the state — an
+    /// O(changed·log n) update, never a full re-pricing — then moves the
+    /// selection, picks and bytes.
+    ///
+    /// A `descent` move must lower the exact total. A query mask ranks
+    /// moves by their *masked* delta, so a move that helps the masked
+    /// queries while regressing the rest would raise the true workload
+    /// total: such a move is refused (`false`, nothing changes) and the
+    /// caller tries its next-best contender. Unmasked, the exact delta is
+    /// bit-identical to the batch's, so a ranked descent move never fails
+    /// the check. An accepted descent move extends the trajectory.
+    fn commit(&mut self, probe: Probe, descent: bool) -> bool {
+        let model = self.model;
+        let exact = model.price_probe_into(&self.state, &self.selection, probe, &mut self.scratch);
+        self.evaluations += 1;
+        self.queries_repriced += exact.repriced;
+        let gain = self.state.total() - exact.total;
+        if descent && (gain.is_nan() || gain <= 0.0) {
+            debug_assert!(
+                self.scope.query_mask.is_some(),
+                "unmasked exact delta diverged from its batch delta"
+            );
+            return false;
+        }
+        // The spliced tree root lands bit-identical to the delta's total
+        // (same leaves, same fixed tree shape).
+        self.state.apply_changed(&self.scratch);
+        debug_assert_eq!(
+            self.state.total().to_bits(),
+            exact.total.to_bits(),
+            "spliced sum-tree total diverged from the delta's overlaid total"
+        );
+        let (add, drop) = moved(probe);
+        if let Some(drop) = drop {
+            self.selection.remove(drop);
+            self.used_bytes -= self.bytes(drop);
+            self.picked.retain(|&p| p != drop);
+        }
+        if let Some(add) = add {
+            self.selection.insert(add);
+            self.used_bytes += self.bytes(add);
+            self.picked.push(add);
+        }
+        (self.state).debug_assert_bit_identical_to_full(model, &self.selection);
+        if descent {
+            self.trajectory.push(self.state.total());
+        }
+        true
+    }
+
+    fn finish(self) -> GreedyResult {
+        GreedyResult {
+            picked: self.picked,
+            selection: self.selection,
+            cost_trajectory: self.trajectory,
+            total_bytes: self.used_bytes,
+            evaluations: self.evaluations,
+            queries_repriced: self.queries_repriced,
+            full_repricings: self.full_repricings,
+            final_state: Some(self.state),
+        }
+    }
+}
+
+/// The candidate `probe` adds and the one it drops.
+fn moved(probe: Probe) -> (Option<usize>, Option<usize>) {
+    match probe {
+        Probe::Add { cand } => (Some(cand), None),
+        Probe::Drop { cand } => (None, Some(cand)),
+        Probe::Swap { add, drop } => (Some(add), Some(drop)),
     }
 }
 
@@ -376,7 +496,7 @@ mod tests {
     /// online advisor runs — warm-started from the stale set {2, 7} with
     /// its exact priced state, pricing scoped to query 0. Under (b) the
     /// swap climb and the annealing walk both move past their lazy seed.
-    pub(crate) fn pinned_runs(strategy: &dyn SearchStrategy) -> [Pin; 2] {
+    pub(crate) fn pinned_runs(kind: StrategyKind) -> [Pin; 2] {
         let (pool, model) = fixture();
         let opts = GreedyOptions {
             budget_bytes: 20 << 20,
@@ -388,8 +508,8 @@ mod tests {
             .with_query_mask(&[0])
             .with_warm_state(&warm_state);
         [
-            pin(&strategy.search(&pool, &model, &opts)),
-            pin(&strategy.search_scoped(&pool, &model, &opts, &warm, &scope)),
+            pin(&kind.search(&pool, &model, &opts)),
+            pin(&kind.search_scoped(&pool, &model, &opts, &warm, &scope)),
         ]
     }
 
@@ -400,6 +520,20 @@ mod tests {
         StrategyKind::Anneal { seed: 7 },
     ];
 
+    /// The lazy-seeded swap climb, cut after `rounds` rounds.
+    pub(crate) fn climb_rounds(
+        pool: &CandidatePool,
+        model: &WorkloadModel,
+        opts: &GreedyOptions,
+        rounds: usize,
+    ) -> GreedyResult {
+        let empty = Selection::empty(pool.len());
+        let mut run = Run::seed(pool, model, opts, &empty, SearchScope::all());
+        greedy::lazy(&mut run);
+        swap::climb(&mut run, rounds);
+        run.finish()
+    }
+
     #[test]
     fn warm_start_from_empty_equals_cold_search() {
         let (pool, model) = fixture();
@@ -408,17 +542,12 @@ mod tests {
             benefit_per_byte: false,
         };
         for kind in ALL_KINDS {
-            let strategy = kind.build();
-            let cold = strategy.search(&pool, &model, &opts);
-            let warm = strategy.search_warm(&pool, &model, &opts, &Selection::empty(pool.len()));
-            assert_eq!(cold.picked, warm.picked, "{}", strategy.name());
-            assert_eq!(
-                cold.cost_trajectory,
-                warm.cost_trajectory,
-                "{}",
-                strategy.name()
-            );
-            assert_eq!(cold.evaluations, warm.evaluations, "{}", strategy.name());
+            let cold = kind.search(&pool, &model, &opts);
+            let empty = Selection::empty(pool.len());
+            let warm = kind.search_scoped(&pool, &model, &opts, &empty, &SearchScope::all());
+            assert_eq!(cold.picked, warm.picked, "{kind:?}");
+            assert_eq!(cold.cost_trajectory, warm.cost_trajectory, "{kind:?}");
+            assert_eq!(cold.evaluations, warm.evaluations, "{kind:?}");
         }
     }
 
@@ -430,21 +559,20 @@ mod tests {
             benefit_per_byte: false,
         };
         for kind in ALL_KINDS {
-            let strategy = kind.build();
-            let cold = strategy.search(&pool, &model, &opts);
-            let warm = strategy.search_warm(&pool, &model, &opts, &cold.selection);
+            let cold = kind.search(&pool, &model, &opts);
+            let all = SearchScope::all();
+            let warm = kind.search_scoped(&pool, &model, &opts, &cold.selection, &all);
             let c = *cold.cost_trajectory.last().unwrap();
             let w = *warm.cost_trajectory.last().unwrap();
             assert!(
                 w <= c * (1.0 + 1e-12),
-                "{}: warm restart regressed {w} vs {c}",
-                strategy.name()
+                "{kind:?}: warm restart regressed {w} vs {c}"
             );
             assert!(warm.total_bytes <= opts.budget_bytes);
             // Warm restarts get going from the seed, not from scratch: the
             // greedy family re-prices once and finds nothing new to add.
             if matches!(kind, StrategyKind::LazyGreedy | StrategyKind::EagerGreedy) {
-                assert_eq!(warm.selection, cold.selection, "{}", strategy.name());
+                assert_eq!(warm.selection, cold.selection, "{kind:?}");
             }
         }
     }
@@ -456,7 +584,7 @@ mod tests {
             budget_bytes: u64::MAX,
             benefit_per_byte: false,
         };
-        let cold = LazyGreedy.search(&pool, &model, &generous);
+        let cold = StrategyKind::LazyGreedy.search(&pool, &model, &generous);
         assert!(cold.total_bytes > 0);
         // Re-advise under a budget smaller than the warm set itself.
         let tight = GreedyOptions {
@@ -464,12 +592,11 @@ mod tests {
             benefit_per_byte: false,
         };
         for kind in ALL_KINDS {
-            let strategy = kind.build();
-            let warm = strategy.search_warm(&pool, &model, &tight, &cold.selection);
+            let all = SearchScope::all();
+            let warm = kind.search_scoped(&pool, &model, &tight, &cold.selection, &all);
             assert!(
                 warm.total_bytes <= tight.budget_bytes,
-                "{} blew the shrunken budget",
-                strategy.name()
+                "{kind:?} blew the shrunken budget"
             );
             assert_eq!(warm.selection.len(), warm.picked.len());
         }
@@ -496,7 +623,7 @@ mod tests {
         };
         // Unscoped eager greedy: the seed pricing, then every round probes
         // every non-member and re-derives the pick it commits.
-        let eager = EagerGreedy.search(&pool, &model, &opts);
+        let eager = StrategyKind::EagerGreedy.search(&pool, &model, &opts);
         assert!(eager.picked.len() >= 2);
         let mut expect = model.query_count();
         for round in 0..=eager.picked.len() {
@@ -511,8 +638,8 @@ mod tests {
 
         // One swap round on the lazy seed: every exchange, then the
         // re-derivation of the one it accepts (if any).
-        let seed = LazyGreedy.search(&pool, &model, &opts);
-        let swap = SwapHillClimb { max_rounds: 1 }.search(&pool, &model, &opts);
+        let seed = StrategyKind::LazyGreedy.search(&pool, &model, &opts);
+        let swap = climb_rounds(&pool, &model, &opts, 1);
         let mut expect = seed.queries_repriced;
         for drop in seed.selection.ids() {
             expect += (0..pool.len())
@@ -525,6 +652,50 @@ mod tests {
             .collect();
         expect += repriced(&exchanged);
         assert_eq!(swap.queries_repriced, expect, "swap-hill-climb");
+    }
+
+    /// A query mask can rank first a swap that raises the exact total.
+    /// Warm {5, 10} fills the budget and pricing is scoped to query 1, so
+    /// the masked neighbourhood ranks 5 → 11 first: it helps query 1 but
+    /// costs query 0 more. The climb must refuse it, fall through to the
+    /// next-best exchange, and stay a strict descent in the exact total.
+    #[test]
+    fn masked_climb_falls_through_an_exact_regression() {
+        let (pool, model) = fixture();
+        let warm = Selection::from_ids(pool.len(), &[5, 10]);
+        let opts = GreedyOptions {
+            budget_bytes: pool.selection_bytes(&warm),
+            benefit_per_byte: false,
+        };
+        let warm_state = model.price_full(&warm);
+        let refused = Selection::from_ids(pool.len(), &[10, 11]);
+        assert!(model.price_full(&refused).total() > warm_state.total());
+        let query_mask = [1];
+        let scope = SearchScope::all()
+            .with_warm_state(&warm_state)
+            .with_query_mask(&query_mask);
+        let mut run = Run::seed(&pool, &model, &opts, &warm, scope);
+        let neighbourhood = (run.selection.ids())
+            .flat_map(|drop| (0..pool.len()).map(move |add| Probe::Swap { add, drop }))
+            .filter(|&probe| run.admits(probe))
+            .count();
+        swap::climb(&mut run, 1);
+        // The round priced its neighbourhood, then re-derived two moves:
+        // the refused 5 → 11 and the 10 → 11 it committed instead.
+        assert_eq!(run.evaluations, neighbourhood + 2);
+        assert_eq!(run.picked, [5, 11]);
+
+        swap::climb(&mut run, SWAP_ROUNDS);
+        let r = run.finish();
+        let exact = &r.cost_trajectory;
+        assert!(exact.len() >= 2);
+        assert!(
+            exact.windows(2).all(|w| w[1] < w[0]),
+            "masked climb raised the exact total: {exact:?}"
+        );
+        assert!(*exact.last().unwrap() <= warm_state.total());
+        let full = model.price_full(&r.selection).total();
+        assert_eq!(r.final_state.unwrap().total().to_bits(), full.to_bits());
     }
 
     #[test]
@@ -540,26 +711,19 @@ mod tests {
             StrategyKind::SwapHillClimb,
             StrategyKind::Anneal { seed: 7 },
         ] {
-            let strategy = kind.build();
-            let r = strategy.search(&pool, &model, &opts);
+            let r = kind.build().search(&pool, &model, &opts);
             assert!(
                 r.total_bytes <= opts.budget_bytes,
-                "{} blew the budget",
-                strategy.name()
+                "{kind:?} blew the budget"
             );
             assert_eq!(
                 r.selection.len(),
                 r.picked.len(),
-                "{} picked/selection mismatch",
-                strategy.name()
+                "{kind:?} picked/selection mismatch"
             );
             let last = *r.cost_trajectory.last().unwrap();
             let first = r.cost_trajectory[0];
-            assert!(
-                last <= first,
-                "{} ended worse than it started",
-                strategy.name()
-            );
+            assert!(last <= first, "{kind:?} ended worse than it started");
         }
     }
 }

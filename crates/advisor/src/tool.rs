@@ -1,42 +1,32 @@
 //! The end-to-end index advisor: candidates (optionally merged) →
-//! per-query INUM caches → workload pricing model → pluggable search
-//! strategy → per-query outcomes (paper §V-E / §VI-E).
+//! per-query PINUM caches → workload pricing model → search → per-query
+//! outcomes (paper §V-E / §VI-E).
 //!
-//! Either oracle fills per-query plan caches, which are flattened into
-//! one incremental [`WorkloadModel`]; the search runs on it through a
-//! [`crate::search::SearchStrategy`] selected by
-//! [`AdvisorOptions::strategy`] (lazy greedy by default): each candidate
-//! probe re-prices only the queries that candidate can affect, instead of
-//! the whole workload.
+//! One exporting optimizer call per query fills its plan cache and access
+//! costs; the caches are flattened into one incremental
+//! [`WorkloadModel`], and [`AdvisorOptions::strategy`] — a
+//! [`StrategyKind`], swap hill climbing by default, lazy greedy in
+//! [`AdvisorOptions::paper_defaults`] — searches it: each candidate probe
+//! re-prices only the queries that candidate can affect, instead of the
+//! whole workload. INUM's one-call-per-IOC construction
+//! (`pinum_core::builder::build_cache_inum`) is kept as the experiments'
+//! baseline, not as an advisor option.
 
 use crate::candidates::{generate_candidates, merge_prefix_subsumed};
 use crate::greedy::{GreedyOptions, GreedyResult};
 use crate::search::StrategyKind;
 use pinum_catalog::Catalog;
-use pinum_core::access_costs::{collect_inum, AccessCostCatalog};
-use pinum_core::builder::{build_cache_inum, BuilderOptions};
+use pinum_core::builder::BuilderOptions;
 use pinum_core::collector::build_workload_models;
-use pinum_core::{CandidatePool, PlanCache, Selection, WorkloadModel};
+use pinum_core::{CandidatePool, Selection, WorkloadModel};
 use pinum_optimizer::Optimizer;
 use pinum_query::Query;
 use std::time::Duration;
-
-/// Which cache construction fills the model that answers what-if
-/// questions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostOracle {
-    /// PINUM: a query's cache and access costs filled with one optimizer
-    /// call.
-    PinumCache,
-    /// Classic INUM: caches filled with one call per IOC.
-    InumCache,
-}
 
 /// Advisor knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct AdvisorOptions {
     pub budget_bytes: u64,
-    pub oracle: CostOracle,
     pub builder: BuilderOptions,
     /// Rank by benefit per byte instead of raw benefit.
     pub benefit_per_byte: bool,
@@ -54,7 +44,6 @@ impl AdvisorOptions {
     pub fn paper_defaults() -> Self {
         Self {
             budget_bytes: 5 * 1024 * 1024 * 1024,
-            oracle: CostOracle::PinumCache,
             builder: BuilderOptions::default(),
             benefit_per_byte: false,
             strategy: StrategyKind::LazyGreedy,
@@ -156,39 +145,20 @@ pub fn advise(catalog: &Catalog, queries: &[Query], options: &AdvisorOptions) ->
     }
 
     // --- Build the cost model (the part PINUM accelerates). ---
-    let mut build_time = Duration::ZERO;
-    let mut build_calls = 0usize;
-    let mut models: Vec<(PlanCache, AccessCostCatalog)> = Vec::new();
-    match options.oracle {
-        CostOracle::PinumCache => {
-            // One exporting call per query fills its plan cache and
-            // prices the templates it is first to present; access costs
-            // fan out from the shared templates.
-            let built = build_workload_models(&optimizer, queries, &pool, &options.builder);
-            build_time += built.wall;
-            build_calls += built.cache_calls + built.collect_calls;
-            models = built.models;
-        }
-        CostOracle::InumCache => {
-            for q in queries {
-                let built = build_cache_inum(&optimizer, q, &options.builder);
-                let (access, astats) = collect_inum(&optimizer, q, &pool);
-                build_time += built.stats.wall + astats.wall;
-                build_calls += built.stats.optimizer_calls + astats.optimizer_calls;
-                models.push((built.cache, access));
-            }
-        }
-    }
+    // One exporting call per query fills its plan cache and prices the
+    // templates it is first to present; access costs fan out from the
+    // shared templates.
+    let built = build_workload_models(&optimizer, queries, &pool, &options.builder);
 
     // --- Flatten into the workload pricing model. ---
-    let model = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
+    let model = WorkloadModel::build(pool.len(), built.models.iter().map(|(c, a)| (c, a)));
 
     // --- Search over the pool with the selected strategy. ---
     let gopts = GreedyOptions {
         budget_bytes: options.budget_bytes,
         benefit_per_byte: options.benefit_per_byte,
     };
-    let greedy = options.strategy.build().search(&pool, &model, &gopts);
+    let greedy = options.strategy.search(&pool, &model, &gopts);
 
     // --- Per-query outcomes (reported from the same model). ---
     let empty = Selection::empty(pool.len());
@@ -210,8 +180,8 @@ pub fn advise(catalog: &Catalog, queries: &[Query], options: &AdvisorOptions) ->
         pool,
         greedy,
         per_query,
-        model_build_time: build_time,
-        model_build_calls: build_calls,
+        model_build_time: built.wall,
+        model_build_calls: built.cache_calls + built.collect_calls,
         candidates_merged,
     }
 }
@@ -336,7 +306,6 @@ mod tests {
         assert_eq!(d.strategy, o.strategy);
         assert_eq!(d.merge_candidates, o.merge_candidates);
         assert_eq!(d.budget_bytes, o.budget_bytes);
-        assert_eq!(d.oracle, o.oracle);
     }
 
     #[test]
@@ -381,41 +350,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inum_and_pinum_oracles_agree_on_direction() {
-        let (cat, queries) = setup();
-        let budget = 512 * 1024 * 1024;
-        let pinum = advise(
-            &cat,
-            &queries,
-            &AdvisorOptions {
-                budget_bytes: budget,
-                ..AdvisorOptions::paper_defaults()
-            },
-        );
-        let inum = advise(
-            &cat,
-            &queries,
-            &AdvisorOptions {
-                budget_bytes: budget,
-                oracle: CostOracle::InumCache,
-                ..AdvisorOptions::paper_defaults()
-            },
-        );
-        // Both improve the workload substantially; PINUM builds faster.
-        assert!(pinum.average_improvement() > 0.1);
-        assert!(inum.average_improvement() > 0.1);
-        assert!(pinum.model_build_calls < inum.model_build_calls);
-    }
-
     /// More templates than queries: the PINUM oracle still spends one
     /// optimizer call per query, and advises exactly as models built from
     /// per-query `collect_pinum` catalogs do.
     #[test]
     fn pinum_oracle_spends_one_call_per_query_on_diverse_workloads() {
-        use pinum_core::access_costs::collect_pinum;
+        use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
         use pinum_core::builder::build_cache_pinum;
         use pinum_core::collector::workload_templates;
+        use pinum_core::PlanCache;
         let (cat, mut queries) = setup();
         queries.push(
             QueryBuilder::new("q3", &cat)
@@ -447,7 +390,7 @@ mod tests {
             budget_bytes: opts.budget_bytes,
             benefit_per_byte: opts.benefit_per_byte,
         };
-        let reference = opts.strategy.build().search(&advice.pool, &model, &gopts);
+        let reference = opts.strategy.search(&advice.pool, &model, &gopts);
         assert!(!reference.picked.is_empty());
         assert_eq!(advice.greedy.picked, reference.picked);
         let bits = |costs: &[f64]| costs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();

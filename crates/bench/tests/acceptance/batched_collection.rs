@@ -23,7 +23,7 @@
 
 use crate::fixture::{star_fixture, BUDGET};
 use pinum_advisor::greedy::GreedyOptions;
-use pinum_advisor::search::{EagerGreedy, SearchStrategy};
+use pinum_advisor::search::StrategyKind;
 use pinum_core::access_costs::{collect_pinum, AccessCostCatalog, CollectStats};
 use pinum_core::builder::{build_cache_pinum, BuilderOptions};
 use pinum_core::collector::{build_workload_models, workload_templates};
@@ -101,7 +101,7 @@ fn acceptance() {
     };
     let pick = |access: &[AccessCostCatalog]| {
         let model = WorkloadModel::build(fx.pool.len(), caches.iter().zip(access));
-        let r = EagerGreedy.search(&fx.pool, &model, &gopts);
+        let r = StrategyKind::EagerGreedy.search(&fx.pool, &model, &gopts);
         (r.picked, r.cost_trajectory, r.total_bytes)
     };
     assert!(

@@ -88,9 +88,7 @@ fn acceptance() {
                 model.reweight_query(offset, weight);
             }
         }
-        let cold = StrategyKind::SwapHillClimb
-            .build()
-            .search(&fx.pool, &model, &gopts);
+        let cold = StrategyKind::SwapHillClimb.search(&fx.pool, &model, &gopts);
         let rebuild_cost = model.price_full(&cold.selection).total();
         steady_max_ratio = steady_max_ratio.max(report.cost_after / rebuild_cost);
         steady_points += 1;

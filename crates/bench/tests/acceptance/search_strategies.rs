@@ -17,7 +17,7 @@
 
 use crate::fixture::{models, star_fixture, BUDGET};
 use pinum_advisor::greedy::{GreedyOptions, GreedyResult};
-use pinum_advisor::search::{Anneal, EagerGreedy, LazyGreedy, SearchStrategy, SwapHillClimb};
+use pinum_advisor::search::StrategyKind;
 use pinum_core::{Probe, Selection, WorkloadModel};
 
 /// Fixed annealing seed so the test is reproducible.
@@ -58,11 +58,11 @@ fn acceptance() {
         budget_bytes: BUDGET,
         benefit_per_byte: false,
     };
-    let strategies: [&dyn SearchStrategy; 4] = [
-        &EagerGreedy,
-        &LazyGreedy,
-        &SwapHillClimb::default(),
-        &Anneal::with_seed(ANNEAL_SEED),
+    let strategies = [
+        StrategyKind::EagerGreedy,
+        StrategyKind::LazyGreedy,
+        StrategyKind::SwapHillClimb,
+        StrategyKind::Anneal { seed: ANNEAL_SEED },
     ];
     let runs: Vec<GreedyResult> = strategies
         .iter()
@@ -81,8 +81,7 @@ fn acceptance() {
     for (s, r) in strategies.iter().zip(&runs) {
         assert!(
             final_cost(r) <= final_cost(eager) * (1.0 + 1e-12),
-            "{} ended at {}, worse than greedy's {}",
-            s.name(),
+            "{s:?} ended at {}, worse than greedy's {}",
             final_cost(r),
             final_cost(eager)
         );

@@ -880,8 +880,8 @@ impl WorkloadModel {
     }
 
     /// Rebuilds a model from exported parts, validating every structural
-    /// invariant the mutation paths maintain (extent bounds, tombstone
-    /// emptiness, weight positivity) and every term the bounded kernel
+    /// invariant the mutation paths maintain (extents that tile, empty
+    /// tombstones, weight positivity) and every term the bounded kernel
     /// scan relies on (arm costs finite and ≥ 0, internal costs and
     /// coefficients finite and ≥ 0, always-arm costs ≥ 0 or `+∞`), then
     /// recomputing the derived data (`affected`, `live_count`) from the
@@ -953,11 +953,17 @@ impl WorkloadModel {
                 required: slot_required[i],
             })
             .collect();
-        let n_arms = arm_costs.len() as u32;
+        // Every mutation path appends a query's arms, slots and plans in
+        // order, so the slots' standalone-then-probe runs tile the arm
+        // arrays and the plans' slot runs tile the slot array: no arm or
+        // slot is shared, and none is unreachable.
+        let mut next_arm = 0u32;
         for s in &slots {
-            if s.s_start > s.s_end || s.s_end > n_arms || s.p_start > s.p_end || s.p_end > n_arms {
-                return Err("slot arm extent out of bounds");
+            let runs_forward = s.s_start <= s.s_end && s.p_start <= s.p_end;
+            if s.s_start != next_arm || s.p_start != s.s_end || !runs_forward {
+                return Err("slot arm extents do not tile the arm arrays");
             }
+            next_arm = s.p_end;
             if !(non_negative_finite(&s.coef) && non_negative_finite(&s.pcoef)) {
                 return Err("slot coefficient not finite and non-negative");
             }
@@ -965,6 +971,9 @@ impl WorkloadModel {
             if !(s.s_always >= 0.0 && s.p_always >= 0.0) {
                 return Err("always-arm cost negative or NaN");
             }
+        }
+        if next_arm as usize != arm_costs.len() {
+            return Err("slot arm extents do not cover the arm arrays");
         }
         let n_plans = plan_internal.len();
         if plan_slot_start.len() != n_plans || plan_slot_end.len() != n_plans {
@@ -980,10 +989,15 @@ impl WorkloadModel {
                 slot_end: plan_slot_end[i],
             })
             .collect();
+        let mut next_slot = 0u32;
         for p in &plans {
-            if p.slot_start > p.slot_end || p.slot_end as usize > n_slots {
-                return Err("plan slot extent out of bounds");
+            if p.slot_start != next_slot || p.slot_end < p.slot_start {
+                return Err("plan slot extents do not tile the slot array");
             }
+            next_slot = p.slot_end;
+        }
+        if next_slot as usize != n_slots {
+            return Err("plan slot extents do not cover the slot array");
         }
         let n_queries = query_plan_start.len();
         if [query_plan_end.len(), weights.len(), live.len()]
@@ -1010,14 +1024,14 @@ impl WorkloadModel {
             affected: vec![Vec::new(); pool_size],
             pool_size,
         };
+        // Live queries' plan extents ascend and are disjoint; an evicted
+        // query's plans stay behind, unreachable, as a gap.
+        let mut next_plan = 0u32;
         for qid in 0..n_queries {
             let qm = model.qmeta[qid];
-            if qm.plan_start > qm.plan_end || qm.plan_end as usize > n_plans {
-                return Err("query extent out of bounds");
-            }
             let weight = model.weights[qid];
             if !model.live[qid] {
-                if qm.plan_start != qm.plan_end {
+                if (qm.plan_start, qm.plan_end) != (0, 0) {
                     return Err("tombstone query retains plans");
                 }
                 if weight != 0.0 {
@@ -1028,6 +1042,13 @@ impl WorkloadModel {
             if !(weight.is_finite() && weight > 0.0) {
                 return Err("live query weight not finite and positive");
             }
+            if qm.plan_start < next_plan || qm.plan_end < qm.plan_start {
+                return Err("live query plan extents overlap or run backwards");
+            }
+            if qm.plan_end as usize > n_plans {
+                return Err("query extent out of bounds");
+            }
+            next_plan = qm.plan_end;
             // Every extent this query reaches was bounds-checked above,
             // and every arm candidate lies inside the pool.
             model.index_query(qid);
@@ -1874,6 +1895,18 @@ mod tests {
 
         let mut p = good.clone();
         p.weights.pop(); // query arrays out of sync
+        assert!(WorkloadModel::from_parts(p).is_err());
+
+        // Extents must tile: no mutation path shares a plan or a slot.
+        let mut p = good.clone();
+        p.query_plan_start[1] = p.query_plan_start[0]; // query 1 reuses query 0's plans
+        p.query_plan_end[1] = p.query_plan_end[0];
+        assert!(WorkloadModel::from_parts(p).is_err());
+
+        let mut p = good.clone();
+        let n_slots = p.slot_coef.len() as u32;
+        p.plan_slot_start.fill(0); // every plan spans every slot
+        p.plan_slot_end.fill(n_slots);
         assert!(WorkloadModel::from_parts(p).is_err());
     }
 

@@ -17,7 +17,7 @@
 //! advisor then intersects the model's inverted candidate→query index
 //! with that query set to build a [`pinum_core::Selection`] mask, and the
 //! search only probes candidates that can matter
-//! (`SearchStrategy::search_scoped`).
+//! ([`StrategyKind::search_scoped`](pinum_advisor::search::StrategyKind::search_scoped)).
 //!
 //! Attribution is conservative by construction:
 //!

@@ -24,7 +24,7 @@
 //! * **scoped re-advise** — re-selection fires on epoch boundaries, on
 //!   drift, or on demand, **warm-started** from the previous selection
 //!   *with its exact priced state handed intact* to
-//!   [`SearchStrategy::search_scoped`] — so a steady-state re-advise
+//!   [`StrategyKind::search_scoped`] — so a steady-state re-advise
 //!   performs **zero** full workload re-pricings (accepted picks are
 //!   delta splices too; [`OnlineStats::full_repricings`] counts the
 //!   exceptions and the `scoped_readvise` acceptance test holds it at
@@ -40,7 +40,7 @@
 //! sequences — which is how the drift experiments can hold it against
 //! full-rebuild and full-scope baselines on the same history.
 //!
-//! [`SearchStrategy::search_scoped`]: pinum_advisor::search::SearchStrategy::search_scoped
+//! [`StrategyKind::search_scoped`]: pinum_advisor::search::StrategyKind::search_scoped
 
 pub mod attribution;
 
@@ -742,7 +742,7 @@ impl OnlineAdvisor {
         if let Some(regressed) = &regressed {
             scope = scope.with_query_mask(regressed);
         }
-        let result = self.opts.strategy.build().search_scoped(
+        let result = self.opts.strategy.search_scoped(
             &self.pool,
             self.session.model(),
             &gopts,
@@ -1262,7 +1262,7 @@ mod tests {
         // Every warm re-advise, held against a cold search over the very
         // window it re-advised.
         let check = |advisor: &OnlineAdvisor, warm: f64| {
-            let cold = o.strategy.build().search(&pool, advisor.model(), &gopts);
+            let cold = o.strategy.search(&pool, advisor.model(), &gopts);
             let cold = advisor.model().price_full(&cold.selection).total();
             assert!(warm.is_finite() && cold.is_finite());
             assert!(

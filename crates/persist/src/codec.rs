@@ -21,7 +21,7 @@ use pinum_protocol::wire::{put_bool, put_f64, put_u32, put_u64, put_u8, put_vec,
 use pinum_protocol::{WireError, WireTemplate};
 use std::time::Duration;
 
-use crate::convert::{template_from_wire, template_to_wire};
+use crate::convert::{strategy_from_tag, strategy_tag, template_from_wire, template_to_wire};
 
 // --- Tiny helpers over the protocol primitives. ---
 
@@ -74,14 +74,9 @@ pub fn encode_options(out: &mut Vec<u8>, o: &OnlineAdvisorOptions) {
     put_u64(out, o.window_capacity as u64);
     put_u64(out, o.epoch_length as u64);
     put_f64(out, o.drift_threshold);
-    match o.strategy {
-        StrategyKind::LazyGreedy => put_u8(out, 0),
-        StrategyKind::EagerGreedy => put_u8(out, 1),
-        StrategyKind::SwapHillClimb => put_u8(out, 2),
-        StrategyKind::Anneal { seed } => {
-            put_u8(out, 3);
-            put_u64(out, seed);
-        }
+    put_u8(out, strategy_tag(o.strategy));
+    if let StrategyKind::Anneal { seed } = o.strategy {
+        put_u64(out, seed);
     }
     put_u64(out, o.budget_bytes);
     put_bool(out, o.scoped_readvise);
@@ -91,13 +86,9 @@ pub fn decode_options(c: &mut Cursor<'_>) -> Result<OnlineAdvisorOptions, WireEr
     let window_capacity = c.u64()? as usize;
     let epoch_length = c.u64()? as usize;
     let drift_threshold = c.f64()?;
-    let strategy = match c.u8()? {
-        0 => StrategyKind::LazyGreedy,
-        1 => StrategyKind::EagerGreedy,
-        2 => StrategyKind::SwapHillClimb,
-        3 => StrategyKind::Anneal { seed: c.u64()? },
-        _ => return Err(WireError::Malformed("unknown strategy tag")),
-    };
+    let tag = c.u8()?;
+    let strategy =
+        strategy_from_tag(tag, || c.u64())?.ok_or(WireError::Malformed("unknown strategy tag"))?;
     Ok(OnlineAdvisorOptions {
         window_capacity,
         epoch_length,

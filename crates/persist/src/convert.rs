@@ -338,12 +338,39 @@ pub fn template_from_wire(w: &WireTemplate) -> TemplateKey {
 
 // --- Advisor options. ---
 
-pub fn options_to_wire(o: &OnlineAdvisorOptions) -> Result<WireOptions> {
-    let strategy = match o.strategy {
+/// A strategy's tag — the one table the wire and the snapshot codec
+/// share. The codec writes anneal's seed after its tag; the wire does not
+/// expose anneal.
+pub(crate) fn strategy_tag(strategy: StrategyKind) -> u8 {
+    match strategy {
         StrategyKind::LazyGreedy => 0,
         StrategyKind::EagerGreedy => 1,
         StrategyKind::SwapHillClimb => 2,
-        _ => return Err(ConvertError("strategy not exposed over the wire")),
+        StrategyKind::Anneal { .. } => 3,
+    }
+}
+
+/// The strategy `tag` names (`None` for an unknown tag); `seed` is asked
+/// for anneal's seed, and only for anneal.
+pub(crate) fn strategy_from_tag<E>(
+    tag: u8,
+    seed: impl FnOnce() -> std::result::Result<u64, E>,
+) -> std::result::Result<Option<StrategyKind>, E> {
+    Ok(Some(match tag {
+        0 => StrategyKind::LazyGreedy,
+        1 => StrategyKind::EagerGreedy,
+        2 => StrategyKind::SwapHillClimb,
+        3 => StrategyKind::Anneal { seed: seed()? },
+        _ => return Ok(None),
+    }))
+}
+
+pub fn options_to_wire(o: &OnlineAdvisorOptions) -> Result<WireOptions> {
+    let strategy = match o.strategy {
+        StrategyKind::Anneal { .. } => {
+            return Err(ConvertError("strategy not exposed over the wire"))
+        }
+        strategy => strategy_tag(strategy),
     };
     Ok(WireOptions {
         window_capacity: o.window_capacity as u64,
@@ -356,12 +383,11 @@ pub fn options_to_wire(o: &OnlineAdvisorOptions) -> Result<WireOptions> {
 }
 
 pub fn options_from_wire(w: &WireOptions) -> Result<OnlineAdvisorOptions> {
-    let strategy = match w.strategy {
-        0 => StrategyKind::LazyGreedy,
-        1 => StrategyKind::EagerGreedy,
-        2 => StrategyKind::SwapHillClimb,
-        _ => return Err(ConvertError("unknown strategy tag")),
-    };
+    // The wire carries no anneal seed: its tag is refused like an unknown one.
+    let strategy = strategy_from_tag(w.strategy, || Err(()))
+        .ok()
+        .flatten()
+        .ok_or(ConvertError("unknown strategy tag"))?;
     let opts = OnlineAdvisorOptions {
         window_capacity: w.window_capacity as usize,
         epoch_length: w.epoch_length as usize,

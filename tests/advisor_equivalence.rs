@@ -5,7 +5,7 @@
 
 use pinum::advisor::candidates::generate_candidates;
 use pinum::advisor::greedy::{greedy_select, GreedyOptions};
-use pinum::advisor::search::{EagerGreedy, LazyGreedy, SearchStrategy};
+use pinum::advisor::search::StrategyKind;
 use pinum::advisor::tool::{advise, AdvisorOptions};
 use pinum::core::access_costs::{collect_pinum, AccessCostCatalog};
 use pinum::core::builder::{build_cache_pinum, BuilderOptions};
@@ -77,7 +77,7 @@ fn incremental_advisor_reproduces_naive_on_star_workload() {
     };
     let naive = naive_reference(&pool, &models, &gopts);
     let model = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
-    let incremental = EagerGreedy.search(&pool, &model, &gopts);
+    let incremental = StrategyKind::EagerGreedy.search(&pool, &model, &gopts);
 
     assert!(!naive.picked.is_empty(), "budget should admit picks");
     assert_eq!(naive.picked, incremental.picked, "pick sequences diverged");
@@ -117,7 +117,7 @@ fn per_byte_ranking_also_matches() {
     };
     let naive = naive_reference(&pool, &models, &gopts);
     let model = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
-    let incremental = EagerGreedy.search(&pool, &model, &gopts);
+    let incremental = StrategyKind::EagerGreedy.search(&pool, &model, &gopts);
     assert_eq!(naive.picked, incremental.picked);
     assert_eq!(naive.cost_trajectory, incremental.cost_trajectory);
 }
@@ -138,7 +138,7 @@ fn model_engine_skips_nan_benefits_from_unpriceable_queries() {
     };
     let naive = naive_reference(&pool, &models, &gopts);
     let model = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
-    let incremental = EagerGreedy.search(&pool, &model, &gopts);
+    let incremental = StrategyKind::EagerGreedy.search(&pool, &model, &gopts);
     assert!(naive.picked.is_empty(), "naive picked {:?}", naive.picked);
     assert!(
         incremental.picked.is_empty(),
@@ -149,7 +149,7 @@ fn model_engine_skips_nan_benefits_from_unpriceable_queries() {
     assert_eq!(incremental.cost_trajectory, vec![f64::INFINITY]);
     // Lazy greedy parks NaN probes at score 0 and must likewise terminate
     // with no picks (all parked entries drained, none picked).
-    let lazy = LazyGreedy.search(&pool, &model, &gopts);
+    let lazy = StrategyKind::LazyGreedy.search(&pool, &model, &gopts);
     assert!(lazy.picked.is_empty(), "lazy picked {:?}", lazy.picked);
     assert_eq!(lazy.cost_trajectory, vec![f64::INFINITY]);
 }

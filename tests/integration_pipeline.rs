@@ -2,7 +2,7 @@
 //! paper's workload (scaled-down statistics, full pipeline).
 
 use pinum::advisor::candidates::generate_candidates;
-use pinum::advisor::tool::{advise, AdvisorOptions, CostOracle};
+use pinum::advisor::tool::{advise, AdvisorOptions};
 use pinum::catalog::Configuration;
 use pinum::core::access_costs::{collect_inum, collect_pinum};
 use pinum::core::builder::{build_cache_inum, build_cache_pinum, BuilderOptions};
@@ -137,8 +137,7 @@ fn access_cost_collection_is_equivalent() {
     }
 }
 
-/// The advisor never exceeds its budget, never worsens a query, and the
-/// PINUM oracle builds the model with far fewer optimizer calls.
+/// The advisor never exceeds its budget and never worsens a query.
 #[test]
 fn advisor_budget_and_improvement() {
     let (schema, workload) = fixture();
@@ -161,20 +160,6 @@ fn advisor_budget_and_improvement() {
         );
     }
     assert!(pinum.average_improvement() > 0.0);
-
-    let inum = advise(
-        &schema.catalog,
-        queries,
-        &AdvisorOptions {
-            budget_bytes: budget,
-            oracle: CostOracle::InumCache,
-            ..AdvisorOptions::paper_defaults()
-        },
-    );
-    assert!(pinum.model_build_calls < inum.model_build_calls);
-    // Both oracles should land on selections of comparable quality.
-    let rel_gap = (pinum.average_improvement() - inum.average_improvement()).abs();
-    assert!(rel_gap < 0.2, "oracle quality gap {rel_gap:.2}");
 }
 
 /// With nested loops disabled the optimizer must produce NLJ-free plans,

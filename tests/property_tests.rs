@@ -687,7 +687,7 @@ proptest! {
         sel_pct in 1u32..20,
         ops in prop::collection::vec(0u64..1000, 4..28),
     ) {
-        use pinum::advisor::search::{LazyGreedy, SearchScope, SearchStrategy};
+        use pinum::advisor::search::{SearchScope, StrategyKind};
         use pinum::advisor::greedy::GreedyOptions;
         use pinum::core::PricingSession;
 
@@ -732,7 +732,7 @@ proptest! {
                 // the carried state, result installed without re-pricing.
                 _ => {
                     let scope = SearchScope::all().with_warm_state(session.state());
-                    let result = LazyGreedy.search_scoped(
+                    let result = StrategyKind::LazyGreedy.search_scoped(
                         &pool,
                         session.model(),
                         &gopts,
@@ -812,8 +812,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `search_scoped` with a full mask is **bit-identical** to
-    /// `search_warm` on all four strategies, across random warm seeds and
+    /// `search_scoped` with a full mask is **bit-identical** to the
+    /// unscoped warm search on all four strategies, across random warm seeds and
     /// budgets — scoping is pure restriction, a full scope restricts
     /// nothing.
     #[test]
@@ -844,9 +844,8 @@ proptest! {
             StrategyKind::SwapHillClimb,
             StrategyKind::Anneal { seed: 7 },
         ] {
-            let strategy = kind.build();
-            let plain = strategy.search_warm(&pool, &model, &gopts, &warm);
-            let scoped = strategy.search_scoped(
+            let plain = kind.search_scoped(&pool, &model, &gopts, &warm, &SearchScope::all());
+            let scoped = kind.search_scoped(
                 &pool,
                 &model,
                 &gopts,
@@ -856,14 +855,14 @@ proptest! {
                     ..SearchScope::all()
                 },
             );
-            prop_assert_eq!(&plain.picked, &scoped.picked, "{} picks", strategy.name());
-            prop_assert_eq!(&plain.selection, &scoped.selection, "{}", strategy.name());
+            prop_assert_eq!(&plain.picked, &scoped.picked, "{:?} picks", kind);
+            prop_assert_eq!(&plain.selection, &scoped.selection, "{:?}", kind);
             prop_assert_eq!(
                 &plain.cost_trajectory, &scoped.cost_trajectory,
-                "{} trajectory", strategy.name()
+                "{:?} trajectory", kind
             );
-            prop_assert_eq!(plain.evaluations, scoped.evaluations, "{}", strategy.name());
-            prop_assert_eq!(plain.total_bytes, scoped.total_bytes, "{}", strategy.name());
+            prop_assert_eq!(plain.evaluations, scoped.evaluations, "{:?}", kind);
+            prop_assert_eq!(plain.total_bytes, scoped.total_bytes, "{:?}", kind);
         }
     }
 }

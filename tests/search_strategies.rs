@@ -9,7 +9,7 @@
 
 use pinum::advisor::candidates::generate_candidates;
 use pinum::advisor::greedy::GreedyOptions;
-use pinum::advisor::search::{Anneal, EagerGreedy, LazyGreedy, SearchStrategy, SwapHillClimb};
+use pinum::advisor::search::StrategyKind;
 use pinum::core::access_costs::{collect_pinum, AccessCostCatalog};
 use pinum::core::builder::{build_cache_pinum, BuilderOptions};
 use pinum::core::{CandidatePool, PlanCache, Selection, WorkloadModel};
@@ -67,8 +67,8 @@ fn assert_lazy_matches_plain(pool: &CandidatePool, model: &WorkloadModel, budget
         budget_bytes: budget,
         benefit_per_byte: false,
     };
-    let plain = EagerGreedy.search(pool, model, &gopts);
-    let lazy = LazyGreedy.search(pool, model, &gopts);
+    let plain = StrategyKind::EagerGreedy.search(pool, model, &gopts);
+    let lazy = StrategyKind::LazyGreedy.search(pool, model, &gopts);
     assert_eq!(plain.picked, lazy.picked, "{tag}: pick sequences diverged");
     assert_eq!(
         plain.cost_trajectory, lazy.cost_trajectory,
@@ -126,31 +126,25 @@ fn swap_and_anneal_never_worse_than_greedy_on_star_and_tpch() {
             budget_bytes: budget,
             benefit_per_byte: false,
         };
-        let greedy = LazyGreedy.search(pool, model, &gopts);
+        let greedy = StrategyKind::LazyGreedy.search(pool, model, &gopts);
         let greedy_final = *greedy.cost_trajectory.last().unwrap();
         for strategy in [
-            &SwapHillClimb::default() as &dyn SearchStrategy,
-            &Anneal::with_seed(0xC0FFEE),
+            StrategyKind::SwapHillClimb,
+            StrategyKind::Anneal { seed: 0xC0FFEE },
         ] {
             let r = strategy.search(pool, model, &gopts);
             let fin = *r.cost_trajectory.last().unwrap();
             assert!(
                 fin <= greedy_final * (1.0 + 1e-12),
-                "{tag}/{}: {fin} worse than greedy {greedy_final}",
-                strategy.name()
+                "{tag}/{strategy:?}: {fin} worse than greedy {greedy_final}"
             );
-            assert!(
-                r.total_bytes <= budget,
-                "{tag}/{}: over budget",
-                strategy.name()
-            );
+            assert!(r.total_bytes <= budget, "{tag}/{strategy:?}: over budget");
             // The reported selection must really price to the reported
             // final cost.
             assert_eq!(
                 model.price_full(&r.selection).total(),
                 fin,
-                "{tag}/{}: final cost does not match selection",
-                strategy.name()
+                "{tag}/{strategy:?}: final cost does not match selection"
             );
         }
     }
