@@ -210,13 +210,13 @@ mod tests {
         assert_eq!(
             pinned_runs(StrategyKind::Anneal { seed: 1 }),
             [
-                cold(1_266, 1_697),
+                cold(1_266, 1_346),
                 Pin {
                     picked: vec![5, 11],
                     trajectory_bits: [&warm_prefix[..], &[0x40865ac28f5c28f6, 0x40859ac28f5c28f6]]
                         .concat(),
                     evaluations: 1_606,
-                    queries_repriced: 1_323,
+                    queries_repriced: 807,
                     total_bytes: 18_841_600,
                     final_total_bits: 0x40859ac28f5c28f6,
                 },
@@ -225,12 +225,12 @@ mod tests {
         assert_eq!(
             pinned_runs(StrategyKind::Anneal { seed: 7 }),
             [
-                cold(1_299, 1_693),
+                cold(1_299, 1_328),
                 Pin {
                     picked: vec![5, 6, 11],
                     trajectory_bits: [&warm_prefix[..], &[0x40859ac28f5c28f6]].concat(),
                     evaluations: 1_594,
-                    queries_repriced: 1_333,
+                    queries_repriced: 828,
                     total_bytes: 18_923_520,
                     final_total_bits: 0x40859ac28f5c28f6,
                 },
@@ -239,12 +239,12 @@ mod tests {
         assert_eq!(
             pinned_runs(StrategyKind::Anneal { seed: 0xDEAD }),
             [
-                cold(1_366, 1_753),
+                cold(1_366, 1_342),
                 Pin {
                     picked: vec![5, 8, 9, 11],
                     trajectory_bits: [&warm_prefix[..], &[0x40859ac28f5c28f6]].concat(),
                     evaluations: 1_617,
-                    queries_repriced: 1_349,
+                    queries_repriced: 811,
                     total_bytes: 19_054_592,
                     final_total_bits: 0x40859ac28f5c28f6,
                 },

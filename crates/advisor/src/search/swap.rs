@@ -116,7 +116,7 @@ mod tests {
                         0x40859ac28f5c28f6
                     ],
                     evaluations: 41,
-                    queries_repriced: 65,
+                    queries_repriced: 56,
                     total_bytes: 18_841_600,
                     final_total_bits: 0x40859ac28f5c28f6,
                 },
@@ -128,7 +128,7 @@ mod tests {
                         0x40865ac28f5c28f6
                     ],
                     evaluations: 57,
-                    queries_repriced: 53,
+                    queries_repriced: 42,
                     total_bytes: 18_923_520,
                     final_total_bits: 0x40865ac28f5c28f6,
                 },

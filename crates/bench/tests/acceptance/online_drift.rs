@@ -113,7 +113,7 @@ fn acceptance() {
             advisor.stats().admit_arms_total,
             alt.stats().admit_arms_total
         ),
-        (35_671, 35_671),
+        (3_620, 3_620),
         "admission splice work must be O(query), the same at both window sizes"
     );
 }

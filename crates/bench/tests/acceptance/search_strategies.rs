@@ -49,10 +49,11 @@ fn acceptance() {
         affected += model.affected(cand).len();
         changed += scratch.len();
     }
-    // An add probe touches 17 971 / (392 × 200) ≈ 22.9 % of the workload,
-    // and 5 219 / 17 971 ≈ 29.0 % of the touched queries change cost.
+    // An add probe touches 7 989 / (392 × 200) ≈ 10.2 % of the workload,
+    // and 5 219 / 7 989 ≈ 65.3 % of the touched queries change cost: a
+    // query lists a candidate only if the candidate can change its price.
     assert_eq!(model.query_count(), 200);
-    assert_eq!((probes_per_pass, affected, changed), (392, 17_971, 5_219));
+    assert_eq!((probes_per_pass, affected, changed), (392, 7_989, 5_219));
 
     let gopts = GreedyOptions {
         budget_bytes: BUDGET,
@@ -91,7 +92,7 @@ fn acceptance() {
     let probes: Vec<_> = runs.iter().map(|r| r.evaluations).collect();
     assert_eq!(probes, [1_875, 544, 2_336, 2_169]);
     let repriced: Vec<_> = runs.iter().map(|r| r.queries_repriced).collect();
-    assert_eq!(repriced, [79_501, 28_191, 205_122, 116_713]);
+    assert_eq!(repriced, [34_538, 17_151, 150_598, 66_179]);
     let picks: Vec<_> = runs.iter().map(|r| r.picked.len()).collect();
     assert_eq!(picks, [8; 4]);
     // All four end at 137 587 758.019 846 68.

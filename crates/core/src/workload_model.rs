@@ -55,6 +55,39 @@
 //! query's arm extents in O(its arms + pool words), which is what
 //! admission, eviction, compaction and restore already pay per query.
 //!
+//! ## Pool-aware pruning
+//!
+//! The paper's cache is exact under *any* configuration, but this model
+//! only ever prices selections from the pool its catalogs were collected
+//! against, and most cached plans can never be a query's minimum under
+//! any of them. Flattening drops those plans. Per plan it sums two costs
+//! in [`WorkloadModel::price_plan_in`]'s exact operation order
+//! (`internal`, then `+= coef·access` and `+= pcoef·probe` per slot):
+//!
+//! * **lo** takes every slot at its first arm (the cheapest of the pool);
+//! * **hi** takes every slot at its always-available arm, and is `+∞`
+//!   when a slot has none.
+//!
+//! A plan whose `lo` exceeds the query's least `hi` is dropped. The
+//! argument is monotonicity: IEEE rounding makes `a + c·x` non-decreasing
+//! in `a` and in `x` for `c ≥ 0`, and under any selection a slot's term
+//! lies between its first arm and its always arm. So under every
+//! selection each plan costs at least its `lo`, and the query's minimum
+//! is at most every plan's `hi`. A dropped plan costs strictly more than
+//! that minimum and never attains it, so every price keeps its bits. The
+//! least `hi` is the query's price under the empty selection, and the
+//! plan attaining it has `lo ≤ hi` and survives, so no query is emptied.
+//!
+//! The rule lives only in `flatten_query`, so [`WorkloadModel::build`],
+//! [`WorkloadModel::admit_batch`] and [`WorkloadModel::compact`] (which
+//! copies what admission packed) all hold pruned queries.
+//! [`CacheCostModel`](crate::CacheCostModel) stays unpruned as the
+//! oracle. Parts restored by [`WorkloadModel::from_parts`] may still hold
+//! dead plans; they price the same. Pruning also narrows `affected(c)`:
+//! it lists the queries whose price `c` *can* change — those whose
+//! surviving plans have an arm gated by `c` — not every query whose
+//! cache mentions `c`.
+//!
 //! ## Totals — fixed-shape pairwise sum tree
 //!
 //! A [`PricedWorkload`] no longer stores a scalar total next to the
@@ -152,6 +185,9 @@ pub(crate) struct Slot {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FlatPlan {
     pub(crate) internal: f64,
+    /// The plan's cost with every slot at its cheapest arm: a lower bound
+    /// under every selection (read only by `flatten_query`'s pruning).
+    pub(crate) lo: f64,
     pub(crate) slots: Vec<Slot>,
 }
 
@@ -1092,7 +1128,8 @@ impl WorkloadModel {
     }
 
     /// Query ids whose price can change when `candidate` is added
-    /// (ascending).
+    /// (ascending): those with an arm gated by `candidate` in a plan that
+    /// survived pool-aware pruning (module docs).
     pub fn affected(&self, candidate: usize) -> &[u32] {
         &self.affected[candidate]
     }
@@ -1611,11 +1648,22 @@ where
         .collect()
 }
 
+/// Flattens one `(cache, access)` pair and drops every plan that cannot
+/// attain the query's minimum under any selection (module docs,
+/// "Pool-aware pruning"): a plan whose `lo` exceeds the query's
+/// no-index price. Both bounds are summed in the slot loop that builds
+/// the plan, in [`WorkloadModel::price_plan_in`]'s operation order.
 pub(crate) fn flatten_query(cache: &PlanCache, access: &AccessCostCatalog) -> QueryModel {
     let params = access.params();
     let mut plans = Vec::with_capacity(cache.len());
+    // The query's price under the empty selection: the least `hi`.
+    let mut no_index = f64::INFINITY;
     'plans: for plan in cache.plans() {
         let mut slots = Vec::new();
+        // `lo` prices every slot at its cheapest arm, `hi` at its
+        // always-available arm (`+∞` once a slot has none).
+        let mut lo = plan.internal;
+        let mut hi = plan.internal;
         for rel in 0..cache.n_rels as RelIdx {
             let required = cache.orders.column_of(plan.ioc, rel);
             let coef = plan.coefs[rel as usize];
@@ -1650,6 +1698,10 @@ pub(crate) fn flatten_query(cache: &PlanCache, access: &AccessCostCatalog) -> Qu
                 }
                 unreachable!("sequential scan is always available");
             }
+            // Every kept slot has `coef ≠ 0` or a required order, so the
+            // kernel prices its standalone term.
+            lo += coef * standalone[0].cost;
+            hi = always_term(hi, coef, &standalone);
             let mut probes: Vec<AccessArm> = Vec::new();
             if pcoef != 0.0 {
                 let order = required.expect("checked above");
@@ -1675,6 +1727,8 @@ pub(crate) fn flatten_query(cache: &PlanCache, access: &AccessCostCatalog) -> Qu
                 if probes.is_empty() {
                     continue 'plans; // no probe-able path will ever exist
                 }
+                lo += pcoef * probes[0].cost;
+                hi = always_term(hi, pcoef, &probes);
             }
             slots.push(Slot {
                 coef,
@@ -1684,12 +1738,65 @@ pub(crate) fn flatten_query(cache: &PlanCache, access: &AccessCostCatalog) -> Qu
                 probes,
             });
         }
+        if hi < no_index {
+            no_index = hi;
+        }
         plans.push(FlatPlan {
             internal: plan.internal,
+            lo,
             slots,
         });
     }
-    QueryModel { plans }
+    plans.retain(|p| p.lo <= no_index);
+    let qm = QueryModel { plans };
+    #[cfg(debug_assertions)]
+    if crate::sampling::should_assert() {
+        debug_assert_pruning_exact(cache, access, &qm);
+    }
+    qm
+}
+
+/// `cost` plus a slot's always-available arm term (`coef ×` its cost),
+/// or `+∞` when the run has no always arm: the kernel's slot term under
+/// the empty selection. Pruning leaves the always arm, if any, last.
+fn always_term(cost: f64, coef: f64, arms: &[AccessArm]) -> f64 {
+    match arms.last() {
+        Some(arm) if arm.candidate == ALWAYS => cost + coef * arm.cost,
+        _ => f64::INFINITY,
+    }
+}
+
+/// Debug check of the pool-aware pruning: packed alone, the pruned query
+/// prices bit-identically to the unpruned `CacheCostModel::estimate`
+/// under the empty selection (where `hi` binds) and under every candidate
+/// the catalog mentions (where `lo` binds).
+#[cfg(debug_assertions)]
+fn debug_assert_pruning_exact(cache: &PlanCache, access: &AccessCostCatalog, qm: &QueryModel) {
+    use crate::costing::CacheCostModel;
+    let mentioned: Vec<usize> = access
+        .per_rel()
+        .iter()
+        .flatten()
+        .filter_map(|e| e.candidate)
+        .collect();
+    let pool_size = mentioned.iter().max().map_or(0, |&c| c + 1);
+    let model = WorkloadModel::assemble(pool_size, vec![qm.clone()]);
+    let oracle = CacheCostModel::new(cache, access);
+    for selection in [
+        Selection::empty(pool_size),
+        Selection::from_ids(pool_size, &mentioned),
+    ] {
+        let kept = model.price_query(0, &selection, None);
+        let all = oracle
+            .estimate(&selection)
+            .map_or(f64::INFINITY, |e| e.cost);
+        debug_assert_eq!(
+            kept.to_bits(),
+            all.to_bits(),
+            "pruned plans of {} price {kept} but the whole cache {all}",
+            cache.query_name
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1840,6 +1947,136 @@ mod tests {
             back.price_full(&sel).total().to_bits(),
             wm.price_full(&sel).total().to_bits()
         );
+    }
+
+    /// Pool-aware pruning on a hand-built one-relation cache: a plan that
+    /// wins only through the cheaper of two candidates covering its
+    /// required order survives (its `lo` takes the first arm, not the
+    /// last), a plan whose `lo` ties the no-index price survives (the
+    /// rule is strict), and a plan above it is dropped. Every selection
+    /// prices like the unpruned `CacheCostModel`.
+    #[test]
+    fn pruning_keeps_every_plan_at_or_below_the_no_index_price() {
+        use crate::access_costs::CandidateAccess;
+        use crate::cache::CachedPlan;
+        use pinum_cost::CostParams;
+        use pinum_query::{InterestingOrders, Ioc};
+
+        const ORDER: u16 = 7;
+        let mut cache = PlanCache::new("q", 1, InterestingOrders::new(vec![vec![ORDER]]));
+        for (description, ordered, internal) in [
+            ("scan+sort", false, 100.0),  // the no-index price, 100 + 50
+            ("ordered", true, 20.0),      // 20 + 10 wins under {0}
+            ("ordered-tie", true, 140.0), // lo = 140 + 10, the no-index price
+            ("dead", false, 1_000.0),
+        ] {
+            cache.insert(CachedPlan {
+                ioc: if ordered {
+                    Ioc::NONE.with_order(0, 0)
+                } else {
+                    Ioc::NONE
+                },
+                internal,
+                coefs: vec![1.0],
+                probe_coefs: vec![0.0],
+                uses_nlj: false,
+                rows: 1.0,
+                description: description.into(),
+            });
+        }
+        let entry = |candidate, order, cost| CandidateAccess {
+            candidate,
+            order,
+            cost,
+            probe: None,
+        };
+        let access = AccessCostCatalog::from_parts(
+            vec![vec![
+                entry(Some(0), Some(ORDER), 10.0),
+                entry(None, None, 50.0),
+                entry(Some(1), Some(ORDER), 200.0),
+            ]],
+            CostParams::default(),
+        );
+        let wm = WorkloadModel::build(2, [(&cache, &access)]);
+        assert_eq!(
+            wm.to_parts().plan_internal,
+            [100.0, 20.0, 140.0],
+            "only the dead plan is dropped"
+        );
+        let oracle = CacheCostModel::new(&cache, &access);
+        for ids in [&[][..], &[0], &[1], &[0, 1]] {
+            let sel = Selection::from_ids(2, ids);
+            let want = oracle.estimate(&sel).map_or(f64::INFINITY, |e| e.cost);
+            assert_eq!(
+                wm.price_query(0, &sel, None).to_bits(),
+                want.to_bits(),
+                "{ids:?}"
+            );
+        }
+        assert_eq!(wm.price_query(0, &Selection::from_ids(2, &[0]), None), 30.0);
+    }
+
+    /// Parts written before pool-aware pruning hold plans the rule drops.
+    /// They restore as they are and price like the pruned model: pruning
+    /// changed the content of a snapshot, not its layout.
+    #[test]
+    fn unpruned_parts_restore_and_price_identically() {
+        let (cat, queries, pool) = setup();
+        let models = build_models(&cat, &queries, &pool);
+        let wm = model_of(&models, &pool);
+        let mut p = wm.to_parts();
+        // A dead plan on the last query, appended at the ends of the plan,
+        // slot and arm arrays: one slot whose cheapest arm (candidate 0)
+        // still leaves it above the query's no-index price.
+        let q = wm.query_count() - 1;
+        let no_index = wm.price_query(q, &Selection::empty(pool.len()), None);
+        assert!(no_index.is_finite());
+        let arm = p.arm_costs.len() as u32;
+        p.arm_costs.push(1.0);
+        p.arm_cands.push(0);
+        let slot = p.slot_coef.len() as u32;
+        p.slot_coef.push(1.0);
+        p.slot_pcoef.push(0.0);
+        p.slot_s_always.push(2.0);
+        p.slot_p_always.push(f64::INFINITY);
+        p.slot_s_start.push(arm);
+        p.slot_s_end.push(arm + 1);
+        p.slot_p_start.push(arm + 1);
+        p.slot_p_end.push(arm + 1);
+        p.slot_required.push(false);
+        p.plan_internal.push(2.0 * no_index);
+        p.plan_slot_start.push(slot);
+        p.plan_slot_end.push(slot + 1);
+        p.query_plan_end[q] += 1;
+
+        let restored = WorkloadModel::from_parts(p).expect("unpruned parts restore");
+        assert_ne!(restored, wm, "the dead plan was not appended");
+        assert!(restored.query_arm_count(q) > wm.query_arm_count(q));
+        for mask in 0u32..(1 << pool.len()) {
+            let ids: Vec<usize> = (0..pool.len()).filter(|i| mask & (1 << i) != 0).collect();
+            let sel = Selection::from_ids(pool.len(), &ids);
+            for query in 0..wm.query_count() {
+                assert_eq!(
+                    restored.price_query(query, &sel, None).to_bits(),
+                    wm.price_query(query, &sel, None).to_bits(),
+                    "query {query} selection {ids:?}"
+                );
+            }
+            let state = wm.price_full(&sel);
+            assert_eq!(
+                restored.price_full(&sel).total().to_bits(),
+                state.total().to_bits()
+            );
+            for cand in (0..pool.len()).filter(|&c| !sel.contains(c)) {
+                let probe = Probe::Add { cand };
+                assert_eq!(
+                    probe_total(&restored, &state, &sel, probe).to_bits(),
+                    probe_total(&wm, &state, &sel, probe).to_bits(),
+                    "selection {ids:?} + {cand}"
+                );
+            }
+        }
     }
 
     #[test]

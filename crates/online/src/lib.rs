@@ -172,7 +172,10 @@ pub struct Admission {
     /// newcomer under the current selection).
     pub model_wall: Duration,
     /// Flattened access arms of the admitted query — the unit the splice
-    /// work is proportional to (never the workload size).
+    /// work is proportional to (never the workload size). Counts only the
+    /// plans that survived the model's pool-aware pruning (those that can
+    /// be the query's cheapest under some selection from the pool), so it
+    /// is usually far below the arms of the admitted cache.
     pub model_arms: usize,
     /// The re-advise this admission triggered, if any (inline specs
     /// only — a deferred spec reports via `pending` instead).
@@ -307,6 +310,8 @@ pub struct OnlineStats {
     pub compactions: usize,
     /// Total / max flattened arms over all admissions (the O(query) work
     /// witness: these are stream properties, independent of window size).
+    /// Arms of plans that pool-aware pruning dropped are not counted:
+    /// they are never packed (see [`Admission::model_arms`]).
     pub admit_arms_total: usize,
     pub admit_arms_max: usize,
     /// Template shapes [`OnlineAdvisor::collect_admission`] priced — one
@@ -794,9 +799,13 @@ impl OnlineAdvisor {
     }
 
     /// The candidate mask for a regressed query set: every candidate
-    /// whose inverted-index entry intersects the set (it can change a
-    /// regressed query's price), plus the current selection's members
-    /// (so drops and swap-backs stay in play).
+    /// whose inverted-index entry intersects the set, plus the current
+    /// selection's members (so drops and swap-backs stay in play). Since
+    /// the model prunes plans that cannot win under any selection from
+    /// the pool, a query is in a candidate's entry exactly when one of
+    /// its surviving plans has an arm gated by it: the mask holds the
+    /// candidates that can change a regressed query's price, not every
+    /// candidate its cache mentions.
     fn scope_mask(&self, regressed: &[u32]) -> Selection {
         let model = self.session.model();
         let mut mask = Selection::empty(self.pool.len());

@@ -176,14 +176,18 @@ pub fn access_to_wire(catalog: &AccessCostCatalog) -> WireAccessCatalog {
 
 /// `pool_len` bounds the candidate ids a catalog may reference — an
 /// out-of-pool id would index out of bounds deep inside pricing. The
-/// catalog must also be what a collector produces: finite cost
-/// parameters and probe inputs, and per relation at least one
-/// always-available entry (the sequential scan) with finite,
-/// non-negative costs in ascending order — flattening a catalog into a
-/// workload model relies on all of it.
+/// catalog must also be what a collector produces: finite, non-negative
+/// cost parameters; probe inputs inside their domain (finite, row counts
+/// non-negative, selectivity in [0, 1], correlation in [−1, 1]); and per
+/// relation at least one always-available entry (the sequential scan)
+/// with finite, non-negative costs in ascending order — flattening a
+/// catalog into a workload model relies on all of it. Flattening prices
+/// probe arms from the parameters and probe inputs, and only the checks
+/// above keep those arms non-negative, as the pricing kernel's early exit,
+/// its plan pruning and snapshot restore all require.
 pub fn access_from_wire(w: &WireAccessCatalog, pool_len: usize) -> Result<AccessCostCatalog> {
     let p = &w.params;
-    if !all_finite(&[
+    if !all_non_negative(&[
         p.seq_page_cost,
         p.random_page_cost,
         p.cpu_tuple_cost,
@@ -191,7 +195,9 @@ pub fn access_from_wire(w: &WireAccessCatalog, pool_len: usize) -> Result<Access
         p.cpu_operator_cost,
         p.effective_cache_pages,
     ]) {
-        return Err(ConvertError("cost parameter is not finite"));
+        return Err(ConvertError(
+            "cost parameter is not finite and non-negative",
+        ));
     }
     let per_rel = w
         .per_rel
@@ -218,14 +224,12 @@ pub fn access_from_wire(w: &WireAccessCatalog, pool_len: usize) -> Result<Access
                         return Err(ConvertError("access cost is not finite and non-negative"));
                     }
                     if let Some(probe) = &e.probe {
-                        if !all_finite(&[
-                            probe.index_rows,
-                            probe.heap_rows,
-                            probe.index_selectivity,
-                            probe.correlation,
-                            probe.loop_count,
-                        ]) {
-                            return Err(ConvertError("probe input is not finite"));
+                        if !(all_non_negative(&[probe.index_rows, probe.heap_rows])
+                            && (0.0..=1.0).contains(&probe.index_selectivity)
+                            && (-1.0..=1.0).contains(&probe.correlation)
+                            && probe.loop_count.is_finite())
+                        {
+                            return Err(ConvertError("probe input is outside its domain"));
                         }
                     }
                     Ok(CandidateAccess {
@@ -319,8 +323,8 @@ pub fn cache_from_wire(w: &WirePlanCache) -> Result<PlanCache> {
     Ok(cache)
 }
 
-fn all_finite(xs: &[f64]) -> bool {
-    xs.iter().all(|x| x.is_finite())
+fn all_non_negative(xs: &[f64]) -> bool {
+    xs.iter().all(|x| x.is_finite() && *x >= 0.0)
 }
 
 // --- Templates. ---
@@ -558,6 +562,19 @@ mod tests {
         };
         let good = access(vec![entry(Some(0), 1.0), entry(None, 2.0)]);
         assert!(access_from_wire(&good, 5).is_ok());
+        let with_params = |edit: fn(&mut WireCostParams)| {
+            let mut w = good.clone();
+            edit(&mut w.params);
+            w
+        };
+        let with_probe = |edit: fn(&mut WireProbe)| {
+            let mut w = good.clone();
+            let mut probe = probe_to_wire(&IndexScanInput::default());
+            edit(&mut probe);
+            w.per_rel[0][0].probe = Some(probe);
+            w
+        };
+        assert!(access_from_wire(&with_probe(|_| {}), 5).is_ok());
         for (bad, why) in [
             (access(Vec::new()), "no entries"),
             (
@@ -571,18 +588,48 @@ mod tests {
             (access(vec![entry(None, f64::NAN)]), "NaN cost"),
             (access(vec![entry(None, -1.0)]), "negative cost"),
             (access(vec![entry(None, f64::INFINITY)]), "infinite cost"),
+            (
+                with_params(|p| p.random_page_cost = f64::NAN),
+                "NaN parameter",
+            ),
+            // Negative parameters or a correlation past ±1 price a probe
+            // arm below zero.
+            (
+                with_params(|p| p.random_page_cost = -4.0),
+                "negative page cost",
+            ),
+            (
+                with_params(|p| p.seq_page_cost = -1.0),
+                "negative seq page cost",
+            ),
+            (
+                with_params(|p| p.cpu_tuple_cost = -0.01),
+                "negative cpu cost",
+            ),
+            (
+                with_params(|p| p.cpu_index_tuple_cost = -0.005),
+                "negative cpu index cost",
+            ),
+            (
+                with_params(|p| p.cpu_operator_cost = -0.0025),
+                "negative cpu operator cost",
+            ),
+            (
+                with_params(|p| p.effective_cache_pages = -1.0),
+                "negative cache size",
+            ),
+            (with_probe(|p| p.loop_count = f64::NAN), "NaN loop count"),
+            (with_probe(|p| p.correlation = 1.5), "correlation above 1"),
+            (with_probe(|p| p.correlation = -2.0), "correlation below -1"),
+            (
+                with_probe(|p| p.index_selectivity = 1.5),
+                "selectivity above 1",
+            ),
+            (with_probe(|p| p.heap_rows = -1.0), "negative heap rows"),
+            (with_probe(|p| p.index_rows = -1.0), "negative index rows"),
         ] {
             assert!(access_from_wire(&bad, 5).is_err(), "{why}");
         }
-        let mut nan_params = good.clone();
-        nan_params.params.random_page_cost = f64::NAN;
-        assert!(access_from_wire(&nan_params, 5).is_err());
-        let mut nan_probe = good.clone();
-        nan_probe.per_rel[0][0].probe = Some(WireProbe {
-            loop_count: f64::NAN,
-            ..probe_to_wire(&IndexScanInput::default())
-        });
-        assert!(access_from_wire(&nan_probe, 5).is_err());
     }
 
     #[test]

@@ -846,10 +846,11 @@ fn call_within(client: Client, request: Request) -> (Client, Response) {
 /// panic the shard while it flattened them, or to misprice, each derived
 /// from a real admission whose plans price nested-loop probes: a plan
 /// naming an interesting order its relation does not have, a relation
-/// with no access entries, NaN cost parameters, and plan cost terms
-/// (internal cost, coefficients, probe coefficients) that are NaN,
-/// infinite or negative — the bounded pricing scan is exact only when
-/// every term is finite and ≥ 0.
+/// with no access entries, NaN or negative cost parameters, a probe
+/// correlation past ±1, and plan cost terms (internal cost, coefficients,
+/// probe coefficients) that are NaN, infinite or negative — the bounded
+/// pricing scan is exact only when every term is finite and ≥ 0, and the
+/// last three would price a probe arm below zero.
 fn hostile_admissions(fx: &Fixture) -> Vec<(&'static str, WireAdmission)> {
     let i = fx
         .models
@@ -870,6 +871,17 @@ fn hostile_admissions(fx: &Fixture) -> Vec<(&'static str, WireAdmission)> {
     no_access.access.per_rel[0].clear();
     let mut nan_params = real.clone();
     nan_params.access.params.random_page_cost = f64::NAN;
+    let mut negative_params = real.clone();
+    negative_params.access.params.random_page_cost = -4.0;
+    let mut bad_correlation = real.clone();
+    bad_correlation
+        .access
+        .per_rel
+        .iter_mut()
+        .flatten()
+        .find_map(|e| e.probe.as_mut())
+        .expect("the fixture has a probe-able access path")
+        .correlation = 1.5;
     let mut nan_internal = real.clone();
     nan_internal.cache.plans[0].internal = f64::NAN;
     let mut infinite_coef = real.clone();
@@ -887,6 +899,8 @@ fn hostile_admissions(fx: &Fixture) -> Vec<(&'static str, WireAdmission)> {
         ("order past the relation's orders", bad_order),
         ("relation without access entries", no_access),
         ("NaN cost parameters", nan_params),
+        ("negative cost parameters", negative_params),
+        ("probe correlation past 1", bad_correlation),
         ("NaN plan internal cost", nan_internal),
         ("infinite plan coefficient", infinite_coef),
         ("negative probe coefficient", negative_probe),

@@ -866,3 +866,93 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Pool-aware pruning changes no price. On seeded star workloads over
+    /// random sub-pools of the generated candidates, at the empty, the
+    /// full and random selections and at every selection one add or drop
+    /// probe away from them (every single candidate, every pool but one),
+    /// the pruned model prices every query like the unpruned
+    /// `CacheCostModel::estimate` bit for bit (`+∞` for `None`), and
+    /// every probe totals like `price_full` of the probed selection.
+    /// Pruning never keeps more plans than the caches hold.
+    #[test]
+    fn pruned_model_prices_like_the_unpruned_oracle(
+        seed in 0u64..10_000,
+        queries in 2usize..6,
+        keep_pct in 20u64..100,
+        densities in prop::collection::vec(0u64..100, 3),
+    ) {
+        use pinum::advisor::candidates::generate_candidates;
+        use pinum::workload::star::{StarSchema, StarWorkload};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let schema = StarSchema::generate(seed, 0.01);
+        let workload = StarWorkload::generate(&schema, seed, queries);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let generated = generate_candidates(&schema.catalog, &workload.queries);
+        let pool = CandidatePool::from_indexes(
+            generated
+                .indexes()
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i == 0 || rng.gen_range(0u64..100) < keep_pct)
+                .map(|(_, ix)| ix.clone())
+                .collect(),
+        );
+        let optimizer = Optimizer::new(&schema.catalog);
+        let models: Vec<_> = workload
+            .queries
+            .iter()
+            .map(|q| {
+                let built = build_cache_pinum(&optimizer, q, &BuilderOptions::default());
+                let (access, _) = collect_pinum(&optimizer, q, &pool);
+                (built.cache, access)
+            })
+            .collect();
+        let wm = WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)));
+        let cached: usize = models.iter().map(|(c, _)| c.len()).sum();
+        prop_assert!(wm.to_parts().plan_internal.len() <= cached);
+
+        let oracle_bits = |sel: &Selection| -> Vec<u64> {
+            models
+                .iter()
+                .map(|(cache, access)| {
+                    CacheCostModel::new(cache, access)
+                        .estimate(sel)
+                        .map_or(f64::INFINITY, |e| e.cost)
+                        .to_bits()
+                })
+                .collect()
+        };
+        let model_bits = |sel: &Selection| -> Vec<u64> {
+            (0..wm.query_count()).map(|q| wm.price_query(q, sel, None).to_bits()).collect()
+        };
+        let mut selections = vec![Selection::empty(pool.len()), Selection::full(pool.len())];
+        for density in densities {
+            let ids: Vec<usize> =
+                (0..pool.len()).filter(|_| rng.gen_range(0u64..100) < density).collect();
+            selections.push(Selection::from_ids(pool.len(), &ids));
+        }
+        let mut scratch = Vec::new();
+        for sel in &selections {
+            prop_assert_eq!(model_bits(sel), oracle_bits(sel), "seed {} {:?}", seed, sel);
+            let state = wm.price_full(sel);
+            for cand in 0..pool.len() {
+                let (probe, moved) = if sel.contains(cand) {
+                    (Probe::Drop { cand }, sel.without(cand))
+                } else {
+                    (Probe::Add { cand }, sel.with(cand))
+                };
+                let got = wm.price_probe_into(&state, sel, probe, &mut scratch);
+                prop_assert_eq!(got.total.to_bits(), wm.price_full(&moved).total().to_bits(),
+                    "seed {} {:?} {:?}", seed, sel, probe);
+                prop_assert_eq!(model_bits(&moved), oracle_bits(&moved),
+                    "seed {} {:?} {:?}", seed, sel, probe);
+            }
+        }
+    }
+}
