@@ -5,7 +5,7 @@
 //! lazy greedy just prices far fewer probes to get there.
 //!
 //! Accepted picks are applied as **delta splices** ([`Run::commit`]): the
-//! winning probe is re-priced with [`WorkloadModel::price_probe_into`]
+//! winning probe is re-priced with [`WorkloadModel::commit_probe_on`]
 //! (its total is debug-asserted bit-identical to a full re-pricing) and
 //! its changed queries are overlaid onto the running
 //! [`PricedWorkload`](pinum_core::PricedWorkload) state. A
@@ -14,7 +14,7 @@
 //! and their steady-state re-advises are built on.
 //!
 //! [`GreedyResult`]: crate::greedy::GreedyResult
-//! [`WorkloadModel::price_probe_into`]: pinum_core::WorkloadModel::price_probe_into
+//! [`WorkloadModel::commit_probe_on`]: pinum_core::WorkloadModel::commit_probe_on
 
 use super::Run;
 use pinum_core::Probe;

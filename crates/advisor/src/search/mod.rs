@@ -40,8 +40,14 @@
 //! the cost trajectory and the probe counters. The swap climb and the
 //! annealing walk continue the very run their lazy-greedy seed built.
 //!
+//! The run also owns a [`pinum_core::SlotFloor`]: each probed query's slot
+//! minima and plan costs under the run's selection, filled the first time
+//! a probe touches the query and settled by every committed move, so a
+//! probe reads only its candidates' arms instead of re-pricing every
+//! affected query. A seeded run starts it empty.
+//!
 //! Each strategy prices its moves through `Run::price`
-//! ([`WorkloadModel::price_delta_batch`] on the caller's thread): eager
+//! ([`WorkloadModel::price_batch_on`] on the caller's thread): eager
 //! greedy one frontier per round, the swap climb one drop-major
 //! neighbourhood per round (the kernel prices each dropped index's
 //! affected queries once per neighbourhood, not once per exchange), and
@@ -54,9 +60,9 @@
 //! probes a search priced, and [`GreedyResult::queries_repriced`] sums
 //! their [`pinum_core::ProbeDelta::repriced`]. A move the strategy accepts
 //! goes through `Run::commit`: it is re-derived exactly, on the probe it
-//! ranked, with [`WorkloadModel::price_probe_into`] — the same kernel
-//! body, one probe, unmasked — and its changed queries are spliced into
-//! the running state.
+//! ranked, with [`WorkloadModel::commit_probe_on`] — the same kernel
+//! body, one probe, unmasked, settling the floor as it goes — and its
+//! changed queries are spliced into the running state.
 //!
 //! The naive closure-driven `greedy_select` in [`crate::greedy`] is the
 //! search oracle: the equivalence tests require eager greedy to reproduce
@@ -67,7 +73,9 @@ mod greedy;
 mod swap;
 
 use crate::greedy::{GreedyOptions, GreedyResult};
-use pinum_core::{CandidatePool, PricedWorkload, Probe, ProbeDelta, Selection, WorkloadModel};
+use pinum_core::{
+    CandidatePool, PricedWorkload, Probe, ProbeDelta, Selection, SlotFloor, WorkloadModel,
+};
 
 /// Upper bound on the swaps [`StrategyKind::SwapHillClimb`] accepts (each
 /// round scans |selection| × |pool| exchanges; the bound keeps worst-case
@@ -236,6 +244,10 @@ struct Run<'a> {
     full_repricings: usize,
     /// The changed-query list [`Self::commit`] splices.
     scratch: Vec<(u32, f64)>,
+    /// Each probed query's slot minima and plan costs under `selection`,
+    /// which every probe of the run prices from (see
+    /// [`pinum_core::SlotFloor`]).
+    floor: SlotFloor,
 }
 
 impl<'a> Run<'a> {
@@ -295,6 +307,8 @@ impl<'a> Run<'a> {
             queries_repriced: full_repricings * model.query_count(),
             full_repricings,
             scratch: Vec::new(),
+            // Empty: a warm scoped re-advise fills only what it probes.
+            floor: SlotFloor::default(),
         }
     }
 
@@ -305,7 +319,7 @@ impl<'a> Run<'a> {
     /// Whether the run may take `probe`: what it adds is a non-member the
     /// scope allows, and the selection it moves to fits the budget.
     fn admits(&self, probe: Probe) -> bool {
-        let (add, drop) = moved(probe);
+        let (add, drop) = probe.moved();
         let bytes = self.used_bytes - drop.map_or(0, |d| self.bytes(d));
         let bytes = bytes + add.map_or(0, |a| self.bytes(a));
         let addable = add.is_none_or(|a| !self.selection.contains(a) && self.scope.allows(a));
@@ -322,25 +336,28 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Prices `probes` against the current state under the scope's query
-    /// mask, counting each; every delta lands at its probe's index.
+    /// Prices `probes` against the current state and floor under the
+    /// scope's query mask, counting each; every delta lands at its probe's
+    /// index.
     fn price(&mut self, probes: &[Probe]) -> Vec<ProbeDelta> {
-        let deltas = self.model.price_delta_batch(
+        let deltas = self.model.price_batch_on(
             &self.state,
             &self.selection,
             probes,
             self.scope.query_mask,
+            &mut self.floor,
         );
         self.evaluations += deltas.len();
         self.queries_repriced += deltas.iter().map(|d| d.repriced).sum::<usize>();
         deltas
     }
 
-    /// Applies `probe`: re-derives its exact **unmasked** delta (counted,
-    /// and debug-asserted bit-identical to a full re-pricing inside the
-    /// kernel) and splices the changed queries into the state — an
-    /// O(changed·log n) update, never a full re-pricing — then moves the
-    /// selection, picks and bytes.
+    /// Applies `probe`: re-derives its exact **unmasked** delta from the
+    /// floor (counted, and debug-asserted bit-identical to a full
+    /// re-pricing inside the kernel), settling the probe's affected
+    /// queries onto the probed selection as it goes, and splices the
+    /// changed queries into the state — an O(changed·log n) update, never
+    /// a full re-pricing — then moves the selection, picks and bytes.
     ///
     /// A `descent` move must lower the exact total. A query mask ranks
     /// moves by their *masked* delta, so a move that helps the masked
@@ -351,7 +368,13 @@ impl<'a> Run<'a> {
     /// the check. An accepted descent move extends the trajectory.
     fn commit(&mut self, probe: Probe, descent: bool) -> bool {
         let model = self.model;
-        let exact = model.price_probe_into(&self.state, &self.selection, probe, &mut self.scratch);
+        let exact = model.commit_probe_on(
+            &self.state,
+            &self.selection,
+            probe,
+            &mut self.floor,
+            &mut self.scratch,
+        );
         self.evaluations += 1;
         self.queries_repriced += exact.repriced;
         let gain = self.state.total() - exact.total;
@@ -360,6 +383,8 @@ impl<'a> Run<'a> {
                 self.scope.query_mask.is_some(),
                 "unmasked exact delta diverged from its batch delta"
             );
+            // The floor stands on the refused move: move it back.
+            model.move_floor(&mut self.floor, &self.selection);
             return false;
         }
         // The spliced tree root lands bit-identical to the delta's total
@@ -370,7 +395,7 @@ impl<'a> Run<'a> {
             exact.total.to_bits(),
             "spliced sum-tree total diverged from the delta's overlaid total"
         );
-        let (add, drop) = moved(probe);
+        let (add, drop) = probe.moved();
         if let Some(drop) = drop {
             self.selection.remove(drop);
             self.used_bytes -= self.bytes(drop);
@@ -399,15 +424,6 @@ impl<'a> Run<'a> {
             full_repricings: self.full_repricings,
             final_state: Some(self.state),
         }
-    }
-}
-
-/// The candidate `probe` adds and the one it drops.
-fn moved(probe: Probe) -> (Option<usize>, Option<usize>) {
-    match probe {
-        Probe::Add { cand } => (Some(cand), None),
-        Probe::Drop { cand } => (None, Some(cand)),
-        Probe::Swap { add, drop } => (Some(add), Some(drop)),
     }
 }
 

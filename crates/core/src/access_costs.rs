@@ -22,7 +22,7 @@
 //!   atomic batch.
 
 use crate::candidates::{CandidatePool, Selection};
-use pinum_cost::scan::{cost_index_scan, IndexScanInput};
+use pinum_cost::scan::{index_probe_total, IndexScanInput};
 use pinum_cost::CostParams;
 use pinum_optimizer::{AccessSource, IndexRef, Optimizer, OptimizerOptions};
 use pinum_query::{Query, RelIdx};
@@ -145,7 +145,7 @@ impl AccessCostCatalog {
             .filter_map(|e| e.probe)
             .map(|mut spec| {
                 spec.loop_count = loops.max(1.0);
-                cost_index_scan(&self.params, &spec).total
+                index_probe_total(&self.params, &spec)
             })
             .fold(None, |acc: Option<f64>, p| {
                 Some(acc.map_or(p, |a| a.min(p)))

@@ -43,10 +43,13 @@
 //! the selection. `price_full` prices a selection; a **delta** prices a
 //! [`workload_model::Probe`] — add, drop, or drop-one/add-one swap —
 //! through one kernel body (`price_probe_into` for one probe,
-//! `price_delta_batch` for many, where a run of swaps sharing a drop
+//! `price_batch_on` for many, where a run of swaps sharing a drop
 //! prices the drop's queries once) that re-prices only the queries the
 //! touched candidates can affect (the inverted candidate→query index
-//! proves the rest untouched) and re-totals in
+//! proves the rest untouched). It reads each of those queries off a
+//! [`workload_model::SlotFloor`] — every slot's cheapest live arm under
+//! the search's selection, filled lazily — through only the probed
+//! candidates' arms (the candidate→arm index), and re-totals in
 //! O(changed·log n) through the fixed-shape pairwise sum tree every
 //! [`workload_model::PricedWorkload`] carries. The tree shape — exposed
 //! as [`workload_model::pairwise_total`] — defines the bit pattern of
@@ -99,5 +102,5 @@ pub use collector::{build_workload_models, WorkloadCollector, WorkloadModels};
 pub use costing::{CacheCostModel, Estimate};
 pub use session::PricingSession;
 pub use workload_model::{
-    pairwise_total, PricedWorkload, Probe, ProbeDelta, WorkloadModel, WorkloadModelParts,
+    pairwise_total, PricedWorkload, Probe, ProbeDelta, SlotFloor, WorkloadModel, WorkloadModelParts,
 };

@@ -41,14 +41,18 @@
 //! tests membership with one word load and no `Option` compares. A delta
 //! toggles its probe's bits on the view in place and restores them after.
 //!
-//! ## Prefilter — the inverted index
+//! ## Prefilter — the inverted and arm indexes
 //!
-//! The one stored footprint structure is the **inverted index**
+//! The stored footprint structures are the **inverted index**
 //! `candidate → sorted live query ids`, maintained under streaming
 //! mutation: adding or dropping candidate `c` can only re-price queries
 //! whose arms mention `c`, so a delta visits `affected(c)` and nothing
 //! else. The invariant: a query not in `affected(c)` prices identically
 //! with and without `c` in the selection, under **every** base selection.
+//! Beside it, the **arm index** `candidate → its live arms` (position and
+//! slot, 8 bytes an arm, ascending by position) tells a delta which slots
+//! of an affected query the candidate can move; `affected(c)` is exactly
+//! the distinct queries of `c`'s arms.
 //!
 //! A query's own footprint — its sorted distinct candidates and its
 //! flattened arm count — is not stored: `footprint` derives it from the
@@ -61,7 +65,7 @@
 //! only ever prices selections from the pool its catalogs were collected
 //! against, and most cached plans can never be a query's minimum under
 //! any of them. Flattening drops those plans. Per plan it sums two costs
-//! in [`WorkloadModel::price_plan_in`]'s exact operation order
+//! in `plan_cost`'s exact operation order
 //! (`internal`, then `+= coef·access` and `+= pcoef·probe` per slot):
 //!
 //! * **lo** takes every slot at its first arm (the cheapest of the pool);
@@ -109,34 +113,76 @@
 //! costs by hand (naive reference engines, tests) must use it to stay
 //! bit-comparable.
 //!
-//! ## Incremental pricing — one delta kernel
+//! ## Incremental pricing — one delta kernel over a slot floor
 //!
-//! [`WorkloadModel::price_full`] prices every query. Every other pricing
-//! question is a [`Probe`] — a virtual add, drop or swap — and one private
-//! body answers it: toggle the probe's bits on the view, re-price only the
-//! affected queries, restore the bits, and re-total through the sum tree.
-//! [`WorkloadModel::price_probe_into`] runs it for one probe,
-//! [`WorkloadModel::price_delta_batch`] for many over one view. In a
-//! batch, a run of swaps sharing one drop prices the drop's affected
-//! queries once under `selection − drop`, and each swap re-prices only
-//! its added candidate's queries on top — bit-identical to the
-//! single-probe body, since a query a candidate does not touch prices the
-//! same with or without it. Queries whose re-priced cost is bit-identical
-//! to the stored cost are dropped from the `changed` list (exact, since
-//! the comparison is on bits) — so the splice a search strategy applies
-//! afterwards is proportional to what actually moved.
+//! [`WorkloadModel::price_full`] prices every query by scanning it.
+//! Every other pricing question is a [`Probe`] — a virtual add, drop or
+//! swap — and one private body answers it: toggle the probe's bits on the
+//! view, re-price only the affected queries, restore the bits, and
+//! re-total through the sum tree. It does not re-scan an affected query.
+//! It reads the query off a [`SlotFloor`]: what the search already knows
+//! about the selection it stands on, namely each slot's standalone and
+//! probe minimum (its cheapest live arm, or its always arm) and each
+//! plan's cost.
+//!
+//! * **Lazy fill.** A floor starts empty. A query's floor is filled by one
+//!   scan the first time a probe touches it, so a search, and a warm scoped
+//!   re-advise in particular, pays only for the queries it probes.
+//! * **The rules.** Through the arm index a probe visits only its
+//!   candidates' arms in the query. An **add** of `c` lowers each of
+//!   `c`'s slots to `min(floor, c's arm)`. A **drop** of `c` rescans the
+//!   slots whose floor *equals* `c`'s arm, ties included (an equal arm of
+//!   another candidate may or may not be the one the scan kept), and
+//!   leaves the rest: an arm above the floor was not the minimum. A
+//!   **swap** does both; each rule leaves the exact scan result, so they
+//!   compose. Only plans holding a slot whose minimum moved are re-summed,
+//!   by the same `plan_cost` the scan uses; the others keep their floor
+//!   cost. The overrides are undone before the next query.
+//! * **Exactness.** The masked scan's result is the first minimal arm in
+//!   scan order, so `min` against the floor has its bits whenever the
+//!   two values differ or share bits. The one other case is `+0.0` against
+//!   `−0.0`, and there the add rule asks the scan. The plan sums run in the
+//!   scan's order, and the query's minimum over plan costs keeps the
+//!   scan's strict `<` in plan order. So every total, changed list and
+//!   `repriced` count is the scanning kernel's, bit for bit. This is
+//!   debug-asserted (sampled) against `price_full` per probe, and against
+//!   a fresh fill whenever a floor moves.
+//! * **Moving the floor.** Every entry taking a floor first moves it onto
+//!   the caller's selection ([`WorkloadModel::move_floor`]). Each filled
+//!   query a changed candidate affects is *settled* across that
+//!   candidate's arms by the same rules, kept this time. A search owns
+//!   one floor for its whole run ([`WorkloadModel::price_batch_on`]), and
+//!   commits a move with
+//!   [`WorkloadModel::commit_probe_on`], which settles each affected
+//!   query as it prices it and leaves the floor on the new selection.
+//!
+//! [`WorkloadModel::price_probe_into`], [`WorkloadModel::price_delta_batch`]
+//! and [`WorkloadModel::price_delta`] run the same body over a floor of
+//! their own, filled for that call. In a batch, a run of swaps sharing one
+//! drop prices the drop's affected queries once under `selection − drop`,
+//! and each swap re-prices only its added candidate's queries on top. This
+//! is bit-identical to the single-probe body, since a query a candidate
+//! does not touch prices the same with or without it. Queries whose
+//! re-priced cost is bit-identical to the stored cost are dropped from the
+//! `changed` list (exact, since the comparison is on bits). The splice a
+//! search strategy applies afterwards is therefore proportional to what
+//! actually moved.
 //!
 //! ## Streaming — the workload as a mutable object
 //!
 //! [`WorkloadModel::admit_batch`] flattens a run of `(plan cache, access
 //! catalog)` pairs and appends them to the packed arrays in O(those
 //! queries' arms). [`WorkloadModel::evict_query`] retracts a query eagerly from
-//! the inverted index and tombstones its metadata (its packed arm data
+//! the inverted and arm indexes and tombstones its metadata (its packed arm data
 //! becomes unreachable and is reclaimed by [`WorkloadModel::compact`],
 //! which rebuilds the arrays over the survivors — bit-identical to a
 //! fresh build). [`WorkloadModel::reweight_query`] is O(1). Every
-//! mutation debug-asserts (sampled) that the maintained inverted index
-//! matches a from-scratch recomputation.
+//! mutation debug-asserts (sampled) that the maintained inverted and arm
+//! indexes match a from-scratch recomputation, and that each candidate's
+//! affected list is the distinct queries of its arms. Neither index is
+//! persisted: [`WorkloadModel::from_parts`] recomputes both. A floor
+//! carried across mutations needs only [`SlotFloor::renumber`] after a
+//! compaction.
 //!
 //! The arithmetic deliberately mirrors `CacheCostModel::estimate` term
 //! for term (same entry order, same addition order, same tie-breaking),
@@ -147,7 +193,7 @@
 use crate::access_costs::AccessCostCatalog;
 use crate::cache::PlanCache;
 use crate::candidates::Selection;
-use pinum_cost::scan::cost_index_scan;
+use pinum_cost::scan::index_probe_total;
 use pinum_query::RelIdx;
 
 /// Sentinel for "always available" access arms (sequential scans and
@@ -456,7 +502,9 @@ const INLINE_WORDS: usize = 16;
 /// `Option` compares, no bounds surprises (the view is always `pool_size`
 /// bits wide, zero padded past the selection's own word count). A delta
 /// moves the view to its probe's selection with [`Self::set`] and back
-/// again afterwards, so one view serves a whole batch of probes.
+/// again afterwards, so one view serves a whole batch of probes. The
+/// default view is zero words wide: it matches no pool.
+#[derive(Debug, Clone, Default)]
 struct SelView {
     nwords: usize,
     inline: [u64; INLINE_WORDS],
@@ -560,7 +608,18 @@ pub struct WorkloadModel {
     /// change when the candidate joins the selection. Only live queries
     /// appear (eviction retracts its entries eagerly).
     affected: Vec<Vec<u32>>,
+    /// Arm index: candidate id → the live arms it gates, ascending by
+    /// position. `affected(c)` is exactly the distinct queries of these.
+    arms: Vec<Vec<ArmRef>>,
     pool_size: usize,
+}
+
+/// One indexed arm: its position in the arm arrays and the slot whose
+/// standalone (`pos < s_end`) or probe run holds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ArmRef {
+    pos: u32,
+    slot: u32,
 }
 
 impl WorkloadModel {
@@ -586,6 +645,7 @@ impl WorkloadModel {
             live: Vec::new(),
             live_count: 0,
             affected: vec![Vec::new(); pool_size],
+            arms: vec![Vec::new(); pool_size],
             pool_size,
         }
     }
@@ -670,13 +730,48 @@ impl WorkloadModel {
         self.live_count += 1;
     }
 
-    /// Enters a live query into the inverted index. Queries are indexed
-    /// in ascending id order (the new id is the largest ever issued), so
-    /// every insertion is an O(1) push that keeps the lists sorted.
+    /// Enters a live query into the inverted and arm indexes. Queries are
+    /// indexed in ascending id order (the new id is the largest ever
+    /// issued, and its arms sit past every indexed arm), so every
+    /// insertion is an O(1) push that keeps the lists sorted.
     fn index_query(&mut self, qid: usize) {
-        for c in self.footprint(qid).0 {
-            self.affected[c as usize].push(qid as u32);
+        for slot in self.query_slots(qid) {
+            let s = self.slots[slot];
+            for pos in s.s_start..s.p_end {
+                let c = self.arm_cands[pos as usize];
+                validate_candidate(c, self.pool_size);
+                let arm = ArmRef {
+                    pos,
+                    slot: slot as u32,
+                };
+                self.arms[c as usize].push(arm);
+                let list = &mut self.affected[c as usize];
+                if list.last() != Some(&(qid as u32)) {
+                    list.push(qid as u32);
+                }
+            }
         }
+    }
+
+    /// A query's slots: its plans' slot extents tile one run. Empty for
+    /// a tombstone.
+    fn query_slots(&self, qid: usize) -> std::ops::Range<usize> {
+        let qm = self.qmeta[qid];
+        if qm.plan_start == qm.plan_end {
+            return 0..0;
+        }
+        let first = self.plans[qm.plan_start as usize].slot_start;
+        first as usize..self.plans[qm.plan_end as usize - 1].slot_end as usize
+    }
+
+    /// A query's gated arms: its slots' arm runs tile one run of
+    /// positions.
+    fn query_arms(&self, qid: usize) -> std::ops::Range<u32> {
+        let slots = self.query_slots(qid);
+        if slots.is_empty() {
+            return 0..0;
+        }
+        self.slots[slots.start].s_start..self.slots[slots.end - 1].p_end
     }
 
     /// A query's footprint, derived from its arm extents: the sorted
@@ -748,9 +843,9 @@ impl WorkloadModel {
         first
     }
 
-    /// Retracts a live query: its inverted-index entries are removed
-    /// (binary search per footprint candidate — delta pricing never has
-    /// to skip dead entries) and its metadata is tombstoned, so its packed
+    /// Retracts a live query: its inverted-index and arm-index entries are
+    /// removed (binary search per footprint candidate — delta pricing
+    /// never has to skip dead entries) and its metadata is tombstoned, so its packed
     /// arm data becomes unreachable (reclaimed by [`Self::compact`]).
     /// The slot itself keeps other query ids stable; a tombstone
     /// contributes exactly 0.0 to every total, which keeps the sum tree
@@ -760,12 +855,17 @@ impl WorkloadModel {
             self.live.get(qid).copied().unwrap_or(false),
             "evicting unknown or already-evicted query {qid}"
         );
+        let arms = self.query_arms(qid);
         for c in self.footprint(qid).0 {
             let list = &mut self.affected[c as usize];
             let pos = list
                 .binary_search(&(qid as u32))
                 .unwrap_or_else(|_| panic!("inverted index lost query {qid} under candidate {c}"));
             list.remove(pos);
+            let list = &mut self.arms[c as usize];
+            let lo = list.partition_point(|a| a.pos < arms.start);
+            let hi = list.partition_point(|a| a.pos < arms.end);
+            list.drain(lo..hi);
         }
         self.qmeta[qid] = QueryMeta {
             plan_start: 0,
@@ -854,11 +954,12 @@ impl WorkloadModel {
         });
     }
 
-    /// Recomputes the inverted index from the packed arm arrays and
-    /// compares — the mutation-path analogue of the deltas'
-    /// full-reprice `debug_assert`. Compiled away in release builds;
-    /// sampled (every k-th mutation) via `PINUM_ASSERT_SAMPLE` so long
-    /// streams keep a bounded debug cost.
+    /// Recomputes the inverted and arm indexes from the packed arm
+    /// arrays and compares — the mutation-path analogue of the deltas'
+    /// full-reprice `debug_assert` — and checks that each candidate's
+    /// affected list is exactly the distinct queries of its indexed arms.
+    /// Compiled away in release builds; sampled (every k-th mutation) via
+    /// `PINUM_ASSERT_SAMPLE` so long streams keep a bounded debug cost.
     fn debug_assert_index_matches_rebuild(&self) {
         #[cfg(debug_assertions)]
         {
@@ -866,6 +967,8 @@ impl WorkloadModel {
                 return;
             }
             let mut expect: Vec<Vec<u32>> = vec![Vec::new(); self.pool_size];
+            let mut expect_arms: Vec<Vec<ArmRef>> = vec![Vec::new(); self.pool_size];
+            let mut owner = vec![u32::MAX; self.arm_costs.len()];
             for (qid, qm) in self.qmeta.iter().enumerate() {
                 if !self.live[qid] {
                     debug_assert!(
@@ -877,18 +980,39 @@ impl WorkloadModel {
                 for c in self.footprint(qid).0 {
                     expect[c as usize].push(qid as u32);
                 }
+                for slot in self.query_slots(qid) {
+                    let s = self.slots[slot];
+                    for pos in s.s_start..s.p_end {
+                        let c = self.arm_cands[pos as usize] as usize;
+                        let slot = slot as u32;
+                        expect_arms[c].push(ArmRef { pos, slot });
+                        owner[pos as usize] = qid as u32;
+                    }
+                }
             }
             debug_assert!(
                 self.affected == expect,
                 "incrementally maintained inverted index diverged from a from-scratch rebuild"
             );
+            debug_assert!(
+                self.arms == expect_arms,
+                "incrementally maintained arm index diverged from a from-scratch rebuild"
+            );
+            for (c, arms) in self.arms.iter().enumerate() {
+                let mut queries: Vec<u32> = arms.iter().map(|a| owner[a.pos as usize]).collect();
+                queries.dedup();
+                debug_assert_eq!(
+                    queries, self.affected[c],
+                    "affected({c}) is not the distinct queries of its arms"
+                );
+            }
             debug_assert_eq!(self.live_count, self.live.iter().filter(|l| **l).count());
         }
     }
 
     /// Exports the packed state as flat parallel vectors — the
     /// serialization surface for session persistence. The parts contain
-    /// every owned field except the inverted index and the live count,
+    /// every owned field except the inverted and arm indexes and the live count,
     /// which are derived data rebuilt by [`Self::from_parts`]; the
     /// round-trip `from_parts(to_parts())` is `==` to the original model.
     pub fn to_parts(&self) -> WorkloadModelParts {
@@ -920,7 +1044,7 @@ impl WorkloadModel {
     /// tombstones, weight positivity) and every term the bounded kernel
     /// scan relies on (arm costs finite and ≥ 0, internal costs and
     /// coefficients finite and ≥ 0, always-arm costs ≥ 0 or `+∞`), then
-    /// recomputing the derived data (`affected`, `live_count`) from the
+    /// recomputing the derived data (`affected`, `arms`, `live_count`) from the
     /// arm extents — the restore-side mirror of
     /// `debug_assert_index_matches_rebuild`, but unconditional and
     /// returning a typed error instead of panicking, since parts arrive
@@ -1058,6 +1182,7 @@ impl WorkloadModel {
             live,
             live_count: 0,
             affected: vec![Vec::new(); pool_size],
+            arms: vec![Vec::new(); pool_size],
             pool_size,
         };
         // Live queries' plan extents ascend and are disjoint; an evicted
@@ -1159,7 +1284,9 @@ impl WorkloadModel {
             if plan.internal >= best {
                 continue;
             }
-            let cost = self.price_plan_in(plan, words, best);
+            let cost = self.plan_cost(plan, best, |_, slot, standalone| {
+                self.slot_min(slot, standalone, words)
+            });
             if cost < best {
                 best = cost;
             }
@@ -1167,24 +1294,47 @@ impl WorkloadModel {
         best
     }
 
-    /// Prices one packed plan; `+∞` when inapplicable under the view or
-    /// once the running cost reaches `bound` (slot terms only ever add,
-    /// so such a plan cannot beat the bound's owner). Mirrors
-    /// `CacheCostModel::estimate_filtered` term for term (same slot
-    /// order, same addition order, same tie-breaking).
-    fn price_plan_in(&self, plan: &PlanMeta, words: &[u64], bound: f64) -> f64 {
+    /// A slot's standalone (or probe) minimum under the view: its always
+    /// arm or its cheapest live gated arm, `+∞` when neither exists.
+    #[inline]
+    fn slot_min(&self, slot: &SlotMeta, standalone: bool, words: &[u64]) -> f64 {
+        let (start, end, always) = if standalone {
+            (slot.s_start, slot.s_end, slot.s_always)
+        } else {
+            (slot.p_start, slot.p_end, slot.p_always)
+        };
+        let run = start as usize..end as usize;
+        min_arm(
+            &self.arm_costs[run.clone()],
+            &self.arm_cands[run],
+            words,
+            always,
+        )
+    }
+
+    /// Prices one packed plan from its slots' minima — `min(i, slot,
+    /// standalone)` is the `i`-th slot's standalone or probe minimum;
+    /// `+∞` when a needed minimum is `+∞` or once the running cost
+    /// reaches `bound` (slot terms only ever add, so such a plan cannot
+    /// beat the bound's owner). Mirrors `CacheCostModel::estimate_filtered`
+    /// term for term (same slot order, same addition order, same
+    /// tie-breaking). The one summation every pricing path runs: a scan
+    /// hands it the view's minima, the floor kernel its stored ones.
+    #[inline]
+    fn plan_cost(
+        &self,
+        plan: &PlanMeta,
+        bound: f64,
+        mut min: impl FnMut(usize, &SlotMeta, bool) -> f64,
+    ) -> f64 {
         let mut cost = plan.internal;
-        for slot in &self.slots[plan.slot_start as usize..plan.slot_end as usize] {
+        let slots = &self.slots[plan.slot_start as usize..plan.slot_end as usize];
+        for (i, slot) in slots.iter().enumerate() {
             if cost >= bound {
                 return f64::INFINITY;
             }
             if slot.coef != 0.0 || slot.required {
-                let access = min_arm(
-                    &self.arm_costs[slot.s_start as usize..slot.s_end as usize],
-                    &self.arm_cands[slot.s_start as usize..slot.s_end as usize],
-                    words,
-                    slot.s_always,
-                );
+                let access = min(i, slot, true);
                 if access == f64::INFINITY {
                     // No standalone arm is live: a priced slot has no
                     // access cost and a required order is uncovered —
@@ -1194,12 +1344,7 @@ impl WorkloadModel {
                 cost += slot.coef * access;
             }
             if slot.pcoef != 0.0 {
-                let probe = min_arm(
-                    &self.arm_costs[slot.p_start as usize..slot.p_end as usize],
-                    &self.arm_cands[slot.p_start as usize..slot.p_end as usize],
-                    words,
-                    slot.p_always,
-                );
+                let probe = min(i, slot, false);
                 if probe == f64::INFINITY {
                     return f64::INFINITY;
                 }
@@ -1246,8 +1391,10 @@ impl WorkloadModel {
 
     /// The exact delta of one probe: the workload total of the probed
     /// selection, re-pricing only the queries the probe's candidates can
-    /// affect. `state` must be the [`PricedWorkload`] of `selection`, and
-    /// a probe adds only non-members and drops only members. On return
+    /// affect, each from a floor of its own, filled for this one probe's
+    /// queries and dropped afterwards (module docs, "Incremental
+    /// pricing"). `state` must be the [`PricedWorkload`] of `selection`,
+    /// and a probe adds only non-members and drops only members. On return
     /// `changed` holds the `(query, cost)` pairs that actually moved
     /// (ascending by query — re-priced queries whose cost is bit-identical
     /// to `state`'s are filtered out, which is exact), ready for
@@ -1261,14 +1408,85 @@ impl WorkloadModel {
         probe: Probe,
         changed: &mut Vec<(u32, f64)>,
     ) -> ProbeDelta {
-        let mut view = SelView::new(self.pool_size, selection);
-        self.price_probe_in(state, selection, probe, None, &mut view, changed)
+        self.price_one(
+            state,
+            selection,
+            probe,
+            None,
+            &mut SlotFloor::default(),
+            changed,
+        )
+    }
+
+    /// [`Self::price_probe_into`] from `floor` (which may stand on any
+    /// selection of this model, and is moved onto `selection` first),
+    /// leaving the floor on the probed selection: each affected query is
+    /// settled as it is priced, so a search commits a move in one pass. A
+    /// caller that keeps `selection` after all moves the floor back with
+    /// [`Self::move_floor`].
+    pub fn commit_probe_on(
+        &self,
+        state: &PricedWorkload,
+        selection: &Selection,
+        probe: Probe,
+        floor: &mut SlotFloor,
+        changed: &mut Vec<(u32, f64)>,
+    ) -> ProbeDelta {
+        self.move_floor(floor, selection);
+        let mut probed = floor.base.clone();
+        let settle = true;
+        self.price_probe_in(
+            state,
+            selection,
+            probe,
+            None,
+            settle,
+            floor,
+            &mut probed,
+            changed,
+        )
+    }
+
+    /// One probe, optionally masked, on `floor` moved onto `selection`.
+    fn price_one(
+        &self,
+        state: &PricedWorkload,
+        selection: &Selection,
+        probe: Probe,
+        qmask: Option<&[u32]>,
+        floor: &mut SlotFloor,
+        changed: &mut Vec<(u32, f64)>,
+    ) -> ProbeDelta {
+        self.move_floor(floor, selection);
+        let mut probed = floor.base.clone();
+        self.price_probe_in(
+            state,
+            selection,
+            probe,
+            qmask,
+            false,
+            floor,
+            &mut probed,
+            changed,
+        )
+    }
+
+    /// [`Self::price_batch_on`] over a floor of its own, shared by the
+    /// batch's probes and dropped afterwards.
+    pub fn price_delta_batch(
+        &self,
+        state: &PricedWorkload,
+        selection: &Selection,
+        probes: &[Probe],
+        qmask: Option<&[u32]>,
+    ) -> Vec<ProbeDelta> {
+        self.price_batch_on(state, selection, probes, qmask, &mut SlotFloor::default())
     }
 
     /// Prices a batch of independent probes against one `(selection,
-    /// state)` snapshot; each result lands at its probe's own index, and
-    /// an unmasked result is [`Self::price_probe_into`]'s, bit for bit.
-    /// Probes share one selection view and changed-list buffer.
+    /// state)` snapshot and one floor; each result lands at its probe's
+    /// own index, and an unmasked result is [`Self::price_probe_into`]'s,
+    /// bit for bit.
     ///
     /// A run of consecutive [`Probe::Swap`]s with the same `drop` — the
     /// drop-major neighbourhood a swap search sends — shares the drop's
@@ -1282,20 +1500,23 @@ impl WorkloadModel {
     /// path. Masked totals overlay only the masked changed queries and
     /// are therefore comparable *ranks*, not exact workload totals;
     /// callers must re-derive accepted moves through
-    /// [`Self::price_probe_into`].
-    pub fn price_delta_batch(
+    /// [`Self::commit_probe_on`] or [`Self::price_probe_into`].
+    pub fn price_batch_on(
         &self,
         state: &PricedWorkload,
         selection: &Selection,
         probes: &[Probe],
         qmask: Option<&[u32]>,
+        floor: &mut SlotFloor,
     ) -> Vec<ProbeDelta> {
         let mut out = Vec::with_capacity(probes.len());
-        self.price_batch_each(state, selection, probes, qmask, |delta, _| out.push(delta));
+        self.price_batch_each(state, selection, probes, qmask, floor, |delta, _| {
+            out.push(delta)
+        });
         out
     }
 
-    /// [`Self::price_delta_batch`]'s body: hands each probe's delta and
+    /// [`Self::price_batch_on`]'s body: hands each probe's delta and
     /// changed list to `emit`, in probe order.
     fn price_batch_each(
         &self,
@@ -1303,12 +1524,14 @@ impl WorkloadModel {
         selection: &Selection,
         probes: &[Probe],
         qmask: Option<&[u32]>,
+        floor: &mut SlotFloor,
         mut emit: impl FnMut(ProbeDelta, &[(u32, f64)]),
     ) {
         if probes.is_empty() {
             return;
         }
-        let mut view = SelView::new(self.pool_size, selection);
+        self.move_floor(floor, selection);
+        let mut probed = floor.base.clone();
         let mut changed = Vec::new();
         let mut rest = probes;
         while let Some(&first) = rest.first() {
@@ -1321,10 +1544,18 @@ impl WorkloadModel {
             };
             if run > 1 {
                 let run = &rest[..run];
-                self.price_swap_run(state, selection, run, qmask, &mut view, &mut emit);
+                self.price_swap_run(state, selection, run, qmask, floor, &mut probed, &mut emit);
             } else {
-                let delta =
-                    self.price_probe_in(state, selection, first, qmask, &mut view, &mut changed);
+                let delta = self.price_probe_in(
+                    state,
+                    selection,
+                    first,
+                    qmask,
+                    false,
+                    floor,
+                    &mut probed,
+                    &mut changed,
+                );
                 emit(delta, &changed);
             }
             rest = &rest[run..];
@@ -1338,13 +1569,15 @@ impl WorkloadModel {
     /// changed list, total and `repriced` (the union, clipped to the
     /// mask) equal [`Self::price_probe_in`]'s bit for bit (debug-asserted,
     /// sampled).
+    #[allow(clippy::too_many_arguments)]
     fn price_swap_run(
         &self,
         state: &PricedWorkload,
         selection: &Selection,
         run: &[Probe],
         qmask: Option<&[u32]>,
-        view: &mut SelView,
+        floor: &mut SlotFloor,
+        probed: &mut SelView,
         emit: &mut impl FnMut(ProbeDelta, &[(u32, f64)]),
     ) {
         debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
@@ -1352,13 +1585,17 @@ impl WorkloadModel {
             unreachable!("a swap run starts with a swap")
         };
         debug_assert!(selection.contains(drop), "swap drops a non-member {drop}");
-        view.set(drop, false);
+        probed.set(drop, false);
         let mut mask = MaskCursor::new(qmask);
-        let drop_pass: Vec<(u32, f64)> = self.affected[drop]
-            .iter()
-            .filter(|&&q| mask.admits(q))
-            .map(|&q| (q, self.contribution_in(q as usize, view.words())))
-            .collect();
+        let mut drop_arms = ArmCursor(&self.arms[drop]);
+        let mut drop_pass: Vec<(u32, f64)> = Vec::new();
+        for &q in &self.affected[drop] {
+            if mask.admits(q) {
+                let dropped = drop_arms.take(self.query_arms(q as usize));
+                let cost = self.contribution_on(floor, q as usize, probed.words(), dropped, &[]);
+                drop_pass.push((q, cost));
+            }
+        }
         let mut changed = Vec::new();
         for &probe in run {
             let Probe::Swap { add, drop: d } = probe else {
@@ -1369,8 +1606,8 @@ impl WorkloadModel {
                 "{probe:?} breaks the run"
             );
             changed.clear();
-            view.set(add, true);
-            let words = view.words();
+            probed.set(add, true);
+            let words = probed.words();
             let mut repriced = 0usize;
             let mut keep = |q: u32, cost: f64| {
                 repriced += 1;
@@ -1380,6 +1617,8 @@ impl WorkloadModel {
             };
             let mut mask = MaskCursor::new(qmask);
             let mut from_drop = drop_pass.iter().peekable();
+            let (mut drop_arms, mut add_arms) =
+                (ArmCursor(&self.arms[drop]), ArmCursor(&self.arms[add]));
             for &q in &self.affected[add] {
                 if !mask.admits(q) {
                     continue;
@@ -1389,19 +1628,24 @@ impl WorkloadModel {
                 }
                 // `add` touches q: its drop-pass price is stale here.
                 from_drop.next_if(|&&(dq, _)| dq == q);
-                keep(q, self.contribution_in(q as usize, words));
+                let arms = self.query_arms(q as usize);
+                let (dropped, added) = (drop_arms.take(arms.clone()), add_arms.take(arms));
+                keep(
+                    q,
+                    self.contribution_on(floor, q as usize, words, dropped, added),
+                );
             }
             for &(dq, cost) in from_drop {
                 keep(dq, cost);
             }
-            view.set(add, false);
+            probed.set(add, false);
             let total = state.overlaid_total(&changed);
             #[cfg(debug_assertions)]
             if crate::sampling::should_assert() {
-                let mut fresh = SelView::new(self.pool_size, selection);
                 let mut expect = Vec::new();
+                let mut fresh = SlotFloor::default();
                 let single =
-                    self.price_probe_in(state, selection, probe, qmask, &mut fresh, &mut expect);
+                    self.price_one(state, selection, probe, qmask, &mut fresh, &mut expect);
                 debug_assert_eq!(
                     (total.to_bits(), repriced, changed_bits(&changed)),
                     (
@@ -1414,21 +1658,26 @@ impl WorkloadModel {
             }
             emit(ProbeDelta { total, repriced }, &changed);
         }
-        view.set(drop, true);
+        probed.set(drop, true);
     }
 
-    /// The delta kernel behind both entry points: move `view` (a snapshot
-    /// of `selection`) to the probe's selection, re-price the probe's
-    /// affected queries — optionally clipped to `qmask` — in ascending
-    /// order, move `view` back, and overlay the moved costs on the sum
-    /// tree.
+    /// The delta kernel behind every entry point: move `probed` (a copy
+    /// of the floor's base view) to the probe's selection, re-price the
+    /// probe's affected queries — optionally clipped to `qmask` — in
+    /// ascending order from the floor, move `probed` back, and overlay
+    /// the moved costs on the sum tree. With `settle` (unmasked only) each
+    /// query's floor is settled onto the probed selection instead of
+    /// restored, and the floor ends standing there.
+    #[allow(clippy::too_many_arguments)]
     fn price_probe_in(
         &self,
         state: &PricedWorkload,
         selection: &Selection,
         probe: Probe,
         qmask: Option<&[u32]>,
-        view: &mut SelView,
+        settle: bool,
+        floor: &mut SlotFloor,
+        probed: &mut SelView,
         changed: &mut Vec<(u32, f64)>,
     ) -> ProbeDelta {
         debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
@@ -1441,18 +1690,26 @@ impl WorkloadModel {
             "{probe:?} adds a member or drops a non-member"
         );
         changed.clear();
-        view.toggle(probe, true);
+        probed.toggle(probe, true);
         let mut repriced = 0usize;
         {
-            let words = view.words();
+            let words = probed.words();
+            let (add, drop) = probe.moved();
+            let arms_of = |c: Option<usize>| ArmCursor(c.map_or(&[][..], |c| &self.arms[c]));
+            let (mut add_arms, mut drop_arms) = (arms_of(add), arms_of(drop));
             let mut mask = MaskCursor::new(qmask);
             let mut visit = |q: u32| {
-                debug_assert!(self.live[q as usize], "inverted index holds a tombstone");
                 if !mask.admits(q) {
                     return;
                 }
                 repriced += 1;
-                let cost = self.contribution_in(q as usize, words);
+                let arms = self.query_arms(q as usize);
+                let (dropped, added) = (drop_arms.take(arms.clone()), add_arms.take(arms));
+                let cost = if settle {
+                    self.settled_contribution(floor, q as usize, words, dropped, added)
+                } else {
+                    self.contribution_on(floor, q as usize, words, dropped, added)
+                };
                 if cost.to_bits() != state.per_query[q as usize].to_bits() {
                     changed.push((q, cost));
                 }
@@ -1495,7 +1752,11 @@ impl WorkloadModel {
                 }
             }
         }
-        view.toggle(probe, false);
+        debug_assert!(!settle || qmask.is_none(), "a masked probe cannot settle");
+        if settle {
+            floor.base = probed.clone();
+        }
+        probed.toggle(probe, false);
         let total = state.overlaid_total(changed);
         #[cfg(debug_assertions)]
         if crate::sampling::should_assert() {
@@ -1518,8 +1779,7 @@ impl WorkloadModel {
                     );
                 }
                 Some(mask) => {
-                    let mut view = SelView::new(self.pool_size, selection);
-                    self.price_probe_in(state, selection, probe, None, &mut view, &mut expect);
+                    self.price_probe_into(state, selection, probe, &mut expect);
                     expect.retain(|(q, _)| mask.binary_search(q).is_ok());
                 }
             }
@@ -1530,6 +1790,341 @@ impl WorkloadModel {
             );
         }
         ProbeDelta { total, repriced }
+    }
+
+    /// Query `q`'s weighted price under `probed` — the floor's base with
+    /// the `dropped` arms' candidate cleared and the `added` arms'
+    /// candidate set — read off the floor: [`Self::shift_slots`] moves the
+    /// slot minima the arms can move, only plans holding a moved minimum
+    /// are re-summed by [`Self::plan_cost`], and the rest keep their floor
+    /// cost. The overrides are undone before returning, so the floor still
+    /// stands on its base.
+    fn contribution_on(
+        &self,
+        floor: &mut SlotFloor,
+        q: usize,
+        probed: &[u64],
+        dropped: &[ArmRef],
+        added: &[ArmRef],
+    ) -> f64 {
+        debug_assert!(self.live[q], "inverted index holds a tombstone");
+        let off = self.floor_at(floor, q);
+        let plans = self.query_plans(q);
+        let slot0 = plans[0].slot_start as usize;
+        // Where the query's slot minima start, after its plan costs.
+        let mins = off + plans.len();
+        self.shift_slots(floor, mins, slot0, probed, dropped, added);
+        let SlotFloor { vals, saved, .. } = floor;
+        let mut best = f64::INFINITY;
+        for (k, plan) in plans.iter().enumerate() {
+            let first = mins + 2 * (plan.slot_start as usize - slot0);
+            let last = mins + 2 * (plan.slot_end as usize - slot0);
+            let cost = if !saved.iter().any(|&(at, _)| (first..last).contains(&at)) {
+                vals[off + k]
+            } else if plan.internal >= best {
+                continue;
+            } else {
+                self.plan_cost(plan, best, |i, _, standalone| {
+                    vals[first + 2 * i + usize::from(!standalone)]
+                })
+            };
+            if cost < best {
+                best = cost;
+            }
+        }
+        for &(at, old) in saved.iter().rev() {
+            vals[at] = old;
+        }
+        self.weights[q] * best
+    }
+
+    /// [`Self::contribution_on`], kept: `q`'s floor is settled onto
+    /// `probed` and its price read off the settled plan costs.
+    fn settled_contribution(
+        &self,
+        floor: &mut SlotFloor,
+        q: usize,
+        probed: &[u64],
+        dropped: &[ArmRef],
+        added: &[ArmRef],
+    ) -> f64 {
+        debug_assert!(self.live[q], "inverted index holds a tombstone");
+        let off = self.floor_at(floor, q);
+        self.settle(floor, q, probed, dropped, added);
+        let plans = self.query_plans(q).len();
+        self.weights[q] * least(&floor.vals[off..off + plans])
+    }
+
+    /// Moves filled query `q`'s floor onto `words` for good, across the
+    /// `dropped` and `added` arms of the candidates that changed: the
+    /// slot rules of [`Self::shift_slots`], then every plan holding a
+    /// moved minimum re-summed (unbounded) and stored.
+    fn settle(
+        &self,
+        floor: &mut SlotFloor,
+        q: usize,
+        words: &[u64],
+        dropped: &[ArmRef],
+        added: &[ArmRef],
+    ) {
+        let off = floor.at[q];
+        let plans = self.query_plans(q);
+        let slot0 = plans[0].slot_start as usize;
+        let mins = off + plans.len();
+        self.shift_slots(floor, mins, slot0, words, dropped, added);
+        let SlotFloor { vals, saved, .. } = floor;
+        for (k, plan) in plans.iter().enumerate() {
+            let first = mins + 2 * (plan.slot_start as usize - slot0);
+            let last = mins + 2 * (plan.slot_end as usize - slot0);
+            if saved.iter().any(|&(at, _)| (first..last).contains(&at)) {
+                vals[off + k] = self.plan_cost(plan, f64::INFINITY, |i, _, standalone| {
+                    vals[first + 2 * i + usize::from(!standalone)]
+                });
+            }
+        }
+        saved.clear();
+    }
+
+    /// The slot rules of the floor kernel, applied in place to the slot
+    /// minima starting at `mins` (a query whose first slot is `slot0`);
+    /// `words` is the selection being priced. A dropped arm whose cost
+    /// equals its slot's minimum (ties included: another candidate's arm
+    /// of equal cost may be the one the scan kept, or it may not) rescans
+    /// that slot under `words`; any other dropped arm was not the minimum
+    /// and changes nothing. An added arm lowers its slot to
+    /// `min(minimum, arm)`. Either rule leaves the exact scan result, so
+    /// arms of several candidates compose in any order. Each minimum that
+    /// moves is pushed with its old value onto `floor.saved` (cleared
+    /// first).
+    fn shift_slots(
+        &self,
+        floor: &mut SlotFloor,
+        mins: usize,
+        slot0: usize,
+        words: &[u64],
+        dropped: &[ArmRef],
+        added: &[ArmRef],
+    ) {
+        let SlotFloor { vals, saved, .. } = floor;
+        saved.clear();
+        let locate = |a: &ArmRef| {
+            let slot = &self.slots[a.slot as usize];
+            let standalone = a.pos < slot.s_end;
+            let at = mins + 2 * (a.slot as usize - slot0) + usize::from(!standalone);
+            (at, slot, standalone, self.arm_costs[a.pos as usize])
+        };
+        for a in dropped {
+            let (at, slot, standalone, arm) = locate(a);
+            let cur = vals[at];
+            if arm == cur {
+                let new = self.slot_min(slot, standalone, words);
+                if new.to_bits() != cur.to_bits() {
+                    saved.push((at, cur));
+                    vals[at] = new;
+                }
+            }
+        }
+        for a in added {
+            let (at, slot, standalone, arm) = locate(a);
+            let cur = vals[at];
+            let new = if arm < cur {
+                arm
+            } else if arm > cur || arm.to_bits() == cur.to_bits() {
+                cur
+            } else {
+                // +0.0 against −0.0: which sign the scan keeps depends on
+                // arm order, so ask the scan.
+                self.slot_min(slot, standalone, words)
+            };
+            if new.to_bits() != cur.to_bits() {
+                saved.push((at, cur));
+                vals[at] = new;
+            }
+        }
+    }
+
+    /// A query's plans (none for a tombstone).
+    fn query_plans(&self, q: usize) -> &[PlanMeta] {
+        let qm = self.qmeta[q];
+        &self.plans[qm.plan_start as usize..qm.plan_end as usize]
+    }
+
+    /// Offset of query `q`'s floor in the floor's values, filling it under
+    /// the floor's base first if no probe has touched `q` yet.
+    fn floor_at(&self, floor: &mut SlotFloor, q: usize) -> usize {
+        if floor.at[q] == UNFILLED {
+            let off = floor.vals.len();
+            floor.vals.resize(off + self.floor_len(q), 0.0);
+            self.fill_floor(q, floor.base.words(), &mut floor.vals[off..]);
+            floor.at[q] = off;
+        }
+        floor.at[q]
+    }
+
+    /// Values in one query's floor: a cost per plan, two minima per slot.
+    fn floor_len(&self, q: usize) -> usize {
+        self.query_plans(q).len() + 2 * self.query_slots(q).len()
+    }
+
+    /// Writes query `q`'s floor under `words` into `out`: its plans'
+    /// costs (unbounded, `+∞` when inapplicable), then each slot's
+    /// standalone and probe minimum.
+    fn fill_floor(&self, q: usize, words: &[u64], out: &mut [f64]) {
+        let plans = self.query_plans(q);
+        let slots = self.query_slots(q);
+        let (costs, mins) = out.split_at_mut(plans.len());
+        for (slot, m) in self.slots[slots.clone()]
+            .iter()
+            .zip(mins.chunks_exact_mut(2))
+        {
+            m[0] = self.slot_min(slot, true, words);
+            m[1] = self.slot_min(slot, false, words);
+        }
+        for (cost, plan) in costs.iter_mut().zip(plans) {
+            let first = 2 * (plan.slot_start as usize - slots.start);
+            *cost = self.plan_cost(plan, f64::INFINITY, |i, _, standalone| {
+                mins[first + 2 * i + usize::from(!standalone)]
+            });
+        }
+    }
+
+    /// Moves `floor` onto `selection`: every filled query some changed
+    /// candidate affects is settled onto the new selection across that
+    /// candidate's arms (the others price the same under both), and
+    /// queries admitted since the floor last ran are unfilled. A floor
+    /// standing on another pool width starts over empty. Every kernel
+    /// entry taking a floor does this first; a search calls it to move
+    /// its floor back after refusing a move it priced with
+    /// [`Self::commit_probe_on`].
+    pub fn move_floor(&self, floor: &mut SlotFloor, selection: &Selection) {
+        let view = SelView::new(self.pool_size, selection);
+        if floor.base.nwords != view.nwords {
+            *floor = SlotFloor::default();
+        }
+        if floor.at.len() < self.qmeta.len() {
+            floor.at.resize(self.qmeta.len(), UNFILLED);
+        }
+        for w in 0..floor.base.nwords {
+            let new = view.words()[w];
+            let mut moved = floor.base.words()[w] ^ new;
+            while moved != 0 {
+                let bit = moved.trailing_zeros();
+                moved &= moved - 1;
+                let c = w * 64 + bit as usize;
+                let joined = (new >> bit) & 1 != 0;
+                let mut arms = ArmCursor(&self.arms[c]);
+                for &q in &self.affected[c] {
+                    let run = arms.take(self.query_arms(q as usize));
+                    if floor.at[q as usize] != UNFILLED {
+                        let (dropped, added) = if joined {
+                            (&[][..], run)
+                        } else {
+                            (run, &[][..])
+                        };
+                        self.settle(floor, q as usize, view.words(), dropped, added);
+                    }
+                }
+            }
+        }
+        floor.base = view;
+        #[cfg(debug_assertions)]
+        if crate::sampling::should_assert() {
+            self.debug_assert_floor_is_fresh(floor);
+        }
+    }
+
+    /// Every filled live query's floor equals a fresh fill under the
+    /// floor's base, and the least of its plan costs, weighted, is the
+    /// query's `price_full` entry bit for bit.
+    #[cfg(debug_assertions)]
+    fn debug_assert_floor_is_fresh(&self, floor: &SlotFloor) {
+        let words = floor.base.words();
+        for (q, &off) in floor.at.iter().enumerate() {
+            if off == UNFILLED || !self.live[q] {
+                continue;
+            }
+            let mut fresh = vec![0.0; self.floor_len(q)];
+            self.fill_floor(q, words, &mut fresh);
+            let kept = &floor.vals[off..off + fresh.len()];
+            debug_assert!(
+                kept.iter()
+                    .zip(&fresh)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "slot floor of query {q} diverged from a fresh fill"
+            );
+            let best = least(&kept[..self.query_plans(q).len()]);
+            debug_assert_eq!(
+                (self.weights[q] * best).to_bits(),
+                self.contribution_in(q, words).to_bits(),
+                "slot floor of query {q} diverged from price_full"
+            );
+        }
+    }
+}
+
+/// The least plan cost, kept by the scan's strict `<` in plan order.
+fn least(costs: &[f64]) -> f64 {
+    (costs.iter()).fold(f64::INFINITY, |best, &c| if c < best { c } else { best })
+}
+
+/// Offset mark of a query whose floor is not filled yet.
+const UNFILLED: usize = usize::MAX;
+
+/// What a search knows about the selection it stands on: for each query
+/// a probe has touched, each plan's cost and each slot's standalone and
+/// probe minimum under the floor's base selection (module docs,
+/// "Incremental pricing"). It starts empty and fills one query at a time,
+/// the first time a probe touches the query, so its size and its cost
+/// follow the queries a search actually probes. Every kernel call first
+/// moves it onto the caller's selection, settling only the filled queries
+/// the changed candidates affect.
+///
+/// A floor belongs to one model. Admission and eviction need nothing;
+/// after [`WorkloadModel::compact`] hand it the remap
+/// ([`Self::renumber`]).
+#[derive(Debug, Clone, Default)]
+pub struct SlotFloor {
+    /// The selection the floor stands on (zero words until first use).
+    base: SelView,
+    /// Per query id: where its floor starts in `vals`, or `UNFILLED`.
+    at: Vec<usize>,
+    /// Per filled query: its plans' costs, then its slots' (standalone,
+    /// probe) minima, in the model's plan and slot order.
+    vals: Vec<f64>,
+    /// The values one query's probe overrides, with their floor values.
+    saved: Vec<(usize, f64)>,
+}
+
+impl SlotFloor {
+    /// Follows a [`WorkloadModel::compact`]: `remap` is the old→new id
+    /// mapping it returned. Compaction copies each surviving query's plans
+    /// and slots in order, so a filled query's floor stays valid under its
+    /// new id; an evicted query's values stay behind, unreachable.
+    pub fn renumber(&mut self, remap: &[u32]) {
+        let live = remap.iter().filter(|&&new| new != u32::MAX).count();
+        let mut at = vec![UNFILLED; live];
+        for (old, &new) in remap.iter().enumerate() {
+            if new != u32::MAX {
+                at[new as usize] = self.at.get(old).copied().unwrap_or(UNFILLED);
+            }
+        }
+        self.at = at;
+    }
+}
+
+/// Walks one candidate's indexed arms (ascending by position) alongside
+/// an ascending stream of queries.
+struct ArmCursor<'a>(&'a [ArmRef]);
+
+impl<'a> ArmCursor<'a> {
+    /// The arms inside `range` (a query's arm positions), skipping those
+    /// before it; calls must come in ascending, disjoint ranges.
+    fn take(&mut self, range: std::ops::Range<u32>) -> &'a [ArmRef] {
+        let skip = self.0.iter().take_while(|a| a.pos < range.start).count();
+        let rest = &self.0[skip..];
+        let (run, tail) = rest.split_at(rest.iter().take_while(|a| a.pos < range.end).count());
+        self.0 = tail;
+        run
     }
 }
 
@@ -1543,6 +2138,17 @@ pub enum Probe {
     Drop { cand: usize },
     /// Price `(selection ∖ {drop}) ∪ {add}` — one swap move.
     Swap { add: usize, drop: usize },
+}
+
+impl Probe {
+    /// The candidate the probe adds and the one it drops.
+    pub fn moved(self) -> (Option<usize>, Option<usize>) {
+        match self {
+            Probe::Add { cand } => (Some(cand), None),
+            Probe::Drop { cand } => (None, Some(cand)),
+            Probe::Swap { add, drop } => (Some(add), Some(drop)),
+        }
+    }
 }
 
 /// The selection `probe` moves `selection` to — what its delta must
@@ -1652,7 +2258,7 @@ where
 /// attain the query's minimum under any selection (module docs,
 /// "Pool-aware pruning"): a plan whose `lo` exceeds the query's
 /// no-index price. Both bounds are summed in the slot loop that builds
-/// the plan, in [`WorkloadModel::price_plan_in`]'s operation order.
+/// the plan, in [`WorkloadModel::plan_cost`]'s operation order.
 pub(crate) fn flatten_query(cache: &PlanCache, access: &AccessCostCatalog) -> QueryModel {
     let params = access.params();
     let mut plans = Vec::with_capacity(cache.len());
@@ -1717,10 +2323,16 @@ pub(crate) fn flatten_query(cache: &PlanCache, access: &AccessCostCatalog) -> Qu
                         // at `loops = pcoef`).
                         spec.loop_count = pcoef.max(1.0);
                         AccessArm {
-                            cost: cost_index_scan(params, &spec).total,
+                            cost: index_probe_total(params, &spec),
                             candidate: candidate.map_or(ALWAYS, |c| c as u32),
                         }
                     })
+                    // In-domain inputs can overflow the loop branch of
+                    // the index-scan formula to +∞. Every pricer reads a
+                    // +∞ arm as inapplicable, so dropping it keeps every
+                    // price, and the model holds only finite arms, as
+                    // `from_parts` requires.
+                    .filter(|arm| arm.cost.is_finite())
                     .collect();
                 probes.sort_by(|a, b| a.cost.partial_cmp(&b.cost).unwrap());
                 prune_arms(&mut probes);
@@ -2015,6 +2627,84 @@ mod tests {
             );
         }
         assert_eq!(wm.price_query(0, &Selection::from_ids(2, &[0]), None), 30.0);
+    }
+
+    /// A nested-loop plan over an index whose probe overflows
+    /// `cost_index_scan`'s loop branch to +∞ from finite, in-domain inputs
+    /// (`probe_coefs` 1000, `heap_rows = index_rows = 1e308`, `heap_pages =
+    /// 2^40`). Flattening drops that arm, so the model holds only finite
+    /// arms, round-trips through its parts (restore refuses non-finite
+    /// arms) and prices like the unpruned `CacheCostModel` everywhere.
+    #[test]
+    fn overflowing_probe_arms_are_dropped_at_flattening() {
+        use crate::access_costs::CandidateAccess;
+        use crate::cache::CachedPlan;
+        use pinum_cost::scan::IndexScanInput;
+        use pinum_cost::CostParams;
+        use pinum_query::{InterestingOrders, Ioc};
+
+        const ORDER: u16 = 7;
+        let mut cache = PlanCache::new("nlj", 1, InterestingOrders::new(vec![vec![ORDER]]));
+        for (description, ordered, internal, coef, pcoef) in [
+            ("scan", false, 1000.0, 1.0, 0.0),
+            ("probe", true, 10.0, 0.0, 1000.0),
+        ] {
+            cache.insert(CachedPlan {
+                ioc: if ordered {
+                    Ioc::NONE.with_order(0, 0)
+                } else {
+                    Ioc::NONE
+                },
+                internal,
+                coefs: vec![coef],
+                probe_coefs: vec![pcoef],
+                uses_nlj: ordered,
+                rows: 1.0,
+                description: description.into(),
+            });
+        }
+        let huge = IndexScanInput {
+            index_rows: 1e308,
+            heap_rows: 1e308,
+            heap_pages: 1 << 40,
+            ..IndexScanInput::default()
+        };
+        let params = CostParams::default();
+        let at_loops = IndexScanInput {
+            loop_count: 1000.0,
+            ..huge
+        };
+        assert!(index_probe_total(&params, &at_loops).is_infinite());
+        let entry = |candidate, order, cost, probe| CandidateAccess {
+            candidate,
+            order,
+            cost,
+            probe,
+        };
+        let access = AccessCostCatalog::from_parts(
+            vec![vec![
+                entry(Some(0), Some(ORDER), 10.0, Some(IndexScanInput::default())),
+                entry(Some(1), Some(ORDER), 20.0, Some(huge)),
+                entry(None, None, 50.0, None),
+            ]],
+            params,
+        );
+        let wm = WorkloadModel::build(2, [(&cache, &access)]);
+        let parts = wm.to_parts();
+        assert_eq!(parts.plan_internal, [1000.0, 10.0], "both plans can win");
+        assert!(parts.arm_costs.iter().all(|c| c.is_finite()));
+        let back = WorkloadModel::from_parts(parts).expect("finite arms restore");
+        assert_eq!(back, wm);
+        let oracle = CacheCostModel::new(&cache, &access);
+        for ids in [&[][..], &[0], &[1], &[0, 1]] {
+            let sel = Selection::from_ids(2, ids);
+            let want = oracle.estimate(&sel).map_or(f64::INFINITY, |e| e.cost);
+            assert_eq!(
+                back.price_query(0, &sel, None).to_bits(),
+                want.to_bits(),
+                "{ids:?}"
+            );
+        }
     }
 
     /// Parts written before pool-aware pruning hold plans the rule drops.
@@ -2638,9 +3328,15 @@ mod tests {
                 let mask = mask.as_deref();
                 let admitted = |q: &u32| mask.is_none_or(|m| m.binary_search(q).is_ok());
                 let mut got = Vec::new();
-                wm.price_batch_each(&state, &selection, &probes, mask, |d, changed| {
-                    got.push((d.total.to_bits(), d.repriced, changed_bits(changed)))
-                });
+                let mut floor = SlotFloor::default();
+                wm.price_batch_each(
+                    &state,
+                    &selection,
+                    &probes,
+                    mask,
+                    &mut floor,
+                    |d, changed| got.push((d.total.to_bits(), d.repriced, changed_bits(changed))),
+                );
                 let public = wm.price_delta_batch(&state, &selection, &probes, mask);
                 assert_eq!(got.len(), probes.len());
                 for ((&probe, got), public) in probes.iter().zip(&got).zip(&public) {

@@ -4,18 +4,24 @@
 //! the incrementally-spliced [`PricedWorkload`] is bit-identical to a
 //! from-scratch `price_full`, that the inverted-index prefilter never
 //! lets a delta change a query it cannot touch, and that the per-query
-//! [`CacheCostModel`] oracle prices every query to the same bits.
+//! [`CacheCostModel`] oracle prices every query to the same bits. The
+//! slot-floor kernel is checked against the `price_full` diff on
+//! hand-built workloads whose arms tie on purpose, with one floor carried
+//! through every probe, commit and mutation.
 
 use pinum_catalog::{Catalog, Column, ColumnType, Index, Table};
 use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
 use pinum_core::builder::{build_cache_pinum, BuilderOptions};
 use pinum_core::{
-    pairwise_total, CacheCostModel, CandidatePool, PlanCache, PricedWorkload, Probe, Selection,
-    WorkloadModel,
+    pairwise_total, CacheCostModel, CachedPlan, CandidateAccess, CandidatePool, PlanCache,
+    PricedWorkload, Probe, Selection, SlotFloor, WorkloadModel,
 };
+use pinum_cost::scan::IndexScanInput;
+use pinum_cost::CostParams;
 use pinum_optimizer::Optimizer;
-use pinum_query::QueryBuilder;
+use pinum_query::{InterestingOrders, Ioc, QueryBuilder, RelIdx};
 use proptest::prelude::*;
+use proptest::TestRng;
 
 /// A randomized two-table star: the fact/dimension sizes and each query's
 /// filter width vary per case, so arm costs, plan shapes, and min-scan
@@ -117,6 +123,346 @@ fn assert_state_is_fresh(
             a,
             b
         );
+    }
+}
+
+/// Standalone arm costs: `20.0` twice, so two candidates often gate
+/// arms of equal cost; `50.0` also ties a materialized ordered arm.
+const TIED_COSTS: [f64; 5] = [10.0, 20.0, 20.0, 30.0, 50.0];
+
+/// One of two probe specs: candidates sharing a spec gate probe arms of
+/// equal cost at every loop count.
+fn probe_spec(k: usize) -> IndexScanInput {
+    IndexScanInput {
+        index_leaf_pages: 10 + 90 * k as u64,
+        index_height: 1,
+        index_rows: 10_000.0,
+        heap_pages: 100,
+        heap_rows: 10_000.0,
+        index_selectivity: 0.01,
+        correlation: 0.5,
+        ..IndexScanInput::default()
+    }
+}
+
+/// Hand-built `(plan cache, access catalog)` pairs over a pool of
+/// `pool` candidates, drawn from `seed`. Every cost comes from a small
+/// set, so arms of different candidates often tie: on a standalone run,
+/// on a probe run (shared specs) and against the always-available arms.
+fn tied_workload(seed: u64, queries: usize, pool: usize) -> Vec<(PlanCache, AccessCostCatalog)> {
+    let mut rng = TestRng::new(seed);
+    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+    (0..queries)
+        .map(|i| {
+            let n_rels = 1 + pick(3);
+            let orders: Vec<Vec<u16>> = (0..n_rels as u16)
+                .map(|r| vec![10 * r + 1, 10 * r + 2])
+                .collect();
+            let per_rel = (0..n_rels)
+                .map(|r| {
+                    let scan = CandidateAccess {
+                        candidate: None,
+                        order: None,
+                        cost: [40.0, 60.0][pick(2)],
+                        probe: None,
+                    };
+                    let mut entries = vec![scan];
+                    if pick(3) == 0 {
+                        entries.push(CandidateAccess {
+                            candidate: None,
+                            order: Some(orders[r][0]),
+                            cost: 50.0,
+                            probe: Some(probe_spec(pick(2))),
+                        });
+                    }
+                    for _ in 0..2 + pick(4) {
+                        let order = [None, Some(orders[r][0]), Some(orders[r][1])][pick(3)];
+                        entries.push(CandidateAccess {
+                            candidate: Some(pick(pool)),
+                            order,
+                            cost: TIED_COSTS[pick(TIED_COSTS.len())],
+                            probe: order.map(|_| probe_spec(pick(2))),
+                        });
+                    }
+                    // As a collector leaves them: ascending by cost.
+                    entries.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+                    entries
+                })
+                .collect();
+            let mut cache = PlanCache::new(format!("q{i}"), n_rels, InterestingOrders::new(orders));
+            for p in 0..1 + pick(4) {
+                let mut ioc = Ioc::NONE;
+                let mut coefs = vec![0.0; n_rels];
+                let mut probe_coefs = vec![0.0; n_rels];
+                for r in 0..n_rels {
+                    let order = pick(3);
+                    if order > 0 {
+                        ioc = ioc.with_order(r as RelIdx, order as u8 - 1);
+                        if pick(3) == 0 {
+                            probe_coefs[r] = [3.0, 40.0][pick(2)];
+                        }
+                    }
+                    coefs[r] = [0.0, 1.0, 1.0, 2.0][pick(4)];
+                }
+                cache.insert(CachedPlan {
+                    ioc,
+                    internal: [0.0, 5.0, 5.0, 10.0][pick(4)],
+                    coefs,
+                    uses_nlj: probe_coefs.iter().any(|&c| c != 0.0),
+                    probe_coefs,
+                    rows: 1.0,
+                    description: format!("p{p}"),
+                });
+            }
+            (
+                cache,
+                AccessCostCatalog::from_parts(per_rel, CostParams::default()),
+            )
+        })
+        .collect()
+}
+
+/// Every probe a search can send from `selection`: adds, drops, then
+/// the drop-major swap neighbourhood (one run of swaps per member).
+fn every_probe(selection: &Selection, pool: usize) -> Vec<Probe> {
+    let (inside, outside): (Vec<usize>, Vec<usize>) =
+        (0..pool).partition(|&c| selection.contains(c));
+    let mut probes: Vec<Probe> = outside.iter().map(|&cand| Probe::Add { cand }).collect();
+    probes.extend(inside.iter().map(|&cand| Probe::Drop { cand }));
+    for &drop in &inside {
+        probes.extend(outside.iter().map(|&add| Probe::Swap { add, drop }));
+    }
+    probes
+}
+
+/// The selection `probe` moves `selection` to.
+fn probed(selection: &Selection, probe: Probe) -> Selection {
+    let (add, drop) = probe.moved();
+    let mut out = selection.clone();
+    if let Some(drop) = drop {
+        out.remove(drop);
+    }
+    if let Some(add) = add {
+        out.insert(add);
+    }
+    out
+}
+
+/// What an exact delta of `probe` must report, from a full re-pricing:
+/// the total's bits, the changed list (as bits) and the queries the
+/// probe re-prices (its candidates' affected lists, merged).
+fn full_diff(
+    model: &WorkloadModel,
+    state: &PricedWorkload,
+    selection: &Selection,
+    probe: Probe,
+) -> (u64, Vec<(u32, u64)>, Vec<u32>) {
+    let full = model.price_full(&probed(selection, probe));
+    let changed = (full.per_query().iter().zip(state.per_query()).enumerate())
+        .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
+        .map(|(q, (a, _))| (q as u32, a.to_bits()))
+        .collect();
+    let (add, drop) = probe.moved();
+    let mut union: Vec<u32> = [add, drop]
+        .into_iter()
+        .flatten()
+        .flat_map(|c| model.affected(c).iter().copied())
+        .collect();
+    union.sort_unstable();
+    union.dedup();
+    (full.total().to_bits(), changed, union)
+}
+
+fn bits(changed: &[(u32, f64)]) -> Vec<(u32, u64)> {
+    changed.iter().map(|&(q, c)| (q, c.to_bits())).collect()
+}
+
+/// The live query ids, ascending.
+fn live(model: &WorkloadModel) -> Vec<usize> {
+    (0..model.query_count())
+        .filter(|&q| model.is_live(q))
+        .collect()
+}
+
+/// Two candidates gate arms of equal cost (10) on one slot above an
+/// always-available scan (50). Dropping the only selected one of them
+/// must rescan the slot even though its arm merely *equals* the floor;
+/// a drop rule that rescans only below the floor would keep pricing the
+/// dropped index. Every probe from every selection, one floor carried
+/// through all of them, prices like a full re-pricing, and so does each
+/// probe on a floor of its own.
+#[test]
+fn a_drop_rescans_a_slot_whose_floor_its_arm_ties() {
+    let mut cache = PlanCache::new("tie", 1, InterestingOrders::new(vec![vec![1]]));
+    cache.insert(CachedPlan {
+        ioc: Ioc::NONE,
+        internal: 1.0,
+        coefs: vec![1.0],
+        probe_coefs: vec![0.0],
+        uses_nlj: false,
+        rows: 1.0,
+        description: "scan".into(),
+    });
+    let arm = |candidate, cost| CandidateAccess {
+        candidate,
+        order: None,
+        cost,
+        probe: None,
+    };
+    let access = AccessCostCatalog::from_parts(
+        vec![vec![
+            arm(Some(0), 10.0),
+            arm(Some(1), 10.0),
+            arm(None, 50.0),
+        ]],
+        CostParams::default(),
+    );
+    let model = WorkloadModel::build(2, [(&cache, &access)]);
+    let mut floor = SlotFloor::default();
+    let mut changed = Vec::new();
+    for ids in [&[][..], &[0], &[1], &[0, 1]] {
+        let selection = Selection::from_ids(2, ids);
+        let state = model.price_full(&selection);
+        for probe in every_probe(&selection, 2) {
+            let (total, want, _) = full_diff(&model, &state, &selection, probe);
+            let carried = model.price_batch_on(&state, &selection, &[probe], None, &mut floor);
+            let own = model.price_probe_into(&state, &selection, probe, &mut changed);
+            assert_eq!(
+                (
+                    carried[0].total.to_bits(),
+                    own.total.to_bits(),
+                    bits(&changed)
+                ),
+                (total, total, want),
+                "{ids:?} {probe:?}"
+            );
+        }
+    }
+    let only_zero = Selection::from_ids(2, &[0]);
+    let state = model.price_full(&only_zero);
+    let drop = [Probe::Drop { cand: 0 }];
+    let dropped = model.price_batch_on(&state, &only_zero, &drop, None, &mut floor);
+    assert_eq!(
+        dropped[0].total, 51.0,
+        "the dropped index still priced the slot"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The floor kernel prices every probe like a full re-pricing —
+    /// total, changed list and `repriced` — on tied workloads, with one
+    /// floor carried through probes, masked batches (drop-major swap runs
+    /// included), committed moves, admissions, evictions, reweights and
+    /// compactions.
+    #[test]
+    fn floor_kernel_matches_full_repricing_on_tied_arms(
+        seed in 0u64..u64::MAX,
+        ops in prop::collection::vec(0u32..8, 20),
+        picks in prop::collection::vec(0u32..1024, 20),
+    ) {
+        const POOL: usize = 8;
+        let models = tied_workload(seed, 10, POOL);
+        let mut model = WorkloadModel::build(POOL, models.iter().take(6).map(|(c, a)| (c, a)));
+        let mut pending = models.iter().skip(6);
+        let mut selection = Selection::empty(POOL);
+        let mut state = model.price_full(&selection);
+        let mut floor = SlotFloor::default();
+        let mut changed = Vec::new();
+        for (step, (&op, &pick)) in ops.iter().zip(&picks).enumerate() {
+            match op {
+                0 => {
+                    if let Some((cache, access)) = pending.next() {
+                        let w = 1.0 + (pick % 3) as f64;
+                        let qid = model.admit_batch(&[(cache, access, w)]);
+                        state.extend_query_costs(&[w * model.price_query(qid, &selection, None)]);
+                    }
+                }
+                1 => {
+                    let live = live(&model);
+                    if live.len() > 1 {
+                        let qid = live[pick as usize % live.len()];
+                        model.evict_query(qid);
+                        state.set_query_cost(qid, 0.0);
+                    }
+                }
+                2 => {
+                    let live = live(&model);
+                    let qid = live[pick as usize % live.len()];
+                    let w = 0.5 + (pick % 5) as f64;
+                    model.reweight_query(qid, w);
+                    state.set_query_cost(qid, w * model.price_query(qid, &selection, None));
+                }
+                3 => {
+                    let remap = model.compact();
+                    floor.renumber(&remap);
+                    let mut survivors = vec![0.0; model.query_count()];
+                    for (old, &new) in remap.iter().enumerate() {
+                        if new != u32::MAX {
+                            survivors[new as usize] = state.per_query()[old];
+                        }
+                    }
+                    state = PricedWorkload::from_costs(survivors);
+                }
+                // Every probe: one batch on the floor, unmasked or under
+                // a mask drawn from `pick`, then each on a floor of its own.
+                4 | 5 => {
+                    let probes = every_probe(&selection, POOL);
+                    let mask: Option<Vec<u32>> = (op == 5).then(|| {
+                        (0..model.query_count() as u32).filter(|q| (pick >> (q % 10)) & 1 != 0).collect()
+                    });
+                    let mask = mask.as_deref();
+                    let admitted = |q: &u32| mask.is_none_or(|m| m.binary_search(q).is_ok());
+                    let got = model.price_batch_on(&state, &selection, &probes, mask, &mut floor);
+                    for (&probe, delta) in probes.iter().zip(&got) {
+                        let (total, want, union) = full_diff(&model, &state, &selection, probe);
+                        let kept: Vec<(u32, f64)> = want
+                            .iter()
+                            .filter(|(q, _)| admitted(q))
+                            .map(|&(q, c)| (q, f64::from_bits(c)))
+                            .collect();
+                        let total = if mask.is_some() { state.overlaid_total(&kept).to_bits() } else { total };
+                        let repriced = union.iter().filter(|q| admitted(q)).count();
+                        prop_assert_eq!(
+                            (delta.total.to_bits(), delta.repriced),
+                            (total, repriced),
+                            "step {} batch {:?} mask {:?}", step, probe, mask
+                        );
+                        let one = model.price_probe_into(&state, &selection, probe, &mut changed);
+                        let (total, want, union) = full_diff(&model, &state, &selection, probe);
+                        prop_assert_eq!(
+                            (one.total.to_bits(), bits(&changed), one.repriced),
+                            (total, want, union.len()),
+                            "step {} single {:?}", step, probe
+                        );
+                    }
+                }
+                // Commit one move: settled while it is priced, or priced on
+                // a floor of its own and then followed by the carried one;
+                // or priced to commit and refused, the floor moved back.
+                _ => {
+                    let probes = every_probe(&selection, POOL);
+                    let probe = probes[pick as usize % probes.len()];
+                    let (total, want, _) = full_diff(&model, &state, &selection, probe);
+                    let delta = match pick % 3 {
+                        0 => model.price_probe_into(&state, &selection, probe, &mut changed),
+                        _ => model.commit_probe_on(&state, &selection, probe, &mut floor, &mut changed),
+                    };
+                    prop_assert_eq!((delta.total.to_bits(), bits(&changed)), (total, want));
+                    if pick % 3 == 2 {
+                        model.move_floor(&mut floor, &selection);
+                    } else {
+                        state.apply_changed(&changed);
+                        selection = probed(&selection, probe);
+                        if pick % 3 == 0 {
+                            model.move_floor(&mut floor, &selection);
+                        }
+                    }
+                }
+            }
+            assert_state_is_fresh(&model, &selection, &state, step);
+        }
     }
 }
 

@@ -87,6 +87,20 @@ pub fn index_pages_fetched(tuples: f64, pages: u64, effective_cache: f64) -> f64
 /// multiplies by the loop count), matching PostgreSQL's convention for
 /// parameterized inner paths.
 pub fn cost_index_scan(p: &CostParams, input: &IndexScanInput) -> Cost {
+    let (startup, total) = index_scan_terms(p, input);
+    Cost::new(startup, total)
+}
+
+/// [`cost_index_scan`]'s total, bit for bit, without [`Cost`]'s
+/// finiteness check: re-priced at a cached plan's loop count, finite
+/// inputs in their domain can overflow the loop branch to `+∞`, which the
+/// plan-cache pricers read as an inapplicable probe.
+pub fn index_probe_total(p: &CostParams, input: &IndexScanInput) -> f64 {
+    index_scan_terms(p, input).1
+}
+
+/// The `(startup, total)` pair of [`cost_index_scan`].
+fn index_scan_terms(p: &CostParams, input: &IndexScanInput) -> (f64, f64) {
     let sel = input.index_selectivity.clamp(0.0, 1.0);
     let index_tuples = clamp_row_est(sel * input.index_rows);
     let tuples_fetched = clamp_row_est(sel * input.heap_rows);
@@ -141,7 +155,7 @@ pub fn cost_index_scan(p: &CostParams, input: &IndexScanInput) -> Cost {
     let cpu_heap =
         tuples_fetched * (p.cpu_tuple_cost + input.filter_ops as f64 * p.cpu_operator_cost);
 
-    Cost::new(descent, descent + index_io + cpu_index + heap_io + cpu_heap)
+    (descent, descent + index_io + cpu_index + heap_io + cpu_heap)
 }
 
 /// Bitmap heap scan cost (PostgreSQL `cost_bitmap_heap_scan` +

@@ -503,6 +503,78 @@ fn create_then_open_round_trips_and_missing_dirs_are_io_errors() {
     assert_eq!(fingerprint(reopened.advisor()), before);
 }
 
+/// An admission whose nested-loop plan probes an index with finite,
+/// in-domain inputs that overflow the index-scan formula to +∞ at the
+/// plan's loop count (`probe_coefs` 1000, `heap_rows = index_rows =
+/// 1e308`, `heap_pages = 2^40`). The workload model drops that arm, so
+/// the snapshot the tenant cuts holds only finite arms and its own
+/// restore accepts it.
+#[test]
+fn an_admission_with_an_overflowing_probe_survives_snapshot_and_reopen() {
+    use pinum_core::{AccessCostCatalog, CachedPlan, CandidateAccess, PlanCache};
+    use pinum_cost::scan::IndexScanInput;
+    use pinum_cost::CostParams;
+    use pinum_query::{InterestingOrders, Ioc};
+
+    const ORDER: u16 = 7;
+    let mut cache = PlanCache::new("nlj", 1, InterestingOrders::new(vec![vec![ORDER]]));
+    for (description, ordered, internal, coef, pcoef) in [
+        ("scan", false, 1000.0, 1.0, 0.0),
+        ("probe", true, 10.0, 0.0, 1000.0),
+    ] {
+        cache.insert(CachedPlan {
+            ioc: if ordered {
+                Ioc::NONE.with_order(0, 0)
+            } else {
+                Ioc::NONE
+            },
+            internal,
+            coefs: vec![coef],
+            probe_coefs: vec![pcoef],
+            uses_nlj: ordered,
+            rows: 1.0,
+            description: description.into(),
+        });
+    }
+    let huge = IndexScanInput {
+        index_rows: 1e308,
+        heap_rows: 1e308,
+        heap_pages: 1 << 40,
+        ..IndexScanInput::default()
+    };
+    let entry = |candidate, order, cost, probe| CandidateAccess {
+        candidate,
+        order,
+        cost,
+        probe,
+    };
+    let access = AccessCostCatalog::from_parts(
+        vec![vec![
+            entry(Some(0), Some(ORDER), 10.0, Some(IndexScanInput::default())),
+            entry(Some(1), Some(ORDER), 20.0, Some(huge)),
+            entry(None, None, 50.0, None),
+        ]],
+        CostParams::default(),
+    );
+
+    let fx = fixture(1, 4);
+    let scratch = ScratchDir::new("overflowing-probe");
+    let mut advisor =
+        PersistentAdvisor::create(&scratch.0, fx.pool.clone(), opts(8, 4), 0).expect("create");
+    drive_durable(&mut advisor, &fx, 0..2);
+    advisor
+        .apply(AdmissionSpec::new(&cache, &access))
+        .expect("apply");
+    drive_durable(&mut advisor, &fx, 2..4);
+    advisor.snapshot_now().expect("snapshot");
+    let before = fingerprint(advisor.advisor());
+    drop(advisor);
+
+    let (reopened, report) = PersistentAdvisor::open(&scratch.0, 0).expect("reopen");
+    assert_eq!(report.replayed, 0, "everything is in the snapshot");
+    assert_eq!(fingerprint(reopened.advisor()), before);
+}
+
 #[test]
 fn refused_arguments_write_nothing_and_the_log_still_opens() {
     let fx = fixture(1, 4);

@@ -8,7 +8,9 @@
 //! * [`Strategy`] implemented for integer/float ranges and
 //!   `prop::collection::vec`;
 //! * [`prop_assert!`] / [`prop_assert_eq!`];
-//! * [`ProptestConfig::with_cases`].
+//! * [`ProptestConfig::with_cases`], overridden for every test by a
+//!   `PROPTEST_CASES` environment variable when one is set (so a CI leg
+//!   can run a target deeper than its in-source case counts).
 //!
 //! Unlike real proptest there is no shrinking: a failing case panics with
 //! the sampled inputs printed, which is enough to reproduce (generation is
@@ -141,6 +143,15 @@ pub struct ProptestConfig {
     pub cases: u32,
 }
 
+/// The cases a test runs: `PROPTEST_CASES` when it is set to a number,
+/// else the configured count.
+pub fn case_count(config: &ProptestConfig) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(config.cases)
+}
+
 impl Default for ProptestConfig {
     fn default() -> Self {
         Self { cases: 64 }
@@ -200,7 +211,7 @@ macro_rules! __proptest_impl {
             let config: $crate::ProptestConfig = $config;
             let mut rng = $crate::TestRng::new($crate::seed_for(stringify!($name)));
             $(let $arg = $strat;)+
-            for case in 0..config.cases {
+            for case in 0..$crate::case_count(&config) {
                 $(let $arg = $crate::Strategy::sample(&$arg, &mut rng);)+
                 let run = || {
                     $(let $arg = ::core::clone::Clone::clone(&$arg);)+
