@@ -25,8 +25,9 @@
 //!   eager scan's strict `>` argmax.
 //! * [`StrategyKind::SwapHillClimb`] — drop-one/add-one local search
 //!   seeded from lazy greedy, enabled by swap probes
-//!   ([`pinum_core::Probe::Swap`]), which the delta kernel prices over the
-//!   merged affected lists. Escapes the one-directional greedy's local
+//!   ([`pinum_core::Probe::Swap`]), which the delta kernel prices over
+//!   both candidates' arm runs, merged by query (each query either index
+//!   affects is re-priced once). Escapes the one-directional greedy's local
 //!   optima (e.g. a narrow index picked early whose slot a later covering
 //!   index serves better).
 //! * [`StrategyKind::Anneal`] — deterministic seeded simulated annealing
@@ -43,8 +44,9 @@
 //! The run also owns a [`pinum_core::SlotFloor`]: each probed query's slot
 //! minima and plan costs under the run's selection, filled the first time
 //! a probe touches the query and settled by every committed move, so a
-//! probe reads only its candidates' arms instead of re-pricing every
-//! affected query. A seeded run starts it empty.
+//! probe reads only its candidates' arms (the model's arm index, one run
+//! per affected query) instead of re-pricing every affected query. A
+//! seeded run starts it empty.
 //!
 //! Each strategy prices its moves through `Run::price`
 //! ([`WorkloadModel::price_batch_on`] on the caller's thread): eager
@@ -628,11 +630,7 @@ mod tests {
         // What one unmasked probe over `cands` re-prices: the union of
         // their affected lists.
         let repriced = |cands: &[usize]| {
-            let mut qs: Vec<u32> = cands
-                .iter()
-                .flat_map(|&c| model.affected(c))
-                .copied()
-                .collect();
+            let mut qs: Vec<u32> = cands.iter().flat_map(|&c| model.affected(c)).collect();
             qs.sort_unstable();
             qs.dedup();
             qs.len()

@@ -12,13 +12,13 @@
 //!   higher final workload cost than greedy (both are greedy-seeded).
 //!
 //! It also pins how much work one add probe does: the share of the
-//! workload its inverted-index entry touches, and the share of those
+//! workload its affected queries cover, and the share of those
 //! queries whose cost actually changes.
 
 use crate::fixture::{models, star_fixture, BUDGET};
 use pinum_advisor::greedy::{GreedyOptions, GreedyResult};
 use pinum_advisor::search::StrategyKind;
-use pinum_core::{Probe, Selection, WorkloadModel};
+use pinum_core::{Probe, Selection, SlotFloor, WorkloadModel};
 
 /// Fixed annealing seed so the test is reproducible.
 const ANNEAL_SEED: u64 = 0xC0FFEE;
@@ -44,9 +44,16 @@ fn acceptance() {
     let mut scratch = Vec::new();
     let (mut probes_per_pass, mut affected, mut changed) = (0usize, 0usize, 0usize);
     for cand in (0..pool.len()).filter(|&c| !selection.contains(c)) {
-        model.price_probe_into(&state, &selection, Probe::Add { cand }, &mut scratch);
+        let probe = Probe::Add { cand };
+        model.commit_probe_on(
+            &state,
+            &selection,
+            probe,
+            &mut SlotFloor::default(),
+            &mut scratch,
+        );
         probes_per_pass += 1;
-        affected += model.affected(cand).len();
+        affected += model.affected(cand).count();
         changed += scratch.len();
     }
     // An add probe touches 7 989 / (392 × 200) ≈ 10.2 % of the workload,

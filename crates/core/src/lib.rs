@@ -42,14 +42,15 @@
 //! pricing a slot is a branchless min-scan against a bitset snapshot of
 //! the selection. `price_full` prices a selection; a **delta** prices a
 //! [`workload_model::Probe`] — add, drop, or drop-one/add-one swap —
-//! through one kernel body (`price_probe_into` for one probe,
-//! `price_batch_on` for many, where a run of swaps sharing a drop
-//! prices the drop's queries once) that re-prices only the queries the
-//! touched candidates can affect (the inverted candidate→query index
-//! proves the rest untouched). It reads each of those queries off a
-//! [`workload_model::SlotFloor`] — every slot's cheapest live arm under
-//! the search's selection, filled lazily — through only the probed
-//! candidates' arms (the candidate→arm index), and re-totals in
+//! through one kernel body (`price_batch_on` to rank probes, where a run
+//! of swaps sharing a drop prices the drop's queries once;
+//! `commit_probe_on` to commit one) that re-prices only the queries the
+//! touched candidates can affect. One index serves both: the
+//! candidate→arm index, whose arms fall into one run per query, names
+//! those queries and proves the rest untouched. The kernel reads each of
+//! them off a [`workload_model::SlotFloor`] — every slot's cheapest live
+//! arm under the search's selection, filled lazily — through only the
+//! probed candidates' arms, and re-totals in
 //! O(changed·log n) through the fixed-shape pairwise sum tree every
 //! [`workload_model::PricedWorkload`] carries. The tree shape — exposed
 //! as [`workload_model::pairwise_total`] — defines the bit pattern of
@@ -62,7 +63,7 @@
 //!
 //! The model is also **streaming**: `admit_batch` / `evict_query` /
 //! `reweight_query` splice queries in and out of the dense arrays and
-//! the inverted candidate→query index in O(that query's access arms),
+//! the candidate→arm index in O(that query's access arms),
 //! with the same debug-assert "equals a from-scratch rebuild"
 //! equivalence discipline as the deltas (plus `compact` for tombstone
 //! hygiene). [`session::PricingSession`] bundles the streaming model

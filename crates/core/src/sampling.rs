@@ -2,7 +2,7 @@
 //!
 //! The repo's correctness discipline is "every incremental path
 //! `debug_assert`s equality with its from-scratch reference" — delta
-//! pricing against a full re-pricing, the spliced inverted index against a
+//! pricing against a full re-pricing, the spliced arm index against a
 //! rebuild, batched collection against per-query collection. Each of those
 //! references is O(workload) or O(optimizer call), so a debug run's cost
 //! grows with the *square* of the workload. This module bounds that:

@@ -34,7 +34,7 @@
 //!   is preserved, so the total is the fresh build's total);
 //! * [`PricingSession::install`] adopts a search result's final selection
 //!   *and its final priced state* — produced move-by-move from the same
-//!   delta splices ([`WorkloadModel::price_probe_into`], debug-asserted
+//!   delta splices ([`WorkloadModel::commit_probe_on`], debug-asserted
 //!   equal to a full re-pricing) — so a re-advise whose search found
 //!   nothing new performs **zero** full re-pricings end to end.
 //!
@@ -203,37 +203,19 @@ impl PricingSession {
         remap
     }
 
-    /// Adopts a search outcome: the new selection plus, when the search
-    /// tracked it, its exact final priced state (`searched_fulls` is the
-    /// number of full re-pricings the search reported spending). Without
-    /// a final state the session must re-price once — counted.
-    pub fn install(
-        &mut self,
-        selection: Selection,
-        state: Option<PricedWorkload>,
-        searched_fulls: usize,
-    ) {
+    /// Adopts a search outcome: the new selection and its exact final
+    /// priced state (`searched_fulls` is the number of full re-pricings
+    /// the search reported spending).
+    pub fn install(&mut self, selection: Selection, state: PricedWorkload, searched_fulls: usize) {
+        debug_assert_eq!(
+            state.per_query().len(),
+            self.model.query_count(),
+            "installed state sized for a different model"
+        );
         self.full_repricings += searched_fulls;
         self.selection = selection;
-        match state {
-            Some(state) => {
-                debug_assert_eq!(
-                    state.per_query().len(),
-                    self.model.query_count(),
-                    "installed state sized for a different model"
-                );
-                self.state = state;
-                self.debug_assert_state_matches_full();
-            }
-            None => self.refresh(),
-        }
-    }
-
-    /// Recomputes the priced state from scratch (counted as a full
-    /// re-pricing). The escape hatch for callers without spliced state.
-    pub fn refresh(&mut self) {
-        self.state = self.model.price_full(&self.selection);
-        self.full_repricings += 1;
+        self.state = state;
+        self.debug_assert_state_matches_full();
     }
 
     /// The session invariant, sampled via `PINUM_ASSERT_SAMPLE`:
@@ -351,11 +333,13 @@ mod tests {
         let q1 = session.admit_batch(&[(&models[1].0, &models[1].1, 2.5)]);
         assert_matches_fresh(&session, &models, &[(0, 1.0), (1, 2.5)], pool.len());
 
-        session.install(Selection::from_ids(pool.len(), &[0, 3]), None, 0);
+        let selection = Selection::from_ids(pool.len(), &[0, 3]);
+        let state = session.model().price_full(&selection);
+        session.install(selection, state, 1);
         assert_eq!(
             session.full_repricings(),
             1,
-            "install without state re-prices"
+            "install counts the search's re-pricings"
         );
         assert_matches_fresh(&session, &models, &[(0, 1.0), (1, 2.5)], pool.len());
 
@@ -380,7 +364,7 @@ mod tests {
         ]);
         let selection = Selection::from_ids(pool.len(), &[1]);
         let exact = session.model().price_full(&selection);
-        session.install(selection.clone(), Some(exact.clone()), 0);
+        session.install(selection.clone(), exact.clone(), 0);
         assert_eq!(session.full_repricings(), 0);
         assert_eq!(session.total().to_bits(), exact.total().to_bits());
         assert_eq!(session.selection(), &selection);
@@ -395,7 +379,9 @@ mod tests {
             (&models[0].0, &models[0].1, 1.0),
             (&models[1].0, &models[1].1, 2.5),
         ]);
-        session.install(Selection::from_ids(pool.len(), &[0, 3]), None, 0);
+        let selection = Selection::from_ids(pool.len(), &[0, 3]);
+        let state = session.model().price_full(&selection);
+        session.install(selection, state, 1);
 
         let model = crate::workload_model::WorkloadModel::from_parts(session.model().to_parts())
             .expect("model parts roundtrip");

@@ -41,18 +41,19 @@
 //! tests membership with one word load and no `Option` compares. A delta
 //! toggles its probe's bits on the view in place and restores them after.
 //!
-//! ## Prefilter — the inverted and arm indexes
+//! ## Prefilter — the arm index
 //!
-//! The stored footprint structures are the **inverted index**
-//! `candidate → sorted live query ids`, maintained under streaming
-//! mutation: adding or dropping candidate `c` can only re-price queries
-//! whose arms mention `c`, so a delta visits `affected(c)` and nothing
-//! else. The invariant: a query not in `affected(c)` prices identically
-//! with and without `c` in the selection, under **every** base selection.
-//! Beside it, the **arm index** `candidate → its live arms` (position and
-//! slot, 8 bytes an arm, ascending by position) tells a delta which slots
-//! of an affected query the candidate can move; `affected(c)` is exactly
-//! the distinct queries of `c`'s arms.
+//! The one stored footprint structure is the **arm index**
+//! `candidate → its live arms` (position, slot and query, 12 bytes an
+//! arm, ascending by position), maintained under streaming mutation.
+//! Queries pack their arms in id order, so a candidate's arms fall into
+//! one run per query, in ascending query order. Adding or dropping
+//! candidate `c` can only re-price queries whose arms mention `c`, so a
+//! delta walks `c`'s runs and nothing else, and each run tells it which
+//! slots of that query `c` can move. The distinct queries of the runs
+//! are `affected(c)`. The invariant: a query not in `affected(c)` prices
+//! identically with and without `c` in the selection, under **every**
+//! base selection.
 //!
 //! A query's own footprint — its sorted distinct candidates and its
 //! flattened arm count — is not stored: `footprint` derives it from the
@@ -156,13 +157,11 @@
 //!   [`WorkloadModel::commit_probe_on`], which settles each affected
 //!   query as it prices it and leaves the floor on the new selection.
 //!
-//! [`WorkloadModel::price_probe_into`], [`WorkloadModel::price_delta_batch`]
-//! and [`WorkloadModel::price_delta`] run the same body over a floor of
-//! their own, filled for that call. In a batch, a run of swaps sharing one
-//! drop prices the drop's affected queries once under `selection − drop`,
-//! and each swap re-prices only its added candidate's queries on top. This
-//! is bit-identical to the single-probe body, since a query a candidate
-//! does not touch prices the same with or without it. Queries whose
+//! In a batch, a run of swaps sharing one drop prices the drop's affected
+//! queries once under `selection − drop`, and each swap re-prices only its
+//! added candidate's queries on top. This is bit-identical to the
+//! single-probe body, since a query a candidate does not touch prices the
+//! same with or without it. Queries whose
 //! re-priced cost is bit-identical to the stored cost are dropped from the
 //! `changed` list (exact, since the comparison is on bits). The splice a
 //! search strategy applies afterwards is therefore proportional to what
@@ -173,14 +172,13 @@
 //! [`WorkloadModel::admit_batch`] flattens a run of `(plan cache, access
 //! catalog)` pairs and appends them to the packed arrays in O(those
 //! queries' arms). [`WorkloadModel::evict_query`] retracts a query eagerly from
-//! the inverted and arm indexes and tombstones its metadata (its packed arm data
+//! the arm index and tombstones its metadata (its packed arm data
 //! becomes unreachable and is reclaimed by [`WorkloadModel::compact`],
 //! which rebuilds the arrays over the survivors — bit-identical to a
 //! fresh build). [`WorkloadModel::reweight_query`] is O(1). Every
-//! mutation debug-asserts (sampled) that the maintained inverted and arm
-//! indexes match a from-scratch recomputation, and that each candidate's
-//! affected list is the distinct queries of its arms. Neither index is
-//! persisted: [`WorkloadModel::from_parts`] recomputes both. A floor
+//! mutation debug-asserts (sampled) that the maintained arm index matches
+//! a from-scratch recomputation. The index is not persisted:
+//! [`WorkloadModel::from_parts`] recomputes it. A floor
 //! carried across mutations needs only [`SlotFloor::renumber`] after a
 //! compaction.
 //!
@@ -465,8 +463,8 @@ struct QueryMeta {
 /// group is a struct-of-arrays view of the corresponding private meta
 /// array, so a snapshot writer can stream every field as one contiguous
 /// length-prefixed section with no pointer chasing. Derived data (the
-/// inverted index, the live count, and each query's candidate footprint
-/// and arm count) is deliberately absent: `from_parts` recomputes it from
+/// arm index, the live count, and each query's candidate footprint and
+/// arm count) is deliberately absent: `from_parts` recomputes it from
 /// the arm extents, which doubles as validation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkloadModelParts {
@@ -604,22 +602,27 @@ pub struct WorkloadModel {
     live: Vec<bool>,
     /// Number of live (non-evicted) query slots.
     live_count: usize,
-    /// Inverted index: candidate id → sorted query ids whose price can
-    /// change when the candidate joins the selection. Only live queries
-    /// appear (eviction retracts its entries eagerly).
-    affected: Vec<Vec<u32>>,
     /// Arm index: candidate id → the live arms it gates, ascending by
-    /// position. `affected(c)` is exactly the distinct queries of these.
+    /// position and so grouped by query in ascending query order (only
+    /// live queries appear: eviction retracts their arms eagerly).
     arms: Vec<Vec<ArmRef>>,
     pool_size: usize,
 }
 
-/// One indexed arm: its position in the arm arrays and the slot whose
-/// standalone (`pos < s_end`) or probe run holds it.
+/// One indexed arm: its position in the arm arrays, the slot whose
+/// standalone (`pos < s_end`) or probe run holds it, and that slot's
+/// query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ArmRef {
     pos: u32,
     slot: u32,
+    query: u32,
+}
+
+/// Whether two indexed arms belong to one query: splits a candidate's
+/// arms into its per-query runs.
+fn same_query(a: &ArmRef, b: &ArmRef) -> bool {
+    a.query == b.query
 }
 
 impl WorkloadModel {
@@ -644,7 +647,6 @@ impl WorkloadModel {
             weights: Vec::new(),
             live: Vec::new(),
             live_count: 0,
-            affected: vec![Vec::new(); pool_size],
             arms: vec![Vec::new(); pool_size],
             pool_size,
         }
@@ -730,10 +732,10 @@ impl WorkloadModel {
         self.live_count += 1;
     }
 
-    /// Enters a live query into the inverted and arm indexes. Queries are
-    /// indexed in ascending id order (the new id is the largest ever
-    /// issued, and its arms sit past every indexed arm), so every
-    /// insertion is an O(1) push that keeps the lists sorted.
+    /// Enters a live query into the arm index. Queries are indexed in
+    /// ascending id order (the new id is the largest ever issued, and its
+    /// arms sit past every indexed arm), so every insertion is an O(1)
+    /// push that keeps the lists sorted.
     fn index_query(&mut self, qid: usize) {
         for slot in self.query_slots(qid) {
             let s = self.slots[slot];
@@ -743,12 +745,9 @@ impl WorkloadModel {
                 let arm = ArmRef {
                     pos,
                     slot: slot as u32,
+                    query: qid as u32,
                 };
                 self.arms[c as usize].push(arm);
-                let list = &mut self.affected[c as usize];
-                if list.last() != Some(&(qid as u32)) {
-                    list.push(qid as u32);
-                }
             }
         }
     }
@@ -762,16 +761,6 @@ impl WorkloadModel {
         }
         let first = self.plans[qm.plan_start as usize].slot_start;
         first as usize..self.plans[qm.plan_end as usize - 1].slot_end as usize
-    }
-
-    /// A query's gated arms: its slots' arm runs tile one run of
-    /// positions.
-    fn query_arms(&self, qid: usize) -> std::ops::Range<u32> {
-        let slots = self.query_slots(qid);
-        if slots.is_empty() {
-            return 0..0;
-        }
-        self.slots[slots.start].s_start..self.slots[slots.end - 1].p_end
     }
 
     /// A query's footprint, derived from its arm extents: the sorted
@@ -814,9 +803,9 @@ impl WorkloadModel {
     /// and > 0; a weight is e.g. an observed execution frequency) in one
     /// maintenance pass. Every query is flattened and packed in O(its
     /// plans and access arms) — the rest of the workload is never touched
-    /// — the inverted index takes each newcomer's entries as O(1) sorted
-    /// pushes (new ids are issued in ascending order, so the lists stay
-    /// sorted), and the expensive index-rebuild debug assert runs
+    /// — the arm index takes each newcomer's arms as O(1) sorted pushes
+    /// (new ids are issued in ascending order, so the lists stay sorted),
+    /// and the expensive index-rebuild debug assert runs
     /// **once** per call. Returns the first new query id; the run occupies
     /// `first..first + queries.len()`.
     ///
@@ -843,10 +832,10 @@ impl WorkloadModel {
         first
     }
 
-    /// Retracts a live query: its inverted-index and arm-index entries are
-    /// removed (binary search per footprint candidate — delta pricing
-    /// never has to skip dead entries) and its metadata is tombstoned, so its packed
-    /// arm data becomes unreachable (reclaimed by [`Self::compact`]).
+    /// Retracts a live query: its arm-index entries are removed (binary
+    /// search by query id per footprint candidate — delta pricing never
+    /// has to skip dead entries) and its metadata is tombstoned, so its
+    /// packed arm data becomes unreachable (reclaimed by [`Self::compact`]).
     /// The slot itself keeps other query ids stable; a tombstone
     /// contributes exactly 0.0 to every total, which keeps the sum tree
     /// bit-identical to a model that never held the query.
@@ -855,16 +844,12 @@ impl WorkloadModel {
             self.live.get(qid).copied().unwrap_or(false),
             "evicting unknown or already-evicted query {qid}"
         );
-        let arms = self.query_arms(qid);
+        let q = qid as u32;
         for c in self.footprint(qid).0 {
-            let list = &mut self.affected[c as usize];
-            let pos = list
-                .binary_search(&(qid as u32))
-                .unwrap_or_else(|_| panic!("inverted index lost query {qid} under candidate {c}"));
-            list.remove(pos);
             let list = &mut self.arms[c as usize];
-            let lo = list.partition_point(|a| a.pos < arms.start);
-            let hi = list.partition_point(|a| a.pos < arms.end);
+            let lo = list.partition_point(|a| a.query < q);
+            let hi = list.partition_point(|a| a.query <= q);
+            assert!(lo < hi, "arm index lost query {qid} under candidate {c}");
             list.drain(lo..hi);
         }
         self.qmeta[qid] = QueryMeta {
@@ -954,21 +939,18 @@ impl WorkloadModel {
         });
     }
 
-    /// Recomputes the inverted and arm indexes from the packed arm
-    /// arrays and compares — the mutation-path analogue of the deltas'
-    /// full-reprice `debug_assert` — and checks that each candidate's
-    /// affected list is exactly the distinct queries of its indexed arms.
-    /// Compiled away in release builds; sampled (every k-th mutation) via
-    /// `PINUM_ASSERT_SAMPLE` so long streams keep a bounded debug cost.
+    /// Recomputes the arm index from the packed arm arrays and compares —
+    /// the mutation-path analogue of the deltas' full-reprice
+    /// `debug_assert`. Compiled away in release builds; sampled (every
+    /// k-th mutation) via `PINUM_ASSERT_SAMPLE` so long streams keep a
+    /// bounded debug cost.
     fn debug_assert_index_matches_rebuild(&self) {
         #[cfg(debug_assertions)]
         {
             if !crate::sampling::should_assert() {
                 return;
             }
-            let mut expect: Vec<Vec<u32>> = vec![Vec::new(); self.pool_size];
-            let mut expect_arms: Vec<Vec<ArmRef>> = vec![Vec::new(); self.pool_size];
-            let mut owner = vec![u32::MAX; self.arm_costs.len()];
+            let mut expect: Vec<Vec<ArmRef>> = vec![Vec::new(); self.pool_size];
             for (qid, qm) in self.qmeta.iter().enumerate() {
                 if !self.live[qid] {
                     debug_assert!(
@@ -977,43 +959,27 @@ impl WorkloadModel {
                     );
                     continue;
                 }
-                for c in self.footprint(qid).0 {
-                    expect[c as usize].push(qid as u32);
-                }
                 for slot in self.query_slots(qid) {
                     let s = self.slots[slot];
                     for pos in s.s_start..s.p_end {
                         let c = self.arm_cands[pos as usize] as usize;
-                        let slot = slot as u32;
-                        expect_arms[c].push(ArmRef { pos, slot });
-                        owner[pos as usize] = qid as u32;
+                        let (slot, query) = (slot as u32, qid as u32);
+                        expect[c].push(ArmRef { pos, slot, query });
                     }
                 }
             }
             debug_assert!(
-                self.affected == expect,
-                "incrementally maintained inverted index diverged from a from-scratch rebuild"
-            );
-            debug_assert!(
-                self.arms == expect_arms,
+                self.arms == expect,
                 "incrementally maintained arm index diverged from a from-scratch rebuild"
             );
-            for (c, arms) in self.arms.iter().enumerate() {
-                let mut queries: Vec<u32> = arms.iter().map(|a| owner[a.pos as usize]).collect();
-                queries.dedup();
-                debug_assert_eq!(
-                    queries, self.affected[c],
-                    "affected({c}) is not the distinct queries of its arms"
-                );
-            }
             debug_assert_eq!(self.live_count, self.live.iter().filter(|l| **l).count());
         }
     }
 
     /// Exports the packed state as flat parallel vectors — the
     /// serialization surface for session persistence. The parts contain
-    /// every owned field except the inverted and arm indexes and the live count,
-    /// which are derived data rebuilt by [`Self::from_parts`]; the
+    /// every owned field except the arm index and the live count, which
+    /// are derived data rebuilt by [`Self::from_parts`]; the
     /// round-trip `from_parts(to_parts())` is `==` to the original model.
     pub fn to_parts(&self) -> WorkloadModelParts {
         WorkloadModelParts {
@@ -1044,8 +1010,8 @@ impl WorkloadModel {
     /// tombstones, weight positivity) and every term the bounded kernel
     /// scan relies on (arm costs finite and ≥ 0, internal costs and
     /// coefficients finite and ≥ 0, always-arm costs ≥ 0 or `+∞`), then
-    /// recomputing the derived data (`affected`, `arms`, `live_count`) from the
-    /// arm extents — the restore-side mirror of
+    /// recomputing the derived data (`arms`, `live_count`) from the arm
+    /// extents — the restore-side mirror of
     /// `debug_assert_index_matches_rebuild`, but unconditional and
     /// returning a typed error instead of panicking, since parts arrive
     /// from disk.
@@ -1181,7 +1147,6 @@ impl WorkloadModel {
             weights,
             live,
             live_count: 0,
-            affected: vec![Vec::new(); pool_size],
             arms: vec![Vec::new(); pool_size],
             pool_size,
         };
@@ -1254,9 +1219,38 @@ impl WorkloadModel {
 
     /// Query ids whose price can change when `candidate` is added
     /// (ascending): those with an arm gated by `candidate` in a plan that
-    /// survived pool-aware pruning (module docs).
-    pub fn affected(&self, candidate: usize) -> &[u32] {
-        &self.affected[candidate]
+    /// survived pool-aware pruning (module docs), one per run of the
+    /// candidate's indexed arms.
+    pub fn affected(&self, candidate: usize) -> impl Iterator<Item = u32> + '_ {
+        self.arms[candidate]
+            .chunk_by(same_query)
+            .map(|run| run[0].query)
+    }
+
+    /// The arm runs of `add` and `drop` (either may be absent), merged in
+    /// ascending query order: each query either candidate affects, once,
+    /// with its dropped and its added arms (one side empty when only the
+    /// other candidate touches it).
+    fn merged_runs(
+        &self,
+        add: Option<usize>,
+        drop: Option<usize>,
+    ) -> impl Iterator<Item = (u32, &[ArmRef], &[ArmRef])> {
+        let runs = |c: Option<usize>| {
+            let arms = c.map_or(&[][..], |c| &self.arms[c][..]);
+            arms.chunk_by(same_query).peekable()
+        };
+        let (mut adds, mut drops) = (runs(add), runs(drop));
+        std::iter::from_fn(move || {
+            let q = match (adds.peek(), drops.peek()) {
+                (Some(a), Some(d)) => a[0].query.min(d[0].query),
+                (Some(r), None) | (None, Some(r)) => r[0].query,
+                (None, None) => return None,
+            };
+            let added = adds.next_if(|r| r[0].query == q).unwrap_or(&[]);
+            let dropped = drops.next_if(|r| r[0].query == q).unwrap_or(&[]);
+            Some((q, dropped, added))
+        })
     }
 
     /// Prices one query under `selection`, with `extra` overlaid as a
@@ -1380,50 +1374,28 @@ impl WorkloadModel {
             .collect()
     }
 
-    /// The workload total if `added` joined `selection` — the add-only
-    /// shorthand of [`Self::price_probe_into`], with a scratch buffer of
-    /// its own. `state` must be the [`PricedWorkload`] of `selection`.
+    /// The workload total if `added` joined `selection`: one add probe
+    /// through [`Self::price_batch_on`], on a floor of its own. `state`
+    /// must be the [`PricedWorkload`] of `selection`.
     pub fn price_delta(&self, state: &PricedWorkload, selection: &Selection, added: usize) -> f64 {
-        let mut scratch = Vec::new();
-        self.price_probe_into(state, selection, Probe::Add { cand: added }, &mut scratch)
-            .total
+        let probe = [Probe::Add { cand: added }];
+        self.price_batch_on(state, selection, &probe, None, &mut SlotFloor::default())[0].total
     }
 
-    /// The exact delta of one probe: the workload total of the probed
-    /// selection, re-pricing only the queries the probe's candidates can
-    /// affect, each from a floor of its own, filled for this one probe's
-    /// queries and dropped afterwards (module docs, "Incremental
-    /// pricing"). `state` must be the [`PricedWorkload`] of `selection`,
-    /// and a probe adds only non-members and drops only members. On return
+    /// The exact delta of one probe from `floor` (which may stand on any
+    /// selection of this model, and is moved onto `selection` first),
+    /// leaving the floor on the probed selection: each affected query is
+    /// settled as it is priced, so a search commits a move in one pass. A
+    /// caller that keeps `selection` after all moves the floor back with
+    /// [`Self::move_floor`]; on a fresh floor this is the single-probe
+    /// delta. `state` must be the [`PricedWorkload`] of `selection`, and a
+    /// probe adds only non-members and drops only members. On return
     /// `changed` holds the `(query, cost)` pairs that actually moved
     /// (ascending by query — re-priced queries whose cost is bit-identical
     /// to `state`'s are filtered out, which is exact), ready for
     /// [`PricedWorkload::apply_changed`]. The total descends the sum tree
     /// with `changed` overlaid, so it is bit-identical to `price_full` of
     /// the probed selection (debug-asserted, sampled).
-    pub fn price_probe_into(
-        &self,
-        state: &PricedWorkload,
-        selection: &Selection,
-        probe: Probe,
-        changed: &mut Vec<(u32, f64)>,
-    ) -> ProbeDelta {
-        self.price_one(
-            state,
-            selection,
-            probe,
-            None,
-            &mut SlotFloor::default(),
-            changed,
-        )
-    }
-
-    /// [`Self::price_probe_into`] from `floor` (which may stand on any
-    /// selection of this model, and is moved onto `selection` first),
-    /// leaving the floor on the probed selection: each affected query is
-    /// settled as it is priced, so a search commits a move in one pass. A
-    /// caller that keeps `selection` after all moves the floor back with
-    /// [`Self::move_floor`].
     pub fn commit_probe_on(
         &self,
         state: &PricedWorkload,
@@ -1447,46 +1419,10 @@ impl WorkloadModel {
         )
     }
 
-    /// One probe, optionally masked, on `floor` moved onto `selection`.
-    fn price_one(
-        &self,
-        state: &PricedWorkload,
-        selection: &Selection,
-        probe: Probe,
-        qmask: Option<&[u32]>,
-        floor: &mut SlotFloor,
-        changed: &mut Vec<(u32, f64)>,
-    ) -> ProbeDelta {
-        self.move_floor(floor, selection);
-        let mut probed = floor.base.clone();
-        self.price_probe_in(
-            state,
-            selection,
-            probe,
-            qmask,
-            false,
-            floor,
-            &mut probed,
-            changed,
-        )
-    }
-
-    /// [`Self::price_batch_on`] over a floor of its own, shared by the
-    /// batch's probes and dropped afterwards.
-    pub fn price_delta_batch(
-        &self,
-        state: &PricedWorkload,
-        selection: &Selection,
-        probes: &[Probe],
-        qmask: Option<&[u32]>,
-    ) -> Vec<ProbeDelta> {
-        self.price_batch_on(state, selection, probes, qmask, &mut SlotFloor::default())
-    }
-
     /// Prices a batch of independent probes against one `(selection,
-    /// state)` snapshot and one floor; each result lands at its probe's
-    /// own index, and an unmasked result is [`Self::price_probe_into`]'s,
-    /// bit for bit.
+    /// state)` snapshot and one floor (moved onto `selection` first and
+    /// left there); each result lands at its probe's own index, and an
+    /// unmasked result is [`Self::commit_probe_on`]'s, bit for bit.
     ///
     /// A run of consecutive [`Probe::Swap`]s with the same `drop` — the
     /// drop-major neighbourhood a swap search sends — shares the drop's
@@ -1500,7 +1436,7 @@ impl WorkloadModel {
     /// path. Masked totals overlay only the masked changed queries and
     /// are therefore comparable *ranks*, not exact workload totals;
     /// callers must re-derive accepted moves through
-    /// [`Self::commit_probe_on`] or [`Self::price_probe_into`].
+    /// [`Self::commit_probe_on`].
     pub fn price_batch_on(
         &self,
         state: &PricedWorkload,
@@ -1510,25 +1446,8 @@ impl WorkloadModel {
         floor: &mut SlotFloor,
     ) -> Vec<ProbeDelta> {
         let mut out = Vec::with_capacity(probes.len());
-        self.price_batch_each(state, selection, probes, qmask, floor, |delta, _| {
-            out.push(delta)
-        });
-        out
-    }
-
-    /// [`Self::price_batch_on`]'s body: hands each probe's delta and
-    /// changed list to `emit`, in probe order.
-    fn price_batch_each(
-        &self,
-        state: &PricedWorkload,
-        selection: &Selection,
-        probes: &[Probe],
-        qmask: Option<&[u32]>,
-        floor: &mut SlotFloor,
-        mut emit: impl FnMut(ProbeDelta, &[(u32, f64)]),
-    ) {
         if probes.is_empty() {
-            return;
+            return out;
         }
         self.move_floor(floor, selection);
         let mut probed = floor.base.clone();
@@ -1544,9 +1463,9 @@ impl WorkloadModel {
             };
             if run > 1 {
                 let run = &rest[..run];
-                self.price_swap_run(state, selection, run, qmask, floor, &mut probed, &mut emit);
+                self.price_swap_run(state, selection, run, qmask, floor, &mut probed, &mut out);
             } else {
-                let delta = self.price_probe_in(
+                out.push(self.price_probe_in(
                     state,
                     selection,
                     first,
@@ -1555,11 +1474,11 @@ impl WorkloadModel {
                     floor,
                     &mut probed,
                     &mut changed,
-                );
-                emit(delta, &changed);
+                ));
             }
             rest = &rest[run..];
         }
+        out
     }
 
     /// A run of swaps sharing one `drop`: price the drop's (masked)
@@ -1568,7 +1487,7 @@ impl WorkloadModel {
     /// add` and merge the two in ascending query order. Each swap's
     /// changed list, total and `repriced` (the union, clipped to the
     /// mask) equal [`Self::price_probe_in`]'s bit for bit (debug-asserted,
-    /// sampled).
+    /// sampled); its delta is pushed onto `out`.
     #[allow(clippy::too_many_arguments)]
     fn price_swap_run(
         &self,
@@ -1578,7 +1497,7 @@ impl WorkloadModel {
         qmask: Option<&[u32]>,
         floor: &mut SlotFloor,
         probed: &mut SelView,
-        emit: &mut impl FnMut(ProbeDelta, &[(u32, f64)]),
+        out: &mut Vec<ProbeDelta>,
     ) {
         debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
         let Probe::Swap { drop, .. } = run[0] else {
@@ -1587,13 +1506,11 @@ impl WorkloadModel {
         debug_assert!(selection.contains(drop), "swap drops a non-member {drop}");
         probed.set(drop, false);
         let mut mask = MaskCursor::new(qmask);
-        let mut drop_arms = ArmCursor(&self.arms[drop]);
-        let mut drop_pass: Vec<(u32, f64)> = Vec::new();
-        for &q in &self.affected[drop] {
+        let mut drop_pass = Vec::new();
+        for (q, dropped, _) in self.merged_runs(None, Some(drop)) {
             if mask.admits(q) {
-                let dropped = drop_arms.take(self.query_arms(q as usize));
                 let cost = self.contribution_on(floor, q as usize, probed.words(), dropped, &[]);
-                drop_pass.push((q, cost));
+                drop_pass.push((q, cost, dropped));
             }
         }
         let mut changed = Vec::new();
@@ -1617,25 +1534,21 @@ impl WorkloadModel {
             };
             let mut mask = MaskCursor::new(qmask);
             let mut from_drop = drop_pass.iter().peekable();
-            let (mut drop_arms, mut add_arms) =
-                (ArmCursor(&self.arms[drop]), ArmCursor(&self.arms[add]));
-            for &q in &self.affected[add] {
+            for (q, _, added) in self.merged_runs(Some(add), None) {
                 if !mask.admits(q) {
                     continue;
                 }
-                while let Some(&(dq, cost)) = from_drop.next_if(|&&(dq, _)| dq < q) {
+                while let Some(&(dq, cost, _)) = from_drop.next_if(|e| e.0 < q) {
                     keep(dq, cost);
                 }
                 // `add` touches q: its drop-pass price is stale here.
-                from_drop.next_if(|&&(dq, _)| dq == q);
-                let arms = self.query_arms(q as usize);
-                let (dropped, added) = (drop_arms.take(arms.clone()), add_arms.take(arms));
+                let dropped = from_drop.next_if(|e| e.0 == q).map_or(&[][..], |e| e.2);
                 keep(
                     q,
                     self.contribution_on(floor, q as usize, words, dropped, added),
                 );
             }
-            for &(dq, cost) in from_drop {
+            for &(dq, cost, _) in from_drop {
                 keep(dq, cost);
             }
             probed.set(add, false);
@@ -1644,8 +1557,18 @@ impl WorkloadModel {
             if crate::sampling::should_assert() {
                 let mut expect = Vec::new();
                 let mut fresh = SlotFloor::default();
-                let single =
-                    self.price_one(state, selection, probe, qmask, &mut fresh, &mut expect);
+                self.move_floor(&mut fresh, selection);
+                let mut view = fresh.base.clone();
+                let single = self.price_probe_in(
+                    state,
+                    selection,
+                    probe,
+                    qmask,
+                    false,
+                    &mut fresh,
+                    &mut view,
+                    &mut expect,
+                );
                 debug_assert_eq!(
                     (total.to_bits(), repriced, changed_bits(&changed)),
                     (
@@ -1656,7 +1579,7 @@ impl WorkloadModel {
                     "shared-drop swap pricing diverged from the single-probe delta ({probe:?})"
                 );
             }
-            emit(ProbeDelta { total, repriced }, &changed);
+            out.push(ProbeDelta { total, repriced });
         }
         probed.set(drop, true);
     }
@@ -1695,16 +1618,13 @@ impl WorkloadModel {
         {
             let words = probed.words();
             let (add, drop) = probe.moved();
-            let arms_of = |c: Option<usize>| ArmCursor(c.map_or(&[][..], |c| &self.arms[c]));
-            let (mut add_arms, mut drop_arms) = (arms_of(add), arms_of(drop));
             let mut mask = MaskCursor::new(qmask);
-            let mut visit = |q: u32| {
+            // A query both candidates mention is re-priced once.
+            for (q, dropped, added) in self.merged_runs(add, drop) {
                 if !mask.admits(q) {
-                    return;
+                    continue;
                 }
                 repriced += 1;
-                let arms = self.query_arms(q as usize);
-                let (dropped, added) = (drop_arms.take(arms.clone()), add_arms.take(arms));
                 let cost = if settle {
                     self.settled_contribution(floor, q as usize, words, dropped, added)
                 } else {
@@ -1712,43 +1632,6 @@ impl WorkloadModel {
                 };
                 if cost.to_bits() != state.per_query[q as usize].to_bits() {
                     changed.push((q, cost));
-                }
-            };
-            match probe {
-                Probe::Add { cand } | Probe::Drop { cand } => {
-                    for &q in &self.affected[cand] {
-                        visit(q);
-                    }
-                }
-                Probe::Swap { add, drop } => {
-                    // Merge the two sorted affected lists (ascending,
-                    // deduplicated): a query is re-priced once even when
-                    // both candidates mention it.
-                    let (a, d) = (&self.affected[add], &self.affected[drop]);
-                    let (mut i, mut j) = (0, 0);
-                    while i < a.len() || j < d.len() {
-                        let q = match (a.get(i), d.get(j)) {
-                            (Some(&x), Some(&y)) if x == y => {
-                                i += 1;
-                                j += 1;
-                                x
-                            }
-                            (Some(&x), Some(&y)) if x < y => {
-                                i += 1;
-                                x
-                            }
-                            (Some(_) | None, Some(&y)) => {
-                                j += 1;
-                                y
-                            }
-                            (Some(&x), None) => {
-                                i += 1;
-                                x
-                            }
-                            (None, None) => unreachable!(),
-                        };
-                        visit(q);
-                    }
                 }
             }
         }
@@ -1779,7 +1662,8 @@ impl WorkloadModel {
                     );
                 }
                 Some(mask) => {
-                    self.price_probe_into(state, selection, probe, &mut expect);
+                    let mut fresh = SlotFloor::default();
+                    self.commit_probe_on(state, selection, probe, &mut fresh, &mut expect);
                     expect.retain(|(q, _)| mask.binary_search(q).is_ok());
                 }
             }
@@ -1807,7 +1691,7 @@ impl WorkloadModel {
         dropped: &[ArmRef],
         added: &[ArmRef],
     ) -> f64 {
-        debug_assert!(self.live[q], "inverted index holds a tombstone");
+        debug_assert!(self.live[q], "arm index holds a tombstone");
         let off = self.floor_at(floor, q);
         let plans = self.query_plans(q);
         let slot0 = plans[0].slot_start as usize;
@@ -1848,7 +1732,7 @@ impl WorkloadModel {
         dropped: &[ArmRef],
         added: &[ArmRef],
     ) -> f64 {
-        debug_assert!(self.live[q], "inverted index holds a tombstone");
+        debug_assert!(self.live[q], "arm index holds a tombstone");
         let off = self.floor_at(floor, q);
         self.settle(floor, q, probed, dropped, added);
         let plans = self.query_plans(q).len();
@@ -2012,15 +1896,13 @@ impl WorkloadModel {
                 moved &= moved - 1;
                 let c = w * 64 + bit as usize;
                 let joined = (new >> bit) & 1 != 0;
-                let mut arms = ArmCursor(&self.arms[c]);
-                for &q in &self.affected[c] {
-                    let run = arms.take(self.query_arms(q as usize));
+                let (add, drop) = if joined {
+                    (Some(c), None)
+                } else {
+                    (None, Some(c))
+                };
+                for (q, dropped, added) in self.merged_runs(add, drop) {
                     if floor.at[q as usize] != UNFILLED {
-                        let (dropped, added) = if joined {
-                            (&[][..], run)
-                        } else {
-                            (run, &[][..])
-                        };
                         self.settle(floor, q as usize, view.words(), dropped, added);
                     }
                 }
@@ -2112,24 +1994,8 @@ impl SlotFloor {
     }
 }
 
-/// Walks one candidate's indexed arms (ascending by position) alongside
-/// an ascending stream of queries.
-struct ArmCursor<'a>(&'a [ArmRef]);
-
-impl<'a> ArmCursor<'a> {
-    /// The arms inside `range` (a query's arm positions), skipping those
-    /// before it; calls must come in ascending, disjoint ranges.
-    fn take(&mut self, range: std::ops::Range<u32>) -> &'a [ArmRef] {
-        let skip = self.0.iter().take_while(|a| a.pos < range.start).count();
-        let rest = &self.0[skip..];
-        let (run, tail) = rest.split_at(rest.iter().take_while(|a| a.pos < range.end).count());
-        self.0 = tail;
-        run
-    }
-}
-
 /// One selection move: the unit of delta pricing, priced by
-/// [`WorkloadModel::price_probe_into`] and [`WorkloadModel::price_delta_batch`].
+/// [`WorkloadModel::price_batch_on`] and [`WorkloadModel::commit_probe_on`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
     /// Price `selection ∪ {cand}` — the greedy frontier probe.
@@ -2200,9 +2066,9 @@ pub struct ProbeDelta {
     pub total: f64,
     /// The queries this probe's total covers: its affected list (for a
     /// swap, the union of both), clipped to the query mask when one was
-    /// given. In a [`WorkloadModel::price_delta_batch`] run of swaps
-    /// sharing one drop, the drop's part of that union is priced once per
-    /// run, not once per swap.
+    /// given. In a [`WorkloadModel::price_batch_on`] run of swaps sharing
+    /// one drop, the drop's part of that union is priced once per run, not
+    /// once per swap.
     pub repriced: usize,
 }
 
@@ -2487,14 +2353,15 @@ mod tests {
         WorkloadModel::build(pool.len(), models.iter().map(|(c, a)| (c, a)))
     }
 
-    /// The exact single-probe delta total.
+    /// The exact single-probe delta total, priced on a throwaway floor.
     fn probe_total(
         wm: &WorkloadModel,
         state: &PricedWorkload,
         selection: &Selection,
         probe: Probe,
     ) -> f64 {
-        wm.price_probe_into(state, selection, probe, &mut Vec::new())
+        let mut floor = SlotFloor::default();
+        wm.commit_probe_on(state, selection, probe, &mut floor, &mut Vec::new())
             .total
     }
 
@@ -2845,7 +2712,7 @@ mod tests {
         // Soundness: a query NOT in affected(c) never changes price when c
         // is added, under any base selection.
         for cand in 0..pool.len() {
-            let affected = wm.affected(cand);
+            let affected: Vec<u32> = wm.affected(cand).collect();
             for mask in 0u32..(1 << pool.len()) {
                 let ids: Vec<usize> = (0..pool.len()).filter(|i| mask & (1 << i) != 0).collect();
                 let sel = Selection::from_ids(pool.len(), &ids);
@@ -2864,7 +2731,7 @@ mod tests {
         // q2 references only table f, so d-only candidates must not list it.
         let d_cand = 3; // Index::hypothetical(&d, vec![0]) in setup()
         assert!(
-            !wm.affected(d_cand).contains(&1),
+            !wm.affected(d_cand).any(|q| q == 1),
             "single-table query q2 affected by a d index"
         );
     }
@@ -2880,8 +2747,8 @@ mod tests {
             for cand in 0..pool.len() {
                 assert_eq!(
                     cands.contains(&(cand as u32)),
-                    wm.affected(cand).contains(&(q as u32)),
-                    "footprint of query {q} disagrees with the inverted index on {cand}"
+                    wm.affected(cand).any(|a| a == q as u32),
+                    "footprint of query {q} disagrees with the arm index on {cand}"
                 );
             }
         }
@@ -2891,6 +2758,46 @@ mod tests {
             (Vec::new(), 0),
             "tombstone keeps a footprint"
         );
+    }
+
+    /// `affected(c)` is derived from the arm index's per-query runs: after
+    /// a build, an eviction in the middle, a compaction and a parts round
+    /// trip, it lists exactly the live queries whose arm runs hold `c`.
+    #[test]
+    fn affected_is_the_queries_whose_arms_hold_the_candidate() {
+        let (cat, queries, pool) = setup();
+        let models = build_models(&cat, &queries, &pool);
+        let three = [&models[0], &models[1], &models[0]];
+        let mut wm = WorkloadModel::build(pool.len(), three.iter().map(|(c, a)| (c, a)));
+        let check = |wm: &WorkloadModel, step: &str| {
+            let p = wm.to_parts();
+            for cand in 0..pool.len() as u32 {
+                let holding: Vec<u32> = (0..p.live.len())
+                    .filter(|&q| p.live[q])
+                    .filter(|&q| {
+                        let plans = p.query_plan_start[q] as usize..p.query_plan_end[q] as usize;
+                        plans
+                            .flat_map(|pl| p.plan_slot_start[pl]..p.plan_slot_end[pl])
+                            .flat_map(|s| p.slot_s_start[s as usize]..p.slot_p_end[s as usize])
+                            .any(|arm| p.arm_cands[arm as usize] == cand)
+                    })
+                    .map(|q| q as u32)
+                    .collect();
+                let affected: Vec<u32> = wm.affected(cand as usize).collect();
+                assert_eq!(affected, holding, "{step}: candidate {cand}");
+            }
+        };
+        check(&wm, "build");
+        assert!(
+            (0..pool.len()).any(|c| wm.affected(c).count() > 1),
+            "no candidate spans queries"
+        );
+        wm.evict_query(1);
+        check(&wm, "evict");
+        assert_eq!(wm.compact(), vec![0, u32::MAX, 1]);
+        check(&wm, "compact");
+        let back = WorkloadModel::from_parts(wm.to_parts()).expect("roundtrip");
+        check(&back, "from_parts");
     }
 
     #[test]
@@ -3212,7 +3119,8 @@ mod tests {
             let once = all_probes(&selection, pool.len());
             let mut probes: Vec<Probe> = once.iter().flat_map(|&p| [p, p]).collect();
             probes.extend(once.iter().rev());
-            let got = wm.price_delta_batch(&state, &selection, &probes, None);
+            let mut floor = SlotFloor::default();
+            let got = wm.price_batch_on(&state, &selection, &probes, None, &mut floor);
             assert_eq!(got.len(), probes.len());
             for (&probe, d) in probes.iter().zip(&got) {
                 let full = wm.price_full(&probed_selection(&selection, probe));
@@ -3221,7 +3129,9 @@ mod tests {
                     .filter(|&(q, c)| c.to_bits() != state.per_query()[q as usize].to_bits())
                     .collect();
                 let mut changed = Vec::new();
-                let single = wm.price_probe_into(&state, &selection, probe, &mut changed);
+                let mut fresh = SlotFloor::default();
+                let single =
+                    wm.commit_probe_on(&state, &selection, probe, &mut fresh, &mut changed);
                 assert_eq!(d.total.to_bits(), full.total().to_bits(), "{probe:?}");
                 assert_eq!(single.total.to_bits(), d.total.to_bits(), "{probe:?}");
                 assert_eq!(single.repriced, d.repriced, "{probe:?}");
@@ -3238,12 +3148,12 @@ mod tests {
         let selection = Selection::from_ids(pool.len(), &[0]);
         let state = wm.price_full(&selection);
         let probes: Vec<Probe> = (1..pool.len()).map(|cand| Probe::Add { cand }).collect();
-        let got = wm.price_delta_batch(&state, &selection, &probes, None);
+        let got = wm.price_batch_on(&state, &selection, &probes, None, &mut SlotFloor::default());
         for (p, d) in probes.iter().zip(&got) {
             let Probe::Add { cand } = *p else {
                 unreachable!()
             };
-            assert_eq!(d.repriced, wm.affected(cand).len());
+            assert_eq!(d.repriced, wm.affected(cand).count());
         }
     }
 
@@ -3263,9 +3173,11 @@ mod tests {
             .collect();
         let mut scratch = Vec::new();
         for mask in &masks {
-            let got = wm.price_delta_batch(&state, &selection, &probes, Some(mask));
+            let mut floor = SlotFloor::default();
+            let got = wm.price_batch_on(&state, &selection, &probes, Some(mask), &mut floor);
             for (&p, d) in probes.iter().zip(&got) {
-                let exact = wm.price_probe_into(&state, &selection, p, &mut scratch);
+                let mut fresh = SlotFloor::default();
+                let exact = wm.commit_probe_on(&state, &selection, p, &mut fresh, &mut scratch);
                 let restricted: Vec<(u32, f64)> = scratch
                     .iter()
                     .filter(|(q, _)| mask.binary_search(q).is_ok())
@@ -3327,42 +3239,29 @@ mod tests {
             for mask in &masks {
                 let mask = mask.as_deref();
                 let admitted = |q: &u32| mask.is_none_or(|m| m.binary_search(q).is_ok());
-                let mut got = Vec::new();
                 let mut floor = SlotFloor::default();
-                wm.price_batch_each(
-                    &state,
-                    &selection,
-                    &probes,
-                    mask,
-                    &mut floor,
-                    |d, changed| got.push((d.total.to_bits(), d.repriced, changed_bits(changed))),
-                );
-                let public = wm.price_delta_batch(&state, &selection, &probes, mask);
+                let got = wm.price_batch_on(&state, &selection, &probes, mask, &mut floor);
                 assert_eq!(got.len(), probes.len());
-                for ((&probe, got), public) in probes.iter().zip(&got).zip(&public) {
+                for (&probe, got) in probes.iter().zip(&got) {
                     // The single-probe delta, restricted to the mask
                     // (unmasked, its own total and `repriced`).
                     let mut exact = Vec::new();
-                    wm.price_probe_into(&state, &selection, probe, &mut exact);
+                    let mut fresh = SlotFloor::default();
+                    wm.commit_probe_on(&state, &selection, probe, &mut fresh, &mut exact);
                     let cands = match probe {
                         Probe::Add { cand } | Probe::Drop { cand } => vec![cand],
                         Probe::Swap { add, drop } => vec![add, drop],
                     };
-                    let mut union: Vec<u32> = cands
-                        .iter()
-                        .flat_map(|&c| wm.affected(c))
-                        .copied()
-                        .collect();
+                    let mut union: Vec<u32> = cands.iter().flat_map(|&c| wm.affected(c)).collect();
                     union.sort_unstable();
                     union.dedup();
                     exact.retain(|(q, _)| admitted(q));
                     let want = (
                         state.overlaid_total(&exact).to_bits(),
                         union.iter().filter(|q| admitted(q)).count(),
-                        changed_bits(&exact),
                     );
-                    assert_eq!(*got, want, "mask {mask:?} {probe:?}");
-                    assert_eq!((public.total.to_bits(), public.repriced), (got.0, got.1));
+                    let got = (got.total.to_bits(), got.repriced);
+                    assert_eq!(got, want, "mask {mask:?} {probe:?}");
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! through randomized mutation sequences (admit / evict / reweight /
 //! compact / add-delta / drop-delta), asserting after **every** step that
 //! the incrementally-spliced [`PricedWorkload`] is bit-identical to a
-//! from-scratch `price_full`, that the inverted-index prefilter never
+//! from-scratch `price_full`, that the arm-index prefilter never
 //! lets a delta change a query it cannot touch, and that the per-query
 //! [`CacheCostModel`] oracle prices every query to the same bits. The
 //! slot-floor kernel is checked against the `price_full` diff on
@@ -266,7 +266,7 @@ fn full_diff(
     let mut union: Vec<u32> = [add, drop]
         .into_iter()
         .flatten()
-        .flat_map(|c| model.affected(c).iter().copied())
+        .flat_map(|c| model.affected(c))
         .collect();
     union.sort_unstable();
     union.dedup();
@@ -290,7 +290,7 @@ fn live(model: &WorkloadModel) -> Vec<usize> {
 /// a drop rule that rescans only below the floor would keep pricing the
 /// dropped index. Every probe from every selection, one floor carried
 /// through all of them, prices like a full re-pricing, and so does each
-/// probe on a floor of its own.
+/// probe on a throwaway floor.
 #[test]
 fn a_drop_rescans_a_slot_whose_floor_its_arm_ties() {
     let mut cache = PlanCache::new("tie", 1, InterestingOrders::new(vec![vec![1]]));
@@ -326,7 +326,8 @@ fn a_drop_rescans_a_slot_whose_floor_its_arm_ties() {
         for probe in every_probe(&selection, 2) {
             let (total, want, _) = full_diff(&model, &state, &selection, probe);
             let carried = model.price_batch_on(&state, &selection, &[probe], None, &mut floor);
-            let own = model.price_probe_into(&state, &selection, probe, &mut changed);
+            let mut fresh = SlotFloor::default();
+            let own = model.commit_probe_on(&state, &selection, probe, &mut fresh, &mut changed);
             assert_eq!(
                 (
                     carried[0].total.to_bits(),
@@ -406,7 +407,7 @@ proptest! {
                     state = PricedWorkload::from_costs(survivors);
                 }
                 // Every probe: one batch on the floor, unmasked or under
-                // a mask drawn from `pick`, then each on a floor of its own.
+                // a mask drawn from `pick`, then each on a throwaway floor.
                 4 | 5 => {
                     let probes = every_probe(&selection, POOL);
                     let mask: Option<Vec<u32>> = (op == 5).then(|| {
@@ -429,7 +430,8 @@ proptest! {
                             (total, repriced),
                             "step {} batch {:?} mask {:?}", step, probe, mask
                         );
-                        let one = model.price_probe_into(&state, &selection, probe, &mut changed);
+                        let mut fresh = SlotFloor::default();
+                        let one = model.commit_probe_on(&state, &selection, probe, &mut fresh, &mut changed);
                         let (total, want, union) = full_diff(&model, &state, &selection, probe);
                         prop_assert_eq!(
                             (one.total.to_bits(), bits(&changed), one.repriced),
@@ -439,16 +441,15 @@ proptest! {
                     }
                 }
                 // Commit one move: settled while it is priced, or priced on
-                // a floor of its own and then followed by the carried one;
+                // a throwaway floor and then followed by the carried one;
                 // or priced to commit and refused, the floor moved back.
                 _ => {
                     let probes = every_probe(&selection, POOL);
                     let probe = probes[pick as usize % probes.len()];
                     let (total, want, _) = full_diff(&model, &state, &selection, probe);
-                    let delta = match pick % 3 {
-                        0 => model.price_probe_into(&state, &selection, probe, &mut changed),
-                        _ => model.commit_probe_on(&state, &selection, probe, &mut floor, &mut changed),
-                    };
+                    let mut fresh = SlotFloor::default();
+                    let on = if pick % 3 == 0 { &mut fresh } else { &mut floor };
+                    let delta = model.commit_probe_on(&state, &selection, probe, on, &mut changed);
                     prop_assert_eq!((delta.total.to_bits(), bits(&changed)), (total, want));
                     if pick % 3 == 2 {
                         model.move_floor(&mut floor, &selection);
@@ -542,8 +543,8 @@ proptest! {
                     if !outside.is_empty() {
                         let cand = outside[pick as usize % outside.len()];
                         let mut scratch = Vec::new();
-                        let delta = model.price_probe_into(
-                            &state, &selection, Probe::Add { cand }, &mut scratch,
+                        let delta = model.commit_probe_on(
+                            &state, &selection, Probe::Add { cand }, &mut SlotFloor::default(), &mut scratch,
                         );
                         state.apply_changed(&scratch);
                         prop_assert_eq!(state.total().to_bits(), delta.total.to_bits());
@@ -556,8 +557,8 @@ proptest! {
                     if !inside.is_empty() {
                         let cand = inside[pick as usize % inside.len()];
                         let mut scratch = Vec::new();
-                        let delta = model.price_probe_into(
-                            &state, &selection, Probe::Drop { cand }, &mut scratch,
+                        let delta = model.commit_probe_on(
+                            &state, &selection, Probe::Drop { cand }, &mut SlotFloor::default(), &mut scratch,
                         );
                         state.apply_changed(&scratch);
                         prop_assert_eq!(state.total().to_bits(), delta.total.to_bits());
@@ -569,7 +570,7 @@ proptest! {
         }
     }
 
-    /// The inverted-index prefilter is sound: a delta's changed list only
+    /// The arm-index prefilter is sound: a delta's changed list only
     /// ever names queries in `affected(cand)`, and every query the
     /// prefilter skips prices to exactly the same bits with the candidate
     /// present.
@@ -591,10 +592,11 @@ proptest! {
                 if selection.contains(cand) {
                     continue;
                 }
-                model.price_probe_into(&state, &selection, Probe::Add { cand }, &mut scratch);
+                let probe = Probe::Add { cand };
+                model.commit_probe_on(&state, &selection, probe, &mut SlotFloor::default(), &mut scratch);
                 for &(q, _) in &scratch {
                     prop_assert!(
-                        model.affected(cand).contains(&q),
+                        model.affected(cand).any(|a| a == q),
                         "delta for candidate {} changed untouched query {}",
                         cand,
                         q
@@ -602,7 +604,7 @@ proptest! {
                 }
                 let extended = selection.with(cand);
                 for q in 0..model.query_count() {
-                    if model.affected(cand).contains(&(q as u32)) {
+                    if model.affected(cand).any(|a| a == q as u32) {
                         continue;
                     }
                     let before = model.price_query(q, &selection, None);

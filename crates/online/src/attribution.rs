@@ -14,9 +14,9 @@
 //! after the last re-advise. Templates whose sum regressed past the
 //! threshold — including templates *unseen* at the baseline, whose
 //! baseline is 0 — mark their member queries as regressed; the online
-//! advisor then intersects the model's inverted candidate→query index
-//! with that query set to build a [`pinum_core::Selection`] mask, and the
-//! search only probes candidates that can matter
+//! advisor then intersects each candidate's affected queries (the model's
+//! arm index) with that query set to build a [`pinum_core::Selection`]
+//! mask, and the search only probes candidates that can matter
 //! ([`StrategyKind::search_scoped`](pinum_advisor::search::StrategyKind::search_scoped)).
 //!
 //! Attribution is conservative by construction:

@@ -29,8 +29,9 @@
 //!   delta splices too; [`OnlineStats::full_repricings`] counts the
 //!   exceptions and the `scoped_readvise` acceptance test holds it at
 //!   0). When drift fired and attribution localized it, the search is
-//!   additionally **scoped**: only candidates whose inverted-index entry
-//!   intersects the regressed queries are probed.
+//!   additionally **scoped**: only candidates whose affected queries
+//!   (read off the model's arm index) intersect the regressed queries
+//!   are probed.
 //! * **compact** — once tombstones outnumber live queries the session
 //!   compacts (bit-identical pricing, O(window) renumbering), keeping
 //!   lifetime memory O(window).
@@ -717,7 +718,7 @@ impl OnlineAdvisor {
 
         // Scope: when drift fired and attribution can pin it on specific
         // templates, restrict the search to candidates that can affect
-        // the regressed queries (inverted index ∩ regressed set) — and
+        // the regressed queries (affected queries ∩ regressed set) — and
         // scope the *pricing* itself: the regressed set rides into the
         // search as a query mask, so probes re-price only the queries
         // that drifted (accepted moves re-derive exact totals).
@@ -759,8 +760,11 @@ impl OnlineAdvisor {
 
         // Adopt the search outcome — selection and exact priced state —
         // without re-pricing; the monitor baseline resets from it.
+        let state = result
+            .final_state
+            .expect("every model search returns its final state");
         self.session
-            .install(result.selection, result.final_state, result.full_repricings);
+            .install(result.selection, state, result.full_repricings);
         let cost_after = self.session.total();
         let live = self.session.model().live_query_count();
         self.baseline_mean = if live == 0 {
@@ -799,10 +803,10 @@ impl OnlineAdvisor {
     }
 
     /// The candidate mask for a regressed query set: every candidate
-    /// whose inverted-index entry intersects the set, plus the current
+    /// whose affected queries intersect the set, plus the current
     /// selection's members (so drops and swap-backs stay in play). Since
     /// the model prunes plans that cannot win under any selection from
-    /// the pool, a query is in a candidate's entry exactly when one of
+    /// the pool, a query is affected by a candidate exactly when one of
     /// its surviving plans has an arm gated by it: the mask holds the
     /// candidates that can change a regressed query's price, not every
     /// candidate its cache mentions.
@@ -810,7 +814,10 @@ impl OnlineAdvisor {
         let model = self.session.model();
         let mut mask = Selection::empty(self.pool.len());
         for cand in 0..self.pool.len() {
-            if sorted_intersects(model.affected(cand), regressed) {
+            if model
+                .affected(cand)
+                .any(|q| regressed.binary_search(&q).is_ok())
+            {
                 mask.insert(cand);
             }
         }
@@ -924,10 +931,11 @@ impl OnlineAdvisor {
         if baseline_mean.is_nan() {
             return Err("drift baseline is NaN");
         }
-        let model = WorkloadModel::from_parts(model)?;
-        if model.pool_size() != pool.len() {
+        // Before anything is sized from the parts' pool size.
+        if model.pool_size != pool.len() as u64 {
             return Err("model built over a different candidate pool");
         }
+        let model = WorkloadModel::from_parts(model)?;
         if model.live_query_count() > opts.window_capacity {
             return Err("more live queries than the window holds");
         }
@@ -976,19 +984,6 @@ pub fn query_templates(query: &Query) -> Vec<TemplateKey> {
     (0..query.relation_count() as RelIdx)
         .map(|rel| RelTemplate::of(query, rel).key())
         .collect()
-}
-
-/// Whether two ascending id lists share an element (two-pointer walk).
-fn sorted_intersects(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1684,7 +1679,15 @@ mod tests {
 
         let mut p = good.clone();
         p.attribution.per_query[dead] = vec![0]; // a dead slot with templates
-        assert!(OnlineAdvisor::from_parts(pool, o, p).is_err());
+        assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
+
+        // A pool size nothing may be sized from: refused before the
+        // model's per-candidate index is allocated.
+        for pool_size in [u64::MAX, pool.len() as u64 + 1] {
+            let mut p = good.clone();
+            p.model.pool_size = pool_size;
+            assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use pinum::core::access_costs::collect_pinum;
 use pinum::core::builder::{build_cache_pinum, BuilderOptions};
 use pinum::core::collector::workload_templates;
 use pinum::core::{
-    CacheCostModel, CandidatePool, Probe, Selection, WorkloadCollector, WorkloadModel,
+    CacheCostModel, CandidatePool, Probe, Selection, SlotFloor, WorkloadCollector, WorkloadModel,
 };
 use pinum::optimizer::{Optimizer, OptimizerOptions};
 use pinum::query::{InterestingOrders, Ioc, QueryBuilder};
@@ -277,7 +277,8 @@ proptest! {
             // selection.
             let mut scratch = Vec::new();
             for &cand in &ids {
-                let delta = wm.price_probe_into(&state, &sel, Probe::Drop { cand }, &mut scratch);
+                let probe = Probe::Drop { cand };
+                let delta = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::default(), &mut scratch);
                 let full = wm.price_full(&sel.without(cand));
                 prop_assert_eq!(delta.total, full.total(),
                     "selection {:?} - candidate {}", &ids, cand);
@@ -290,7 +291,8 @@ proptest! {
                     if sel.contains(add) {
                         continue;
                     }
-                    let delta = wm.price_probe_into(&state, &sel, Probe::Swap { add, drop }, &mut scratch);
+                    let probe = Probe::Swap { add, drop };
+                    let delta = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::default(), &mut scratch);
                     let full = wm.price_full(&sel.without(drop).with(add));
                     prop_assert_eq!(delta.total, full.total(),
                         "selection {:?} + {} - {}", &ids, add, drop);
@@ -315,7 +317,7 @@ proptest! {
                     }
                 })
                 .collect();
-            let batch = wm.price_delta_batch(&state, &sel, &probes, None);
+            let batch = wm.price_batch_on(&state, &sel, &probes, None, &mut SlotFloor::default());
             for (&probe, got) in probes.iter().zip(&batch) {
                 let moved = match probe {
                     Probe::Add { cand } => sel.with(cand),
@@ -325,7 +327,7 @@ proptest! {
                 let full = wm.price_full(&moved);
                 prop_assert_eq!(got.total.to_bits(), full.total().to_bits(),
                     "selection {:?} {:?}", &ids, probe);
-                wm.price_probe_into(&state, &sel, probe, &mut scratch);
+                wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::default(), &mut scratch);
                 let changed: Vec<(u32, u64)> =
                     scratch.iter().map(|&(q, c)| (q, c.to_bits())).collect();
                 let diff: Vec<(u32, u64)> = state
@@ -349,16 +351,17 @@ proptest! {
                 .flat_map(|&drop| outside.iter().map(move |&add| Probe::Swap { add, drop }))
                 .collect();
             for qmask in [None, Some(&[][..]), Some(&[0][..]), Some(&[1][..]), Some(&[0, 1][..])] {
-                let batch = wm.price_delta_batch(&state, &sel, &neighbourhood, qmask);
+                let mut floor = SlotFloor::default();
+                let batch = wm.price_batch_on(&state, &sel, &neighbourhood, qmask, &mut floor);
                 for (&probe, got) in neighbourhood.iter().zip(&batch) {
-                    let exact = wm.price_probe_into(&state, &sel, probe, &mut scratch);
+                    let exact = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::default(), &mut scratch);
                     let admitted = |q: &u32| qmask.is_none_or(|m| m.contains(q));
                     scratch.retain(|(q, _)| admitted(q));
                     prop_assert_eq!(got.total.to_bits(), state.overlaid_total(&scratch).to_bits(),
                         "selection {:?} {:?} mask {:?}", &ids, probe, qmask);
                     let Probe::Swap { add, drop } = probe else { unreachable!() };
                     let mut union: Vec<u32> =
-                        wm.affected(add).iter().chain(wm.affected(drop)).copied().collect();
+                        wm.affected(add).chain(wm.affected(drop)).collect();
                     union.sort_unstable();
                     union.dedup();
                     prop_assert_eq!(got.repriced, union.iter().filter(|q| admitted(q)).count(),
@@ -741,7 +744,8 @@ proptest! {
                     );
                     prop_assert_eq!(result.full_repricings, 0,
                         "warm-stated search fully re-priced");
-                    session.install(result.selection, result.final_state, result.full_repricings);
+                    let state = result.final_state.expect("a model search returns its final state");
+                    session.install(result.selection, state, result.full_repricings);
                     // Occasionally compact after a re-advise, remapping
                     // the shadow books the way online consumers do.
                     if op % 2 == 0 {
@@ -947,7 +951,7 @@ proptest! {
                 } else {
                     (Probe::Add { cand }, sel.with(cand))
                 };
-                let got = wm.price_probe_into(&state, sel, probe, &mut scratch);
+                let got = wm.commit_probe_on(&state, sel, probe, &mut SlotFloor::default(), &mut scratch);
                 prop_assert_eq!(got.total.to_bits(), wm.price_full(&moved).total().to_bits(),
                     "seed {} {:?} {:?}", seed, sel, probe);
                 prop_assert_eq!(model_bits(&moved), oracle_bits(&moved),
