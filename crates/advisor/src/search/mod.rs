@@ -42,17 +42,20 @@
 //! annealing walk continue the very run their lazy-greedy seed built.
 //!
 //! The run also owns a [`pinum_core::SlotFloor`]: each probed query's slot
-//! minima and plan costs under the run's selection, filled the first time
-//! a probe touches the query and settled by every committed move, so a
-//! probe reads only its candidates' arms (the model's arm index, one run
-//! per affected query) instead of re-pricing every affected query. A
-//! seeded run starts it empty.
+//! minima (with the arm attaining each and its runner-up) and plan costs
+//! under the run's selection, filled the first time a probe touches the
+//! query and settled by every committed move, so a probe reads only its
+//! candidates' arms (the model's arm index, one run per affected query)
+//! instead of re-pricing every affected query, and a drop reads the
+//! runner-up of each slot it takes the winner from instead of rescanning
+//! it. A seeded run starts it empty.
 //!
 //! Each strategy prices its moves through `Run::price`
 //! ([`WorkloadModel::price_batch_on`] on the caller's thread): eager
 //! greedy one frontier per round, the swap climb one drop-major
 //! neighbourhood per round (the kernel prices each dropped index's
-//! affected queries once per neighbourhood, not once per exchange), and
+//! affected queries once per neighbourhood, not once per exchange, and
+//! totals each exchange on the drop's spliced sum tree), and
 //! annealing one proposal at a time, when its Metropolis walk reaches it.
 //! Annealing's block of 16 fixes only its RNG draws: a block's proposals
 //! are all drawn first, and those after its first acceptance are never

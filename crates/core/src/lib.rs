@@ -43,16 +43,19 @@
 //! the selection. `price_full` prices a selection; a **delta** prices a
 //! [`workload_model::Probe`] — add, drop, or drop-one/add-one swap —
 //! through one kernel body (`price_batch_on` to rank probes, where a run
-//! of swaps sharing a drop prices the drop's queries once;
+//! of swaps sharing a drop prices the drop's queries once and splices
+//! them into one copy of the sum tree that each swap overlays;
 //! `commit_probe_on` to commit one) that re-prices only the queries the
 //! touched candidates can affect. One index serves both: the
 //! candidate→arm index, whose arms fall into one run per query, names
 //! those queries and proves the rest untouched. The kernel reads each of
 //! them off a [`workload_model::SlotFloor`] — every slot's cheapest live
-//! arm under the search's selection, filled lazily — through only the
-//! probed candidates' arms, and re-totals in
-//! O(changed·log n) through the fixed-shape pairwise sum tree every
-//! [`workload_model::PricedWorkload`] carries. The tree shape — exposed
+//! arm under the search's selection, with the arm attaining it and its
+//! runner-up, filled lazily — through only the probed candidates' arms
+//! (an add is one `min`, a drop of the winner one read of the
+//! runner-up), and re-totals in O(changed·log n) through the fixed-shape
+//! pairwise sum tree every [`workload_model::PricedWorkload`] carries,
+//! in one bottom-up pass. The tree shape — exposed
 //! as [`workload_model::pairwise_total`] — defines the bit pattern of
 //! every total, so spliced and from-scratch pricing agree bit for bit.
 //! This is the substrate the advisor's pluggable search strategies run

@@ -383,8 +383,11 @@ mod tests {
         let state = session.model().price_full(&selection);
         session.install(selection, state, 1);
 
-        let model = crate::workload_model::WorkloadModel::from_parts(session.model().to_parts())
-            .expect("model parts roundtrip");
+        let model = crate::workload_model::WorkloadModel::from_parts(
+            pool.len(),
+            session.model().to_parts(),
+        )
+        .expect("model parts roundtrip");
         let selection = Selection::from_words(pool.len(), session.selection().words().to_vec())
             .expect("selection roundtrip");
         let per_query = session.state().per_query().to_vec();
@@ -404,8 +407,9 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_shapes() {
         let session = PricingSession::new(70);
-        let model = crate::workload_model::WorkloadModel::from_parts(session.model().to_parts())
-            .expect("parts");
+        let model =
+            crate::workload_model::WorkloadModel::from_parts(70, session.model().to_parts())
+                .expect("parts");
         assert!(PricingSession::restore(
             model.clone(),
             Selection::empty(70),

@@ -99,9 +99,11 @@
 //! per-query costs: it maintains a **fixed-shape pairwise partial-sum
 //! tree** over them (power-of-two capacity, zero-padded). The workload
 //! total is the root; re-totaling after a delta that re-prices `k`
-//! queries is a read-only descent costing O(k·log n)
-//! ([`PricedWorkload::overlaid_total`]) instead of an O(n) re-sum, and
-//! splicing an accepted move updates O(k·log n) tree nodes
+//! queries is a read-only bottom-up pass costing O(k·log n)
+//! ([`PricedWorkload::overlaid_total`]: each changed leaf climbs,
+//! reading untouched siblings off the tree, until it meets the next
+//! changed leaf's path) instead of an O(n) re-sum, and splicing an
+//! accepted move updates O(k·log n) tree nodes
 //! ([`PricedWorkload::apply_changed`]).
 //!
 //! **Determinism contract:** the tree *shape* (not evaluation order)
@@ -123,45 +125,59 @@
 //! re-total through the sum tree. It does not re-scan an affected query.
 //! It reads the query off a [`SlotFloor`]: what the search already knows
 //! about the selection it stands on, namely each slot's standalone and
-//! probe minimum (its cheapest live arm, or its always arm) and each
-//! plan's cost.
+//! probe minimum (its cheapest live arm, or its always arm), each
+//! minimum's **winner** and **runner-up** (the arm attaining it, and the
+//! arm a scan without the winner keeps), and each plan's cost.
 //!
 //! * **Lazy fill.** A floor starts empty. A query's floor is filled by one
-//!   scan the first time a probe touches it, so a search, and a warm scoped
-//!   re-advise in particular, pays only for the queries it probes.
+//!   two-minimum scan the first time a probe touches it, so a search, and
+//!   a warm scoped re-advise in particular, pays only for the queries it
+//!   probes.
 //! * **The rules.** Through the arm index a probe visits only its
 //!   candidates' arms in the query. An **add** of `c` lowers each of
-//!   `c`'s slots to `min(floor, c's arm)`. A **drop** of `c` rescans the
-//!   slots whose floor *equals* `c`'s arm, ties included (an equal arm of
-//!   another candidate may or may not be the one the scan kept), and
-//!   leaves the rest: an arm above the floor was not the minimum. A
-//!   **swap** does both; each rule leaves the exact scan result, so they
-//!   compose. Only plans holding a slot whose minimum moved are re-summed,
-//!   by the same `plan_cost` the scan uses; the others keep their floor
-//!   cost. The overrides are undone before the next query.
+//!   `c`'s slots to `min(floor, c's arm)`. A **drop** of `c` moves a slot
+//!   only when `c`'s arm is that slot's winner, and then onto the
+//!   runner-up's cost, read in O(1): a run names each candidate once (the
+//!   flattening's `prune_arms` keeps a candidate's first arm, and
+//!   [`WorkloadModel::from_parts`] refuses a run that does not) and a
+//!   probe drops one candidate, so the runner-up is still live. Any other
+//!   dropped arm was not the minimum. A **swap** drops, then adds; each
+//!   rule leaves the exact scan result, so they compose. Only plans
+//!   holding a slot whose minimum moved are re-summed, by the same
+//!   `plan_cost` the scan uses; the others keep their floor cost. The
+//!   overrides are undone before the next query.
 //! * **Exactness.** The masked scan's result is the first minimal arm in
-//!   scan order, so `min` against the floor has its bits whenever the
-//!   two values differ or share bits. The one other case is `+0.0` against
-//!   `−0.0`, and there the add rule asks the scan. The plan sums run in the
-//!   scan's order, and the query's minimum over plan costs keeps the
-//!   scan's strict `<` in plan order. So every total, changed list and
-//!   `repriced` count is the scanning kernel's, bit for bit. This is
-//!   debug-asserted (sampled) against `price_full` per probe, and against
-//!   a fresh fill whenever a floor moves.
+//!   scan order (the always arm first, then the run), so `min` against the
+//!   floor has its bits whenever the two values differ or share bits. The
+//!   one other case is `+0.0` against `−0.0`, and there the add rule asks
+//!   the scan. The plan sums run in the scan's order, and the query's
+//!   minimum over plan costs keeps the scan's strict `<` in plan order. So
+//!   every total, changed list and `repriced` count is the scanning
+//!   kernel's, bit for bit. This is debug-asserted (sampled) against
+//!   `price_full` per probe, and against a fresh fill, winners and
+//!   runner-ups included, whenever a floor moves.
 //! * **Moving the floor.** Every entry taking a floor first moves it onto
 //!   the caller's selection ([`WorkloadModel::move_floor`]). Each filled
 //!   query a changed candidate affects is *settled* across that
-//!   candidate's arms by the same rules, kept this time. A search owns
-//!   one floor for its whole run ([`WorkloadModel::price_batch_on`]), and
-//!   commits a move with
-//!   [`WorkloadModel::commit_probe_on`], which settles each affected
-//!   query as it prices it and leaves the floor on the new selection.
+//!   candidate's arms, kept this time, with each slot's winner and
+//!   runner-up kept exact in O(1) an arm: an added arm is placed by
+//!   (cost, position in the run), the always arm winning its ties, and
+//!   only a dropped winner or runner-up rescans its slot (no top can name
+//!   the arm that follows it). Positions are relative to the slot's run,
+//!   so they survive [`WorkloadModel::compact`]. A search owns one floor
+//!   for its whole run ([`WorkloadModel::price_batch_on`]), and commits a
+//!   move with [`WorkloadModel::commit_probe_on`], which settles each
+//!   affected query as it prices it and leaves the floor on the new
+//!   selection.
 //!
 //! In a batch, a run of swaps sharing one drop prices the drop's affected
-//! queries once under `selection − drop`, and each swap re-prices only its
-//! added candidate's queries on top. This is bit-identical to the
-//! single-probe body, since a query a candidate does not touch prices the
-//! same with or without it. Queries whose
+//! queries once under `selection − drop` and splices those that moved
+//! into a copy of the priced state: the **drop-spliced tree**, one per
+//! run. Each swap re-prices only its added candidate's queries on top
+//! and overlays them on that tree, so it neither re-merges nor re-adds
+//! the drop's queries. This is bit-identical to the single-probe body: a
+//! query a candidate does not touch prices the same with or without it,
+//! and a tree node is a pure function of its leaves. Queries whose
 //! re-priced cost is bit-identical to the stored cost are dropped from the
 //! `changed` list (exact, since the comparison is on bits). The splice a
 //! search strategy applies afterwards is therefore proportional to what
@@ -364,27 +380,54 @@ impl PricedWorkload {
     /// O(changed·log n): subtrees containing no changed leaf are read
     /// straight from the tree, so the additions performed are exactly the
     /// tree-shape additions along the changed leaves' root paths.
+    ///
+    /// One bottom-up pass: each changed leaf climbs towards the root,
+    /// adding its sibling at every level, until it is a left child whose
+    /// right sibling holds the next changed leaf. There it waits, one
+    /// value per level, for that leaf's climb to reach it. The last leaf
+    /// reaches the root.
     pub fn overlaid_total(&self, changed: &[(u32, f64)]) -> f64 {
-        if changed.is_empty() {
-            return self.tree[1];
+        let cap = self.tree.len() / 2;
+        // Waiting left children by level (0 = leaves), and which levels
+        // hold one; ids are `u32`, so a tree has at most 33 levels.
+        let mut waiting = [0.0f64; u32::BITS as usize + 1];
+        let mut held = 0u64;
+        let mut total = self.tree[1];
+        for (k, &(q, cost)) in changed.iter().enumerate() {
+            let next = changed.get(k + 1).map(|&(n, _)| cap + n as usize);
+            let (mut node, mut sum) = (cap + q as usize, cost);
+            debug_assert!(
+                next.is_none_or(|n| n > node),
+                "changed list not ascending at {q}"
+            );
+            let mut level = 0;
+            while node > 1 {
+                if node % 2 == 1 {
+                    // A value waiting at this level is the left sibling's:
+                    // its subtree's last changed leaf stopped there.
+                    let left = if held & (1 << level) != 0 {
+                        held &= !(1 << level);
+                        waiting[level]
+                    } else {
+                        self.tree[node - 1]
+                    };
+                    let right = sum;
+                    sum = left + right;
+                } else if next.is_some_and(|n| n >> level == node + 1) {
+                    waiting[level] = sum;
+                    held |= 1 << level;
+                    break;
+                } else {
+                    sum += self.tree[node + 1];
+                }
+                node /= 2;
+                level += 1;
+            }
+            if node == 1 {
+                total = sum;
+            }
         }
-        self.overlaid_node(1, 0, self.tree.len() / 2, changed)
-    }
-
-    fn overlaid_node(&self, node: usize, lo: usize, span: usize, changed: &[(u32, f64)]) -> f64 {
-        if changed.is_empty() {
-            return self.tree[node];
-        }
-        if span == 1 {
-            debug_assert_eq!(changed.len(), 1, "duplicate changed query {lo}");
-            return changed[0].1;
-        }
-        let half = span / 2;
-        let mid = lo + half;
-        let split = changed.partition_point(|&(q, _)| (q as usize) < mid);
-        let left = self.overlaid_node(2 * node, lo, half, &changed[..split]);
-        let right = self.overlaid_node(2 * node + 1, mid, half, &changed[split..]);
-        left + right
+        total
     }
 
     /// Sampled (`PINUM_ASSERT_SAMPLE`) debug re-check that this state is
@@ -439,6 +482,19 @@ struct SlotMeta {
     /// Whether the plan requires an interesting order on this relation
     /// (if so, the slot is inapplicable when no standalone arm is live).
     required: bool,
+}
+
+impl SlotMeta {
+    /// The standalone (or probe) arm run's extent in the arm arrays and
+    /// its always-arm cost.
+    #[inline]
+    fn run(&self, standalone: bool) -> (usize, usize, f64) {
+        if standalone {
+            (self.s_start as usize, self.s_end as usize, self.s_always)
+        } else {
+            (self.p_start as usize, self.p_end as usize, self.p_always)
+        }
+    }
 }
 
 /// One packed cached plan: internal cost plus a slot extent.
@@ -980,7 +1036,7 @@ impl WorkloadModel {
     /// serialization surface for session persistence. The parts contain
     /// every owned field except the arm index and the live count, which
     /// are derived data rebuilt by [`Self::from_parts`]; the
-    /// round-trip `from_parts(to_parts())` is `==` to the original model.
+    /// round-trip `from_parts(pool_size, to_parts())` is `==` to the original model.
     pub fn to_parts(&self) -> WorkloadModelParts {
         WorkloadModelParts {
             pool_size: self.pool_size as u64,
@@ -1014,10 +1070,17 @@ impl WorkloadModel {
     /// extents — the restore-side mirror of
     /// `debug_assert_index_matches_rebuild`, but unconditional and
     /// returning a typed error instead of panicking, since parts arrive
-    /// from disk.
-    pub fn from_parts(parts: WorkloadModelParts) -> Result<Self, &'static str> {
+    /// from disk. `pool_size` is the caller's candidate pool: parts built
+    /// over another are refused before anything is sized from them. So is
+    /// a slot arm run that names one candidate twice, which no mutation
+    /// path packs (`prune_arms` keeps a candidate's first arm) and the
+    /// floor kernel's drop rule relies on.
+    pub fn from_parts(pool_size: usize, parts: WorkloadModelParts) -> Result<Self, &'static str> {
+        if parts.pool_size != pool_size as u64 {
+            return Err("model built over a different candidate pool");
+        }
         let WorkloadModelParts {
-            pool_size,
+            pool_size: _,
             arm_costs,
             arm_cands,
             slot_coef,
@@ -1040,7 +1103,6 @@ impl WorkloadModel {
         // The kernel skips a plan once its running cost reaches the best
         // so far, which is exact only when no term can lower a cost.
         let non_negative_finite = |x: &f64| x.is_finite() && *x >= 0.0;
-        let pool_size = usize::try_from(pool_size).map_err(|_| "pool size overflows usize")?;
         if arm_costs.len() != arm_cands.len() {
             return Err("arm cost/candidate arrays differ in length");
         }
@@ -1100,6 +1162,22 @@ impl WorkloadModel {
         }
         if next_arm as usize != arm_costs.len() {
             return Err("slot arm extents do not cover the arm arrays");
+        }
+        let mut seen = vec![0u64; pool_size.div_ceil(64)];
+        for s in &slots {
+            for run in [s.s_start..s.s_end, s.p_start..s.p_end] {
+                let cands = &arm_cands[run.start as usize..run.end as usize];
+                for &c in cands {
+                    let (w, bit) = ((c / 64) as usize, 1 << (c % 64));
+                    if seen[w] & bit != 0 {
+                        return Err("slot arm run names one candidate twice");
+                    }
+                    seen[w] |= bit;
+                }
+                for &c in cands {
+                    seen[(c / 64) as usize] = 0;
+                }
+            }
         }
         let n_plans = plan_internal.len();
         if plan_slot_start.len() != n_plans || plan_slot_end.len() != n_plans {
@@ -1292,18 +1370,54 @@ impl WorkloadModel {
     /// arm or its cheapest live gated arm, `+∞` when neither exists.
     #[inline]
     fn slot_min(&self, slot: &SlotMeta, standalone: bool, words: &[u64]) -> f64 {
-        let (start, end, always) = if standalone {
-            (slot.s_start, slot.s_end, slot.s_always)
-        } else {
-            (slot.p_start, slot.p_end, slot.p_always)
-        };
-        let run = start as usize..end as usize;
+        let (start, end, always) = slot.run(standalone);
         min_arm(
-            &self.arm_costs[run.clone()],
-            &self.arm_cands[run],
+            &self.arm_costs[start..end],
+            &self.arm_cands[start..end],
             words,
             always,
         )
+    }
+
+    /// [`Self::slot_min`] with its two leading arms: the minimum, and the
+    /// positions in the run of the arm that attains it and of the arm a
+    /// scan without that one keeps ([`Top2`]). The scan's order is the
+    /// always arm, then the run; its strict `<` keeps the first arm of a
+    /// tie, here for both places.
+    fn slot_top2(&self, slot: &SlotMeta, standalone: bool, words: &[u64]) -> (f64, Top2) {
+        let (start, end, always) = slot.run(standalone);
+        let (mut best, mut win) = (always, ALWAYS);
+        let (mut second, mut next) = (f64::INFINITY, ALWAYS);
+        for (i, pos) in (start..end).enumerate() {
+            let cand = self.arm_cands[pos];
+            if (words[(cand >> 6) as usize] >> (cand & 63)) & 1 == 0 {
+                continue;
+            }
+            let cost = self.arm_costs[pos];
+            if cost < best {
+                (second, next) = (best, win);
+                (best, win) = (cost, i as u32);
+            } else if cost < second {
+                (second, next) = (cost, i as u32);
+            }
+        }
+        if win == ALWAYS {
+            // The always arm cannot be dropped: it has no runner-up.
+            next = ALWAYS;
+        }
+        (best, Top2 { win, next })
+    }
+
+    /// The cost of the arm at `at` in a slot's run, or of its always arm
+    /// at [`ALWAYS`].
+    #[inline]
+    fn ranked_cost(&self, slot: &SlotMeta, standalone: bool, at: u32) -> f64 {
+        let (start, _, always) = slot.run(standalone);
+        if at == ALWAYS {
+            always
+        } else {
+            self.arm_costs[start + at as usize]
+        }
     }
 
     /// Prices one packed plan from its slots' minima — `min(i, slot,
@@ -1426,10 +1540,11 @@ impl WorkloadModel {
     ///
     /// A run of consecutive [`Probe::Swap`]s with the same `drop` — the
     /// drop-major neighbourhood a swap search sends — shares the drop's
-    /// work: `affected(drop)` is priced once under `selection − drop`, and
-    /// each swap re-prices only `affected(add)`, taking the rest from the
-    /// drop pass (a query `add` does not touch prices the same with or
-    /// without it). Every other probe runs the single-probe body.
+    /// work: `affected(drop)` is priced once under `selection − drop` and
+    /// spliced into a copy of `state`, and each swap re-prices only
+    /// `affected(add)` and overlays it on that copy's tree (a query `add`
+    /// does not touch prices the same with or without it). Every other
+    /// probe runs the single-probe body.
     ///
     /// `qmask` (sorted ascending query ids) restricts re-pricing to the
     /// masked subset of each probe's affected list — the scoped-pricing
@@ -1482,12 +1597,18 @@ impl WorkloadModel {
     }
 
     /// A run of swaps sharing one `drop`: price the drop's (masked)
-    /// affected queries once under `selection − drop`, then, per swap,
-    /// re-price the (masked) `affected(add)` under `selection − drop +
-    /// add` and merge the two in ascending query order. Each swap's
-    /// changed list, total and `repriced` (the union, clipped to the
-    /// mask) equal [`Self::price_probe_in`]'s bit for bit (debug-asserted,
-    /// sampled); its delta is pushed onto `out`.
+    /// affected queries once under `selection − drop` and splice those
+    /// that moved into a copy of `state`, the drop's priced state, which
+    /// the whole run shares. Each swap then re-prices only the (masked)
+    /// `affected(add)` under `selection − drop + add`, its drop-pass
+    /// queries from the drop's arms as well, and overlays them on the
+    /// drop's tree. A tree node is a pure function of its leaves, so that
+    /// total has the bits of the single-probe delta's overlay of the
+    /// merged changed list on `state`. Each swap's total and `repriced`
+    /// (the union, clipped to the mask) equal [`Self::price_probe_in`]'s
+    /// bit for bit, and so does the merged list, which is built only for
+    /// that check (debug-asserted, sampled); its delta is pushed onto
+    /// `out`.
     #[allow(clippy::too_many_arguments)]
     fn price_swap_run(
         &self,
@@ -1507,10 +1628,14 @@ impl WorkloadModel {
         probed.set(drop, false);
         let mut mask = MaskCursor::new(qmask);
         let mut drop_pass = Vec::new();
+        let mut dropped_state = state.clone();
         for (q, dropped, _) in self.merged_runs(None, Some(drop)) {
             if mask.admits(q) {
                 let cost = self.contribution_on(floor, q as usize, probed.words(), dropped, &[]);
-                drop_pass.push((q, cost, dropped));
+                if cost.to_bits() != state.per_query[q as usize].to_bits() {
+                    dropped_state.set_query_cost(q as usize, cost);
+                }
+                drop_pass.push((q, dropped));
             }
         }
         let mut changed = Vec::new();
@@ -1525,36 +1650,38 @@ impl WorkloadModel {
             changed.clear();
             probed.set(add, true);
             let words = probed.words();
-            let mut repriced = 0usize;
-            let mut keep = |q: u32, cost: f64| {
-                repriced += 1;
-                if cost.to_bits() != state.per_query[q as usize].to_bits() {
-                    changed.push((q, cost));
-                }
-            };
+            let mut repriced = drop_pass.len();
             let mut mask = MaskCursor::new(qmask);
             let mut from_drop = drop_pass.iter().peekable();
             for (q, _, added) in self.merged_runs(Some(add), None) {
                 if !mask.admits(q) {
                     continue;
                 }
-                while let Some(&(dq, cost, _)) = from_drop.next_if(|e| e.0 < q) {
-                    keep(dq, cost);
+                while from_drop.next_if(|e| e.0 < q).is_some() {}
+                let dropped = match from_drop.next_if(|e| e.0 == q) {
+                    Some(&(_, dropped)) => dropped,
+                    None => {
+                        repriced += 1;
+                        &[]
+                    }
+                };
+                let cost = self.contribution_on(floor, q as usize, words, dropped, added);
+                if cost.to_bits() != dropped_state.per_query[q as usize].to_bits() {
+                    changed.push((q, cost));
                 }
-                // `add` touches q: its drop-pass price is stale here.
-                let dropped = from_drop.next_if(|e| e.0 == q).map_or(&[][..], |e| e.2);
-                keep(
-                    q,
-                    self.contribution_on(floor, q as usize, words, dropped, added),
-                );
-            }
-            for &(dq, cost, _) in from_drop {
-                keep(dq, cost);
             }
             probed.set(add, false);
-            let total = state.overlaid_total(&changed);
+            let total = dropped_state.overlaid_total(&changed);
             #[cfg(debug_assertions)]
             if crate::sampling::should_assert() {
+                // The merged changed list: the swap's state diffed
+                // against `state`.
+                let mut swapped = dropped_state.clone();
+                swapped.apply_changed(&changed);
+                let merged: Vec<(u32, f64)> = (0..state.per_query.len() as u32)
+                    .map(|q| (q, swapped.per_query[q as usize]))
+                    .filter(|&(q, c)| c.to_bits() != state.per_query[q as usize].to_bits())
+                    .collect();
                 let mut expect = Vec::new();
                 let mut fresh = SlotFloor::default();
                 self.move_floor(&mut fresh, selection);
@@ -1570,13 +1697,13 @@ impl WorkloadModel {
                     &mut expect,
                 );
                 debug_assert_eq!(
-                    (total.to_bits(), repriced, changed_bits(&changed)),
+                    (total.to_bits(), repriced, changed_bits(&merged)),
                     (
                         single.total.to_bits(),
                         single.repriced,
                         changed_bits(&expect)
                     ),
-                    "shared-drop swap pricing diverged from the single-probe delta ({probe:?})"
+                    "drop-spliced swap pricing diverged from the single-probe delta ({probe:?})"
                 );
             }
             out.push(ProbeDelta { total, repriced });
@@ -1692,19 +1819,19 @@ impl WorkloadModel {
         added: &[ArmRef],
     ) -> f64 {
         debug_assert!(self.live[q], "arm index holds a tombstone");
-        let off = self.floor_at(floor, q);
+        let at = self.floor_at(floor, q);
         let plans = self.query_plans(q);
         let slot0 = plans[0].slot_start as usize;
         // Where the query's slot minima start, after its plan costs.
-        let mins = off + plans.len();
-        self.shift_slots(floor, mins, slot0, probed, dropped, added);
+        let mins = at.vals + plans.len();
+        self.shift_slots(floor, mins, at.tops, slot0, probed, dropped, added);
         let SlotFloor { vals, saved, .. } = floor;
         let mut best = f64::INFINITY;
         for (k, plan) in plans.iter().enumerate() {
             let first = mins + 2 * (plan.slot_start as usize - slot0);
             let last = mins + 2 * (plan.slot_end as usize - slot0);
             let cost = if !saved.iter().any(|&(at, _)| (first..last).contains(&at)) {
-                vals[off + k]
+                vals[at.vals + k]
             } else if plan.internal >= best {
                 continue;
             } else {
@@ -1733,15 +1860,15 @@ impl WorkloadModel {
         added: &[ArmRef],
     ) -> f64 {
         debug_assert!(self.live[q], "arm index holds a tombstone");
-        let off = self.floor_at(floor, q);
+        let at = self.floor_at(floor, q);
         self.settle(floor, q, probed, dropped, added);
         let plans = self.query_plans(q).len();
-        self.weights[q] * least(&floor.vals[off..off + plans])
+        self.weights[q] * least(&floor.vals[at.vals..at.vals + plans])
     }
 
     /// Moves filled query `q`'s floor onto `words` for good, across the
     /// `dropped` and `added` arms of the candidates that changed: the
-    /// slot rules of [`Self::shift_slots`], then every plan holding a
+    /// slot rules of [`Self::settle_slots`], then every plan holding a
     /// moved minimum re-summed (unbounded) and stored.
     fn settle(
         &self,
@@ -1751,17 +1878,17 @@ impl WorkloadModel {
         dropped: &[ArmRef],
         added: &[ArmRef],
     ) {
-        let off = floor.at[q];
+        let at = floor.at[q];
         let plans = self.query_plans(q);
         let slot0 = plans[0].slot_start as usize;
-        let mins = off + plans.len();
-        self.shift_slots(floor, mins, slot0, words, dropped, added);
+        let mins = at.vals + plans.len();
+        self.settle_slots(floor, mins, at.tops, slot0, words, dropped, added);
         let SlotFloor { vals, saved, .. } = floor;
         for (k, plan) in plans.iter().enumerate() {
             let first = mins + 2 * (plan.slot_start as usize - slot0);
             let last = mins + 2 * (plan.slot_end as usize - slot0);
             if saved.iter().any(|&(at, _)| (first..last).contains(&at)) {
-                vals[off + k] = self.plan_cost(plan, f64::INFINITY, |i, _, standalone| {
+                vals[at.vals + k] = self.plan_cost(plan, f64::INFINITY, |i, _, standalone| {
                     vals[first + 2 * i + usize::from(!standalone)]
                 });
             }
@@ -1769,48 +1896,62 @@ impl WorkloadModel {
         saved.clear();
     }
 
-    /// The slot rules of the floor kernel, applied in place to the slot
-    /// minima starting at `mins` (a query whose first slot is `slot0`);
-    /// `words` is the selection being priced. A dropped arm whose cost
-    /// equals its slot's minimum (ties included: another candidate's arm
-    /// of equal cost may be the one the scan kept, or it may not) rescans
-    /// that slot under `words`; any other dropped arm was not the minimum
-    /// and changes nothing. An added arm lowers its slot to
-    /// `min(minimum, arm)`. Either rule leaves the exact scan result, so
-    /// arms of several candidates compose in any order. Each minimum that
-    /// moves is pushed with its old value onto `floor.saved` (cleared
-    /// first).
+    /// Where arm `a` of a query whose first slot is `slot0` sits in the
+    /// query's floor: the index of its minimum among the query's slot
+    /// minima (standalone then probe, slot by slot), its slot, whether it
+    /// is a standalone arm, and its position in its run.
+    #[inline]
+    fn locate(&self, a: &ArmRef, slot0: usize) -> (usize, &SlotMeta, bool, u32) {
+        let slot = &self.slots[a.slot as usize];
+        let standalone = a.pos < slot.s_end;
+        let k = 2 * (a.slot as usize - slot0) + usize::from(!standalone);
+        let pos = a.pos as usize - slot.run(standalone).0;
+        (k, slot, standalone, pos as u32)
+    }
+
+    /// The probe slot rules of the floor kernel, applied in place to the
+    /// slot minima starting at `mins` in the floor's values, whose
+    /// [`Top2`]s start at `tops` (a query whose first slot is `slot0`);
+    /// `words` is the selection being priced. A dropped arm moves its
+    /// slot's minimum only when it is the winner, and then onto the
+    /// runner-up's cost, in one read: a run names each candidate once and
+    /// a probe drops one candidate, so the runner-up is still live. An
+    /// added arm lowers its slot to `min(minimum, arm)`. Either rule
+    /// leaves the exact scan result, and drops come first, so a swap
+    /// composes. Each minimum that moves is pushed with its old value onto
+    /// `floor.saved` (cleared first); the tops stay on the floor's base.
+    #[allow(clippy::too_many_arguments)]
     fn shift_slots(
         &self,
         floor: &mut SlotFloor,
         mins: usize,
+        tops: usize,
         slot0: usize,
         words: &[u64],
         dropped: &[ArmRef],
         added: &[ArmRef],
     ) {
-        let SlotFloor { vals, saved, .. } = floor;
+        let SlotFloor {
+            vals,
+            tops: top2,
+            saved,
+            ..
+        } = floor;
         saved.clear();
-        let locate = |a: &ArmRef| {
-            let slot = &self.slots[a.slot as usize];
-            let standalone = a.pos < slot.s_end;
-            let at = mins + 2 * (a.slot as usize - slot0) + usize::from(!standalone);
-            (at, slot, standalone, self.arm_costs[a.pos as usize])
-        };
         for a in dropped {
-            let (at, slot, standalone, arm) = locate(a);
-            let cur = vals[at];
-            if arm == cur {
-                let new = self.slot_min(slot, standalone, words);
+            let (k, slot, standalone, pos) = self.locate(a, slot0);
+            let top = top2[tops + k];
+            if pos == top.win {
+                let (cur, new) = (vals[mins + k], self.ranked_cost(slot, standalone, top.next));
                 if new.to_bits() != cur.to_bits() {
-                    saved.push((at, cur));
-                    vals[at] = new;
+                    saved.push((mins + k, cur));
+                    vals[mins + k] = new;
                 }
             }
         }
         for a in added {
-            let (at, slot, standalone, arm) = locate(a);
-            let cur = vals[at];
+            let (k, slot, standalone, _) = self.locate(a, slot0);
+            let (cur, arm) = (vals[mins + k], self.arm_costs[a.pos as usize]);
             let new = if arm < cur {
                 arm
             } else if arm > cur || arm.to_bits() == cur.to_bits() {
@@ -1821,8 +1962,83 @@ impl WorkloadModel {
                 self.slot_min(slot, standalone, words)
             };
             if new.to_bits() != cur.to_bits() {
-                saved.push((at, cur));
+                saved.push((mins + k, cur));
+                vals[mins + k] = new;
+            }
+        }
+    }
+
+    /// [`Self::shift_slots`]' rules, kept: each slot's [`Top2`] moves with
+    /// its minimum, in O(1) an arm. An added arm is placed by (cost, run
+    /// position), the always arm first: ahead of the winner it wins and
+    /// the winner runs up; else ahead of the runner-up it runs up. A
+    /// dropped winner or runner-up leaves a place no top can fill, so that
+    /// slot alone is rescanned under `words`; any other drop moves
+    /// nothing. A move settles its candidates one at a time onto its final
+    /// selection, so a rescan may already hold a later candidate's change:
+    /// an added arm already winning stays where it is (one already
+    /// running up, or behind, is never placed ahead). Moved minima go onto
+    /// `floor.saved` for the plan re-sum.
+    #[allow(clippy::too_many_arguments)]
+    fn settle_slots(
+        &self,
+        floor: &mut SlotFloor,
+        mins: usize,
+        tops: usize,
+        slot0: usize,
+        words: &[u64],
+        dropped: &[ArmRef],
+        added: &[ArmRef],
+    ) {
+        let SlotFloor {
+            vals,
+            tops: top2,
+            saved,
+            ..
+        } = floor;
+        saved.clear();
+        let mut moved = |at: usize, new: f64| {
+            if new.to_bits() != vals[at].to_bits() {
+                saved.push((at, vals[at]));
                 vals[at] = new;
+            }
+        };
+        for a in dropped {
+            let (k, slot, standalone, pos) = self.locate(a, slot0);
+            let top = &mut top2[tops + k];
+            if pos == top.win || pos == top.next {
+                let new;
+                (new, *top) = self.slot_top2(slot, standalone, words);
+                moved(mins + k, new);
+            }
+        }
+        for a in added {
+            let (k, slot, standalone, pos) = self.locate(a, slot0);
+            let top = &mut top2[tops + k];
+            let arm = self.arm_costs[a.pos as usize];
+            if pos == top.win {
+                continue;
+            }
+            if ahead(
+                arm,
+                pos,
+                self.ranked_cost(slot, standalone, top.win),
+                top.win,
+            ) {
+                *top = Top2 {
+                    win: pos,
+                    next: top.win,
+                };
+                moved(mins + k, arm);
+            } else if top.win != ALWAYS
+                && ahead(
+                    arm,
+                    pos,
+                    self.ranked_cost(slot, standalone, top.next),
+                    top.next,
+                )
+            {
+                top.next = pos;
             }
         }
     }
@@ -1833,36 +2049,37 @@ impl WorkloadModel {
         &self.plans[qm.plan_start as usize..qm.plan_end as usize]
     }
 
-    /// Offset of query `q`'s floor in the floor's values, filling it under
-    /// the floor's base first if no probe has touched `q` yet.
-    fn floor_at(&self, floor: &mut SlotFloor, q: usize) -> usize {
+    /// Where query `q`'s floor starts, filling it under the floor's base
+    /// first if no probe has touched `q` yet.
+    fn floor_at(&self, floor: &mut SlotFloor, q: usize) -> FloorAt {
         if floor.at[q] == UNFILLED {
-            let off = floor.vals.len();
-            floor.vals.resize(off + self.floor_len(q), 0.0);
-            self.fill_floor(q, floor.base.words(), &mut floor.vals[off..]);
-            floor.at[q] = off;
+            let at = FloorAt {
+                vals: floor.vals.len(),
+                tops: floor.tops.len(),
+            };
+            let minima = 2 * self.query_slots(q).len();
+            floor
+                .vals
+                .resize(at.vals + self.query_plans(q).len() + minima, 0.0);
+            floor.tops.resize(at.tops + minima, Top2::ALWAYS);
+            let (vals, tops) = (&mut floor.vals[at.vals..], &mut floor.tops[at.tops..]);
+            self.fill_floor(q, floor.base.words(), vals, tops);
+            floor.at[q] = at;
         }
         floor.at[q]
     }
 
-    /// Values in one query's floor: a cost per plan, two minima per slot.
-    fn floor_len(&self, q: usize) -> usize {
-        self.query_plans(q).len() + 2 * self.query_slots(q).len()
-    }
-
-    /// Writes query `q`'s floor under `words` into `out`: its plans'
-    /// costs (unbounded, `+∞` when inapplicable), then each slot's
-    /// standalone and probe minimum.
-    fn fill_floor(&self, q: usize, words: &[u64], out: &mut [f64]) {
+    /// Writes query `q`'s floor under `words`: into `out` its plans' costs
+    /// (unbounded, `+∞` when inapplicable), then each slot's standalone
+    /// and probe minimum, and into `tops` each minimum's [`Top2`].
+    fn fill_floor(&self, q: usize, words: &[u64], out: &mut [f64], tops: &mut [Top2]) {
         let plans = self.query_plans(q);
         let slots = self.query_slots(q);
         let (costs, mins) = out.split_at_mut(plans.len());
-        for (slot, m) in self.slots[slots.clone()]
-            .iter()
-            .zip(mins.chunks_exact_mut(2))
-        {
-            m[0] = self.slot_min(slot, true, words);
-            m[1] = self.slot_min(slot, false, words);
+        let minima = mins.chunks_exact_mut(2).zip(tops.chunks_exact_mut(2));
+        for (slot, (m, t)) in self.slots[slots.clone()].iter().zip(minima) {
+            (m[0], t[0]) = self.slot_top2(slot, true, words);
+            (m[1], t[1]) = self.slot_top2(slot, false, words);
         }
         for (cost, plan) in costs.iter_mut().zip(plans) {
             let first = 2 * (plan.slot_start as usize - slots.start);
@@ -1916,25 +2133,55 @@ impl WorkloadModel {
     }
 
     /// Every filled live query's floor equals a fresh fill under the
-    /// floor's base, and the least of its plan costs, weighted, is the
-    /// query's `price_full` entry bit for bit.
+    /// floor's base — values and each slot's winner and runner-up — the
+    /// fill's two-minimum scan agrees with the plain one (the winner's
+    /// cost is the scan's minimum, and a scan with the winner's candidate
+    /// cleared keeps the runner-up's cost), and the least of its plan
+    /// costs, weighted, is the query's `price_full` entry bit for bit.
     #[cfg(debug_assertions)]
     fn debug_assert_floor_is_fresh(&self, floor: &SlotFloor) {
         let words = floor.base.words();
-        for (q, &off) in floor.at.iter().enumerate() {
-            if off == UNFILLED || !self.live[q] {
+        for (q, &at) in floor.at.iter().enumerate() {
+            if at == UNFILLED || !self.live[q] {
                 continue;
             }
-            let mut fresh = vec![0.0; self.floor_len(q)];
-            self.fill_floor(q, words, &mut fresh);
-            let kept = &floor.vals[off..off + fresh.len()];
+            let (plans, slots) = (self.query_plans(q).len(), self.query_slots(q));
+            let mut fresh = vec![0.0; plans + 2 * slots.len()];
+            let mut fresh_tops = vec![Top2::ALWAYS; 2 * slots.len()];
+            self.fill_floor(q, words, &mut fresh, &mut fresh_tops);
+            let kept = &floor.vals[at.vals..at.vals + fresh.len()];
             debug_assert!(
                 kept.iter()
                     .zip(&fresh)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "slot floor of query {q} diverged from a fresh fill"
             );
-            let best = least(&kept[..self.query_plans(q).len()]);
+            debug_assert!(
+                floor.tops[at.tops..at.tops + fresh_tops.len()] == fresh_tops[..],
+                "winner/runner-up of query {q} diverged from a fresh two-minimum scan"
+            );
+            let mut without = words.to_vec();
+            for (k, top) in fresh_tops.iter().enumerate() {
+                let (slot, standalone) = (&self.slots[slots.start + k / 2], k % 2 == 0);
+                let scan = self.slot_min(slot, standalone, words).to_bits();
+                debug_assert!(
+                    fresh[plans + k].to_bits() == scan
+                        && self.ranked_cost(slot, standalone, top.win).to_bits() == scan,
+                    "two-minimum scan of query {q} diverged from the plain scan"
+                );
+                if top.win != ALWAYS {
+                    let c = self.arm_cands[slot.run(standalone).0 + top.win as usize] as usize;
+                    without[c / 64] &= !(1 << (c % 64));
+                    let next = self.slot_min(slot, standalone, &without);
+                    without[c / 64] = words[c / 64];
+                    debug_assert_eq!(
+                        self.ranked_cost(slot, standalone, top.next).to_bits(),
+                        next.to_bits(),
+                        "runner-up of query {q} is not what a scan without its winner keeps"
+                    );
+                }
+            }
+            let best = least(&kept[..plans]);
             debug_assert_eq!(
                 (self.weights[q] * best).to_bits(),
                 self.contribution_in(q, words).to_bits(),
@@ -1949,17 +2196,58 @@ fn least(costs: &[f64]) -> f64 {
     (costs.iter()).fold(f64::INFINITY, |best, &c| if c < best { c } else { best })
 }
 
+/// Whether an arm costing `cost` at run position `pos` comes before the
+/// arm costing `than` at `than_pos` in a slot scan's order: cheaper, or
+/// as cheap and earlier. The always arm ([`ALWAYS`]) is scanned first, so
+/// it wins its ties.
+fn ahead(cost: f64, pos: u32, than: f64, than_pos: u32) -> bool {
+    cost < than || (cost == than && than_pos != ALWAYS && pos < than_pos)
+}
+
+/// A slot minimum's two leading arms under a floor's base, as positions
+/// in the slot's standalone or probe run — relative to the run, so they
+/// survive [`WorkloadModel::compact`], which copies each run in order.
+/// The **winner** attains the minimum; the **runner-up** is the arm a
+/// scan without the winner keeps. [`ALWAYS`] marks the always arm (`+∞`
+/// on a slot without one); a slot the always arm wins, which no drop can
+/// move, has no runner-up and marks it `ALWAYS` too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Top2 {
+    win: u32,
+    next: u32,
+}
+
+impl Top2 {
+    /// The always arm wins.
+    const ALWAYS: Self = Self {
+        win: ALWAYS,
+        next: ALWAYS,
+    };
+}
+
+/// Where one filled query's floor starts: its plan costs (then its slot
+/// minima) in a [`SlotFloor`]'s values, and its minima's [`Top2`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FloorAt {
+    vals: usize,
+    tops: usize,
+}
+
 /// Offset mark of a query whose floor is not filled yet.
-const UNFILLED: usize = usize::MAX;
+const UNFILLED: FloorAt = FloorAt {
+    vals: usize::MAX,
+    tops: usize::MAX,
+};
 
 /// What a search knows about the selection it stands on: for each query
-/// a probe has touched, each plan's cost and each slot's standalone and
-/// probe minimum under the floor's base selection (module docs,
-/// "Incremental pricing"). It starts empty and fills one query at a time,
-/// the first time a probe touches the query, so its size and its cost
-/// follow the queries a search actually probes. Every kernel call first
-/// moves it onto the caller's selection, settling only the filled queries
-/// the changed candidates affect.
+/// a probe has touched, each plan's cost, each slot's standalone and
+/// probe minimum, and each minimum's winner and runner-up (`Top2`)
+/// under the floor's base selection (module docs, "Incremental
+/// pricing"). It starts empty and fills one query at a time, the first
+/// time a probe touches the query, so its size and its cost follow the
+/// queries a search actually probes. Every kernel call first moves it
+/// onto the caller's selection, settling only the filled queries the
+/// changed candidates affect.
 ///
 /// A floor belongs to one model. Admission and eviction need nothing;
 /// after [`WorkloadModel::compact`] hand it the remap
@@ -1968,11 +2256,14 @@ const UNFILLED: usize = usize::MAX;
 pub struct SlotFloor {
     /// The selection the floor stands on (zero words until first use).
     base: SelView,
-    /// Per query id: where its floor starts in `vals`, or `UNFILLED`.
-    at: Vec<usize>,
+    /// Per query id: where its floor starts, or `UNFILLED`.
+    at: Vec<FloorAt>,
     /// Per filled query: its plans' costs, then its slots' (standalone,
     /// probe) minima, in the model's plan and slot order.
     vals: Vec<f64>,
+    /// Per filled query: its slot minima's tops, in the same order as
+    /// its minima in `vals`.
+    tops: Vec<Top2>,
     /// The values one query's probe overrides, with their floor values.
     saved: Vec<(usize, f64)>,
 }
@@ -2029,7 +2320,7 @@ fn probed_selection(selection: &Selection, probe: Probe) -> Selection {
 }
 
 /// A changed list with its costs as bits, for exact comparisons.
-#[cfg(any(debug_assertions, test))]
+#[cfg(debug_assertions)]
 fn changed_bits(changed: &[(u32, f64)]) -> Vec<(u32, u64)> {
     changed.iter().map(|&(q, c)| (q, c.to_bits())).collect()
 }
@@ -2414,11 +2705,12 @@ mod tests {
         let models = build_models(&cat, &queries, &pool);
         let mut wm = model_of(&models, &pool);
         wm.reweight_query(1, 2.5);
-        let back = WorkloadModel::from_parts(wm.to_parts()).expect("roundtrip");
+        let back = WorkloadModel::from_parts(pool.len(), wm.to_parts()).expect("roundtrip");
         assert_eq!(back, wm, "parts roundtrip changed the model");
         // Tombstones must roundtrip too (empty extents, zero weight).
         wm.evict_query(0);
-        let back = WorkloadModel::from_parts(wm.to_parts()).expect("tombstone roundtrip");
+        let back =
+            WorkloadModel::from_parts(pool.len(), wm.to_parts()).expect("tombstone roundtrip");
         assert_eq!(back, wm);
         assert_eq!(back.live_query_count(), 1);
         let sel = Selection::from_ids(pool.len(), &[0, 3]);
@@ -2560,7 +2852,7 @@ mod tests {
         let parts = wm.to_parts();
         assert_eq!(parts.plan_internal, [1000.0, 10.0], "both plans can win");
         assert!(parts.arm_costs.iter().all(|c| c.is_finite()));
-        let back = WorkloadModel::from_parts(parts).expect("finite arms restore");
+        let back = WorkloadModel::from_parts(2, parts).expect("finite arms restore");
         assert_eq!(back, wm);
         let oracle = CacheCostModel::new(&cache, &access);
         for ids in [&[][..], &[0], &[1], &[0, 1]] {
@@ -2607,7 +2899,7 @@ mod tests {
         p.plan_slot_end.push(slot + 1);
         p.query_plan_end[q] += 1;
 
-        let restored = WorkloadModel::from_parts(p).expect("unpruned parts restore");
+        let restored = WorkloadModel::from_parts(pool.len(), p).expect("unpruned parts restore");
         assert_ne!(restored, wm, "the dead plan was not appended");
         assert!(restored.query_arm_count(q) > wm.query_arm_count(q));
         for mask in 0u32..(1 << pool.len()) {
@@ -2643,65 +2935,73 @@ mod tests {
         let wm = model_of(&models, &pool);
         let good = wm.to_parts();
 
+        // The parts' pool size is checked against the caller's pool
+        // before anything is sized from it: never allocated, not even
+        // attempted.
+        let mut p = good.clone();
+        p.pool_size = u64::MAX;
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len() + 1, good.clone()).is_err());
+
         let mut p = good.clone();
         p.slot_s_end[0] = u32::MAX; // extent past the arm arrays
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let mut p = good.clone();
         p.arm_cands[0] = pool.len() as u32; // candidate outside the pool
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         // Terms the bounded kernel scan needs non-negative (and, but for
         // the always-arm `+∞` mark, finite).
         let mut p = good.clone();
         p.arm_costs[0] = -1.0;
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let mut p = good.clone();
         p.plan_internal[0] = -1.0;
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let mut p = good.clone();
         p.plan_internal[0] = f64::NAN;
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let mut p = good.clone();
         p.slot_coef[0] = f64::NAN;
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let mut p = good.clone();
         p.slot_pcoef[0] = -0.5;
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let scan = good.slot_s_always.iter().position(|c| c.is_finite());
         let mut p = good.clone();
         p.slot_s_always[scan.expect("a slot with an always arm")] = -1.0;
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let no_probe = good.slot_p_always.iter().position(|c| c.is_infinite());
         let mut p = good.clone();
         p.slot_p_always[no_probe.expect("a slot without an always probe")] = f64::NAN;
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let mut p = good.clone();
         p.weights[0] = -1.0; // live query with a non-positive weight
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let mut p = good.clone();
         p.weights.pop(); // query arrays out of sync
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         // Extents must tile: no mutation path shares a plan or a slot.
         let mut p = good.clone();
         p.query_plan_start[1] = p.query_plan_start[0]; // query 1 reuses query 0's plans
         p.query_plan_end[1] = p.query_plan_end[0];
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
 
         let mut p = good.clone();
         let n_slots = p.slot_coef.len() as u32;
         p.plan_slot_start.fill(0); // every plan spans every slot
         p.plan_slot_end.fill(n_slots);
-        assert!(WorkloadModel::from_parts(p).is_err());
+        assert!(WorkloadModel::from_parts(pool.len(), p).is_err());
     }
 
     #[test]
@@ -2796,7 +3096,7 @@ mod tests {
         check(&wm, "evict");
         assert_eq!(wm.compact(), vec![0, u32::MAX, 1]);
         check(&wm, "compact");
-        let back = WorkloadModel::from_parts(wm.to_parts()).expect("roundtrip");
+        let back = WorkloadModel::from_parts(pool.len(), wm.to_parts()).expect("roundtrip");
         check(&back, "from_parts");
     }
 
@@ -2848,6 +3148,54 @@ mod tests {
         // set_query_cost alone follows the same contract.
         pushed.set_query_cost(0, 99.0);
         assert!(pushed.total() > rebuilt.total());
+    }
+
+    /// The bottom-up overlay adds what a splice then a re-total adds, in
+    /// the same tree shape: one query, an exact power of two, the last
+    /// leaf alone, every leaf, and random sparse lists, over costs whose
+    /// magnitudes make every addition round.
+    #[test]
+    fn overlaid_total_equals_the_spliced_total() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut draw = || {
+            let x = next();
+            (x % 1000) as f64 * 0.1 + (x / 1000 % 7) as f64 * 1e15
+        };
+        for n in [1u32, 2, 5, 8, 13, 16, 33] {
+            let state = PricedWorkload::from_costs((0..n).map(|_| draw()).collect());
+            let mut lists: Vec<Vec<(u32, f64)>> = vec![
+                vec![],
+                vec![(0, draw())],
+                vec![(n - 1, draw())],
+                (0..n).map(|q| (q, draw())).collect(),
+            ];
+            for _ in 0..8 {
+                // Each leaf joins with odds of one in five.
+                let sparse = (0..n)
+                    .map(|q| (q, draw()))
+                    .filter(|&(_, c)| (c as u64).is_multiple_of(5));
+                lists.push(sparse.collect());
+            }
+            for changed in lists {
+                let mut spliced = state.clone();
+                spliced.apply_changed(&changed);
+                assert_eq!(
+                    state.overlaid_total(&changed).to_bits(),
+                    spliced.total().to_bits(),
+                    "{n} leaves, changed {changed:?}"
+                );
+                assert_eq!(
+                    spliced.total().to_bits(),
+                    pairwise_total(spliced.per_query()).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,12 @@
 //! [`CacheCostModel`] oracle prices every query to the same bits. The
 //! slot-floor kernel is checked against the `price_full` diff on
 //! hand-built workloads whose arms tie on purpose, with one floor carried
-//! through every probe, commit and mutation.
+//! through every probe, commit and mutation. One-slot workloads walk the
+//! floor's winner and runner-up through each case its rules name: a
+//! winner tied with its runner-up, the always arm running up, `±0.0`
+//! arms, committed drops of the winner and of the runner-up, a swap that
+//! drops the winner and adds an arm equal to the runner-up, and a
+//! compaction under a carried floor.
 
 use pinum_catalog::{Catalog, Column, ColumnType, Index, Table};
 use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
@@ -284,19 +289,14 @@ fn live(model: &WorkloadModel) -> Vec<usize> {
         .collect()
 }
 
-/// Two candidates gate arms of equal cost (10) on one slot above an
-/// always-available scan (50). Dropping the only selected one of them
-/// must rescan the slot even though its arm merely *equals* the floor;
-/// a drop rule that rescans only below the floor would keep pricing the
-/// dropped index. Every probe from every selection, one floor carried
-/// through all of them, prices like a full re-pricing, and so does each
-/// probe on a throwaway floor.
-#[test]
-fn a_drop_rescans_a_slot_whose_floor_its_arm_ties() {
-    let mut cache = PlanCache::new("tie", 1, InterestingOrders::new(vec![vec![1]]));
+/// One relation under one plan (`internal`, access coefficient 1) whose
+/// standalone run holds `arms` — `(candidate, cost)` in scan order —
+/// above an always-available scan costing `always`.
+fn one_slot(internal: f64, arms: &[(usize, f64)], always: f64) -> (PlanCache, AccessCostCatalog) {
+    let mut cache = PlanCache::new("slot", 1, InterestingOrders::new(vec![vec![1]]));
     cache.insert(CachedPlan {
         ioc: Ioc::NONE,
-        internal: 1.0,
+        internal,
         coefs: vec![1.0],
         probe_coefs: vec![0.0],
         uses_nlj: false,
@@ -309,35 +309,98 @@ fn a_drop_rescans_a_slot_whose_floor_its_arm_ties() {
         cost,
         probe: None,
     };
-    let access = AccessCostCatalog::from_parts(
-        vec![vec![
-            arm(Some(0), 10.0),
-            arm(Some(1), 10.0),
-            arm(None, 50.0),
-        ]],
-        CostParams::default(),
-    );
+    let mut entries: Vec<_> = arms.iter().map(|&(c, cost)| arm(Some(c), cost)).collect();
+    entries.push(arm(None, always));
+    let access = AccessCostCatalog::from_parts(vec![entries], CostParams::default());
+    (cache, access)
+}
+
+/// Every probe from `selection` prices like its `price_full` diff: all of
+/// them in one batch on the carried `floor` (total and `repriced`), each
+/// committed on it and then refused, the floor moved back (total and
+/// changed list), and each on a fresh floor.
+fn check_every_probe(
+    model: &WorkloadModel,
+    state: &PricedWorkload,
+    selection: &Selection,
+    floor: &mut SlotFloor,
+) {
+    let probes = every_probe(selection, model.pool_size());
+    let batch = model.price_batch_on(state, selection, &probes, None, floor);
+    let mut changed = Vec::new();
+    for (&probe, delta) in probes.iter().zip(&batch) {
+        let (total, want, union) = full_diff(model, state, selection, probe);
+        let what = format!("{:?} {probe:?}", selection.ids().collect::<Vec<_>>());
+        assert_eq!(
+            (delta.total.to_bits(), delta.repriced),
+            (total, union.len()),
+            "batch {what}"
+        );
+        let carried = model.commit_probe_on(state, selection, probe, floor, &mut changed);
+        assert_eq!(
+            (carried.total.to_bits(), bits(&changed)),
+            (total, want.clone()),
+            "refused {what}"
+        );
+        model.move_floor(floor, selection);
+        let mut fresh = SlotFloor::default();
+        let own = model.commit_probe_on(state, selection, probe, &mut fresh, &mut changed);
+        assert_eq!(
+            (own.total.to_bits(), bits(&changed)),
+            (total, want),
+            "fresh {what}"
+        );
+    }
+}
+
+/// Walks `moves` from `selection`, committing each on the carried
+/// `floor` (checked against the `price_full` diff) after checking every
+/// probe from the selection it leaves, and every probe from the last.
+fn walk(
+    model: &WorkloadModel,
+    state: &mut PricedWorkload,
+    selection: &mut Selection,
+    floor: &mut SlotFloor,
+    moves: &[Probe],
+) {
+    let mut changed = Vec::new();
+    for &probe in moves {
+        check_every_probe(model, state, selection, floor);
+        let (total, want, _) = full_diff(model, state, selection, probe);
+        let delta = model.commit_probe_on(state, selection, probe, floor, &mut changed);
+        assert_eq!(
+            (delta.total.to_bits(), bits(&changed)),
+            (total, want),
+            "commit {probe:?}"
+        );
+        state.apply_changed(&changed);
+        *selection = probed(selection, probe);
+        assert_state_is_fresh(model, selection, state, 0);
+    }
+    check_every_probe(model, state, selection, floor);
+}
+
+/// Two candidates gate arms of equal cost (10) on one slot above an
+/// always-available scan (50). Dropping the selected one that wins must
+/// hand the slot to the other, its runner-up, when both are selected, and
+/// to the scan when only it is: a drop rule that kept the floor because
+/// the dropped arm merely *equals* it would keep pricing the dropped
+/// index. Every probe from every selection, one floor carried through all
+/// of them, prices like a full re-pricing, and so does each probe on a
+/// throwaway floor.
+#[test]
+fn a_dropped_winner_hands_its_slot_to_its_runner_up() {
+    let (cache, access) = one_slot(1.0, &[(0, 10.0), (1, 10.0)], 50.0);
     let model = WorkloadModel::build(2, [(&cache, &access)]);
     let mut floor = SlotFloor::default();
-    let mut changed = Vec::new();
     for ids in [&[][..], &[0], &[1], &[0, 1]] {
         let selection = Selection::from_ids(2, ids);
-        let state = model.price_full(&selection);
-        for probe in every_probe(&selection, 2) {
-            let (total, want, _) = full_diff(&model, &state, &selection, probe);
-            let carried = model.price_batch_on(&state, &selection, &[probe], None, &mut floor);
-            let mut fresh = SlotFloor::default();
-            let own = model.commit_probe_on(&state, &selection, probe, &mut fresh, &mut changed);
-            assert_eq!(
-                (
-                    carried[0].total.to_bits(),
-                    own.total.to_bits(),
-                    bits(&changed)
-                ),
-                (total, total, want),
-                "{ids:?} {probe:?}"
-            );
-        }
+        check_every_probe(
+            &model,
+            &model.price_full(&selection),
+            &selection,
+            &mut floor,
+        );
     }
     let only_zero = Selection::from_ids(2, &[0]);
     let state = model.price_full(&only_zero);
@@ -347,6 +410,113 @@ fn a_drop_rescans_a_slot_whose_floor_its_arm_ties() {
         dropped[0].total, 51.0,
         "the dropped index still priced the slot"
     );
+}
+
+/// The run 10 (c0), 20 (c1), 20 (c3), 30 (c2), 50 (c4) above a scan of
+/// 50: c1 and c3 tie as winner and runner-up, c4 ties the scan (which
+/// is scanned first, so it keeps the slot and runs up ahead of c4), and
+/// moves commit the winner's drop, the runner-up's drop and adds
+/// behind and ahead of both. One floor is carried throughout; a settle
+/// that kept a dropped runner-up would hand the slot to it on the next
+/// winner drop.
+#[test]
+fn winner_and_runner_up_follow_every_committed_move() {
+    let arms = [(0, 10.0), (1, 20.0), (3, 20.0), (2, 30.0), (4, 50.0)];
+    let (cache, access) = one_slot(1.0, &arms, 50.0);
+    let model = WorkloadModel::build(5, [(&cache, &access)]);
+    let mut selection = Selection::empty(5);
+    let mut state = model.price_full(&selection);
+    let mut floor = SlotFloor::default();
+    let add = |cand| Probe::Add { cand };
+    let drop = |cand| Probe::Drop { cand };
+    let moves = [
+        add(4),                          // ties the scan: the scan keeps the slot
+        add(2),                          // wins; the scan runs up
+        add(1),                          // wins; c2 runs up
+        add(3),                          // ties the winner, behind it: runs up
+        add(0),                          // wins; c1 runs up
+        drop(1),                         // the runner-up: c3 runs up
+        drop(0),                         // the winner: c3 wins, c2 runs up
+        Probe::Swap { add: 1, drop: 3 }, // drops the winner, adds its equal
+        drop(2),                         // the runner-up again: the scan runs up
+        drop(1),                         // the winner: the scan keeps the slot
+    ];
+    walk(&model, &mut state, &mut selection, &mut floor, &moves);
+    assert_eq!(selection.ids().collect::<Vec<_>>(), [4]);
+    assert_eq!(state.total(), 51.0);
+}
+
+/// Arms of cost `+0.0` and `−0.0` on one slot under a plan of internal
+/// cost `−0.0`, so the sign the scan keeps reaches the query's price: the
+/// first zero in scan order wins, however the zeros were selected. An
+/// added zero ahead of the winner takes the slot (a placement by cost
+/// alone would keep the old sign), and a swap that drops the winner adds
+/// a zero equal to its runner-up, ahead of it or behind it.
+#[test]
+fn signed_zero_arms_keep_the_sign_the_scan_keeps() {
+    let arms = [(0, -0.0), (1, 0.0), (2, -0.0), (3, 0.0)];
+    let (cache, access) = one_slot(-0.0, &arms, 50.0);
+    let model = WorkloadModel::build(4, [(&cache, &access)]);
+    let mut selection = Selection::empty(4);
+    let mut state = model.price_full(&selection);
+    let mut floor = SlotFloor::default();
+    let add = |cand| Probe::Add { cand };
+    let swap = |add, drop| Probe::Swap { add, drop };
+    let moves = [
+        add(3),
+        add(1),                  // +0.0 ahead of +0.0: wins
+        add(2),                  // −0.0 equal to the winner, behind it: runs up
+        add(0),                  // −0.0 ahead of the winner: wins, the sign flips
+        Probe::Drop { cand: 1 }, // the runner-up
+        Probe::Drop { cand: 0 }, // the winner: c2 wins, c3 runs up
+        swap(1, 2), // drops the winner, adds a zero equal to its runner-up, ahead of it
+        swap(0, 3), // drops the runner-up, adds a zero ahead of the winner
+    ];
+    walk(&model, &mut state, &mut selection, &mut floor, &moves);
+    assert_eq!(selection.ids().collect::<Vec<_>>(), [0, 1]);
+    assert_eq!(state.total().to_bits(), (-0.0f64).to_bits());
+}
+
+/// A floor carried across an eviction, `compact` and `renumber`: the
+/// evicted query's arms sat ahead of the survivor's, so compaction moves
+/// every surviving arm; the floor's winners and runner-ups, positions in
+/// their runs, still name the same arms.
+#[test]
+fn winner_and_runner_up_survive_compaction() {
+    let (filler, filler_access) = one_slot(1.0, &[(2, 5.0), (0, 6.0)], 7.0);
+    let (cache, access) = one_slot(1.0, &[(0, 10.0), (1, 20.0), (3, 20.0), (2, 30.0)], 50.0);
+    let mut model = WorkloadModel::build(4, [(&filler, &filler_access), (&cache, &access)]);
+    let mut selection = Selection::from_ids(4, &[0, 1, 2, 3]);
+    let mut state = model.price_full(&selection);
+    let mut floor = SlotFloor::default();
+    check_every_probe(&model, &state, &selection, &mut floor);
+    model.evict_query(0);
+    let remap = model.compact();
+    floor.renumber(&remap);
+    state = model.price_full(&selection);
+    let drop = |cand| Probe::Drop { cand };
+    walk(
+        &model,
+        &mut state,
+        &mut selection,
+        &mut floor,
+        &[drop(0), drop(1), drop(3)],
+    );
+    assert_eq!(state.total(), 31.0);
+}
+
+/// Restore refuses a slot run that names one candidate twice: the floor
+/// kernel's drop rule hands a dropped winner's slot to its runner-up,
+/// which such a run could drop along with it.
+#[test]
+fn a_run_naming_one_candidate_twice_is_refused() {
+    let (cache, access) = one_slot(1.0, &[(0, 10.0), (1, 20.0)], 50.0);
+    let model = WorkloadModel::build(2, [(&cache, &access)]);
+    let good = model.to_parts();
+    assert!(WorkloadModel::from_parts(2, good.clone()).is_ok());
+    let mut twice = good;
+    twice.arm_cands[1] = twice.arm_cands[0];
+    assert!(WorkloadModel::from_parts(2, twice).is_err());
 }
 
 proptest! {

@@ -931,11 +931,7 @@ impl OnlineAdvisor {
         if baseline_mean.is_nan() {
             return Err("drift baseline is NaN");
         }
-        // Before anything is sized from the parts' pool size.
-        if model.pool_size != pool.len() as u64 {
-            return Err("model built over a different candidate pool");
-        }
-        let model = WorkloadModel::from_parts(model)?;
+        let model = WorkloadModel::from_parts(pool.len(), model)?;
         if model.live_query_count() > opts.window_capacity {
             return Err("more live queries than the window holds");
         }
