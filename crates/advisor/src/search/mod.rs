@@ -48,7 +48,8 @@
 //! candidates' arms (the model's arm index, one run per affected query)
 //! instead of re-pricing every affected query, and a drop reads the
 //! runner-up of each slot it takes the winner from instead of rescanning
-//! it. A seeded run starts it empty.
+//! it. A seeded run builds it empty on the seeded selection, and a refused
+//! masked move (below) builds a fresh one on the unchanged selection.
 //!
 //! Each strategy prices its moves through `Run::price`
 //! ([`WorkloadModel::price_batch_on`] on the caller's thread): eager
@@ -250,8 +251,8 @@ struct Run<'a> {
     /// The changed-query list [`Self::commit`] splices.
     scratch: Vec<(u32, f64)>,
     /// Each probed query's slot minima and plan costs under `selection`,
-    /// which every probe of the run prices from (see
-    /// [`pinum_core::SlotFloor`]).
+    /// which every probe of the run prices from and every commit moves
+    /// with the selection (see [`pinum_core::SlotFloor`]).
     floor: SlotFloor,
 }
 
@@ -298,6 +299,8 @@ impl<'a> Run<'a> {
                 model.price_full(&selection)
             }
         };
+        // Empty: a warm scoped re-advise fills only what it probes.
+        let floor = SlotFloor::new(model, &selection);
         Self {
             pool,
             model,
@@ -312,8 +315,7 @@ impl<'a> Run<'a> {
             queries_repriced: full_repricings * model.query_count(),
             full_repricings,
             scratch: Vec::new(),
-            // Empty: a warm scoped re-advise fills only what it probes.
-            floor: SlotFloor::default(),
+            floor,
         }
     }
 
@@ -367,8 +369,10 @@ impl<'a> Run<'a> {
     /// A `descent` move must lower the exact total. A query mask ranks
     /// moves by their *masked* delta, so a move that helps the masked
     /// queries while regressing the rest would raise the true workload
-    /// total: such a move is refused (`false`, nothing changes) and the
-    /// caller tries its next-best contender. Unmasked, the exact delta is
+    /// total: such a move is refused (`false`: the selection, state and
+    /// picks stay, and the floor, which the commit settled onto the
+    /// refused move, starts fresh on the selection) and the caller tries
+    /// its next-best contender. Unmasked, the exact delta is
     /// bit-identical to the batch's, so a ranked descent move never fails
     /// the check. An accepted descent move extends the trajectory.
     fn commit(&mut self, probe: Probe, descent: bool) -> bool {
@@ -388,8 +392,8 @@ impl<'a> Run<'a> {
                 self.scope.query_mask.is_some(),
                 "unmasked exact delta diverged from its batch delta"
             );
-            // The floor stands on the refused move: move it back.
-            model.move_floor(&mut self.floor, &self.selection);
+            // The floor stands on the refused move: start a fresh one.
+            self.floor = SlotFloor::new(model, &self.selection);
             return false;
         }
         // The spliced tree root lands bit-identical to the delta's total

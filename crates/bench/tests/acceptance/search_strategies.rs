@@ -49,7 +49,7 @@ fn acceptance() {
             &state,
             &selection,
             probe,
-            &mut SlotFloor::default(),
+            &mut SlotFloor::new(&model, &selection),
             &mut scratch,
         );
         probes_per_pass += 1;

@@ -181,15 +181,9 @@ impl Selection {
         })
     }
 
-    /// Raw bitset words (little-endian bit order within a word). The
-    /// pricing kernel snapshots these into a fixed-width selection view so
-    /// its arm min-scan tests membership with one word load per arm.
-    pub(crate) fn word_slice(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// The raw bitset words, for flat serialization (bit `i` of word
-    /// `i / 64` ⇔ candidate `i` selected).
+    /// The raw bitset words (bit `i` of word `i / 64` ⇔ candidate `i`
+    /// selected): what the pricing kernel's arm scan reads, with one word
+    /// load per arm, and what flat serialization writes.
     pub fn words(&self) -> &[u64] {
         &self.words
     }

@@ -39,8 +39,8 @@
 //! packs a whole workload's plans and access costs into a CSR-style
 //! **struct-of-arrays** pricing kernel: one contiguous cost array, a
 //! parallel candidate-id array, and extent tables per slot/plan/query, so
-//! pricing a slot is a branchless min-scan against a bitset snapshot of
-//! the selection. `price_full` prices a selection; a **delta** prices a
+//! pricing a slot is a branchless min-scan against the selection's
+//! bitset words. `price_full` prices a selection; a **delta** prices a
 //! [`workload_model::Probe`] — add, drop, or drop-one/add-one swap —
 //! through one kernel body (`price_batch_on` to rank probes, where a run
 //! of swaps sharing a drop prices the drop's queries once and splices
@@ -51,9 +51,11 @@
 //! those queries and proves the rest untouched. The kernel reads each of
 //! them off a [`workload_model::SlotFloor`] — every slot's cheapest live
 //! arm under the search's selection, with the arm attaining it and its
-//! runner-up, filled lazily — through only the probed candidates' arms
-//! (an add is one `min`, a drop of the winner one read of the
-//! runner-up), and re-totals in O(changed·log n) through the fixed-shape
+//! runner-up, filled lazily, built for one model and one selection and
+//! moved only by a commit — through only the probed candidates' arms
+//! (an add is one (cost, position) comparison, the one tie rule every
+//! floor rule uses; a drop of the winner one read of the runner-up),
+//! and re-totals in O(changed·log n) through the fixed-shape
 //! pairwise sum tree every [`workload_model::PricedWorkload`] carries,
 //! in one bottom-up pass. The tree shape — exposed
 //! as [`workload_model::pairwise_total`] — defines the bit pattern of

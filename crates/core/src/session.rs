@@ -87,7 +87,10 @@ impl PricingSession {
     /// `state == model.price_full(&selection)` is the *caller's* claim
     /// about the costs; it is debug-asserted (sampled) like every other
     /// splice, and a restored session that lies here fails the same
-    /// assert every subsequent mutation would.
+    /// assert every subsequent mutation would. Costs no pricing produces
+    /// are refused outright, in O(window) with no re-pricing: a live
+    /// query's cost is `weight × price`, so ≥ 0 or `+∞`, and a
+    /// tombstone's is exactly `+0.0`.
     pub fn restore(
         model: WorkloadModel,
         selection: Selection,
@@ -99,6 +102,14 @@ impl PricingSession {
         }
         if selection.words().len() != model.pool_size().div_ceil(64) {
             return Err("selection sized for a different pool");
+        }
+        for (q, &cost) in per_query.iter().enumerate() {
+            if model.is_live(q) && (cost.is_nan() || cost < 0.0) {
+                return Err("live query cost NaN or negative");
+            }
+            if !model.is_live(q) && cost.to_bits() != 0 {
+                return Err("tombstone query cost not zero");
+            }
         }
         let state = PricedWorkload::from_costs(per_query);
         let session = Self {

@@ -29,17 +29,16 @@
 //! Pricing a slot is then a **branchless min-scan**: seed the accumulator
 //! with the always-arm cost (`+∞` when the slot has none) and scan the
 //! arm run, substituting `+∞` for arms whose candidate bit is clear in the
-//! selection view. Because arms are ascending by cost and pruned below the
-//! always arm, the masked minimum is bit-identical to "first applicable
+//! selection's words. Because arms are ascending by cost and pruned below
+//! the always arm, the masked minimum is bit-identical to "first applicable
 //! arm wins" (ties share the same `f64` bits; arm costs are finite, so
 //! `+∞` means exactly "inapplicable"). The scan reads two flat arrays and
 //! one bitset word per arm — no pointer chasing, no `Option`, and the
 //! loop autovectorizes.
 //!
-//! The selection itself is snapshotted per pricing call into a `SelView`
-//! — a fixed-width copy of the selection's bitset words — so the hot loop
-//! tests membership with one word load and no `Option` compares. A delta
-//! toggles its probe's bits on the view in place and restores them after.
+//! The scan reads the selection's own bitset words (zero padded to the
+//! pool's width when the selection is shorter), so the hot loop tests
+//! membership with one word load and no `Option` compares.
 //!
 //! ## Prefilter — the arm index
 //!
@@ -120,55 +119,58 @@
 //!
 //! [`WorkloadModel::price_full`] prices every query by scanning it.
 //! Every other pricing question is a [`Probe`] — a virtual add, drop or
-//! swap — and one private body answers it: toggle the probe's bits on the
-//! view, re-price only the affected queries, restore the bits, and
-//! re-total through the sum tree. It does not re-scan an affected query.
-//! It reads the query off a [`SlotFloor`]: what the search already knows
-//! about the selection it stands on, namely each slot's standalone and
-//! probe minimum (its cheapest live arm, or its always arm), each
-//! minimum's **winner** and **runner-up** (the arm attaining it, and the
-//! arm a scan without the winner keeps), and each plan's cost.
+//! swap — and one private body answers it: re-price only the probe's
+//! affected queries and re-total through the sum tree. It does not
+//! re-scan an affected query. It reads the query off a [`SlotFloor`]:
+//! what a search knows about the selection it stands on, namely each
+//! slot's standalone and probe minimum (its cheapest live arm, or its
+//! always arm), each minimum's **winner** and **runner-up** (the arm
+//! attaining it, and the arm a scan without the winner keeps, as arm
+//! positions), and each plan's cost.
 //!
-//! * **Lazy fill.** A floor starts empty. A query's floor is filled by one
+//! * **Lifetime.** A floor is built for one model and one selection
+//!   ([`SlotFloor::new`]) and starts empty. A query is filled by one
 //!   two-minimum scan the first time a probe touches it, so a search, and
 //!   a warm scoped re-advise in particular, pays only for the queries it
-//!   probes.
-//! * **The rules.** Through the arm index a probe visits only its
-//!   candidates' arms in the query. An **add** of `c` lowers each of
-//!   `c`'s slots to `min(floor, c's arm)`. A **drop** of `c` moves a slot
-//!   only when `c`'s arm is that slot's winner, and then onto the
-//!   runner-up's cost, read in O(1): a run names each candidate once (the
+//!   probes. Only [`WorkloadModel::commit_probe_on`] moves a floor: it
+//!   *settles* each affected query onto the probed selection as it prices
+//!   it, and the floor ends standing there. A search owns one floor for
+//!   its run. A caller that keeps its selection after a commit (a refused
+//!   move), or mutates the model, builds a fresh floor: refilling costs
+//!   one lazy scan per probed query.
+//! * **The one tie rule.** The scan keeps the first minimal arm in scan
+//!   order: the always arm, then the run. So one arm comes before another
+//!   when it is cheaper, or as cheap (`+0.0` against `−0.0` included) and
+//!   earlier, and the always arm wins its ties. Every rule below places an
+//!   arm by this (cost, position) comparison.
+//! * **Probe rules.** Through the arm index a probe visits only its
+//!   candidates' arms in the query. A **drop** of `c` moves a slot only
+//!   when `c`'s arm is that slot's winner, and then onto the runner-up's
+//!   cost, read in O(1): a run names each candidate once (the
 //!   flattening's `prune_arms` keeps a candidate's first arm, and
 //!   [`WorkloadModel::from_parts`] refuses a run that does not) and a
-//!   probe drops one candidate, so the runner-up is still live. Any other
-//!   dropped arm was not the minimum. A **swap** drops, then adds; each
-//!   rule leaves the exact scan result, so they compose. Only plans
-//!   holding a slot whose minimum moved are re-summed, by the same
-//!   `plan_cost` the scan uses; the others keep their floor cost. The
-//!   overrides are undone before the next query.
-//! * **Exactness.** The masked scan's result is the first minimal arm in
-//!   scan order (the always arm first, then the run), so `min` against the
-//!   floor has its bits whenever the two values differ or share bits. The
-//!   one other case is `+0.0` against `−0.0`, and there the add rule asks
-//!   the scan. The plan sums run in the scan's order, and the query's
+//!   probe drops one candidate, so the runner-up is still live. An
+//!   **add** of `c` takes a slot when `c`'s arm comes before the slot's
+//!   winner, or before its runner-up when the same probe dropped the
+//!   winner: a **swap** drops, then adds. Only plans holding a slot whose
+//!   minimum moved are re-summed, by the same `plan_cost` the scan uses;
+//!   the others keep their floor cost. The overrides are undone before the
+//!   next query.
+//! * **Settling.** A commit keeps its moves, and each slot's winner and
+//!   runner-up stay exact in O(1) an arm: an added arm that comes before
+//!   the winner wins and the winner runs up; else one that comes before
+//!   the runner-up runs up. Only a dropped winner or runner-up rescans its
+//!   slot (no top can name the arm that follows it). The floor's selection
+//!   moves before the commit prices, so a query the commit fills first is
+//!   filled on the probed selection, where settling leaves every arm
+//!   where the fill placed it.
+//! * **Exactness.** Each rule leaves the exact scan result, so they
+//!   compose. The plan sums run in the scan's order, and the query's
 //!   minimum over plan costs keeps the scan's strict `<` in plan order. So
 //!   every total, changed list and `repriced` count is the scanning
 //!   kernel's, bit for bit. This is debug-asserted (sampled) against
 //!   `price_full` per probe, and against a fresh fill, winners and
-//!   runner-ups included, whenever a floor moves.
-//! * **Moving the floor.** Every entry taking a floor first moves it onto
-//!   the caller's selection ([`WorkloadModel::move_floor`]). Each filled
-//!   query a changed candidate affects is *settled* across that
-//!   candidate's arms, kept this time, with each slot's winner and
-//!   runner-up kept exact in O(1) an arm: an added arm is placed by
-//!   (cost, position in the run), the always arm winning its ties, and
-//!   only a dropped winner or runner-up rescans its slot (no top can name
-//!   the arm that follows it). Positions are relative to the slot's run,
-//!   so they survive [`WorkloadModel::compact`]. A search owns one floor
-//!   for its whole run ([`WorkloadModel::price_batch_on`]), and commits a
-//!   move with [`WorkloadModel::commit_probe_on`], which settles each
-//!   affected query as it prices it and leaves the floor on the new
-//!   selection.
+//!   runner-ups included, after every commit.
 //!
 //! In a batch, a run of swaps sharing one drop prices the drop's affected
 //! queries once under `selection − drop` and splices those that moved
@@ -194,9 +196,7 @@
 //! fresh build). [`WorkloadModel::reweight_query`] is O(1). Every
 //! mutation debug-asserts (sampled) that the maintained arm index matches
 //! a from-scratch recomputation. The index is not persisted:
-//! [`WorkloadModel::from_parts`] recomputes it. A floor
-//! carried across mutations needs only [`SlotFloor::renumber`] after a
-//! compaction.
+//! [`WorkloadModel::from_parts`] recomputes it.
 //!
 //! The arithmetic deliberately mirrors `CacheCostModel::estimate` term
 //! for term (same entry order, same addition order, same tie-breaking),
@@ -209,6 +209,7 @@ use crate::cache::PlanCache;
 use crate::candidates::Selection;
 use pinum_cost::scan::index_probe_total;
 use pinum_query::RelIdx;
+use std::borrow::Cow;
 
 /// Sentinel for "always available" access arms (sequential scans and
 /// materialized catalog indexes): applicable under every selection.
@@ -547,80 +548,11 @@ pub struct WorkloadModelParts {
     pub live: Vec<bool>,
 }
 
-/// Words a [`SelView`] keeps inline before spilling to the heap: 16×64 =
-/// 1024 candidates, far above every workload in the experiments.
-const INLINE_WORDS: usize = 16;
-
-/// A per-pricing-call snapshot of the selection as a fixed-width bitset.
-/// The hot min-scan tests arm applicability with a single word load — no
-/// `Option` compares, no bounds surprises (the view is always `pool_size`
-/// bits wide, zero padded past the selection's own word count). A delta
-/// moves the view to its probe's selection with [`Self::set`] and back
-/// again afterwards, so one view serves a whole batch of probes. The
-/// default view is zero words wide: it matches no pool.
-#[derive(Debug, Clone, Default)]
-struct SelView {
-    nwords: usize,
-    inline: [u64; INLINE_WORDS],
-    spill: Vec<u64>,
-}
-
-impl SelView {
-    fn new(pool_size: usize, selection: &Selection) -> Self {
-        let nwords = pool_size.div_ceil(64).max(1);
-        let mut view = Self {
-            nwords,
-            inline: [0u64; INLINE_WORDS],
-            spill: if nwords > INLINE_WORDS {
-                vec![0u64; nwords]
-            } else {
-                Vec::new()
-            },
-        };
-        let src = selection.word_slice();
-        let dst = view.words_mut();
-        let n = src.len().min(nwords);
-        dst[..n].copy_from_slice(&src[..n]);
-        view
-    }
-
-    fn words(&self) -> &[u64] {
-        if self.spill.is_empty() {
-            &self.inline[..self.nwords]
-        } else {
-            &self.spill
-        }
-    }
-
-    fn words_mut(&mut self) -> &mut [u64] {
-        if self.spill.is_empty() {
-            &mut self.inline[..self.nwords]
-        } else {
-            &mut self.spill
-        }
-    }
-
-    /// Sets (`on`) or clears candidate `c`'s bit, O(1).
-    fn set(&mut self, c: usize, on: bool) {
-        let w = c / 64;
-        if w < self.nwords {
-            let bit = 1u64 << (c % 64);
-            let word = &mut self.words_mut()[w];
-            *word = if on { *word | bit } else { *word & !bit };
-        }
-    }
-
-    /// Moves the view to `probe`'s selection (`apply`) or back from it.
-    fn toggle(&mut self, probe: Probe, apply: bool) {
-        match probe {
-            Probe::Add { cand } => self.set(cand, apply),
-            Probe::Drop { cand } => self.set(cand, !apply),
-            Probe::Swap { add, drop } => {
-                self.set(add, apply);
-                self.set(drop, !apply);
-            }
-        }
-    }
+/// Sets (`on`) or clears candidate `c`'s bit in a selection bitset.
+fn set_bit(words: &mut [u64], c: usize, on: bool) {
+    let bit = 1u64 << (c % 64);
+    let word = &mut words[c / 64];
+    *word = if on { *word | bit } else { *word & !bit };
 }
 
 /// The branchless core: minimum over `init` and every arm whose candidate
@@ -1336,14 +1268,26 @@ impl WorkloadModel {
     /// cached plan is applicable (e.g. an empty cache) — matching the
     /// advisor's treatment of `CacheCostModel::estimate == None`.
     pub fn price_query(&self, query: usize, selection: &Selection, extra: Option<usize>) -> f64 {
-        let mut view = SelView::new(self.pool_size, selection);
+        let mut words = self.words_of(selection);
         if let Some(cand) = extra {
-            view.set(cand, true);
+            set_bit(words.to_mut(), cand, true);
         }
-        self.price_query_in(query, view.words())
+        self.price_query_in(query, &words)
     }
 
-    /// Min over the query's plans against a baked selection view. Every
+    /// `selection`'s bitset words, at least the pool's width: borrowed,
+    /// or zero padded when the selection is shorter.
+    fn words_of<'s>(&self, selection: &'s Selection) -> Cow<'s, [u64]> {
+        let (words, width) = (selection.words(), self.pool_size.div_ceil(64));
+        if words.len() >= width {
+            return Cow::Borrowed(words);
+        }
+        let mut padded = words.to_vec();
+        padded.resize(width, 0);
+        Cow::Owned(padded)
+    }
+
+    /// Min over the query's plans under a selection's words. Every
     /// slot contribution is non-negative, so a plan whose running cost
     /// reaches the best seen so far can never win: the scan hands each
     /// plan the current best as a bound and the plan bails out the moment
@@ -1366,7 +1310,7 @@ impl WorkloadModel {
         best
     }
 
-    /// A slot's standalone (or probe) minimum under the view: its always
+    /// A slot's standalone (or probe) minimum under `words`: its always
     /// arm or its cheapest live gated arm, `+∞` when neither exists.
     #[inline]
     fn slot_min(&self, slot: &SlotMeta, standalone: bool, words: &[u64]) -> f64 {
@@ -1380,15 +1324,15 @@ impl WorkloadModel {
     }
 
     /// [`Self::slot_min`] with its two leading arms: the minimum, and the
-    /// positions in the run of the arm that attains it and of the arm a
-    /// scan without that one keeps ([`Top2`]). The scan's order is the
-    /// always arm, then the run; its strict `<` keeps the first arm of a
-    /// tie, here for both places.
+    /// positions of the arm that attains it and of the arm a scan without
+    /// that one keeps ([`Top2`]). The scan's order is the always arm, then
+    /// the run; its strict `<` keeps the first arm of a tie, here for both
+    /// places.
     fn slot_top2(&self, slot: &SlotMeta, standalone: bool, words: &[u64]) -> (f64, Top2) {
         let (start, end, always) = slot.run(standalone);
         let (mut best, mut win) = (always, ALWAYS);
         let (mut second, mut next) = (f64::INFINITY, ALWAYS);
-        for (i, pos) in (start..end).enumerate() {
+        for pos in start..end {
             let cand = self.arm_cands[pos];
             if (words[(cand >> 6) as usize] >> (cand & 63)) & 1 == 0 {
                 continue;
@@ -1396,9 +1340,9 @@ impl WorkloadModel {
             let cost = self.arm_costs[pos];
             if cost < best {
                 (second, next) = (best, win);
-                (best, win) = (cost, i as u32);
+                (best, win) = (cost, pos as u32);
             } else if cost < second {
-                (second, next) = (cost, i as u32);
+                (second, next) = (cost, pos as u32);
             }
         }
         if win == ALWAYS {
@@ -1408,15 +1352,14 @@ impl WorkloadModel {
         (best, Top2 { win, next })
     }
 
-    /// The cost of the arm at `at` in a slot's run, or of its always arm
+    /// The cost of the arm at position `at`, or of the slot's always arm
     /// at [`ALWAYS`].
     #[inline]
     fn ranked_cost(&self, slot: &SlotMeta, standalone: bool, at: u32) -> f64 {
-        let (start, _, always) = slot.run(standalone);
         if at == ALWAYS {
-            always
+            slot.run(standalone).2
         } else {
-            self.arm_costs[start + at as usize]
+            self.arm_costs[at as usize]
         }
     }
 
@@ -1427,7 +1370,7 @@ impl WorkloadModel {
     /// beat the bound's owner). Mirrors `CacheCostModel::estimate_filtered`
     /// term for term (same slot order, same addition order, same
     /// tie-breaking). The one summation every pricing path runs: a scan
-    /// hands it the view's minima, the floor kernel its stored ones.
+    /// hands it the selection's minima, the floor kernel its stored ones.
     #[inline]
     fn plan_cost(
         &self,
@@ -1481,10 +1424,9 @@ impl WorkloadModel {
     }
 
     fn per_query_costs(&self, selection: &Selection) -> Vec<f64> {
-        let view = SelView::new(self.pool_size, selection);
-        let words = view.words();
+        let words = self.words_of(selection);
         (0..self.qmeta.len())
-            .map(|q| self.contribution_in(q, words))
+            .map(|q| self.contribution_in(q, &words))
             .collect()
     }
 
@@ -1493,23 +1435,24 @@ impl WorkloadModel {
     /// must be the [`PricedWorkload`] of `selection`.
     pub fn price_delta(&self, state: &PricedWorkload, selection: &Selection, added: usize) -> f64 {
         let probe = [Probe::Add { cand: added }];
-        self.price_batch_on(state, selection, &probe, None, &mut SlotFloor::default())[0].total
+        let mut floor = SlotFloor::new(self, selection);
+        self.price_batch_on(state, selection, &probe, None, &mut floor)[0].total
     }
 
-    /// The exact delta of one probe from `floor` (which may stand on any
-    /// selection of this model, and is moved onto `selection` first),
-    /// leaving the floor on the probed selection: each affected query is
-    /// settled as it is priced, so a search commits a move in one pass. A
-    /// caller that keeps `selection` after all moves the floor back with
-    /// [`Self::move_floor`]; on a fresh floor this is the single-probe
-    /// delta. `state` must be the [`PricedWorkload`] of `selection`, and a
-    /// probe adds only non-members and drops only members. On return
-    /// `changed` holds the `(query, cost)` pairs that actually moved
-    /// (ascending by query — re-priced queries whose cost is bit-identical
-    /// to `state`'s are filtered out, which is exact), ready for
-    /// [`PricedWorkload::apply_changed`]. The total descends the sum tree
-    /// with `changed` overlaid, so it is bit-identical to `price_full` of
-    /// the probed selection (debug-asserted, sampled).
+    /// The exact delta of one probe from `floor`, which must stand on
+    /// `selection` (debug-asserted), leaving the floor on the probed
+    /// selection: each affected query is settled as it is priced, so a
+    /// search commits a move in one pass. A caller that keeps `selection`
+    /// builds a fresh floor on it; on a fresh floor this is the
+    /// single-probe delta. `state` must be the [`PricedWorkload`] of
+    /// `selection`, and a probe adds only non-members and drops only
+    /// members. On return `changed` holds the `(query, cost)` pairs that
+    /// actually moved (ascending by query — re-priced queries whose cost
+    /// is bit-identical to `state`'s are filtered out, which is exact),
+    /// ready for [`PricedWorkload::apply_changed`]. The total descends the
+    /// sum tree with `changed` overlaid, so it is bit-identical to
+    /// `price_full` of the probed selection, and the settled floor equals
+    /// a fresh fill there (both debug-asserted, sampled).
     pub fn commit_probe_on(
         &self,
         state: &PricedWorkload,
@@ -1518,25 +1461,21 @@ impl WorkloadModel {
         floor: &mut SlotFloor,
         changed: &mut Vec<(u32, f64)>,
     ) -> ProbeDelta {
-        self.move_floor(floor, selection);
-        let mut probed = floor.base.clone();
+        self.debug_assert_floor_stands_on(floor, selection);
         let settle = true;
-        self.price_probe_in(
-            state,
-            selection,
-            probe,
-            None,
-            settle,
-            floor,
-            &mut probed,
-            changed,
-        )
+        let delta = self.price_probe_in(state, selection, probe, None, settle, floor, changed);
+        #[cfg(debug_assertions)]
+        if crate::sampling::should_assert() {
+            self.debug_assert_floor_is_fresh(floor);
+        }
+        delta
     }
 
     /// Prices a batch of independent probes against one `(selection,
-    /// state)` snapshot and one floor (moved onto `selection` first and
-    /// left there); each result lands at its probe's own index, and an
-    /// unmasked result is [`Self::commit_probe_on`]'s, bit for bit.
+    /// state)` snapshot from a floor standing on `selection`
+    /// (debug-asserted), which stays there; each result lands at its
+    /// probe's own index, and an unmasked result is
+    /// [`Self::commit_probe_on`]'s, bit for bit.
     ///
     /// A run of consecutive [`Probe::Swap`]s with the same `drop` — the
     /// drop-major neighbourhood a swap search sends — shares the drop's
@@ -1560,12 +1499,8 @@ impl WorkloadModel {
         qmask: Option<&[u32]>,
         floor: &mut SlotFloor,
     ) -> Vec<ProbeDelta> {
+        self.debug_assert_floor_stands_on(floor, selection);
         let mut out = Vec::with_capacity(probes.len());
-        if probes.is_empty() {
-            return out;
-        }
-        self.move_floor(floor, selection);
-        let mut probed = floor.base.clone();
         let mut changed = Vec::new();
         let mut rest = probes;
         while let Some(&first) = rest.first() {
@@ -1577,19 +1512,19 @@ impl WorkloadModel {
                 _ => 1,
             };
             if run > 1 {
-                let run = &rest[..run];
-                self.price_swap_run(state, selection, run, qmask, floor, &mut probed, &mut out);
+                self.price_swap_run(state, selection, &rest[..run], qmask, floor, &mut out);
             } else {
-                out.push(self.price_probe_in(
+                let settle = false;
+                let delta = self.price_probe_in(
                     state,
                     selection,
                     first,
                     qmask,
-                    false,
+                    settle,
                     floor,
-                    &mut probed,
                     &mut changed,
-                ));
+                );
+                out.push(delta);
             }
             rest = &rest[run..];
         }
@@ -1609,7 +1544,6 @@ impl WorkloadModel {
     /// bit for bit, and so does the merged list, which is built only for
     /// that check (debug-asserted, sampled); its delta is pushed onto
     /// `out`.
-    #[allow(clippy::too_many_arguments)]
     fn price_swap_run(
         &self,
         state: &PricedWorkload,
@@ -1617,7 +1551,6 @@ impl WorkloadModel {
         run: &[Probe],
         qmask: Option<&[u32]>,
         floor: &mut SlotFloor,
-        probed: &mut SelView,
         out: &mut Vec<ProbeDelta>,
     ) {
         debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
@@ -1625,13 +1558,12 @@ impl WorkloadModel {
             unreachable!("a swap run starts with a swap")
         };
         debug_assert!(selection.contains(drop), "swap drops a non-member {drop}");
-        probed.set(drop, false);
         let mut mask = MaskCursor::new(qmask);
         let mut drop_pass = Vec::new();
         let mut dropped_state = state.clone();
         for (q, dropped, _) in self.merged_runs(None, Some(drop)) {
             if mask.admits(q) {
-                let cost = self.contribution_on(floor, q as usize, probed.words(), dropped, &[]);
+                let cost = self.contribution_on(floor, q as usize, dropped, &[]);
                 if cost.to_bits() != state.per_query[q as usize].to_bits() {
                     dropped_state.set_query_cost(q as usize, cost);
                 }
@@ -1648,8 +1580,6 @@ impl WorkloadModel {
                 "{probe:?} breaks the run"
             );
             changed.clear();
-            probed.set(add, true);
-            let words = probed.words();
             let mut repriced = drop_pass.len();
             let mut mask = MaskCursor::new(qmask);
             let mut from_drop = drop_pass.iter().peekable();
@@ -1665,12 +1595,11 @@ impl WorkloadModel {
                         &[]
                     }
                 };
-                let cost = self.contribution_on(floor, q as usize, words, dropped, added);
+                let cost = self.contribution_on(floor, q as usize, dropped, added);
                 if cost.to_bits() != dropped_state.per_query[q as usize].to_bits() {
                     changed.push((q, cost));
                 }
             }
-            probed.set(add, false);
             let total = dropped_state.overlaid_total(&changed);
             #[cfg(debug_assertions)]
             if crate::sampling::should_assert() {
@@ -1683,9 +1612,7 @@ impl WorkloadModel {
                     .filter(|&(q, c)| c.to_bits() != state.per_query[q as usize].to_bits())
                     .collect();
                 let mut expect = Vec::new();
-                let mut fresh = SlotFloor::default();
-                self.move_floor(&mut fresh, selection);
-                let mut view = fresh.base.clone();
+                let mut fresh = SlotFloor::new(self, selection);
                 let single = self.price_probe_in(
                     state,
                     selection,
@@ -1693,7 +1620,6 @@ impl WorkloadModel {
                     qmask,
                     false,
                     &mut fresh,
-                    &mut view,
                     &mut expect,
                 );
                 debug_assert_eq!(
@@ -1708,16 +1634,14 @@ impl WorkloadModel {
             }
             out.push(ProbeDelta { total, repriced });
         }
-        probed.set(drop, true);
     }
 
-    /// The delta kernel behind every entry point: move `probed` (a copy
-    /// of the floor's base view) to the probe's selection, re-price the
-    /// probe's affected queries — optionally clipped to `qmask` — in
-    /// ascending order from the floor, move `probed` back, and overlay
-    /// the moved costs on the sum tree. With `settle` (unmasked only) each
-    /// query's floor is settled onto the probed selection instead of
-    /// restored, and the floor ends standing there.
+    /// The delta kernel behind every entry point: re-price the probe's
+    /// affected queries — optionally clipped to `qmask` — in ascending
+    /// order from the floor, and overlay the moved costs on the sum tree.
+    /// With `settle` (unmasked only) the floor first moves to the probed
+    /// selection and each query's floor is settled there instead of
+    /// restored.
     #[allow(clippy::too_many_arguments)]
     fn price_probe_in(
         &self,
@@ -1727,7 +1651,6 @@ impl WorkloadModel {
         qmask: Option<&[u32]>,
         settle: bool,
         floor: &mut SlotFloor,
-        probed: &mut SelView,
         changed: &mut Vec<(u32, f64)>,
     ) -> ProbeDelta {
         debug_assert_eq!(state.per_query.len(), self.qmeta.len(), "stale state");
@@ -1739,34 +1662,36 @@ impl WorkloadModel {
             },
             "{probe:?} adds a member or drops a non-member"
         );
+        debug_assert!(!settle || qmask.is_none(), "a masked probe cannot settle");
         changed.clear();
-        probed.toggle(probe, true);
-        let mut repriced = 0usize;
-        {
-            let words = probed.words();
-            let (add, drop) = probe.moved();
-            let mut mask = MaskCursor::new(qmask);
-            // A query both candidates mention is re-priced once.
-            for (q, dropped, added) in self.merged_runs(add, drop) {
-                if !mask.admits(q) {
-                    continue;
-                }
-                repriced += 1;
-                let cost = if settle {
-                    self.settled_contribution(floor, q as usize, words, dropped, added)
-                } else {
-                    self.contribution_on(floor, q as usize, words, dropped, added)
-                };
-                if cost.to_bits() != state.per_query[q as usize].to_bits() {
-                    changed.push((q, cost));
-                }
+        let (add, drop) = probe.moved();
+        if settle {
+            // A query this commit fills first is filled on the probed
+            // selection, where settling leaves it as filled.
+            if let Some(c) = drop {
+                set_bit(&mut floor.words, c, false);
+            }
+            if let Some(c) = add {
+                set_bit(&mut floor.words, c, true);
             }
         }
-        debug_assert!(!settle || qmask.is_none(), "a masked probe cannot settle");
-        if settle {
-            floor.base = probed.clone();
+        let mut repriced = 0usize;
+        let mut mask = MaskCursor::new(qmask);
+        // A query both candidates mention is re-priced once.
+        for (q, dropped, added) in self.merged_runs(add, drop) {
+            if !mask.admits(q) {
+                continue;
+            }
+            repriced += 1;
+            let cost = if settle {
+                self.settled_contribution(floor, q as usize, dropped, added)
+            } else {
+                self.contribution_on(floor, q as usize, dropped, added)
+            };
+            if cost.to_bits() != state.per_query[q as usize].to_bits() {
+                changed.push((q, cost));
+            }
         }
-        probed.toggle(probe, false);
         let total = state.overlaid_total(changed);
         #[cfg(debug_assertions)]
         if crate::sampling::should_assert() {
@@ -1789,7 +1714,7 @@ impl WorkloadModel {
                     );
                 }
                 Some(mask) => {
-                    let mut fresh = SlotFloor::default();
+                    let mut fresh = SlotFloor::new(self, selection);
                     self.commit_probe_on(state, selection, probe, &mut fresh, &mut expect);
                     expect.retain(|(q, _)| mask.binary_search(q).is_ok());
                 }
@@ -1803,18 +1728,17 @@ impl WorkloadModel {
         ProbeDelta { total, repriced }
     }
 
-    /// Query `q`'s weighted price under `probed` — the floor's base with
-    /// the `dropped` arms' candidate cleared and the `added` arms'
-    /// candidate set — read off the floor: [`Self::shift_slots`] moves the
-    /// slot minima the arms can move, only plans holding a moved minimum
-    /// are re-summed by [`Self::plan_cost`], and the rest keep their floor
-    /// cost. The overrides are undone before returning, so the floor still
-    /// stands on its base.
+    /// Query `q`'s weighted price under the floor's selection with the
+    /// `dropped` arms' candidate cleared and the `added` arms' candidate
+    /// set, read off the floor: [`Self::shift_slots`] moves the slot
+    /// minima the arms can move, only plans holding a moved minimum are
+    /// re-summed by [`Self::plan_cost`], and the rest keep their floor
+    /// cost. The overrides are undone before returning, so the floor
+    /// still stands where it stood.
     fn contribution_on(
         &self,
         floor: &mut SlotFloor,
         q: usize,
-        probed: &[u64],
         dropped: &[ArmRef],
         added: &[ArmRef],
     ) -> f64 {
@@ -1823,15 +1747,15 @@ impl WorkloadModel {
         let plans = self.query_plans(q);
         let slot0 = plans[0].slot_start as usize;
         // Where the query's slot minima start, after its plan costs.
-        let mins = at.vals + plans.len();
-        self.shift_slots(floor, mins, at.tops, slot0, probed, dropped, added);
+        let mins = at + plans.len();
+        self.shift_slots(floor, mins, slot0, dropped, added);
         let SlotFloor { vals, saved, .. } = floor;
         let mut best = f64::INFINITY;
         for (k, plan) in plans.iter().enumerate() {
             let first = mins + 2 * (plan.slot_start as usize - slot0);
             let last = mins + 2 * (plan.slot_end as usize - slot0);
             let cost = if !saved.iter().any(|&(at, _)| (first..last).contains(&at)) {
-                vals[at.vals + k]
+                vals[at + k]
             } else if plan.internal >= best {
                 continue;
             } else {
@@ -1849,150 +1773,120 @@ impl WorkloadModel {
         self.weights[q] * best
     }
 
-    /// [`Self::contribution_on`], kept: `q`'s floor is settled onto
-    /// `probed` and its price read off the settled plan costs.
+    /// [`Self::contribution_on`], kept: query `q`'s floor is settled onto
+    /// the floor's selection across the `dropped` and `added` arms of the
+    /// candidates that changed — the slot rules of [`Self::settle_slots`],
+    /// then every plan holding a moved minimum re-summed (unbounded) and
+    /// stored — and its price is read off the settled plan costs.
     fn settled_contribution(
         &self,
         floor: &mut SlotFloor,
         q: usize,
-        probed: &[u64],
         dropped: &[ArmRef],
         added: &[ArmRef],
     ) -> f64 {
         debug_assert!(self.live[q], "arm index holds a tombstone");
         let at = self.floor_at(floor, q);
-        self.settle(floor, q, probed, dropped, added);
-        let plans = self.query_plans(q).len();
-        self.weights[q] * least(&floor.vals[at.vals..at.vals + plans])
-    }
-
-    /// Moves filled query `q`'s floor onto `words` for good, across the
-    /// `dropped` and `added` arms of the candidates that changed: the
-    /// slot rules of [`Self::settle_slots`], then every plan holding a
-    /// moved minimum re-summed (unbounded) and stored.
-    fn settle(
-        &self,
-        floor: &mut SlotFloor,
-        q: usize,
-        words: &[u64],
-        dropped: &[ArmRef],
-        added: &[ArmRef],
-    ) {
-        let at = floor.at[q];
         let plans = self.query_plans(q);
         let slot0 = plans[0].slot_start as usize;
-        let mins = at.vals + plans.len();
-        self.settle_slots(floor, mins, at.tops, slot0, words, dropped, added);
+        let mins = at + plans.len();
+        self.settle_slots(floor, mins, slot0, dropped, added);
         let SlotFloor { vals, saved, .. } = floor;
         for (k, plan) in plans.iter().enumerate() {
             let first = mins + 2 * (plan.slot_start as usize - slot0);
             let last = mins + 2 * (plan.slot_end as usize - slot0);
             if saved.iter().any(|&(at, _)| (first..last).contains(&at)) {
-                vals[at.vals + k] = self.plan_cost(plan, f64::INFINITY, |i, _, standalone| {
+                vals[at + k] = self.plan_cost(plan, f64::INFINITY, |i, _, standalone| {
                     vals[first + 2 * i + usize::from(!standalone)]
                 });
             }
         }
-        saved.clear();
+        self.weights[q] * least(&vals[at..mins])
     }
 
-    /// Where arm `a` of a query whose first slot is `slot0` sits in the
-    /// query's floor: the index of its minimum among the query's slot
-    /// minima (standalone then probe, slot by slot), its slot, whether it
-    /// is a standalone arm, and its position in its run.
+    /// Where arm `a` of a query whose first slot is `slot0` sits among the
+    /// query's slot minima (standalone then probe, slot by slot), its
+    /// slot, and whether it is a standalone arm.
     #[inline]
-    fn locate(&self, a: &ArmRef, slot0: usize) -> (usize, &SlotMeta, bool, u32) {
+    fn locate(&self, a: &ArmRef, slot0: usize) -> (usize, &SlotMeta, bool) {
         let slot = &self.slots[a.slot as usize];
         let standalone = a.pos < slot.s_end;
         let k = 2 * (a.slot as usize - slot0) + usize::from(!standalone);
-        let pos = a.pos as usize - slot.run(standalone).0;
-        (k, slot, standalone, pos as u32)
+        (k, slot, standalone)
     }
 
-    /// The probe slot rules of the floor kernel, applied in place to the
-    /// slot minima starting at `mins` in the floor's values, whose
-    /// [`Top2`]s start at `tops` (a query whose first slot is `slot0`);
-    /// `words` is the selection being priced. A dropped arm moves its
-    /// slot's minimum only when it is the winner, and then onto the
-    /// runner-up's cost, in one read: a run names each candidate once and
-    /// a probe drops one candidate, so the runner-up is still live. An
-    /// added arm lowers its slot to `min(minimum, arm)`. Either rule
-    /// leaves the exact scan result, and drops come first, so a swap
-    /// composes. Each minimum that moves is pushed with its old value onto
-    /// `floor.saved` (cleared first); the tops stay on the floor's base.
-    #[allow(clippy::too_many_arguments)]
+    /// The probe slot rules of the floor kernel (module docs, "Incremental
+    /// pricing"), applied in place to the slot minima starting at `mins`
+    /// in the floor's values, whose [`Top2`]s sit at the same indices (a
+    /// query whose first slot is `slot0`). A dropped arm moves its slot's
+    /// minimum only when it is the winner, and then onto the runner-up's
+    /// cost. An added arm takes its slot when it comes before the arm the
+    /// slot's scan now keeps: the winner, or the runner-up when a dropped
+    /// arm was the winner. Each minimum that moves is pushed with its old
+    /// value onto `floor.saved` (cleared first); the tops stay on the
+    /// floor's selection.
     fn shift_slots(
         &self,
         floor: &mut SlotFloor,
         mins: usize,
-        tops: usize,
         slot0: usize,
-        words: &[u64],
         dropped: &[ArmRef],
         added: &[ArmRef],
     ) {
         let SlotFloor {
-            vals,
-            tops: top2,
-            saved,
-            ..
+            vals, tops, saved, ..
         } = floor;
         saved.clear();
+        let mut moved = |at: usize, new: f64| {
+            if new.to_bits() != vals[at].to_bits() {
+                saved.push((at, vals[at]));
+                vals[at] = new;
+            }
+        };
         for a in dropped {
-            let (k, slot, standalone, pos) = self.locate(a, slot0);
-            let top = top2[tops + k];
-            if pos == top.win {
-                let (cur, new) = (vals[mins + k], self.ranked_cost(slot, standalone, top.next));
-                if new.to_bits() != cur.to_bits() {
-                    saved.push((mins + k, cur));
-                    vals[mins + k] = new;
-                }
+            let (k, slot, standalone) = self.locate(a, slot0);
+            let top = tops[mins + k];
+            if a.pos == top.win {
+                moved(mins + k, self.ranked_cost(slot, standalone, top.next));
             }
         }
         for a in added {
-            let (k, slot, standalone, _) = self.locate(a, slot0);
-            let (cur, arm) = (vals[mins + k], self.arm_costs[a.pos as usize]);
-            let new = if arm < cur {
-                arm
-            } else if arm > cur || arm.to_bits() == cur.to_bits() {
-                cur
+            let (k, slot, standalone) = self.locate(a, slot0);
+            let top = tops[mins + k];
+            let first = if dropped.iter().any(|d| d.pos == top.win) {
+                top.next
             } else {
-                // +0.0 against −0.0: which sign the scan keeps depends on
-                // arm order, so ask the scan.
-                self.slot_min(slot, standalone, words)
+                top.win
             };
-            if new.to_bits() != cur.to_bits() {
-                saved.push((mins + k, cur));
-                vals[mins + k] = new;
+            let arm = self.arm_costs[a.pos as usize];
+            if ahead(arm, a.pos, self.ranked_cost(slot, standalone, first), first) {
+                moved(mins + k, arm);
             }
         }
     }
 
     /// [`Self::shift_slots`]' rules, kept: each slot's [`Top2`] moves with
-    /// its minimum, in O(1) an arm. An added arm is placed by (cost, run
-    /// position), the always arm first: ahead of the winner it wins and
-    /// the winner runs up; else ahead of the runner-up it runs up. A
-    /// dropped winner or runner-up leaves a place no top can fill, so that
-    /// slot alone is rescanned under `words`; any other drop moves
-    /// nothing. A move settles its candidates one at a time onto its final
-    /// selection, so a rescan may already hold a later candidate's change:
-    /// an added arm already winning stays where it is (one already
-    /// running up, or behind, is never placed ahead). Moved minima go onto
-    /// `floor.saved` for the plan re-sum.
-    #[allow(clippy::too_many_arguments)]
+    /// its minimum, in O(1) an arm. An added arm that comes before the
+    /// winner wins and the winner runs up; else one that comes before the
+    /// runner-up runs up. A dropped winner or runner-up leaves a place no
+    /// top can fill, so that slot alone is rescanned under the floor's
+    /// selection; any other drop moves nothing. A swap's drop may rescan a
+    /// slot that already holds its added arm, and a query the commit
+    /// filled holds both: an added arm already winning stays where it is
+    /// (one already running up, or behind, is never placed ahead). Moved
+    /// minima go onto `floor.saved` (cleared first) for the plan re-sum.
     fn settle_slots(
         &self,
         floor: &mut SlotFloor,
         mins: usize,
-        tops: usize,
         slot0: usize,
-        words: &[u64],
         dropped: &[ArmRef],
         added: &[ArmRef],
     ) {
         let SlotFloor {
+            words,
             vals,
-            tops: top2,
+            tops,
             saved,
             ..
         } = floor;
@@ -2004,40 +1898,29 @@ impl WorkloadModel {
             }
         };
         for a in dropped {
-            let (k, slot, standalone, pos) = self.locate(a, slot0);
-            let top = &mut top2[tops + k];
-            if pos == top.win || pos == top.next {
+            let (k, slot, standalone) = self.locate(a, slot0);
+            let top = &mut tops[mins + k];
+            if a.pos == top.win || a.pos == top.next {
                 let new;
                 (new, *top) = self.slot_top2(slot, standalone, words);
                 moved(mins + k, new);
             }
         }
         for a in added {
-            let (k, slot, standalone, pos) = self.locate(a, slot0);
-            let top = &mut top2[tops + k];
-            let arm = self.arm_costs[a.pos as usize];
+            let (k, slot, standalone) = self.locate(a, slot0);
+            let top = &mut tops[mins + k];
+            let (arm, pos) = (self.arm_costs[a.pos as usize], a.pos);
+            let cost = |at| self.ranked_cost(slot, standalone, at);
             if pos == top.win {
                 continue;
             }
-            if ahead(
-                arm,
-                pos,
-                self.ranked_cost(slot, standalone, top.win),
-                top.win,
-            ) {
+            if ahead(arm, pos, cost(top.win), top.win) {
                 *top = Top2 {
                     win: pos,
                     next: top.win,
                 };
                 moved(mins + k, arm);
-            } else if top.win != ALWAYS
-                && ahead(
-                    arm,
-                    pos,
-                    self.ranked_cost(slot, standalone, top.next),
-                    top.next,
-                )
-            {
+            } else if top.win != ALWAYS && ahead(arm, pos, cost(top.next), top.next) {
                 top.next = pos;
             }
         }
@@ -2049,35 +1932,32 @@ impl WorkloadModel {
         &self.plans[qm.plan_start as usize..qm.plan_end as usize]
     }
 
-    /// Where query `q`'s floor starts, filling it under the floor's base
-    /// first if no probe has touched `q` yet.
-    fn floor_at(&self, floor: &mut SlotFloor, q: usize) -> FloorAt {
+    /// Where query `q`'s floor starts, filling it under the floor's
+    /// selection first if no probe has touched `q` yet.
+    fn floor_at(&self, floor: &mut SlotFloor, q: usize) -> usize {
         if floor.at[q] == UNFILLED {
-            let at = FloorAt {
-                vals: floor.vals.len(),
-                tops: floor.tops.len(),
-            };
-            let minima = 2 * self.query_slots(q).len();
-            floor
-                .vals
-                .resize(at.vals + self.query_plans(q).len() + minima, 0.0);
-            floor.tops.resize(at.tops + minima, Top2::ALWAYS);
-            let (vals, tops) = (&mut floor.vals[at.vals..], &mut floor.tops[at.tops..]);
-            self.fill_floor(q, floor.base.words(), vals, tops);
+            let at = floor.vals.len();
+            let len = self.query_plans(q).len() + 2 * self.query_slots(q).len();
+            floor.vals.resize(at + len, 0.0);
+            floor.tops.resize(at + len, Top2::ALWAYS);
+            let (vals, tops) = (&mut floor.vals[at..], &mut floor.tops[at..]);
+            self.fill_floor(q, &floor.words, vals, tops);
             floor.at[q] = at;
         }
         floor.at[q]
     }
 
-    /// Writes query `q`'s floor under `words`: into `out` its plans' costs
+    /// Writes query `q`'s floor under `words` into `out`: its plans' costs
     /// (unbounded, `+∞` when inapplicable), then each slot's standalone
-    /// and probe minimum, and into `tops` each minimum's [`Top2`].
+    /// and probe minimum, with each minimum's [`Top2`] at its index in
+    /// `tops`.
     fn fill_floor(&self, q: usize, words: &[u64], out: &mut [f64], tops: &mut [Top2]) {
         let plans = self.query_plans(q);
         let slots = self.query_slots(q);
         let (costs, mins) = out.split_at_mut(plans.len());
-        let minima = mins.chunks_exact_mut(2).zip(tops.chunks_exact_mut(2));
-        for (slot, (m, t)) in self.slots[slots.clone()].iter().zip(minima) {
+        let minima = mins.chunks_exact_mut(2);
+        let tops = tops[plans.len()..].chunks_exact_mut(2);
+        for (slot, (m, t)) in self.slots[slots.clone()].iter().zip(minima.zip(tops)) {
             (m[0], t[0]) = self.slot_top2(slot, true, words);
             (m[1], t[1]) = self.slot_top2(slot, false, words);
         }
@@ -2089,67 +1969,35 @@ impl WorkloadModel {
         }
     }
 
-    /// Moves `floor` onto `selection`: every filled query some changed
-    /// candidate affects is settled onto the new selection across that
-    /// candidate's arms (the others price the same under both), and
-    /// queries admitted since the floor last ran are unfilled. A floor
-    /// standing on another pool width starts over empty. Every kernel
-    /// entry taking a floor does this first; a search calls it to move
-    /// its floor back after refusing a move it priced with
-    /// [`Self::commit_probe_on`].
-    pub fn move_floor(&self, floor: &mut SlotFloor, selection: &Selection) {
-        let view = SelView::new(self.pool_size, selection);
-        if floor.base.nwords != view.nwords {
-            *floor = SlotFloor::default();
-        }
-        if floor.at.len() < self.qmeta.len() {
-            floor.at.resize(self.qmeta.len(), UNFILLED);
-        }
-        for w in 0..floor.base.nwords {
-            let new = view.words()[w];
-            let mut moved = floor.base.words()[w] ^ new;
-            while moved != 0 {
-                let bit = moved.trailing_zeros();
-                moved &= moved - 1;
-                let c = w * 64 + bit as usize;
-                let joined = (new >> bit) & 1 != 0;
-                let (add, drop) = if joined {
-                    (Some(c), None)
-                } else {
-                    (None, Some(c))
-                };
-                for (q, dropped, added) in self.merged_runs(add, drop) {
-                    if floor.at[q as usize] != UNFILLED {
-                        self.settle(floor, q as usize, view.words(), dropped, added);
-                    }
-                }
-            }
-        }
-        floor.base = view;
-        #[cfg(debug_assertions)]
-        if crate::sampling::should_assert() {
-            self.debug_assert_floor_is_fresh(floor);
-        }
+    /// Debug check that `floor` was built for this model and stands on
+    /// `selection`: a kernel entry prices from where its floor stands.
+    fn debug_assert_floor_stands_on(&self, floor: &SlotFloor, selection: &Selection) {
+        debug_assert!(
+            floor.at.len() == self.qmeta.len()
+                && floor.words[..] == self.words_of(selection)[..floor.words.len()],
+            "the floor stands on another model or selection"
+        );
     }
 
-    /// Every filled live query's floor equals a fresh fill under the
-    /// floor's base — values and each slot's winner and runner-up — the
+    /// Every filled query's floor equals a fresh fill under the floor's
+    /// selection — values and each slot's winner and runner-up — the
     /// fill's two-minimum scan agrees with the plain one (the winner's
     /// cost is the scan's minimum, and a scan with the winner's candidate
     /// cleared keeps the runner-up's cost), and the least of its plan
     /// costs, weighted, is the query's `price_full` entry bit for bit.
     #[cfg(debug_assertions)]
     fn debug_assert_floor_is_fresh(&self, floor: &SlotFloor) {
-        let words = floor.base.words();
+        let words = &floor.words[..];
         for (q, &at) in floor.at.iter().enumerate() {
-            if at == UNFILLED || !self.live[q] {
+            if at == UNFILLED {
                 continue;
             }
             let (plans, slots) = (self.query_plans(q).len(), self.query_slots(q));
-            let mut fresh = vec![0.0; plans + 2 * slots.len()];
-            let mut fresh_tops = vec![Top2::ALWAYS; 2 * slots.len()];
+            let len = plans + 2 * slots.len();
+            let mut fresh = vec![0.0; len];
+            let mut fresh_tops = vec![Top2::ALWAYS; len];
             self.fill_floor(q, words, &mut fresh, &mut fresh_tops);
-            let kept = &floor.vals[at.vals..at.vals + fresh.len()];
+            let kept = &floor.vals[at..at + len];
             debug_assert!(
                 kept.iter()
                     .zip(&fresh)
@@ -2157,11 +2005,11 @@ impl WorkloadModel {
                 "slot floor of query {q} diverged from a fresh fill"
             );
             debug_assert!(
-                floor.tops[at.tops..at.tops + fresh_tops.len()] == fresh_tops[..],
+                floor.tops[at..at + len] == fresh_tops[..],
                 "winner/runner-up of query {q} diverged from a fresh two-minimum scan"
             );
             let mut without = words.to_vec();
-            for (k, top) in fresh_tops.iter().enumerate() {
+            for (k, top) in fresh_tops[plans..].iter().enumerate() {
                 let (slot, standalone) = (&self.slots[slots.start + k / 2], k % 2 == 0);
                 let scan = self.slot_min(slot, standalone, words).to_bits();
                 debug_assert!(
@@ -2170,8 +2018,8 @@ impl WorkloadModel {
                     "two-minimum scan of query {q} diverged from the plain scan"
                 );
                 if top.win != ALWAYS {
-                    let c = self.arm_cands[slot.run(standalone).0 + top.win as usize] as usize;
-                    without[c / 64] &= !(1 << (c % 64));
+                    let c = self.arm_cands[top.win as usize] as usize;
+                    set_bit(&mut without, c, false);
                     let next = self.slot_min(slot, standalone, &without);
                     without[c / 64] = words[c / 64];
                     debug_assert_eq!(
@@ -2196,21 +2044,21 @@ fn least(costs: &[f64]) -> f64 {
     (costs.iter()).fold(f64::INFINITY, |best, &c| if c < best { c } else { best })
 }
 
-/// Whether an arm costing `cost` at run position `pos` comes before the
-/// arm costing `than` at `than_pos` in a slot scan's order: cheaper, or
-/// as cheap and earlier. The always arm ([`ALWAYS`]) is scanned first, so
-/// it wins its ties.
+/// The one tie rule: whether an arm costing `cost` at position `pos`
+/// comes before the arm costing `than` at `than_pos` in a slot scan's
+/// order — cheaper, or as cheap (`+0.0` against `−0.0` included) and
+/// earlier. The always arm ([`ALWAYS`]) is scanned first, so it wins its
+/// ties.
 fn ahead(cost: f64, pos: u32, than: f64, than_pos: u32) -> bool {
     cost < than || (cost == than && than_pos != ALWAYS && pos < than_pos)
 }
 
-/// A slot minimum's two leading arms under a floor's base, as positions
-/// in the slot's standalone or probe run — relative to the run, so they
-/// survive [`WorkloadModel::compact`], which copies each run in order.
-/// The **winner** attains the minimum; the **runner-up** is the arm a
-/// scan without the winner keeps. [`ALWAYS`] marks the always arm (`+∞`
-/// on a slot without one); a slot the always arm wins, which no drop can
-/// move, has no runner-up and marks it `ALWAYS` too.
+/// A slot minimum's two leading arms under a floor's selection, as
+/// positions in the arm arrays. The **winner** attains the minimum; the
+/// **runner-up** is the arm a scan without the winner keeps. [`ALWAYS`]
+/// marks the always arm (`+∞` on a slot without one); a slot the always
+/// arm wins, which no drop can move, has no runner-up and marks it
+/// `ALWAYS` too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Top2 {
     win: u32,
@@ -2225,63 +2073,46 @@ impl Top2 {
     };
 }
 
-/// Where one filled query's floor starts: its plan costs (then its slot
-/// minima) in a [`SlotFloor`]'s values, and its minima's [`Top2`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FloorAt {
-    vals: usize,
-    tops: usize,
-}
-
 /// Offset mark of a query whose floor is not filled yet.
-const UNFILLED: FloorAt = FloorAt {
-    vals: usize::MAX,
-    tops: usize::MAX,
-};
+const UNFILLED: usize = usize::MAX;
 
-/// What a search knows about the selection it stands on: for each query
-/// a probe has touched, each plan's cost, each slot's standalone and
-/// probe minimum, and each minimum's winner and runner-up (`Top2`)
-/// under the floor's base selection (module docs, "Incremental
-/// pricing"). It starts empty and fills one query at a time, the first
-/// time a probe touches the query, so its size and its cost follow the
-/// queries a search actually probes. Every kernel call first moves it
-/// onto the caller's selection, settling only the filled queries the
-/// changed candidates affect.
-///
-/// A floor belongs to one model. Admission and eviction need nothing;
-/// after [`WorkloadModel::compact`] hand it the remap
-/// ([`Self::renumber`]).
-#[derive(Debug, Clone, Default)]
+/// What a search knows about the selection it stands on (module docs,
+/// "Incremental pricing"): for each query a probe has touched, each
+/// plan's cost, each slot's standalone and probe minimum, and each
+/// minimum's winner and runner-up (`Top2`). A floor is built for one
+/// model and one selection ([`Self::new`]) and starts empty; it fills one
+/// query at a time, the first time a probe touches the query, so its size
+/// and its cost follow the queries a search actually probes. Only
+/// [`WorkloadModel::commit_probe_on`] moves it to another selection. A
+/// mutated model needs a new floor.
+#[derive(Debug, Clone)]
 pub struct SlotFloor {
-    /// The selection the floor stands on (zero words until first use).
-    base: SelView,
-    /// Per query id: where its floor starts, or `UNFILLED`.
-    at: Vec<FloorAt>,
+    /// The selection the floor stands on, one bit per pool candidate.
+    words: Vec<u64>,
+    /// Per query id: where its floor starts in `vals` and `tops`, or
+    /// `UNFILLED`.
+    at: Vec<usize>,
     /// Per filled query: its plans' costs, then its slots' (standalone,
     /// probe) minima, in the model's plan and slot order.
     vals: Vec<f64>,
-    /// Per filled query: its slot minima's tops, in the same order as
-    /// its minima in `vals`.
+    /// Per filled query, at the indices of its minima in `vals`: each
+    /// minimum's tops (the entries beside plan costs are unused).
     tops: Vec<Top2>,
     /// The values one query's probe overrides, with their floor values.
     saved: Vec<(usize, f64)>,
 }
 
 impl SlotFloor {
-    /// Follows a [`WorkloadModel::compact`]: `remap` is the old→new id
-    /// mapping it returned. Compaction copies each surviving query's plans
-    /// and slots in order, so a filled query's floor stays valid under its
-    /// new id; an evicted query's values stay behind, unreachable.
-    pub fn renumber(&mut self, remap: &[u32]) {
-        let live = remap.iter().filter(|&&new| new != u32::MAX).count();
-        let mut at = vec![UNFILLED; live];
-        for (old, &new) in remap.iter().enumerate() {
-            if new != u32::MAX {
-                at[new as usize] = self.at.get(old).copied().unwrap_or(UNFILLED);
-            }
+    /// An empty floor for `model`, standing on `selection`.
+    pub fn new(model: &WorkloadModel, selection: &Selection) -> Self {
+        let width = model.pool_size.div_ceil(64);
+        Self {
+            words: model.words_of(selection)[..width].to_vec(),
+            at: vec![UNFILLED; model.query_count()],
+            vals: Vec::new(),
+            tops: Vec::new(),
+            saved: Vec::new(),
         }
-        self.at = at;
     }
 }
 
@@ -2651,7 +2482,7 @@ mod tests {
         selection: &Selection,
         probe: Probe,
     ) -> f64 {
-        let mut floor = SlotFloor::default();
+        let mut floor = SlotFloor::new(wm, selection);
         wm.commit_probe_on(state, selection, probe, &mut floor, &mut Vec::new())
             .total
     }
@@ -3462,12 +3293,12 @@ mod tests {
         for selection in all_selections(&pool) {
             let state = wm.price_full(&selection);
             // Every probe twice back-to-back, then the whole list
-            // reversed: a probe whose bits were not restored would leave
-            // the shared view dirty for its successor.
+            // reversed: a probe whose overrides were not undone would
+            // leave the shared floor dirty for its successor.
             let once = all_probes(&selection, pool.len());
             let mut probes: Vec<Probe> = once.iter().flat_map(|&p| [p, p]).collect();
             probes.extend(once.iter().rev());
-            let mut floor = SlotFloor::default();
+            let mut floor = SlotFloor::new(&wm, &selection);
             let got = wm.price_batch_on(&state, &selection, &probes, None, &mut floor);
             assert_eq!(got.len(), probes.len());
             for (&probe, d) in probes.iter().zip(&got) {
@@ -3477,7 +3308,7 @@ mod tests {
                     .filter(|&(q, c)| c.to_bits() != state.per_query()[q as usize].to_bits())
                     .collect();
                 let mut changed = Vec::new();
-                let mut fresh = SlotFloor::default();
+                let mut fresh = SlotFloor::new(&wm, &selection);
                 let single =
                     wm.commit_probe_on(&state, &selection, probe, &mut fresh, &mut changed);
                 assert_eq!(d.total.to_bits(), full.total().to_bits(), "{probe:?}");
@@ -3496,7 +3327,13 @@ mod tests {
         let selection = Selection::from_ids(pool.len(), &[0]);
         let state = wm.price_full(&selection);
         let probes: Vec<Probe> = (1..pool.len()).map(|cand| Probe::Add { cand }).collect();
-        let got = wm.price_batch_on(&state, &selection, &probes, None, &mut SlotFloor::default());
+        let got = wm.price_batch_on(
+            &state,
+            &selection,
+            &probes,
+            None,
+            &mut SlotFloor::new(&wm, &selection),
+        );
         for (p, d) in probes.iter().zip(&got) {
             let Probe::Add { cand } = *p else {
                 unreachable!()
@@ -3521,10 +3358,10 @@ mod tests {
             .collect();
         let mut scratch = Vec::new();
         for mask in &masks {
-            let mut floor = SlotFloor::default();
+            let mut floor = SlotFloor::new(&wm, &selection);
             let got = wm.price_batch_on(&state, &selection, &probes, Some(mask), &mut floor);
             for (&p, d) in probes.iter().zip(&got) {
-                let mut fresh = SlotFloor::default();
+                let mut fresh = SlotFloor::new(&wm, &selection);
                 let exact = wm.commit_probe_on(&state, &selection, p, &mut fresh, &mut scratch);
                 let restricted: Vec<(u32, f64)> = scratch
                     .iter()
@@ -3587,14 +3424,14 @@ mod tests {
             for mask in &masks {
                 let mask = mask.as_deref();
                 let admitted = |q: &u32| mask.is_none_or(|m| m.binary_search(q).is_ok());
-                let mut floor = SlotFloor::default();
+                let mut floor = SlotFloor::new(&wm, &selection);
                 let got = wm.price_batch_on(&state, &selection, &probes, mask, &mut floor);
                 assert_eq!(got.len(), probes.len());
                 for (&probe, got) in probes.iter().zip(&got) {
                     // The single-probe delta, restricted to the mask
                     // (unmasked, its own total and `repriced`).
                     let mut exact = Vec::new();
-                    let mut fresh = SlotFloor::default();
+                    let mut fresh = SlotFloor::new(&wm, &selection);
                     wm.commit_probe_on(&state, &selection, probe, &mut fresh, &mut exact);
                     let cands = match probe {
                         Probe::Add { cand } | Probe::Drop { cand } => vec![cand],

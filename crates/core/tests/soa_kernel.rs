@@ -7,12 +7,13 @@
 //! [`CacheCostModel`] oracle prices every query to the same bits. The
 //! slot-floor kernel is checked against the `price_full` diff on
 //! hand-built workloads whose arms tie on purpose, with one floor carried
-//! through every probe, commit and mutation. One-slot workloads walk the
-//! floor's winner and runner-up through each case its rules name: a
-//! winner tied with its runner-up, the always arm running up, `±0.0`
-//! arms, committed drops of the winner and of the runner-up, a swap that
-//! drops the winner and adds an arm equal to the runner-up, and a
-//! compaction under a carried floor.
+//! through every probe and commit, and a fresh one after every refused
+//! commit and every mutation. One-slot workloads walk the floor's winner
+//! and runner-up through each case its one tie rule meets: a winner tied
+//! with its runner-up, the always arm running up, `±0.0` arms, committed
+//! drops of the winner and of the runner-up, a swap that drops the winner
+//! and adds an arm equal to the runner-up, and a swap whose drop moves no
+//! value while its added zero sits between the winner and the runner-up.
 
 use pinum_catalog::{Catalog, Column, ColumnType, Index, Table};
 use pinum_core::access_costs::{collect_pinum, AccessCostCatalog};
@@ -317,7 +318,7 @@ fn one_slot(internal: f64, arms: &[(usize, f64)], always: f64) -> (PlanCache, Ac
 
 /// Every probe from `selection` prices like its `price_full` diff: all of
 /// them in one batch on the carried `floor` (total and `repriced`), each
-/// committed on it and then refused, the floor moved back (total and
+/// committed on a copy of it and then refused, the copy dropped (total and
 /// changed list), and each on a fresh floor.
 fn check_every_probe(
     model: &WorkloadModel,
@@ -336,14 +337,14 @@ fn check_every_probe(
             (total, union.len()),
             "batch {what}"
         );
-        let carried = model.commit_probe_on(state, selection, probe, floor, &mut changed);
+        let refused = &mut floor.clone();
+        let carried = model.commit_probe_on(state, selection, probe, refused, &mut changed);
         assert_eq!(
             (carried.total.to_bits(), bits(&changed)),
             (total, want.clone()),
             "refused {what}"
         );
-        model.move_floor(floor, selection);
-        let mut fresh = SlotFloor::default();
+        let mut fresh = SlotFloor::new(model, selection);
         let own = model.commit_probe_on(state, selection, probe, &mut fresh, &mut changed);
         assert_eq!(
             (own.total.to_bits(), bits(&changed)),
@@ -385,16 +386,16 @@ fn walk(
 /// hand the slot to the other, its runner-up, when both are selected, and
 /// to the scan when only it is: a drop rule that kept the floor because
 /// the dropped arm merely *equals* it would keep pricing the dropped
-/// index. Every probe from every selection, one floor carried through all
-/// of them, prices like a full re-pricing, and so does each probe on a
-/// throwaway floor.
+/// index. Every probe from every selection, one floor per selection
+/// carried through all of them, prices like a full re-pricing, and so does
+/// each probe on a throwaway floor.
 #[test]
 fn a_dropped_winner_hands_its_slot_to_its_runner_up() {
     let (cache, access) = one_slot(1.0, &[(0, 10.0), (1, 10.0)], 50.0);
     let model = WorkloadModel::build(2, [(&cache, &access)]);
-    let mut floor = SlotFloor::default();
     for ids in [&[][..], &[0], &[1], &[0, 1]] {
         let selection = Selection::from_ids(2, ids);
+        let mut floor = SlotFloor::new(&model, &selection);
         check_every_probe(
             &model,
             &model.price_full(&selection),
@@ -405,6 +406,7 @@ fn a_dropped_winner_hands_its_slot_to_its_runner_up() {
     let only_zero = Selection::from_ids(2, &[0]);
     let state = model.price_full(&only_zero);
     let drop = [Probe::Drop { cand: 0 }];
+    let mut floor = SlotFloor::new(&model, &only_zero);
     let dropped = model.price_batch_on(&state, &only_zero, &drop, None, &mut floor);
     assert_eq!(
         dropped[0].total, 51.0,
@@ -426,7 +428,7 @@ fn winner_and_runner_up_follow_every_committed_move() {
     let model = WorkloadModel::build(5, [(&cache, &access)]);
     let mut selection = Selection::empty(5);
     let mut state = model.price_full(&selection);
-    let mut floor = SlotFloor::default();
+    let mut floor = SlotFloor::new(&model, &selection);
     let add = |cand| Probe::Add { cand };
     let drop = |cand| Probe::Drop { cand };
     let moves = [
@@ -459,7 +461,7 @@ fn signed_zero_arms_keep_the_sign_the_scan_keeps() {
     let model = WorkloadModel::build(4, [(&cache, &access)]);
     let mut selection = Selection::empty(4);
     let mut state = model.price_full(&selection);
-    let mut floor = SlotFloor::default();
+    let mut floor = SlotFloor::new(&model, &selection);
     let add = |cand| Probe::Add { cand };
     let swap = |add, drop| Probe::Swap { add, drop };
     let moves = [
@@ -477,32 +479,41 @@ fn signed_zero_arms_keep_the_sign_the_scan_keeps() {
     assert_eq!(state.total().to_bits(), (-0.0f64).to_bits());
 }
 
-/// A floor carried across an eviction, `compact` and `renumber`: the
-/// evicted query's arms sat ahead of the survivor's, so compaction moves
-/// every surviving arm; the floor's winners and runner-ups, positions in
-/// their runs, still name the same arms.
+/// The tie rule's hard case, one swap on one slot: the run `+0.0` (c0),
+/// `−0.0` (c1), `+0.0` (c2) with c0 and c2 selected. Swapping c1 in for c0
+/// drops the winner, whose runner-up c2 has its bits, so the drop moves no
+/// value; the added c1 sits between the two in run order at the
+/// opposite-signed zero. The scan keeps c1, so the slot must flip its
+/// sign: an added arm is placed against the runner-up the drop promoted,
+/// not against the stored winner, behind which c1 falls.
 #[test]
-fn winner_and_runner_up_survive_compaction() {
-    let (filler, filler_access) = one_slot(1.0, &[(2, 5.0), (0, 6.0)], 7.0);
-    let (cache, access) = one_slot(1.0, &[(0, 10.0), (1, 20.0), (3, 20.0), (2, 30.0)], 50.0);
-    let mut model = WorkloadModel::build(4, [(&filler, &filler_access), (&cache, &access)]);
-    let mut selection = Selection::from_ids(4, &[0, 1, 2, 3]);
-    let mut state = model.price_full(&selection);
-    let mut floor = SlotFloor::default();
-    check_every_probe(&model, &state, &selection, &mut floor);
-    model.evict_query(0);
-    let remap = model.compact();
-    floor.renumber(&remap);
-    state = model.price_full(&selection);
-    let drop = |cand| Probe::Drop { cand };
-    walk(
-        &model,
-        &mut state,
-        &mut selection,
-        &mut floor,
-        &[drop(0), drop(1), drop(3)],
+fn a_swap_places_its_added_arm_against_the_promoted_runner_up() {
+    let arms = [(0, 0.0), (1, -0.0), (2, 0.0)];
+    let (cache, access) = one_slot(-0.0, &arms, 50.0);
+    let model = WorkloadModel::build(3, [(&cache, &access)]);
+    let selection = Selection::from_ids(3, &[0, 2]);
+    let state = model.price_full(&selection);
+    let probe = Probe::Swap { add: 1, drop: 0 };
+    let (total, want, union) = full_diff(&model, &state, &selection, probe);
+    assert_eq!(want, [(0, (-0.0f64).to_bits())], "the swap flips the sign");
+    let mut floor = SlotFloor::new(&model, &selection);
+    let batch = model.price_batch_on(&state, &selection, &[probe], None, &mut floor);
+    assert_eq!(
+        (batch[0].total.to_bits(), batch[0].repriced),
+        (total, union.len())
     );
-    assert_eq!(state.total(), 31.0);
+    let mut changed = Vec::new();
+    let delta = model.commit_probe_on(&state, &selection, probe, &mut floor, &mut changed);
+    assert_eq!(
+        (delta.total.to_bits(), bits(&changed), delta.repriced),
+        (total, want, union.len())
+    );
+    check_every_probe(
+        &model,
+        &state,
+        &selection,
+        &mut SlotFloor::new(&model, &selection),
+    );
 }
 
 /// Restore refuses a slot run that names one candidate twice: the floor
@@ -525,8 +536,8 @@ proptest! {
     /// The floor kernel prices every probe like a full re-pricing —
     /// total, changed list and `repriced` — on tied workloads, with one
     /// floor carried through probes, masked batches (drop-major swap runs
-    /// included), committed moves, admissions, evictions, reweights and
-    /// compactions.
+    /// included) and committed moves, and a fresh floor after each
+    /// refused commit, admission, eviction, reweight and compaction.
     #[test]
     fn floor_kernel_matches_full_repricing_on_tied_arms(
         seed in 0u64..u64::MAX,
@@ -539,7 +550,7 @@ proptest! {
         let mut pending = models.iter().skip(6);
         let mut selection = Selection::empty(POOL);
         let mut state = model.price_full(&selection);
-        let mut floor = SlotFloor::default();
+        let mut floor = SlotFloor::new(&model, &selection);
         let mut changed = Vec::new();
         for (step, (&op, &pick)) in ops.iter().zip(&picks).enumerate() {
             match op {
@@ -567,7 +578,6 @@ proptest! {
                 }
                 3 => {
                     let remap = model.compact();
-                    floor.renumber(&remap);
                     let mut survivors = vec![0.0; model.query_count()];
                     for (old, &new) in remap.iter().enumerate() {
                         if new != u32::MAX {
@@ -600,7 +610,7 @@ proptest! {
                             (total, repriced),
                             "step {} batch {:?} mask {:?}", step, probe, mask
                         );
-                        let mut fresh = SlotFloor::default();
+                        let mut fresh = SlotFloor::new(&model, &selection);
                         let one = model.commit_probe_on(&state, &selection, probe, &mut fresh, &mut changed);
                         let (total, want, union) = full_diff(&model, &state, &selection, probe);
                         prop_assert_eq!(
@@ -610,27 +620,31 @@ proptest! {
                         );
                     }
                 }
-                // Commit one move: settled while it is priced, or priced on
-                // a throwaway floor and then followed by the carried one;
-                // or priced to commit and refused, the floor moved back.
+                // Commit one move: settled on the carried floor while it is
+                // priced, or priced on a throwaway floor with a fresh one
+                // carried on from the new selection; or settled on the
+                // carried floor and refused, a fresh one carried on from
+                // the unchanged selection.
                 _ => {
                     let probes = every_probe(&selection, POOL);
                     let probe = probes[pick as usize % probes.len()];
                     let (total, want, _) = full_diff(&model, &state, &selection, probe);
-                    let mut fresh = SlotFloor::default();
+                    let mut fresh = SlotFloor::new(&model, &selection);
                     let on = if pick % 3 == 0 { &mut fresh } else { &mut floor };
                     let delta = model.commit_probe_on(&state, &selection, probe, on, &mut changed);
                     prop_assert_eq!((delta.total.to_bits(), bits(&changed)), (total, want));
-                    if pick % 3 == 2 {
-                        model.move_floor(&mut floor, &selection);
-                    } else {
+                    if pick % 3 != 2 {
                         state.apply_changed(&changed);
                         selection = probed(&selection, probe);
-                        if pick % 3 == 0 {
-                            model.move_floor(&mut floor, &selection);
-                        }
+                    }
+                    if pick % 3 != 1 {
+                        floor = SlotFloor::new(&model, &selection);
                     }
                 }
+            }
+            // A mutation leaves the floor built for the model it changed.
+            if op < 4 {
+                floor = SlotFloor::new(&model, &selection);
             }
             assert_state_is_fresh(&model, &selection, &state, step);
         }
@@ -714,7 +728,7 @@ proptest! {
                         let cand = outside[pick as usize % outside.len()];
                         let mut scratch = Vec::new();
                         let delta = model.commit_probe_on(
-                            &state, &selection, Probe::Add { cand }, &mut SlotFloor::default(), &mut scratch,
+                            &state, &selection, Probe::Add { cand }, &mut SlotFloor::new(&model, &selection), &mut scratch,
                         );
                         state.apply_changed(&scratch);
                         prop_assert_eq!(state.total().to_bits(), delta.total.to_bits());
@@ -728,7 +742,7 @@ proptest! {
                         let cand = inside[pick as usize % inside.len()];
                         let mut scratch = Vec::new();
                         let delta = model.commit_probe_on(
-                            &state, &selection, Probe::Drop { cand }, &mut SlotFloor::default(), &mut scratch,
+                            &state, &selection, Probe::Drop { cand }, &mut SlotFloor::new(&model, &selection), &mut scratch,
                         );
                         state.apply_changed(&scratch);
                         prop_assert_eq!(state.total().to_bits(), delta.total.to_bits());
@@ -763,7 +777,7 @@ proptest! {
                     continue;
                 }
                 let probe = Probe::Add { cand };
-                model.commit_probe_on(&state, &selection, probe, &mut SlotFloor::default(), &mut scratch);
+                model.commit_probe_on(&state, &selection, probe, &mut SlotFloor::new(&model, &selection), &mut scratch);
                 for &(q, _) in &scratch {
                     prop_assert!(
                         model.affected(cand).any(|a| a == q),

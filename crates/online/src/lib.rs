@@ -928,8 +928,9 @@ impl OnlineAdvisor {
             admits_since_advise,
             stats,
         } = parts;
-        if baseline_mean.is_nan() {
-            return Err("drift baseline is NaN");
+        // A re-advise sets the mean of exact costs (≥ 0), or `+∞`.
+        if baseline_mean.is_nan() || baseline_mean < 0.0 {
+            return Err("drift baseline NaN or negative");
         }
         let model = WorkloadModel::from_parts(pool.len(), model)?;
         if model.live_query_count() > opts.window_capacity {
@@ -1661,9 +1662,26 @@ mod tests {
         p.qid_ordinal.pop();
         assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
 
-        let mut p = good.clone();
-        p.baseline_mean = f64::NAN;
-        assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
+        for baseline_mean in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            let mut p = good.clone();
+            p.baseline_mean = baseline_mean;
+            assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
+        }
+
+        // Per-query costs no pricing produces: a live query's NaN or
+        // negative cost, a tombstone's non-zero one. Refused before the
+        // restored state is priced or checked.
+        let live = good
+            .model
+            .live
+            .iter()
+            .position(|&l| l)
+            .expect("a live slot");
+        for (q, cost) in [(live, f64::NAN), (live, -1.0), (dead, 1.0), (dead, -0.0)] {
+            let mut p = good.clone();
+            p.per_query[q] = cost;
+            assert!(OnlineAdvisor::from_parts(pool.clone(), o, p).is_err());
+        }
 
         let mut p = good.clone();
         p.per_query.pop();

@@ -278,7 +278,7 @@ proptest! {
             let mut scratch = Vec::new();
             for &cand in &ids {
                 let probe = Probe::Drop { cand };
-                let delta = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::default(), &mut scratch);
+                let delta = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::new(&wm, &sel), &mut scratch);
                 let full = wm.price_full(&sel.without(cand));
                 prop_assert_eq!(delta.total, full.total(),
                     "selection {:?} - candidate {}", &ids, cand);
@@ -292,14 +292,14 @@ proptest! {
                         continue;
                     }
                     let probe = Probe::Swap { add, drop };
-                    let delta = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::default(), &mut scratch);
+                    let delta = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::new(&wm, &sel), &mut scratch);
                     let full = wm.price_full(&sel.without(drop).with(add));
                     prop_assert_eq!(delta.total, full.total(),
                         "selection {:?} + {} - {}", &ids, add, drop);
                 }
             }
 
-            // A random mixed batch over one shared view: every result is
+            // A random mixed batch over one shared floor: every result is
             // the full re-pricing of its moved selection, and the exact
             // changed list is the per-query diff of the two pricings.
             let outside: Vec<usize> = (0..pool.len()).filter(|&c| !sel.contains(c)).collect();
@@ -317,7 +317,7 @@ proptest! {
                     }
                 })
                 .collect();
-            let batch = wm.price_batch_on(&state, &sel, &probes, None, &mut SlotFloor::default());
+            let batch = wm.price_batch_on(&state, &sel, &probes, None, &mut SlotFloor::new(&wm, &sel));
             for (&probe, got) in probes.iter().zip(&batch) {
                 let moved = match probe {
                     Probe::Add { cand } => sel.with(cand),
@@ -327,7 +327,7 @@ proptest! {
                 let full = wm.price_full(&moved);
                 prop_assert_eq!(got.total.to_bits(), full.total().to_bits(),
                     "selection {:?} {:?}", &ids, probe);
-                wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::default(), &mut scratch);
+                wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::new(&wm, &sel), &mut scratch);
                 let changed: Vec<(u32, u64)> =
                     scratch.iter().map(|&(q, c)| (q, c.to_bits())).collect();
                 let diff: Vec<(u32, u64)> = state
@@ -351,10 +351,10 @@ proptest! {
                 .flat_map(|&drop| outside.iter().map(move |&add| Probe::Swap { add, drop }))
                 .collect();
             for qmask in [None, Some(&[][..]), Some(&[0][..]), Some(&[1][..]), Some(&[0, 1][..])] {
-                let mut floor = SlotFloor::default();
+                let mut floor = SlotFloor::new(&wm, &sel);
                 let batch = wm.price_batch_on(&state, &sel, &neighbourhood, qmask, &mut floor);
                 for (&probe, got) in neighbourhood.iter().zip(&batch) {
-                    let exact = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::default(), &mut scratch);
+                    let exact = wm.commit_probe_on(&state, &sel, probe, &mut SlotFloor::new(&wm, &sel), &mut scratch);
                     let admitted = |q: &u32| qmask.is_none_or(|m| m.contains(q));
                     scratch.retain(|(q, _)| admitted(q));
                     prop_assert_eq!(got.total.to_bits(), state.overlaid_total(&scratch).to_bits(),
@@ -951,7 +951,7 @@ proptest! {
                 } else {
                     (Probe::Add { cand }, sel.with(cand))
                 };
-                let got = wm.commit_probe_on(&state, sel, probe, &mut SlotFloor::default(), &mut scratch);
+                let got = wm.commit_probe_on(&state, sel, probe, &mut SlotFloor::new(&wm, sel), &mut scratch);
                 prop_assert_eq!(got.total.to_bits(), wm.price_full(&moved).total().to_bits(),
                     "seed {} {:?} {:?}", seed, sel, probe);
                 prop_assert_eq!(model_bits(&moved), oracle_bits(&moved),
